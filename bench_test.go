@@ -566,8 +566,8 @@ func abs(x float64) float64 {
 
 // benchCaptureSteadyState drives the full core localization pipeline — the
 // steady-state workload of a deployed AP — against a prepared system.
-func benchCaptureSteadyState(b *testing.B, cfg core.Config) {
-	sys := core.MustNewSystem(cfg, rfsim.DefaultIndoorScene())
+func benchCaptureSteadyState(b *testing.B) {
+	sys := core.MustNewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
 	n, err := sys.AddNode(rfsim.Point{X: 4, Y: 0.5}, 5)
 	if err != nil {
 		b.Fatal(err)
@@ -586,39 +586,11 @@ func benchCaptureSteadyState(b *testing.B, cfg core.Config) {
 }
 
 // BenchmarkCaptureSteadyState measures allocations per localization with
-// the capture plane's pooled buffers and clutter cache active — the PR 3
-// allocation gate (scripts/alloc_gate.sh) compares this against the NoPool
-// reference below.
+// the capture plane's pooled buffers and clutter cache active — the
+// allocation gate (scripts/alloc_gate.sh) caps it at an absolute
+// allocs/op bound.
 func BenchmarkCaptureSteadyState(b *testing.B) {
-	benchCaptureSteadyState(b, core.DefaultConfig())
-}
-
-// BenchmarkCaptureSteadyStateNoPool is the allocate-everything reference:
-// same pipeline, pooling and clutter caching disabled.
-func BenchmarkCaptureSteadyStateNoPool(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.DisableCapturePool = true
-	cfg.DisableClutterCache = true
-	benchCaptureSteadyState(b, cfg)
-}
-
-// BenchmarkCaptureSteadyStateRefSynth pins the same steady-state pipeline to
-// the per-sample-Sincos reference synthesis path (DisableFastSynth): the gap
-// to BenchmarkCaptureSteadyState is the PR 5 kernel rewrite (DESIGN.md §12).
-func BenchmarkCaptureSteadyStateRefSynth(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.DisableFastSynth = true
-	benchCaptureSteadyState(b, cfg)
-}
-
-// BenchmarkCaptureSteadyStateRefFFT pins the same steady-state pipeline to
-// the FFT-then-subtract reference receive path (DisableFastFFT): the gap to
-// BenchmarkCaptureSteadyState is the fused background-subtraction transform
-// (DESIGN.md §13).
-func BenchmarkCaptureSteadyStateRefFFT(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.DisableFastFFT = true
-	benchCaptureSteadyState(b, cfg)
+	benchCaptureSteadyState(b)
 }
 
 // BenchmarkCaptureParallel4 is BenchmarkCaptureParallel with GOMAXPROCS
@@ -653,7 +625,7 @@ func BenchmarkCaptureParallel2(b *testing.B) {
 func BenchmarkCaptureSteadyStateProcs2(b *testing.B) {
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
-	benchCaptureSteadyState(b, core.DefaultConfig())
+	benchCaptureSteadyState(b)
 }
 
 // BenchmarkCaptureSteadyStateProcs4 is the 4-core point: the bench_compare
@@ -662,20 +634,18 @@ func BenchmarkCaptureSteadyStateProcs2(b *testing.B) {
 func BenchmarkCaptureSteadyStateProcs4(b *testing.B) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	benchCaptureSteadyState(b, core.DefaultConfig())
+	benchCaptureSteadyState(b)
 }
 
-// benchSynthesize measures chirp-frame synthesis alone — no FFTs, no
-// detection — over a 64-chirp burst against a cluttered scene, the workload
-// the PR 5 kernels target. With the fast path the target declares its two
+// BenchmarkSynthesizeChirpsMulti measures chirp-frame synthesis alone — no
+// FFTs, no detection — over a 64-chirp burst against a cluttered scene, the
+// workload the synthesis kernels target. The target declares its two
 // switch states so the gain-envelope memo engages, matching how core builds
-// its targets; the reference variant reproduces the historical
-// per-sample-Sincos cost.
-func benchSynthesize(b *testing.B, fastOn bool) {
+// its targets.
+func BenchmarkSynthesizeChirpsMulti(b *testing.B) {
 	a := ap.MustNew(ap.DefaultConfig(), rfsim.DefaultIndoorScene())
-	a.SetFastSynthEnabled(fastOn)
 	c := a.Config().LocalizationChirp
-	tgt := &ap.BackscatterTarget{
+	tgts := []*ap.BackscatterTarget{{
 		Pos: rfsim.Point{X: 3},
 		GainDBi: func(k int, f float64) float64 {
 			if k%2 == 1 {
@@ -683,12 +653,9 @@ func benchSynthesize(b *testing.B, fastOn bool) {
 			}
 			return 5
 		},
-	}
-	if fastOn {
-		tgt.GainStates = 2
-		tgt.GainStateOf = func(k int) int { return k & 1 }
-	}
-	tgts := []*ap.BackscatterTarget{tgt}
+		GainStates:  2,
+		GainStateOf: func(k int) int { return k & 1 },
+	}}
 	ns := rfsim.NewNoiseSource(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -697,11 +664,6 @@ func benchSynthesize(b *testing.B, fastOn bool) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSynthesizeChirpsMulti measures the fast synthesis kernels.
-func BenchmarkSynthesizeChirpsMulti(b *testing.B) {
-	benchSynthesize(b, true)
 }
 
 // benchWalkPath is the slow drift the moving-scene benchmarks bind: 20 cm
@@ -778,10 +740,4 @@ func BenchmarkTrajectoryAdvance(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSynthesizeChirpsMultiRefSynth measures the reference path on the
-// identical burst.
-func BenchmarkSynthesizeChirpsMultiRefSynth(b *testing.B) {
-	benchSynthesize(b, false)
 }

@@ -142,33 +142,9 @@ type AP struct {
 	// whose paths it can actually change, and eviction at capacity is
 	// deterministic LRU by clutterTick, never map-iteration order.
 	clutterMu    sync.Mutex
-	clutterOff   bool
 	clutterCache map[clutterKey]*clutterEntry
 	clutterGen   uint64
 	clutterTick  uint64
-
-	// fastOff disables the phasor-recurrence synthesis kernels and restores
-	// the per-sample-Sincos reference path (SetFastSynthEnabled). Like
-	// clutterOff it is a wiring-time switch, not a per-capture one.
-	fastOff bool
-
-	// fastFFTOff disables the fused background-subtraction transform in
-	// subtractedSpectra (SetFastFFTEnabled) and restores the reference
-	// FFT-then-subtract path. Wiring-time, like fastOff.
-	fastFFTOff bool
-
-	// batchOff disables the batched transform layer (SetBatchFFTEnabled):
-	// subtractedSpectra reverts to per-pair fused transforms, the lazy
-	// per-antenna materialization is disabled (both antennas get full
-	// spectra), and the range-Doppler column FFTs run one at a time.
-	// Wiring-time, like fastOff.
-	batchOff bool
-
-	// intraParOff pins every intra-capture fan-out to one worker
-	// (SetIntraCaptureParallelEnabled), so the synthesis, subtract-FFT, and
-	// power-profile stages run serially regardless of GOMAXPROCS.
-	// Wiring-time, like fastOff.
-	intraParOff bool
 
 	// obs holds the AP's resolved stage instruments; nil (the default)
 	// means unobserved and the pipelines skip even the clock reads.
@@ -189,22 +165,15 @@ type apObs struct {
 	clutterEvict *obs.Counter
 	tracer       *obs.Tracer
 
-	// fftReal times the fused subtraction-transform pass of the fast FFT
-	// path (DESIGN.md §13); its span nests inside the enclosing ap.fft span.
-	// The reference path reports only the aggregate fft stage.
-	fftReal *obs.Histogram
-
-	// Sub-stage split of the synthesize stage, recorded by the fast kernel
-	// path (DESIGN.md §12): clutter-template fill, target-tone generation
-	// (including gain-envelope memoization), and the noise fold-in. The
-	// reference path reports only the aggregate synthesize stage.
+	// Sub-stage split of the synthesize stage (DESIGN.md §12):
+	// clutter-template fill, target-tone generation (including gain-envelope
+	// memoization), and the noise fold-in.
 	synthClutter *obs.Histogram
 	synthTargets *obs.Histogram
 	synthNoise   *obs.Histogram
 
 	// fftBatch times the batched subtract-transform pass (DESIGN.md §17);
-	// its span nests inside the enclosing ap.fft span like fftReal's does
-	// on the per-pair path.
+	// its span nests inside the enclosing ap.fft span.
 	fftBatch *obs.Histogram
 	// captureWorkers distributes the participant counts of intra-capture
 	// fan-outs, showing how much of the worker budget the stages actually
@@ -308,7 +277,6 @@ func (a *AP) SetObserver(reg *obs.Registry, tr *obs.Tracer) {
 		clutterInval: reg.Counter(obs.MetricClutterInvalidations),
 		clutterEvict: reg.Counter(obs.MetricClutterEvictions),
 		tracer:       tr,
-		fftReal:      reg.Histogram(obs.MetricFFTRealSeconds, obs.DurationBuckets()),
 		synthClutter: reg.Histogram(obs.MetricSynthClutterSeconds, obs.DurationBuckets()),
 		synthTargets: reg.Histogram(obs.MetricSynthTargetsSeconds, obs.DurationBuckets()),
 		synthNoise:   reg.Histogram(obs.MetricSynthNoiseSeconds, obs.DurationBuckets()),
@@ -318,62 +286,10 @@ func (a *AP) SetObserver(reg *obs.Registry, tr *obs.Tracer) {
 	}
 }
 
-// SetFastSynthEnabled toggles the phasor-recurrence synthesis kernels
-// (enabled by default). Disabling them restores the per-sample-Sincos
-// reference path, whose output is bit-identical to the historical
-// implementation; the fast kernels match it within the 1e-9 relative drift
-// bound the differential tests pin (DESIGN.md §12). Like the clutter-cache
-// switch this is wiring-time configuration, not safe to flip concurrently
-// with captures.
-func (a *AP) SetFastSynthEnabled(on bool) { a.fastOff = !on }
-
-// FastSynthEnabled reports whether the phasor-recurrence kernels are
-// active.
-func (a *AP) FastSynthEnabled() bool { return !a.fastOff }
-
-// SetFastFFTEnabled toggles the fused background-subtraction transform
-// (enabled by default): subtractedSpectra computes FFT(w·(x_{k+1}−x_k))
-// directly instead of transforming every chirp and differencing spectra,
-// saving one FFT pair per capture and a full window-multiply pass per chirp.
-// By linearity the two forms agree within ~1 ulp per sample; the reference
-// path remains available for the differential tests (DESIGN.md §13). Like
-// the other switches this is wiring-time configuration, not safe to flip
-// concurrently with captures.
-func (a *AP) SetFastFFTEnabled(on bool) { a.fastFFTOff = !on }
-
-// FastFFTEnabled reports whether the fused subtraction transform is active.
-func (a *AP) FastFFTEnabled() bool { return !a.fastFFTOff }
-
-// SetBatchFFTEnabled toggles the batched transform layer (enabled by
-// default): the whole chirp dimension of a capture goes through one
-// dsp.BatchPlan call (shared twiddles, packed pruned stages, lazy antenna-1
-// materialization) instead of 2(n−1) independent plan executions. Disabling
-// it restores the PR 9 per-pair fused path for differential testing
-// (DESIGN.md §17). Wiring-time configuration, not safe to flip concurrently
-// with captures.
-func (a *AP) SetBatchFFTEnabled(on bool) { a.batchOff = !on }
-
-// BatchFFTEnabled reports whether the batched transform layer is active.
-func (a *AP) BatchFFTEnabled() bool { return !a.batchOff }
-
-// SetIntraCaptureParallelEnabled toggles intra-capture parallelism (enabled
-// by default): the synthesis, subtract-FFT, and power-profile stages fan out
-// across up to GOMAXPROCS pooled workers with per-worker scratch and
-// fixed-order reductions, bit-identical to the serial path at any worker
-// count (DESIGN.md §17). Disabling pins every fan-out to one worker.
-// Wiring-time configuration, not safe to flip concurrently with captures.
-func (a *AP) SetIntraCaptureParallelEnabled(on bool) { a.intraParOff = !on }
-
-// IntraCaptureParallelEnabled reports whether intra-capture fan-outs may use
-// more than one worker.
-func (a *AP) IntraCaptureParallelEnabled() bool { return !a.intraParOff }
-
 // captureWorkers returns the worker budget for intra-capture fan-outs:
-// GOMAXPROCS, or 1 when intra-capture parallelism is disabled.
+// GOMAXPROCS. Fan-outs are bit-identical at any worker count (DESIGN.md
+// §17), so GOMAXPROCS=1 is the serial oracle the determinism tests use.
 func (a *AP) captureWorkers() int {
-	if a.intraParOff {
-		return 1
-	}
 	return runtime.GOMAXPROCS(0)
 }
 
@@ -432,17 +348,6 @@ func (b *busyClock) recordBusy(tr *obs.Tracer, stage string, start time.Time, wo
 		DurNS:   b.ns.Load(),
 		Arg:     int64(workers),
 	})
-}
-
-// SetClutterCacheEnabled toggles the clutter-path cache (enabled by
-// default). Disabling it restores derive-per-capture behavior for
-// differential testing.
-func (a *AP) SetClutterCacheEnabled(on bool) {
-	a.clutterMu.Lock()
-	a.clutterOff = !on
-	a.clutterCache = nil
-	a.clutterGen = a.scene.Generation()
-	a.clutterMu.Unlock()
 }
 
 // syncClutterLocked brings the cache up to the scene's current generation,
@@ -528,10 +433,6 @@ func (a *AP) evictLRULocked() {
 func (a *AP) clutterPaths(fc float64) []rfsim.Path {
 	key := clutterKey{pointing: a.tx.PointingRad, carrier: fc}
 	a.clutterMu.Lock()
-	if a.clutterOff {
-		a.clutterMu.Unlock()
-		return a.scene.ClutterPaths(a.tx, a.rx[0], fc)
-	}
 	a.syncClutterLocked()
 	if e, ok := a.clutterCache[key]; ok {
 		a.clutterTick++
@@ -548,20 +449,18 @@ func (a *AP) clutterPaths(fc float64) []rfsim.Path {
 	}
 	paths, deps := a.scene.ClutterPathsWithDeps(a.tx, a.rx[0], fc)
 	a.clutterMu.Lock()
-	if !a.clutterOff {
-		// The scheduler serializes mutation against captures, but re-sync
-		// anyway so a derivation raced by a mutation is never installed
-		// against a stale generation.
-		a.syncClutterLocked()
-		if len(a.clutterCache) >= clutterCacheCap {
-			a.evictLRULocked()
-		}
-		if a.clutterCache == nil {
-			a.clutterCache = make(map[clutterKey]*clutterEntry)
-		}
-		a.clutterTick++
-		a.clutterCache[key] = &clutterEntry{paths: paths, deps: deps, tick: a.clutterTick}
+	// The scheduler serializes mutation against captures, but re-sync anyway
+	// so a derivation raced by a mutation is never installed against a stale
+	// generation.
+	a.syncClutterLocked()
+	if len(a.clutterCache) >= clutterCacheCap {
+		a.evictLRULocked()
 	}
+	if a.clutterCache == nil {
+		a.clutterCache = make(map[clutterKey]*clutterEntry)
+	}
+	a.clutterTick++
+	a.clutterCache[key] = &clutterEntry{paths: paths, deps: deps, tick: a.clutterTick}
 	a.clutterMu.Unlock()
 	return paths
 }

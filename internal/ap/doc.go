@@ -22,14 +22,17 @@
 //   - ISAC extension — EstimateRadialVelocity (chirp-to-chirp carrier
 //     phase), DetectTargets (discovery sweeps).
 //
-// Chirp synthesis runs on fast phasor-recurrence kernels by default
-// (kernel.go, DESIGN.md §12): beat tones advance by one complex multiply
-// per sample, static clutter is rendered once per capture into a shared
-// template, and a BackscatterTarget that declares its switch states
-// (GainStates/GainStateOf — the FSA node's two toggled ports in §5.1) has
-// its gain curves memoized per state. SetFastSynthEnabled(false) selects
-// the per-sample-Sincos reference path, which fast synthesis matches
-// within 1e-9 relative per sample.
+// Each capture stage has one production path. Chirp synthesis runs on
+// phasor-recurrence kernels (kernel.go, DESIGN.md §12): beat tones advance
+// by one complex multiply per sample, static clutter is rendered once per
+// capture into a shared template, and a BackscatterTarget that declares its
+// switch states (GainStates/GainStateOf — the FSA node's two toggled ports
+// in §5.1) has its gain curves memoized per state. Background subtraction
+// transforms the windowed consecutive-chirp differences through one batched
+// plan per capture (DESIGN.md §13, §17). The formulations these replaced —
+// per-sample-Sincos synthesis and window-every-chirp-then-difference
+// subtraction — live on only as test oracles (oracle_test.go) that the
+// production paths must match within 1e-9 relative.
 //
 // When an obs registry is attached via SetObserver, the three pipeline
 // stages (synthesize, FFT, detect) record per-call timing histograms and

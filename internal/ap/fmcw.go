@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/rfsim"
 	"repro/internal/waveform"
 )
@@ -23,9 +22,10 @@ import (
 var ErrNoDetection = errors.New("no backscatter detection")
 
 // ErrInvalidConfig reports a capture request the hardware could not run:
-// an invalid chirp program or a non-positive chirp count. Synthesis errors
-// wrap it so callers (core, the milback facade) can errors.Is their way
-// through the chain instead of recovering panics.
+// an invalid chirp program, a non-positive chirp count, or a capture whose
+// frames differ in length. Synthesis and subtraction errors wrap it so
+// callers (core, the milback facade) can errors.Is their way through the
+// chain instead of recovering panics.
 var ErrInvalidConfig = errors.New("invalid configuration")
 
 // BackscatterTarget describes the node as the FMCW processor sees it: a
@@ -49,7 +49,7 @@ type BackscatterTarget struct {
 	// states — the FSA's per-port array factors are mode-independent, so its
 	// two toggle states cost one port sweep each instead of two. The whole
 	// env arena may be used as scratch. Must describe the same target as
-	// GainDBi (the reference path always uses GainDBi; the differential pins
+	// GainDBi (the reference oracle always uses GainDBi; the differential pins
 	// hold the two within 1e-9 relative). Same concurrency contract as
 	// GainDBi.
 	GainEnvs func(freq []float64, nStates int, env []float64)
@@ -112,26 +112,8 @@ func (a *AP) SynthesizeChirps(c waveform.Chirp, nChirps int, tgt *BackscatterTar
 // same discovery epoch.
 func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
 	extra []ModulatedPath, ns *rfsim.NoiseSource) ([]ChirpFrame, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("ap: %w: %v", ErrInvalidConfig, err)
-	}
-	if nChirps < 1 {
-		return nil, fmt.Errorf("ap: %w: need at least one chirp, got %d", ErrInvalidConfig, nChirps)
-	}
-	for _, tgt := range tgts {
-		if tgt == nil || tgt.GainStates <= 0 {
-			continue
-		}
-		if tgt.GainStateOf == nil {
-			return nil, fmt.Errorf("ap: %w: target declares %d gain states but no GainStateOf",
-				ErrInvalidConfig, tgt.GainStates)
-		}
-		for k := 0; k < nChirps; k++ {
-			if s := tgt.GainStateOf(k); s < 0 || s >= tgt.GainStates {
-				return nil, fmt.Errorf("ap: %w: GainStateOf(%d) = %d outside [0, %d)",
-					ErrInvalidConfig, k, s, tgt.GainStates)
-			}
-		}
+	if err := validateSynth(c, nChirps, tgts); err != nil {
+		return nil, err
 	}
 	if o := a.obs; o != nil {
 		start := time.Now()
@@ -140,12 +122,51 @@ func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*Backsc
 			o.tracer.Record(obs.SpanSynthesize, start, int64(nChirps))
 		}()
 	}
+	// synthState travels by value: the kernels only read its fields, and a
+	// pointer would escape into the fan-out closures, costing a heap
+	// allocation per capture.
+	st := a.newSynthState(c, nChirps, tgts, extra, ns)
+	a.synthesizeFast(st)
+	return st.frames, nil
+}
+
+// validateSynth rejects a capture request the hardware could not run: an
+// invalid chirp, a non-positive chirp count, or a target whose declared
+// switch states are inconsistent.
+func validateSynth(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget) error {
+	if err := c.Validate(); err != nil {
+		return fmt.Errorf("ap: %w: %v", ErrInvalidConfig, err)
+	}
+	if nChirps < 1 {
+		return fmt.Errorf("ap: %w: need at least one chirp, got %d", ErrInvalidConfig, nChirps)
+	}
+	for _, tgt := range tgts {
+		if tgt == nil || tgt.GainStates <= 0 {
+			continue
+		}
+		if tgt.GainStateOf == nil {
+			return fmt.Errorf("ap: %w: target declares %d gain states but no GainStateOf",
+				ErrInvalidConfig, tgt.GainStates)
+		}
+		for k := 0; k < nChirps; k++ {
+			if s := tgt.GainStateOf(k); s < 0 || s >= tgt.GainStates {
+				return fmt.Errorf("ap: %w: GainStateOf(%d) = %d outside [0, %d)",
+					ErrInvalidConfig, k, s, tgt.GainStates)
+			}
+		}
+	}
+	return nil
+}
+
+// newSynthState draws the capture's hardware imperfections and AWGN from ns
+// and hoists every chirp-invariant input of a validated request. It is the
+// one place the capture's RNG stream is consumed, so the synthesis kernels
+// and the per-sample-Sincos test oracle render identical draws.
+func (a *AP) newSynthState(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
+	extra []ModulatedPath, ns *rfsim.NoiseSource) synthState {
 	fs := a.cfg.BeatSampleRateHz
 	nSamp := c.SampleCount(fs)
 	fc := (c.FreqLow + c.FreqHigh) / 2
-	lambda := rfsim.Wavelength(fc)
-	txAmp := math.Sqrt(a.cfg.TxPowerW)
-	radarLoss := a.implementationLoss()
 
 	// Per-capture hardware imperfections (see Config): sweep-slope error,
 	// trigger jitter, and receive-chain phase mismatch. The processor always
@@ -193,7 +214,7 @@ func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*Backsc
 
 	// Noise is drawn serially up front, one buffer per chirp in chirp order,
 	// so the RNG consumes exactly the stream the historical serial loop did —
-	// the parallel fan-out below then stays bit-identical to a serial run.
+	// the parallel fan-out then stays bit-identical to a serial run.
 	var noise [][2][]complex128
 	if ns != nil {
 		noise = make([][2][]complex128, nChirps)
@@ -206,15 +227,15 @@ func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*Backsc
 		}
 	}
 
-	st := synthState{
+	return synthState{
 		cEff:    cEff,
 		nChirps: nChirps,
 		nSamp:   nSamp,
 		fs:      fs,
 		fc:      fc,
-		lambda:  lambda,
-		txAmp:   txAmp,
-		radar:   radarLoss,
+		lambda:  rfsim.Wavelength(fc),
+		txAmp:   math.Sqrt(a.cfg.TxPowerW),
+		radar:   a.implementationLoss(),
 		jitter:  jitter,
 		psi:     psi,
 		clutter: clutter,
@@ -222,111 +243,6 @@ func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*Backsc
 		extras:  extras,
 		noise:   noise,
 		frames:  make([]ChirpFrame, nChirps),
-	}
-	// synthState travels by value: the dispatchees only read its fields, and
-	// a pointer would escape into the fan-out closures, costing a heap
-	// allocation per capture.
-	if a.fastOff {
-		a.synthesizeRef(st)
-	} else {
-		a.synthesizeFast(st)
-	}
-	return st.frames, nil
-}
-
-// synthesizeRef renders the capture with the per-sample-Sincos reference
-// kernels — the historical implementation, kept bit-identical so
-// DisableFastSynth pins old behavior and the differential tests have an
-// exact baseline to compare synthesizeFast against.
-func (a *AP) synthesizeRef(st synthState) {
-	// Unpack into locals so the fan-out closure captures read-only scalars
-	// and slice headers by value; capturing the whole parameter would box it
-	// on the heap — one allocation per capture for nothing.
-	cEff, nSamp, fc := st.cEff, st.nSamp, st.fc
-	lambda, txAmp, radarLoss := st.lambda, st.txAmp, st.radar
-	jitter, psi := st.jitter, st.psi
-	clutter, targets, extras := st.clutter, st.targets, st.extras
-	noise, frames := st.noise, st.frames
-	parallel.ForEach(st.nChirps, func(k int) {
-		var frame ChirpFrame
-		for m := 0; m < 2; m++ {
-			frame.Rx[m] = a.getComplex(nSamp)
-		}
-		// Static clutter: constant per chirp.
-		for _, p := range clutter {
-			a.addBeatTone(&frame, cEff, p.Delay+jitter, p.Amplitude*txAmp*radarLoss, p.AoARad, lambda, psi, nil)
-		}
-		// The nodes' modulated reflections.
-		for _, ts := range targets {
-			// Range rate advances the delay chirp by chirp (Doppler).
-			dk := ts.d + ts.tgt.RadialVelocityMS*float64(k)*a.cfg.ChirpIntervalS
-			if dk <= 0 {
-				continue
-			}
-			tau := 2*rfsim.PropagationDelay(dk) + jitter
-			gainAt := ts.tgt.GainDBi
-			ampAt := func(t float64) float64 {
-				g := gainAt(k, cEff.FrequencyAt(t))
-				if math.IsInf(g, -1) {
-					return 0
-				}
-				// The path loss follows the Doppler-advanced distance dk, not
-				// the initial d: a long burst against a fast target must not
-				// overstate (or understate) late-chirp SNR.
-				return rfsim.BackscatterAmplitude(ts.txG, ts.rxG, g, dk, fc) *
-					txAmp * radarLoss * ts.blk
-			}
-			a.addBeatTone(&frame, cEff, tau, 0, ts.az, lambda, psi, ampAt)
-		}
-		// Extra injected paths (e.g. the mirror reflection).
-		for _, es := range extras {
-			a.addBeatTone(&frame, cEff, es.tau, es.path.Amplitude(k)*txAmp*radarLoss, es.az, lambda, psi, nil)
-		}
-		if noise != nil {
-			for m := 0; m < 2; m++ {
-				nb := noise[k][m]
-				for i := range frame.Rx[m] {
-					frame.Rx[m][i] += nb[i]
-				}
-				// The chirp's noise buffer is folded in; recycle it. Each k
-				// is owned by exactly one worker and the pool is locked, so
-				// this is safe inside the fan-out.
-				noise[k][m] = nil
-				a.putComplex(nb)
-			}
-		}
-		frames[k] = frame
-	})
-}
-
-// addBeatTone adds one path's beat contribution to both antennas. If ampAt
-// is non-nil it supplies a time-varying amplitude; otherwise amp is used.
-// psi is the receive-chain phase mismatch applied to antenna 1.
-func (a *AP) addBeatTone(frame *ChirpFrame, c waveform.Chirp, tau, amp, aoaRad, lambda, psi float64,
-	ampAt func(t float64) float64) {
-	fs := a.cfg.BeatSampleRateHz
-	fBeat := c.BeatFrequency(tau)
-	phi0 := -2 * math.Pi * c.FreqLow * tau
-	dPhi := 2*math.Pi*a.cfg.RxSpacingM*math.Sin(aoaRad)/lambda + psi
-	// The inter-antenna rotation depends only on the arrival angle, not on
-	// the sample index.
-	s2, c2 := math.Sincos(dPhi)
-	rot := complex(c2, s2)
-	n := len(frame.Rx[0])
-	for i := 0; i < n; i++ {
-		t := float64(i) / fs
-		av := amp
-		if ampAt != nil {
-			av = ampAt(t)
-		}
-		if av == 0 {
-			continue
-		}
-		ph := 2*math.Pi*fBeat*t + phi0
-		s, cth := math.Sincos(ph)
-		base := complex(av*cth, av*s)
-		frame.Rx[0][i] += base
-		frame.Rx[1][i] += base * rot
 	}
 }
 
@@ -356,16 +272,11 @@ type diffSet struct {
 	// d[k][m] holds pair k, antenna m: an nfft-bin spectrum (diffSpec), a
 	// frame-length windowed time difference (diffTime), or nil (diffSkip).
 	d [][2][]complex128
-	// mode records what each antenna column actually holds. The fallback
-	// paths upgrade every request to diffSpec, so consumers must dispatch on
-	// mode (or use binAt), never on what they asked for.
+	// mode records what each antenna column holds — exactly what the
+	// consumer asked for.
 	mode [2]diffMode
-	// n0 is the uniform frame length; nfft the spectrum length.
-	n0, nfft int
-	// fast marks the batched path, whose consumers may use the packed
-	// band-envelope kernel; the fallback paths leave it false so the
-	// reference formulations stay pinned for differential testing.
-	fast bool
+	// nfft is the spectrum length.
+	nfft int
 }
 
 // binAt returns spectrum bin `bin` of pair k, antenna m — read directly from
@@ -392,42 +303,19 @@ func (a *AP) releaseDiffSet(ds diffSet) {
 	}
 }
 
-// subtractedSpectra forms the spectra of the consecutive differences
-// X_{k+1} − X_k of the windowed chirps on both antennas — the §5.1
-// background subtraction that removes static clutter while keeping the
-// node's modulated reflection. It is the both-antennas-eager special case of
-// subtractedDiffs, kept for consumers (and differential tests) that want the
-// full historical product.
-func (a *AP) subtractedSpectra(frames []ChirpFrame) ([][2][]complex128, error) {
-	ds, err := a.subtractedDiffs(frames, [2]diffMode{diffSpec, diffSpec})
-	if err != nil {
-		return nil, err
-	}
-	return ds.d, nil
-}
-
-// subtractedDiffs is the background subtraction under the lazy per-antenna
-// contract: want[m] declares how antenna m will be consumed, and the batched
-// default path materializes exactly that.
+// subtractedDiffs is the §5.1 background subtraction under the lazy
+// per-antenna contract: want[m] declares how antenna m will be consumed, and
+// exactly that is materialized. By linearity
+// FFT(w·(x_{k+1}−x_k)) = FFT(w·x_{k+1}) − FFT(w·x_k), so each pair runs one
+// fused multiply-subtract pass, and the requested spectra of the whole chirp
+// dimension go through one dsp.BatchPlan call — shared twiddles, packed
+// leading stages (the frames fill ≤ n0 of nfft bins), one scratch arena —
+// fanned across the intra-capture workers when the budget allows. The
+// window-every-chirp-then-difference formulation survives as the refSpectra
+// test oracle.
 //
-// Three execution paths, outermost first:
-//
-//   - Reference (SetFastFFTEnabled(false), or mixed frame lengths): window
-//     and transform every chirp, then difference the spectra — the
-//     historical formulation, bit-identical to the seed.
-//   - Fused (SetBatchFFTEnabled(false)): by linearity
-//     FFT(w·(x_{k+1}−x_k)) = FFT(w·x_{k+1}) − FFT(w·x_k), so each pair runs
-//     one fused multiply-subtract pass and one transform per antenna — the
-//     PR 9 formulation.
-//   - Batched (default): the fused differences for the whole chirp dimension
-//     go through one dsp.BatchPlan call — shared twiddles, packed leading
-//     stages (the frames fill ≤ n0 of nfft bins), one scratch arena — with
-//     lazy per-antenna materialization, fanned across the intra-capture
-//     workers when the budget allows. Identical per-pair arithmetic to the
-//     fused path at any worker count.
-//
-// Both fallbacks upgrade every antenna to diffSpec; consumers dispatch on
-// the returned modes.
+// Every frame must have the same length, so one analysis window serves the
+// whole capture; a mixed-length capture is an invalid configuration.
 func (a *AP) subtractedDiffs(frames []ChirpFrame, want [2]diffMode) (diffSet, error) {
 	if len(frames) < 2 {
 		return diffSet{}, fmt.Errorf("ap: background subtraction needs >= 2 chirps, got %d", len(frames))
@@ -444,7 +332,6 @@ func (a *AP) subtractedDiffs(frames []ChirpFrame, want [2]diffMode) (diffSet, er
 	// frame longer than the FFT would previously be truncated silently,
 	// discarding late-chirp samples (and with them orientation information);
 	// refuse it instead.
-	uniform := true
 	n0 := len(frames[0].Rx[0])
 	for k := range frames {
 		for m := 0; m < 2; m++ {
@@ -457,105 +344,15 @@ func (a *AP) subtractedDiffs(frames []ChirpFrame, want [2]diffMode) (diffSet, er
 					k, n, nfft, dsp.NextPowerOfTwo(n))
 			}
 			if n != n0 {
-				uniform = false
+				return diffSet{}, fmt.Errorf("ap: %w: chirp frame %d antenna %d has %d samples but frame 0 has %d; a capture needs one frame length",
+					ErrInvalidConfig, k, m, n, n0)
 			}
 		}
 	}
-	ds := diffSet{mode: [2]diffMode{diffSpec, diffSpec}, n0: n0, nfft: nfft}
-	// The fused and batched paths require a shared window (equal frame
-	// lengths) so the time-domain difference is windowed consistently;
-	// mixed-length captures fall back to the reference path.
-	if !uniform || a.fastFFTOff {
-		ds.d = a.refSpectra(frames, uniform, n0, nfft)
-		return ds, nil
-	}
-	if a.batchOff {
-		ds.d = a.fusedSpectra(frames, n0, nfft)
-		return ds, nil
-	}
-	ds.mode = want
-	ds.fast = true
-	ds.d = a.batchedDiffs(frames, want, n0, nfft)
-	return ds, nil
+	return diffSet{d: a.batchedDiffs(frames, want, n0, nfft), mode: want, nfft: nfft}, nil
 }
 
-// refSpectra is the reference background subtraction: window and transform
-// every chirp, then difference the spectra. The analysis window depends only
-// on the frame length: share the process-wide cached window (read-only)
-// instead of recomputing it 2·len(frames) times per capture.
-func (a *AP) refSpectra(frames []ChirpFrame, uniform bool, n0, nfft int) [][2][]complex128 {
-	plan := dsp.PlanFFT(nfft)
-	var shared []float64
-	if uniform {
-		shared = dsp.HannCached(n0)
-	}
-	spectra := make([][2][]complex128, len(frames))
-	parallel.ForEach(len(frames), func(k int) {
-		for m := 0; m < 2; m++ {
-			x := frames[k].Rx[m]
-			w := shared
-			if w == nil {
-				w = dsp.HannCached(len(x))
-			}
-			buf := a.getComplex(nfft)
-			for i := range x {
-				buf[i] = x[i] * complex(w[i], 0)
-			}
-			plan.Forward(buf)
-			spectra[k][m] = buf
-		}
-	})
-	// Form the consecutive differences in place, reusing spectrum k's buffer
-	// for diff k (spectrum k+1 is still intact when diff k is computed, and
-	// is only overwritten afterwards by its own diff). Value-identical to the
-	// historical allocate-then-subtract, and the caller releases the diffs
-	// back to the pool when done.
-	diffs := make([][2][]complex128, len(frames)-1)
-	for k := 0; k+1 < len(spectra); k++ {
-		for m := 0; m < 2; m++ {
-			d := spectra[k][m]
-			next := spectra[k+1][m]
-			for i := range d {
-				d[i] = next[i] - d[i]
-			}
-			diffs[k][m] = d
-		}
-	}
-	// The last chirp's spectra are pure inputs; recycle them now.
-	for m := 0; m < 2; m++ {
-		a.putComplex(spectra[len(spectra)-1][m])
-	}
-	return diffs
-}
-
-// fusedSpectra is the PR 9 fused path: one windowed multiply-subtract pass
-// and one single-shot transform per pair per antenna, preserved behind
-// SetBatchFFTEnabled(false) as the batched path's reference.
-func (a *AP) fusedSpectra(frames []ChirpFrame, n0, nfft int) [][2][]complex128 {
-	var fusedStart time.Time
-	o := a.obs
-	if o != nil {
-		fusedStart = time.Now()
-	}
-	plan := dsp.PlanFFT(nfft)
-	w := dsp.HannCached(n0)
-	diffs := make([][2][]complex128, len(frames)-1)
-	parallel.ForEach(len(diffs), func(k int) {
-		for m := 0; m < 2; m++ {
-			buf := a.getComplex(nfft)
-			windowedDiff(buf[:n0], frames[k].Rx[m], frames[k+1].Rx[m], w)
-			plan.Forward(buf)
-			diffs[k][m] = buf
-		}
-	})
-	if o != nil {
-		o.fftReal.Observe(time.Since(fusedStart).Seconds())
-		o.tracer.Record(obs.SpanFFTReal, fusedStart, int64(len(diffs)))
-	}
-	return diffs
-}
-
-// batchedDiffs is the default background subtraction: materialize exactly
+// batchedDiffs is the background subtraction kernel: materialize exactly
 // what each antenna's mode asks for, then run every requested spectrum of
 // the capture through one shared batch plan. The packed forward skips the
 // leading butterfly stages (the windowed difference fills only n0 of nfft
@@ -702,18 +499,6 @@ func (a *AP) accumulatePowerProfile(ds diffSet, profile []float64) {
 	}
 }
 
-// releaseDiffs hands background-subtraction spectra back to the buffer
-// pool. Consumers of subtractedSpectra defer it; the diffs must not be read
-// afterwards.
-func (a *AP) releaseDiffs(diffs [][2][]complex128) {
-	for k := range diffs {
-		for m := range diffs[k] {
-			a.putComplex(diffs[k][m])
-			diffs[k][m] = nil
-		}
-	}
-}
-
 // LocalizationResult is the output of ProcessLocalization (§5.1, §9.2).
 type LocalizationResult struct {
 	// RangeM is the estimated AP→node distance in meters.
@@ -846,29 +631,13 @@ func (a *AP) EstimateOrientationProfile(c waveform.Chirp, frames []ChirpFrame,
 	if hi >= nfft/2 {
 		hi = nfft/2 - 1
 	}
-	if ds.fast {
-		// Batched path: the masked spectrum is a short band around the peak
-		// bin, and the envelope only needs magnitudes — which are invariant
-		// under the band's absolute position — so the packed band-envelope
-		// kernel replaces the clear + scatter + full IFFT per pair.
-		bp := dsp.PlanBatch(nfft)
-		for k := range ds.d {
-			bp.AddBandEnvelope(env, ds.d[k][0][lo:hi+1])
-		}
-	} else {
-		// Reference formulation, preserved behind the batch switch.
-		masked := a.getComplex(nfft)
-		for _, d := range ds.d {
-			clear(masked)
-			for i := lo; i <= hi; i++ {
-				masked[i] = d[0][i]
-			}
-			dsp.IFFTInPlace(masked)
-			for i := 0; i < nSamp; i++ {
-				env[i] += cmplx.Abs(masked[i])
-			}
-		}
-		a.putComplex(masked)
+	// The masked spectrum is a short band around the peak bin, and the
+	// envelope only needs magnitudes — which are invariant under the band's
+	// absolute position — so the packed band-envelope kernel replaces a clear
+	// + scatter + full IFFT per pair.
+	bp := dsp.PlanBatch(nfft)
+	for k := range ds.d {
+		bp.AddBandEnvelope(env, ds.d[k][0][lo:hi+1])
 	}
 	// The Hann analysis window tapers the ends of the chirp; undo it so the
 	// envelope reflects the FSA gain profile, avoiding the near-zero edges.

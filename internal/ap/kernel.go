@@ -10,11 +10,11 @@ import (
 	"repro/internal/waveform"
 )
 
-// This file is the fast synthesis path (DESIGN.md §12). SynthesizeChirpsMulti
-// builds a synthState — everything both paths share, including the exact RNG
-// draw order — and dispatches here unless SetFastSynthEnabled(false) selected
-// the per-sample-Sincos reference path (synthesizeRef in fmcw.go). Three
-// rewrites carry the speedup:
+// This file is the synthesis kernel path (DESIGN.md §12). SynthesizeChirpsMulti
+// builds a synthState (newSynthState) — everything the kernels need,
+// including the exact RNG draw order — and renders it here. The
+// per-sample-Sincos reference it replaced, synthesizeRef, survives as a test
+// oracle consuming the same synthState. Three rewrites carry the speedup:
 //
 //  1. Phasor recurrence: every beat tone advances by one complex multiply per
 //     sample (dsp.AddTonePair / AddToneEnvPair), re-anchored with an exact
@@ -37,7 +37,7 @@ const maxGainStates = 8
 
 // targetState is one backscatter target with everything that does not depend
 // on the chirp index hoisted out of the per-chirp loop: geometry, obstruction
-// loss, horn gains toward the target, and (fast path only) the inter-antenna
+// loss, horn gains toward the target, and (kernel path only) the inter-antenna
 // rotation and memoized gain envelopes.
 type targetState struct {
 	tgt      *BackscatterTarget
@@ -71,8 +71,8 @@ type extraState struct {
 	step float64
 }
 
-// synthState carries one capture's shared synthesis inputs across the
-// fast/reference dispatch: the effective (slope-perturbed) chirp, the
+// synthState carries one capture's synthesis inputs, shared by the kernels
+// and the reference test oracle: the effective (slope-perturbed) chirp, the
 // per-capture imperfection draws, hoisted target and extra-path state, and
 // the pre-drawn noise buffers (chirp-ordered, so the RNG stream is identical
 // however the fan-out schedules).
@@ -101,7 +101,7 @@ type synthState struct {
 func fillGainEnv(dst []float64, tgt *BackscatterTarget, k int, freq []float64) {
 	for i, f := range freq {
 		// math.Pow(10, -Inf) = 0: a "no reflection" gain drops the
-		// sample exactly as the reference path's IsInf guard does.
+		// sample exactly as the reference oracle's IsInf guard does.
 		dst[i] = math.Pow(10, tgt.GainDBi(k, f)/10)
 	}
 }
@@ -115,7 +115,8 @@ func (a *AP) interAntennaRot(aoaRad, lambda, psi float64) complex128 {
 }
 
 // synthesizeFast renders the capture with the phasor-recurrence kernels. It
-// is value-equivalent to synthesizeRef within the §12 drift bound: the
+// is value-equivalent to the synthesizeRef test oracle within the §12 drift
+// bound: the
 // per-sample accumulation order (clutter, targets, extras, noise) is
 // preserved exactly, so the only differences are the recurrence rounding and
 // the amplitude factorization, both far inside 1e-9 relative.
@@ -212,7 +213,7 @@ func (a *AP) synthesizeFast(st synthState) {
 	}
 	// Unpack into locals so the fan-out closure captures read-only scalars
 	// and slice headers by value instead of boxing the whole synthState on
-	// the heap (see synthesizeRef).
+	// the heap — one allocation per capture for nothing.
 	cEff, nSamp, fs, fc := st.cEff, st.nSamp, st.fs, st.fc
 	txAmp, radarLoss, jitter := st.txAmp, st.radar, st.jitter
 	targets, extras, frames := st.targets, st.extras, st.frames
@@ -255,9 +256,11 @@ func (a *AP) synthesizeFast(st synthState) {
 			} else {
 				fillGainEnv(env, ts.tgt, k, freq)
 			}
-			// The path loss follows the Doppler-advanced distance dk (see
-			// synthesizeRef); the gain-dependent factor 10^(g/10) lives in
-			// the envelope, so the scale is the unit-gain amplitude.
+			// The path loss follows the Doppler-advanced distance dk, not
+			// the initial d: a long burst against a fast target must not
+			// overstate (or understate) late-chirp SNR. The gain-dependent
+			// factor 10^(g/10) lives in the envelope, so the scale is the
+			// unit-gain amplitude.
 			scale := rfsim.BackscatterAmplitude(ts.txG, ts.rxG, 0, dk, fc) *
 				txAmp * radarLoss * ts.blk
 			fBeat := cEff.BeatFrequency(tau)
@@ -283,7 +286,7 @@ func (a *AP) synthesizeFast(st synthState) {
 
 	// Phase 3 (serial): fold the pre-drawn noise into each frame and recycle
 	// the buffers. Last in the per-sample accumulation order, as in the
-	// reference path.
+	// reference oracle.
 	var noiseStart time.Time
 	if o != nil {
 		noiseStart = time.Now()

@@ -2,6 +2,7 @@ package ap
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -10,8 +11,8 @@ import (
 	"repro/internal/rfsim"
 )
 
-// statefulTarget is pointTarget with the switch states declared, so the fast
-// path memoizes its two gain curves.
+// statefulTarget is pointTarget with the switch states declared, so the
+// kernels memoize its two gain curves.
 func statefulTarget(pos rfsim.Point, gainDBi float64) *BackscatterTarget {
 	tgt := pointTarget(pos, gainDBi)
 	tgt.GainStates = 2
@@ -45,21 +46,16 @@ func maxAbsDiff(t *testing.T, got, want []ChirpFrame) (maxErr, maxRef float64) {
 	return maxErr, maxRef
 }
 
-// TestFastSynthMatchesReference is the kernel differential gate: the fast
-// synthesis path must match the per-sample-Sincos reference path within the
-// 1e-9 relative drift bound of DESIGN.md §12, on a capture that exercises
-// every kernel — clutter templates, a memoized switching target, an
-// undeclared (per-chirp envelope) target with Doppler motion, and an
+// TestFastSynthMatchesReference is the kernel differential gate: the
+// synthesis kernels must match the per-sample-Sincos synthesizeRef oracle
+// within the 1e-9 relative drift bound of DESIGN.md §12, on a capture that
+// exercises every kernel — clutter templates, a memoized switching target,
+// an undeclared (per-chirp envelope) target with Doppler motion, and an
 // injected modulated path — with the noise stream drawn identically on both
 // sides.
 func TestFastSynthMatchesReference(t *testing.T) {
-	fast := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
-	ref := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
-	ref.SetFastSynthEnabled(false)
-	if !fast.FastSynthEnabled() || ref.FastSynthEnabled() {
-		t.Fatal("fast-synth switch wiring broken")
-	}
-	c := fast.Config().LocalizationChirp
+	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
+	c := a.Config().LocalizationChirp
 	mover := pointTarget(rfsim.Point{X: 5, Y: -0.4}, 19)
 	mover.RadialVelocityMS = 8
 	tgts := []*BackscatterTarget{statefulTarget(rfsim.Point{X: 3, Y: 0.5}, 23), mover}
@@ -68,15 +64,36 @@ func TestFastSynthMatchesReference(t *testing.T) {
 		Amplitude: func(k int) float64 { return 2e-7 * float64(1+k%3) },
 	}}
 	for seed := int64(1); seed <= 3; seed++ {
-		ff := synth(t)(fast.SynthesizeChirpsMulti(c, 16, tgts, extra, rfsim.NewNoiseSource(seed)))
-		rf := synth(t)(ref.SynthesizeChirpsMulti(c, 16, tgts, extra, rfsim.NewNoiseSource(seed)))
+		ff := synth(t)(a.SynthesizeChirpsMulti(c, 16, tgts, extra, rfsim.NewNoiseSource(seed)))
+		rf := synth(t)(a.synthesizeChirpsRef(c, 16, tgts, extra, rfsim.NewNoiseSource(seed)))
 		maxErr, maxRef := maxAbsDiff(t, ff, rf)
 		if maxRef == 0 {
 			t.Fatal("reference frames are all zero")
 		}
 		if rel := maxErr / maxRef; rel > 1e-9 {
-			t.Fatalf("seed %d: fast vs reference relative error %.3g, want <= 1e-9", seed, rel)
+			t.Fatalf("seed %d: kernels vs oracle relative error %.3g, want <= 1e-9", seed, rel)
 		}
+	}
+}
+
+// TestOracleSynthPipelineAgreement is the pipeline-level half of the
+// synthesis differential: frames rendered by the production kernels and by
+// the synthesizeRef oracle, from identically seeded noise, go through every
+// consumer of the capture — localization, radial velocity, orientation
+// envelope, range-Doppler map, multi-target detection — and must agree far
+// inside the physics tolerances (scalars ≤1e-6, envelope and map ≤1e-9 of
+// their RMS). A moving target keeps the Doppler paths carrying signal.
+func TestOracleSynthPipelineAgreement(t *testing.T) {
+	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
+	c := a.Config().LocalizationChirp
+	for seed := int64(1); seed <= 3; seed++ {
+		tgt := statefulTarget(rfsim.Point{X: 3, Y: 0.5}, 25)
+		tgt.RadialVelocityMS = 0.8
+		tgts := []*BackscatterTarget{tgt}
+		prod := synth(t)(a.SynthesizeChirpsMulti(c, 16, tgts, nil, rfsim.NewNoiseSource(seed)))
+		ref := synth(t)(a.synthesizeChirpsRef(c, 16, tgts, nil, rfsim.NewNoiseSource(seed)))
+		comparePipelines(t, fmt.Sprintf("seed %d kernels vs oracle", seed),
+			runPipeline(t, a, prod), runPipeline(t, a, ref), 1e-6, 1e-9)
 	}
 }
 
@@ -144,23 +161,19 @@ func TestGainEnvelopeMemoBitIdentical(t *testing.T) {
 
 // TestGainStateValidation pins the GainStates contract errors: a declared
 // state count without a state function, and a state function that steps
-// outside [0, GainStates), both fail up front with ErrInvalidConfig on the
-// fast and the reference path alike.
+// outside [0, GainStates), both fail up front with ErrInvalidConfig.
 func TestGainStateValidation(t *testing.T) {
-	c := DefaultConfig().LocalizationChirp
-	for _, mode := range []string{"fast", "reference"} {
-		a := MustNew(DefaultConfig(), nil)
-		a.SetFastSynthEnabled(mode == "fast")
-		missing := pointTarget(rfsim.Point{X: 3}, 20)
-		missing.GainStates = 2
-		if _, err := a.SynthesizeChirps(c, 4, missing, nil, nil); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("%s: GainStates without GainStateOf: err = %v, want ErrInvalidConfig", mode, err)
-		}
-		oob := statefulTarget(rfsim.Point{X: 3}, 20)
-		oob.GainStateOf = func(k int) int { return k } // exceeds 2 states from chirp 2 on
-		if _, err := a.SynthesizeChirps(c, 4, oob, nil, nil); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("%s: out-of-range GainStateOf: err = %v, want ErrInvalidConfig", mode, err)
-		}
+	a := MustNew(DefaultConfig(), nil)
+	c := a.Config().LocalizationChirp
+	missing := pointTarget(rfsim.Point{X: 3}, 20)
+	missing.GainStates = 2
+	if _, err := a.SynthesizeChirps(c, 4, missing, nil, nil); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("GainStates without GainStateOf: err = %v, want ErrInvalidConfig", err)
+	}
+	oob := statefulTarget(rfsim.Point{X: 3}, 20)
+	oob.GainStateOf = func(k int) int { return k } // exceeds 2 states from chirp 2 on
+	if _, err := a.SynthesizeChirps(c, 4, oob, nil, nil); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("out-of-range GainStateOf: err = %v, want ErrInvalidConfig", err)
 	}
 }
 

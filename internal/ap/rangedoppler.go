@@ -45,7 +45,7 @@ func (a *AP) ComputeRangeDopplerMap(c waveform.Chirp, frames []ChirpFrame) (Rang
 	// slow-time high-pass that removes static clutter AND the node's
 	// non-toggling (mean) Doppler line, leaving its switching line — the
 	// one the velocity axis below is centred on. Only antenna 0 feeds the
-	// map, so antenna 1 is never materialized on the batched path.
+	// map, so antenna 1 is never materialized.
 	ds, err := a.subtractedDiffs(frames, [2]diffMode{diffSpec, diffSkip})
 	if err != nil {
 		return RangeDopplerMap{}, err
@@ -64,28 +64,7 @@ func (a *AP) ComputeRangeDopplerMap(c waveform.Chirp, frames []ChirpFrame) (Rang
 	for v := range power {
 		power[v] = make([]float64, half)
 	}
-	if ds.fast {
-		a.dopplerColumns(spectra, power, len(spectra), nd, half)
-	} else {
-		// Reference formulation (batched layer or fast FFT disabled): one
-		// pooled column buffer, one transform per range bin.
-		col := a.getComplex(nd)
-		for r := 0; r < half; r++ {
-			for i := range col {
-				col[i] = 0
-			}
-			for k := range spectra {
-				col[k] = spectra[k][r]
-			}
-			dsp.FFTInPlace(col)
-			for v := 0; v < nd; v++ {
-				cv := col[(v+nd/2)&(nd-1)]
-				re, im := real(cv), imag(cv)
-				power[v][r] = re*re + im*im
-			}
-		}
-		a.putComplex(col)
-	}
+	a.dopplerColumns(spectra, power, len(spectra), nd, half)
 	// Axes. Doppler bin spacing: 1/(nd·CRI) Hz of slow-time frequency;
 	// slow-time frequency f_d maps to velocity v = f_d·c/(2·f_eff). The
 	// toggling line sits at Nyquist (±1/(2·CRI)), so re-centre there.

@@ -23,63 +23,12 @@ func WithObserver(reg *obs.Registry, tr *obs.Tracer) Option {
 	}
 }
 
-// NoPool disables buffer pooling: every capture allocates fresh frames and
-// spectra. This is the reference mode the differential tests compare the
-// pooled path against.
-func NoPool() Option {
-	return func(p *Plane) { p.pool = nil }
-}
-
-// NoCache disables the AP's clutter-path cache: every capture re-derives
-// the scene geometry, as the seed implementation did.
-func NoCache() Option {
-	return func(p *Plane) { p.noCache = true }
-}
-
-// NoFastSynth disables the phasor-recurrence synthesis kernels: every beat
-// tone is generated with the per-sample-Sincos reference path, whose output
-// is bit-identical to the historical implementation. The differential tests
-// compare the fast kernels against this mode.
-func NoFastSynth() Option {
-	return func(p *Plane) { p.noFast = true }
-}
-
-// NoFastFFT disables the fused background-subtraction transform: the
-// receive pipeline windows and FFTs every frame, then subtracts consecutive
-// spectra, as the seed implementation did. The fast path transforms the
-// windowed frame differences directly (one FFT per pair instead of one per
-// frame). The differential tests compare the two modes.
-func NoFastFFT() Option {
-	return func(p *Plane) { p.noFastFFT = true }
-}
-
-// NoBatchFFT disables the batched transform layer: background subtraction
-// runs the per-pair fused path and the range-Doppler map transforms one
-// column at a time, as before the batch plans landed. The differential tests
-// compare the batched and per-pair modes.
-func NoBatchFFT() Option {
-	return func(p *Plane) { p.noBatchFFT = true }
-}
-
-// NoIntraCaptureParallel pins every intra-capture fan-out to a single
-// worker. Fan-outs are bit-identical at any worker count, so this only
-// trades latency for a quiet machine; the determinism tests compare the two
-// modes to prove it.
-func NoIntraCaptureParallel() Option {
-	return func(p *Plane) { p.noIntraPar = true }
-}
-
 // Plane is the shared capture pipeline of one AP. It is safe for
 // concurrent use in the sense the airtime scheduler guarantees — one
 // operation on the air at a time; individual Leases are not goroutine-safe.
 type Plane struct {
-	ap         *ap.AP
-	pool       *Pool
-	noCache    bool
-	noFast     bool
-	noFastFFT  bool
-	noBatchFFT bool
-	noIntraPar bool
+	ap   *ap.AP
+	pool *Pool
 
 	// Observability wiring (set by WithObserver, resolved once in
 	// NewPlane). obs is nil when unobserved; every instrument call is
@@ -120,30 +69,12 @@ func NewPlane(a *ap.AP, opts ...Option) *Plane {
 		}
 		p.pool.Observe(p.reg)
 	}
-	a.SetBufferPool(bufferPool(p.pool))
-	a.SetClutterCacheEnabled(!p.noCache)
-	a.SetFastSynthEnabled(!p.noFast)
-	a.SetFastFFTEnabled(!p.noFastFFT)
-	a.SetBatchFFTEnabled(!p.noBatchFFT)
-	a.SetIntraCaptureParallelEnabled(!p.noIntraPar)
-	return p
-}
-
-// bufferPool adapts a possibly-nil *Pool to the ap.BufferPool seam: a nil
-// interface tells the AP to allocate plainly, whereas a non-nil interface
-// holding a nil *Pool would hide the fallback behind two pointer chases.
-func bufferPool(p *Pool) ap.BufferPool {
-	if p == nil {
-		return nil
-	}
+	a.SetBufferPool(p.pool)
 	return p
 }
 
 // AP returns the access point the plane captures through.
 func (p *Plane) AP() *ap.AP { return p.ap }
-
-// Pooled reports whether the plane recycles capture buffers.
-func (p *Plane) Pooled() bool { return p.pool != nil }
 
 // Request describes one FMCW chirp-burst capture: which chirp to sweep,
 // how many times, which modulated targets respond, and any extra injected

@@ -27,8 +27,9 @@
 //     job leaked, making buffer lifetime coincide with the airtime grant.
 //
 // The pooled path is bit-identical to the allocate-per-capture path: pool
-// buffers are zeroed on Get and the synthesis math is unchanged. NoPool
-// and NoCache build a reference Plane for differential tests.
+// buffers are zeroed on Get and the synthesis math is unchanged. A bare
+// ap.AP — no plane, so no pool — is the allocate-everything oracle the
+// differential tests compare a Plane against.
 //
 // # Observability
 //

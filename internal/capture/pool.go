@@ -35,8 +35,7 @@ import (
 // so a recycled buffer is found regardless of which shard its Put landed
 // in — the single-threaded recycling behaviour is unchanged.
 //
-// A nil *Pool is valid and falls back to plain allocation (the NoPool
-// reference mode the differential tests compare against).
+// A nil *Pool is valid and falls back to plain allocation.
 type Pool struct {
 	shards [poolShards]poolShard
 
@@ -89,7 +88,7 @@ func NewPool() *Pool {
 }
 
 // Observe wires the pool's recycling counters into a registry. Safe on a
-// nil pool (the NoPool reference mode records nothing).
+// nil pool, which records nothing.
 func (p *Pool) Observe(reg *obs.Registry) {
 	if p == nil || reg == nil {
 		return

@@ -8,31 +8,28 @@ import (
 	"repro/internal/rfsim"
 )
 
-// capturePair builds a default (pooled, clutter-cached) system and a
-// reference system with both optimizations disabled, over independent but
-// identical scenes, each with one node at the same pose.
-func capturePair(t *testing.T) (fast, ref *System, fastNode, refNode *node.Node) {
+// newNodeSystem builds a default system over its own copy of the indoor
+// scene with one node at the shared test pose. A freshly built system has
+// an empty buffer pool and an empty clutter cache, so its first operation
+// allocates and derives everything: the cold-object oracle the warm system
+// must match bit for bit.
+func newNodeSystem(t *testing.T) (*System, *node.Node) {
 	t.Helper()
-	fast = MustNewSystem(DefaultConfig(), rfsim.DefaultIndoorScene())
-	refCfg := DefaultConfig()
-	refCfg.DisableCapturePool = true
-	refCfg.DisableClutterCache = true
-	ref = MustNewSystem(refCfg, rfsim.DefaultIndoorScene())
-	var err error
-	if fastNode, err = fast.AddNode(rfsim.Point{X: 4, Y: 0.5}, 5); err != nil {
+	sys := MustNewSystem(DefaultConfig(), rfsim.DefaultIndoorScene())
+	n, err := sys.AddNode(rfsim.Point{X: 4, Y: 0.5}, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if refNode, err = ref.AddNode(rfsim.Point{X: 4, Y: 0.5}, 5); err != nil {
-		t.Fatal(err)
-	}
-	return fast, ref, fastNode, refNode
+	return sys, n
 }
 
 // TestClutterCacheInvalidation interleaves scene mutations with captures:
-// after every mutation the cached system must match the uncached reference
+// after every mutation the cached system must match the uncached oracle — an
+// identical system whose cache is blanket-invalidated before every capture —
 // bit-for-bit, i.e. the generation bump actually invalidated the cache.
 func TestClutterCacheInvalidation(t *testing.T) {
-	fast, ref, fn, rn := capturePair(t)
+	fast, fn := newNodeSystem(t)
+	ref, rn := newNodeSystem(t)
 	both := func(mutate func(s *rfsim.Scene)) {
 		mutate(fast.AP.Scene())
 		mutate(ref.AP.Scene())
@@ -43,9 +40,10 @@ func TestClutterCacheInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: cached localize: %v", step, err)
 		}
+		ref.AP.Scene().Invalidate()
 		want, err := ref.Localize(rn, seed)
 		if err != nil {
-			t.Fatalf("%s: reference localize: %v", step, err)
+			t.Fatalf("%s: uncached localize: %v", step, err)
 		}
 		if got != want {
 			t.Fatalf("%s: cached outcome diverged from uncached:\ncached   %+v\nuncached %+v", step, got, want)
@@ -85,25 +83,28 @@ func TestClutterCacheInvalidation(t *testing.T) {
 	localize("after RemoveReflector", 1)
 }
 
-// TestCaptureDifferentialAcrossSeeds is the PR's end-to-end differential
-// gate: localization, radial velocity, and uplink BER through the pooled +
-// cached capture plane must equal the allocate-everything reference for
-// several seeds, including repeated runs that actually recycle buffers.
+// TestCaptureDifferentialAcrossSeeds is the capture plane's end-to-end
+// differential gate: localization, radial velocity, and uplink BER through
+// one long-lived pooled + cached system must equal a freshly built system's
+// — nothing pooled, nothing cached — for several seeds, including repeated
+// runs that actually recycle buffers.
 func TestCaptureDifferentialAcrossSeeds(t *testing.T) {
-	fast, ref, fn, rn := capturePair(t)
+	fast, fn := newNodeSystem(t)
 	payload := []byte("capture-plane differential payload")
 	for seed := int64(1); seed <= 3; seed++ {
 		for round := 0; round < 2; round++ {
 			gotLoc, gotErr := fast.Localize(fn, seed)
+			ref, rn := newNodeSystem(t)
 			wantLoc, wantErr := ref.Localize(rn, seed)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("seed %d: localize error mismatch: %v vs %v", seed, gotErr, wantErr)
 			}
 			if gotLoc != wantLoc {
-				t.Fatalf("seed %d round %d: localization diverged:\npooled    %+v\nreference %+v", seed, round, gotLoc, wantLoc)
+				t.Fatalf("seed %d round %d: localization diverged:\npooled %+v\ncold   %+v", seed, round, gotLoc, wantLoc)
 			}
 
 			gotV, gotErr := fast.MeasureRadialVelocity(fn, 1.5, 32, seed)
+			ref, rn = newNodeSystem(t)
 			wantV, wantErr := ref.MeasureRadialVelocity(rn, 1.5, 32, seed)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("seed %d: velocity error mismatch: %v vs %v", seed, gotErr, wantErr)
@@ -113,13 +114,14 @@ func TestCaptureDifferentialAcrossSeeds(t *testing.T) {
 			}
 
 			gotUp, gotErr := fast.Uplink(fn, 5, payload, 10e6, seed)
+			ref, rn = newNodeSystem(t)
 			wantUp, wantErr := ref.Uplink(rn, 5, payload, 10e6, seed)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("seed %d: uplink error mismatch: %v vs %v", seed, gotErr, wantErr)
 			}
 			if gotUp.BitErrors != wantUp.BitErrors || gotUp.BitsSent != wantUp.BitsSent ||
 				gotUp.SNRdB != wantUp.SNRdB || !bytes.Equal(gotUp.Data, wantUp.Data) {
-				t.Fatalf("seed %d round %d: uplink diverged:\npooled    %+v\nreference %+v", seed, round, gotUp, wantUp)
+				t.Fatalf("seed %d round %d: uplink diverged:\npooled %+v\ncold   %+v", seed, round, gotUp, wantUp)
 			}
 		}
 	}

@@ -44,45 +44,6 @@ type Config struct {
 	// AP's own sweep nonlinearity) distort that mapping — the dominant
 	// node-side orientation error on real hardware (Fig 13a).
 	NodeClockSkewStd float64
-	// DisableCapturePool turns off capture-buffer recycling (every capture
-	// allocates fresh frames and spectra) and DisableClutterCache turns off
-	// the AP's clutter-geometry cache. Both exist for differential testing
-	// against the historical allocate-and-rederive behavior; results are
-	// bit-identical either way.
-	DisableCapturePool  bool
-	DisableClutterCache bool
-	// DisableFastSynth turns off the phasor-recurrence synthesis kernels
-	// (clutter templates, FSA gain-envelope memoization, incremental beat
-	// phasors) and restores the per-sample-Sincos reference path. The
-	// reference path is bit-identical to the historical implementation; the
-	// fast kernels match it within a 1e-9 relative drift bound that the
-	// differential tests pin at both the sample and the experiment level
-	// (DESIGN.md §12).
-	DisableFastSynth bool
-	// DisableFastFFT turns off the fused background-subtraction transform
-	// and restores the reference receive path: window and FFT every chirp
-	// frame, then subtract consecutive spectra. The fast path transforms the
-	// windowed frame differences directly — the same quantity by linearity
-	// of the DFT — using one FFT per consecutive pair instead of one per
-	// frame. The differential tests pin the two paths together at the sample
-	// and the experiment level (DESIGN.md §13).
-	DisableFastFFT bool
-	// DisableBatchFFT turns off the batched transform layer and restores the
-	// per-pair fused path (the DisableFastFFT=false, pre-batch formulation):
-	// one transform call per consecutive pair, eager materialization of both
-	// antennas, per-column Doppler FFTs. The batched layer runs the whole
-	// chirp dimension through one dsp.BatchPlan call with shared twiddles,
-	// packed leading stages and lazy per-antenna materialization; the
-	// differential tests pin the two within 1e-9 per bin (DESIGN.md §17).
-	// Ignored when DisableFastFFT is set (the reference path has no batches).
-	DisableBatchFFT bool
-	// DisableIntraCaptureParallel pins every intra-capture fan-out
-	// (synthesis, subtract-FFT, power-profile, Doppler columns) to one
-	// worker. The fan-outs use per-worker scratch and fixed-order reductions,
-	// so results are bit-identical either way at any GOMAXPROCS (DESIGN.md
-	// §17); the switch exists for the determinism tests that prove exactly
-	// that and for callers that want single-threaded captures.
-	DisableIntraCaptureParallel bool
 	// DisableObservability turns off the stage-timing histograms, capture
 	// counters and span tracer. Instrumentation never touches the noise
 	// streams, so results are bit-identical either way; the switch exists for
@@ -148,24 +109,6 @@ func NewSystem(cfg Config, scene *rfsim.Scene) (*System, error) {
 	}
 	s := &System{AP: a, cfg: cfg, clock: NewClock()}
 	var opts []capture.Option
-	if cfg.DisableCapturePool {
-		opts = append(opts, capture.NoPool())
-	}
-	if cfg.DisableClutterCache {
-		opts = append(opts, capture.NoCache())
-	}
-	if cfg.DisableFastSynth {
-		opts = append(opts, capture.NoFastSynth())
-	}
-	if cfg.DisableFastFFT {
-		opts = append(opts, capture.NoFastFFT())
-	}
-	if cfg.DisableBatchFFT {
-		opts = append(opts, capture.NoBatchFFT())
-	}
-	if cfg.DisableIntraCaptureParallel {
-		opts = append(opts, capture.NoIntraCaptureParallel())
-	}
 	if !cfg.DisableObservability {
 		s.reg = obs.NewRegistry()
 		s.tracer = obs.NewTracer(obs.DefaultTraceCapacity)

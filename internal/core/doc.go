@@ -16,4 +16,8 @@
 // bit. A System also owns the deployment's observability plane (an obs
 // registry and span tracer shared by the capture plane, the AP pipelines
 // and the scheduler engine) unless Config.DisableObservability opts out.
+// That is the only switch on the capture pipeline: buffer pooling, the
+// clutter cache, the synthesis kernels, the batched receive transforms and
+// the GOMAXPROCS-sized fan-out are always on, and the reference
+// formulations they replaced exist only as test oracles.
 package core

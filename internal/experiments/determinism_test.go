@@ -3,8 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // TestParallelSweepsAreDeterministic verifies the worker-pool experiment
@@ -36,19 +34,5 @@ func TestParallelSweepsAreDeterministic(t *testing.T) {
 	g := Fig12aRanging([]float64{2, 5, 8}, 6, 100)
 	if reflect.DeepEqual(a, g) {
 		t.Fatal("different seeds produced identical sweeps")
-	}
-}
-
-// TestForEachCoversAllIndices checks the shared fan-out helper from the
-// experiments' side (its own unit tests live in internal/parallel).
-func TestForEachCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64} {
-		hits := make([]int, n)
-		parallel.ForEach(n, func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
-			}
-		}
 	}
 }

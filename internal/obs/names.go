@@ -36,26 +36,17 @@ const (
 	MetricFFTSeconds           = "ap.fft_seconds"
 	MetricDetectSeconds        = "ap.detect_seconds"
 
-	// Sub-stage of the fft stage, recorded by the fused
-	// background-subtraction transform (core.Config.DisableFastFFT off): the
-	// windowed consecutive-difference FFT pass itself, excluding validation
-	// and buffer management. The reference FFT-then-subtract path records
-	// only the aggregate MetricFFTSeconds.
-	MetricFFTRealSeconds = "ap.fft.real_seconds"
-
-	// Sub-stage of the fft stage, recorded by the batched transform layer
-	// (core.Config.DisableBatchFFT off): the batched subtract-transform pass
-	// that runs the whole chirp dimension through one dsp.BatchPlan call.
-	// Mutually exclusive with MetricFFTRealSeconds — a capture takes either
-	// the batched or the per-pair fused path.
+	// Sub-stage of the fft stage, recorded by the batched transform layer:
+	// the batched subtract-transform pass that runs the whole chirp
+	// dimension through one dsp.BatchPlan call, excluding validation, and
+	// the range-Doppler column batches.
 	MetricFFTBatchSeconds = "ap.fft.batch_seconds"
 
 	// MetricCaptureWorkers distributes how many pooled workers actually
 	// joined each intra-capture fan-out (synthesis, subtract-FFT,
 	// power-profile); buckets come from WorkerCountBuckets. A distribution
-	// pinned at 1 on a multicore machine means
-	// core.Config.DisableIntraCaptureParallel is set or stages are too
-	// narrow to fan out.
+	// pinned at 1 on a multicore machine means GOMAXPROCS is 1 or stages are
+	// too narrow to fan out.
 	MetricCaptureWorkers = "ap.capture.workers"
 
 	// Cluster plane (milback.Cluster): per-AP roaming and sharding
@@ -79,29 +70,26 @@ const (
 	MetricServeLatencySeconds = "serve.latency_seconds"
 	MetricServeInFlight       = "serve.in_flight"
 
-	// Sub-stage split of the synthesize stage, recorded by the fast
-	// synthesis kernels (core.Config.DisableFastSynth off): clutter-template
-	// fill, target-tone generation (including FSA gain-envelope
-	// memoization), and the AWGN fold-in. The three sum to slightly less
-	// than MetricSynthesizeSeconds (the remainder is per-capture setup);
-	// the reference path records only the aggregate.
+	// Sub-stage split of the synthesize stage, recorded by the synthesis
+	// kernels: clutter-template fill, target-tone generation (including FSA
+	// gain-envelope memoization), and the AWGN fold-in. The three sum to
+	// slightly less than MetricSynthesizeSeconds (the remainder is
+	// per-capture setup).
 	MetricSynthClutterSeconds = "ap.synthesize.clutter_seconds"
 	MetricSynthTargetsSeconds = "ap.synthesize.targets_seconds"
 	MetricSynthNoiseSeconds   = "ap.synthesize.noise_seconds"
 )
 
 // Canonical trace span names. The three ap.synthesize.* sub-spans nest
-// inside each fast-path ap.synthesize span, and ap.fft.real nests inside
-// each fast-path ap.fft span (same capture, narrower windows), so
-// `milback-report -trace` attributes pipeline time to the stage that
-// actually spent it.
+// inside each ap.synthesize span, and ap.fft.batch nests inside each ap.fft
+// span (same capture, narrower windows), so `milback-report -trace`
+// attributes pipeline time to the stage that actually spent it.
 const (
 	SpanSynthesize   = "ap.synthesize"
 	SpanSynthClutter = "ap.synthesize.clutter"
 	SpanSynthTargets = "ap.synthesize.targets"
 	SpanSynthNoise   = "ap.synthesize.noise"
 	SpanFFT          = "ap.fft"
-	SpanFFTReal      = "ap.fft.real"
 	SpanFFTBatch     = "ap.fft.batch"
 	SpanDetect       = "ap.detect"
 	SpanJob          = "proto.job"

@@ -1,44 +1,12 @@
 package parallel
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
-// ForEach runs fn(0..n-1) concurrently on up to GOMAXPROCS workers. When
-// GOMAXPROCS (or n) is 1 it degenerates to a plain serial loop, which tests
-// use (via runtime.GOMAXPROCS) to compare parallel output against the serial
-// path bit for bit.
+// ForEach runs fn(0..n-1) concurrently on up to GOMAXPROCS participants: it
+// is ForEachScratch for callers that keep no per-worker scratch. When
+// GOMAXPROCS (or n) is 1 it degenerates to a plain serial loop on the
+// caller, which tests use (via runtime.GOMAXPROCS) to compare parallel
+// output against the serial path bit for bit.
 func ForEach(n int, fn func(i int)) {
-	ForEachWorkers(n, runtime.GOMAXPROCS(0), fn)
-}
-
-// ForEachWorkers is ForEach with an explicit worker budget. workers <= 1
-// runs serially on the calling goroutine.
-func ForEachWorkers(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	ForEachScratch(n, runtime.GOMAXPROCS(0), func(_, i int) { fn(i) })
 }

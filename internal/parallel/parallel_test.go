@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -17,28 +18,53 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestForEachWorkersSerialFallback(t *testing.T) {
-	// With a single worker the indices must arrive in order on the calling
-	// goroutine — the property the determinism tests rely on.
-	var order []int
-	ForEachWorkers(5, 1, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial fallback visited %v, want ascending order", order)
+// TestForEachSerialFallback: with a single worker the indices must arrive
+// in ascending order on the calling goroutine — the property the
+// GOMAXPROCS=1 serial oracle of the determinism tests relies on. The
+// unsynchronized appends below would trip -race if any index ran elsewhere.
+func TestForEachSerialFallback(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ascending := func(label string, order []int, n int) {
+		t.Helper()
+		if len(order) != n {
+			t.Fatalf("%s visited %d of %d indices", label, len(order), n)
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("%s visited %v, want ascending order", label, order)
+			}
 		}
 	}
-	// A zero or negative budget must still run everything.
-	count := 0
-	ForEachWorkers(3, 0, func(i int) { count++ })
-	if count != 3 {
-		t.Fatalf("workers=0 ran %d of 3 indices", count)
-	}
+	var order []int
+	ForEach(5, func(i int) { order = append(order, i) })
+	ascending("ForEach at GOMAXPROCS=1", order, 5)
+	order = order[:0]
+	ForEachScratch(5, 1, func(w, i int) {
+		if w != 0 {
+			t.Errorf("serial worker index %d, want 0", w)
+		}
+		order = append(order, i)
+	})
+	ascending("ForEachScratch(workers=1)", order, 5)
+	// A zero or negative budget must still run everything, serially.
+	order = order[:0]
+	ForEachScratch(3, 0, func(_, i int) { order = append(order, i) })
+	ascending("ForEachScratch(workers=0)", order, 3)
 }
 
-func TestForEachWorkersConcurrent(t *testing.T) {
+// TestForEachConcurrent: with a genuine 8-worker fan-out every index is
+// covered exactly once, through both entry points.
+func TestForEachConcurrent(t *testing.T) {
+	const n, want = 128, 128 * 127 / 2
 	var total int64
-	ForEachWorkers(128, 8, func(i int) { atomic.AddInt64(&total, int64(i)) })
-	if total != 128*127/2 {
-		t.Fatalf("sum = %d, want %d", total, 128*127/2)
+	ForEachScratch(n, 8, func(_, i int) { atomic.AddInt64(&total, int64(i)) })
+	if total != want {
+		t.Fatalf("ForEachScratch sum = %d, want %d", total, want)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	total = 0
+	ForEach(n, func(i int) { atomic.AddInt64(&total, int64(i)) })
+	if total != want {
+		t.Fatalf("ForEach sum = %d, want %d", total, want)
 	}
 }

@@ -8,8 +8,8 @@ import (
 // ForEachScratch runs fn(worker, i) for every i in [0, n) across up to
 // `workers` concurrent participants — the calling goroutine plus helpers
 // drawn from a persistent package-level pool — and returns how many
-// participants actually joined. It differs from ForEachWorkers in two ways
-// that matter on sub-millisecond hot paths:
+// participants actually joined. It is the package's one fan-out
+// implementation (ForEach wraps it), shaped for sub-millisecond hot paths:
 //
 //   - No goroutines are spawned per call. Helpers live in a shared pool and
 //     block on a channel between jobs, so the per-call cost is a handful of

@@ -71,29 +71,26 @@ type Metrics struct {
 	Detect     Histogram
 
 	// SynthClutter, SynthTargets and SynthNoise split the synthesize stage
-	// into its fast-kernel phases — clutter-template fill, target-tone
-	// generation and the noise fold-in. They are empty when the fast
-	// synthesis kernels are disabled (the reference path reports only the
-	// aggregate Synthesize).
+	// into its kernel phases — clutter-template fill, target-tone
+	// generation and the noise fold-in.
 	SynthClutter Histogram
 	SynthTargets Histogram
 	SynthNoise   Histogram
 
-	// FFTReal times the fused background-subtraction transform inside the
-	// FFT stage (the windowed consecutive-difference pass itself). Empty
-	// when the fused transform is disabled (the reference FFT-then-subtract
-	// path reports only the aggregate FFT).
+	// FFTReal is always empty: the per-pair fused transform it timed is no
+	// longer a production path.
+	//
+	// Deprecated: use FFTBatch; this field will be removed in a later
+	// release.
 	FFTReal Histogram
 
 	// FFTBatch times the batched subtract-transform passes inside the FFT
 	// stage (one observation per dsp.BatchPlan dispatch — background
-	// subtraction and range-Doppler columns). Empty when the batched layer
-	// is disabled; mutually exclusive with FFTReal per capture.
+	// subtraction and range-Doppler columns).
 	FFTBatch Histogram
 
 	// CaptureWorkers distributes how many pooled workers joined each
-	// intra-capture fan-out. Pinned at 1 when intra-capture parallelism is
-	// disabled or the machine has a single core.
+	// intra-capture fan-out. Pinned at 1 when GOMAXPROCS is 1.
 	CaptureWorkers Histogram
 
 	// LeaseTime distributes how long operations held capture buffers
@@ -148,7 +145,6 @@ func metricsFromSnapshot(snap obs.Snapshot) Metrics {
 		SynthTargets:         histogramFromSnapshot(snap.Histograms[obs.MetricSynthTargetsSeconds]),
 		SynthNoise:           histogramFromSnapshot(snap.Histograms[obs.MetricSynthNoiseSeconds]),
 		FFT:                  histogramFromSnapshot(snap.Histograms[obs.MetricFFTSeconds]),
-		FFTReal:              histogramFromSnapshot(snap.Histograms[obs.MetricFFTRealSeconds]),
 		FFTBatch:             histogramFromSnapshot(snap.Histograms[obs.MetricFFTBatchSeconds]),
 		CaptureWorkers:       histogramFromSnapshot(snap.Histograms[obs.MetricCaptureWorkers]),
 		Detect:               histogramFromSnapshot(snap.Histograms[obs.MetricDetectSeconds]),

@@ -2,10 +2,9 @@
 # Regenerates a committed benchmark baseline: ns/op and (with -benchmem)
 # B/op + allocs/op for the hot pipelines — plan-cached FFT vs the seed
 # per-call implementation, the serial vs parallel §5.1 capture pipeline,
-# the PR 3 pooled capture plane vs its allocate-everything reference, and
-# the PR 5 synthesis kernels (fast phasor path vs the per-sample-Sincos
-# reference, plus the burst-synthesis microbenchmark pair), the PR 8
-# mobility pair (moving-scene capture vs static, trajectory advancement),
+# the pooled steady-state capture plane, the burst-synthesis
+# microbenchmark, the mobility pair (moving-scene capture vs static,
+# trajectory advancement),
 # and the PR 10 GOMAXPROCS-pinned steady-state rows (Procs2/Procs4) whose
 # per-row gomaxprocs field lets bench_compare.sh gate parallel scaling only
 # on machines that actually have the cores.
