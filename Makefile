@@ -4,13 +4,14 @@
 # under the race detector (covering the parallel chirp/spectra pipeline,
 # the shared FFT-plan cache, and the capture plane's pooled buffers), runs
 # the determinism suite under -race on its own, enforces the capture-plane
-# allocation gate, and smoke-runs every benchmark once.
+# allocation gate, diffs every example's stdout against its golden, and
+# smoke-runs every benchmark once.
 
 GO ?= go
 
-.PHONY: verify lint vet fmt-check build test race determinism alloc-gate bench bench-baseline bench-compare docs-check api-check serve-smoke load-baseline
+.PHONY: verify lint vet fmt-check build test race determinism alloc-gate bench bench-baseline bench-compare docs-check api-check examples-check serve-smoke load-baseline
 
-verify: lint docs-check api-check build race determinism alloc-gate serve-smoke bench bench-compare
+verify: lint docs-check api-check examples-check build race determinism alloc-gate serve-smoke bench bench-compare
 
 # lint is the static gate: vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -62,6 +63,13 @@ docs-check:
 # changes regenerate it with `./scripts/api_check.sh -update`.
 api-check:
 	./scripts/api_check.sh
+
+# Example-output gate: every examples/<name> program's stdout must match its
+# committed testdata/stdout.golden byte for byte (the examples run fixed
+# seeds); intentional changes regenerate with
+# `./scripts/examples_check.sh -update`.
+examples-check:
+	./scripts/examples_check.sh
 
 # The pooled, clutter-cached steady-state localization must stay at or
 # below MAX_ALLOCS (default 30) allocs/op with instrumentation live.

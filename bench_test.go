@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"runtime"
@@ -292,18 +293,20 @@ func BenchmarkDiscoveryScan(b *testing.B) {
 // BenchmarkReliableTransfer measures a CRC+ARQ transfer through the public
 // API.
 func BenchmarkReliableTransfer(b *testing.B) {
-	net, err := milback.NewNetwork(milback.WithSeed(2))
+	ctx := context.Background()
+	c, err := milback.NewCluster(milback.WithSeed(2))
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := net.Join(2.5, 0.3, -10)
+	defer c.Close()
+	n, err := c.Join(ctx, 2.5, 0.3, -10)
 	if err != nil {
 		b.Fatal(err)
 	}
 	payload := []byte("reliable benchmark payload")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := n.SendReliable(payload, milback.Rate10Mbps, 3); err != nil {
+		if _, err := c.SendReliable(ctx, n, payload, milback.Rate10Mbps, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,18 +315,20 @@ func BenchmarkReliableTransfer(b *testing.B) {
 // BenchmarkEndToEnd_ProtocolPacket measures one full Fig-8 packet (preamble
 // + localization + uplink payload) through the public API.
 func BenchmarkEndToEnd_ProtocolPacket(b *testing.B) {
-	net, err := milback.NewNetwork(milback.WithSeed(1))
+	ctx := context.Background()
+	c, err := milback.NewCluster(milback.WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, err := net.Join(3, 0.5, -10)
+	defer c.Close()
+	n, err := c.Join(ctx, 3, 0.5, -10)
 	if err != nil {
 		b.Fatal(err)
 	}
 	payload := []byte("benchmark payload 0123456789")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := n.Send(payload, milback.Rate10Mbps); err != nil {
+		if _, err := c.Send(ctx, n, payload, milback.Rate10Mbps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -333,19 +338,20 @@ func BenchmarkEndToEnd_ProtocolPacket(b *testing.B) {
 // goroutines on distinct nodes push uplink packets through the AP airtime
 // scheduler. Per-op time is one full round of K packets; the reported
 // metric is the aggregate simulated-payload rate over simulated airtime,
-// from Network.Stats.
+// from Cluster.Stats.
 func BenchmarkNetworkThroughput(b *testing.B) {
-	net, err := milback.NewNetwork(milback.WithSeed(5))
+	ctx := context.Background()
+	c, err := milback.NewCluster(milback.WithSeed(5))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer net.Close()
+	defer c.Close()
 	placements := [][3]float64{
 		{2.0, -0.8, 10}, {2.5, -0.3, -8}, {3.0, 0.2, 5}, {2.6, 0.9, -12},
 	}
-	nodes := make([]*milback.Node, len(placements))
+	nodes := make([]milback.NodeID, len(placements))
 	for i, p := range placements {
-		if nodes[i], err = net.Join(p[0], p[1], p[2]); err != nil {
+		if nodes[i], err = c.Join(ctx, p[0], p[1], p[2]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -355,9 +361,9 @@ func BenchmarkNetworkThroughput(b *testing.B) {
 		var wg sync.WaitGroup
 		for _, n := range nodes {
 			wg.Add(1)
-			go func(n *milback.Node) {
+			go func(n milback.NodeID) {
 				defer wg.Done()
-				if _, err := n.Send(payload, milback.Rate10Mbps); err != nil {
+				if _, err := c.Send(ctx, n, payload, milback.Rate10Mbps); err != nil {
 					b.Error(err)
 				}
 			}(n)
@@ -365,7 +371,7 @@ func BenchmarkNetworkThroughput(b *testing.B) {
 		wg.Wait()
 	}
 	b.StopTimer()
-	if st := net.Stats(); st.AirtimeS > 0 {
+	if st := c.Stats(); st.AirtimeS > 0 {
 		b.ReportMetric(float64(st.BitsSent)/st.AirtimeS/1e6, "sim-Mbps")
 	}
 }

@@ -11,7 +11,7 @@
 //	-quick    reduced trial counts
 //
 // With -trace FILE the command instead summarizes a pipeline-stage trace
-// written by milback-sim -trace (or milback.Network.WriteTrace): a markdown
+// written by milback-sim -trace (or milback.Cluster.WriteTrace): a markdown
 // table of span counts, durations and per-stage parallel efficiency (summed
 // worker-busy time over wall time, for stages that fanned out), no
 // experiments run.

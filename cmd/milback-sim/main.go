@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -47,18 +48,19 @@ func main() {
 	if *debugAddr != "" {
 		opts = append(opts, milback.WithDebugServer(*debugAddr))
 	}
-	net, err := milback.NewNetwork(opts...)
+	c, err := milback.NewCluster(opts...)
 	if err != nil {
 		fatal(err)
 	}
-	defer net.Close()
+	defer c.Close()
 	if *debugAddr != "" {
-		fmt.Fprintf(os.Stderr, "milback-sim: debug server on http://%s/debug/vars\n", net.DebugAddr())
+		fmt.Fprintf(os.Stderr, "milback-sim: debug server on http://%s/debug/vars\n", c.DebugAddr())
 	}
 	if *tracePath != "" {
-		defer writeTrace(net, *tracePath)
+		defer writeTrace(c, *tracePath)
 	}
-	node, err := net.Join(*x, *y, *orient)
+	ctx := context.Background()
+	id, err := c.Join(ctx, *x, *y, *orient)
 	if err != nil {
 		fatal(err)
 	}
@@ -67,7 +69,7 @@ func main() {
 	fmt.Printf("node placed at (%.2f, %.2f) m — range %.3f m, azimuth %.2f°, orientation %.1f°\n\n",
 		*x, *y, trueRange, trueAz, *orient)
 
-	pos, err := node.Localize()
+	pos, err := c.Localize(ctx, id)
 	if err != nil {
 		fatal(err)
 	}
@@ -76,14 +78,14 @@ func main() {
 	fmt.Printf("azimuth:      %8.2f °   (true %.2f, err %+.2f°)\n", pos.AzimuthDeg, trueAz, pos.AzimuthDeg-trueAz)
 	fmt.Printf("orientation:  %8.2f °   (true %.1f, err %+.2f°)\n", pos.OrientationDeg, *orient, pos.OrientationDeg-*orient)
 
-	selfOrient, err := node.Orientation()
+	selfOrient, err := c.Orientation(ctx, id)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("node's own estimate: %.2f° (err %+.2f°)\n\n", selfOrient, selfOrient-*orient)
 
 	payload := []byte(*msg)
-	up, err := node.Send(payload, *rate)
+	up, err := c.Send(ctx, id, payload, *rate)
 	if err != nil {
 		fatal(err)
 	}
@@ -92,7 +94,7 @@ func main() {
 	fmt.Printf("bit errors: %d/%d (BER %.2g), link SNR %.1f dB\n", up.BitErrors, up.BitsSent, up.BER(), up.SNRdB)
 	fmt.Printf("packet airtime %.1f µs, node energy %.2f µJ\n\n", up.AirtimeS*1e6, up.NodeEnergyJ*1e6)
 
-	down, err := node.Deliver(payload, milback.Rate36Mbps)
+	down, err := c.Deliver(ctx, id, payload, milback.Rate36Mbps)
 	if err != nil {
 		fatal(err)
 	}
@@ -101,11 +103,11 @@ func main() {
 	fmt.Printf("bit errors: %d/%d (BER %.2g), node SINR %.1f dB\n", down.BitErrors, down.BitsSent, down.BER(), down.SNRdB)
 	fmt.Printf("packet airtime %.1f µs, node energy %.2f µJ\n\n", down.AirtimeS*1e6, down.NodeEnergyJ*1e6)
 
-	upP, _ := node.Power(milback.ActivityUplink, *rate)
-	downP, _ := node.Power(milback.ActivityDownlink, 0)
+	upP, _ := c.Power(id, milback.ActivityUplink, *rate)
+	downP, _ := c.Power(id, milback.ActivityDownlink, 0)
 	fmt.Printf("node power: %.1f mW uplink, %.1f mW downlink/localization (§9.6)\n", upP*1e3, downP*1e3)
 
-	st := net.Stats()
+	st := c.Stats()
 	fmt.Printf("network stats: %d exchanges, %d/%d bit errors, %.1f µs total airtime\n",
 		st.Exchanges, st.BitErrors, st.BitsSent, st.AirtimeS*1e6)
 }
@@ -115,16 +117,16 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// writeTrace dumps the network's retained spans to path. Runs as a deferred
+// writeTrace dumps the cluster's retained spans to path. Runs as a deferred
 // cleanup, so failures warn on stderr rather than aborting.
-func writeTrace(net *milback.Network, path string) {
+func writeTrace(c *milback.Cluster, path string) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "milback-sim: trace:", err)
 		return
 	}
 	defer f.Close()
-	if err := net.WriteTrace(f); err != nil {
+	if err := c.WriteTrace(f); err != nil {
 		fmt.Fprintln(os.Stderr, "milback-sim: trace:", err)
 	}
 }

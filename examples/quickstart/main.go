@@ -12,23 +12,24 @@ import (
 )
 
 func main() {
-	// A network is one access point in a cluttered indoor room. Close
-	// releases its airtime-scheduler goroutine.
-	net, err := milback.NewNetwork(milback.WithSeed(1))
+	// A cluster with no layout options is one access point in a cluttered
+	// indoor room. Close releases its airtime-scheduler goroutine.
+	c, err := milback.NewCluster(milback.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer net.Close()
+	defer c.Close()
+	ctx := context.Background()
 
 	// A backscatter node 3 m away, slightly off to the side, rotated −10°.
-	node, err := net.Join(3, 0.5, -10)
+	node, err := c.Join(ctx, 3, 0.5, -10)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Localization: FMCW ranging + angle-of-arrival + orientation sensing,
 	// all from the node's switched reflection (the node spends 18 mW).
-	pos, err := node.Localize()
+	pos, err := c.Localize(ctx, node)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func main() {
 		pos.X, pos.Y, pos.OrientationDeg)
 
 	// Uplink: the node piggybacks its data on the AP's two-tone query.
-	up, err := node.Send([]byte("temperature=21.5C"), milback.Rate10Mbps)
+	up, err := c.Send(ctx, node, []byte("temperature=21.5C"), milback.Rate10Mbps)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,20 +45,20 @@ func main() {
 
 	// Downlink: the AP keys its two tones on and off (OAQFM); the node
 	// decodes with nothing but envelope detectors.
-	down, err := node.Deliver([]byte("setpoint=22.0C"), milback.Rate36Mbps)
+	down, err := c.Deliver(ctx, node, []byte("setpoint=22.0C"), milback.Rate36Mbps)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("downlink: %q  (%d bit errors, SINR %.1f dB)\n", down.Data, down.BitErrors, down.SNRdB)
 
-	// Every call has a *Context variant that honors cancellation and
-	// deadlines while the operation waits for the AP's beam.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	// Every call takes a ctx, which cancels it or bounds it with a
+	// deadline while the operation waits for the AP's beam.
+	tctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	if _, err := node.SendContext(ctx, []byte("ack"), milback.Rate10Mbps); err != nil {
+	if _, err := c.Send(tctx, node, []byte("ack"), milback.Rate10Mbps); err != nil {
 		log.Fatal(err)
 	}
 
-	st := net.Stats()
+	st := c.Stats()
 	fmt.Printf("stats: %d exchanges, %.1f µs airtime\n", st.Exchanges, st.AirtimeS*1e6)
 }

@@ -9,10 +9,11 @@
 // during the preamble (no extra airtime — integrated sensing and
 // communication). The demo also shows the energy book-keeping (each poll
 // costs the node a few microjoules) and the network-wide counters from
-// Network.Stats.
+// Cluster.Stats.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -29,11 +30,12 @@ type sensor struct {
 }
 
 func main() {
-	net, err := milback.NewNetwork(milback.WithSeed(11))
+	c, err := milback.NewCluster(milback.WithSeed(11))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer net.Close()
+	defer c.Close()
+	ctx := context.Background()
 	sensors := []sensor{
 		{"door", 1.5, -0.8, 12, 20.1},
 		{"window", 2.0, 1.2, -18, 18.4},
@@ -44,9 +46,9 @@ func main() {
 		{"ceiling", 6.0, 0.0, 0, 23.5},
 		{"far-wall", 7.5, 1.0, 10, 20.9},
 	}
-	nodes := make([]*milback.Node, len(sensors))
+	nodes := make([]milback.NodeID, len(sensors))
 	for i, s := range sensors {
-		n, err := net.Join(s.x, s.y, s.orient)
+		n, err := c.Join(ctx, s.x, s.y, s.orient)
 		if err != nil {
 			log.Fatalf("%s: %v", s.name, err)
 		}
@@ -63,7 +65,7 @@ func main() {
 		go func(i int, s sensor) {
 			defer wg.Done()
 			payload := []byte(fmt.Sprintf("%s:%.1fC", s.name, s.reading))
-			ex, err := nodes[i].Send(payload, milback.Rate10Mbps)
+			ex, err := c.Send(ctx, nodes[i], payload, milback.Rate10Mbps)
 			if err != nil {
 				log.Fatalf("%s: %v", s.name, err)
 			}
@@ -82,7 +84,7 @@ func main() {
 			math.Abs(ex.Position.RangeM-trueRange)*100, ex.NodeEnergyJ*1e6)
 		totalEnergy += ex.NodeEnergyJ
 	}
-	st := net.Stats()
+	st := c.Stats()
 	fmt.Printf("\npolled %d sensors concurrently; %d exchanges, %d/%d bit errors, %.1f ms airtime\n",
 		len(sensors), st.Exchanges, st.BitErrors, st.BitsSent, st.AirtimeS*1e3)
 	fmt.Printf("total node-side energy %.1f µJ\n", totalEnergy*1e6)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,10 +15,12 @@ import (
 )
 
 func main() {
-	net, err := milback.NewNetwork(milback.WithSeed(17))
+	c, err := milback.NewCluster(milback.WithSeed(17))
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer c.Close()
+	ctx := context.Background()
 	// Battery-free occupancy sensors, placed by an installer who never
 	// recorded where.
 	placements := [][3]float64{
@@ -26,9 +29,9 @@ func main() {
 		{5.5, -1.5, 5},
 		{7.0, 1.8, -20},
 	}
-	nodes := make([]*milback.Node, len(placements))
+	nodes := make([]milback.NodeID, len(placements))
 	for i, p := range placements {
-		n, err := net.Join(p[0], p[1], p[2])
+		n, err := c.Join(ctx, p[0], p[1], p[2])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,7 +40,7 @@ func main() {
 
 	// 1. Discovery: one beam sweep finds everyone.
 	fmt.Println("== discovery scan ==")
-	dets, err := net.Discover()
+	dets, err := c.Discover(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,12 +51,12 @@ func main() {
 	// 2. Rate adaptation + reliable polling.
 	fmt.Println("\n== adaptive reliable polling ==")
 	for i, n := range nodes {
-		rate, ok, err := n.BestUplinkRate()
+		rate, ok, err := c.BestUplinkRate(ctx, n)
 		if err != nil {
 			log.Fatal(err)
 		}
 		report := []byte(fmt.Sprintf("room-%d occupancy=%d", i, (i*3)%5))
-		res, err := n.SendReliable(report, rate, 3)
+		res, err := c.SendReliable(ctx, n, report, rate, 3)
 		if err != nil {
 			log.Fatalf("node %d: %v", i, err)
 		}
@@ -63,24 +66,24 @@ func main() {
 
 	// 3. Blockage: a person walks between the AP and node 2.
 	fmt.Println("\n== blockage event ==")
-	if err := net.AddBlocker("visitor", 2.5, -1.2, 2.5, -0.3, 30); err != nil {
+	if err := c.AddBlocker(ctx, "visitor", 2.5, -1.2, 2.5, -0.3, 30); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := nodes[2].SendReliable([]byte("ping"), milback.Rate10Mbps, 2); err != nil {
+	if _, err := c.SendReliable(ctx, nodes[2], []byte("ping"), milback.Rate10Mbps, 2); err != nil {
 		fmt.Println("node 2 unreachable while blocked:", err)
 	} else {
 		fmt.Println("node 2 survived the blocker (unexpected at 30 dB)")
 	}
 	// Other bearings unaffected.
-	if _, err := nodes[0].SendReliable([]byte("ping"), milback.Rate10Mbps, 2); err != nil {
+	if _, err := c.SendReliable(ctx, nodes[0], []byte("ping"), milback.Rate10Mbps, 2); err != nil {
 		log.Fatalf("node 0 should be unaffected: %v", err)
 	}
 	fmt.Println("node 0 unaffected by the blocker")
 
-	if _, err := net.RemoveBlocker("visitor"); err != nil {
+	if _, err := c.RemoveBlocker(ctx, "visitor"); err != nil {
 		log.Fatal(err)
 	}
-	res, err := nodes[2].SendReliable([]byte("ping"), milback.Rate10Mbps, 2)
+	res, err := c.SendReliable(ctx, nodes[2], []byte("ping"), milback.Rate10Mbps, 2)
 	if err != nil {
 		log.Fatalf("node 2 should recover: %v", err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -20,12 +21,13 @@ import (
 )
 
 func main() {
-	net, err := milback.NewNetwork(milback.WithSeed(7))
+	c, err := milback.NewCluster(milback.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer net.Close()
-	headset, err := net.Join(2.0, -0.8, 0)
+	defer c.Close()
+	ctx := context.Background()
+	headset, err := c.Join(ctx, 2.0, -0.8, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,13 +50,13 @@ func main() {
 			OrientationDeg: 10 + 10*math.Sin(2*math.Pi*t),
 		})
 	}
-	if err := headset.SetTrajectory(milback.Trajectory{
+	if err := c.SetTrajectory(ctx, headset, milback.Trajectory{
 		Waypoints:     wps,
 		Interpolation: milback.InterpCubic,
 	}); err != nil {
 		log.Fatal(err)
 	}
-	tracker, err := headset.NewTracker()
+	tracker, err := c.NewTracker(headset)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,17 +72,20 @@ func main() {
 		for i := range update {
 			update[i] = byte(f + i)
 		}
-		ex, err := headset.Deliver(update, milback.Rate36Mbps)
+		ex, err := c.Deliver(ctx, headset, update, milback.Rate36Mbps)
 		if err != nil {
 			log.Fatalf("frame %d: %v", f, err)
 		}
 		// Kalman-fuse the per-packet fix plus a Doppler range-rate fix into
-		// the track, filed at the network's simulation clock.
-		pose, err := tracker.StepNow()
+		// the track, filed at the cluster's simulation clock.
+		pose, err := tracker.StepNow(ctx)
 		if err != nil {
 			log.Fatalf("frame %d track: %v", f, err)
 		}
-		x, y, yaw := headset.TruePosition()
+		x, y, yaw, err := c.TruePosition(headset)
+		if err != nil {
+			log.Fatal(err)
+		}
 		rawErr := math.Hypot(pose.Raw.X-x, pose.Raw.Y-y)
 		kfErr := math.Hypot(pose.X-x, pose.Y-y)
 		yawErr := math.Abs(ex.Position.OrientationDeg - yaw)
@@ -99,20 +104,20 @@ func main() {
 
 		// Controller input flows back uplink in the same duty cycle.
 		input := []byte(fmt.Sprintf("buttons=%04b stick=%+.2f", f%16, math.Sin(float64(f)/frames)))
-		if _, err := headset.Send(input, milback.Rate40Mbps); err != nil {
+		if _, err := c.Send(ctx, headset, input, milback.Rate40Mbps); err != nil {
 			log.Fatalf("frame %d uplink: %v", f, err)
 		}
 
 		// Advance the world to the next frame: the headset slides along its
 		// trajectory and the simulation clock follows.
-		if _, err := headset.AdvanceTrajectory(frameDt); err != nil {
+		if _, err := c.AdvanceTrajectory(ctx, headset, frameDt); err != nil {
 			log.Fatalf("frame %d advance: %v", f, err)
 		}
-		net.AdvanceTime(frameDt)
+		c.AdvanceTime(frameDt)
 	}
-	power, _ := headset.Power(milback.ActivityUplink, milback.Rate40Mbps)
+	power, _ := c.Power(headset, milback.ActivityUplink, milback.Rate40Mbps)
 	fmt.Printf("\nraw fix RMSE %.1f cm, tracked RMSE %.1f cm; worst yaw error %.2f° — at %.0f mW\n",
 		math.Sqrt(rawSqSum/frames)*100, math.Sqrt(kfSqSum/frames)*100, worstYaw, power*1e3)
 	fmt.Printf("estimated walking speed: %.2f m/s over %.1f s simulated\n",
-		speedSum/float64(speedFrames), net.Now())
+		speedSum/float64(speedFrames), c.Now())
 }

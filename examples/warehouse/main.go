@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -24,10 +25,12 @@ type asset struct {
 }
 
 func main() {
-	net, err := milback.NewNetwork(milback.WithSeed(23))
+	c, err := milback.NewCluster(milback.WithSeed(23))
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer c.Close()
+	ctx := context.Background()
 	assets := []asset{
 		{"PALLET-0041", 2.0, 0.3, -5},
 		{"PALLET-0107", 3.2, -1.0, 20},
@@ -40,11 +43,11 @@ func main() {
 	fmt.Println("sku         | true (x,y)      | fix (x,y)       | range err | orient err | tilted?")
 	var sumRangeErr float64
 	for _, a := range assets {
-		tag, err := net.Join(a.x, a.y, a.orient)
+		tag, err := c.Join(ctx, a.x, a.y, a.orient)
 		if err != nil {
 			log.Fatalf("%s: %v", a.sku, err)
 		}
-		pos, err := tag.Localize()
+		pos, err := c.Localize(ctx, tag)
 		if err != nil {
 			log.Fatalf("%s: %v", a.sku, err)
 		}
@@ -62,7 +65,7 @@ func main() {
 
 		// Inventory ACK downlink: the tag's MCU can blink an LED on receipt.
 		ack := []byte("ACK " + a.sku)
-		ex, err := tag.Deliver(ack, milback.Rate36Mbps)
+		ex, err := c.Deliver(ctx, tag, ack, milback.Rate36Mbps)
 		if err != nil {
 			log.Fatalf("%s ack: %v", a.sku, err)
 		}

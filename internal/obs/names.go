@@ -1,7 +1,7 @@
 package obs
 
 // Canonical instrument names. Layers resolve these against the system
-// Registry at wiring time; milback.Network.Metrics assembles its typed
+// Registry at wiring time; milback.Cluster.Metrics assembles its typed
 // snapshot from the same names, so the two sides never drift.
 const (
 	// Scheduler (internal/proto.Engine).

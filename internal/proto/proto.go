@@ -203,19 +203,7 @@ type Network struct {
 	eng     *Engine
 }
 
-// NewNetwork wraps a system with base seed 1 and no job timeout.
-func NewNetwork(sys *core.System) *Network {
-	return NewNetworkSeeded(sys, 1, 0)
-}
-
-// NewNetworkSeeded wraps a system. baseSeed roots every session's seed
-// stream; jobTimeout (0 = none) bounds each scheduled job's time in the
-// scheduler (see EngineConfig.JobTimeout).
-func NewNetworkSeeded(sys *core.System, baseSeed int64, jobTimeout time.Duration) *Network {
-	return NewNetworkWithOptions(sys, NetworkOptions{BaseSeed: baseSeed, JobTimeout: jobTimeout})
-}
-
-// NetworkOptions parameterizes NewNetworkWithOptions.
+// NetworkOptions parameterizes NewNetwork.
 type NetworkOptions struct {
 	// BaseSeed roots every session's seed stream.
 	BaseSeed int64
@@ -228,10 +216,8 @@ type NetworkOptions struct {
 	Admit func() (release func())
 }
 
-// NewNetworkWithOptions wraps a system with explicit scheduler options —
-// the constructor the multi-AP cluster uses to install its admission
-// coordinator.
-func NewNetworkWithOptions(sys *core.System, opts NetworkOptions) *Network {
+// NewNetwork wraps a system with the given scheduler options.
+func NewNetwork(sys *core.System, opts NetworkOptions) *Network {
 	return &Network{
 		sys:        sys,
 		baseSeed:   opts.BaseSeed,

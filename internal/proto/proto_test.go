@@ -16,7 +16,7 @@ func testNetwork(t *testing.T) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewNetwork(sys)
+	return NewNetwork(sys, NetworkOptions{BaseSeed: 1})
 }
 
 func TestSessionValidation(t *testing.T) {

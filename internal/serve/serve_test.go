@@ -199,6 +199,32 @@ func TestServerErrorMapping(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizeBody: a send body past maxBodyBytes is refused
+// with 413 and the daemon keeps serving.
+func TestServerRejectsOversizeBody(t *testing.T) {
+	cluster := newTestCluster(t)
+	defer cluster.Close()
+	ts := httptest.NewServer(NewServer(cluster, nil))
+	defer ts.Close()
+
+	var join JoinResponse
+	if code, msg := postJSON(t, ts.URL+"/v1/nodes", JoinRequest{X: 3, OrientationDeg: -10}, &join); code != 200 {
+		t.Fatalf("join: %d %s", code, msg)
+	}
+	node := fmt.Sprintf("%s/v1/nodes/%d", ts.URL, join.NodeID)
+	big := ExchangeRequest{Data: bytes.Repeat([]byte("x"), maxBodyBytes), BitRate: 10e6}
+	if code, msg := postJSON(t, node+"/send", big, nil); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize send: %d %s, want 413", code, msg)
+	}
+	var ex ExchangeResponse
+	if code, msg := postJSON(t, node+"/send", ExchangeRequest{Data: []byte("ok"), BitRate: 10e6}, &ex); code != 200 {
+		t.Fatalf("send after oversize body: %d %s", code, msg)
+	}
+	if string(ex.Data) != "ok" {
+		t.Errorf("send after oversize body returned %q", ex.Data)
+	}
+}
+
 // TestServerDrainRefusal: after StartDrain the API answers 503 but
 // /healthz stays up and reports draining.
 func TestServerDrainRefusal(t *testing.T) {

@@ -15,6 +15,10 @@ import (
 	"repro/milback"
 )
 
+// maxBodyBytes bounds every API request body; a larger body fails with
+// 413 before the handler sees a partial decode.
+const maxBodyBytes = 1 << 20
+
 // Server maps the milback.Cluster session API onto an HTTP mux. It is an
 // http.Handler; Daemon wires it to a listener, tests drive it through
 // httptest. The zero value is not usable — construct with NewServer.
@@ -133,9 +137,9 @@ func status(err error) int {
 	}
 }
 
-// api wraps a handler with the serving contract: drain refusal, in-flight
-// accounting, request/error counters, latency observation, and uniform
-// JSON encoding of the result or error.
+// api wraps a handler with the serving contract: drain refusal, a request
+// body bound (maxBodyBytes), in-flight accounting, request/error counters,
+// latency observation, and uniform JSON encoding of the result or error.
 func (s *Server) api(h func(r *http.Request) (any, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Inc()
@@ -152,6 +156,7 @@ func (s *Server) api(h func(r *http.Request) (any, error)) http.Handler {
 			s.gauge.Set(s.active.Load())
 			s.inflight.Done()
 		}()
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		start := time.Now()
 		res, err := h(r)
 		s.latency.Observe(time.Since(start).Seconds())
@@ -172,11 +177,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// decode reads the request body into v, rejecting trailing garbage.
+// decode reads the request body into v, rejecting unknown fields; a body
+// over maxBodyBytes is a 413.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &apiError{status: http.StatusRequestEntityTooLarge,
+				err: fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
 		return badRequest("decoding request body: %v", err)
 	}
 	return nil

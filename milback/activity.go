@@ -56,20 +56,27 @@ func ParseActivity(s string) (Activity, error) {
 
 // Power returns the node's power consumption in watts for an activity.
 // bitRate is required (positive) for ActivityUplink, where the switches
-// toggle at the symbol rate, and ignored otherwise. See §9.6.
-func (n *Node) Power(a Activity, bitRate float64) (float64, error) {
+// toggle at the symbol rate, and ignored otherwise. See §9.6. It can return
+// ErrUnknownNode.
+func (c *Cluster) Power(id NodeID, a Activity, bitRate float64) (float64, error) {
+	cn, err := c.lockNode(id)
+	if err != nil {
+		return 0, err
+	}
+	defer cn.mu.Unlock()
+	n := cn.sess.Node()
 	switch a {
 	case ActivityIdle:
-		return n.n.ModePower(node.ModeIdle, 0), nil
+		return n.ModePower(node.ModeIdle, 0), nil
 	case ActivityLocalization:
-		return n.n.ModePower(node.ModeLocalization, 10e3), nil
+		return n.ModePower(node.ModeLocalization, 10e3), nil
 	case ActivityDownlink:
-		return n.n.ModePower(node.ModeDownlink, 0), nil
+		return n.ModePower(node.ModeDownlink, 0), nil
 	case ActivityUplink:
 		if bitRate <= 0 {
 			return 0, fmt.Errorf("milback: uplink power needs a positive bit rate")
 		}
-		return n.n.ModePower(node.ModeUplink, node.UplinkToggleRate(bitRate)), nil
+		return n.ModePower(node.ModeUplink, node.UplinkToggleRate(bitRate)), nil
 	default:
 		return 0, fmt.Errorf("milback: unknown activity %v", a)
 	}

@@ -1,6 +1,7 @@
 package milback
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -14,16 +15,11 @@ import (
 // buffers against concurrent job submission; functionally it checks that a
 // capture never observes a torn scene (every error is a documented one).
 func TestSceneMutationDuringScheduledCaptures(t *testing.T) {
-	net, err := NewNetwork(WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(net.Close)
-	nodes := make([]*Node, 3)
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(11))
+	nodes := make([]NodeID, 3)
 	for i := range nodes {
-		if nodes[i], err = net.Join(3+float64(i), 0.4*float64(i), 5); err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
+		nodes[i] = mustJoin(t, c, 3+float64(i), 0.4*float64(i), 5)
 	}
 
 	const rounds = 8
@@ -36,11 +32,11 @@ func TestSceneMutationDuringScheduledCaptures(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				if _, err := n.Localize(); err != nil && !errors.Is(err, ErrNoDetection) {
+				if _, err := c.Localize(ctx, n); err != nil && !errors.Is(err, ErrNoDetection) {
 					fail <- fmt.Errorf("node %d localize round %d: %w", i, r, err)
 					return
 				}
-				if _, err := n.Send(payloadFor(i), Rate10Mbps); err != nil && !errors.Is(err, ErrNoDetection) {
+				if _, err := c.Send(ctx, n, payloadFor(i), Rate10Mbps); err != nil && !errors.Is(err, ErrNoDetection) {
 					fail <- fmt.Errorf("node %d send round %d: %w", i, r, err)
 					return
 				}
@@ -52,7 +48,7 @@ func TestSceneMutationDuringScheduledCaptures(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
-			if err := nodes[2].Move(4+0.1*float64(r%3), 1, float64(r%7)); err != nil {
+			if err := c.Move(ctx, nodes[2], 4+0.1*float64(r%3), 1, float64(r%7)); err != nil {
 				fail <- fmt.Errorf("move round %d: %w", r, err)
 				return
 			}
@@ -66,11 +62,11 @@ func TestSceneMutationDuringScheduledCaptures(t *testing.T) {
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
 			name := fmt.Sprintf("walker-%d", r%2)
-			if err := net.AddBlocker(name, 8, -1.2, 8, -0.6, 30); err != nil {
+			if err := c.AddBlocker(ctx, name, 8, -1.2, 8, -0.6, 30); err != nil {
 				fail <- fmt.Errorf("add blocker round %d: %w", r, err)
 				return
 			}
-			if _, err := net.RemoveBlocker(name); err != nil {
+			if _, err := c.RemoveBlocker(ctx, name); err != nil {
 				fail <- fmt.Errorf("remove blocker round %d: %w", r, err)
 				return
 			}

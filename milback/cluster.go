@@ -27,7 +27,7 @@ type NodeID uint64
 // twice the cells of weight 1; values below 1 are treated as 1).
 type APPlacement struct {
 	// X, Y is the AP's position in the cluster frame. Every AP faces +x,
-	// like the single-network AP at the origin.
+	// like the default AP at the origin.
 	X, Y float64
 	// Weight is the AP's relative ring share (0 means 1).
 	Weight int
@@ -35,8 +35,7 @@ type APPlacement struct {
 
 // WithAPs deploys n access points in the default layout: AP i at
 // (0, i·12 m), weight 1 — adjacent cells side by side along the y axis.
-// Only meaningful for NewCluster; NewNetwork rejects n > 1 with
-// ErrInvalidConfig. Mutually exclusive with WithAPLayout.
+// Mutually exclusive with WithAPLayout.
 func WithAPs(n int) Option {
 	return func(o *options) { o.aps = n }
 }
@@ -149,8 +148,7 @@ type clusterNode struct {
 // ring index, and each node's session stream derives from (AP seed, NodeID,
 // handoff generation) — never from scheduling order. The same cluster seed
 // and the same operation sequence therefore produce bit-identical results
-// regardless of goroutine interleaving, and a 1-AP cluster is bit-identical
-// to a plain Network with the same seed.
+// regardless of goroutine interleaving.
 //
 // All methods are safe for concurrent use.
 type Cluster struct {
@@ -168,22 +166,17 @@ type Cluster struct {
 	nextID NodeID
 }
 
-// NewCluster creates a multi-AP deployment. With no layout options it is a
-// single-AP cluster equivalent to NewNetwork. It returns ErrInvalidConfig
-// for a nil scene, an unusable system configuration, a conflicting
-// WithAPs/WithAPLayout combination, non-finite AP coordinates or a negative
-// interference radius.
+// NewCluster creates a MilBack deployment with the paper's prototype
+// configuration in the default indoor scene, seed 1. With no layout
+// options it is the paper's single-AP testbed, the AP at the origin facing
+// +x. It returns ErrInvalidConfig for a nil scene, an unusable system
+// configuration, a conflicting WithAPs/WithAPLayout combination,
+// non-finite AP coordinates or a negative interference radius.
 func NewCluster(opts ...Option) (*Cluster, error) {
-	o := defaultOptions()
+	o := options{cfg: core.DefaultConfig(), scene: rfsim.DefaultIndoorScene(), seed: 1}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newClusterFromOptions(o)
-}
-
-// newClusterFromOptions builds the cluster; NewNetwork shares it for the
-// 1-AP case.
-func newClusterFromOptions(o options) (*Cluster, error) {
 	if o.scene == nil {
 		return nil, fmt.Errorf("%w: nil scene", ErrInvalidConfig)
 	}
@@ -241,7 +234,7 @@ func newClusterFromOptions(o options) (*Cluster, error) {
 			ap := i
 			netOpts.Admit = func() (release func()) { return c.adm.admit(ap) }
 		}
-		cell.net = proto.NewNetworkWithOptions(sys, netOpts)
+		cell.net = proto.NewNetwork(sys, netOpts)
 		reg := sys.Obs()
 		cell.handoffsIn = reg.Counter(obs.MetricHandoffsIn)
 		cell.handoffsOut = reg.Counter(obs.MetricHandoffsOut)
@@ -269,9 +262,10 @@ func newClusterFromOptions(o options) (*Cluster, error) {
 }
 
 // apSeed derives AP i's network seed root. AP 0 keeps the cluster seed
-// itself — a 1-AP cluster is therefore bit-identical to a Network with the
-// same seed — and the others split off dedicated streams at negative
-// indices, which real session ids (positive) never collide with.
+// itself — a 1-AP cluster therefore draws exactly the streams of a bare
+// proto.Network with the same seed — and the others split off dedicated
+// streams at negative indices, which real session ids (positive) never
+// collide with.
 func (c *Cluster) apSeed(i int) int64 {
 	if i == 0 {
 		return c.seed
@@ -280,7 +274,7 @@ func (c *Cluster) apSeed(i int) int64 {
 }
 
 // sessionSeed roots a node's per-session stream at a given AP and handoff
-// generation. Generation 0 matches the single-network derivation exactly;
+// generation. Generation 0 matches proto.Network.Join's derivation exactly;
 // each handoff re-derives, so a node's post-handoff noise depends only on
 // where it landed and how many times it moved homes — not on when.
 func sessionSeed(apSeed int64, id NodeID, gen int) int64 {
@@ -293,9 +287,9 @@ func sessionSeed(apSeed int64, id NodeID, gen int) int64 {
 
 // sceneForAP returns the scene as seen from AP i's local frame (the rfsim
 // scene is always AP-centric). AP 0 at the cluster origin shares the
-// caller's scene pointer — single-AP clusters keep the Network facade's
-// mutate-through-scene semantics — while every other AP gets a deep copy
-// with all geometry translated into its frame.
+// caller's scene pointer — single-AP clusters keep mutate-through-scene
+// semantics — while every other AP gets a deep copy with all geometry
+// translated into its frame.
 func sceneForAP(s *rfsim.Scene, pl APPlacement, index int) *rfsim.Scene {
 	if index == 0 && pl.X == 0 && pl.Y == 0 {
 		return s
@@ -363,14 +357,16 @@ func (c *Cluster) ownerLocked(x, y float64) int {
 	return owner
 }
 
-// node resolves a NodeID, or reports ErrUnknownNode.
-func (c *Cluster) node(id NodeID) (*clusterNode, error) {
+// lockNode resolves a NodeID (or reports ErrUnknownNode) and locks the
+// node; the caller unlocks cn.mu.
+func (c *Cluster) lockNode(id NodeID) (*clusterNode, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	cn, ok := c.nodes[id]
+	c.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrUnknownNode, id)
 	}
+	cn.mu.Lock()
 	return cn, nil
 }
 
@@ -379,19 +375,11 @@ func (c *Cluster) node(id NodeID) (*clusterNode, error) {
 // it at the AP that owns its grid cell. It returns ErrInvalidCoordinate for
 // non-finite arguments and ErrClosed after Close.
 func (c *Cluster) Join(ctx context.Context, x, y, orientationDeg float64) (NodeID, error) {
-	cn, err := c.join(ctx, x, y, orientationDeg)
-	if err != nil {
-		return 0, err
-	}
-	return cn.id, nil
-}
-
-func (c *Cluster) join(ctx context.Context, x, y, orientationDeg float64) (*clusterNode, error) {
 	if !finite(x, y, orientationDeg) {
-		return nil, fmt.Errorf("%w: join at (%g, %g) facing %g", ErrInvalidCoordinate, x, y, orientationDeg)
+		return 0, fmt.Errorf("%w: join at (%g, %g) facing %g", ErrInvalidCoordinate, x, y, orientationDeg)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("milback: %w: %w", ErrCancelled, err)
+		return 0, fmt.Errorf("milback: %w: %w", ErrCancelled, err)
 	}
 	c.mu.Lock()
 	c.nextID++
@@ -422,11 +410,11 @@ func (c *Cluster) join(ctx context.Context, x, y, orientationDeg float64) (*clus
 			}
 		}
 		c.mu.Unlock()
-		return nil, fmt.Errorf("milback: %w", err)
+		return 0, fmt.Errorf("milback: %w", err)
 	}
 	cn.sess = sess
 	cell.ringNodes.Add(1)
-	return cn, nil
+	return cn.id, nil
 }
 
 // Nodes returns the live node handles in join order.
@@ -438,11 +426,10 @@ func (c *Cluster) Nodes() []NodeID {
 
 // OwnerAP reports which AP currently serves the node.
 func (c *Cluster) OwnerAP(id NodeID) (int, error) {
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return 0, err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	return cn.ap, nil
 }
@@ -450,11 +437,10 @@ func (c *Cluster) OwnerAP(id NodeID) (int, error) {
 // TruePosition returns the node's ground-truth cluster-frame placement (for
 // evaluating estimates in simulations).
 func (c *Cluster) TruePosition(id NodeID) (x, y, orientationDeg float64, err error) {
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	return cn.x, cn.y, cn.orientDeg, nil
 }
@@ -474,11 +460,10 @@ func (c *apCell) position(out core.LocalizationOutcome) Position {
 // stay relative to the serving AP — see OwnerAP). It can return
 // ErrUnknownNode, ErrNoDetection, ErrCancelled and ErrClosed.
 func (c *Cluster) Localize(ctx context.Context, id NodeID) (Position, error) {
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return Position{}, err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	cell := c.aps[cn.ap]
 	out, err := cell.net.LocalizeContext(ctx, cn.sess)
@@ -491,11 +476,10 @@ func (c *Cluster) Localize(ctx context.Context, id NodeID) (Position, error) {
 // Orientation runs the node-side §5.2b estimation through the node's
 // serving AP and returns the node's own orientation estimate in degrees.
 func (c *Cluster) Orientation(ctx context.Context, id NodeID) (float64, error) {
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return 0, err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	res, err := c.aps[cn.ap].net.SenseOrientationContext(ctx, cn.sess)
 	if err != nil {
@@ -519,20 +503,17 @@ func (c *Cluster) Deliver(ctx context.Context, id NodeID, data []byte, bitRate f
 }
 
 func (c *Cluster) exchange(ctx context.Context, id NodeID, dir waveform.Direction, data []byte, bitRate float64) (Exchange, error) {
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return Exchange{}, err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	cell := c.aps[cn.ap]
 	out, err := cell.net.ExchangeContext(ctx, cn.sess, dir, data, bitRate)
 	if err != nil {
 		return Exchange{}, fmt.Errorf("milback: %w", err)
 	}
-	ex := exchangeFromOutcome(out)
-	ex.Position = cell.position(out.Localization)
-	return ex, nil
+	return cell.exchange(out), nil
 }
 
 // Move repositions the node (teleport; the next packet re-localizes it).
@@ -547,11 +528,10 @@ func (c *Cluster) Move(ctx context.Context, id NodeID, x, y, orientationDeg floa
 	if !finite(x, y, orientationDeg) {
 		return fmt.Errorf("%w: move to (%g, %g) facing %g", ErrInvalidCoordinate, x, y, orientationDeg)
 	}
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	// A teleport overrides motion: unbind any trajectory first, or the next
 	// grant's pose sync would snap the node right back onto it.
@@ -715,8 +695,9 @@ func (c *Cluster) Discover(ctx context.Context) ([]ClusterDetection, error) {
 	return out, nil
 }
 
-// AddBlocker inserts a blocking segment (cluster-frame coordinates) into
-// every live AP's scene; lossDB is the one-way penetration loss. The edit
+// AddBlocker inserts a blocking segment (a person, a cabinet; cluster-frame
+// coordinates) into every live AP's scene; lossDB is the one-way
+// penetration loss (human torso ≈ 30 dB at 28 GHz). The edit
 // is scheduled on each AP's airtime queue so it cannot race an exchange in
 // flight. On error (cancellation mid-rollout) APs already past their edit
 // keep it — re-invoke or RemoveBlocker to converge.

@@ -149,11 +149,10 @@ func TestClusterDeterministic(t *testing.T) {
 	}
 }
 
-// TestClusterSingleAPMatchesNetworkDeterministic pins the facade bridge: a
-// 1-AP cluster is bit-identical to a plain Network with the same seed and
-// operation sequence (NewNetwork is that cluster under the hood, but this
-// exercises the NodeID-addressed context-first path against the Node
-// handles).
+// TestClusterSingleAPMatchesNetworkDeterministic pins the 1-AP identity: a
+// default cluster reproduces, bit for bit, the exchanges and fixes that the
+// retired single-AP Network facade produced for the same seed and
+// operation sequence (golden values recorded from that facade).
 func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 	ctx := context.Background()
 	places := []struct{ x, y, orient float64 }{
@@ -162,29 +161,21 @@ func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 		{3.3, 1.4, 4},
 	}
 	payload := []byte("one-ap-identity")
-
-	net, err := NewNetwork(WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	var wantEx []Exchange
-	var wantPos []Position
-	for _, p := range places {
-		n, err := net.Join(p.x, p.y, p.orient)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := n.Send(payload, Rate10Mbps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pos, err := n.Localize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantEx = append(wantEx, ex)
-		wantPos = append(wantPos, pos)
+	want := []struct {
+		bitErrors int
+		snrDB     float64
+		exPos     Position
+		fix       Position
+	}{
+		{0, 28.17517219436109,
+			Position{RangeM: 2.3493207337690882, AzimuthDeg: -27.739485774746445, OrientationDeg: 9.873058388862532, X: 2.0793205059834596, Y: -1.0934962933243155},
+			Position{RangeM: 2.3840536319106675, AzimuthDeg: -31.014797980782234, OrientationDeg: 10.321258919007416, X: 2.043215619805781, Y: -1.2284061424496882}},
+		{0, 25.105476778412815,
+			Position{RangeM: 2.9582961003258497, AzimuthDeg: 13.475437716422533, OrientationDeg: -3.6918476531738236, X: 2.8768539346653097, Y: 0.6893672865779571},
+			Position{RangeM: 2.9737531604536165, AzimuthDeg: 15.298640415529427, OrientationDeg: -3.817621481880721, X: 2.8683742909349332, Y: 0.7846252522136876}},
+		{0, 20.892917702544374,
+			Position{RangeM: 3.5463324328827746, AzimuthDeg: 22.93792343028598, OrientationDeg: 4.166978807452086, X: 3.26591558305867, Y: 1.3821248600798726},
+			Position{RangeM: 3.5834629709913712, AzimuthDeg: 21.70032130151637, OrientationDeg: 4.276813330875623, X: 3.329504735034387, Y: 1.3249924844503467}},
 	}
 
 	c, err := NewCluster(WithSeed(5))
@@ -208,12 +199,13 @@ func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(ex.Data) != string(wantEx[i].Data) || ex.BitErrors != wantEx[i].BitErrors ||
-			ex.SNRdB != wantEx[i].SNRdB || ex.Position != wantEx[i].Position {
-			t.Errorf("node %d: cluster exchange diverged from network: %+v vs %+v", i, ex, wantEx[i])
+		w := want[i]
+		if string(ex.Data) != string(payload) || ex.BitErrors != w.bitErrors ||
+			ex.SNRdB != w.snrDB || ex.Position != w.exPos {
+			t.Errorf("node %d: cluster exchange diverged from the single-AP golden: %+v vs %+v", i, ex, w)
 		}
-		if pos != wantPos[i] {
-			t.Errorf("node %d: cluster fix diverged from network: %+v vs %+v", i, pos, wantPos[i])
+		if pos != w.fix {
+			t.Errorf("node %d: cluster fix diverged from the single-AP golden: %+v vs %+v", i, pos, w.fix)
 		}
 	}
 }
@@ -451,14 +443,10 @@ func TestClusterRemoveLastAPRejected(t *testing.T) {
 	}
 }
 
-// TestClusterOptionValidation covers the new options' error paths and the
-// Network facade's single-AP guard.
+// TestClusterOptionValidation covers the layout options' error paths.
 func TestClusterOptionValidation(t *testing.T) {
-	if _, err := NewNetwork(WithAPs(2)); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("NewNetwork(WithAPs(2)) = %v, want ErrInvalidConfig", err)
-	}
-	if _, err := NewNetwork(WithAPLayout(APPlacement{}, APPlacement{X: 4})); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("NewNetwork(two-AP layout) = %v, want ErrInvalidConfig", err)
+	if _, err := NewCluster(WithAPs(-1)); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("WithAPs(-1) = %v, want ErrInvalidConfig", err)
 	}
 	if _, err := NewCluster(WithAPs(3), WithAPLayout(APPlacement{})); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("conflicting WithAPs/WithAPLayout = %v, want ErrInvalidConfig", err)

@@ -2,6 +2,7 @@ package milback
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -22,22 +23,14 @@ var concurrencyPlacements = []struct {
 	{3.4, -1.6, 12},
 }
 
-func concurrencyNetwork(t *testing.T) (*Network, []*Node) {
+func concurrencyNetwork(t *testing.T) (*Cluster, []NodeID) {
 	t.Helper()
-	net, err := NewNetwork(WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(net.Close)
-	nodes := make([]*Node, len(concurrencyPlacements))
+	c := newTestCluster(t, WithSeed(7))
+	nodes := make([]NodeID, len(concurrencyPlacements))
 	for i, p := range concurrencyPlacements {
-		n, err := net.Join(p.x, p.y, p.orient)
-		if err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
-		nodes[i] = n
+		nodes[i] = mustJoin(t, c, p.x, p.y, p.orient)
 	}
-	return net, nodes
+	return c, nodes
 }
 
 func payloadFor(i int) []byte {
@@ -49,11 +42,12 @@ func payloadFor(i int) []byte {
 // stream — produce results bit-identical to a sequential run on an
 // identically-seeded network.
 func TestConcurrentExchangesDeterministic(t *testing.T) {
+	ctx := context.Background()
 	// Reference: sequential run.
-	_, seqNodes := concurrencyNetwork(t)
+	seq, seqNodes := concurrencyNetwork(t)
 	want := make([]Exchange, len(seqNodes))
 	for i, n := range seqNodes {
-		ex, err := n.Send(payloadFor(i), Rate10Mbps)
+		ex, err := seq.Send(ctx, n, payloadFor(i), Rate10Mbps)
 		if err != nil {
 			t.Fatalf("sequential send %d: %v", i, err)
 		}
@@ -61,15 +55,15 @@ func TestConcurrentExchangesDeterministic(t *testing.T) {
 	}
 
 	// Same network, 8 goroutines racing for the beam.
-	_, nodes := concurrencyNetwork(t)
+	c, nodes := concurrencyNetwork(t)
 	got := make([]Exchange, len(nodes))
 	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
 	for i, n := range nodes {
 		wg.Add(1)
-		go func(i int, n *Node) {
+		go func(i int, n NodeID) {
 			defer wg.Done()
-			got[i], errs[i] = n.Send(payloadFor(i), Rate10Mbps)
+			got[i], errs[i] = c.Send(ctx, n, payloadFor(i), Rate10Mbps)
 		}(i, n)
 	}
 	wg.Wait()
@@ -97,14 +91,14 @@ func TestConcurrentExchangesDeterministic(t *testing.T) {
 // matter how the goroutines interleave.
 func TestConcurrentRunsReproducible(t *testing.T) {
 	run := func() []Exchange {
-		_, nodes := concurrencyNetwork(t)
+		c, nodes := concurrencyNetwork(t)
 		out := make([]Exchange, len(nodes))
 		var wg sync.WaitGroup
 		for i, n := range nodes {
 			wg.Add(1)
-			go func(i int, n *Node) {
+			go func(i int, n NodeID) {
 				defer wg.Done()
-				ex, err := n.Deliver(payloadFor(i), Rate36Mbps)
+				ex, err := c.Deliver(context.Background(), n, payloadFor(i), Rate36Mbps)
 				if err != nil {
 					t.Errorf("deliver %d: %v", i, err)
 					return
@@ -123,16 +117,16 @@ func TestConcurrentRunsReproducible(t *testing.T) {
 	}
 }
 
-// Network.Stats totals must equal the sums over the individual exchange
+// Cluster.Stats totals must equal the sums over the individual exchange
 // results.
 func TestStatsMatchPerExchangeSums(t *testing.T) {
-	net, nodes := concurrencyNetwork(t)
+	c, nodes := concurrencyNetwork(t)
 	var wantErrors, wantBits uint64
 	var wantAirtime float64
 	count := 0
 	for round := 0; round < 2; round++ {
 		for i, n := range nodes {
-			ex, err := n.Send(payloadFor(i), Rate10Mbps)
+			ex, err := c.Send(context.Background(), n, payloadFor(i), Rate10Mbps)
 			if err != nil {
 				t.Fatalf("send: %v", err)
 			}
@@ -142,7 +136,7 @@ func TestStatsMatchPerExchangeSums(t *testing.T) {
 			count++
 		}
 	}
-	st := net.Stats()
+	st := c.Stats()
 	if st.Exchanges != uint64(count) || st.Completed != uint64(count) {
 		t.Fatalf("exchanges/completed = %d/%d, want %d", st.Exchanges, st.Completed, count)
 	}
@@ -152,7 +146,7 @@ func TestStatsMatchPerExchangeSums(t *testing.T) {
 	if math.Abs(st.AirtimeS-wantAirtime) > 1e-9 {
 		t.Fatalf("airtime %g, want %g", st.AirtimeS, wantAirtime)
 	}
-	if waits := net.Metrics().QueueWait.Count; waits != uint64(count) {
+	if waits := c.Metrics().PerAP[0].Metrics.QueueWait.Count; waits != uint64(count) {
 		t.Fatalf("queue-wait histogram holds %d entries, want %d", waits, count)
 	}
 	if st.Failed != 0 || st.Cancelled != 0 {
@@ -163,27 +157,28 @@ func TestStatsMatchPerExchangeSums(t *testing.T) {
 // Mixed concurrent operations — exchanges, localizations, moves — on
 // distinct nodes must all complete under the race detector.
 func TestConcurrentMixedOperations(t *testing.T) {
-	_, nodes := concurrencyNetwork(t)
+	ctx := context.Background()
+	c, nodes := concurrencyNetwork(t)
 	var wg sync.WaitGroup
 	for i, n := range nodes {
 		wg.Add(1)
-		go func(i int, n *Node) {
+		go func(i int, n NodeID) {
 			defer wg.Done()
 			switch i % 4 {
 			case 0:
-				if _, err := n.Send(payloadFor(i), Rate10Mbps); err != nil {
+				if _, err := c.Send(ctx, n, payloadFor(i), Rate10Mbps); err != nil {
 					t.Errorf("send %d: %v", i, err)
 				}
 			case 1:
-				if _, err := n.Deliver(payloadFor(i), Rate36Mbps); err != nil {
+				if _, err := c.Deliver(ctx, n, payloadFor(i), Rate36Mbps); err != nil {
 					t.Errorf("deliver %d: %v", i, err)
 				}
 			case 2:
-				if _, err := n.Localize(); err != nil {
+				if _, err := c.Localize(ctx, n); err != nil {
 					t.Errorf("localize %d: %v", i, err)
 				}
 			case 3:
-				if err := n.Move(concurrencyPlacements[i].x, concurrencyPlacements[i].y+0.1, 0); err != nil {
+				if err := c.Move(ctx, n, concurrencyPlacements[i].x, concurrencyPlacements[i].y+0.1, 0); err != nil {
 					t.Errorf("move %d: %v", i, err)
 				}
 			}

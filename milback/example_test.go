@@ -1,6 +1,7 @@
 package milback_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,23 +12,25 @@ import (
 // exchange data both ways. Payloads decode error-free at 3 m, and the node
 // spends 18 mW doing it.
 func Example() {
-	net, err := milback.NewNetwork(milback.WithSeed(1))
+	ctx := context.Background()
+	c, err := milback.NewCluster(milback.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	node, err := net.Join(3, 0.5, -10)
+	defer c.Close()
+	node, err := c.Join(ctx, 3, 0.5, -10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	up, err := node.Send([]byte("temperature=21.5C"), milback.Rate10Mbps)
+	up, err := c.Send(ctx, node, []byte("temperature=21.5C"), milback.Rate10Mbps)
 	if err != nil {
 		log.Fatal(err)
 	}
-	down, err := node.Deliver([]byte("setpoint=22.0C"), milback.Rate36Mbps)
+	down, err := c.Deliver(ctx, node, []byte("setpoint=22.0C"), milback.Rate36Mbps)
 	if err != nil {
 		log.Fatal(err)
 	}
-	power, _ := node.Power(milback.ActivityDownlink, 0)
+	power, _ := c.Power(node, milback.ActivityDownlink, 0)
 	fmt.Printf("uplink: %s (%d bit errors)\n", up.Data, up.BitErrors)
 	fmt.Printf("downlink: %s (%d bit errors)\n", down.Data, down.BitErrors)
 	fmt.Printf("node power: %.0f mW\n", power*1e3)
@@ -37,19 +40,20 @@ func Example() {
 	// node power: 18 mW
 }
 
-// ExampleNode_Power reproduces the §9.6 headline numbers from the
+// ExampleCluster_Power reproduces the §9.6 headline numbers from the
 // component power model.
-func ExampleNode_Power() {
-	net, err := milback.NewNetwork()
+func ExampleCluster_Power() {
+	c, err := milback.NewCluster()
 	if err != nil {
 		log.Fatal(err)
 	}
-	node, err := net.Join(2, 0, 0)
+	defer c.Close()
+	node, err := c.Join(context.Background(), 2, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	loc, _ := node.Power(milback.ActivityLocalization, 0)
-	up, _ := node.Power(milback.ActivityUplink, milback.Rate40Mbps)
+	loc, _ := c.Power(node, milback.ActivityLocalization, 0)
+	up, _ := c.Power(node, milback.ActivityUplink, milback.Rate40Mbps)
 	fmt.Printf("localization/downlink: %.0f mW\n", loc*1e3)
 	fmt.Printf("uplink at 40 Mbps: %.0f mW\n", up*1e3)
 	fmt.Printf("uplink energy: %.1f nJ/bit\n", up/milback.Rate40Mbps*1e9)
@@ -59,17 +63,19 @@ func ExampleNode_Power() {
 	// uplink energy: 0.8 nJ/bit
 }
 
-// ExampleNode_SendReliable shows CRC-checked, retransmitted transfers.
-func ExampleNode_SendReliable() {
-	net, err := milback.NewNetwork(milback.WithSeed(3))
+// ExampleCluster_SendReliable shows CRC-checked, retransmitted transfers.
+func ExampleCluster_SendReliable() {
+	ctx := context.Background()
+	c, err := milback.NewCluster(milback.WithSeed(3))
 	if err != nil {
 		log.Fatal(err)
 	}
-	node, err := net.Join(2.5, 0, -10)
+	defer c.Close()
+	node, err := c.Join(ctx, 2.5, 0, -10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := node.SendReliable([]byte("occupancy=3"), milback.Rate10Mbps, 3)
+	res, err := c.SendReliable(ctx, node, []byte("occupancy=3"), milback.Rate10Mbps, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,20 +84,21 @@ func ExampleNode_SendReliable() {
 	// occupancy=3 in 1 attempt(s)
 }
 
-// ExampleNode_Localize runs the §5 localization pipeline on its own: range,
-// azimuth and the AP-side orientation estimate, all from one packet
+// ExampleCluster_Localize runs the §5 localization pipeline on its own:
+// range, azimuth and the AP-side orientation estimate, all from one packet
 // preamble's worth of chirps.
-func ExampleNode_Localize() {
-	net, err := milback.NewNetwork(milback.WithSeed(1))
+func ExampleCluster_Localize() {
+	ctx := context.Background()
+	c, err := milback.NewCluster(milback.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer net.Close()
-	node, err := net.Join(3, 0.5, -10)
+	defer c.Close()
+	node, err := c.Join(ctx, 3, 0.5, -10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pos, err := node.Localize()
+	pos, err := c.Localize(ctx, node)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,21 +109,22 @@ func ExampleNode_Localize() {
 	// orientation: -9.9°
 }
 
-// ExampleNetwork_Discover bootstraps a cell: the AP sweeps its beam and
+// ExampleCluster_Discover bootstraps a cell: the AP sweeps its beam and
 // finds every joined node without being told where they are.
-func ExampleNetwork_Discover() {
-	net, err := milback.NewNetwork(milback.WithSeed(1))
+func ExampleCluster_Discover() {
+	ctx := context.Background()
+	c, err := milback.NewCluster(milback.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer net.Close()
-	if _, err := net.Join(3, 0.5, 0); err != nil {
+	defer c.Close()
+	if _, err := c.Join(ctx, 3, 0.5, 0); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := net.Join(5, -1, 5); err != nil {
+	if _, err := c.Join(ctx, 5, -1, 5); err != nil {
 		log.Fatal(err)
 	}
-	dets, err := net.Discover()
+	dets, err := c.Discover(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -130,27 +138,28 @@ func ExampleNetwork_Discover() {
 	//   ~3.0 m at +9°
 }
 
-// ExampleNetwork_Metrics reads the observability plane after some traffic:
+// ExampleCluster_Metrics reads the observability plane after some traffic:
 // deterministic activity counters from the scheduler, the capture-buffer
 // pool and the clutter cache. (The timing histograms are wall-clock and
 // vary run to run, so only their observation counts are shown.)
-func ExampleNetwork_Metrics() {
-	net, err := milback.NewNetwork(milback.WithSeed(1))
+func ExampleCluster_Metrics() {
+	ctx := context.Background()
+	c, err := milback.NewCluster(milback.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer net.Close()
-	node, err := net.Join(3, 0.5, -10)
+	defer c.Close()
+	node, err := c.Join(ctx, 3, 0.5, -10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := node.Localize(); err != nil {
+	if _, err := c.Localize(ctx, node); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := node.Send([]byte("hi"), milback.Rate10Mbps); err != nil {
+	if _, err := c.Send(ctx, node, []byte("hi"), milback.Rate10Mbps); err != nil {
 		log.Fatal(err)
 	}
-	m := net.Metrics()
+	m := c.Metrics().PerAP[0].Metrics
 	fmt.Printf("scheduled jobs: %d\n", m.QueueWait.Count)
 	fmt.Printf("leases: %d opened, %d leaked\n", m.LeasesOpened, m.LeasesReclaimed)
 	fmt.Printf("pool recycled a buffer: %v\n", m.PoolHits > 0)

@@ -2,12 +2,10 @@ package milback
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 
-	"repro/internal/core"
 	"repro/internal/proto"
-	"repro/internal/rfsim"
 	"repro/internal/waveform"
 )
 
@@ -18,86 +16,6 @@ type Detection struct {
 	X, Y               float64
 	// SNRdB is the detection strength.
 	SNRdB float64
-}
-
-// Discover sweeps the AP's beam across ±40° of azimuth while every joined
-// node responds in localization mode, and returns the detected node
-// positions (sorted by azimuth). It is how an AP bootstraps an SDM cell
-// without prior knowledge of where its nodes are. It can return
-// ErrNoDetection (empty sweep) and ErrClosed.
-func (nw *Network) Discover() ([]Detection, error) {
-	return nw.DiscoverContext(context.Background())
-}
-
-// DiscoverContext is Discover honoring ctx while the sweep waits for the
-// beam; cancellation returns ErrCancelled wrapping the context error.
-func (nw *Network) DiscoverContext(ctx context.Context) ([]Detection, error) {
-	dets, err := nw.net.DiscoverContext(ctx, core.DefaultScanConfig())
-	if err != nil {
-		return nil, fmt.Errorf("milback: %w", err)
-	}
-	out := make([]Detection, len(dets))
-	for i, d := range dets {
-		out[i] = Detection{
-			RangeM:     d.RangeM,
-			AzimuthDeg: rfsim.RadToDeg(d.AzimuthRad),
-			X:          d.RangeM * math.Cos(d.AzimuthRad),
-			Y:          d.RangeM * math.Sin(d.AzimuthRad),
-			SNRdB:      d.SNRdB,
-		}
-	}
-	return out, nil
-}
-
-// AddBlocker is AddBlockerContext with a background context.
-func (nw *Network) AddBlocker(name string, x1, y1, x2, y2, lossDB float64) error {
-	return nw.AddBlockerContext(context.Background(), name, x1, y1, x2, y2, lossDB)
-}
-
-// AddBlockerContext inserts a blocking segment (a person, a cabinet) into
-// the scene. lossDB is the one-way penetration loss (human torso ≈ 30 dB at
-// 28 GHz). Links whose line of sight crosses the segment degrade or die;
-// remove the blocker with RemoveBlocker. The scene edit is scheduled like
-// any other operation, so it cannot race an exchange in flight;
-// cancellation while it waits for the beam returns ErrCancelled with the
-// scene untouched.
-func (nw *Network) AddBlockerContext(ctx context.Context, name string, x1, y1, x2, y2, lossDB float64) error {
-	if lossDB <= 0 {
-		return fmt.Errorf("milback: blocker loss must be positive, got %g", lossDB)
-	}
-	err := nw.net.RunNetworkJobContext(ctx, func(context.Context) (proto.JobReport, error) {
-		nw.net.System().AP.Scene().AddObstruction(rfsim.Obstruction{
-			Name:   name,
-			A:      rfsim.Point{X: x1, Y: y1},
-			B:      rfsim.Point{X: x2, Y: y2},
-			LossDB: lossDB,
-		})
-		return proto.JobReport{}, nil
-	})
-	if err != nil {
-		return fmt.Errorf("milback: %w", err)
-	}
-	return nil
-}
-
-// RemoveBlocker is RemoveBlockerContext with a background context.
-func (nw *Network) RemoveBlocker(name string) (bool, error) {
-	return nw.RemoveBlockerContext(context.Background(), name)
-}
-
-// RemoveBlockerContext removes a named blocker, reporting whether it
-// existed. A non-nil error (ErrCancelled, ErrClosed after Close) means the
-// edit was not applied and the bool is meaningless.
-func (nw *Network) RemoveBlockerContext(ctx context.Context, name string) (bool, error) {
-	existed := false
-	err := nw.net.RunNetworkJobContext(ctx, func(context.Context) (proto.JobReport, error) {
-		existed = nw.net.System().AP.Scene().RemoveObstruction(name)
-		return proto.JobReport{}, nil
-	})
-	if err != nil {
-		return false, fmt.Errorf("milback: %w", err)
-	}
-	return existed, nil
 }
 
 // ReliableExchange reports a CRC-checked, retransmitted transfer.
@@ -111,37 +29,32 @@ type ReliableExchange struct {
 	NodeEnergyJ float64
 }
 
-// SendReliable is SendReliableContext with a background context.
-func (n *Node) SendReliable(data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
-	return n.reliable(context.Background(), waveform.Uplink, data, bitRate, maxAttempts)
-}
-
-// SendReliableContext transfers data node→AP with CRC-16 framing and
+// SendReliable transfers data node→AP with CRC-16 framing and
 // stop-and-wait ARQ: corrupted packets are detected and retransmitted up to
 // maxAttempts. The whole transaction (retransmissions included) occupies
-// one scheduler slot; cancellation between attempts abandons the transfer
-// with ErrCancelled. It can also return ErrNoDetection, ErrOutOfBand and
-// ErrClosed.
-func (n *Node) SendReliableContext(ctx context.Context, data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
-	return n.reliable(ctx, waveform.Uplink, data, bitRate, maxAttempts)
+// one scheduler slot at the node's serving AP; cancellation between
+// attempts abandons the transfer with ErrCancelled. It can also return
+// ErrUnknownNode, ErrNoDetection, ErrOutOfBand and ErrClosed.
+func (c *Cluster) SendReliable(ctx context.Context, id NodeID, data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
+	return c.reliable(ctx, id, waveform.Uplink, data, bitRate, maxAttempts)
 }
 
-// DeliverReliable is DeliverReliableContext with a background context.
-func (n *Node) DeliverReliable(data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
-	return n.reliable(context.Background(), waveform.Downlink, data, bitRate, maxAttempts)
+// DeliverReliable transfers data AP→node with the same integrity
+// machinery as SendReliable.
+func (c *Cluster) DeliverReliable(ctx context.Context, id NodeID, data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
+	return c.reliable(ctx, id, waveform.Downlink, data, bitRate, maxAttempts)
 }
 
-// DeliverReliableContext transfers data AP→node with the same integrity
-// machinery as SendReliableContext.
-func (n *Node) DeliverReliableContext(ctx context.Context, data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
-	return n.reliable(ctx, waveform.Downlink, data, bitRate, maxAttempts)
-}
-
-func (n *Node) reliable(ctx context.Context, dir waveform.Direction, data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
+func (c *Cluster) reliable(ctx context.Context, id NodeID, dir waveform.Direction, data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
+	cn, err := c.lockNode(id)
+	if err != nil {
+		return ReliableExchange{}, err
+	}
+	defer cn.mu.Unlock()
 	var res proto.ReliableResult
-	err := n.net.net.RunSessionJobContext(ctx, n.sess, func(ctx context.Context) (proto.JobReport, error) {
+	err = c.aps[cn.ap].net.RunSessionJobContext(ctx, cn.sess, func(ctx context.Context) (proto.JobReport, error) {
 		var err error
-		res, err = n.sess.SendReliableContext(ctx, dir, data, bitRate, maxAttempts)
+		res, err = cn.sess.SendReliableContext(ctx, dir, data, bitRate, maxAttempts)
 		if err != nil {
 			return proto.JobReport{}, err
 		}
@@ -163,23 +76,23 @@ func (n *Node) reliable(ctx context.Context, dir waveform.Direction, data []byte
 	}, nil
 }
 
-// BestUplinkRate is BestUplinkRateContext with a background context.
-func (n *Node) BestUplinkRate() (float64, bool, error) {
-	return n.BestUplinkRateContext(context.Background())
-}
-
-// BestUplinkRateContext measures the node's current link budget and returns
-// the fastest standard rate (5–160 Mbps ladder) that sustains BER ≤ 1e-6.
-// The bool reports whether even the slowest rate meets the target.
-// Cancellation while the probe waits for the beam returns ErrCancelled.
-func (n *Node) BestUplinkRateContext(ctx context.Context) (float64, bool, error) {
+// BestUplinkRate measures the node's current link budget at its serving AP
+// and returns the fastest standard rate (5–160 Mbps ladder) that sustains
+// BER ≤ 1e-6. The bool reports whether even the slowest rate meets the
+// target. It can return ErrUnknownNode, ErrCancelled and ErrClosed.
+func (c *Cluster) BestUplinkRate(ctx context.Context, id NodeID) (float64, bool, error) {
+	cn, err := c.lockNode(id)
+	if err != nil {
+		return 0, false, err
+	}
+	defer cn.mu.Unlock()
 	var (
 		rate float64
 		ok   bool
 	)
-	err := n.net.net.RunSessionJobContext(ctx, n.sess, func(context.Context) (proto.JobReport, error) {
+	err = c.aps[cn.ap].net.RunSessionJobContext(ctx, cn.sess, func(context.Context) (proto.JobReport, error) {
 		var err error
-		rate, ok, err = n.sess.AdaptUplink(proto.DefaultRateController())
+		rate, ok, err = cn.sess.AdaptUplink(proto.DefaultRateController())
 		return proto.JobReport{}, err
 	})
 	if err != nil {
@@ -188,45 +101,40 @@ func (n *Node) BestUplinkRateContext(ctx context.Context) (float64, bool, error)
 	return rate, ok, nil
 }
 
-// SendFEC is SendFECContext with a background context.
-func (n *Node) SendFEC(data []byte, bitRate float64) ([]byte, int, error) {
-	return n.fec(context.Background(), waveform.Uplink, data, bitRate)
-}
-
-// SendFECContext transfers data node→AP in a single packet protected by
+// SendFEC transfers data node→AP in a single packet protected by
 // Hamming(7,4) forward error correction with depth-8 interleaving: isolated
 // channel bit errors are corrected without the airtime cost of a
 // retransmission. Returns the verified payload and the number of corrected
 // bits; residual errors surface as an error (the frame CRC catches them).
-func (n *Node) SendFECContext(ctx context.Context, data []byte, bitRate float64) ([]byte, int, error) {
-	return n.fec(ctx, waveform.Uplink, data, bitRate)
+func (c *Cluster) SendFEC(ctx context.Context, id NodeID, data []byte, bitRate float64) ([]byte, int, error) {
+	return c.fec(ctx, id, waveform.Uplink, data, bitRate)
 }
 
-// DeliverFEC is DeliverFECContext with a background context.
-func (n *Node) DeliverFEC(data []byte, bitRate float64) ([]byte, int, error) {
-	return n.fec(context.Background(), waveform.Downlink, data, bitRate)
+// DeliverFEC is SendFEC for the AP→node direction.
+func (c *Cluster) DeliverFEC(ctx context.Context, id NodeID, data []byte, bitRate float64) ([]byte, int, error) {
+	return c.fec(ctx, id, waveform.Downlink, data, bitRate)
 }
 
-// DeliverFECContext is SendFECContext for the AP→node direction.
-func (n *Node) DeliverFECContext(ctx context.Context, data []byte, bitRate float64) ([]byte, int, error) {
-	return n.fec(ctx, waveform.Downlink, data, bitRate)
-}
-
-func (n *Node) fec(ctx context.Context, dir waveform.Direction, data []byte, bitRate float64) ([]byte, int, error) {
+func (c *Cluster) fec(ctx context.Context, id NodeID, dir waveform.Direction, data []byte, bitRate float64) ([]byte, int, error) {
+	cn, err := c.lockNode(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer cn.mu.Unlock()
 	var (
 		got         []byte
 		corrections int
 	)
-	err := n.net.net.RunSessionJobContext(ctx, n.sess, func(ctx context.Context) (proto.JobReport, error) {
+	err = c.aps[cn.ap].net.RunSessionJobContext(ctx, cn.sess, func(ctx context.Context) (proto.JobReport, error) {
 		var err error
-		got, corrections, err = n.sess.SendFECContext(ctx, dir, data, bitRate, 8)
+		got, corrections, err = cn.sess.SendFECContext(ctx, dir, data, bitRate, 8)
 		if err != nil {
 			return proto.JobReport{}, err
 		}
 		// The FEC transfer is one packet; its channel accounting (wire
 		// bits, pre-correction errors, airtime) is in the session's cached
 		// outcome, which the scheduler slot serializes access to.
-		last := n.sess.LastOutcome
+		last := cn.sess.LastOutcome
 		return proto.JobReport{
 			Exchange:  true,
 			BitsSent:  last.BitsSent,
@@ -240,42 +148,60 @@ func (n *Node) fec(ctx context.Context, dir waveform.Direction, data []byte, bit
 	return got, corrections, nil
 }
 
-// CellStats summarizes one SDM superframe over the whole network.
+// CellStats summarizes one SDM superframe over the whole cluster.
 type CellStats struct {
-	// PerNodeDeliveredBits lists error-free payload bits per node in join
-	// order.
+	// PerNodeDeliveredBits lists error-free payload bits per node: each
+	// live AP's nodes in join order, APs in ring order.
 	PerNodeDeliveredBits []int
 	// AggregateThroughputBps is total delivered bits over total airtime.
 	AggregateThroughputBps float64
 	// Fairness is Jain's index over per-node delivered bits.
 	Fairness float64
-	// TotalAirtimeS is the superframe duration.
+	// TotalAirtimeS is the superframe duration, summed over APs.
 	TotalAirtimeS float64
 }
 
-// RunUplinkSuperframe is RunUplinkSuperframeContext with a background
-// context.
-func (nw *Network) RunUplinkSuperframe(payloadBytes, rounds int, bitRate float64) (CellStats, error) {
-	return nw.RunUplinkSuperframeContext(context.Background(), payloadBytes, rounds, bitRate)
-}
-
-// RunUplinkSuperframeContext serves every joined node `rounds` times
-// round-robin, each slot carrying payloadBytes uplink at bitRate, and
-// returns the cell's throughput and fairness — the §7 SDM claim quantified.
-// Cancellation between slots abandons the remaining schedule and returns
-// ErrCancelled.
-func (nw *Network) RunUplinkSuperframeContext(ctx context.Context, payloadBytes, rounds int, bitRate float64) (CellStats, error) {
-	res, err := nw.net.RunSuperframeContext(ctx, waveform.Uplink, payloadBytes, rounds, bitRate)
+// RunUplinkSuperframe has every live AP, in ring order, serve each node it
+// homes `rounds` times round-robin, each slot carrying payloadBytes uplink
+// at bitRate, and returns the cluster's throughput and fairness — the §7
+// SDM claim quantified. APs without nodes are skipped; a cluster without
+// nodes is an error. Cancellation between slots abandons the remaining
+// schedule and returns ErrCancelled.
+func (c *Cluster) RunUplinkSuperframe(ctx context.Context, payloadBytes, rounds int, bitRate float64) (CellStats, error) {
+	var (
+		out       CellStats
+		totalBits float64
+	)
+	err := c.eachLiveCell(func(cell *apCell) error {
+		if len(cell.net.Sessions()) == 0 {
+			return nil
+		}
+		res, err := cell.net.RunSuperframeContext(ctx, waveform.Uplink, payloadBytes, rounds, bitRate)
+		if err != nil {
+			return err
+		}
+		out.TotalAirtimeS += res.TotalAirtimeS
+		for _, st := range res.PerNode {
+			out.PerNodeDeliveredBits = append(out.PerNodeDeliveredBits, st.DeliveredBits)
+			totalBits += float64(st.DeliveredBits)
+		}
+		return nil
+	})
 	if err != nil {
-		return CellStats{}, fmt.Errorf("milback: %w", err)
+		return CellStats{}, err
 	}
-	out := CellStats{
-		AggregateThroughputBps: res.AggregateThroughputBps,
-		Fairness:               res.Fairness,
-		TotalAirtimeS:          res.TotalAirtimeS,
+	if len(out.PerNodeDeliveredBits) == 0 {
+		return CellStats{}, errors.New("milback: superframe over an empty cluster")
 	}
-	for _, st := range res.PerNode {
-		out.PerNodeDeliveredBits = append(out.PerNodeDeliveredBits, st.DeliveredBits)
+	if out.TotalAirtimeS > 0 {
+		out.AggregateThroughputBps = totalBits / out.TotalAirtimeS
+	}
+	var sumX2 float64
+	for _, b := range out.PerNodeDeliveredBits {
+		sumX2 += float64(b) * float64(b)
+	}
+	if sumX2 > 0 {
+		out.Fairness = totalBits * totalBits / (float64(len(out.PerNodeDeliveredBits)) * sumX2)
 	}
 	return out, nil
 }

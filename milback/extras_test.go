@@ -2,6 +2,7 @@ package milback
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -9,20 +10,16 @@ import (
 )
 
 func TestDiscoverAPI(t *testing.T) {
-	net, err := NewNetwork(WithSeed(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Discover(); err == nil {
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(31))
+	if _, err := c.Discover(ctx); err == nil {
 		t.Fatal("discovery on an empty network should fail")
 	}
 	truth := [][3]float64{{2, -1, 5}, {4, 0.5, -12}, {5.5, 2, 8}}
 	for _, p := range truth {
-		if _, err := net.Join(p[0], p[1], p[2]); err != nil {
-			t.Fatal(err)
-		}
+		mustJoin(t, c, p[0], p[1], p[2])
 	}
-	dets, err := net.Discover()
+	dets, err := c.Discover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,55 +41,45 @@ func TestDiscoverAPI(t *testing.T) {
 }
 
 func TestBlockerAPI(t *testing.T) {
-	net, err := NewNetwork(WithSeed(33))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.Join(4, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Localize(); err != nil {
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(33))
+	n := mustJoin(t, c, 4, 0, 8)
+	if _, err := c.Localize(ctx, n); err != nil {
 		t.Fatalf("clear localization: %v", err)
 	}
-	if err := net.AddBlocker("person", 2, -0.5, 2, 0.5, 30); err != nil {
+	if err := c.AddBlocker(ctx, "person", 2, -0.5, 2, 0.5, 30); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Localize(); err == nil {
+	if _, err := c.Localize(ctx, n); err == nil {
 		t.Fatal("blocked localization should fail")
 	}
-	if existed, err := net.RemoveBlocker("person"); err != nil || !existed {
+	if existed, err := c.RemoveBlocker(ctx, "person"); err != nil || !existed {
 		t.Fatalf("RemoveBlocker = %v, %v; want true, nil", existed, err)
 	}
-	if existed, err := net.RemoveBlocker("person"); err != nil || existed {
+	if existed, err := c.RemoveBlocker(ctx, "person"); err != nil || existed {
 		t.Fatalf("double removal = %v, %v; want false, nil", existed, err)
 	}
-	if _, err := n.Localize(); err != nil {
+	if _, err := c.Localize(ctx, n); err != nil {
 		t.Fatalf("post-removal localization: %v", err)
 	}
-	if err := net.AddBlocker("bad", 0, 0, 1, 1, 0); err == nil {
+	if err := c.AddBlocker(ctx, "bad", 0, 0, 1, 1, 0); err == nil {
 		t.Error("zero-loss blocker should be rejected")
 	}
 }
 
 func TestReliableAPI(t *testing.T) {
-	net, err := NewNetwork(WithSeed(35))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.Join(2.5, 0.3, -10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(35))
+	n := mustJoin(t, c, 2.5, 0.3, -10)
 	data := []byte("checked payload")
-	up, err := n.SendReliable(data, Rate10Mbps, 3)
+	up, err := c.SendReliable(ctx, n, data, Rate10Mbps, 3)
 	if err != nil {
 		t.Fatalf("SendReliable: %v", err)
 	}
 	if !bytes.Equal(up.Data, data) || up.Attempts != 1 {
 		t.Errorf("up = %+v", up)
 	}
-	down, err := n.DeliverReliable(data, Rate36Mbps, 3)
+	down, err := c.DeliverReliable(ctx, n, data, Rate36Mbps, 3)
 	if err != nil {
 		t.Fatalf("DeliverReliable: %v", err)
 	}
@@ -105,24 +92,18 @@ func TestReliableAPI(t *testing.T) {
 }
 
 func TestWithSystemConfigAblation(t *testing.T) {
-	// The escape hatch works: a network built with the mirror artifact
+	// The escape hatch works: a cluster built with the mirror artifact
 	// disabled estimates orientation cleanly at −4°, where the default
-	// network shows the Fig 13b bump.
+	// cluster shows the Fig 13b bump.
 	meanErr := func(mirror bool) float64 {
 		cfg := core.DefaultConfig()
 		cfg.MirrorReflection = mirror
-		net, err := NewNetwork(WithSeed(61), WithSystemConfig(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := net.Join(2, 0, -4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newTestCluster(t, WithSeed(61), WithSystemConfig(cfg))
+		n := mustJoin(t, c, 2, 0, -4)
 		var sum float64
 		const trials = 8
 		for i := 0; i < trials; i++ {
-			pos, err := n.Localize()
+			pos, err := c.Localize(context.Background(), n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,45 +119,36 @@ func TestWithSystemConfigAblation(t *testing.T) {
 	// Invalid overrides are rejected at construction.
 	bad := core.DefaultConfig()
 	bad.LocalizationChirps = 1
-	if _, err := NewNetwork(WithSystemConfig(bad)); err == nil {
+	if _, err := NewCluster(WithSystemConfig(bad)); err == nil {
 		t.Error("invalid system config should fail")
 	}
 }
 
 func TestFECAPI(t *testing.T) {
-	net, err := NewNetwork(WithSeed(51))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.Join(2.5, 0, -10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(51))
+	n := mustJoin(t, c, 2.5, 0, -10)
 	data := []byte("fec protected")
-	got, corr, err := n.SendFEC(data, Rate10Mbps)
+	got, corr, err := c.SendFEC(ctx, n, data, Rate10Mbps)
 	if err != nil {
 		t.Fatalf("SendFEC: %v", err)
 	}
 	if !bytes.Equal(got, data) || corr != 0 {
 		t.Errorf("got %q, %d corrections", got, corr)
 	}
-	got, _, err = n.DeliverFEC(data, Rate36Mbps)
+	got, _, err = c.DeliverFEC(ctx, n, data, Rate36Mbps)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("DeliverFEC: %v %q", err, got)
 	}
 }
 
 func TestSuperframeAPI(t *testing.T) {
-	net, err := NewNetwork(WithSeed(53))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(53))
 	for _, p := range [][3]float64{{2, -0.5, 8}, {3.5, 1, -12}} {
-		if _, err := net.Join(p[0], p[1], p[2]); err != nil {
-			t.Fatal(err)
-		}
+		mustJoin(t, c, p[0], p[1], p[2])
 	}
-	stats, err := net.RunUplinkSuperframe(32, 3, Rate10Mbps)
+	stats, err := c.RunUplinkSuperframe(ctx, 32, 3, Rate10Mbps)
 	if err != nil {
 		t.Fatalf("RunUplinkSuperframe: %v", err)
 	}
@@ -194,34 +166,22 @@ func TestSuperframeAPI(t *testing.T) {
 	if stats.AggregateThroughputBps <= 0 || stats.TotalAirtimeS <= 0 {
 		t.Error("aggregate stats missing")
 	}
-	// Empty network fails.
-	empty, err := NewNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := empty.RunUplinkSuperframe(32, 1, Rate10Mbps); err == nil {
+	// Empty cluster fails.
+	if _, err := newTestCluster(t).RunUplinkSuperframe(ctx, 32, 1, Rate10Mbps); err == nil {
 		t.Error("empty network should fail")
 	}
 }
 
 func TestBestUplinkRateAPI(t *testing.T) {
-	net, err := NewNetwork(WithSeed(37))
-	if err != nil {
-		t.Fatal(err)
-	}
-	near, err := net.Join(1.5, 0, -10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	far, err := net.Join(9, 0.5, -10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rNear, okNear, err := near.BestUplinkRate()
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(37))
+	near := mustJoin(t, c, 1.5, 0, -10)
+	far := mustJoin(t, c, 9, 0.5, -10)
+	rNear, okNear, err := c.BestUplinkRate(ctx, near)
 	if err != nil || !okNear {
 		t.Fatalf("near: %g %v %v", rNear, okNear, err)
 	}
-	rFar, _, err := far.BestUplinkRate()
+	rFar, _, err := c.BestUplinkRate(ctx, far)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +189,7 @@ func TestBestUplinkRateAPI(t *testing.T) {
 		t.Errorf("near rate %g should exceed far rate %g", rNear, rFar)
 	}
 	// The adapted rate carries real traffic.
-	if _, err := near.SendReliable([]byte("fast"), rNear, 2); err != nil {
+	if _, err := c.SendReliable(ctx, near, []byte("fast"), rNear, 2); err != nil {
 		t.Fatalf("transfer at adapted rate: %v", err)
 	}
 }

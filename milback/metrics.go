@@ -8,25 +8,19 @@ import (
 )
 
 // WithDebugServer starts an HTTP debug endpoint on addr (host:port; ":0"
-// picks a free port, reported by Network.DebugAddr) serving
+// picks a free port, reported by Cluster.DebugAddr) serving AP 0's registry
+// at
 //
 //	/debug/vars   — expvar plus a "milback" member with the full metric
 //	                registry snapshot
 //	/debug/pprof/ — the net/http/pprof profiling suite
 //
 // The server runs on its own mux and listener, so nothing leaks onto
-// http.DefaultServeMux and two Networks in one process can each have one.
-// Network.Close shuts it down. NewNetwork fails with ErrInvalidConfig if the
+// http.DefaultServeMux and two Clusters in one process can each have one.
+// Cluster.Close shuts it down. NewCluster fails with ErrInvalidConfig if the
 // address cannot be bound or observability is disabled in the system config.
 func WithDebugServer(addr string) Option {
 	return func(o *options) { o.debugAddr = addr }
-}
-
-// DebugAddr returns the bound address of the debug server started by
-// WithDebugServer, or "" when none is running. Useful with ":0" to discover
-// the ephemeral port.
-func (nw *Network) DebugAddr() string {
-	return nw.cluster.DebugAddr()
 }
 
 // Histogram is a fixed-bucket distribution snapshot. Bucket i counts
@@ -51,7 +45,7 @@ func (h Histogram) Mean() float64 {
 	return h.Sum / float64(h.Count)
 }
 
-// Metrics is a typed snapshot of the network's observability plane: where
+// Metrics is a typed snapshot of one AP's observability plane: where
 // Stats answers "what did the network accomplish" (exchanges, bit errors,
 // airtime), Metrics answers "how is the machinery behaving" — scheduler
 // latencies, capture-buffer recycling, clutter-cache effectiveness and
@@ -76,13 +70,6 @@ type Metrics struct {
 	SynthClutter Histogram
 	SynthTargets Histogram
 	SynthNoise   Histogram
-
-	// FFTReal is always empty: the per-pair fused transform it timed is no
-	// longer a production path.
-	//
-	// Deprecated: use FFTBatch; this field will be removed in a later
-	// release.
-	FFTReal Histogram
 
 	// FFTBatch times the batched subtract-transform passes inside the FFT
 	// stage (one observation per dsp.BatchPlan dispatch — background
@@ -123,19 +110,8 @@ func histogramFromSnapshot(s obs.HistogramSnapshot) Histogram {
 	return Histogram{Count: s.Count, Sum: s.Sum, Bounds: s.Bounds, Buckets: s.Buckets}
 }
 
-// Metrics returns a snapshot of the network's internal instrumentation. The
-// snapshot is approximate under concurrent operations (each instrument is
-// read atomically, the cut across instruments is not); quiesce the network
-// for exact totals. With observability disabled (see
-// core.Config.DisableObservability via WithSystemConfig) every field is
-// zero.
-func (nw *Network) Metrics() Metrics {
-	return metricsFromSnapshot(nw.net.System().Obs().Snapshot())
-}
-
 // metricsFromSnapshot assembles the typed Metrics view from one registry
-// snapshot; Network.Metrics and the cluster's per-AP metrics share it so
-// the two views can never drift.
+// snapshot (see Cluster.Metrics).
 func metricsFromSnapshot(snap obs.Snapshot) Metrics {
 	return Metrics{
 		QueueWait:            histogramFromSnapshot(snap.Histograms[obs.MetricQueueWaitSeconds]),
@@ -163,15 +139,83 @@ func metricsFromSnapshot(snap obs.Snapshot) Metrics {
 	}
 }
 
-// WriteTrace writes the network's retained pipeline-stage spans to w as
-// JSON Lines, oldest first: one object per line with name, start_ns, dur_ns
-// and a stage-specific arg (chirp count for synthesis, capture count for
-// leases, queue key for jobs). The tracer is a bounded ring — only the most
+// APMetrics is one AP's slice of the cluster observability plane: that
+// AP's machinery view (Metrics) plus the cluster's roaming accounting for
+// it.
+type APMetrics struct {
+	// AP is the ring index; Placement its position and ring weight.
+	AP        int
+	Placement APPlacement
+	// Removed reports an AP drained out of the ring by RemoveAP; its
+	// counters stop moving but its history remains.
+	Removed bool
+
+	// HandoffsIn counts nodes this AP received from a neighbour and
+	// HandoffsOut nodes it drained away; Rebalances is the subset of
+	// HandoffsIn forced by an AP leaving the ring rather than by node
+	// movement. RingNodes is the number of nodes currently homed here.
+	HandoffsIn  uint64
+	HandoffsOut uint64
+	Rebalances  uint64
+	RingNodes   int64
+
+	// Metrics is the AP's own scheduler/capture/pipeline instrumentation.
+	Metrics Metrics
+}
+
+// ClusterMetrics aggregates the per-AP observability registries.
+type ClusterMetrics struct {
+	// PerAP holds one entry per AP in ring order, removed APs included.
+	PerAP []APMetrics
+	// Handoffs is the cluster-wide number of completed handoffs (each
+	// counted once, at the receiving AP) and Rebalances the subset forced
+	// by RemoveAP.
+	Handoffs   uint64
+	Rebalances uint64
+}
+
+// Metrics returns a snapshot of every AP's internal instrumentation plus
+// the cluster's roaming counters. The snapshot is approximate under
+// concurrent operations (each instrument is read atomically, the cut
+// across instruments is not); quiesce the cluster for exact totals. With
+// observability disabled (see core.Config.DisableObservability via
+// WithSystemConfig) every instrument reads zero.
+func (c *Cluster) Metrics() ClusterMetrics {
+	var out ClusterMetrics
+	for _, cell := range c.aps {
+		snap := cell.sys.Obs().Snapshot()
+		c.mu.Lock()
+		removed := cell.removed
+		c.mu.Unlock()
+		m := APMetrics{
+			AP:          cell.index,
+			Placement:   cell.place,
+			Removed:     removed,
+			HandoffsIn:  snap.Counters[obs.MetricHandoffsIn],
+			HandoffsOut: snap.Counters[obs.MetricHandoffsOut],
+			Rebalances:  snap.Counters[obs.MetricRebalances],
+			RingNodes:   snap.Gauges[obs.MetricRingNodes],
+			Metrics:     metricsFromSnapshot(snap),
+		}
+		out.PerAP = append(out.PerAP, m)
+		out.Handoffs += m.HandoffsIn
+		out.Rebalances += m.Rebalances
+	}
+	return out
+}
+
+// WriteTrace writes every AP's retained pipeline-stage spans to w as JSON
+// Lines, AP by AP in ring order (removed APs included) and oldest first
+// within an AP: one object per line with name, start_ns, dur_ns and a
+// stage-specific arg (chirp count for synthesis, capture count for leases,
+// queue key for jobs). Each AP's tracer is a bounded ring — only its most
 // recent spans are retained (see cmd/milback-report -trace for a consumer).
 // With observability disabled the trace is empty.
-func (nw *Network) WriteTrace(w io.Writer) error {
-	if err := obs.WriteTrace(w, nw.net.System().Tracer().Snapshot()); err != nil {
-		return fmt.Errorf("milback: %w", err)
+func (c *Cluster) WriteTrace(w io.Writer) error {
+	for _, cell := range c.aps {
+		if err := obs.WriteTrace(w, cell.sys.Tracer().Snapshot()); err != nil {
+			return fmt.Errorf("milback: %w", err)
+		}
 	}
 	return nil
 }

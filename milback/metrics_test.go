@@ -2,6 +2,7 @@ package milback
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,32 +13,25 @@ import (
 	"repro/internal/obs"
 )
 
-func quickstart(t *testing.T, opts ...Option) *Network {
+func quickstart(t *testing.T, opts ...Option) *Cluster {
 	t.Helper()
-	net, err := NewNetwork(append([]Option{WithSeed(1)}, opts...)...)
-	if err != nil {
+	ctx := context.Background()
+	c := newTestCluster(t, append([]Option{WithSeed(1)}, opts...)...)
+	node := mustJoin(t, c, 3, 0.5, -10)
+	if _, err := c.Localize(ctx, node); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(net.Close)
-	node, err := net.Join(3, 0.5, -10)
-	if err != nil {
+	if _, err := c.Send(ctx, node, []byte("hello"), Rate10Mbps); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.Localize(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := node.Send([]byte("hello"), Rate10Mbps); err != nil {
-		t.Fatal(err)
-	}
-	return net
+	return c
 }
 
 // TestMetricsAfterQuickstart is the acceptance check from the issue: after
 // the README quickstart sequence, the typed snapshot must report non-zero
 // queue-wait, pool and clutter activity.
 func TestMetricsAfterQuickstart(t *testing.T) {
-	net := quickstart(t)
-	m := net.Metrics()
+	m := quickstart(t).Metrics().PerAP[0].Metrics
 	if m.QueueWait.Count == 0 || m.JobDuration.Count == 0 {
 		t.Errorf("scheduler histograms empty: %+v %+v", m.QueueWait, m.JobDuration)
 	}
@@ -70,9 +64,8 @@ func TestMetricsAfterQuickstart(t *testing.T) {
 }
 
 func TestWriteTrace(t *testing.T) {
-	net := quickstart(t)
 	var buf bytes.Buffer
-	if err := net.WriteTrace(&buf); err != nil {
+	if err := quickstart(t).WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	spans, err := obs.ReadTrace(&buf)
@@ -94,8 +87,8 @@ func TestWriteTrace(t *testing.T) {
 }
 
 func TestDebugServerFacade(t *testing.T) {
-	net := quickstart(t, WithDebugServer("127.0.0.1:0"))
-	addr := net.DebugAddr()
+	c := quickstart(t, WithDebugServer("127.0.0.1:0"))
+	addr := c.DebugAddr()
 	if addr == "" {
 		t.Fatal("DebugAddr empty with WithDebugServer")
 	}
@@ -118,7 +111,7 @@ func TestDebugServerFacade(t *testing.T) {
 		t.Error("registry snapshot over HTTP shows no pool hits")
 	}
 
-	net.Close()
+	c.Close()
 	if _, err := http.Get("http://" + addr + "/debug/vars"); err == nil {
 		t.Error("debug server still serving after Close")
 	}
@@ -127,23 +120,19 @@ func TestDebugServerFacade(t *testing.T) {
 func TestDebugServerWithoutObservability(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.DisableObservability = true
-	_, err := NewNetwork(WithSystemConfig(cfg), WithDebugServer("127.0.0.1:0"))
+	_, err := NewCluster(WithSystemConfig(cfg), WithDebugServer("127.0.0.1:0"))
 	if err == nil || !strings.Contains(err.Error(), "observability") {
 		t.Fatalf("want observability error, got %v", err)
 	}
 
 	// Without the debug server the disabled config is fine, and the typed
 	// snapshot and trace read as empty rather than failing.
-	net, err := NewNetwork(WithSystemConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	if m := net.Metrics(); m.QueueWait.Count != 0 || m.PoolHits != 0 {
+	c := newTestCluster(t, WithSystemConfig(cfg))
+	if m := c.Metrics().PerAP[0].Metrics; m.QueueWait.Count != 0 || m.PoolHits != 0 {
 		t.Errorf("disabled observability should read zero, got %+v", m)
 	}
 	var buf bytes.Buffer
-	if err := net.WriteTrace(&buf); err != nil {
+	if err := c.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {

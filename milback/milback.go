@@ -2,57 +2,53 @@
 // reproduction of "A Millimeter Wave Backscatter Network for Two-Way
 // Communication and Localization" (SIGCOMM 2023).
 //
-// A Network owns a simulated access point in an indoor scene. Nodes join at
-// a position and orientation; each exchange runs the paper's full protocol
-// packet (Fig 8): the node senses its own orientation, the AP localizes the
-// node and senses its orientation, and the payload flows uplink or downlink
-// over OAQFM tones selected from the orientation estimate.
+// A Cluster owns one or more simulated access points in an indoor scene.
+// Nodes join at a position and orientation and are addressed by NodeID;
+// each exchange runs the paper's full protocol packet (Fig 8): the node
+// senses its own orientation, the AP localizes the node and senses its
+// orientation, and the payload flows uplink or downlink over OAQFM tones
+// selected from the orientation estimate.
 //
-// A Cluster scales the same protocol past the paper's single-AP testbed
-// (its §9.5 network-scale discussion): NewCluster builds one engine per
-// access point, shards nodes across them with a consistent-hash ring
-// keyed on 1 m grid cells, hands roaming nodes off at grant boundaries,
-// and serializes co-channel APs that fall inside the link-budget
-// interference radius. Network is a 1-AP Cluster wrapper and keeps its
-// exact fixed-seed behaviour.
+// With no layout options NewCluster builds the paper's single-AP testbed.
+// WithAPs and WithAPLayout scale the same protocol past it (the §9.5
+// network-scale discussion): one engine per access point, nodes sharded
+// across them by a consistent-hash ring keyed on 1 m grid cells, roaming
+// nodes handed off at grant boundaries, and co-channel APs inside the
+// link-budget interference radius serialized.
 //
 // Quick start:
 //
-//	net, _ := milback.NewNetwork()
-//	defer net.Close()
-//	node, _ := net.Join(3, 0.5, -10) // x, y (m), orientation (deg)
-//	pos, _ := node.Localize()
-//	reply, _ := node.Send([]byte("hello"), milback.Rate10Mbps)
+//	ctx := context.Background()
+//	c, _ := milback.NewCluster()
+//	defer c.Close()
+//	id, _ := c.Join(ctx, 3, 0.5, -10) // x, y (m), orientation (deg)
+//	pos, _ := c.Localize(ctx, id)
+//	reply, _ := c.Send(ctx, id, []byte("hello"), milback.Rate10Mbps)
 //	_ = pos; _ = reply
 //
 // # Concurrency
 //
-// A Network is safe for concurrent use: the AP serves one node at a time
+// A Cluster is safe for concurrent use: each AP serves one node at a time
 // (spatial-division multiplexing — one beam), so an internal airtime
 // scheduler queues operations and grants the channel round-robin across
 // nodes. Any number of goroutines may drive distinct nodes; each call
-// blocks until its turn on the air completes. The *Context variants
-// (SendContext, DeliverContext, LocalizeContext, ...) honor cancellation
-// while an operation waits in the queue and between packet phases; see
-// ErrCancelled.
+// blocks until its turn on the air completes. Every operation takes a ctx
+// and honors cancellation while it waits in the queue and between packet
+// phases; see ErrCancelled.
 //
 // Everything is deterministic: each node draws noise seeds from its own
-// stream, derived from the network seed and the node's join order, so for a
-// fixed seed the results are bit-identical regardless of how goroutines
-// interleave.
+// stream, derived from the cluster seed, its serving AP and its NodeID, so
+// for a fixed seed the results are bit-identical regardless of how
+// goroutines interleave.
 package milback
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/rfsim"
-	"repro/internal/waveform"
 )
 
 // Standard data rates from the paper's evaluation.
@@ -67,36 +63,24 @@ const (
 	MaxUplinkRate = 160e6
 )
 
-// Option configures a Network or a Cluster.
+// Option configures a Cluster.
 type Option func(*options)
 
 type options struct {
-	cfg        core.Config
-	scene      *rfsim.Scene
-	seed       int64
-	jobTimeout time.Duration
-	debugAddr  string
-
-	// Cluster-only layout options (see cluster.go).
+	cfg             core.Config
+	scene           *rfsim.Scene
+	seed            int64
+	jobTimeout      time.Duration
+	debugAddr       string
 	aps             int
 	layout          []APPlacement
 	interfRadius    float64
 	interfRadiusSet bool
 }
 
-// defaultOptions is the shared baseline of NewNetwork and NewCluster: the
-// paper's prototype configuration in the default indoor scene, seed 1.
-func defaultOptions() options {
-	return options{
-		cfg:   core.DefaultConfig(),
-		scene: rfsim.DefaultIndoorScene(),
-		seed:  1,
-	}
-}
-
-// WithSeed fixes the network's base random seed (default 1). Per-node seed
-// streams are derived from it, so two networks with the same seed and the
-// same join order produce identical results.
+// WithSeed fixes the cluster's base random seed (default 1). Per-node seed
+// streams are derived from it, so two clusters with the same seed and the
+// same operation sequence produce identical results.
 func WithSeed(seed int64) Option {
 	return func(o *options) { o.seed = seed }
 }
@@ -127,53 +111,8 @@ func WithJobTimeout(d time.Duration) Option {
 	return func(o *options) { o.jobTimeout = d }
 }
 
-// Network is a MilBack deployment: one AP serving any number of backscatter
-// nodes by spatial-division multiplexing. All methods are safe for
-// concurrent use.
-//
-// A Network is a single-AP Cluster under the hood; Cluster is the multi-AP
-// generalization (roaming, ring sharding, co-channel admission). The two
-// are bit-identical for the same seed and operation sequence.
-type Network struct {
-	cluster *Cluster
-	// net is AP 0's scheduler — the Network facade's hot path, bypassing
-	// cluster bookkeeping a single AP does not need.
-	net *proto.Network
-}
-
-// NewNetwork creates a network with the paper's prototype configuration in
-// the default indoor scene. It returns ErrInvalidConfig if the scene is nil
-// or the system configuration is unusable, and rejects multi-AP options
-// (WithAPs, WithAPLayout — use NewCluster for those).
-func NewNetwork(opts ...Option) (*Network, error) {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.aps > 1 || len(o.layout) > 1 {
-		return nil, fmt.Errorf("%w: NewNetwork is single-AP; use NewCluster for multi-AP layouts", ErrInvalidConfig)
-	}
-	c, err := newClusterFromOptions(o)
-	if err != nil {
-		return nil, err
-	}
-	return &Network{cluster: c, net: c.aps[0].net}, nil
-}
-
-// Cluster returns the single-AP cluster backing this network, for code
-// that wants the NodeID-addressed context-first API over the same
-// deployment. Node handles from Join and NodeIDs from the cluster address
-// the same sessions.
-func (nw *Network) Cluster() *Cluster { return nw.cluster }
-
-// Close shuts down the network's airtime scheduler. Operations in flight or
-// queued fail with ErrClosed, as does any later call. Close is idempotent.
-func (nw *Network) Close() {
-	nw.cluster.Close()
-}
-
-// Stats is a snapshot of network-wide counters maintained by the airtime
-// scheduler. For plain Send/Deliver calls the totals match the
+// Stats is a snapshot of cluster-wide counters maintained by the airtime
+// schedulers. For plain Send/Deliver calls the totals match the
 // per-exchange sums of the individual results; reliable and FEC transfers
 // contribute their wire-level accounting (the framed payload over every
 // attempt, with bit errors counted before any correction).
@@ -198,56 +137,6 @@ type Stats struct {
 	Cancelled uint64
 }
 
-// Stats returns a consistent snapshot of the network counters.
-func (nw *Network) Stats() Stats {
-	s := nw.net.Stats()
-	return Stats{
-		Exchanges:     s.Exchanges,
-		Localizations: s.Localizations,
-		BitErrors:     s.BitErrors,
-		BitsSent:      s.BitsSent,
-		AirtimeS:      s.AirtimeS,
-		Completed:     s.Completed,
-		Failed:        s.Failed,
-		Cancelled:     s.Cancelled,
-	}
-}
-
-// Node is one backscatter device in the network.
-type Node struct {
-	sess *proto.Session
-	n    *node.Node
-	net  *Network
-	id   NodeID
-}
-
-// ID returns the node's cluster-wide handle, usable with the backing
-// Cluster's NodeID-addressed API (see Network.Cluster).
-func (n *Node) ID() NodeID { return n.id }
-
-// Join adds a node at position (x, y) meters — the AP sits at the origin
-// facing +x — with the given orientation in degrees (0 = FSA boresight
-// facing the AP). The paper's evaluation covers ranges up to ~10 m and
-// orientations within ±30°. Join returns ErrInvalidCoordinate for NaN or
-// ±Inf arguments.
-func (nw *Network) Join(x, y, orientationDeg float64) (*Node, error) {
-	cn, err := nw.cluster.join(context.Background(), x, y, orientationDeg)
-	if err != nil {
-		return nil, err
-	}
-	return &Node{sess: cn.sess, n: cn.sess.Node(), net: nw, id: cn.id}, nil
-}
-
-// Nodes returns the joined nodes in join order.
-func (nw *Network) Nodes() []*Node {
-	sessions := nw.net.Sessions()
-	out := make([]*Node, len(sessions))
-	for i, s := range sessions {
-		out[i] = &Node{sess: s, n: s.Node(), net: nw, id: NodeID(s.ID())}
-	}
-	return out
-}
-
 // Position is a localization fix.
 type Position struct {
 	// RangeM is the AP→node distance estimate.
@@ -269,41 +158,6 @@ func positionFromOutcome(out core.LocalizationOutcome) Position {
 		X:              out.RangeM * math.Cos(az),
 		Y:              out.RangeM * math.Sin(az),
 	}
-}
-
-// Localize runs the paper's §5 pipeline (FMCW + background subtraction +
-// two-antenna AoA + reflected-power orientation profiling) and returns the
-// fix. It can return ErrNoDetection (node invisible to the AP) and, after
-// Close, ErrClosed.
-func (n *Node) Localize() (Position, error) {
-	return n.LocalizeContext(context.Background())
-}
-
-// LocalizeContext is Localize honoring ctx while the operation waits for
-// the beam; cancellation returns ErrCancelled wrapping the context error.
-func (n *Node) LocalizeContext(ctx context.Context) (Position, error) {
-	out, err := n.net.net.LocalizeContext(ctx, n.sess)
-	if err != nil {
-		return Position{}, fmt.Errorf("milback: %w", err)
-	}
-	return positionFromOutcome(out), nil
-}
-
-// Orientation runs the node-side §5.2b estimation (triangular chirp, 1 MHz
-// MCU sampling) and returns the node's own orientation estimate in degrees.
-// It can return ErrCancelled and ErrClosed.
-func (n *Node) Orientation() (float64, error) {
-	return n.OrientationContext(context.Background())
-}
-
-// OrientationContext is Orientation honoring ctx while the operation waits
-// for the beam.
-func (n *Node) OrientationContext(ctx context.Context) (float64, error) {
-	res, err := n.net.net.SenseOrientationContext(ctx, n.sess)
-	if err != nil {
-		return 0, fmt.Errorf("milback: %w", err)
-	}
-	return res.EstimateDeg, nil
 }
 
 // Exchange is the outcome of a payload transfer.
@@ -332,72 +186,17 @@ func (e Exchange) BER() float64 {
 	return float64(e.BitErrors) / float64(e.BitsSent)
 }
 
-// Send transmits data from the node to the AP (uplink backscatter, §6.3) as
-// one full protocol packet at the given bit rate. It can return
-// ErrNoDetection, ErrOutOfBand (rate beyond the switches), and ErrClosed.
-func (n *Node) Send(data []byte, bitRate float64) (Exchange, error) {
-	return n.SendContext(context.Background(), data, bitRate)
-}
-
-// SendContext is Send honoring ctx while the packet waits for the beam and
-// between packet phases; cancellation returns ErrCancelled wrapping the
-// context error.
-func (n *Node) SendContext(ctx context.Context, data []byte, bitRate float64) (Exchange, error) {
-	return n.exchange(ctx, waveform.Uplink, data, bitRate)
-}
-
-// Deliver transmits data from the AP to the node (downlink, §6.1) as one
-// full protocol packet at the given bit rate. It can return ErrNoDetection
-// and ErrClosed.
-func (n *Node) Deliver(data []byte, bitRate float64) (Exchange, error) {
-	return n.DeliverContext(context.Background(), data, bitRate)
-}
-
-// DeliverContext is Deliver honoring ctx while the packet waits for the
-// beam and between packet phases.
-func (n *Node) DeliverContext(ctx context.Context, data []byte, bitRate float64) (Exchange, error) {
-	return n.exchange(ctx, waveform.Downlink, data, bitRate)
-}
-
-func (n *Node) exchange(ctx context.Context, dir waveform.Direction, data []byte, bitRate float64) (Exchange, error) {
-	out, err := n.net.net.ExchangeContext(ctx, n.sess, dir, data, bitRate)
-	if err != nil {
-		return Exchange{}, fmt.Errorf("milback: %w", err)
-	}
-	return exchangeFromOutcome(out), nil
-}
-
-// exchangeFromOutcome maps a protocol packet outcome into the facade's
-// Exchange, with the Position in the serving AP's local frame (the cluster
-// adds its AP offset on top).
-func exchangeFromOutcome(out proto.PacketOutcome) Exchange {
+// exchange maps a protocol packet outcome at this AP into the facade's
+// Exchange, with the Position in the cluster frame.
+func (c *apCell) exchange(out proto.PacketOutcome) Exchange {
 	return Exchange{
 		Data:               out.Payload,
 		BitErrors:          out.BitErrors,
 		BitsSent:           out.BitsSent,
 		SNRdB:              out.LinkQualityDB,
-		Position:           positionFromOutcome(out.Localization),
+		Position:           c.position(out.Localization),
 		NodeOrientationDeg: out.NodeOrientation.EstimateDeg,
 		AirtimeS:           out.AirtimeS,
 		NodeEnergyJ:        out.NodeEnergyJ,
 	}
-}
-
-// TruePosition returns the node's ground-truth placement (for evaluating
-// estimates in simulations).
-func (n *Node) TruePosition() (x, y, orientationDeg float64) {
-	return n.n.Position.X, n.n.Position.Y, n.n.OrientationDeg
-}
-
-// Move repositions the node (teleport; the next packet re-localizes it).
-// The move is scheduled like any other operation so it cannot race an
-// exchange in flight. It returns ErrInvalidCoordinate for NaN or ±Inf
-// arguments and ErrClosed after Close.
-func (n *Node) Move(x, y, orientationDeg float64) error {
-	return n.MoveContext(context.Background(), x, y, orientationDeg)
-}
-
-// MoveContext is Move honoring ctx while the operation waits for the beam.
-func (n *Node) MoveContext(ctx context.Context, x, y, orientationDeg float64) error {
-	return n.net.cluster.Move(ctx, n.id, x, y, orientationDeg)
 }

@@ -2,20 +2,37 @@ package milback
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
 
+// newTestCluster builds a cluster that is closed when the test ends.
+func newTestCluster(t *testing.T, opts ...Option) *Cluster {
+	t.Helper()
+	c, err := NewCluster(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
+// mustJoin joins a node at (x, y) facing orient, failing the test on error.
+func mustJoin(t *testing.T, c *Cluster, x, y, orient float64) NodeID {
+	t.Helper()
+	id, err := c.Join(context.Background(), x, y, orient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 func TestQuickstartFlow(t *testing.T) {
-	net, err := NewNetwork(WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.Join(3, 0.5, -10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos, err := n.Localize()
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(5))
+	n := mustJoin(t, c, 3, 0.5, -10)
+	pos, err := c.Localize(ctx, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +49,7 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	// Uplink exchange.
 	msg := []byte("hello from the node")
-	ex, err := n.Send(msg, Rate10Mbps)
+	ex, err := c.Send(ctx, n, msg, Rate10Mbps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +61,7 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	// Downlink exchange.
 	reply := []byte("ack from the AP")
-	ex, err = n.Deliver(reply, Rate36Mbps)
+	ex, err = c.Deliver(ctx, n, reply, Rate36Mbps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +81,9 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestOrientationAPI(t *testing.T) {
-	net, err := NewNetwork(WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.Join(2, 0, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := n.Orientation()
+	c := newTestCluster(t, WithSeed(6))
+	n := mustJoin(t, c, 2, 0, 14)
+	est, err := c.Orientation(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,24 +93,15 @@ func TestOrientationAPI(t *testing.T) {
 }
 
 func TestMultiNode(t *testing.T) {
-	net, err := NewNetwork(WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
+	c := newTestCluster(t, WithSeed(7))
+	a := mustJoin(t, c, 2, -0.5, 8)
+	b := mustJoin(t, c, 4, 1, -12)
+	if len(c.Nodes()) != 2 {
+		t.Fatalf("nodes = %d", len(c.Nodes()))
 	}
-	a, err := net.Join(2, -0.5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.Join(4, 1, -12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(net.Nodes()) != 2 {
-		t.Fatalf("nodes = %d", len(net.Nodes()))
-	}
-	for i, n := range []*Node{a, b} {
+	for i, n := range []NodeID{a, b} {
 		msg := []byte{byte(i), 0xAB}
-		ex, err := n.Send(msg, Rate10Mbps)
+		ex, err := c.Send(context.Background(), n, msg, Rate10Mbps)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -110,22 +112,17 @@ func TestMultiNode(t *testing.T) {
 }
 
 func TestMove(t *testing.T) {
-	net, err := NewNetwork(WithSeed(8))
-	if err != nil {
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(8))
+	n := mustJoin(t, c, 2, 0, 0)
+	if err := c.Move(ctx, n, 5, 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	n, err := net.Join(2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	x, y, o, err := c.TruePosition(n)
+	if err != nil || x != 5 || y != 0 || o != 10 {
+		t.Fatalf("TruePosition = %g,%g,%g (%v)", x, y, o, err)
 	}
-	if err := n.Move(5, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	x, y, o := n.TruePosition()
-	if x != 5 || y != 0 || o != 10 {
-		t.Fatalf("TruePosition = %g,%g,%g", x, y, o)
-	}
-	pos, err := n.Localize()
+	pos, err := c.Localize(ctx, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,29 +132,23 @@ func TestMove(t *testing.T) {
 }
 
 func TestPower(t *testing.T) {
-	net, err := NewNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.Join(2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	down, err := n.Power(ActivityDownlink, 0)
+	c := newTestCluster(t)
+	n := mustJoin(t, c, 2, 0, 0)
+	down, err := c.Power(n, ActivityDownlink, 0)
 	if err != nil || math.Abs(down-18e-3) > 1e-6 {
 		t.Errorf("downlink power = %g (%v), want 18 mW", down, err)
 	}
-	up, err := n.Power(ActivityUplink, Rate40Mbps)
+	up, err := c.Power(n, ActivityUplink, Rate40Mbps)
 	if err != nil || math.Abs(up-32e-3) > 1e-6 {
 		t.Errorf("uplink power = %g (%v), want 32 mW", up, err)
 	}
-	if idle, _ := n.Power(ActivityIdle, 0); idle != 0 {
+	if idle, _ := c.Power(n, ActivityIdle, 0); idle != 0 {
 		t.Errorf("idle power = %g", idle)
 	}
-	if loc, _ := n.Power(ActivityLocalization, 0); math.Abs(loc-18e-3) > 0.2e-3 {
+	if loc, _ := c.Power(n, ActivityLocalization, 0); math.Abs(loc-18e-3) > 0.2e-3 {
 		t.Errorf("localization power = %g", loc)
 	}
-	if _, err := n.Power(ActivityUplink, 0); err == nil {
+	if _, err := c.Power(n, ActivityUplink, 0); err == nil {
 		t.Error("uplink without rate should fail")
 	}
 	if _, err := ParseActivity("warp"); err == nil {
@@ -166,29 +157,17 @@ func TestPower(t *testing.T) {
 }
 
 func TestOptions(t *testing.T) {
+	ctx := context.Background()
 	// Empty scene works.
-	net, err := NewNetwork(WithEmptyScene(), WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.Join(3, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Localize(); err != nil {
+	c := newTestCluster(t, WithEmptyScene(), WithSeed(9))
+	n := mustJoin(t, c, 3, 0, 5)
+	if _, err := c.Localize(ctx, n); err != nil {
 		t.Fatalf("localize in empty scene: %v", err)
 	}
-	// Determinism: two same-seed networks behave identically.
+	// Determinism: two same-seed clusters behave identically.
 	mk := func() Position {
-		nw, err := NewNetwork(WithSeed(42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd, err := nw.Join(4, 1, -5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := nd.Localize()
+		c := newTestCluster(t, WithSeed(42))
+		p, err := c.Localize(ctx, mustJoin(t, c, 4, 1, -5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,15 +179,9 @@ func TestOptions(t *testing.T) {
 }
 
 func TestSendTooFastFails(t *testing.T) {
-	net, err := NewNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.Join(2, 0, -10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Send([]byte{1}, 1e9); err == nil {
+	c := newTestCluster(t)
+	n := mustJoin(t, c, 2, 0, -10)
+	if _, err := c.Send(context.Background(), n, []byte{1}, 1e9); err == nil {
 		t.Fatal("1 Gbps should exceed the switch limit")
 	}
 }

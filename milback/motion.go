@@ -101,11 +101,10 @@ func (c *Cluster) SetTrajectory(ctx context.Context, id NodeID, tr Trajectory) e
 	if err != nil {
 		return err
 	}
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	start := p.Start()
 	pose := p.PoseAt(start)
@@ -130,11 +129,10 @@ func (c *Cluster) SetTrajectory(ctx context.Context, id NodeID, tr Trajectory) e
 // ClearTrajectory unbinds the node's trajectory, leaving it static at its
 // current pose. A no-op for nodes without one.
 func (c *Cluster) ClearTrajectory(ctx context.Context, id NodeID) error {
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	return c.clearTrajectoryLocked(ctx, cn)
 }
@@ -164,11 +162,10 @@ func (c *Cluster) AdvanceTrajectory(ctx context.Context, id NodeID, dt float64) 
 	if dt < 0 || !finite(dt) {
 		return Pose{}, fmt.Errorf("%w: trajectory advance %g", ErrInvalidCoordinate, dt)
 	}
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return Pose{}, err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	if cn.path == nil {
 		return Pose{}, fmt.Errorf("%w: id %d", ErrNoTrajectory, id)
@@ -204,11 +201,10 @@ func (c *Cluster) AdvanceTrajectory(ctx context.Context, id NodeID, dt float64) 
 
 // HasTrajectory reports whether the node has a trajectory bound.
 func (c *Cluster) HasTrajectory(id NodeID) (bool, error) {
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return false, err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	return cn.path != nil, nil
 }
@@ -221,11 +217,10 @@ func (c *Cluster) HasTrajectory(id NodeID) (bool, error) {
 // It can return ErrUnknownNode, ErrNoDetection, ErrCancelled and
 // ErrClosed.
 func (c *Cluster) MeasureVelocity(ctx context.Context, id NodeID, nChirps int) (float64, error) {
-	cn, err := c.node(id)
+	cn, err := c.lockNode(id)
 	if err != nil {
 		return 0, err
 	}
-	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	v, err := c.aps[cn.ap].net.MeasureVelocityContext(ctx, cn.sess, nChirps)
 	if err != nil {
@@ -246,62 +241,4 @@ func (c *Cluster) AdvanceTime(dt float64) float64 {
 // airtime plus explicit AdvanceTime advances, never wall clock.
 func (c *Cluster) Now() float64 {
 	return c.aps[0].sys.Clock().Now()
-}
-
-// SetTrajectory binds a trajectory to the node — see Cluster.SetTrajectory.
-func (n *Node) SetTrajectory(tr Trajectory) error {
-	return n.SetTrajectoryContext(context.Background(), tr)
-}
-
-// SetTrajectoryContext is SetTrajectory honoring ctx while the binding
-// waits for the beam.
-func (n *Node) SetTrajectoryContext(ctx context.Context, tr Trajectory) error {
-	return n.net.cluster.SetTrajectory(ctx, n.id, tr)
-}
-
-// ClearTrajectory unbinds the node's trajectory, leaving it static at its
-// current pose.
-func (n *Node) ClearTrajectory() error {
-	return n.net.cluster.ClearTrajectory(context.Background(), n.id)
-}
-
-// AdvanceTrajectory moves the node dt seconds along its trajectory — see
-// Cluster.AdvanceTrajectory.
-func (n *Node) AdvanceTrajectory(dt float64) (Pose, error) {
-	return n.AdvanceTrajectoryContext(context.Background(), dt)
-}
-
-// AdvanceTrajectoryContext is AdvanceTrajectory honoring ctx while the
-// advance waits for the beam.
-func (n *Node) AdvanceTrajectoryContext(ctx context.Context, dt float64) (Pose, error) {
-	return n.net.cluster.AdvanceTrajectory(ctx, n.id, dt)
-}
-
-// HasTrajectory reports whether the node has a trajectory bound.
-func (n *Node) HasTrajectory() bool {
-	has, err := n.net.cluster.HasTrajectory(n.id)
-	return err == nil && has
-}
-
-// MeasureVelocity measures the node's radial velocity with a Doppler burst
-// of nChirps — see Cluster.MeasureVelocity.
-func (n *Node) MeasureVelocity(nChirps int) (float64, error) {
-	return n.MeasureVelocityContext(context.Background(), nChirps)
-}
-
-// MeasureVelocityContext is MeasureVelocity honoring ctx while the burst
-// waits for the beam.
-func (n *Node) MeasureVelocityContext(ctx context.Context, nChirps int) (float64, error) {
-	return n.net.cluster.MeasureVelocity(ctx, n.id, nChirps)
-}
-
-// AdvanceTime moves the network's simulation clock forward dt seconds and
-// returns the new time — see Cluster.AdvanceTime.
-func (nw *Network) AdvanceTime(dt float64) float64 {
-	return nw.cluster.AdvanceTime(dt)
-}
-
-// Now returns the network's simulation time in seconds — see Cluster.Now.
-func (nw *Network) Now() float64 {
-	return nw.cluster.Now()
 }

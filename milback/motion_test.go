@@ -13,17 +13,10 @@ import (
 // TestTrajectoryValidation covers the facade trajectory error paths.
 func TestTrajectoryValidation(t *testing.T) {
 	ctx := context.Background()
-	net, err := NewNetwork(WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	n, err := net.Join(2, 0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCluster(t, WithSeed(11))
+	n := mustJoin(t, c, 2, 0.3, 5)
 
-	if _, err := n.AdvanceTrajectory(0.1); !errors.Is(err, ErrNoTrajectory) {
+	if _, err := c.AdvanceTrajectory(ctx, n, 0.1); !errors.Is(err, ErrNoTrajectory) {
 		t.Errorf("advance without trajectory = %v, want ErrNoTrajectory", err)
 	}
 	bad := []Trajectory{
@@ -35,25 +28,25 @@ func TestTrajectoryValidation(t *testing.T) {
 		{Waypoints: []Waypoint{{T: 2, X: 1}, {T: 1, X: 2}, {T: 3}}}, // T reversal
 	}
 	for i, tr := range bad {
-		if err := n.SetTrajectory(tr); !errors.Is(err, ErrInvalidConfig) {
+		if err := c.SetTrajectory(ctx, n, tr); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("bad trajectory %d: SetTrajectory = %v, want ErrInvalidConfig", i, err)
 		}
 	}
 	good := Trajectory{Waypoints: []Waypoint{{T: 0, X: 2, Y: 0.3, OrientationDeg: 5}, {T: 2, X: 3, Y: 0.5, OrientationDeg: 5}}}
-	if err := n.SetTrajectory(good); err != nil {
+	if err := c.SetTrajectory(ctx, n, good); err != nil {
 		t.Fatalf("good trajectory: %v", err)
 	}
-	if !n.HasTrajectory() {
-		t.Error("HasTrajectory = false after SetTrajectory")
+	if has, err := c.HasTrajectory(n); err != nil || !has {
+		t.Errorf("HasTrajectory = %v, %v after SetTrajectory", has, err)
 	}
-	if _, err := n.AdvanceTrajectory(-0.1); !errors.Is(err, ErrInvalidCoordinate) {
+	if _, err := c.AdvanceTrajectory(ctx, n, -0.1); !errors.Is(err, ErrInvalidCoordinate) {
 		t.Errorf("negative advance = %v, want ErrInvalidCoordinate", err)
 	}
-	if err := n.ClearTrajectory(); err != nil {
+	if err := c.ClearTrajectory(ctx, n); err != nil {
 		t.Fatal(err)
 	}
-	if n.HasTrajectory() {
-		t.Error("HasTrajectory = true after ClearTrajectory")
+	if has, err := c.HasTrajectory(n); err != nil || has {
+		t.Errorf("HasTrajectory = %v, %v after ClearTrajectory", has, err)
 	}
 	if _, err := ConstantSpeedWaypoints(0, Waypoint{}, Waypoint{X: 1}); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("zero-speed retiming = %v, want ErrInvalidConfig", err)
@@ -65,36 +58,40 @@ func TestTrajectoryValidation(t *testing.T) {
 	if got := wps[1].T; math.Abs(got-2) > 1e-12 {
 		t.Errorf("4 m at 2 m/s retimed to T=%g, want 2", got)
 	}
-	_ = ctx
+}
+
+// truePlanar returns the node's ground-truth (x, y, orientation), failing
+// the test on error.
+func truePlanar(t *testing.T, c *Cluster, id NodeID) (x, y, orientDeg float64) {
+	t.Helper()
+	x, y, orientDeg, err := c.TruePosition(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, y, orientDeg
 }
 
 // TestTrajectoryDrivesTruePose pins the facade's pose contract: after an
 // advance the node's ground truth sits exactly on the trajectory, holding
 // endpoints outside the timed span.
 func TestTrajectoryDrivesTruePose(t *testing.T) {
-	net, err := NewNetwork(WithSeed(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	n, err := net.Join(2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(12))
+	n := mustJoin(t, c, 2, 0, 0)
 	tr := Trajectory{
 		Waypoints: []Waypoint{
 			{T: 0, X: 2.0, Y: -0.5, Z: 1.0, OrientationDeg: 4},
 			{T: 2, X: 3.0, Y: 0.5, Z: 1.2, OrientationDeg: 8},
 		},
 	}
-	if err := n.SetTrajectory(tr); err != nil {
+	if err := c.SetTrajectory(ctx, n, tr); err != nil {
 		t.Fatal(err)
 	}
 	// Binding teleports to the start pose.
-	if x, y, o := n.TruePosition(); x != 2.0 || y != -0.5 || o != 4 {
+	if x, y, o := truePlanar(t, c, n); x != 2.0 || y != -0.5 || o != 4 {
 		t.Fatalf("start pose = (%g, %g, %g°), want (2, -0.5, 4°)", x, y, o)
 	}
-	pose, err := n.AdvanceTrajectory(1)
+	pose, err := c.AdvanceTrajectory(ctx, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +99,11 @@ func TestTrajectoryDrivesTruePose(t *testing.T) {
 		math.Abs(pose.Z-1.1) > 1e-12 || math.Abs(pose.OrientationDeg-6) > 1e-12 {
 		t.Fatalf("midpoint pose = %+v, want (2.5, 0, 1.1, 6°)", pose)
 	}
-	if x, y, _ := n.TruePosition(); x != pose.X || y != pose.Y {
+	if x, y, _ := truePlanar(t, c, n); x != pose.X || y != pose.Y {
 		t.Fatalf("true position (%g, %g) diverged from pose %+v", x, y, pose)
 	}
 	// Past the end the trajectory holds its last waypoint.
-	pose, err = n.AdvanceTrajectory(5)
+	pose, err = c.AdvanceTrajectory(ctx, n, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +111,7 @@ func TestTrajectoryDrivesTruePose(t *testing.T) {
 		t.Fatalf("endpoint pose = %+v, want (3, 0.5, 8°)", pose)
 	}
 	// The node is still localizable while moving.
-	if _, err := n.Localize(); err != nil {
+	if _, err := c.Localize(ctx, n); err != nil {
 		t.Fatalf("localize on trajectory: %v", err)
 	}
 }
@@ -123,31 +120,25 @@ func TestTrajectoryDrivesTruePose(t *testing.T) {
 // Move on a trajectory-bound node unbinds the trajectory, and the next
 // operation's grant does not snap the pose back onto it.
 func TestMoveClearsTrajectory(t *testing.T) {
-	net, err := NewNetwork(WithSeed(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	n, err := net.Join(2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(13))
+	n := mustJoin(t, c, 2, 0, 0)
 	tr := Trajectory{Waypoints: []Waypoint{{T: 0, X: 2, Y: 0, OrientationDeg: 5}, {T: 4, X: 5, Y: 1, OrientationDeg: 5}}}
-	if err := n.SetTrajectory(tr); err != nil {
+	if err := c.SetTrajectory(ctx, n, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Move(3.5, -0.4, 6); err != nil {
+	if err := c.Move(ctx, n, 3.5, -0.4, 6); err != nil {
 		t.Fatal(err)
 	}
-	if n.HasTrajectory() {
+	if has, _ := c.HasTrajectory(n); has {
 		t.Fatal("Move left the trajectory bound")
 	}
 	// A localization grants airtime and syncs motion; the teleported pose
 	// must survive it.
-	if _, err := n.Localize(); err != nil {
+	if _, err := c.Localize(ctx, n); err != nil {
 		t.Fatal(err)
 	}
-	if x, y, _ := n.TruePosition(); x != 3.5 || y != -0.4 {
+	if x, y, _ := truePlanar(t, c, n); x != 3.5 || y != -0.4 {
 		t.Fatalf("pose (%g, %g) snapped away from the teleport target", x, y)
 	}
 }
@@ -156,39 +147,33 @@ func TestMoveClearsTrajectory(t *testing.T) {
 // exchange airtime and by explicit AdvanceTime, shared across the
 // deployment.
 func TestSimulationClock(t *testing.T) {
-	net, err := NewNetwork(WithSeed(14))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	if got := net.Now(); got != 0 {
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(14))
+	if got := c.Now(); got != 0 {
 		t.Fatalf("fresh clock at %g, want 0", got)
 	}
-	n, err := net.Join(2, 0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := mustJoin(t, c, 2, 0.3, 5)
 	// A standalone localization spends no tracked airtime...
-	if _, err := n.Localize(); err != nil {
+	if _, err := c.Localize(ctx, n); err != nil {
 		t.Fatal(err)
 	}
-	if got := net.Now(); got != 0 {
+	if got := c.Now(); got != 0 {
 		t.Fatalf("clock at %g after localize, want 0 (fixes book no airtime)", got)
 	}
 	// ...an exchange folds its packet airtime in...
-	ex, err := n.Send([]byte("tick"), Rate10Mbps)
+	ex, err := c.Send(ctx, n, []byte("tick"), Rate10Mbps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := net.Now(); got != ex.AirtimeS {
+	if got := c.Now(); got != ex.AirtimeS {
 		t.Fatalf("clock at %g after exchange, want its airtime %g", got, ex.AirtimeS)
 	}
 	// ...and explicit advances model idle time.
-	base := net.Now()
-	if got := net.AdvanceTime(0.25); got != base+0.25 {
+	base := c.Now()
+	if got := c.AdvanceTime(0.25); got != base+0.25 {
 		t.Fatalf("AdvanceTime returned %g, want %g", got, base+0.25)
 	}
-	if got := net.Now(); got != base+0.25 {
+	if got := c.Now(); got != base+0.25 {
 		t.Fatalf("clock at %g, want %g", got, base+0.25)
 	}
 }

@@ -15,8 +15,9 @@ import (
 // its prior, and trajectory-bound nodes additionally fuse Doppler
 // range-rate fixes (§5.2's chirp-to-chirp carrier phase).
 type Tracker struct {
-	node *Node
-	kf   *track.Filter
+	c  *Cluster
+	id NodeID
+	kf *track.Filter
 	// MeasurementStdM is the assumed 1-σ error of a single fix (default
 	// 5 cm, the paper's mid-range ranging accuracy).
 	MeasurementStdM float64
@@ -29,13 +30,17 @@ type Tracker struct {
 	t              float64
 }
 
-// NewTracker attaches a tracker to a node.
-func (n *Node) NewTracker() (*Tracker, error) {
+// NewTracker attaches a tracker to a node; its fixes are in the cluster
+// frame. It returns ErrUnknownNode for an id the cluster never issued.
+func (c *Cluster) NewTracker(id NodeID) (*Tracker, error) {
+	if _, err := c.HasTrajectory(id); err != nil {
+		return nil, err
+	}
 	kf, err := track.New(track.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("milback: %w", err)
 	}
-	return &Tracker{node: n, kf: kf, MeasurementStdM: 0.05, VelocityStdMS: 0.35, VelocityChirps: 64}, nil
+	return &Tracker{c: c, id: id, kf: kf, MeasurementStdM: 0.05, VelocityStdMS: 0.35, VelocityChirps: 64}, nil
 }
 
 // TrackedPose is a fused pose estimate.
@@ -54,26 +59,20 @@ type TrackedPose struct {
 	T float64
 }
 
-// StepNow localizes the node once at the network's current simulation
+// StepNow localizes the node once at the cluster's current simulation
 // time and folds the fix into the track; for a trajectory-bound node it
 // also measures radial velocity with a Doppler burst and fuses the
-// range-rate fix. Advance the clock between steps (Network.AdvanceTime,
+// range-rate fix. Advance the clock between steps (Cluster.AdvanceTime,
 // or exchange airtime) — repeated steps at the same instant are legal but
-// add no motion information. It can return ErrNoDetection, ErrCancelled
-// and ErrClosed.
-func (tr *Tracker) StepNow() (TrackedPose, error) {
-	return tr.StepNowContext(context.Background())
-}
-
-// StepNowContext is StepNow honoring ctx while its operations wait for
-// the beam.
-func (tr *Tracker) StepNowContext(ctx context.Context) (TrackedPose, error) {
-	return tr.step(ctx, tr.node.net.Now(), tr.node.HasTrajectory())
-}
-
-// step runs one fuse cycle at filter time t.
-func (tr *Tracker) step(ctx context.Context, t float64, fuseVelocity bool) (TrackedPose, error) {
-	pos, err := tr.node.LocalizeContext(ctx)
+// add no motion information. It can return ErrUnknownNode, ErrNoDetection,
+// ErrCancelled and ErrClosed.
+func (tr *Tracker) StepNow(ctx context.Context) (TrackedPose, error) {
+	t := tr.c.Now()
+	fuseVelocity, err := tr.c.HasTrajectory(tr.id)
+	if err != nil {
+		return TrackedPose{}, err
+	}
+	pos, err := tr.c.Localize(ctx, tr.id)
 	if err != nil {
 		return TrackedPose{}, err
 	}
@@ -86,7 +85,7 @@ func (tr *Tracker) step(ctx context.Context, t float64, fuseVelocity bool) (Trac
 	}
 	var radialV float64
 	if fuseVelocity {
-		radialV, err = tr.node.MeasureVelocityContext(ctx, tr.VelocityChirps)
+		radialV, err = tr.c.MeasureVelocity(ctx, tr.id, tr.VelocityChirps)
 		if err != nil {
 			return TrackedPose{}, err
 		}

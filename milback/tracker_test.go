@@ -1,20 +1,17 @@
 package milback
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 )
 
 func TestTrackerFollowsMovingNode(t *testing.T) {
-	net, err := NewNetwork(WithSeed(41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.Join(2, -0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := n.NewTracker()
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(41))
+	n := mustJoin(t, c, 2, -0.5, 0)
+	tr, err := c.NewTracker(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +31,14 @@ func TestTrackerFollowsMovingNode(t *testing.T) {
 		tSec := float64(i) * 0.05
 		trueX := 2 + vx*tSec
 		trueY := -0.5
-		n.Move(trueX, trueY, 0)
-		pose, err := tr.StepNow()
+		if err := c.Move(ctx, n, trueX, trueY, 0); err != nil {
+			t.Fatal(err)
+		}
+		pose, err := tr.StepNow(ctx)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		net.AdvanceTime(0.05)
+		c.AdvanceTime(0.05)
 		last = pose
 		if i > 40 {
 			rawErr += math.Hypot(pose.Raw.X-trueX, pose.Raw.Y-trueY)
@@ -73,16 +72,10 @@ func TestTrackerFollowsMovingNode(t *testing.T) {
 // at clock time, trajectory-bound nodes fuse a Doppler range-rate fix, and
 // the filtered track beats the raw fixes.
 func TestTrackerStepNowFusesTrajectory(t *testing.T) {
-	net, err := NewNetwork(WithSeed(47))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	n, err := net.Join(2, -0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := n.NewTracker()
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(47))
+	n := mustJoin(t, c, 2, -0.5, 0)
+	tr, err := c.NewTracker(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +86,7 @@ func TestTrackerStepNowFusesTrajectory(t *testing.T) {
 		{T: 0, X: 2, Y: -0.5, OrientationDeg: 0},
 		{T: 6, X: 5, Y: -0.5, OrientationDeg: 0},
 	}}
-	if err := n.SetTrajectory(traj); err != nil {
+	if err := c.SetTrajectory(ctx, n, traj); err != nil {
 		t.Fatal(err)
 	}
 	const dt = 0.05
@@ -102,7 +95,7 @@ func TestTrackerStepNowFusesTrajectory(t *testing.T) {
 	sawVelocityFix := false
 	var lastT float64
 	for i := 0; i <= 120; i++ {
-		pose, err := tr.StepNow()
+		pose, err := tr.StepNow(ctx)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -113,7 +106,10 @@ func TestTrackerStepNowFusesTrajectory(t *testing.T) {
 		if pose.RadialVelocityMS != 0 {
 			sawVelocityFix = true
 		}
-		trueX, trueY, _ := n.TruePosition()
+		trueX, trueY, _, err := c.TruePosition(n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if i > 40 {
 			rawErr += math.Hypot(pose.Raw.X-trueX, pose.Raw.Y-trueY)
 			filtErr += math.Hypot(pose.X-trueX, pose.Y-trueY)
@@ -123,10 +119,10 @@ func TestTrackerStepNowFusesTrajectory(t *testing.T) {
 			vxSum += pose.VX
 			vCnt++
 		}
-		if _, err := n.AdvanceTrajectory(dt); err != nil {
+		if _, err := c.AdvanceTrajectory(ctx, n, dt); err != nil {
 			t.Fatal(err)
 		}
-		net.AdvanceTime(dt)
+		c.AdvanceTime(dt)
 	}
 	if !sawVelocityFix {
 		t.Error("no step fused a Doppler range-rate fix")
@@ -144,21 +140,13 @@ func TestTrackerStepNowFusesTrajectory(t *testing.T) {
 // TestTrackerStepNowStaticNode: StepNow on a static (unbound) node takes
 // no Doppler fix and leaves z on the prior.
 func TestTrackerStepNowStaticNode(t *testing.T) {
-	net, err := NewNetwork(WithSeed(48))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	n, err := net.Join(2.5, 0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := n.NewTracker()
+	c := newTestCluster(t, WithSeed(48))
+	tr, err := c.NewTracker(mustJoin(t, c, 2.5, 0.3, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		pose, err := tr.StepNow()
+		pose, err := tr.StepNow(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,32 +156,30 @@ func TestTrackerStepNowStaticNode(t *testing.T) {
 		if pose.Z != 0 || pose.VZ != 0 {
 			t.Fatalf("planar fixes moved z: z=%g vz=%g", pose.Z, pose.VZ)
 		}
-		net.AdvanceTime(0.05)
+		c.AdvanceTime(0.05)
 	}
 }
 
 func TestTrackerErrors(t *testing.T) {
-	net, err := NewNetwork(WithSeed(43))
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(43))
+	n := mustJoin(t, c, 3, 0, 5)
+	if _, err := c.NewTracker(n + 1); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("tracker on unknown node: err = %v, want ErrUnknownNode", err)
+	}
+	tr, err := c.NewTracker(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := net.Join(3, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := n.NewTracker()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.StepNow(); err != nil {
+	if _, err := tr.StepNow(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// A blocked node cannot be tracked.
-	if err := net.AddBlocker("person", 1.5, -0.5, 1.5, 0.5, 30); err != nil {
+	if err := c.AddBlocker(ctx, "person", 1.5, -0.5, 1.5, 0.5, 30); err != nil {
 		t.Fatal(err)
 	}
-	net.AdvanceTime(0.05)
-	if _, err := tr.StepNow(); err == nil {
+	c.AdvanceTime(0.05)
+	if _, err := tr.StepNow(ctx); err == nil {
 		t.Fatal("blocked step should fail")
 	}
 }
