@@ -271,23 +271,43 @@ func BenchmarkExtension_Doppler(b *testing.B) {
 }
 
 // BenchmarkDiscoveryScan measures a full multi-node beam-sweep discovery.
+// nodes=3 is a small room; nodes=1024 places nodes like the served fleet
+// workload (2–4 m, ±25°, facing −10°), where every pointing synthesizes
+// all 1024 targets and the per-target gain-envelope fill dominates — run
+// with -cpu 1,2 to see that fill fan out across capture workers.
 func BenchmarkDiscoveryScan(b *testing.B) {
-	sys := core.MustNewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
-	for _, p := range [][2]float64{{2.5, -25}, {4, 0}, {6, 22}} {
-		if _, err := sys.AddNode(rfsim.PolarPoint(p[0], rfsim.DegToRad(p[1])), 5); err != nil {
-			b.Fatal(err)
-		}
+	small := [][3]float64{{2.5, -25, 5}, {4, 0, 5}, {6, 22, 5}}
+	fleet := make([][3]float64, 1024)
+	for i := range fleet {
+		// A golden-ratio sequence in azimuth against an even ramp in range
+		// covers the sector without lattice gaps.
+		u := (float64(i) + 0.5) / float64(len(fleet))
+		v := math.Mod(float64(i)*0.6180339887498949, 1)
+		fleet[i] = [3]float64{2 + 2*u, 25 * (2*v - 1), -10}
 	}
-	found := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dets, err := sys.Discover(core.DefaultScanConfig(), int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		found = float64(len(dets))
+	for _, tc := range []struct {
+		name  string
+		nodes [][3]float64
+	}{{"nodes=3", small}, {"nodes=1024", fleet}} {
+		b.Run(tc.name, func(b *testing.B) {
+			sys := core.MustNewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
+			for _, p := range tc.nodes {
+				if _, err := sys.AddNode(rfsim.PolarPoint(p[0], rfsim.DegToRad(p[1])), p[2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			found := 0.0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dets, err := sys.Discover(core.DefaultScanConfig(), int64(i+1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				found = float64(len(dets))
+			}
+			b.ReportMetric(found, "nodes-found")
+		})
 	}
-	b.ReportMetric(found, "nodes-found")
 }
 
 // BenchmarkReliableTransfer measures a CRC+ARQ transfer through the public

@@ -165,9 +165,9 @@ type apObs struct {
 	clutterEvict *obs.Counter
 	tracer       *obs.Tracer
 
-	// Sub-stage split of the synthesize stage (DESIGN.md §12):
-	// clutter-template fill, target-tone generation (including gain-envelope
-	// memoization), and the noise fold-in.
+	// Sub-stage split of the synthesize stage (DESIGN.md §12.4): per-capture
+	// set-up (clutter template, frequency grid, gain-envelope memo fill),
+	// per-chirp target-tone generation, and the noise fold-in.
 	synthClutter *obs.Histogram
 	synthTargets *obs.Histogram
 	synthNoise   *obs.Histogram

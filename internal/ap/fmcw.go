@@ -35,8 +35,9 @@ var ErrInvalidConfig = errors.New("invalid configuration")
 // rfsim.BackscatterAmplitude; return -Inf for "no reflection".
 //
 // SynthesizeChirpsMulti evaluates GainDBi concurrently across chirp indices,
-// so the function must be safe for simultaneous calls — derive everything
-// from (chirpIdx, fHz) and read-only state, as fsa's with-modes queries do.
+// and fills different targets' gain envelopes concurrently, so the function
+// must be safe for simultaneous calls — derive everything from
+// (chirpIdx, fHz) and read-only state, as fsa's with-modes queries do.
 type BackscatterTarget struct {
 	Pos     rfsim.Point
 	GainDBi func(chirpIdx int, fHz float64) float64

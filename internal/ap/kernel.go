@@ -106,6 +106,38 @@ func fillGainEnv(dst []float64, tgt *BackscatterTarget, k int, freq []float64) {
 	}
 }
 
+// fillGainMemo fills a memoizing target's pooled envelope rows over the
+// shared frequency grid: one bulk GainEnvs call when the target has one,
+// else one fillGainEnv per distinct state. The representative chirp for a
+// state is the first chirp that uses it — GainStates' contract is that
+// GainDBi depends on the chirp index only through the state, so any
+// representative gives the same curve. It writes only ts.env, so targets
+// may be filled concurrently.
+func fillGainMemo(ts *targetState, freq []float64, nChirps int) {
+	if !ts.memo {
+		return
+	}
+	nStates, nSamp := ts.tgt.GainStates, len(freq)
+	if ts.tgt.GainEnvs != nil {
+		// Bulk fill: every state in one call, sharing the mode-independent
+		// work across states (it may fill states the burst never uses; that
+		// costs a scalar combine, not an array-factor sweep).
+		ts.tgt.GainEnvs(freq, nStates, ts.env)
+		return
+	}
+	var done [maxGainStates]bool
+	filled := 0
+	for k := 0; k < nChirps && filled < nStates; k++ {
+		s := ts.tgt.GainStateOf(k)
+		if done[s] {
+			continue
+		}
+		done[s] = true
+		filled++
+		fillGainEnv(ts.env[s*nSamp:(s+1)*nSamp], ts.tgt, k, freq)
+	}
+}
+
 // interAntennaRot returns the constant phase rotation between the two receive
 // antennas for a path arriving from aoaRad — the factor addBeatTone applies
 // per call, hoisted here to one complex constant per path.
@@ -121,16 +153,20 @@ func (a *AP) interAntennaRot(aoaRad, lambda, psi float64) complex128 {
 // preserved exactly, so the only differences are the recurrence rounding and
 // the amplitude factorization, both far inside 1e-9 relative.
 //
-// The three phases are timed separately when the AP is observed (clutter
-// template, target/extra tones, noise fold-in), giving `milback-report
-// -trace` a per-stage split of where synthesis time goes.
+// The three phases are timed separately when the AP is observed (per-capture
+// set-up including the gain-envelope fill, target/extra tones, noise
+// fold-in), giving `milback-report -trace` a per-stage split of where
+// synthesis time goes. The serial state build and AWGN draw in
+// newSynthState precede phase 1 and are covered only by ap.synthesize.
 func (a *AP) synthesizeFast(st synthState) {
 	o := a.obs
 
-	// Phase 1 (serial): clutter template. The static clutter tones are the
-	// same in every frame, so render them once into a pooled two-antenna
-	// template and memcpy below. Built from a zeroed buffer in path order —
-	// the same accumulation a per-chirp loop would perform.
+	// Phase 1 (ap.synthesize.clutter): per-capture set-up — the clutter
+	// template, the frequency grid, and the gain-envelope memos, whose fill
+	// fans out across targets. The static clutter tones are the same in
+	// every frame, so render them once into a pooled two-antenna template
+	// and memcpy below. Built from a zeroed buffer in path order — the same
+	// accumulation a per-chirp loop would perform.
 	var clutterStart time.Time
 	if o != nil {
 		clutterStart = time.Now()
@@ -158,10 +194,8 @@ func (a *AP) synthesizeFast(st synthState) {
 		freq[i] = st.cEff.FrequencyAt(float64(i) / st.fs)
 	}
 
-	// Hoist per-target fast state; fill gain-envelope memos serially. The
-	// representative chirp for a state is the first chirp that uses it —
-	// GainStates' contract is that GainDBi depends on the chirp index only
-	// through the state, so any representative gives the same curve.
+	// Hoist per-target fast state and check the gain-envelope memos out of
+	// the pool serially, so buffer recycling never depends on scheduling.
 	needScratch := false
 	for ti := range st.targets {
 		ts := &st.targets[ti]
@@ -173,25 +207,20 @@ func (a *AP) synthesizeFast(st synthState) {
 		}
 		ts.memo = true
 		ts.env = a.getFloat64(nStates * st.nSamp)
-		if ts.tgt.GainEnvs != nil {
-			// Bulk fill: every state in one call, sharing the
-			// mode-independent work across states (it may fill states the
-			// burst never uses; that costs a scalar combine, not an
-			// array-factor sweep).
-			ts.tgt.GainEnvs(freq, nStates, ts.env)
-			continue
+	}
+	// Fill the memos, one fan-out item per target. Each item writes only its
+	// own env rows, so the result is bit-identical at any worker count
+	// (DESIGN.md §17.2). A single-target capture — every localization,
+	// exchange and Doppler burst — fills inline and builds no closure.
+	targets, nChirps := st.targets, st.nChirps
+	if len(targets) <= 1 {
+		for ti := range targets {
+			fillGainMemo(&targets[ti], freq, nChirps)
 		}
-		var done [maxGainStates]bool
-		filled := 0
-		for k := 0; k < st.nChirps && filled < nStates; k++ {
-			s := ts.tgt.GainStateOf(k)
-			if done[s] {
-				continue
-			}
-			done[s] = true
-			filled++
-			fillGainEnv(ts.env[s*st.nSamp:(s+1)*st.nSamp], ts.tgt, k, freq)
-		}
+	} else {
+		a.fanOut(len(targets), a.captureWorkers(), func(_, ti int) {
+			fillGainMemo(&targets[ti], freq, nChirps)
+		})
 	}
 	for ei := range st.extras {
 		es := &st.extras[ei]
@@ -216,10 +245,10 @@ func (a *AP) synthesizeFast(st synthState) {
 	// the heap — one allocation per capture for nothing.
 	cEff, nSamp, fs, fc := st.cEff, st.nSamp, st.fs, st.fc
 	txAmp, radarLoss, jitter := st.txAmp, st.radar, st.jitter
-	targets, extras, frames := st.targets, st.extras, st.frames
+	extras, frames := st.extras, st.frames
 	workers := a.captureWorkers()
-	if workers > st.nChirps {
-		workers = st.nChirps
+	if workers > nChirps {
+		workers = nChirps
 	}
 	// Per-worker refill scratch, stride-indexed like the memo: worker w owns
 	// scratchBuf[w·nSamp : (w+1)·nSamp]. Safe to reuse across chirps because
@@ -229,7 +258,7 @@ func (a *AP) synthesizeFast(st synthState) {
 		scratchBuf = a.getFloat64(workers * nSamp)
 	}
 	busy := newBusyClock(o, workers)
-	got := a.fanOut(st.nChirps, workers, func(worker, k int) {
+	got := a.fanOut(nChirps, workers, func(worker, k int) {
 		t0 := busy.start()
 		var frame ChirpFrame
 		for m := 0; m < 2; m++ {

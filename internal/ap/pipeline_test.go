@@ -11,12 +11,28 @@ import (
 
 // captureBoth runs the same synthesis once with the parallel fan-out forced
 // serial (GOMAXPROCS=1) and once with all cores, using identically-seeded
-// noise sources.
+// noise sources. Three of the targets declare gain states — one with a bulk
+// GainEnvs fill, two through the per-state GainDBi fallback — so the
+// per-target envelope fan-out runs as well as the per-chirp one; the moving
+// target declares none and takes the per-chirp refill path.
 func captureBoth(t *testing.T, a *AP, nChirps int, seed int64) (serial, par []ChirpFrame) {
 	t.Helper()
 	c := a.Config().LocalizationChirp
 	mk := func() []ChirpFrame {
-		tgt := movingTarget(3, 12)
+		bulk := statefulTarget(rfsim.Point{X: 2.4, Y: 0.6}, 20)
+		bulk.GainEnvs = func(freq []float64, nStates int, env []float64) {
+			for s := 0; s < nStates; s++ {
+				for i, f := range freq {
+					env[s*len(freq)+i] = math.Pow(10, bulk.GainDBi(s, f)/10)
+				}
+			}
+		}
+		tgts := []*BackscatterTarget{
+			movingTarget(3, 12),
+			statefulTarget(rfsim.Point{X: 5.5, Y: 1}, 22),
+			bulk,
+			statefulTarget(rfsim.Point{X: 4.2, Y: -0.8}, 18),
+		}
 		mirror := []ModulatedPath{{
 			Pos: rfsim.Point{X: 3.2},
 			Amplitude: func(k int) float64 {
@@ -26,8 +42,7 @@ func captureBoth(t *testing.T, a *AP, nChirps int, seed int64) (serial, par []Ch
 				return 1e-7
 			},
 		}}
-		return synth(t)(a.SynthesizeChirpsMulti(c, nChirps, []*BackscatterTarget{tgt, pointTarget(rfsim.Point{X: 5.5, Y: 1}, 22)},
-			mirror, rfsim.NewNoiseSource(seed)))
+		return synth(t)(a.SynthesizeChirpsMulti(c, nChirps, tgts, mirror, rfsim.NewNoiseSource(seed)))
 	}
 	old := runtime.GOMAXPROCS(1)
 	serial = mk()

@@ -71,10 +71,13 @@ const (
 	MetricServeInFlight       = "serve.in_flight"
 
 	// Sub-stage split of the synthesize stage, recorded by the synthesis
-	// kernels: clutter-template fill, target-tone generation (including FSA
-	// gain-envelope memoization), and the AWGN fold-in. The three sum to
-	// slightly less than MetricSynthesizeSeconds (the remainder is
-	// per-capture setup).
+	// kernels. Clutter times the per-capture set-up: the clutter template,
+	// the frequency grid and the FSA gain-envelope memo fill (fanned out
+	// across targets). Targets times the per-chirp tone generation, Noise the
+	// AWGN fold-in. The three cover only part of MetricSynthesizeSeconds:
+	// the serial state build and AWGN draw that precede them (newSynthState)
+	// are in the synthesize stage alone — in a traced localization about a
+	// third of it.
 	MetricSynthClutterSeconds = "ap.synthesize.clutter_seconds"
 	MetricSynthTargetsSeconds = "ap.synthesize.targets_seconds"
 	MetricSynthNoiseSeconds   = "ap.synthesize.noise_seconds"

@@ -65,8 +65,10 @@ type Metrics struct {
 	Detect     Histogram
 
 	// SynthClutter, SynthTargets and SynthNoise split the synthesize stage
-	// into its kernel phases — clutter-template fill, target-tone
-	// generation and the noise fold-in.
+	// into its kernel phases — per-capture set-up (clutter template,
+	// frequency grid and gain-envelope fill), per-chirp target-tone
+	// generation and the noise fold-in. The noise draw before them is
+	// counted in Synthesize only.
 	SynthClutter Histogram
 	SynthTargets Histogram
 	SynthNoise   Histogram
