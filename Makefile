@@ -4,14 +4,15 @@
 # under the race detector (covering the parallel chirp/spectra pipeline,
 # the shared FFT-plan cache, and the capture plane's pooled buffers), runs
 # the determinism suite under -race on its own, enforces the capture-plane
-# allocation gate, diffs every example's stdout against its golden, and
-# smoke-runs every benchmark once.
+# allocation gate, diffs every example's stdout against its golden, reruns
+# the paper's verdict table against REPORT.md, and smoke-runs every
+# benchmark once.
 
 GO ?= go
 
-.PHONY: verify lint vet fmt-check build test race determinism alloc-gate bench bench-baseline bench-compare docs-check api-check examples-check serve-smoke load-baseline
+.PHONY: verify lint vet fmt-check build test race determinism alloc-gate bench bench-baseline bench-compare docs-check api-check examples-check report-check serve-smoke load-baseline
 
-verify: lint docs-check api-check examples-check build race determinism alloc-gate serve-smoke bench bench-compare
+verify: lint docs-check api-check examples-check report-check build race determinism alloc-gate serve-smoke bench bench-compare
 
 # lint is the static gate: vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -70,6 +71,12 @@ api-check:
 # `./scripts/examples_check.sh -update`.
 examples-check:
 	./scripts/examples_check.sh
+
+# Claims gate: the paper's verdict table (milback-report) must read MATCH on
+# every claim at seeds 1, 2 and 3, and the seed-1 table must match the
+# committed REPORT.md apart from its Generated line.
+report-check:
+	./scripts/report_check.sh
 
 # The pooled, clutter-cached steady-state localization must stay at or
 # below MAX_ALLOCS (default 30) allocs/op at -cpu 1, and its GOMAXPROCS=2

@@ -496,7 +496,7 @@ func BenchmarkFFT2048PlanCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
-		dsp.FFTInPlace(buf)
+		dsp.PlanFFT(len(buf)).Forward(buf)
 	}
 }
 
@@ -509,36 +509,6 @@ func BenchmarkFFT2048Uncached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
 		seedRadix2FFT(buf)
-	}
-}
-
-// BenchmarkFFTBluestein1125PlanCached measures the cached chirp-z path at
-// the orientation chirp's sample count (45 µs × 25 MHz = 1125, non-pow-2):
-// the plan reuses the chirp vectors and the pre-transformed kernel spectrum.
-func BenchmarkFFTBluestein1125PlanCached(b *testing.B) {
-	x := benchSignal(1125)
-	buf := make([]complex128, len(x))
-	plan := dsp.PlanFFT(1125)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		plan.Forward(buf)
-	}
-}
-
-// BenchmarkRFFT2048 measures the real-input specialization at the same
-// size: a length-2048 real transform computed as one length-1024 complex
-// FFT plus an O(n) conjugate-symmetric unpack (DESIGN.md §13).
-func BenchmarkRFFT2048(b *testing.B) {
-	x := make([]float64, 2048)
-	for i := range x {
-		x[i] = math.Cos(2 * math.Pi * 37 * float64(i) / 2048)
-	}
-	out := make([]complex128, 2048)
-	plan := dsp.PlanRFFT(2048)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan.Forward(out, x)
 	}
 }
 

@@ -63,13 +63,12 @@ func TestBatchFFTDifferentialPerBin(t *testing.T) {
 }
 
 // pipelineOutputs runs every subtracted-spectra consumer over one capture
-// and collects their scalar outputs plus the orientation envelope and
-// range-Doppler power map, the quantities the batch differentials compare.
+// and collects their scalar outputs plus the orientation envelope, the
+// quantities the batch differentials compare.
 type pipelineOutputs struct {
 	loc     LocalizationResult
 	vel     float64
 	prof    OrientationProfile
-	rd      RangeDopplerMap
 	targets []LocalizationResult
 }
 
@@ -87,9 +86,6 @@ func runPipeline(t *testing.T, a *AP, frames []ChirpFrame) pipelineOutputs {
 	if out.prof, err = a.EstimateOrientationProfile(c, frames, out.loc.PeakIndex(), 40); err != nil {
 		t.Fatalf("orientation: %v", err)
 	}
-	if out.rd, err = a.ComputeRangeDopplerMap(c, frames); err != nil {
-		t.Fatalf("range-doppler: %v", err)
-	}
 	if out.targets, err = a.DetectTargets(c, frames, 3); err != nil {
 		t.Fatalf("detect: %v", err)
 	}
@@ -97,7 +93,7 @@ func runPipeline(t *testing.T, a *AP, frames []ChirpFrame) pipelineOutputs {
 }
 
 // comparePipelines checks two pipeline runs over the same frames agree:
-// scalars within absTol (0 demands bit-identity), envelope and map within
+// scalars within absTol (0 demands bit-identity), envelope within
 // relTol of their own RMS.
 func comparePipelines(t *testing.T, label string, got, want pipelineOutputs, absTol, relTol float64) {
 	t.Helper()
@@ -141,12 +137,6 @@ func comparePipelines(t *testing.T, label string, got, want pipelineOutputs, abs
 		}
 	}
 	relative("orientation envelope", got.prof.Power, want.prof.Power)
-	if len(got.rd.Power) != len(want.rd.Power) {
-		t.Fatalf("%s: %d doppler rows vs %d", label, len(got.rd.Power), len(want.rd.Power))
-	}
-	for v := range want.rd.Power {
-		relative("doppler row", got.rd.Power[v], want.rd.Power[v])
-	}
 }
 
 // TestIntraCaptureParallelDeterministic pins the fan-out determinism claim:

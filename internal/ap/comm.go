@@ -224,7 +224,7 @@ func demodBranch(s UplinkStream, pilot, total int) ([]bool, error) {
 	}
 	// Remove the DC interference: subtract the stream mean (the FIR
 	// high-pass of the real chain, idealized to avoid its group-delay
-	// bookkeeping here; FilterHighPass covers the filtered variant).
+	// bookkeeping).
 	mean := complex(0, 0)
 	for _, v := range s.Samples[:total*sps] {
 		mean += v
@@ -262,29 +262,9 @@ func demodBranch(s UplinkStream, pilot, total int) ([]bool, error) {
 	return bits, nil
 }
 
-// FilterHighPass applies the Fig 7 high-pass (ZFHP-0R23-class, 230 kHz
-// cutoff) to a branch stream sampled at fs, compensating group delay. It is
-// the physically-faithful alternative to the mean-subtraction shortcut in
-// DemodulateUplink and is exercised by tests and the rx-chain ablation.
-func FilterHighPass(s []complex128, fs float64) []complex128 {
-	fir := dsp.HighPassFIR(301, 0.23e6, fs)
-	y := fir.FilterComplex(s)
-	d := (fir.NumTaps() - 1) / 2
-	out := make([]complex128, len(s))
-	copy(out, y[d:])
-	return out
-}
-
 // nodeObstructionLossDB returns the one-way blocker loss toward a node
 // assumed at range d along the current boresight.
 func (a *AP) nodeObstructionLossDB(d float64) float64 {
 	pos := rfsim.PolarPoint(d, a.tx.PointingRad)
 	return a.scene.ObstructionLossDB(rfsim.Point{}, pos)
-}
-
-// DownlinkBudget mirrors node.DownlinkSINR from the AP's perspective: the
-// transmit side of Fig 14. It returns the per-tone EIRP in dBm, which
-// combined with the node's detector model yields the link SINR.
-func (a *AP) DownlinkBudget() (eirpDBm float64) {
-	return rfsim.WattsToDBm(a.cfg.TxPowerW) + a.cfg.TxGainDBi
 }

@@ -234,45 +234,3 @@ func TestSynthesizeUplinkValidation(t *testing.T) {
 		}()
 	}
 }
-
-func TestFilterHighPassRemovesDC(t *testing.T) {
-	fs := 40e6
-	n := 4096
-	x := make([]complex128, n)
-	for i := range x {
-		// Large DC plus a 5 MHz square-ish modulation.
-		mod := 0.0
-		if (i/8)%2 == 0 {
-			mod = 0.01
-		}
-		x[i] = complex(3+mod, 1)
-	}
-	y := FilterHighPass(x, fs)
-	// After the transient, DC is gone but modulation survives.
-	var meanRe float64
-	lo := 400
-	for i := lo; i < n-400; i++ {
-		meanRe += real(y[i])
-	}
-	meanRe /= float64(n - 800 - 1)
-	if math.Abs(meanRe) > 1e-3 {
-		t.Errorf("residual DC = %g", meanRe)
-	}
-	var swing float64
-	for i := lo; i < n-400; i++ {
-		if v := math.Abs(real(y[i])); v > swing {
-			swing = v
-		}
-	}
-	if swing < 0.003 {
-		t.Errorf("modulation swing after HPF = %g, want preserved", swing)
-	}
-}
-
-func TestDownlinkBudgetEIRP(t *testing.T) {
-	a := MustNew(DefaultConfig(), nil)
-	// 27 dBm + 20 dBi = 47 dBm EIRP.
-	if got := a.DownlinkBudget(); math.Abs(got-47) > 0.1 {
-		t.Errorf("EIRP = %g dBm, want 47", got)
-	}
-}

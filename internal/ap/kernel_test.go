@@ -80,9 +80,9 @@ func TestFastSynthMatchesReference(t *testing.T) {
 // synthesis differential: frames rendered by the production kernels and by
 // the synthesizeRef oracle, from identically seeded noise, go through every
 // consumer of the capture — localization, radial velocity, orientation
-// envelope, range-Doppler map, multi-target detection — and must agree far
-// inside the physics tolerances (scalars ≤1e-6, envelope and map ≤1e-9 of
-// their RMS). A moving target keeps the Doppler paths carrying signal.
+// envelope, multi-target detection — and must agree far inside the physics
+// tolerances (scalars ≤1e-6, envelope ≤1e-9 of its RMS). A moving target
+// keeps the Doppler paths carrying signal.
 func TestOracleSynthPipelineAgreement(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp

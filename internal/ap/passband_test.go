@@ -54,7 +54,7 @@ func TestDechirpModelMatchesPassbandSimulation(t *testing.T) {
 		for i, v := range win {
 			buf[i] = complex(v*w[i], 0)
 		}
-		dsp.FFTInPlace(buf)
+		dsp.PlanFFT(len(buf)).Forward(buf)
 		mags := dsp.Magnitudes(buf[:len(buf)/2])
 		peak := dsp.MaxPeak(mags[1:]) // skip DC
 		measured := (peak.Position + 1) * fsPass / float64(len(buf))

@@ -6,15 +6,14 @@ import (
 	"sync"
 )
 
-// BatchPlan executes batches of same-length transforms in one call against a
-// single shared FFTPlan: every transform in the batch reads the same twiddle
-// tables and bit-reversal permutation, the Bluestein path holds one pooled
-// convolution buffer for the whole batch instead of a pool round trip per
-// transform, and the packed variants share one staging arena. The batch is
-// processed as a sequence of independent in-place transforms in cache-hot
-// succession, so per-transform results are bitwise identical to calling
-// FFTPlan.Transform on each buffer individually — batching changes only
-// where the time goes, never the numbers.
+// BatchPlan executes batches of same-length power-of-two transforms in one
+// call against a single shared FFTPlan: every transform in the batch reads
+// the same twiddle tables and bit-reversal permutation, and the band
+// envelopes share one staging arena. The batch is processed as a sequence
+// of independent in-place transforms in cache-hot succession, so
+// per-transform results are bitwise identical to transforming each buffer
+// individually — batching changes only where the time goes, never the
+// numbers.
 //
 // Like FFTPlan, a BatchPlan is immutable after construction (the scratch
 // pool is internally synchronized) and safe for concurrent use; PlanBatch
@@ -30,8 +29,8 @@ type BatchPlan struct {
 var batchCache sync.Map
 
 // PlanBatch returns the shared batched-transform plan for length n, building
-// and caching it (and the underlying FFTPlan) on first use. It panics if
-// n < 1.
+// and caching it (and the underlying FFTPlan) on first use. It panics unless
+// n is a power of two.
 func PlanBatch(n int) *BatchPlan {
 	if p, ok := batchCache.Load(n); ok {
 		return p.(*BatchPlan)
@@ -45,65 +44,23 @@ func PlanBatch(n int) *BatchPlan {
 	return actual.(*BatchPlan)
 }
 
-// Size returns the transform length the plan serves.
-func (bp *BatchPlan) Size() int { return bp.p.n }
-
-// Forward forward-transforms every buffer in xs in place. Each buffer must
-// have the plan's length.
-func (bp *BatchPlan) Forward(xs [][]complex128) { bp.Transform(xs, false) }
-
-// Inverse inverse-transforms every buffer in xs in place, including the 1/N
-// normalization.
-func (bp *BatchPlan) Inverse(xs [][]complex128) { bp.Transform(xs, true) }
-
-// Transform runs the whole batch in the requested direction.
-func (bp *BatchPlan) Transform(xs [][]complex128, inverse bool) {
-	p := bp.p
-	bp.checkLens(xs)
-	if p.blu != nil {
-		bl := p.blu
-		aPtr := bl.scratch.Get().(*[]complex128)
-		for _, x := range xs {
-			p.bluesteinWith(x, inverse, *aPtr)
-		}
-		bl.scratch.Put(aPtr)
-		return
-	}
-	tw := p.twFwd
-	if inverse {
-		tw = p.twInv
-	}
-	for _, x := range xs {
-		p.radix2Stages(x, tw)
-	}
-	if inverse {
-		inv := complex(1/float64(p.n), 0)
-		for _, x := range xs {
-			for i := range x {
-				x[i] *= inv
-			}
-		}
-	}
-}
-
 // ForwardPacked forward-transforms every buffer in xs in place given the
 // caller's guarantee that only each buffer's first `prefix` entries are
 // nonzero and that entries [prefix, NextPowerOfTwo(prefix)) are explicit
 // zeros; entries beyond NextPowerOfTwo(prefix) are ignored on input and
-// overwritten. For power-of-two plans the leading stages whose inputs are
-// all zero collapse to a broadcast (see FFTPlan.packedForward); results
-// match Forward on fully zero-padded buffers bitwise, up to the sign of
-// exact zeros. Non-power-of-two plans fall back to the full batched
-// transform, for which the zero padding must extend to the plan size.
+// overwritten. The leading stages whose inputs are all zero collapse to a
+// broadcast (see FFTPlan.packedForward); results match a plain forward
+// transform of fully zero-padded buffers bitwise, up to the sign of exact
+// zeros. Each buffer must have the plan's length.
 func (bp *BatchPlan) ForwardPacked(xs [][]complex128, prefix int) {
 	p := bp.p
 	if prefix < 1 || prefix > p.n {
 		panic(fmt.Sprintf("dsp: ForwardPacked prefix %d outside [1, %d]", prefix, p.n))
 	}
-	bp.checkLens(xs)
-	if p.blu != nil {
-		bp.Transform(xs, false)
-		return
+	for _, x := range xs {
+		if len(x) != p.n {
+			panic(fmt.Sprintf("dsp: batch plan for length %d applied to length %d", p.n, len(x)))
+		}
 	}
 	for _, x := range xs {
 		p.packedForward(x, prefix, p.twFwd)
@@ -120,14 +77,11 @@ func (bp *BatchPlan) ForwardPacked(xs [][]complex128, prefix int) {
 // band itself. Because the band occupies a short spectrum prefix, the
 // inverse transform runs packed (leading stages collapse to a broadcast) and
 // the 1/n normalization folds into the magnitude accumulation — only the
-// first len(env) bins ever get normalized. Power-of-two plans only; len(env)
-// and len(band) must not exceed the plan size.
+// first len(env) bins ever get normalized. len(env) and len(band) must not
+// exceed the plan size.
 func (bp *BatchPlan) AddBandEnvelope(env []float64, band []complex128) {
 	p := bp.p
 	n := p.n
-	if p.blu != nil {
-		panic("dsp: AddBandEnvelope requires a power-of-two plan")
-	}
 	if len(band) < 1 || len(band) > n {
 		panic(fmt.Sprintf("dsp: AddBandEnvelope band of %d bins against plan size %d", len(band), n))
 	}
@@ -149,59 +103,6 @@ func (bp *BatchPlan) AddBandEnvelope(env []float64, band []complex128) {
 		env[t] += inv * math.Sqrt(re*re+im*im)
 	}
 	bp.scratch.Put(bufPtr)
-}
-
-func (bp *BatchPlan) checkLens(xs [][]complex128) {
-	for _, x := range xs {
-		if len(x) != bp.p.n {
-			panic(fmt.Sprintf("dsp: batch plan for length %d applied to length %d", bp.p.n, len(x)))
-		}
-	}
-}
-
-// RFFTBatchPlan executes batches of same-length real-input transforms
-// against one shared RFFTPlan, holding a single packing scratch buffer for
-// the whole batch. Per-transform results are bitwise identical to calling
-// RFFTPlan.Forward individually.
-type RFFTBatchPlan struct {
-	p *RFFTPlan
-}
-
-// rfftBatchCache maps size -> *RFFTBatchPlan.
-var rfftBatchCache sync.Map
-
-// PlanRFFTBatch returns the shared batched real-input plan for even length
-// n, building and caching it on first use. It panics if n is not even and
-// positive.
-func PlanRFFTBatch(n int) *RFFTBatchPlan {
-	if p, ok := rfftBatchCache.Load(n); ok {
-		return p.(*RFFTBatchPlan)
-	}
-	bp := &RFFTBatchPlan{p: PlanRFFT(n)}
-	actual, _ := rfftBatchCache.LoadOrStore(n, bp)
-	return actual.(*RFFTBatchPlan)
-}
-
-// Size returns the transform length the plan serves.
-func (bp *RFFTBatchPlan) Size() int { return bp.p.Size() }
-
-// Forward computes the full length-n complex spectrum of each real input
-// xs[i] into dsts[i], sharing one packing buffer across the batch. The
-// slices must have equal length; each dst must have the plan's length and
-// each x at most that (shorter inputs are treated as zero-padded, as in
-// RFFTPlan.Forward).
-func (bp *RFFTBatchPlan) Forward(dsts [][]complex128, xs [][]float64) {
-	if len(dsts) != len(xs) {
-		panic(fmt.Sprintf("dsp: RFFT batch of %d outputs against %d inputs", len(dsts), len(xs)))
-	}
-	if len(xs) == 0 {
-		return
-	}
-	zPtr := bp.p.scratchGet()
-	for i := range xs {
-		bp.p.forwardWith(dsts[i], xs[i], *zPtr)
-	}
-	bp.p.scratchPut(zPtr)
 }
 
 // EvalBin evaluates a single bin of the length-n forward DFT of x treated as

@@ -25,12 +25,6 @@ type CFAR struct {
 	ThresholdFactor float64
 }
 
-// DefaultCFAR returns a detector tuned for MilBack's 2048-bin subtracted
-// range profiles: 4 guard + 16 training cells, 12 dB over the local floor.
-func DefaultCFAR() CFAR {
-	return CFAR{Guard: 4, Train: 16, ThresholdFactor: 15.8}
-}
-
 func (c CFAR) validate() error {
 	if c.Guard < 0 {
 		return fmt.Errorf("dsp: CFAR guard cells must be >= 0, got %d", c.Guard)
@@ -117,30 +111,4 @@ func (c CFAR) Detect(x []float64, minSeparation int) ([]Peak, error) {
 		}
 	}
 	return out, nil
-}
-
-// CrossCorrelate returns the full cross-correlation of a against b:
-// out[k] = Σ_n a[n]·b[n−k+len(b)−1], length len(a)+len(b)−1. Lag zero sits
-// at index len(b)−1.
-func CrossCorrelate(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	rev := make([]float64, len(b))
-	for i, v := range b {
-		rev[len(b)-1-i] = v
-	}
-	return Convolve(a, rev)
-}
-
-// BestLag returns the lag (in samples, b relative to a) that maximizes the
-// cross-correlation, with sub-sample parabolic refinement. Positive lag
-// means b is delayed relative to a.
-func BestLag(a, b []float64) float64 {
-	xc := CrossCorrelate(a, b)
-	if len(xc) == 0 {
-		return 0
-	}
-	p := MaxPeak(xc)
-	return float64(len(b)-1) - p.Position
 }

@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// testCFAR is the detector the tests share: 4 guard + 16 training cells,
+// 12 dB over the local floor.
+var testCFAR = CFAR{Guard: 4, Train: 16, ThresholdFactor: 15.8}
+
 func TestCFARDetectsTargetsInNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 1024
@@ -20,7 +24,7 @@ func TestCFARDetectsTargetsInNoise(t *testing.T) {
 		x[b-1] += 80
 		x[b+1] += 80
 	}
-	peaks, err := DefaultCFAR().Detect(x, 8)
+	peaks, err := testCFAR.Detect(x, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +59,7 @@ func TestCFARFalseAlarmRateLow(t *testing.T) {
 		for i := range x {
 			x[i] = -math.Log(1 - rng.Float64())
 		}
-		peaks, err := DefaultCFAR().Detect(x, 8)
+		peaks, err := testCFAR.Detect(x, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +78,7 @@ func TestCFARMergesCloseDetections(t *testing.T) {
 		x[i] = 1
 	}
 	x[100], x[103] = 300, 200 // two peaks 3 bins apart
-	peaks, err := DefaultCFAR().Detect(x, 8)
+	peaks, err := testCFAR.Detect(x, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +98,7 @@ func TestCFARValidation(t *testing.T) {
 			t.Errorf("config %d: expected error", i)
 		}
 	}
-	if _, err := DefaultCFAR().Detect(make([]float64, 10), 4); err == nil {
+	if _, err := testCFAR.Detect(make([]float64, 10), 4); err == nil {
 		t.Error("too-short profile should fail")
 	}
 }
@@ -105,7 +109,7 @@ func TestCFARDetectsTargetNearEdge(t *testing.T) {
 	// was silently undetectable. One-sided training at the edges must find
 	// targets inside the old dead zone.
 	rng := rand.New(rand.NewSource(6))
-	c := DefaultCFAR()
+	c := testCFAR
 	span := c.Guard + c.Train // 20 with the default config
 	for _, target := range []int{0, 3, span - 1} {
 		for _, mirror := range []bool{false, true} {
@@ -152,7 +156,7 @@ func TestCFARInteriorUnchangedByEdgeTraining(t *testing.T) {
 		x[i] = 1
 	}
 	x[99], x[100], x[101] = 60, 300, 60
-	peaks, err := DefaultCFAR().Detect(x, 8)
+	peaks, err := testCFAR.Detect(x, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +168,7 @@ func TestCFARInteriorUnchangedByEdgeTraining(t *testing.T) {
 func TestCFARAllZeroProfile(t *testing.T) {
 	// All-zero profile: no energy anywhere, no detections — including at the
 	// newly-tested edge cells whose training windows are one-sided.
-	peaks, err := DefaultCFAR().Detect(make([]float64, 256), 4)
+	peaks, err := testCFAR.Detect(make([]float64, 256), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +184,7 @@ func TestCFARSinglePeakAtEdge(t *testing.T) {
 	for _, bin := range []int{0, 255} {
 		x := make([]float64, 256)
 		x[bin] = 5
-		peaks, err := DefaultCFAR().Detect(x, 4)
+		peaks, err := testCFAR.Detect(x, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,50 +198,11 @@ func TestCFARZeroFloor(t *testing.T) {
 	// All-zero floor with one energetic bin: still detected.
 	x := make([]float64, 256)
 	x[128] = 5
-	peaks, err := DefaultCFAR().Detect(x, 4)
+	peaks, err := testCFAR.Detect(x, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(peaks) != 1 || peaks[0].Index != 128 {
 		t.Fatalf("zero-floor detection failed: %+v", peaks)
-	}
-}
-
-func TestCrossCorrelateKnownValues(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{1, 1}
-	// out[k] = sum a[n] b[n-k+1], lags -1..2 -> [1, 3, 5, 3]
-	got := CrossCorrelate(a, b)
-	want := []float64{1, 3, 5, 3}
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("xcorr = %v, want %v", got, want)
-		}
-	}
-	if CrossCorrelate(nil, b) != nil {
-		t.Error("empty input should return nil")
-	}
-}
-
-func TestBestLagRecoversDelay(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 512
-	a := make([]float64, n)
-	for i := 100; i < 140; i++ {
-		a[i] = rng.NormFloat64() + 3
-	}
-	for _, delay := range []int{0, 7, 33} {
-		b := make([]float64, n)
-		copy(b[delay:], a[:n-delay])
-		got := BestLag(a, b)
-		if math.Abs(got-float64(delay)) > 0.6 {
-			t.Errorf("delay %d estimated as %g", delay, got)
-		}
-	}
-	if BestLag(nil, nil) != 0 {
-		t.Error("empty BestLag should be 0")
 	}
 }

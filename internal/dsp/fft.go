@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/cmplx"
 )
@@ -28,75 +27,6 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// FFT computes the in-place-free discrete Fourier transform of x and returns
-// a new slice. Any length is accepted: power-of-two lengths use an iterative
-// radix-2 Cooley-Tukey algorithm, everything else falls back to Bluestein's
-// algorithm (chirp-z), which reduces to power-of-two FFTs internally. Both
-// paths run off a cached FFTPlan, so repeated transforms of the same size
-// reuse their bit-reversal tables, twiddle factors, and chirp state.
-//
-// The convention is engineering-standard:
-//
-//	X[k] = sum_n x[n] * exp(-2πi k n / N)
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	fftInPlace(out, false)
-	return out
-}
-
-// IFFT computes the inverse discrete Fourier transform of X, including the
-// 1/N normalization, and returns a new slice.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	fftInPlace(out, true)
-	return out
-}
-
-// FFTInPlace transforms x in place. len(x) must be a power of two (callers
-// with arbitrary lengths should use FFT, which handles Bluestein padding).
-func FFTInPlace(x []complex128) {
-	if !IsPowerOfTwo(len(x)) {
-		panic(fmt.Sprintf("dsp: FFTInPlace requires power-of-two length, got %d", len(x)))
-	}
-	PlanFFT(len(x)).Forward(x)
-}
-
-// IFFTInPlace inverse-transforms x in place (power-of-two lengths only).
-func IFFTInPlace(x []complex128) {
-	if !IsPowerOfTwo(len(x)) {
-		panic(fmt.Sprintf("dsp: IFFTInPlace requires power-of-two length, got %d", len(x)))
-	}
-	PlanFFT(len(x)).Inverse(x)
-}
-
-func fftInPlace(x []complex128, inverse bool) {
-	if len(x) == 0 {
-		return
-	}
-	PlanFFT(len(x)).Transform(x, inverse)
-}
-
-// FFTReal transforms a real-valued signal, returning the full complex
-// spectrum of the same length. Power-of-two lengths route through the cached
-// real-input split plan (PlanRFFT), which does roughly half the butterfly
-// work of the complex path; other lengths promote to complex128 and use the
-// general FFT.
-func FFTReal(x []float64) []complex128 {
-	if n := len(x); n >= 2 && IsPowerOfTwo(n) {
-		out := make([]complex128, n)
-		PlanRFFT(n).Forward(out, x)
-		return out
-	}
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	fftInPlace(c, false)
-	return c
-}
-
 // Magnitudes returns |X[k]| for every bin.
 func Magnitudes(x []complex128) []float64 {
 	out := make([]float64, len(x))
@@ -104,74 +34,4 @@ func Magnitudes(x []complex128) []float64 {
 		out[i] = cmplx.Abs(v)
 	}
 	return out
-}
-
-// PowerSpectrum returns |X[k]|^2 for every bin.
-func PowerSpectrum(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		re, im := real(v), imag(v)
-		out[i] = re*re + im*im
-	}
-	return out
-}
-
-// FFTShift rotates a spectrum so the zero-frequency bin sits in the middle,
-// matching the usual plotting convention. It returns a new slice.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}
-
-// BinFrequency returns the signal frequency (Hz) corresponding to FFT bin k
-// for a transform of length n at sample rate fs, mapping bins above n/2 to
-// negative frequencies.
-func BinFrequency(k, n int, fs float64) float64 {
-	if k > n/2 {
-		k -= n
-	}
-	return float64(k) * fs / float64(n)
-}
-
-// Goertzel evaluates the DFT of x at a single normalized frequency
-// f (cycles per sample, 0 <= f < 1) using the Goertzel recurrence. It is the
-// tool of choice when only a handful of bins are needed, e.g. per-tone power
-// measurement in the OAQFM receiver.
-//
-// Note the returned complex value carries a phase factor of exp(2πi·f·N)
-// relative to the textbook DFT bin Σ x[n]·exp(−2πi·f·n) — the recurrence
-// references phase to the end of the window rather than the first sample.
-// (At integer bins f = k/N the factor is exactly 1, so FFT-bin comparisons
-// at integer bins agree; at fractional f they differ in phase only.)
-// Magnitude, and hence GoertzelPower, is unaffected; callers comparing phase
-// against an FFT bin at fractional f must divide the factor out.
-func Goertzel(x []float64, f float64) complex128 {
-	omega := 2 * math.Pi * f
-	sin, cos := math.Sincos(omega)
-	coeff := 2 * cos
-	var s0, s1, s2 float64
-	for _, v := range x {
-		s0 = v + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-	}
-	re := s1*cos - s2
-	im := s1 * sin
-	return complex(re, im)
-}
-
-// GoertzelPower returns |Goertzel(x, f)|^2 normalized by the squared window
-// length, i.e. an estimate of the tone's mean-square amplitude contribution.
-func GoertzelPower(x []float64, f float64) float64 {
-	g := Goertzel(x, f)
-	n := float64(len(x))
-	if n == 0 {
-		return 0
-	}
-	re, im := real(g), imag(g)
-	return (re*re + im*im) / (n * n)
 }

@@ -44,32 +44,32 @@ func maxErr(a, b []complex128) float64 {
 
 func TestFFTMatchesDFTReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17, 31, 32, 100, 128, 255, 256, 360} {
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 128, 256} {
 		x := randomComplex(rng, n)
-		got := FFT(x)
 		want := dftReference(x)
-		if e := maxErr(got, want); e > 1e-8*float64(n) {
+		PlanFFT(n).Forward(x)
+		if e := maxErr(x, want); e > 1e-8*float64(n) {
 			t.Errorf("n=%d: FFT deviates from reference DFT by %g", n, e)
 		}
 	}
 }
 
 func TestFFTEmptyAndSingle(t *testing.T) {
-	if got := FFT(nil); len(got) != 0 {
-		t.Fatalf("FFT(nil) = %v, want empty", got)
-	}
+	expectPowerOfTwoPanic(t, "PlanFFT", PlanFFT, 0)
 	x := []complex128{3 + 4i}
-	got := FFT(x)
-	if got[0] != x[0] {
-		t.Fatalf("FFT of single sample = %v, want %v", got[0], x[0])
+	PlanFFT(1).Forward(x)
+	if x[0] != 3+4i {
+		t.Fatalf("FFT of single sample = %v, want %v", x[0], 3+4i)
 	}
 }
 
 func TestIFFTInvertsFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 2, 5, 8, 60, 64, 100, 1000, 1024} {
+	for _, n := range []int{1, 2, 8, 64, 1024} {
 		x := randomComplex(rng, n)
-		y := IFFT(FFT(x))
+		y := append([]complex128(nil), x...)
+		PlanFFT(n).Forward(y)
+		PlanFFT(n).Transform(y, true)
 		if e := maxErr(x, y); e > 1e-9*float64(n) {
 			t.Errorf("n=%d: IFFT(FFT(x)) deviates from x by %g", n, e)
 		}
@@ -79,10 +79,12 @@ func TestIFFTInvertsFFT(t *testing.T) {
 func TestFFTRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := func(seed int64, sizeSel uint8) bool {
-		n := 1 + int(sizeSel)%300
+		n := 1 << (sizeSel % 9)
 		r := rand.New(rand.NewSource(seed))
 		x := randomComplex(r, n)
-		y := IFFT(FFT(x))
+		y := append([]complex128(nil), x...)
+		PlanFFT(n).Forward(y)
+		PlanFFT(n).Transform(y, true)
 		return maxErr(x, y) < 1e-8*float64(n)
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rng}
@@ -94,15 +96,15 @@ func TestFFTRoundTripProperty(t *testing.T) {
 func TestParsevalProperty(t *testing.T) {
 	// sum |x|^2 == (1/N) sum |X|^2 for any signal.
 	f := func(seed int64, sizeSel uint8) bool {
-		n := 1 + int(sizeSel)%200
+		n := 1 << (sizeSel % 8)
 		r := rand.New(rand.NewSource(seed))
 		x := randomComplex(r, n)
-		X := FFT(x)
 		var et, ef float64
 		for _, v := range x {
 			et += real(v)*real(v) + imag(v)*imag(v)
 		}
-		for _, v := range X {
+		PlanFFT(n).Forward(x)
+		for _, v := range x {
 			ef += real(v)*real(v) + imag(v)*imag(v)
 		}
 		ef /= float64(n)
@@ -115,18 +117,21 @@ func TestParsevalProperty(t *testing.T) {
 
 func TestFFTLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	n := 96
+	n := 128
 	a := randomComplex(rng, n)
 	b := randomComplex(rng, n)
 	sum := make([]complex128, n)
 	for i := range sum {
 		sum[i] = 2*a[i] + 3i*b[i]
 	}
-	fa, fb, fs := FFT(a), FFT(b), FFT(sum)
-	for i := range fs {
-		want := 2*fa[i] + 3i*fb[i]
-		if cmplx.Abs(fs[i]-want) > 1e-8 {
-			t.Fatalf("bin %d: linearity violated: got %v want %v", i, fs[i], want)
+	plan := PlanFFT(n)
+	plan.Forward(a)
+	plan.Forward(b)
+	plan.Forward(sum)
+	for i := range sum {
+		want := 2*a[i] + 3i*b[i]
+		if cmplx.Abs(sum[i]-want) > 1e-8 {
+			t.Fatalf("bin %d: linearity violated: got %v want %v", i, sum[i], want)
 		}
 	}
 }
@@ -141,9 +146,9 @@ func TestFFTSingleToneBin(t *testing.T) {
 		s, c := math.Sincos(ph)
 		x[i] = complex(c, s)
 	}
-	X := FFT(x)
-	for i := range X {
-		mag := cmplx.Abs(X[i])
+	PlanFFT(n).Forward(x)
+	for i := range x {
+		mag := cmplx.Abs(x[i])
 		if i == k {
 			if math.Abs(mag-float64(n)) > 1e-8 {
 				t.Fatalf("bin %d magnitude = %g, want %d", k, mag, n)
@@ -157,10 +162,11 @@ func TestFFTSingleToneBin(t *testing.T) {
 func TestFFTInPlacePanicsOnNonPowerOfTwo(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FFTInPlace(len 3) did not panic")
+			t.Fatal("in-place FFT of length 3 did not panic")
 		}
 	}()
-	FFTInPlace(make([]complex128, 3))
+	buf := make([]complex128, 3)
+	PlanFFT(len(buf)).Forward(buf)
 }
 
 func TestNextPowerOfTwo(t *testing.T) {
@@ -181,139 +187,13 @@ func TestNextPowerOfTwoPanicsOnNonPositive(t *testing.T) {
 	NextPowerOfTwo(0)
 }
 
-func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	got := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FFTShift = %v, want %v", got, want)
-		}
-	}
-	// Odd length: zero bin moves to the middle.
-	x5 := []complex128{0, 1, 2, 3, 4}
-	got5 := FFTShift(x5)
-	want5 := []complex128{3, 4, 0, 1, 2}
-	for i := range want5 {
-		if got5[i] != want5[i] {
-			t.Fatalf("FFTShift odd = %v, want %v", got5, want5)
-		}
-	}
-}
-
-func TestBinFrequency(t *testing.T) {
-	fs := 1000.0
-	n := 100
-	if got := BinFrequency(0, n, fs); got != 0 {
-		t.Errorf("bin 0 = %g, want 0", got)
-	}
-	if got := BinFrequency(10, n, fs); math.Abs(got-100) > 1e-12 {
-		t.Errorf("bin 10 = %g, want 100", got)
-	}
-	if got := BinFrequency(99, n, fs); math.Abs(got+10) > 1e-12 {
-		t.Errorf("bin 99 = %g, want -10", got)
-	}
-	// Even-length Nyquist bin n/2 reads as +fs/2 (the k > n/2 test excludes
-	// it from the negative wrap).
-	if got := BinFrequency(50, n, fs); math.Abs(got-500) > 1e-12 {
-		t.Errorf("Nyquist bin = %g, want +500", got)
-	}
-}
-
-func TestBinFrequencyOddLength(t *testing.T) {
-	// Odd lengths have no Nyquist bin: k = (n-1)/2 is the highest positive
-	// frequency and k = (n+1)/2 the lowest negative one, symmetric about
-	// fs/2 with no shared endpoint.
-	fs := 1000.0
-	n := 5
-	cases := []struct {
-		k    int
-		want float64
-	}{
-		{0, 0},
-		{1, 200},
-		{2, 400},  // (n-1)/2: largest positive
-		{3, -400}, // (n+1)/2: wraps negative
-		{4, -200},
-	}
-	for _, c := range cases {
-		if got := BinFrequency(c.k, n, fs); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("n=5 bin %d = %g, want %g", c.k, got, c.want)
-		}
-	}
-}
-
-func TestFFTShiftBinFrequencyConsistency(t *testing.T) {
-	// For odd lengths the FFTShift rotation and BinFrequency's
-	// negative-frequency mapping share one convention exactly: after
-	// shifting, frequencies read monotonically from most-negative to
-	// most-positive. (Even lengths have the inherent ±Nyquist ambiguity:
-	// BinFrequency reads bin n/2 as +fs/2 while FFTShift places it at the
-	// most-negative slot — consumers that need a half-open axis, like the
-	// range-Doppler map, must resolve it themselves.)
-	for _, n := range []int{5, 9, 17} {
-		x := make([]complex128, n)
-		for k := range x {
-			x[k] = complex(BinFrequency(k, n, 1), 0)
-		}
-		shifted := FFTShift(x)
-		for i := 1; i < n; i++ {
-			if real(shifted[i]) <= real(shifted[i-1]) {
-				t.Errorf("n=%d: shifted frequencies not increasing: %v", n, shifted)
-				break
-			}
-		}
-	}
-}
-
-func TestGoertzelMatchesFFTBin(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 128
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	X := FFTReal(x)
-	for _, k := range []int{0, 1, 17, 63} {
-		g := Goertzel(x, float64(k)/float64(n))
-		if cmplx.Abs(g-X[k]) > 1e-7 {
-			t.Errorf("Goertzel bin %d = %v, FFT bin = %v", k, g, X[k])
-		}
-	}
-}
-
-func TestGoertzelPowerOfPureTone(t *testing.T) {
-	n := 1000
-	amp := 0.7
-	f := 0.05 // cycles/sample, exactly 50 cycles over the window
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = amp * math.Cos(2*math.Pi*f*float64(i))
-	}
-	p := GoertzelPower(x, f)
-	// A real cosine splits power between +f and -f: the single-bin estimate
-	// sees amplitude amp/2, so power (amp/2)^2.
-	want := amp * amp / 4
-	if math.Abs(p-want) > 1e-6 {
-		t.Fatalf("GoertzelPower = %g, want %g", p, want)
-	}
-	if GoertzelPower(nil, f) != 0 {
-		t.Fatal("GoertzelPower of empty signal should be 0")
-	}
-}
-
 func TestMagnitudesAndPowerSpectrum(t *testing.T) {
 	x := []complex128{3 + 4i, -5, 0}
 	mags := Magnitudes(x)
-	pows := PowerSpectrum(x)
 	wantM := []float64{5, 5, 0}
-	wantP := []float64{25, 25, 0}
 	for i := range x {
 		if math.Abs(mags[i]-wantM[i]) > 1e-12 {
 			t.Errorf("magnitude[%d] = %g, want %g", i, mags[i], wantM[i])
-		}
-		if math.Abs(pows[i]-wantP[i]) > 1e-12 {
-			t.Errorf("power[%d] = %g, want %g", i, pows[i], wantP[i])
 		}
 	}
 }

@@ -6,20 +6,13 @@ import (
 )
 
 // FIR is a finite-impulse-response filter described by its tap coefficients.
-// Design functions in this file produce linear-phase (symmetric) filters via
-// the windowed-sinc method, which is the textbook technique used in radar
-// baseband chains like MilBack's AP receive path (Fig 7: band-pass after the
-// mixer).
+// LowPassFIR produces linear-phase (symmetric) filters via the windowed-sinc
+// method, the textbook technique for stripping a mixer's sum-frequency
+// products in a passband dechirp chain like the one MilBack's AP models in
+// the beat domain (Fig 7).
 type FIR struct {
 	Taps []float64
 }
-
-// NumTaps returns the filter order + 1.
-func (f *FIR) NumTaps() int { return len(f.Taps) }
-
-// GroupDelay returns the filter's group delay in samples. Linear-phase FIR
-// filters delay every frequency by (N-1)/2 samples.
-func (f *FIR) GroupDelay() float64 { return float64(len(f.Taps)-1) / 2 }
 
 // sinc is the unnormalized sampling function sin(x)/x with sinc(0)=1.
 func sinc(x float64) float64 {
@@ -61,51 +54,6 @@ func LowPassFIR(n int, fc, fs float64) *FIR {
 	return &FIR{Taps: taps}
 }
 
-// HighPassFIR designs an n-tap (n odd) high-pass filter with cutoff fc at
-// sample rate fs via spectral inversion of a low-pass prototype. This models
-// the ZFHP-0R23-S+/ZFHP-0R50-S+ high-pass filters in MilBack's AP, which
-// strip the DC term produced by self-interference and static clutter after
-// the mixer.
-func HighPassFIR(n int, fc, fs float64) *FIR {
-	oddTaps("HighPassFIR", n)
-	validateCutoff("HighPassFIR", fc, fs)
-	lp := LowPassFIR(n, fc, fs)
-	taps := lp.Taps
-	for i := range taps {
-		taps[i] = -taps[i]
-	}
-	taps[(n-1)/2] += 1
-	return &FIR{Taps: taps}
-}
-
-// BandPassFIR designs an n-tap (n odd) band-pass filter passing [f1, f2].
-func BandPassFIR(n int, f1, f2, fs float64) *FIR {
-	oddTaps("BandPassFIR", n)
-	validateCutoff("BandPassFIR", f1, fs)
-	validateCutoff("BandPassFIR", f2, fs)
-	if f1 >= f2 {
-		panic(fmt.Sprintf("dsp: BandPassFIR: f1=%g must be < f2=%g", f1, f2))
-	}
-	taps := make([]float64, n)
-	w := Hamming(n)
-	m := float64(n-1) / 2
-	w1 := 2 * math.Pi * f1 / fs
-	w2 := 2 * math.Pi * f2 / fs
-	for i := 0; i < n; i++ {
-		x := float64(i) - m
-		taps[i] = (w2/math.Pi*sinc(w2*x) - w1/math.Pi*sinc(w1*x)) * w[i]
-	}
-	// Normalize to unit gain at the band centre.
-	fcentre := (f1 + f2) / 2
-	g := filterGainAt(taps, fcentre, fs)
-	if g > 0 {
-		for i := range taps {
-			taps[i] /= g
-		}
-	}
-	return &FIR{Taps: taps}
-}
-
 // normalizeDC scales taps so the DC gain is exactly 1.
 func normalizeDC(taps []float64) {
 	s := 0.0
@@ -117,24 +65,6 @@ func normalizeDC(taps []float64) {
 			taps[i] /= s
 		}
 	}
-}
-
-// filterGainAt evaluates |H(f)| for the given tap set.
-func filterGainAt(taps []float64, f, fs float64) float64 {
-	var re, im float64
-	for i, t := range taps {
-		ph := -2 * math.Pi * f / fs * float64(i)
-		s, c := math.Sincos(ph)
-		re += t * c
-		im += t * s
-	}
-	return math.Hypot(re, im)
-}
-
-// GainAt evaluates the filter's magnitude response |H(f)| at frequency f for
-// sample rate fs.
-func (f *FIR) GainAt(freq, fs float64) float64 {
-	return filterGainAt(f.Taps, freq, fs)
 }
 
 // Filter convolves x with the filter taps and returns a same-length output
@@ -158,25 +88,6 @@ func (f *FIR) Filter(x []float64) []float64 {
 	return out
 }
 
-// FilterComplex convolves a complex signal with the (real) taps.
-func (f *FIR) FilterComplex(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	taps := f.Taps
-	for i := 0; i < n; i++ {
-		var acc complex128
-		kmax := len(taps)
-		if i+1 < kmax {
-			kmax = i + 1
-		}
-		for k := 0; k < kmax; k++ {
-			acc += complex(taps[k], 0) * x[i-k]
-		}
-		out[i] = acc
-	}
-	return out
-}
-
 // FilterCompensated filters x and shifts the output left by the group delay
 // so filtered features line up with the input timeline. The tail is
 // zero-padded.
@@ -185,43 +96,5 @@ func (f *FIR) FilterCompensated(x []float64) []float64 {
 	d := (len(f.Taps) - 1) / 2
 	out := make([]float64, len(x))
 	copy(out, y[min(d, len(y)):])
-	return out
-}
-
-// MovingAverage returns the k-sample trailing moving average of x. It is the
-// integrate-and-dump operation a micro-controller performs per symbol on the
-// envelope detector output.
-func MovingAverage(x []float64, k int) []float64 {
-	if k <= 0 {
-		panic(fmt.Sprintf("dsp: MovingAverage window must be positive, got %d", k))
-	}
-	out := make([]float64, len(x))
-	var acc float64
-	for i := range x {
-		acc += x[i]
-		if i >= k {
-			acc -= x[i-k]
-		}
-		n := k
-		if i+1 < k {
-			n = i + 1
-		}
-		out[i] = acc / float64(n)
-	}
-	return out
-}
-
-// Convolve returns the full linear convolution of a and b
-// (length len(a)+len(b)-1).
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(a)+len(b)-1)
-	for i, av := range a {
-		for j, bv := range b {
-			out[i+j] += av * bv
-		}
-	}
 	return out
 }

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Peak describes a local maximum found in a sampled sequence.
 type Peak struct {
@@ -121,21 +118,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// TwoLargestPeaks returns the two strongest well-separated local maxima in x,
-// ordered by position (earliest first). This is the primitive the node's MCU
-// uses to measure the up-sweep/down-sweep peak separation on a triangular
-// FMCW chirp (Fig 5). The second return value reports whether two peaks were
-// found.
-func TwoLargestPeaks(x []float64, minDistance int) (first, second Peak, ok bool) {
-	peaks := FindPeaks(x, math.Inf(-1), minDistance)
-	if len(peaks) < 2 {
-		return Peak{}, Peak{}, false
-	}
-	a, b := peaks[0], peaks[1]
-	if a.Position > b.Position {
-		a, b = b, a
-	}
-	return a, b, true
 }

@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
 	"sync"
 )
 
-// FFTPlan holds everything a transform of one fixed size needs but does not
-// want to recompute per call: the bit-reversal permutation, per-stage twiddle
-// factors for both transform directions, and — for non-power-of-two sizes —
-// the Bluestein chirp vectors and the pre-transformed b-sequence spectra,
-// plus a scratch-buffer pool for the internal convolution.
+// FFTPlan holds everything a power-of-two transform of one fixed size needs
+// but does not want to recompute per call: the bit-reversal permutation and
+// per-stage twiddle factors for both transform directions.
 //
 // A plan is immutable after construction and safe for concurrent use from
 // any number of goroutines; the package-level cache hands the same plan to
@@ -21,46 +18,25 @@ import (
 // plan-cached transforms are bit-identical to the seed's output.
 type FFTPlan struct {
 	n int
-	// rev[i] is the bit-reversed index of i (power-of-two sizes only).
+	// rev[i] is the bit-reversed index of i.
 	rev []int
 	// twFwd/twInv are stage-major twiddle tables: for stage size s the
 	// entries w_k = exp(∓2πik/s), k < s/2, stored consecutively. n-1 entries
 	// per direction.
 	twFwd, twInv []complex128
-	// blu is non-nil for non-power-of-two sizes.
-	blu *bluesteinPlan
-}
-
-// bluesteinPlan is the cached chirp-z state for one non-power-of-two size.
-type bluesteinPlan struct {
-	// m is the power-of-two convolution length, NextPowerOfTwo(2n-1).
-	m   int
-	sub *FFTPlan // plan for length m
-	// chirpFwd[k] = exp(-iπk²/n); chirpInv is its inverse-sign twin.
-	chirpFwd, chirpInv []complex128
-	// bSpecFwd/bSpecInv are the length-m forward FFTs of the b-sequence
-	// built from the matching chirp — the convolution kernel, transformed
-	// once at plan time instead of on every call — pre-scaled by 1/m so the
-	// convolution's inverse sub-transform needs no normalization pass of its
-	// own. m is a power of two, so the pre-scaling is exact (a pure exponent
-	// shift) and the transform output is bit-identical to normalizing after
-	// the inverse sub-FFT, as the historical implementation did.
-	bSpecFwd, bSpecInv []complex128
-	// scratch recycles the length-m convolution buffers.
-	scratch sync.Pool
 }
 
 // planCache maps size -> *FFTPlan. Plans are tiny relative to the signals
 // they transform (two n-entry twiddle tables) and the simulator touches only
-// a handful of sizes (cfg.FFTSize, chirp sample counts, Doppler burst
-// lengths), so an unbounded cache is the right trade.
+// a handful of sizes (cfg.FFTSize in production), so an unbounded cache is
+// the right trade.
 var planCache sync.Map
 
 // PlanFFT returns the shared transform plan for length n, building and
-// caching it on first use. It panics if n < 1.
+// caching it on first use. It panics unless n is a power of two.
 func PlanFFT(n int) *FFTPlan {
-	if n < 1 {
-		panic(fmt.Sprintf("dsp: PlanFFT requires n >= 1, got %d", n))
+	if !IsPowerOfTwo(n) {
+		panic(fmt.Sprintf("dsp: PlanFFT requires a power-of-two length, got %d", n))
 	}
 	if p, ok := planCache.Load(n); ok {
 		return p.(*FFTPlan)
@@ -72,20 +48,8 @@ func PlanFFT(n int) *FFTPlan {
 	return actual.(*FFTPlan)
 }
 
-// Size returns the transform length the plan serves.
-func (p *FFTPlan) Size() int { return p.n }
-
 func newPlan(n int) *FFTPlan {
 	p := &FFTPlan{n: n}
-	if IsPowerOfTwo(n) {
-		p.initRadix2(n)
-		return p
-	}
-	p.blu = newBluesteinPlan(n)
-	return p
-}
-
-func (p *FFTPlan) initRadix2(n int) {
 	if n > 1 {
 		p.rev = make([]int, n)
 		shift := 64 - uint(bits.Len(uint(n-1)))
@@ -95,6 +59,7 @@ func (p *FFTPlan) initRadix2(n int) {
 	}
 	p.twFwd = twiddleTable(n, -1)
 	p.twInv = twiddleTable(n, +1)
+	return p
 }
 
 // twiddleTable precomputes w_k = exp(sign·2πik/size) stage by stage, using
@@ -115,78 +80,15 @@ func twiddleTable(n int, sign float64) []complex128 {
 	return tw
 }
 
-func newBluesteinPlan(n int) *bluesteinPlan {
-	m := NextPowerOfTwo(2*n - 1)
-	bp := &bluesteinPlan{
-		m:        m,
-		sub:      PlanFFT(m),
-		chirpFwd: chirpVector(n, -1),
-		chirpInv: chirpVector(n, +1),
-	}
-	bp.bSpecFwd = bp.bSpectrum(bp.chirpFwd)
-	bp.bSpecInv = bp.bSpectrum(bp.chirpInv)
-	// Fold the convolution's 1/m normalization into the kernel spectra once,
-	// here, so every execution skips a full length-m multiply pass. m is a
-	// power of two, so dividing by it only shifts exponents: scaling the
-	// kernel first and normalizing after the inverse sub-FFT round-trip to
-	// bit-identical convolution outputs.
-	invM := complex(1/float64(m), 0)
-	for i := range bp.bSpecFwd {
-		bp.bSpecFwd[i] *= invM
-	}
-	for i := range bp.bSpecInv {
-		bp.bSpecInv[i] *= invM
-	}
-	bp.scratch.New = func() any {
-		buf := make([]complex128, m)
-		return &buf
-	}
-	return bp
-}
-
-// chirpVector builds chirp[k] = exp(sign·iπk²/n), reducing k² mod 2n first
-// so huge sizes cannot overflow the phase argument.
-func chirpVector(n int, sign float64) []complex128 {
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		phase := sign * math.Pi * float64(kk) / float64(n)
-		s, c := math.Sincos(phase)
-		chirp[k] = complex(c, s)
-	}
-	return chirp
-}
-
-// bSpectrum assembles the Bluestein b-sequence for one chirp direction and
-// returns its length-m forward FFT.
-func (bp *bluesteinPlan) bSpectrum(chirp []complex128) []complex128 {
-	n := len(chirp)
-	b := make([]complex128, bp.m)
-	for k := 0; k < n; k++ {
-		b[k] = cmplx.Conj(chirp[k])
-	}
-	for k := 1; k < n; k++ {
-		b[bp.m-k] = cmplx.Conj(chirp[k])
-	}
-	bp.sub.radix2(b, false)
-	return b
-}
-
 // Forward transforms x in place using the engineering-standard sign
 // convention X[k] = Σ x[n]·exp(-2πikn/N). len(x) must equal the plan size.
 func (p *FFTPlan) Forward(x []complex128) { p.Transform(x, false) }
 
-// Inverse inverse-transforms x in place, including the 1/N normalization.
-func (p *FFTPlan) Inverse(x []complex128) { p.Transform(x, true) }
-
-// Transform runs the plan in the requested direction.
+// Transform runs the plan in the requested direction; the inverse includes
+// the 1/N normalization.
 func (p *FFTPlan) Transform(x []complex128, inverse bool) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dsp: plan for length %d applied to length %d", p.n, len(x)))
-	}
-	if p.blu != nil {
-		p.bluestein(x, inverse)
-		return
 	}
 	p.radix2(x, inverse)
 }
@@ -214,9 +116,8 @@ func (p *FFTPlan) radix2(x []complex128, inverse bool) {
 
 // radix2Stages runs the bit-reversal permutation plus the full butterfly
 // schedule against the given twiddle table, without any normalization pass.
-// Splitting this out lets the Bluestein convolution skip a redundant 1/m
-// pass (the kernel spectra are pre-scaled) and lets the packed transforms
-// replace leading stages with a broadcast.
+// Splitting this out lets the packed transforms replace leading stages with
+// a broadcast.
 func (p *FFTPlan) radix2Stages(x []complex128, tw []complex128) {
 	for i, j := range p.rev {
 		if j > i {
@@ -259,7 +160,7 @@ func (p *FFTPlan) radix2From(x []complex128, firstSize int, tw []complex128) {
 // each head across its block. The remaining stages run unchanged, so the
 // result matches the full transform bitwise (the skipped butterflies compute
 // even±0, identical to the head value except for the sign of exact zeros,
-// which no magnitude or difference can observe). Power-of-two plans only.
+// which no magnitude or difference can observe).
 func (p *FFTPlan) packedForward(x []complex128, prefix int, tw []complex128) {
 	n := len(x)
 	if prefix < 1 {
@@ -282,50 +183,4 @@ func (p *FFTPlan) packedForward(x []complex128, prefix int, tw []complex128) {
 		}
 	}
 	p.radix2From(x, block, tw)
-}
-
-// bluestein computes an arbitrary-length DFT via the chirp-z transform,
-// reusing the cached chirp vectors, pre-transformed kernel spectrum, and a
-// pooled convolution buffer.
-func (p *FFTPlan) bluestein(x []complex128, inverse bool) {
-	bp := p.blu
-	aPtr := bp.scratch.Get().(*[]complex128)
-	p.bluesteinWith(x, inverse, *aPtr)
-	bp.scratch.Put(aPtr)
-}
-
-// bluesteinWith is the chirp-z core against a caller-supplied length-m
-// convolution buffer, letting batched execution hold one scratch buffer for
-// an entire batch instead of a pool round trip per transform. Both
-// sub-transforms run stages-only: the forward needs no normalization and the
-// inverse's 1/m lives pre-folded in bSpec. The trailing 1/n for inverse
-// transforms stays per-call — n is not a power of two here, so folding it
-// anywhere would change results bitwise.
-func (p *FFTPlan) bluesteinWith(x []complex128, inverse bool, a []complex128) {
-	bp := p.blu
-	n := p.n
-	chirp, bSpec := bp.chirpFwd, bp.bSpecFwd
-	if inverse {
-		chirp, bSpec = bp.chirpInv, bp.bSpecInv
-	}
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-	}
-	for k := n; k < bp.m; k++ {
-		a[k] = 0
-	}
-	bp.sub.radix2Stages(a, bp.sub.twFwd)
-	for i := range a {
-		a[i] *= bSpec[i]
-	}
-	bp.sub.radix2Stages(a, bp.sub.twInv)
-	for k := 0; k < n; k++ {
-		x[k] = a[k] * chirp[k]
-	}
-	if inverse {
-		inv := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= inv
-		}
-	}
 }

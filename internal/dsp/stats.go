@@ -33,9 +33,6 @@ func Variance(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
 // RMS returns the root-mean-square of x.
 func RMS(x []float64) float64 {
 	if len(x) == 0 {
@@ -46,32 +43,6 @@ func RMS(x []float64) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s / float64(len(x)))
-}
-
-// MeanSquare returns the mean of x[i]^2, i.e. the average power of a
-// real-valued signal.
-func MeanSquare(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return s / float64(len(x))
-}
-
-// MeanSquareComplex returns the average power of a complex signal.
-func MeanSquareComplex(x []complex128) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		re, im := real(v), imag(v)
-		s += re*re + im*im
-	}
-	return s / float64(len(x))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of x using linear
@@ -207,15 +178,4 @@ func DB(ratio float64) float64 {
 		return math.Inf(-1)
 	}
 	return 10 * math.Log10(ratio)
-}
-
-// FromDB converts decibels to a power ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }
-
-// AmplitudeDB converts an amplitude (voltage) ratio to decibels.
-func AmplitudeDB(ratio float64) float64 {
-	if ratio <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(ratio)
 }

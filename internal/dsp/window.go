@@ -5,19 +5,6 @@ import (
 	"sync"
 )
 
-// A WindowFunc generates an n-point window. The returned slice is freshly
-// allocated on every call.
-type WindowFunc func(n int) []float64
-
-// Rectangular returns an all-ones window (no tapering).
-func Rectangular(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // Hann returns the n-point Hann window. For n == 1 the window is {1}.
 func Hann(n int) []float64 {
 	return cosineSum(n, []float64{0.5, 0.5})
@@ -29,8 +16,8 @@ func Hann(n int) []float64 {
 var hannCache sync.Map // int -> []float64
 
 // HannCached returns the n-point Hann window from a process-wide cache.
-// The returned slice is shared: callers must treat it as read-only and use
-// ApplyWindow-style element reads, never scale it in place.
+// The returned slice is shared: callers must treat it as read-only and
+// never scale it in place.
 func HannCached(n int) []float64 {
 	if w, ok := hannCache.Load(n); ok {
 		return w.([]float64)
@@ -42,18 +29,6 @@ func HannCached(n int) []float64 {
 // Hamming returns the n-point Hamming window.
 func Hamming(n int) []float64 {
 	return cosineSum(n, []float64{0.54, 0.46})
-}
-
-// Blackman returns the n-point Blackman window.
-func Blackman(n int) []float64 {
-	return cosineSum(n, []float64{0.42, 0.5, 0.08})
-}
-
-// BlackmanHarris returns the n-point 4-term Blackman-Harris window, which
-// offers very low sidelobes (-92 dB) at the cost of a wider main lobe.
-// Useful when a weak backscatter peak must be found next to strong clutter.
-func BlackmanHarris(n int) []float64 {
-	return cosineSum(n, []float64{0.35875, 0.48829, 0.14128, 0.01168})
 }
 
 // cosineSum builds a generalized cosine window:
@@ -75,41 +50,4 @@ func cosineSum(n int, a []float64) []float64 {
 		w[i] = v
 	}
 	return w
-}
-
-// ApplyWindow multiplies x element-wise by w in place and returns x.
-// It panics if the lengths differ.
-func ApplyWindow(x []complex128, w []float64) []complex128 {
-	if len(x) != len(w) {
-		panic("dsp: ApplyWindow length mismatch")
-	}
-	for i := range x {
-		x[i] *= complex(w[i], 0)
-	}
-	return x
-}
-
-// ApplyWindowReal multiplies x element-wise by w in place and returns x.
-func ApplyWindowReal(x, w []float64) []float64 {
-	if len(x) != len(w) {
-		panic("dsp: ApplyWindowReal length mismatch")
-	}
-	for i := range x {
-		x[i] *= w[i]
-	}
-	return x
-}
-
-// CoherentGain returns the mean of the window, i.e. the amplitude scaling a
-// windowed sinusoid experiences at its exact bin. Dividing a peak magnitude
-// by n*CoherentGain recovers the sinusoid amplitude.
-func CoherentGain(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range w {
-		s += v
-	}
-	return s / float64(len(w))
 }

@@ -36,3 +36,20 @@ func TestParallelSweepsAreDeterministic(t *testing.T) {
 		t.Fatal("different seeds produced identical sweeps")
 	}
 }
+
+// TestFadingSummaryNotesDeterministic pins the fade-margin notes to
+// ascending K: they come from a map, whose iteration order Go randomizes,
+// so an unordered walk reshuffled milback-experiments output run to run.
+func TestFadingSummaryNotesDeterministic(t *testing.T) {
+	r := ExtFadingResult{Margins: map[float64]float64{15: 3, 3: 16, 8: 9}}
+	want := []string{
+		"K=3 dB: 1%-outage fade margin 16.0 dB",
+		"K=8 dB: 1%-outage fade margin 9.0 dB",
+		"K=15 dB: 1%-outage fade margin 3.0 dB",
+	}
+	for i := 0; i < 20; i++ {
+		if got := r.Summary().Notes[1:]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("fade-margin notes = %q, want %q", got, want)
+		}
+	}
+}

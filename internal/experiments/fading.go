@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/ber"
 	"repro/internal/fsa"
@@ -75,8 +76,15 @@ func (r ExtFadingResult) Summary() Table {
 			f1(row.KdB), f1(row.DistanceM), f1(row.MeanSNRdB), sci(row.Outage),
 		})
 	}
-	for k, m := range r.Margins {
-		t.Notes = append(t.Notes, fmt.Sprintf("K=%.0f dB: 1%%-outage fade margin %.1f dB", k, m))
+	// Walk K in ascending order: map iteration order would shuffle the
+	// notes from run to run.
+	ks := make([]float64, 0, len(r.Margins))
+	for k := range r.Margins {
+		ks = append(ks, k)
+	}
+	sort.Float64s(ks)
+	for _, k := range ks {
+		t.Notes = append(t.Notes, fmt.Sprintf("K=%.0f dB: 1%%-outage fade margin %.1f dB", k, r.Margins[k]))
 	}
 	return t
 }

@@ -153,7 +153,20 @@ func TestMixParseAndPick(t *testing.T) {
 	if m2.Pick(0.74) != OpLocalize || m2.Pick(0.76) != OpMove {
 		t.Error("3:1 mix should split at 0.75")
 	}
-	for _, bad := range []string{"", "localize=0", "warp=1", "send", "send=-1"} {
+	// The fractions' rounded cumulative sum can stop short of 1; the
+	// highest draw must still land on a kind the mix contains.
+	m3, err := ParseMix("localize=6,send=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m3.Pick(math.Nextafter(1, 0)); got != OpSend {
+		t.Errorf("highest draw picked %v, want send", got)
+	}
+	for _, bad := range []string{
+		"", "localize=0", "warp=1", "send", "send=-1",
+		// Non-finite fractions, and finite ones whose total overflows.
+		"localize=NaN", "localize=Inf,send=1", "send=1e308,move=1e308",
+	} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) should fail", bad)
 		}

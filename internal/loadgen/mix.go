@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -52,7 +53,8 @@ func DefaultMix() Mix {
 
 // ParseMix reads a "kind=frac,kind=frac" spec, e.g.
 // "localize=0.6,send=0.2,deliver=0.1,move=0.1". Omitted kinds get fraction
-// zero; at least one fraction must be positive.
+// zero; every fraction must be finite, at least one positive, and their
+// total finite.
 func ParseMix(spec string) (Mix, error) {
 	var m Mix
 	for _, part := range strings.Split(spec, ",") {
@@ -65,8 +67,8 @@ func ParseMix(spec string) (Mix, error) {
 			return Mix{}, fmt.Errorf("loadgen: mix term %q is not kind=fraction", part)
 		}
 		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || f < 0 {
-			return Mix{}, fmt.Errorf("loadgen: mix fraction %q must be a non-negative number", val)
+		if err != nil || !(f >= 0) || math.IsInf(f, 1) {
+			return Mix{}, fmt.Errorf("loadgen: mix fraction %q must be a finite non-negative number", val)
 		}
 		switch strings.TrimSpace(key) {
 		case "localize":
@@ -81,8 +83,11 @@ func ParseMix(spec string) (Mix, error) {
 			return Mix{}, fmt.Errorf("loadgen: unknown mix kind %q (want localize|send|deliver|move)", key)
 		}
 	}
-	if m.total() <= 0 {
+	switch total := m.total(); {
+	case total <= 0:
 		return Mix{}, fmt.Errorf("loadgen: mix %q has no positive fraction", spec)
+	case math.IsInf(total, 1):
+		return Mix{}, fmt.Errorf("loadgen: mix %q fractions overflow their total", spec)
 	}
 	return m, nil
 }
@@ -91,22 +96,24 @@ func (m Mix) total() float64 { return m.Localize + m.Send + m.Deliver + m.Move }
 
 // Pick maps a uniform draw u in [0, 1) to an operation kind in proportion to
 // the mix fractions. The kind order is fixed (localize, send, deliver, move)
-// so a given seed always produces the same operation sequence.
+// so a given seed always produces the same operation sequence. A draw past
+// the rounded cumulative sum goes to the last kind with a positive
+// fraction, never to a kind the mix leaves out.
 func (m Mix) Pick(u float64) OpKind {
 	total := m.total()
-	cum := m.Localize / total
-	if u < cum {
-		return OpLocalize
+	var cum float64
+	last := OpLocalize
+	for k, f := range [numOps]float64{m.Localize, m.Send, m.Deliver, m.Move} {
+		if f <= 0 {
+			continue
+		}
+		last = OpKind(k)
+		cum += f / total
+		if u < cum {
+			return last
+		}
 	}
-	cum += m.Send / total
-	if u < cum {
-		return OpSend
-	}
-	cum += m.Deliver / total
-	if u < cum {
-		return OpDeliver
-	}
-	return OpMove
+	return last
 }
 
 // String renders the mix back in spec form with normalized fractions.

@@ -38,8 +38,7 @@ const (
 
 	// Sub-stage of the fft stage, recorded by the batched transform layer:
 	// the batched subtract-transform pass that runs the whole chirp
-	// dimension through one dsp.BatchPlan call, excluding validation, and
-	// the range-Doppler column batches.
+	// dimension through one dsp.BatchPlan call, excluding validation.
 	MetricFFTBatchSeconds = "ap.fft.batch_seconds"
 
 	// MetricCaptureWorkers distributes how many pooled workers actually

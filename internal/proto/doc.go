@@ -18,9 +18,10 @@
 // bit-identical regardless of how caller goroutines interleave.
 //
 // Concurrency contract: the *Context methods on Network are safe for
-// concurrent use. Direct Session method calls (RunPacket, SendReliable, …)
-// execute on the caller's goroutine without scheduling and are only safe
-// when nothing else touches the Network concurrently.
+// concurrent use. Direct Session method calls (RunPacketContext,
+// SendReliableContext, …) execute on the caller's goroutine without
+// scheduling and are only safe when nothing else touches the Network
+// concurrently.
 //
 // The engine records its accounting on the system's obs registry
 // (queue-wait and job-duration histograms, per-outcome job counters, one

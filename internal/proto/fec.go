@@ -140,18 +140,14 @@ func deinterleave(bits []bool, depth int) []bool {
 	return append(out, bits[cols*depth:]...)
 }
 
-// SendFEC transfers data in one packet with Hamming(7,4) + interleaving
-// instead of ARQ: no retransmissions, but isolated channel bit errors are
-// corrected. Returns the decoded payload and the number of corrected bits.
-// A residual error after correction is reported through the frame CRC.
-// The underlying packet's channel accounting (wire bits, pre-correction
-// bit errors, airtime) is available in Session.LastOutcome afterwards.
-func (s *Session) SendFEC(dir waveform.Direction, data []byte, rate float64, depth int) ([]byte, int, error) {
-	return s.SendFECContext(context.Background(), dir, data, rate, depth)
-}
-
-// SendFECContext is SendFEC with cancellation checks between the packet
-// phases (see RunPacketContext).
+// SendFECContext transfers data in one packet with Hamming(7,4) +
+// interleaving instead of ARQ: no retransmissions, but isolated channel bit
+// errors are corrected. Returns the decoded payload and the number of
+// corrected bits. A residual error after correction is reported through the
+// frame CRC. The underlying packet's channel accounting (wire bits,
+// pre-correction bit errors, airtime) is available in Session.LastOutcome
+// afterwards. ctx is checked between the packet phases (see
+// RunPacketContext).
 func (s *Session) SendFECContext(ctx context.Context, dir waveform.Direction, data []byte, rate float64, depth int) ([]byte, int, error) {
 	if len(data) == 0 {
 		return nil, 0, fmt.Errorf("proto: empty payload")

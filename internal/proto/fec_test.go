@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -180,7 +181,7 @@ func TestSendFECEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("forward error corrected payload")
-	got, corrections, err := s.SendFEC(waveform.Uplink, data, 10e6, 8)
+	got, corrections, err := s.SendFECContext(context.Background(), waveform.Uplink, data, 10e6, 8)
 	if err != nil {
 		t.Fatalf("SendFEC: %v", err)
 	}
@@ -191,11 +192,11 @@ func TestSendFECEndToEnd(t *testing.T) {
 		t.Errorf("clean 2.5 m link reported %d corrections", corrections)
 	}
 	// Downlink too.
-	got, _, err = s.SendFEC(waveform.Downlink, data, 36e6, 8)
+	got, _, err = s.SendFECContext(context.Background(), waveform.Downlink, data, 36e6, 8)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("downlink FEC: %v, %q", err, got)
 	}
-	if _, _, err := s.SendFEC(waveform.Uplink, nil, 10e6, 8); err == nil {
+	if _, _, err := s.SendFECContext(context.Background(), waveform.Uplink, nil, 10e6, 8); err == nil {
 		t.Error("empty payload should fail")
 	}
 }
@@ -213,10 +214,10 @@ func TestFECExtendsUsableRange(t *testing.T) {
 	uncodedOK, fecOK := 0, 0
 	const trials = 8
 	for i := 0; i < trials; i++ {
-		if r, err := s.SendReliable(waveform.Uplink, data, 40e6, 1); err == nil && bytes.Equal(r.Data, data) {
+		if r, err := s.SendReliableContext(context.Background(), waveform.Uplink, data, 40e6, 1); err == nil && bytes.Equal(r.Data, data) {
 			uncodedOK++
 		}
-		if got, _, err := s.SendFEC(waveform.Uplink, data, 40e6, 8); err == nil && bytes.Equal(got, data) {
+		if got, _, err := s.SendFECContext(context.Background(), waveform.Uplink, data, 40e6, 8); err == nil && bytes.Equal(got, data) {
 			fecOK++
 		}
 	}

@@ -103,17 +103,12 @@ type ReliableResult struct {
 // maxSeq wraps the 8-bit sequence space.
 const maxSeq = 256
 
-// SendReliable transfers data with CRC framing and stop-and-wait ARQ over
-// the given direction's packet primitive: each attempt runs one full
+// SendReliableContext transfers data with CRC framing and stop-and-wait ARQ
+// over the given direction's packet primitive: each attempt runs one full
 // protocol packet; a CRC failure (or direction mis-detection) triggers a
-// retransmission, up to maxAttempts.
-func (s *Session) SendReliable(dir waveform.Direction, data []byte, rate float64, maxAttempts int) (ReliableResult, error) {
-	return s.SendReliableContext(context.Background(), dir, data, rate, maxAttempts)
-}
-
-// SendReliableContext is SendReliable with cancellation checks between
-// attempts and between packet phases: a dead context abandons the transfer
-// with ErrCancelled wrapping the context error.
+// retransmission, up to maxAttempts. ctx is checked between attempts and
+// between packet phases: a dead context abandons the transfer with
+// ErrCancelled wrapping the context error.
 func (s *Session) SendReliableContext(ctx context.Context, dir waveform.Direction, data []byte, rate float64, maxAttempts int) (ReliableResult, error) {
 	if maxAttempts < 1 {
 		return ReliableResult{}, fmt.Errorf("proto: maxAttempts must be >= 1, got %d", maxAttempts)

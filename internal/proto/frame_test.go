@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -72,7 +73,7 @@ func TestSendReliableSucceedsOnGoodLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("reliable uplink payload")
-	res, err := s.SendReliable(waveform.Uplink, data, 10e6, 3)
+	res, err := s.SendReliableContext(context.Background(), waveform.Uplink, data, 10e6, 3)
 	if err != nil {
 		t.Fatalf("SendReliable: %v", err)
 	}
@@ -86,7 +87,7 @@ func TestSendReliableSucceedsOnGoodLink(t *testing.T) {
 		t.Error("accounting missing")
 	}
 	// Downlink direction too.
-	res, err = s.SendReliable(waveform.Downlink, data, 36e6, 3)
+	res, err = s.SendReliableContext(context.Background(), waveform.Downlink, data, 36e6, 3)
 	if err != nil || !bytes.Equal(res.Data, data) {
 		t.Fatalf("reliable downlink: %v, %q", err, res.Data)
 	}
@@ -106,7 +107,7 @@ func TestSendReliableRetriesOnWeakLink(t *testing.T) {
 	data := bytes.Repeat([]byte{0xA7}, 40)
 	sawRetry := false
 	for trial := 0; trial < 6; trial++ {
-		res, err := s.SendReliable(waveform.Uplink, data, 40e6, 3)
+		res, err := s.SendReliableContext(context.Background(), waveform.Uplink, data, 40e6, 3)
 		if err == nil {
 			if !bytes.Equal(res.Data, data) {
 				t.Fatalf("corrupted payload delivered as success: %x", res.Data)
@@ -131,7 +132,7 @@ func TestSendReliableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SendReliable(waveform.Uplink, []byte{1}, 10e6, 0); err == nil {
+	if _, err := s.SendReliableContext(context.Background(), waveform.Uplink, []byte{1}, 10e6, 0); err == nil {
 		t.Error("zero attempts should fail")
 	}
 	big := make([]byte, MaxFramePayload+1)
@@ -232,7 +233,7 @@ func TestAdaptUplinkEndToEnd(t *testing.T) {
 		t.Error("near link should meet the BER target")
 	}
 	// The adapted rate actually works: run a reliable transfer at it.
-	res, err := near.SendReliable(waveform.Uplink, []byte("adapted"), rNear, 2)
+	res, err := near.SendReliableContext(context.Background(), waveform.Uplink, []byte("adapted"), rNear, 2)
 	if err != nil {
 		t.Fatalf("transfer at adapted rate %g: %v", rNear, err)
 	}

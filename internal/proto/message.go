@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/waveform"
@@ -25,8 +26,9 @@ type MessageResult struct {
 // ARQ (maxAttemptsPerFragment tries each). Fragments reassemble in order;
 // the last one carries FlagFinal. A fragment that exhausts its attempts
 // aborts the whole message — MilBack packets are scheduled by the AP, so
-// there is no point blasting later fragments into a dead link.
-func (s *Session) SendMessage(dir waveform.Direction, data []byte, rate float64,
+// there is no point blasting later fragments into a dead link. ctx is
+// checked between attempts and packet phases (see SendReliableContext).
+func (s *Session) SendMessage(ctx context.Context, dir waveform.Direction, data []byte, rate float64,
 	mtu, maxAttemptsPerFragment int) (MessageResult, error) {
 	if len(data) == 0 {
 		return MessageResult{}, fmt.Errorf("proto: empty message")
@@ -44,7 +46,7 @@ func (s *Session) SendMessage(dir waveform.Direction, data []byte, rate float64,
 			end = len(data)
 		}
 		frag := data[off:end]
-		fr, err := s.SendReliable(dir, frag, rate, maxAttemptsPerFragment)
+		fr, err := s.SendReliableContext(ctx, dir, frag, rate, maxAttemptsPerFragment)
 		res.TotalAttempts += fr.Attempts
 		res.TotalAirtimeS += fr.TotalAirtimeS
 		res.NodeEnergyJ += fr.NodeEnergyJ

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestSendMessageReassembles(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	msg := make([]byte, 333) // not a multiple of the MTU
 	rng.Read(msg)
-	res, err := s.SendMessage(waveform.Uplink, msg, 10e6, 64, 3)
+	res, err := s.SendMessage(context.Background(), waveform.Uplink, msg, 10e6, 64, 3)
 	if err != nil {
 		t.Fatalf("SendMessage: %v", err)
 	}
@@ -35,7 +36,7 @@ func TestSendMessageReassembles(t *testing.T) {
 		t.Error("accounting missing")
 	}
 	// Downlink direction too.
-	res, err = s.SendMessage(waveform.Downlink, msg[:100], 36e6, 40, 3)
+	res, err = s.SendMessage(context.Background(), waveform.Downlink, msg[:100], 36e6, 40, 3)
 	if err != nil || !bytes.Equal(res.Data, msg[:100]) {
 		t.Fatalf("downlink message: %v", err)
 	}
@@ -47,16 +48,16 @@ func TestSendMessageValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SendMessage(waveform.Uplink, nil, 10e6, 64, 3); err == nil {
+	if _, err := s.SendMessage(context.Background(), waveform.Uplink, nil, 10e6, 64, 3); err == nil {
 		t.Error("empty message should fail")
 	}
-	if _, err := s.SendMessage(waveform.Uplink, []byte{1}, 10e6, 0, 3); err == nil {
+	if _, err := s.SendMessage(context.Background(), waveform.Uplink, []byte{1}, 10e6, 0, 3); err == nil {
 		t.Error("zero MTU should fail")
 	}
-	if _, err := s.SendMessage(waveform.Uplink, []byte{1}, 10e6, MaxFramePayload+1, 3); err == nil {
+	if _, err := s.SendMessage(context.Background(), waveform.Uplink, []byte{1}, 10e6, MaxFramePayload+1, 3); err == nil {
 		t.Error("oversized MTU should fail")
 	}
-	if _, err := s.SendMessage(waveform.Uplink, []byte{1}, 10e6, 64, 0); err == nil {
+	if _, err := s.SendMessage(context.Background(), waveform.Uplink, []byte{1}, 10e6, 64, 0); err == nil {
 		t.Error("zero attempts should fail")
 	}
 }
@@ -71,7 +72,7 @@ func TestSendMessageAbortsOnDeadLink(t *testing.T) {
 	net.System().AP.Scene().AddObstruction(rfsim.Obstruction{
 		Name: "wall", A: rfsim.Point{X: 2, Y: -1}, B: rfsim.Point{X: 2, Y: 1}, LossDB: 40,
 	})
-	res, err := s.SendMessage(waveform.Uplink, bytes.Repeat([]byte{1}, 200), 10e6, 64, 2)
+	res, err := s.SendMessage(context.Background(), waveform.Uplink, bytes.Repeat([]byte{1}, 200), 10e6, 64, 2)
 	if err == nil {
 		t.Fatal("message through a 40 dB wall should fail")
 	}

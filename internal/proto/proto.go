@@ -76,20 +76,14 @@ func (s *Session) nextSeed() int64 {
 // localizationSwitchRate is the node's Field-2 toggle rate (§5.1: 10 kHz).
 const localizationSwitchRate = 10e3
 
-// RunPacket executes one complete packet on the caller's goroutine. For
-// downlink, payload is what the AP sends and the outcome's Payload is what
-// the node decoded; for uplink, payload is the node's data and the
+// RunPacketContext executes one complete packet on the caller's goroutine.
+// For downlink, payload is what the AP sends and the outcome's Payload is
+// what the node decoded; for uplink, payload is the node's data and the
 // outcome's Payload is what the AP decoded. rate is the payload data rate
-// in bits/s.
-func (s *Session) RunPacket(dir waveform.Direction, payload []byte, rate float64) (PacketOutcome, error) {
-	return s.RunPacketContext(context.Background(), dir, payload, rate)
-}
-
-// RunPacketContext is RunPacket with cancellation checks between the packet
-// phases (Field 1, Field 2, payload). A cancellation mid-packet abandons
-// the remainder and returns ErrCancelled wrapping the context error; the
-// session's seed stream still advances past the abandoned phases' draws
-// only up to the point reached.
+// in bits/s. ctx is checked between the packet phases (Field 1, Field 2,
+// payload): a cancellation mid-packet abandons the remainder and returns
+// ErrCancelled wrapping the context error; the session's seed stream still
+// advances past the abandoned phases' draws only up to the point reached.
 func (s *Session) RunPacketContext(ctx context.Context, dir waveform.Direction, payload []byte, rate float64) (PacketOutcome, error) {
 	if len(payload) == 0 {
 		return PacketOutcome{}, fmt.Errorf("proto: empty payload")
@@ -196,7 +190,6 @@ type Network struct {
 
 	mu       sync.Mutex
 	sessions []*Session
-	next     int
 	netRNG   SeedStream
 
 	engOnce sync.Once
@@ -340,19 +333,6 @@ func (n *Network) Sessions() []*Session {
 
 // Node returns a session's node.
 func (s *Session) Node() *node.Node { return s.node }
-
-// NextSession returns the next session in round-robin order (SDM: the AP
-// steers at one node at a time). It returns nil for an empty network.
-func (n *Network) NextSession() *Session {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.sessions) == 0 {
-		return nil
-	}
-	s := n.sessions[n.next%len(n.sessions)]
-	n.next++
-	return s
-}
 
 // ExchangeContext runs one full protocol packet for the session through the
 // airtime scheduler: the calling goroutine blocks until the AP grants the
@@ -500,21 +480,4 @@ func (n *Network) RunSessionJobContext(ctx context.Context, s *Session, fn func(
 // (scene mutations, cell-wide maintenance).
 func (n *Network) RunNetworkJobContext(ctx context.Context, fn func(ctx context.Context) (JobReport, error)) error {
 	return n.engine().Run(ctx, networkJobKey, fn)
-}
-
-// PollAll runs one packet per node in round-robin order through the
-// scheduler, returning the outcomes in session order. A per-node error
-// aborts and is returned with the node index for diagnosis.
-func (n *Network) PollAll(dir waveform.Direction, payload []byte, rate float64) ([]PacketOutcome, error) {
-	sessions := n.Sessions()
-	out := make([]PacketOutcome, 0, len(sessions))
-	for i := range sessions {
-		s := n.NextSession()
-		o, err := n.ExchangeContext(context.Background(), s, dir, payload, rate)
-		if err != nil {
-			return out, fmt.Errorf("proto: node %d: %w", i, err)
-		}
-		out = append(out, o)
-	}
-	return out, nil
 }

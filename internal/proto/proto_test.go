@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -28,13 +29,13 @@ func TestSessionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunPacket(waveform.Downlink, nil, 36e6); err == nil {
+	if _, err := s.RunPacketContext(context.Background(), waveform.Downlink, nil, 36e6); err == nil {
 		t.Error("empty payload should fail")
 	}
-	if _, err := s.RunPacket(waveform.Downlink, []byte{1}, 0); err == nil {
+	if _, err := s.RunPacketContext(context.Background(), waveform.Downlink, []byte{1}, 0); err == nil {
 		t.Error("zero rate should fail")
 	}
-	if _, err := s.RunPacket(waveform.Direction(9), []byte{1}, 36e6); err == nil {
+	if _, err := s.RunPacketContext(context.Background(), waveform.Direction(9), []byte{1}, 36e6); err == nil {
 		t.Error("bad direction should fail")
 	}
 }
@@ -46,7 +47,7 @@ func TestDownlinkPacketEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("protocol downlink payload")
-	out, err := s.RunPacket(waveform.Downlink, payload, 36e6)
+	out, err := s.RunPacketContext(context.Background(), waveform.Downlink, payload, 36e6)
 	if err != nil {
 		t.Fatalf("RunPacket: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestUplinkPacketEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("sensor reading: 21.5C")
-	out, err := s.RunPacket(waveform.Uplink, payload, 10e6)
+	out, err := s.RunPacketContext(context.Background(), waveform.Uplink, payload, 10e6)
 	if err != nil {
 		t.Fatalf("RunPacket: %v", err)
 	}
@@ -106,11 +107,11 @@ func TestUplinkCostsMoreEnergyPerSecondThanDownlink(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0x5A}, 64)
-	up, err := s.RunPacket(waveform.Uplink, payload, 36e6)
+	up, err := s.RunPacketContext(context.Background(), waveform.Uplink, payload, 36e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	down, err := s.RunPacket(waveform.Downlink, payload, 36e6)
+	down, err := s.RunPacketContext(context.Background(), waveform.Downlink, payload, 36e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestAirtimeAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte{0xFF}
-	out, err := s.RunPacket(waveform.Uplink, payload, 10e6)
+	out, err := s.RunPacketContext(context.Background(), waveform.Uplink, payload, 10e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,42 +141,8 @@ func TestAirtimeAccounting(t *testing.T) {
 	}
 }
 
-func TestNetworkRoundRobinSDM(t *testing.T) {
-	net := testNetwork(t)
-	if net.NextSession() != nil {
-		t.Fatal("empty network should have no next session")
-	}
-	positions := []struct {
-		pos    rfsim.Point
-		orient float64
-	}{
-		{rfsim.PolarPoint(2, rfsim.DegToRad(-15)), 10},
-		{rfsim.PolarPoint(4, rfsim.DegToRad(0)), -8},
-		{rfsim.PolarPoint(3, rfsim.DegToRad(20)), 0},
-	}
-	for _, p := range positions {
-		if _, err := net.Join(p.pos, p.orient); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(net.Sessions()) != 3 {
-		t.Fatalf("sessions = %d", len(net.Sessions()))
-	}
-	// Round robin cycles through all sessions.
-	seen := map[*Session]int{}
-	for i := 0; i < 6; i++ {
-		seen[net.NextSession()]++
-	}
-	if len(seen) != 3 {
-		t.Fatalf("round robin visited %d sessions, want 3", len(seen))
-	}
-	for s, n := range seen {
-		if n != 2 {
-			t.Errorf("session %p visited %d times, want 2", s, n)
-		}
-	}
-}
-
+// TestPollAllServesEveryNode polls the cell: one scheduled exchange per
+// session in join order, each of which must reach its own node.
 func TestPollAllServesEveryNode(t *testing.T) {
 	net := testNetwork(t)
 	for _, p := range []struct {
@@ -190,9 +157,13 @@ func TestPollAllServesEveryNode(t *testing.T) {
 		}
 	}
 	payload := []byte("poll")
-	outs, err := net.PollAll(waveform.Uplink, payload, 10e6)
-	if err != nil {
-		t.Fatalf("PollAll: %v", err)
+	var outs []PacketOutcome
+	for i, s := range net.Sessions() {
+		o, err := net.ExchangeContext(context.Background(), s, waveform.Uplink, payload, 10e6)
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		outs = append(outs, o)
 	}
 	if len(outs) != 2 {
 		t.Fatalf("outcomes = %d", len(outs))

@@ -35,12 +35,6 @@ type SuperframeResult struct {
 	Fairness float64
 }
 
-// RunSuperframe is RunSuperframeContext with a background context.
-func (n *Network) RunSuperframe(dir waveform.Direction, payloadBytes, rounds int,
-	rate float64) (SuperframeResult, error) {
-	return n.RunSuperframeContext(context.Background(), dir, payloadBytes, rounds, rate)
-}
-
 // RunSuperframeContext serves every session `rounds` times in round-robin
 // order (§7's SDM made into a schedule), each service moving payloadBytes
 // in the given direction at the given rate. Individual packet failures

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestSuperframeFairAndThroughput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := net.RunSuperframe(waveform.Uplink, 32, 4, 10e6)
+	res, err := net.RunSuperframeContext(context.Background(), waveform.Uplink, 32, 4, 10e6)
 	if err != nil {
 		t.Fatalf("RunSuperframe: %v", err)
 	}
@@ -71,7 +72,7 @@ func TestSuperframeSurvivesBlockedNode(t *testing.T) {
 	net.System().AP.Scene().AddObstruction(rfsim.Obstruction{
 		Name: "wall", A: rfsim.Point{X: 1, Y: -0.3}, B: rfsim.Point{X: 1, Y: 0.3}, LossDB: 40,
 	})
-	res, err := net.RunSuperframe(waveform.Uplink, 16, 3, 10e6)
+	res, err := net.RunSuperframeContext(context.Background(), waveform.Uplink, 16, 3, 10e6)
 	if err != nil {
 		t.Fatalf("superframe should survive a blocked node: %v", err)
 	}
@@ -93,19 +94,19 @@ func TestSuperframeSurvivesBlockedNode(t *testing.T) {
 
 func TestSuperframeValidation(t *testing.T) {
 	net := testNetwork(t)
-	if _, err := net.RunSuperframe(waveform.Uplink, 16, 1, 10e6); err == nil {
+	if _, err := net.RunSuperframeContext(context.Background(), waveform.Uplink, 16, 1, 10e6); err == nil {
 		t.Error("empty network should fail")
 	}
 	if _, err := net.Join(rfsim.Point{X: 2}, -10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.RunSuperframe(waveform.Uplink, 0, 1, 10e6); err == nil {
+	if _, err := net.RunSuperframeContext(context.Background(), waveform.Uplink, 0, 1, 10e6); err == nil {
 		t.Error("zero payload should fail")
 	}
-	if _, err := net.RunSuperframe(waveform.Uplink, 16, 0, 10e6); err == nil {
+	if _, err := net.RunSuperframeContext(context.Background(), waveform.Uplink, 16, 0, 10e6); err == nil {
 		t.Error("zero rounds should fail")
 	}
-	if _, err := net.RunSuperframe(waveform.Uplink, 16, 1, 0); err == nil {
+	if _, err := net.RunSuperframeContext(context.Background(), waveform.Uplink, 16, 1, 0); err == nil {
 		t.Error("zero rate should fail")
 	}
 }

@@ -74,8 +74,8 @@ type Metrics struct {
 	SynthNoise   Histogram
 
 	// FFTBatch times the batched subtract-transform passes inside the FFT
-	// stage (one observation per dsp.BatchPlan dispatch — background
-	// subtraction and range-Doppler columns).
+	// stage (one observation per background-subtraction dsp.BatchPlan
+	// dispatch).
 	FFTBatch Histogram
 
 	// CaptureWorkers distributes how many pooled workers joined each

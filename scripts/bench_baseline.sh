@@ -23,7 +23,7 @@ BENCHTIME="${1:-300ms}"
 OUT="${2:-BENCH_seed.json}"
 
 go test -run '^$' \
-	-bench 'FFT2048PlanCached|FFT2048Uncached|RFFT2048|FFTBluestein1125PlanCached|CaptureSerial$|CaptureParallel|CaptureSteadyState|SynthesizeChirpsMulti|CaptureMovingScene|TrajectoryAdvance' \
+	-bench 'FFT2048PlanCached|FFT2048Uncached|CaptureSerial$|CaptureParallel|CaptureSteadyState|SynthesizeChirpsMulti|CaptureMovingScene|TrajectoryAdvance' \
 	-benchtime "$BENCHTIME" -benchmem . |
 	awk -v benchtime="$BENCHTIME" '
 	/^goos:/ { goos = $2 }
