@@ -280,7 +280,7 @@ func TestDetectTargetsMultiNode(t *testing.T) {
 		pointTarget(rfsim.Point{X: 5}, 25),
 		pointTarget(rfsim.Point{X: 8}, 25),
 	}
-	frames := synth(t)(a.SynthesizeChirpsMulti(c, 5, tgts, nil, rfsim.NewNoiseSource(41)))
+	frames := synth(t)(a.SynthesizeChirpsMulti(c, 5, tgts, GridTable{}, nil, rfsim.NewNoiseSource(41)))
 	dets, err := a.DetectTargets(c, frames, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestDetectTargetsCapsAtMax(t *testing.T) {
 		pointTarget(rfsim.Point{X: 5}, 25),
 		pointTarget(rfsim.Point{X: 8}, 25),
 	}
-	frames := synth(t)(a.SynthesizeChirpsMulti(c, 5, tgts, nil, rfsim.NewNoiseSource(47)))
+	frames := synth(t)(a.SynthesizeChirpsMulti(c, 5, tgts, GridTable{}, nil, rfsim.NewNoiseSource(47)))
 	dets, err := a.DetectTargets(c, frames, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -54,6 +54,12 @@ type BackscatterTarget struct {
 	// hold the two within 1e-9 relative). Same concurrency contract as
 	// GainDBi.
 	GainEnvs func(freq []float64, nStates int, env []float64)
+	// TableEnvs, when non-nil, is the same bulk fill fed from the capture
+	// request's GridTable instead of the raw frequency grid: a request that
+	// carries a table has it filled once per capture, and every target with
+	// a TableEnvs reads it in place of GainEnvs. Same output and concurrency
+	// contract as GainEnvs; a request without a table uses GainEnvs.
+	TableEnvs TableEnvelopes
 	// RadialVelocityMS is the target's range rate in m/s (positive =
 	// receding). Across a chirp burst it advances the round-trip delay by
 	// 2·v·k·CRI/c per chirp, whose carrier-phase progression is the Doppler
@@ -70,6 +76,39 @@ type BackscatterTarget struct {
 	// Leave GainStates zero for targets whose gain varies freely per chirp.
 	GainStates  int
 	GainStateOf func(chirpIdx int) int
+}
+
+// GridTable is a request-wide precompute over a capture's frequency grid:
+// the part of every target's gain envelope that depends only on the chirp
+// frequency, not on the target. A capture whose request carries one (Fill
+// non-nil) fills it once, in pooled scratch, before the per-target envelope
+// fills fan out, and hands the same read-only table to every target's
+// TableEnvs. The frequency grid differs per capture (each draws its own
+// sweep-slope error), so the table never outlives the capture. The AP does
+// not interpret the table; its layout is a contract between the GridTable
+// and the targets' TableEnvs, which the caller builds together. The zero
+// value carries no table.
+//
+// It is a struct of a function rather than an interface so that a request
+// passing through the capture plane leaks nothing to the heap: an interface
+// method call would make escape analysis move the request's target slice to
+// the heap, one allocation per capture.
+type GridTable struct {
+	// Width is the number of float64s the table holds per grid sample.
+	Width int
+	// Fill writes the table for the grid freq into dst, which has
+	// Width·len(freq) elements. It must be safe for concurrent use.
+	Fill func(freq, dst []float64)
+}
+
+// TableEnvelopes is a target's bulk gain-envelope fill from the capture's
+// GridTable (see BackscatterTarget.TableEnvs). FillEnvs receives the filled
+// table — Width values per sample of an n-sample grid — and fills
+// env[s·n : (s+1)·n] with state s's linear envelope, exactly as GainEnvs
+// would over the same grid. It must not write to the table, which every
+// target of the capture shares.
+type TableEnvelopes interface {
+	FillEnvs(table []float64, nStates int, env []float64)
 }
 
 // ModulatedPath injects an extra, possibly chirp-varying path — used to
@@ -105,15 +144,16 @@ func (a *AP) SynthesizeChirps(c waveform.Chirp, nChirps int, tgt *BackscatterTar
 	if tgt != nil {
 		tgts = []*BackscatterTarget{tgt}
 	}
-	return a.SynthesizeChirpsMulti(c, nChirps, tgts, extra, ns)
+	return a.SynthesizeChirpsMulti(c, nChirps, tgts, GridTable{}, extra, ns)
 }
 
 // SynthesizeChirpsMulti is SynthesizeChirps for any number of simultaneous
 // backscatter targets — the capture model when several nodes respond in the
-// same discovery epoch.
+// same discovery epoch. table is the request's shared GridTable (the zero
+// value for none), read by every target that has a TableEnvs.
 func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
-	extra []ModulatedPath, ns *rfsim.NoiseSource) ([]ChirpFrame, error) {
-	if err := validateSynth(c, nChirps, tgts); err != nil {
+	table GridTable, extra []ModulatedPath, ns *rfsim.NoiseSource) ([]ChirpFrame, error) {
+	if err := validateSynth(c, nChirps, tgts, table); err != nil {
 		return nil, err
 	}
 	if o := a.obs; o != nil {
@@ -127,19 +167,23 @@ func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*Backsc
 	// pointer would escape into the fan-out closures, costing a heap
 	// allocation per capture.
 	st := a.newSynthState(c, nChirps, tgts, extra, ns)
-	a.synthesizeFast(st)
+	a.synthesizeFast(st, table)
 	return st.frames, nil
 }
 
 // validateSynth rejects a capture request the hardware could not run: an
-// invalid chirp, a non-positive chirp count, or a target whose declared
-// switch states are inconsistent.
-func validateSynth(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget) error {
+// invalid chirp, a non-positive chirp count, a grid table without a
+// positive width, or a target whose declared switch states are
+// inconsistent.
+func validateSynth(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget, table GridTable) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("ap: %w: %v", ErrInvalidConfig, err)
 	}
 	if nChirps < 1 {
 		return fmt.Errorf("ap: %w: need at least one chirp, got %d", ErrInvalidConfig, nChirps)
+	}
+	if table.Fill != nil && table.Width < 1 {
+		return fmt.Errorf("ap: %w: grid table width must be >= 1, got %d", ErrInvalidConfig, table.Width)
 	}
 	for _, tgt := range tgts {
 		if tgt == nil || tgt.GainStates <= 0 {

@@ -107,17 +107,22 @@ func fillGainEnv(dst []float64, tgt *BackscatterTarget, k int, freq []float64) {
 }
 
 // fillGainMemo fills a memoizing target's pooled envelope rows over the
-// shared frequency grid: one bulk GainEnvs call when the target has one,
-// else one fillGainEnv per distinct state. The representative chirp for a
-// state is the first chirp that uses it — GainStates' contract is that
-// GainDBi depends on the chirp index only through the state, so any
-// representative gives the same curve. It writes only ts.env, so targets
-// may be filled concurrently.
-func fillGainMemo(ts *targetState, freq []float64, nChirps int) {
+// shared frequency grid: one bulk TableEnvs call when the capture filled a
+// grid table and the target reads it, else one bulk GainEnvs call when the
+// target has one, else one fillGainEnv per distinct state. The
+// representative chirp for a state is the first chirp that uses it —
+// GainStates' contract is that GainDBi depends on the chirp index only
+// through the state, so any representative gives the same curve. It writes
+// only ts.env, so targets may be filled concurrently.
+func fillGainMemo(ts *targetState, freq, table []float64, nChirps int) {
 	if !ts.memo {
 		return
 	}
 	nStates, nSamp := ts.tgt.GainStates, len(freq)
+	if table != nil && ts.tgt.TableEnvs != nil {
+		ts.tgt.TableEnvs.FillEnvs(table, nStates, ts.env)
+		return
+	}
 	if ts.tgt.GainEnvs != nil {
 		// Bulk fill: every state in one call, sharing the mode-independent
 		// work across states (it may fill states the burst never uses; that
@@ -158,7 +163,7 @@ func (a *AP) interAntennaRot(aoaRad, lambda, psi float64) complex128 {
 // fold-in), giving `milback-report -trace` a per-stage split of where
 // synthesis time goes. The serial state build and AWGN draw in
 // newSynthState precede phase 1 and are covered only by ap.synthesize.
-func (a *AP) synthesizeFast(st synthState) {
+func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 	o := a.obs
 
 	// Phase 1 (ap.synthesize.clutter): per-capture set-up — the clutter
@@ -208,6 +213,14 @@ func (a *AP) synthesizeFast(st synthState) {
 		ts.memo = true
 		ts.env = a.getFloat64(nStates * st.nSamp)
 	}
+	// The request's grid table: the target-independent part of every
+	// envelope, filled once per capture into pooled scratch before the
+	// fan-out and read by every target's fill.
+	var table []float64
+	if gridTable.Fill != nil {
+		table = a.getFloat64(gridTable.Width * st.nSamp)
+		gridTable.Fill(freq, table)
+	}
 	// Fill the memos, one fan-out item per target. Each item writes only its
 	// own env rows, so the result is bit-identical at any worker count
 	// (DESIGN.md §17.2). A single-target capture — every localization,
@@ -215,12 +228,15 @@ func (a *AP) synthesizeFast(st synthState) {
 	targets, nChirps := st.targets, st.nChirps
 	if len(targets) <= 1 {
 		for ti := range targets {
-			fillGainMemo(&targets[ti], freq, nChirps)
+			fillGainMemo(&targets[ti], freq, table, nChirps)
 		}
 	} else {
 		a.fanOut(len(targets), a.captureWorkers(), func(_, ti int) {
-			fillGainMemo(&targets[ti], freq, nChirps)
+			fillGainMemo(&targets[ti], freq, table, nChirps)
 		})
+	}
+	if table != nil {
+		a.putFloat64(table)
 	}
 	for ei := range st.extras {
 		es := &st.extras[ei]

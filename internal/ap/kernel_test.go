@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dsp"
@@ -64,7 +66,7 @@ func TestFastSynthMatchesReference(t *testing.T) {
 		Amplitude: func(k int) float64 { return 2e-7 * float64(1+k%3) },
 	}}
 	for seed := int64(1); seed <= 3; seed++ {
-		ff := synth(t)(a.SynthesizeChirpsMulti(c, 16, tgts, extra, rfsim.NewNoiseSource(seed)))
+		ff := synth(t)(a.SynthesizeChirpsMulti(c, 16, tgts, GridTable{}, extra, rfsim.NewNoiseSource(seed)))
 		rf := synth(t)(a.synthesizeChirpsRef(c, 16, tgts, extra, rfsim.NewNoiseSource(seed)))
 		maxErr, maxRef := maxAbsDiff(t, ff, rf)
 		if maxRef == 0 {
@@ -90,7 +92,7 @@ func TestOracleSynthPipelineAgreement(t *testing.T) {
 		tgt := statefulTarget(rfsim.Point{X: 3, Y: 0.5}, 25)
 		tgt.RadialVelocityMS = 0.8
 		tgts := []*BackscatterTarget{tgt}
-		prod := synth(t)(a.SynthesizeChirpsMulti(c, 16, tgts, nil, rfsim.NewNoiseSource(seed)))
+		prod := synth(t)(a.SynthesizeChirpsMulti(c, 16, tgts, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
 		ref := synth(t)(a.synthesizeChirpsRef(c, 16, tgts, nil, rfsim.NewNoiseSource(seed)))
 		comparePipelines(t, fmt.Sprintf("seed %d kernels vs oracle", seed),
 			runPipeline(t, a, prod), runPipeline(t, a, ref), 1e-6, 1e-9)
@@ -107,7 +109,7 @@ func TestClutterTemplateMatchesUnsharedTones(t *testing.T) {
 	const nChirps = 6
 	// No noise source: the imperfection draws are zero and the frames are
 	// pure clutter, so the template is the only thing under test.
-	frames := synth(t)(a.SynthesizeChirpsMulti(c, nChirps, nil, nil, nil))
+	frames := synth(t)(a.SynthesizeChirpsMulti(c, nChirps, nil, GridTable{}, nil, nil))
 
 	fs := a.Config().BeatSampleRateHz
 	nSamp := c.SampleCount(fs)
@@ -192,5 +194,104 @@ func TestManyGainStatesFallsBack(t *testing.T) {
 	maxErr, maxRef := maxAbsDiff(t, fw, fn)
 	if maxErr != 0 {
 		t.Fatalf("over-declared states diverged from memoized rendering: max err %.3g (ref %.3g)", maxErr, maxRef)
+	}
+}
+
+// slopeTable is a test GridTable payload: one value per grid sample, a
+// frequency-dependent gain shared by every target of a capture.
+func slopeTable(freq, dst []float64) {
+	for i, f := range freq {
+		dst[i] = 1 + (f-26.5e9)/3e9
+	}
+}
+
+// tableTarget is a two-state target whose bulk fills scale the shared
+// slope by a per-state gain, through either seam.
+type tableTarget struct {
+	BackscatterTarget
+	lin [2]float64
+	// gainEnvCalls counts fills that bypassed the table.
+	gainEnvCalls atomic.Int32
+}
+
+func (t *tableTarget) FillEnvs(table []float64, nStates int, env []float64) {
+	n := len(table)
+	for s := 0; s < nStates; s++ {
+		for i, v := range table {
+			env[s*n+i] = v * t.lin[s]
+		}
+	}
+}
+
+func newTableTarget(pos rfsim.Point, gainDBi float64) *tableTarget {
+	t := &tableTarget{lin: [2]float64{math.Pow(10, (gainDBi-20)/10), math.Pow(10, gainDBi/10)}}
+	t.Pos = pos
+	t.GainStates = 2
+	t.GainStateOf = func(k int) int { return k & 1 }
+	t.GainDBi = func(k int, f float64) float64 {
+		return 10 * math.Log10((1+(f-26.5e9)/3e9)*t.lin[k&1])
+	}
+	t.GainEnvs = func(freq []float64, nStates int, env []float64) {
+		t.gainEnvCalls.Add(1)
+		own := make([]float64, len(freq))
+		slopeTable(freq, own)
+		t.FillEnvs(own, nStates, env)
+	}
+	t.TableEnvs = t
+	return t
+}
+
+// TestGridTableSharedAcrossTargets pins the request-wide table seam: a
+// multi-target capture fills its GridTable exactly once, whether the
+// per-target fills run serially or fanned out, hands it to every target's
+// TableEnvs, and renders frames bit-identical to the same targets filling
+// through GainEnvs with no table. A table whose width is not positive is
+// an invalid configuration.
+func TestGridTableSharedAcrossTargets(t *testing.T) {
+	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
+	c := a.Config().LocalizationChirp
+	var fills atomic.Int32
+	table := GridTable{Width: 1, Fill: func(freq, dst []float64) {
+		fills.Add(1)
+		slopeTable(freq, dst)
+	}}
+	views := []*tableTarget{
+		newTableTarget(rfsim.Point{X: 2.5, Y: 0.4}, 21),
+		newTableTarget(rfsim.Point{X: 4.1, Y: -0.7}, 19),
+		newTableTarget(rfsim.Point{X: 5.6, Y: 1.1}, 23),
+	}
+	var tgts []*BackscatterTarget
+	for _, v := range views {
+		tgts = append(tgts, &v.BackscatterTarget)
+	}
+	gainEnvCalls := func() (n int32) {
+		for _, v := range views {
+			n += v.gainEnvCalls.Swap(0)
+		}
+		return n
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		fills.Store(0)
+		withTable := synth(t)(a.SynthesizeChirpsMulti(c, 6, tgts, table, nil, rfsim.NewNoiseSource(5)))
+		if got := fills.Load(); got != 1 {
+			t.Errorf("GOMAXPROCS=%d: table filled %d times per capture, want 1", procs, got)
+		}
+		if got := gainEnvCalls(); got != 0 {
+			t.Errorf("GOMAXPROCS=%d: %d targets bypassed the table", procs, got)
+		}
+		plain := synth(t)(a.SynthesizeChirpsMulti(c, 6, tgts, GridTable{}, nil, rfsim.NewNoiseSource(5)))
+		if got := gainEnvCalls(); got != int32(len(tgts)) {
+			t.Errorf("GOMAXPROCS=%d: %d GainEnvs fills without a table, want %d", procs, got, len(tgts))
+		}
+		if maxErr, maxRef := maxAbsDiff(t, withTable, plain); maxErr != 0 {
+			t.Fatalf("GOMAXPROCS=%d: table-fed capture diverged from GainEnvs: max err %.3g (ref %.3g)",
+				procs, maxErr, maxRef)
+		}
+	}
+	bad := GridTable{Width: 0, Fill: slopeTable}
+	if _, err := a.SynthesizeChirpsMulti(c, 4, tgts, bad, nil, nil); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("zero-width table: err = %v, want ErrInvalidConfig", err)
 	}
 }

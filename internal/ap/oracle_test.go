@@ -21,7 +21,7 @@ import (
 // synthesis oracle.
 func (a *AP) synthesizeChirpsRef(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
 	extra []ModulatedPath, ns *rfsim.NoiseSource) ([]ChirpFrame, error) {
-	if err := validateSynth(c, nChirps, tgts); err != nil {
+	if err := validateSynth(c, nChirps, tgts, GridTable{}); err != nil {
 		return nil, err
 	}
 	st := a.newSynthState(c, nChirps, tgts, extra, ns)

@@ -42,7 +42,7 @@ func captureBoth(t *testing.T, a *AP, nChirps int, seed int64) (serial, par []Ch
 				return 1e-7
 			},
 		}}
-		return synth(t)(a.SynthesizeChirpsMulti(c, nChirps, tgts, mirror, rfsim.NewNoiseSource(seed)))
+		return synth(t)(a.SynthesizeChirpsMulti(c, nChirps, tgts, GridTable{}, mirror, rfsim.NewNoiseSource(seed)))
 	}
 	old := runtime.GOMAXPROCS(1)
 	serial = mk()

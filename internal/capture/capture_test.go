@@ -237,7 +237,7 @@ func TestPooledCaptureBitIdenticalToNoPool(t *testing.T) {
 			req := locRequest(pooled, 4)
 			plain.Steer(0.1)
 			plain.Scene().Invalidate()
-			want, err := plain.SynthesizeChirpsMulti(req.Chirp, req.NChirps, req.Targets, req.Extra, rfsim.NewNoiseSource(seed))
+			want, err := plain.SynthesizeChirpsMulti(req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, rfsim.NewNoiseSource(seed))
 			if err != nil {
 				t.Fatal(err)
 			}

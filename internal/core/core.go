@@ -83,6 +83,13 @@ type System struct {
 	// scheduler, like the nodes themselves.
 	clock  *Clock
 	movers map[*node.Node]*mover
+
+	// beams is the grid table every capture request carries: the fsa beam
+	// table, which depends only on the FSA's band and scan range, so one
+	// fill per capture serves every node (all are built from
+	// cfg.Node.FSA). It is the zero GridTable when that config is invalid,
+	// in which case no node can join anyway.
+	beams ap.GridTable
 }
 
 // NewSystem builds a system operating in the given scene (nil = no clutter).
@@ -108,6 +115,9 @@ func NewSystem(cfg Config, scene *rfsim.Scene) (*System, error) {
 		return nil, err
 	}
 	s := &System{AP: a, cfg: cfg, clock: NewClock()}
+	if f, err := fsa.New(cfg.Node.FSA); err == nil {
+		s.beams = ap.GridTable{Width: fsa.BeamTableWidth, Fill: f.BeamTable}
+	}
 	var opts []capture.Option
 	if !cfg.DisableObservability {
 		s.reg = obs.NewRegistry()
@@ -179,76 +189,78 @@ func (s *System) RemoveNode(n *node.Node) bool {
 
 // localizationTarget builds the dechirp-domain view of a node that toggles
 // BOTH ports together, alternating per chirp — the §5.1 switching pattern.
-// The closure evaluates hypothetical switch states through the FSA's pure
-// with-modes query, so SynthesizeChirpsMulti may call it from any chirp's
-// goroutine without racing on the node's actual switch state.
 func localizationTarget(n *node.Node) *ap.BackscatterTarget {
-	return &ap.BackscatterTarget{
-		Pos: n.Position,
-		GainDBi: func(k int, fHz float64) float64 {
-			mode := fsa.Absorptive
-			if k%2 == 1 {
-				mode = fsa.Reflective
-			}
-			return 20 * math.Log10(n.FSA.ReflectionAmplitudeWithModes(mode, mode, fHz, n.OrientationDeg)) / 2
-		},
-		// Bulk linear fill for the two toggle states. GainDBi above is
-		// 10·log10(ReflectionAmplitudeWithModes), so the linear envelope is
-		// the FSA amplitude itself: per-port mode-independent envelopes
-		// (computed once, using the two state rows as scratch) combined with
-		// the absorptive scalar per state — bit-identical to evaluating
-		// ReflectionAmplitudeWithModes per sample at half the array-factor
-		// sweeps.
-		GainEnvs: func(freq []float64, nStates int, env []float64) {
-			ns := len(freq)
-			pa, pb := env[:ns], env[ns:2*ns]
-			n.FSA.PortReflectionEnvelope(fsa.PortA, freq, n.OrientationDeg, pa)
-			n.FSA.PortReflectionEnvelope(fsa.PortB, freq, n.OrientationDeg, pb)
-			abs := n.FSA.AbsorptiveFactor()
-			for i := 0; i < ns; i++ {
-				a, b := pa[i], pb[i]
-				// State 0: both ports absorptive; state 1: both reflective.
-				pa[i] = a*abs + b*abs
-				pb[i] = a + b
-			}
-		},
-		// The gain depends on k only through the toggle parity, so the fast
-		// synthesis kernels memoize the two gain curves (DESIGN.md §12).
-		GainStates:  2,
-		GainStateOf: func(k int) int { return k & 1 },
-	}
+	return newNodeTarget(n, false)
 }
 
 // orientationTarget builds the §5.2a view: port A held absorptive, port B
-// toggling per chirp. Like localizationTarget it is concurrency-safe.
+// toggling per chirp.
 func orientationTarget(n *node.Node) *ap.BackscatterTarget {
-	return &ap.BackscatterTarget{
-		Pos: n.Position,
-		GainDBi: func(k int, fHz float64) float64 {
-			modeB := fsa.Absorptive
-			if k%2 == 1 {
-				modeB = fsa.Reflective
+	return newNodeTarget(n, true)
+}
+
+// nodeTarget is a node as one capture's target under a toggle-parity
+// switching pattern: state 0 (even chirps) holds both ports absorptive,
+// state 1 (odd chirps) makes port B reflective and — unless holdA — port A
+// too. Every gain query goes through the FSA's pure with-modes forms, so
+// SynthesizeChirpsMulti may call them from any goroutine without racing on
+// the node's actual switch state.
+type nodeTarget struct {
+	ap.BackscatterTarget
+	n     *node.Node
+	holdA bool
+}
+
+// newNodeTarget builds the target view of n. The bulk fills are
+// bit-identical to ReflectionAmplitudeWithModes per sample; GainDBi is its
+// dB form, which the reference oracle reads.
+func newNodeTarget(n *node.Node, holdA bool) *ap.BackscatterTarget {
+	t := &nodeTarget{n: n, holdA: holdA}
+	t.Pos = n.Position
+	t.GainDBi = func(k int, fHz float64) float64 {
+		modeA, modeB := fsa.Absorptive, fsa.Absorptive
+		if k%2 == 1 {
+			modeB = fsa.Reflective
+			if !holdA {
+				modeA = fsa.Reflective
 			}
-			return 20 * math.Log10(n.FSA.ReflectionAmplitudeWithModes(fsa.Absorptive, modeB, fHz, n.OrientationDeg)) / 2
-		},
-		// Bulk linear fill, as in localizationTarget; here port A stays
-		// absorptive and only port B's scalar differs between states.
-		GainEnvs: func(freq []float64, nStates int, env []float64) {
-			ns := len(freq)
-			pa, pb := env[:ns], env[ns:2*ns]
-			n.FSA.PortReflectionEnvelope(fsa.PortA, freq, n.OrientationDeg, pa)
-			n.FSA.PortReflectionEnvelope(fsa.PortB, freq, n.OrientationDeg, pb)
-			abs := n.FSA.AbsorptiveFactor()
-			for i := 0; i < ns; i++ {
-				a, b := pa[i], pb[i]
-				// State 0: (A abs, B abs); state 1: (A abs, B reflective).
-				pa[i] = a*abs + b*abs
-				pb[i] = a*abs + b
-			}
-		},
-		// Toggle-parity switching again: two distinct gain curves per burst.
-		GainStates:  2,
-		GainStateOf: func(k int) int { return k & 1 },
+		}
+		return 20 * math.Log10(n.FSA.ReflectionAmplitudeWithModes(modeA, modeB, fHz, n.OrientationDeg)) / 2
+	}
+	// Without a capture-wide table, build the node's own beam table in the
+	// two state rows and fill from it in place (ReflectionEnvelopes allows
+	// the aliasing).
+	t.GainEnvs = func(freq []float64, nStates int, env []float64) {
+		table := env[:fsa.BeamTableWidth*len(freq)]
+		n.FSA.BeamTable(freq, table)
+		t.FillEnvs(table, nStates, env)
+	}
+	// The interface holds the pointer itself, so wiring it allocates
+	// nothing per target.
+	t.TableEnvs = t
+	// The gain depends on k only through the toggle parity, so the fast
+	// synthesis kernels memoize the two gain curves (DESIGN.md §12).
+	t.GainStates = 2
+	t.GainStateOf = func(k int) int { return k & 1 }
+	return &t.BackscatterTarget
+}
+
+// FillEnvs implements ap.TableEnvelopes over an fsa.BeamTable: the two
+// ports' mode-independent envelopes, combined per state with the
+// absorptive scalar exactly as ReflectionAmplitudeWithModes combines them.
+func (t *nodeTarget) FillEnvs(table []float64, nStates int, env []float64) {
+	ns := len(table) / fsa.BeamTableWidth
+	pa, pb := env[:ns], env[ns:2*ns]
+	t.n.FSA.ReflectionEnvelopes(table, t.n.OrientationDeg, pa, pb)
+	abs := t.n.FSA.AbsorptiveFactor()
+	for i := range pa {
+		a, b := pa[i], pb[i]
+		pa[i] = a*abs + b*abs
+		if t.holdA {
+			pb[i] = a*abs + b
+		} else {
+			pb[i] = a + b
+		}
 	}
 }
 
@@ -331,6 +343,7 @@ func (s *System) Localize(n *node.Node, seed int64) (LocalizationOutcome, error)
 		Chirp:   c,
 		NChirps: s.cfg.LocalizationChirps,
 		Targets: []*ap.BackscatterTarget{tgt1},
+		Table:   s.beams,
 		Extra:   mirror,
 	})
 	if err != nil {
@@ -350,6 +363,7 @@ func (s *System) Localize(n *node.Node, seed int64) (LocalizationOutcome, error)
 		Chirp:   c,
 		NChirps: s.cfg.LocalizationChirps,
 		Targets: []*ap.BackscatterTarget{tgt2},
+		Table:   s.beams,
 		Extra:   mirror,
 	})
 	if err != nil {
@@ -390,6 +404,7 @@ func (s *System) MeasureRadialVelocity(n *node.Node, radialVelocityMS float64,
 		Chirp:   c,
 		NChirps: nChirps,
 		Targets: []*ap.BackscatterTarget{tgt},
+		Table:   s.beams,
 		Extra:   s.mirrorPaths(n),
 	})
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -70,7 +72,12 @@ func (c ScanConfig) validate() error {
 // and detections from adjacent pointings are clustered into nodes. The
 // result is the set of node positions the AP can subsequently steer to and
 // serve, sorted by azimuth.
-func (s *System) Discover(cfg ScanConfig, seed int64) ([]NodeDetection, error) {
+//
+// ctx is checked before each pointing: a cancelled or expired context
+// abandons the rest of the sweep and returns an error wrapping ctx.Err().
+// A pointing that sees nothing (ap.ErrNoDetection) is skipped; any other
+// detection error ends the sweep and is returned.
+func (s *System) Discover(ctx context.Context, cfg ScanConfig, seed int64) ([]NodeDetection, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -87,15 +94,21 @@ func (s *System) Discover(cfg ScanConfig, seed int64) ([]NodeDetection, error) {
 
 	var all []NodeDetection
 	for deg := cfg.StartDeg; deg <= cfg.StopDeg+1e-9; deg += cfg.StepDeg {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: discovery cancelled: %w", err)
+		}
 		lease.Steer(rfsim.DegToRad(deg))
-		capt, err := lease.Chirps(capture.Request{Chirp: c, NChirps: s.cfg.LocalizationChirps, Targets: targets})
+		capt, err := lease.Chirps(capture.Request{Chirp: c, NChirps: s.cfg.LocalizationChirps, Targets: targets, Table: s.beams})
 		if err != nil {
 			return nil, fmt.Errorf("core: discovery capture: %w", err)
 		}
 		dets, err := s.AP.DetectTargets(c, capt.Frames, cfg.MaxTargetsPerPointing)
 		capt.Release()
-		if err != nil {
+		if errors.Is(err, ap.ErrNoDetection) {
 			continue // nothing visible from this pointing
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: discovery detection: %w", err)
 		}
 		for _, d := range dets {
 			all = append(all, NodeDetection{

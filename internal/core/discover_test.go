@@ -1,9 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/ap"
+	"repro/internal/obs"
 	"repro/internal/rfsim"
 )
 
@@ -21,7 +26,7 @@ func TestDiscoverFindsAllNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dets, err := s.Discover(DefaultScanConfig(), 31)
+	dets, err := s.Discover(context.Background(), DefaultScanConfig(), 31)
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -44,7 +49,7 @@ func TestDiscoverFindsAllNodes(t *testing.T) {
 
 func TestDiscoverEmptyRoomFails(t *testing.T) {
 	s := testSystem(t)
-	if _, err := s.Discover(DefaultScanConfig(), 32); err == nil {
+	if _, err := s.Discover(context.Background(), DefaultScanConfig(), 32); err == nil {
 		t.Fatal("discovery with no nodes should fail")
 	}
 }
@@ -57,7 +62,7 @@ func TestDiscoverTwoNodesSameAzimuthDifferentRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dets, err := s.Discover(DefaultScanConfig(), 33)
+	dets, err := s.Discover(context.Background(), DefaultScanConfig(), 33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +113,84 @@ func TestScanConfigValidation(t *testing.T) {
 	for i, mut := range bad {
 		cfg := DefaultScanConfig()
 		mut(&cfg)
-		if _, err := s.Discover(cfg, 1); err == nil {
+		if _, err := s.Discover(context.Background(), cfg, 1); err == nil {
 			t.Errorf("mutation %d: expected error", i)
 		}
+	}
+}
+
+// stopAfterCtx is a context whose Err reports cancellation from its
+// (checks+1)-th call on: a deterministic stand-in for a client that goes
+// away mid-sweep.
+type stopAfterCtx struct {
+	context.Context
+	checks int
+}
+
+func (c *stopAfterCtx) Err() error {
+	if c.checks == 0 {
+		return context.Canceled
+	}
+	c.checks--
+	return nil
+}
+
+// TestDiscoverHonoursCancellation pins that a sweep stops between pointings
+// once its context is done: a context cancelled up front runs no capture,
+// one cancelled after two pointings runs exactly two, both return an error
+// wrapping context.Canceled, and neither leaves a capture lease open.
+func TestDiscoverHonoursCancellation(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		ctx      func() context.Context
+		captures uint64
+	}{
+		{"before sweep", func() context.Context {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx
+		}, 0},
+		{"mid sweep", func() context.Context {
+			return &stopAfterCtx{Context: context.Background(), checks: 2}
+		}, 2},
+	} {
+		s := testSystem(t)
+		for _, az := range []float64{-25, 0, 22} {
+			if _, err := s.AddNode(rfsim.PolarPoint(3, rfsim.DegToRad(az)), 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := s.Discover(tc.ctx(), DefaultScanConfig(), 34)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+		snap := s.Obs().Snapshot()
+		if got := snap.Counters[obs.MetricCapturesAcquired]; got != tc.captures {
+			t.Errorf("%s: %d pointings captured, want %d", tc.name, got, tc.captures)
+		}
+		opened, closed := snap.Counters[obs.MetricLeasesOpened], snap.Counters[obs.MetricLeasesClosed]
+		if opened != closed {
+			t.Errorf("%s: %d leases opened but %d closed", tc.name, opened, closed)
+		}
+	}
+}
+
+// TestDiscoverSurfacesDetectionErrors pins that only "nothing visible"
+// pointings are skipped: a capture the detector cannot process at all
+// (frames longer than the configured FFT) fails the sweep with that error
+// instead of being reported as an empty room.
+func TestDiscoverSurfacesDetectionErrors(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.AP.FFTSize = 8
+	s, err := NewSystem(cfg, rfsim.DefaultIndoorScene())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddNode(rfsim.PolarPoint(3, 0), 5); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Discover(context.Background(), DefaultScanConfig(), 35)
+	if err == nil || errors.Is(err, ap.ErrNoDetection) || !strings.Contains(err.Error(), "FFT size") {
+		t.Fatalf("err = %v, want the detector's FFT-size error, not ErrNoDetection", err)
 	}
 }

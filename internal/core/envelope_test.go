@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestGainEnvsMatchScalarFSA pins the bulk gain-envelope fills of
-// localizationTarget and orientationTarget — fsa.PortReflectionEnvelope
+// localizationTarget and orientationTarget — fsa.ReflectionEnvelopes
 // combined per state with AbsorptiveFactor — bit for bit against the scalar
 // fsa.ReflectionAmplitudeWithModes they replace, for every state and grid
 // sample. Orientations cover the broadside beam, the default facing, and a
@@ -101,7 +102,7 @@ func TestDiscoverDeterministicAcrossProcs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		dets, err := s.Discover(DefaultScanConfig(), 11)
+		dets, err := s.Discover(context.Background(), DefaultScanConfig(), 11)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: Discover: %v", procs, err)
 		}

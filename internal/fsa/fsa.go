@@ -110,13 +110,15 @@ type FSA struct {
 	cfg   Config
 	modes [2]Mode
 
-	// taper caches the per-element Hamming weights (and their sum) of the
-	// array factor. The weights depend only on the immutable element count,
-	// yet the pattern is evaluated per sample on the synthesis hot path —
-	// hoisting them here removes one Cos per element per gain lookup while
-	// leaving every computed value bit-identical.
-	taper    []float64
-	taperSum float64
+	// half and afScale are the Hamming taper folded for the half-angle
+	// kernel (arrayFactors): the taper is symmetric, so the array factor is
+	// a cosine sum over one half of the elements. half[m] is the weight of
+	// the m-th element right of the array centre (halved for the centre
+	// element of an odd array) and afScale = 2/Σw normalizes the sum to
+	// unity at ψ = 0. The weights depend only on the immutable element
+	// count, so they are computed once here.
+	half    []float64
+	afScale float64
 
 	// Derived constants hoisted out of the gain hot path. peakGain is
 	// PeakGainDBi()'s value; the three linear-domain factors let
@@ -131,6 +133,18 @@ type FSA struct {
 	afFloor  float64
 }
 
+// hammingTaper returns the raised-cosine (Hamming) weights of an n-element
+// array. Series-fed microstrip FSAs are naturally amplitude-tapered (each
+// element couples off a fraction of the travelling wave); the taper keeps
+// the first sidelobe near −40 dB instead of the uniform array's −13 dB.
+func hammingTaper(n int) []float64 {
+	w := make([]float64, n)
+	for k := range w {
+		w[k] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(k)/float64(n-1))
+	}
+	return w
+}
+
 // New builds an FSA from the config. It returns an error for inconsistent
 // parameters.
 func New(cfg Config) (*FSA, error) {
@@ -138,10 +152,16 @@ func New(cfg Config) (*FSA, error) {
 		return nil, err
 	}
 	f := &FSA{cfg: cfg}
-	f.taper = make([]float64, cfg.Elements)
-	for k := 0; k < cfg.Elements; k++ {
-		f.taper[k] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(k)/float64(cfg.Elements-1))
-		f.taperSum += f.taper[k]
+	taper := hammingTaper(cfg.Elements)
+	var taperSum float64
+	for _, w := range taper {
+		taperSum += w
+	}
+	f.afScale = 2 / taperSum
+	n := cfg.Elements
+	f.half = append([]float64(nil), taper[n/2:]...)
+	if n%2 == 1 {
+		f.half[0] /= 2
 	}
 	f.peakGain = 10*math.Log10(float64(cfg.Elements)) + cfg.ElementGainDBi
 	f.ampPeak = math.Pow(10, f.peakGain/10)
@@ -247,40 +267,104 @@ func (f *FSA) PeakGainDBi() float64 {
 // the travelling wave), which keeps sidelobes well below the uniform-array
 // −13 dB — the isolation that makes OAQFM's per-port tone separation work.
 func (f *FSA) GainDBi(p Port, fHz, angleDeg float64) float64 {
-	beam := f.BeamAngleDeg(p, fHz)
-	// ψ = k·d·(sinθ − sinθ_beam) with d = λ/2 ⇒ ψ = π(sinθ − sinθ_beam).
-	psi := math.Pi * (math.Sin(rfsim.DegToRad(angleDeg)) - math.Sin(rfsim.DegToRad(beam)))
-	af := f.taperedArrayFactor(psi)
-	g := f.PeakGainDBi() + 20*math.Log10(af)
+	f.portIndex(p)
+	su, cu := halfPhase(angleDeg)
+	sv, cv := f.beamHalfPhase(fHz)
+	af, afB := f.arrayFactors(halfCosines(su, cu, sv, cv))
+	if p == PortB {
+		af = afB
+	}
+	if af < 1e-9 {
+		af = 1e-9
+	}
+	g := f.peakGain + 20*math.Log10(af)
 	if g < f.cfg.BacklobeFloorDBi {
 		g = f.cfg.BacklobeFloorDBi
 	}
 	return g
 }
 
-// taperedArrayFactor returns the normalized |Σ w_n exp(jnψ)| magnitude for a
-// raised-cosine (Hamming-weighted) element taper: unity at ψ = 0, first
-// sidelobe ≈ −40 dB, main lobe ≈ 1.5× the uniform width. The per-element
-// phasor exp(jnψ) is generated by complex recurrence from a single Sincos —
-// one transcendental per lookup instead of one per element. The recurrence's
-// rounding drift over the array is ~1 ulp per element (≈1e-15 relative for
-// realistic element counts), far inside every consumer's tolerance; at ψ = 0
-// the rotation factor is exactly 1, so the boresight value stays exactly
-// unity.
-func (f *FSA) taperedArrayFactor(psi float64) float64 {
-	s, c := math.Sincos(psi)
-	phRe, phIm := 1.0, 0.0
-	var re, im float64
-	for _, w := range f.taper {
-		re += w * phRe
-		im += w * phIm
-		phRe, phIm = phRe*c-phIm*s, phRe*s+phIm*c
+// The pattern kernel. With half-wavelength element spacing the array phase
+// is ψ = π(sin θ − sin θ_beam), so ψ/2 = u − v with u = (π/2)·sin θ for the
+// arrival direction and v = (π/2)·sin θ_A(f) for port A's beam. Port B's
+// beam is the exact mirror θ_B = −θ_A, so its v is −v. Every FSA evaluation
+// — GainDBi, ReflectionAmplitudeWithModes and the ReflectionEnvelopes bulk
+// fill — reduces to the same three steps:
+//
+//  1. the sine and cosine of u (once per target) and of v (once per
+//     frequency: BeamTable holds them for a whole grid);
+//  2. cos(ψ/2) = cos u·cos v ± sin u·sin v for port A / port B (halfCosines);
+//  3. the folded cosine sums of arrayFactors.
+//
+// None of the per-(target, frequency) work is transcendental.
+
+// halfPhase returns the sine and cosine of (π/2)·sin θ for θ in degrees:
+// the half array phase of a direction.
+func halfPhase(deg float64) (sin, cos float64) {
+	return math.Sincos(math.Pi / 2 * math.Sin(rfsim.DegToRad(deg)))
+}
+
+// beamHalfPhase is halfPhase of port A's beam angle at fHz.
+func (f *FSA) beamHalfPhase(fHz float64) (sin, cos float64) {
+	return halfPhase(f.BeamAngleDeg(PortA, fHz))
+}
+
+// halfCosines returns cos(ψ/2) for port A and port B, given the half phases
+// (su, cu) of the arrival direction and (sv, cv) of port A's beam. The
+// explicit conversions round each product, so no platform fuses them into
+// an FMA and every caller gets bit-identical values.
+func halfCosines(su, cu, sv, cv float64) (a, b float64) {
+	p, q := float64(cu*cv), float64(su*sv)
+	return p + q, p - q
+}
+
+// arrayFactors returns the normalized magnitude of the tapered array
+// factor |Σ w_k exp(jkψ)| / Σw at two array phases at once, given their
+// half-angle cosines ca = cos(ψa/2) and cb = cos(ψb/2) — port A's and port
+// B's in every caller. The taper is symmetric about the array centre, so
+// the sum folds to a real cosine sum: for an even element count N,
+// |2·Σ_m w_{N/2+m}·cos((2m+1)·ψ/2)|, and for odd N the same over
+// cos(2m·ψ/2) with the centre weight halved (f.half holds the folded
+// weights). The cosines of successive multiples come from the Chebyshev
+// recurrence cos((k+2)t) = 2·cos(2t)·cos(kt) − cos((k−2)t) with
+// cos(2t) = 2c² − 1, so one evaluation costs one multiply-add pair per
+// folded weight. The two recurrences are independent; running them in one
+// loop lets the CPU overlap their latency chains. Unity at ψ = 0 up to
+// rounding; first sidelobe ≈ −40 dB.
+func (f *FSA) arrayFactors(ca, cb float64) (a, b float64) {
+	cosA, cosB := 2*ca*ca-1, 2*cb*cb-1
+	twoA, twoB := 2*cosA, 2*cosB
+	// Even arrays sum the odd multiples of ψ/2 starting from cos(±ψ/2) = c;
+	// odd arrays sum the even multiples starting from cos 0 = 1, cos(−ψ).
+	prevA, curA, prevB, curB := ca, ca, cb, cb
+	if f.cfg.Elements%2 == 1 {
+		prevA, curA, prevB, curB = cosA, 1, cosB, 1
 	}
-	af := math.Hypot(re, im) / f.taperSum
-	if af < 1e-9 {
-		af = 1e-9
+	var sumA, sumB float64
+	for _, w := range f.half {
+		sumA += w * curA
+		sumB += w * curB
+		prevA, curA = curA, twoA*curA-prevA
+		prevB, curB = curB, twoB*curB-prevB
 	}
-	return af
+	return math.Abs(sumA) * f.afScale, math.Abs(sumB) * f.afScale
+}
+
+// envelopes returns the two ports' mode-independent round-trip reflection
+// amplitudes at half-angle cosines ca and cb. With
+// g = max(peakGain + 20·log10(af), floor) the two-way amplitude 10^(2g/20)
+// collapses to max(af, afFloor)²·ampPeak: algebraically identical to
+// exponentiating ReflectionGainWithModeDBi, numerically within ~1 ulp of
+// it.
+func (f *FSA) envelopes(ca, cb float64) (a, b float64) {
+	afA, afB := f.arrayFactors(ca, cb)
+	if afA < f.afFloor {
+		afA = f.afFloor
+	}
+	if afB < f.afFloor {
+		afB = f.afFloor
+	}
+	return afA * afA * f.ampPeak, afB * afB * f.ampPeak
 }
 
 // HalfPowerBeamwidthDeg estimates the −3 dB beamwidth of a beam near
@@ -336,33 +420,20 @@ func (f *FSA) ReflectionAmplitude(fHz, angleDeg float64) float64 {
 // It is the concurrency-safe form for callers that sweep hypothetical
 // switching patterns (e.g. per-chirp toggling) without serializing on the
 // shared FSA. It runs entirely in the linear amplitude domain off constants
-// hoisted at construction — zero Log10/Pow per call — which matters because
-// the synthesis kernels evaluate it once per (switch state, frequency-grid
-// point) when filling their gain-curve memos.
+// hoisted at construction — zero Log10/Pow per call — and through the same
+// kernel as ReflectionEnvelopes, so a bulk fill combined per state with
+// AbsorptiveFactor reproduces it bit for bit.
 func (f *FSA) ReflectionAmplitudeWithModes(modeA, modeB Mode, fHz, angleDeg float64) float64 {
-	sinAngle := math.Sin(rfsim.DegToRad(angleDeg))
-	return f.reflectionAmpPort(PortA, modeA, fHz, sinAngle) +
-		f.reflectionAmpPort(PortB, modeB, fHz, sinAngle)
-}
-
-// reflectionAmpPort is one port's linear voltage contribution to the
-// round-trip reflection: with g = max(peakGain + 20·log10(af), floor) the
-// two-way amplitude 10^(2g/20) collapses to max(af, afFloor)²·ampPeak, times
-// the residual-return factor when the port is absorptive. Algebraically
-// identical to exponentiating ReflectionGainWithModeDBi; numerically within
-// ~1 ulp of it.
-func (f *FSA) reflectionAmpPort(p Port, m Mode, fHz, sinAngle float64) float64 {
-	beam := f.BeamAngleDeg(p, fHz)
-	psi := math.Pi * (sinAngle - math.Sin(rfsim.DegToRad(beam)))
-	af := f.taperedArrayFactor(psi)
-	if af < f.afFloor {
-		af = f.afFloor
+	su, cu := halfPhase(angleDeg)
+	sv, cv := f.beamHalfPhase(fHz)
+	a, b := f.envelopes(halfCosines(su, cu, sv, cv))
+	if modeA == Absorptive {
+		a *= f.ampAbs
 	}
-	amp := af * af * f.ampPeak
-	if m == Absorptive {
-		amp *= f.ampAbs
+	if modeB == Absorptive {
+		b *= f.ampAbs
 	}
-	return amp
+	return a + b
 }
 
 // AbsorptiveFactor returns the linear voltage factor
@@ -371,24 +442,43 @@ func (f *FSA) reflectionAmpPort(p Port, m Mode, fHz, sinAngle float64) float64 {
 // amplitude into its absorptive-mode value.
 func (f *FSA) AbsorptiveFactor() float64 { return f.ampAbs }
 
-// PortReflectionEnvelope fills dst[i] with the given port's mode-independent
-// round-trip reflection amplitude (af²·10^(peakGain/10), floored at the
-// backlobe level) at freqHz[i] toward angleDeg: reflectionAmpPort without
-// the mode scalar. The synthesis kernels evaluate the two ports once per
-// capture and combine the envelopes with AbsorptiveFactor per switch state,
-// which reproduces ReflectionAmplitudeWithModes bit-for-bit at half the
-// array-factor evaluations when two states share the grid. dst must have
-// len(freqHz).
-func (f *FSA) PortReflectionEnvelope(p Port, freqHz []float64, angleDeg float64, dst []float64) {
-	sinAngle := math.Sin(rfsim.DegToRad(angleDeg))
-	for i, fHz := range freqHz {
-		beam := f.BeamAngleDeg(p, fHz)
-		psi := math.Pi * (sinAngle - math.Sin(rfsim.DegToRad(beam)))
-		af := f.taperedArrayFactor(psi)
-		if af < f.afFloor {
-			af = f.afFloor
-		}
-		dst[i] = af * af * f.ampPeak
+// BeamTableWidth is the number of float64s BeamTable stores per grid
+// sample.
+const BeamTableWidth = 2
+
+// BeamTable fills dst with the target-independent half of the pattern
+// kernel over the frequency grid freq: with n = len(freq), dst[i] and
+// dst[n+i] receive cos v and sin v of port A's beam half phase
+// v = (π/2)·sin θ_A(freq[i]). The table depends only on the band and the
+// scan range, not on the element count, gains or floors, so one fill per
+// capture serves every node whose FSA shares those two with f. dst must
+// have BeamTableWidth·len(freq) elements.
+func (f *FSA) BeamTable(freq, dst []float64) {
+	n := len(freq)
+	cosV, sinV := dst[:n:n], dst[n:2*n:2*n]
+	for i, fHz := range freq {
+		sinV[i], cosV[i] = f.beamHalfPhase(fHz)
+	}
+}
+
+// ReflectionEnvelopes is the two-port bulk fill: pa[i] and pb[i] receive
+// port A's and port B's mode-independent round-trip reflection amplitude
+// (af², floored at the backlobe level, times 10^(peakGain/10)) toward
+// angleDeg at grid sample i of a BeamTable. Combined per switch state with
+// AbsorptiveFactor they reproduce ReflectionAmplitudeWithModes bit for bit.
+// Per sample it costs two products and two folded cosine sums — no
+// transcendental — because both ports share the table row and the target's
+// half phase is computed once per call. pa and pb must have the table's
+// grid length; they may alias the table's cos and sin halves (each sample
+// is read before it is written), so a caller can build the table in its
+// own output rows.
+func (f *FSA) ReflectionEnvelopes(table []float64, angleDeg float64, pa, pb []float64) {
+	n := len(pa)
+	cosV, sinV := table[:n:n], table[n:2*n:2*n]
+	pb = pb[:n]
+	su, cu := halfPhase(angleDeg)
+	for i := range pa {
+		pa[i], pb[i] = f.envelopes(halfCosines(su, cu, sinV[i], cosV[i]))
 	}
 }
 

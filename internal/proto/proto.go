@@ -2,6 +2,7 @@ package proto
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -452,15 +453,21 @@ func (n *Network) MeasureVelocityContext(ctx context.Context, s *Session, nChirp
 }
 
 // DiscoverContext runs a discovery sweep through the airtime scheduler as a
-// network-scope job, drawing its seed from the network's own stream.
+// network-scope job, drawing its seed from the network's own stream. The
+// sweep sees the job's effective context (ctx plus any job timeout) and
+// stops between pointings once it is done, returning ErrCancelled wrapping
+// the context error.
 func (n *Network) DiscoverContext(ctx context.Context, cfg core.ScanConfig) ([]core.NodeDetection, error) {
 	var dets []core.NodeDetection
-	err := n.engine().Run(ctx, networkJobKey, func(context.Context) (JobReport, error) {
+	err := n.engine().Run(ctx, networkJobKey, func(jctx context.Context) (JobReport, error) {
 		n.mu.Lock()
 		seed := n.netRNG.Next()
 		n.mu.Unlock()
 		var err error
-		dets, err = n.sys.Discover(cfg, seed)
+		dets, err = n.sys.Discover(jctx, cfg, seed)
+		if cerr := jctx.Err(); cerr != nil && errors.Is(err, cerr) {
+			err = fmt.Errorf("%w: %w", ErrCancelled, err)
+		}
 		return JobReport{Localization: true}, err
 	})
 	return dets, err

@@ -3,10 +3,12 @@ package proto
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rfsim"
 	"repro/internal/waveform"
 )
@@ -180,5 +182,41 @@ func TestPollAllServesEveryNode(t *testing.T) {
 	}
 	if net.System() == nil {
 		t.Error("System accessor broken")
+	}
+}
+
+// TestDiscoverContextHonoursJobContext pins that a discovery job sweeps
+// under the job's effective context: a client that goes away after the
+// sweep is granted airtime (cancelled here from the admission hook, which
+// runs between the scheduler's own check and the job) stops the sweep
+// before its first pointing, with ErrCancelled wrapping context.Canceled
+// and no capture lease left open.
+func TestDiscoverContextHonoursJobContext(t *testing.T) {
+	sys, err := core.NewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	net := NewNetwork(sys, NetworkOptions{BaseSeed: 1, Admit: func() func() {
+		cancel()
+		return func() {}
+	}})
+	defer net.Close()
+	for _, az := range []float64{-20, 0, 20} {
+		if _, err := net.Join(rfsim.PolarPoint(3, rfsim.DegToRad(az)), 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = net.DiscoverContext(ctx, core.DefaultScanConfig())
+	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCancelled wrapping context.Canceled", err)
+	}
+	snap := sys.Obs().Snapshot()
+	if got := snap.Counters[obs.MetricCapturesAcquired]; got != 0 {
+		t.Errorf("cancelled sweep still captured %d pointings", got)
+	}
+	if opened, closed := snap.Counters[obs.MetricLeasesOpened], snap.Counters[obs.MetricLeasesClosed]; opened != closed {
+		t.Errorf("%d leases opened but %d closed", opened, closed)
 	}
 }

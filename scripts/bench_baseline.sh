@@ -4,7 +4,8 @@
 # per-call implementation, the serial vs parallel §5.1 capture pipeline,
 # the pooled steady-state capture plane, the burst-synthesis
 # microbenchmark, the mobility pair (moving-scene capture vs static,
-# trajectory advancement),
+# trajectory advancement), the beam-sweep discovery at 3 and 1,024 nodes
+# (with its nodes-found and recall metrics),
 # and the PR 10 GOMAXPROCS-pinned steady-state rows (Procs2/Procs4) whose
 # per-row gomaxprocs field lets bench_compare.sh gate parallel scaling only
 # on machines that actually have the cores.
@@ -23,7 +24,7 @@ BENCHTIME="${1:-300ms}"
 OUT="${2:-BENCH_seed.json}"
 
 go test -run '^$' \
-	-bench 'FFT2048PlanCached|FFT2048Uncached|CaptureSerial$|CaptureParallel|CaptureSteadyState|SynthesizeChirpsMulti|CaptureMovingScene|TrajectoryAdvance' \
+	-bench 'FFT2048PlanCached|FFT2048Uncached|CaptureSerial$|CaptureParallel|CaptureSteadyState|SynthesizeChirpsMulti|CaptureMovingScene|TrajectoryAdvance|DiscoveryScan' \
 	-benchtime "$BENCHTIME" -benchmem . |
 	awk -v benchtime="$BENCHTIME" '
 	/^goos:/ { goos = $2 }
@@ -34,11 +35,13 @@ go test -run '^$' \
 		sub(/-[0-9]+$/, "", name)
 		# Scan value/unit pairs rather than fixed columns: -benchmem and
 		# ReportMetric both insert fields, so position is not stable.
-		ns = ""; bytes = ""; allocs = ""
+		ns = ""; bytes = ""; allocs = ""; found = ""; recall = ""
 		for (i = 3; i < NF; i++) {
 			if ($(i + 1) == "ns/op") ns = $i
 			else if ($(i + 1) == "B/op") bytes = $i
 			else if ($(i + 1) == "allocs/op") allocs = $i
+			else if ($(i + 1) == "nodes-found") found = $i
+			else if ($(i + 1) == "recall") recall = $i
 		}
 		# Per-row gomaxprocs: the pinned-core benchmarks override the runtime
 		# value internally, so the machine figure would misdescribe them.
@@ -51,6 +54,8 @@ go test -run '^$' \
 		line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"gomaxprocs\": %s", name, $2, ns, rowprocs)
 		if (bytes != "") line = line sprintf(", \"bytes_per_op\": %s", bytes)
 		if (allocs != "") line = line sprintf(", \"allocs_per_op\": %s", allocs)
+		if (found != "") line = line sprintf(", \"nodes_found\": %s", found)
+		if (recall != "") line = line sprintf(", \"recall\": %s", recall)
 		vals[++n] = line "}"
 	}
 	END {
