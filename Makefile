@@ -4,15 +4,15 @@
 # under the race detector (covering the parallel chirp/spectra pipeline,
 # the shared FFT-plan cache, and the capture plane's pooled buffers), runs
 # the determinism suite under -race on its own, enforces the capture-plane
-# allocation gate, diffs every example's stdout against its golden, reruns
-# the paper's verdict table against REPORT.md, and smoke-runs every
-# benchmark once.
+# allocation gate, diffs every example's stdout and the quick experiment
+# sweep against their goldens, reruns the paper's verdict table against
+# REPORT.md, and smoke-runs every benchmark once.
 
 GO ?= go
 
-.PHONY: verify lint vet fmt-check build test race determinism alloc-gate bench bench-baseline bench-compare docs-check api-check examples-check report-check serve-smoke load-baseline
+.PHONY: verify lint vet fmt-check build test race determinism alloc-gate bench bench-baseline bench-compare docs-check api-check examples-check experiments-check report-check serve-smoke load-baseline
 
-verify: lint docs-check api-check examples-check report-check build race determinism alloc-gate serve-smoke bench bench-compare
+verify: lint docs-check api-check examples-check experiments-check report-check build race determinism alloc-gate serve-smoke bench bench-compare
 
 # lint is the static gate: vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -55,7 +55,8 @@ docs-check:
 		internal/rfsim internal/ring internal/track internal/waveform \
 		internal/ber internal/baseline internal/experiments \
 		internal/serve internal/loadgen \
-		cmd/milback-sim cmd/milback-report cmd/milback-serve cmd/milback-loadgen
+		cmd/milback-sim cmd/milback-report cmd/milback-serve cmd/milback-loadgen \
+		cmd/milback-experiments
 	./scripts/md_link_check.sh README.md DESIGN.md ROADMAP.md EXPERIMENTS.md \
 		docs/OPERATIONS.md
 
@@ -71,6 +72,12 @@ api-check:
 # `./scripts/examples_check.sh -update`.
 examples-check:
 	./scripts/examples_check.sh
+
+# Experiment-output gate: `milback-experiments -quick -seed 1` must match the
+# committed internal/experiments/testdata/quick_seed1.golden byte for byte;
+# intentional changes regenerate it with `./scripts/experiments_check.sh -update`.
+experiments-check:
+	./scripts/experiments_check.sh
 
 # Claims gate: the paper's verdict table (milback-report) must read MATCH on
 # every claim at seeds 1, 2 and 3, and the seed-1 table must match the

@@ -1,8 +1,8 @@
 // Command milback-experiments regenerates the paper's evaluation tables and
-// figures (§9). With no arguments it runs everything; otherwise pass one or
-// more experiment ids:
-//
-//	fig10 fig11 fig12a fig12b fig13a fig13b fig14 fig15a fig15b table1 power
+// figures (§9), plus the ablation (abl-*) and extension (ext-*) studies.
+// With no arguments it runs everything; otherwise pass one or more
+// experiment ids. `milback-experiments -list` prints every id with a
+// one-line description.
 //
 // Flags:
 //
@@ -153,8 +153,12 @@ func main() {
 
 	exps := registry()
 	if *list {
+		width := 0
 		for _, e := range exps {
-			fmt.Printf("%-8s %s\n", e.id, e.desc)
+			width = max(width, len(e.id))
+		}
+		for _, e := range exps {
+			fmt.Printf("%-*s %s\n", width, e.id, e.desc)
 		}
 		return
 	}

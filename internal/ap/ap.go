@@ -134,10 +134,10 @@ type AP struct {
 	// pool recycles frame and spectrum buffers (nil = allocate).
 	pool BufferPool
 
-	// Clutter-path cache: ClutterPaths is pure in (scene contents, antenna
-	// pointing, carrier), so identical captures — the steady state of a
-	// node being polled — reuse the derived geometry instead of re-walking
-	// the scene. Entries are keyed on (pointing, carrier) and synced to the
+	// Clutter-path cache: ClutterPathsWithDeps is pure in (scene contents,
+	// antenna pointing, carrier), so identical captures — the steady state
+	// of a node being polled — reuse the derived geometry instead of
+	// re-walking the scene. Entries are keyed on (pointing, carrier) and synced to the
 	// scene's dirty log (syncClutterLocked): a mutation evicts only entries
 	// whose paths it can actually change, and eviction at capacity is
 	// deterministic LRU by clutterTick, never map-iteration order.

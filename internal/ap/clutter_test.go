@@ -108,7 +108,7 @@ func TestClutterIncrementalInvalidation(t *testing.T) {
 	a.scene.RemoveObstruction("cabinet")
 	a.Steer(pointings[0])
 	got := a.clutterPaths(28e9)
-	want := a.scene.ClutterPaths(a.tx, a.rx[0], 28e9)
+	want, _ := a.scene.ClutterPathsWithDeps(a.tx, a.rx[0], 28e9)
 	if len(got) != len(want) {
 		t.Fatalf("rebuilt path count %d, want %d", len(got), len(want))
 	}

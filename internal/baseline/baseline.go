@@ -1,10 +1,5 @@
 package baseline
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Capabilities is the Table 1 feature matrix row.
 type Capabilities struct {
 	Uplink       bool
@@ -104,38 +99,4 @@ func OnlyFullFeatured(systems []System) []System {
 		}
 	}
 	return out
-}
-
-// RankByEnergyEfficiency sorts communicating systems by energy per bit,
-// most efficient first; non-communicating systems are excluded.
-func RankByEnergyEfficiency(systems []System) []System {
-	var comm []System
-	for _, s := range systems {
-		if s.EnergyPerBitJ > 0 {
-			comm = append(comm, s)
-		}
-	}
-	sort.SliceStable(comm, func(i, j int) bool {
-		return comm[i].EnergyPerBitJ < comm[j].EnergyPerBitJ
-	})
-	return comm
-}
-
-// FormatRow renders a Table-1 row ("Yes"/"No" columns, as printed in the
-// paper).
-func FormatRow(s System) string {
-	yn := func(b bool) string {
-		if b {
-			return "Yes"
-		}
-		return "No"
-	}
-	return fmt.Sprintf("%-12s %-8s %-12s %-8s %-11s",
-		s.Name, yn(s.Caps.Uplink), yn(s.Caps.Localization), yn(s.Caps.Downlink), yn(s.Caps.Orientation))
-}
-
-// Table1Header returns the column header matching FormatRow.
-func Table1Header() string {
-	return fmt.Sprintf("%-12s %-8s %-12s %-8s %-11s",
-		"System", "Uplink", "Localization", "Downlink", "Orientation")
 }

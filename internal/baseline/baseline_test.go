@@ -1,9 +1,6 @@
 package baseline
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestTable1MatchesPaper(t *testing.T) {
 	// Paper Table 1, row by row.
@@ -50,14 +47,11 @@ func TestOnlyMilBackIsFullFeatured(t *testing.T) {
 }
 
 func TestEnergyEfficiencyRanking(t *testing.T) {
-	ranked := RankByEnergyEfficiency(Table1())
-	if len(ranked) == 0 || ranked[0].Name != "MilBack" {
-		t.Fatalf("most efficient = %v, want MilBack first", ranked)
-	}
-	// Millimetro doesn't communicate, so it must be excluded.
-	for _, s := range ranked {
-		if s.Name == "Millimetro" {
-			t.Error("Millimetro should not be ranked by energy per bit")
+	// MilBack is the most efficient of the systems that communicate
+	// (Millimetro doesn't, so it carries no energy per bit).
+	for _, s := range Table1() {
+		if s.EnergyPerBitJ > 0 && s.EnergyPerBitJ < MilBack().EnergyPerBitJ {
+			t.Errorf("%s (%g J/bit) beats MilBack", s.Name, s.EnergyPerBitJ)
 		}
 	}
 	// §9.6: MilBack's 0.8 nJ/bit is "much lower than ... 2.4 nJ/bit" of
@@ -65,22 +59,5 @@ func TestEnergyEfficiencyRanking(t *testing.T) {
 	mb, mt := MilBack(), MmTag()
 	if ratio := mt.EnergyPerBitJ / mb.EnergyPerBitJ; ratio < 2.9 || ratio > 3.1 {
 		t.Errorf("mmTag/MilBack energy ratio = %g, want 3", ratio)
-	}
-}
-
-func TestFormatRow(t *testing.T) {
-	header := Table1Header()
-	for _, col := range []string{"System", "Uplink", "Localization", "Downlink", "Orientation"} {
-		if !strings.Contains(header, col) {
-			t.Errorf("header missing %q", col)
-		}
-	}
-	row := FormatRow(MilBack())
-	if strings.Count(row, "Yes") != 4 {
-		t.Errorf("MilBack row should have four Yes: %q", row)
-	}
-	row = FormatRow(Millimetro())
-	if strings.Count(row, "Yes") != 1 || strings.Count(row, "No") != 3 {
-		t.Errorf("Millimetro row wrong: %q", row)
 	}
 }

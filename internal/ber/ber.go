@@ -9,11 +9,6 @@ import (
 // MilBack's receivers (DESIGN.md §4.6).
 const DefaultProcessingGainDB = 6.5
 
-// Q is the Gaussian tail function Q(x) = P(N(0,1) > x).
-func Q(x float64) float64 {
-	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
 // NonCoherentOOK returns the bit error probability of envelope-detected OOK
 // at linear post-detection SNR gamma: ½·exp(−γ/4).
 func NonCoherentOOK(gamma float64) float64 {
@@ -25,16 +20,6 @@ func NonCoherentOOK(gamma float64) float64 {
 		p = 0.5
 	}
 	return p
-}
-
-// CoherentOOK returns the bit error probability of coherently detected OOK
-// (antipodal-after-AC-coupling, as in the AP's pilot-aided uplink receiver):
-// Q(sqrt(γ/2)).
-func CoherentOOK(gamma float64) float64 {
-	if gamma < 0 {
-		panic(fmt.Sprintf("ber: negative SNR %g", gamma))
-	}
-	return Q(math.Sqrt(gamma / 2))
 }
 
 // FromSNRdB maps a measured channel SNR/SINR (dB) to OAQFM bit error rate
@@ -73,10 +58,6 @@ func (m *Measurement) Add(other Measurement) {
 	m.Bits += other.Bits
 	m.Errors += other.Errors
 }
-
-// ConfidentAt reports whether the measurement has seen enough errors (>= 10)
-// for the estimate to be statistically meaningful at its current value.
-func (m Measurement) ConfidentAt() bool { return m.Errors >= 10 }
 
 // MonteCarlo repeatedly invokes trial (which returns bits sent and errors
 // observed) until either minErrors errors have been accumulated or maxBits

@@ -6,26 +6,6 @@ import (
 	"testing"
 )
 
-func TestQFunction(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{0, 0.5},
-		{1, 0.1586552539},
-		{2, 0.0227501319},
-		{3, 0.0013498980},
-	}
-	for _, c := range cases {
-		if got := Q(c.x); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Q(%g) = %.10f, want %.10f", c.x, got, c.want)
-		}
-	}
-	// Symmetry: Q(-x) = 1 - Q(x).
-	for _, x := range []float64{0.3, 1.7, 2.9} {
-		if got := Q(-x) + Q(x); math.Abs(got-1) > 1e-12 {
-			t.Errorf("Q(-%g)+Q(%g) = %g, want 1", x, x, got)
-		}
-	}
-}
-
 func TestNonCoherentOOK(t *testing.T) {
 	// γ=0: pure guessing.
 	if p := NonCoherentOOK(0); p != 0.5 {
@@ -50,15 +30,6 @@ func TestNonCoherentOOK(t *testing.T) {
 		}
 	}()
 	NonCoherentOOK(-1)
-}
-
-func TestCoherentBeatsNonCoherent(t *testing.T) {
-	// Coherent detection always outperforms non-coherent at the same SNR.
-	for g := 4.0; g < 200; g *= 1.7 {
-		if CoherentOOK(g) >= NonCoherentOOK(g) {
-			t.Errorf("γ=%g: coherent %g >= non-coherent %g", g, CoherentOOK(g), NonCoherentOOK(g))
-		}
-	}
 }
 
 func TestPaperAnchorPoints(t *testing.T) {
@@ -101,15 +72,9 @@ func TestMeasurement(t *testing.T) {
 	if math.Abs(m.BER()-0.003) > 1e-12 {
 		t.Errorf("BER = %g", m.BER())
 	}
-	if m.ConfidentAt() {
-		t.Error("3 errors should not be confident")
-	}
 	m.Add(Measurement{Bits: 1000, Errors: 9})
 	if m.Bits != 2000 || m.Errors != 12 {
 		t.Errorf("Add wrong: %+v", m)
-	}
-	if !m.ConfidentAt() {
-		t.Error("12 errors should be confident")
 	}
 	if (Measurement{}).BER() != 0 {
 		t.Error("empty measurement BER should be 0")
@@ -117,9 +82,10 @@ func TestMeasurement(t *testing.T) {
 }
 
 func TestMonteCarloAgainstTheory(t *testing.T) {
-	// Simulate coherent OOK decisions directly and compare to CoherentOOK.
+	// Simulate coherent OOK decisions directly and compare to the closed
+	// form Q(sqrt(γ/2)), with Q(x) = ½·erfc(x/√2).
 	gamma := 16.0 // BER = Q(sqrt(8)) ≈ 2.3e-3
-	want := CoherentOOK(gamma)
+	want := 0.5 * math.Erfc(math.Sqrt(gamma/2)/math.Sqrt2)
 	m := MonteCarlo(func(seed int64) (int, int) {
 		rng := rand.New(rand.NewSource(seed))
 		const bits = 5000
@@ -141,7 +107,7 @@ func TestMonteCarloAgainstTheory(t *testing.T) {
 	if math.Abs(got-want)/want > 0.3 {
 		t.Errorf("Monte-Carlo BER = %g, theory %g", got, want)
 	}
-	if !m.ConfidentAt() {
+	if m.Errors < 10 {
 		t.Error("should have accumulated enough errors")
 	}
 }

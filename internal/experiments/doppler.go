@@ -73,11 +73,6 @@ func ExtDoppler(velocities []float64, bursts []int, trials int, seed int64) ExtD
 	return out
 }
 
-// DefaultExtDoppler runs walking-to-driving speeds over three burst sizes.
-func DefaultExtDoppler(seed int64) ExtDopplerResult {
-	return ExtDoppler([]float64{-5, -1, -0.3, 0.3, 1, 5, 20}, []int{8, 32, 128}, 10, seed)
-}
-
 // Summary renders the Doppler study.
 func (r ExtDopplerResult) Summary() Table {
 	t := Table{

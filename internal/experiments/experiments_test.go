@@ -83,7 +83,7 @@ func TestFig11OAQFM(t *testing.T) {
 }
 
 func TestFig12aRangingMatchesPaper(t *testing.T) {
-	r := DefaultFig12aRanging(11)
+	r := Fig12aRanging([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 20, 11)
 	if len(r.Rows) != 8 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -110,7 +110,7 @@ func TestFig12aRangingMatchesPaper(t *testing.T) {
 }
 
 func TestFig12bAngleMatchesPaper(t *testing.T) {
-	r := DefaultFig12bAngle(13)
+	r := Fig12bAngle([]float64{-30, -20, -10, 0, 10, 20, 30}, 3, 20, 13)
 	// Paper: median 1.1°, 90th pct 2.5°.
 	if r.MedianDeg < 0.5 || r.MedianDeg > 1.8 {
 		t.Errorf("median angle error = %.2f°, want ~1.1", r.MedianDeg)

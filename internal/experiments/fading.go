@@ -57,11 +57,6 @@ func ExtFadingOutage(ks []float64, distances []float64, draws int, seed int64) E
 	return out
 }
 
-// DefaultExtFading runs K ∈ {3, 8, 15} dB over 2–10 m.
-func DefaultExtFading(seed int64) ExtFadingResult {
-	return ExtFadingOutage([]float64{3, 8, 15}, []float64{2, 4, 6, 8, 10}, 20000, seed)
-}
-
 // Summary renders the outage table.
 func (r ExtFadingResult) Summary() Table {
 	t := Table{

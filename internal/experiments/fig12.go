@@ -58,11 +58,6 @@ func Fig12aRanging(distances []float64, trials int, seed int64) Fig12aResult {
 	return out
 }
 
-// DefaultFig12aRanging runs the paper's setting: 1–8 m, 20 trials each.
-func DefaultFig12aRanging(seed int64) Fig12aResult {
-	return Fig12aRanging([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 20, seed)
-}
-
 // Summary renders the per-distance error table.
 func (r Fig12aResult) Summary() Table {
 	t := Table{
@@ -124,12 +119,6 @@ func Fig12bAngle(anglesDeg []float64, distanceM float64, trials int, seed int64)
 		MedianDeg: dsp.Median(errs),
 		P90Deg:    dsp.Percentile(errs, 90),
 	}
-}
-
-// DefaultFig12bAngle runs the paper's setting: angles across the field of
-// view at 3 m, 20 trials each.
-func DefaultFig12bAngle(seed int64) Fig12bResult {
-	return Fig12bAngle([]float64{-30, -20, -10, 0, 10, 20, 30}, 3, 20, seed)
 }
 
 // Summary renders the CDF quantiles.

@@ -96,16 +96,6 @@ func DefaultFig13Orientations() []float64 {
 	return []float64{-24, -20, -16, -12, -8, -4, 0, 4, 8, 12, 16, 20, 24}
 }
 
-// DefaultFig13aNodeOrientation runs the paper's setting (25 trials).
-func DefaultFig13aNodeOrientation(seed int64) Fig13Result {
-	return Fig13aNodeOrientation(DefaultFig13Orientations(), 25, seed)
-}
-
-// DefaultFig13bAPOrientation runs the paper's setting (25 trials).
-func DefaultFig13bAPOrientation(seed int64) Fig13Result {
-	return Fig13bAPOrientation(DefaultFig13Orientations(), 25, seed)
-}
-
 // Summary renders the orientation-error table.
 func (r Fig13Result) Summary() Table {
 	title := "Fig 13a — Orientation estimation at the node (2 m)"

@@ -80,16 +80,6 @@ func uplinkTrial(sys *core.System, n *node.Node, orient, bitRate float64, seed i
 	return res.BitsSent, res.BitErrors
 }
 
-// DefaultFig15a runs the 10 Mbps sweep of Fig 15a.
-func DefaultFig15a(seed int64) Fig15Result {
-	return Fig15Uplink(10e6, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 40000, seed)
-}
-
-// DefaultFig15b runs the 40 Mbps sweep of Fig 15b.
-func DefaultFig15b(seed int64) Fig15Result {
-	return Fig15Uplink(40e6, []float64{1, 2, 3, 4, 5, 6, 7, 8}, 40000, seed)
-}
-
 // Summary renders the SNR/BER table.
 func (r Fig15Result) Summary() Table {
 	t := Table{

@@ -157,12 +157,6 @@ func ExtMobilityRMSE(speeds []float64, fixRateHz, routeS float64, trials int, se
 	return out
 }
 
-// DefaultExtMobility runs the walking-to-sprinting sweep the PR's
-// deliverable asks for: 0.5–10 m/s at a 20 Hz fix rate.
-func DefaultExtMobility(seed int64) ExtMobilityResult {
-	return ExtMobilityRMSE([]float64{0.5, 1, 2, 4, 7, 10}, 20, 3, 10, seed)
-}
-
 // Summary renders the mobility study.
 func (r ExtMobilityResult) Summary() Table {
 	t := Table{

@@ -354,8 +354,8 @@ func (f *FSA) arrayFactors(ca, cb float64) (a, b float64) {
 // amplitudes at half-angle cosines ca and cb. With
 // g = max(peakGain + 20·log10(af), floor) the two-way amplitude 10^(2g/20)
 // collapses to max(af, afFloor)²·ampPeak: algebraically identical to
-// exponentiating ReflectionGainWithModeDBi, numerically within ~1 ulp of
-// it.
+// exponentiating the dB-form round-trip gain 2g, numerically within ~1 ulp
+// of it.
 func (f *FSA) envelopes(ca, cb float64) (a, b float64) {
 	afA, afB := f.arrayFactors(ca, cb)
 	if afA < f.afFloor {
@@ -365,46 +365,6 @@ func (f *FSA) envelopes(ca, cb float64) (a, b float64) {
 		afB = f.afFloor
 	}
 	return afA * afA * f.ampPeak, afB * afB * f.ampPeak
-}
-
-// HalfPowerBeamwidthDeg estimates the −3 dB beamwidth of a beam near
-// broadside by numeric search.
-func (f *FSA) HalfPowerBeamwidthDeg() float64 {
-	fc := f.CenterFrequency()
-	peak := f.GainDBi(PortA, fc, f.BeamAngleDeg(PortA, fc))
-	target := peak - 3
-	beam := f.BeamAngleDeg(PortA, fc)
-	step := 0.01
-	var width float64
-	for off := step; off < 90; off += step {
-		if f.GainDBi(PortA, fc, beam+off) < target {
-			width = 2 * off
-			break
-		}
-	}
-	return width
-}
-
-// ReflectionGainDBi returns the effective round-trip gain (dBi², expressed
-// in dB) that the given port contributes to a backscatter path for a signal
-// at frequency fHz arriving from angleDeg: the aperture gain counts once on
-// receive and once on re-radiation. Absorptive ports reflect only the
-// residual return loss.
-func (f *FSA) ReflectionGainDBi(p Port, fHz, angleDeg float64) float64 {
-	return f.ReflectionGainWithModeDBi(p, f.ModeOf(p), fHz, angleDeg)
-}
-
-// ReflectionGainWithModeDBi is ReflectionGainDBi evaluated as if the port's
-// switch were in the given mode, without reading or mutating the FSA's
-// actual switch state. Because it touches only the immutable design config,
-// it is safe to call concurrently — the AP's parallel chirp synthesis
-// evaluates per-chirp switching patterns through this form.
-func (f *FSA) ReflectionGainWithModeDBi(p Port, m Mode, fHz, angleDeg float64) float64 {
-	g := 2 * f.GainDBi(p, fHz, angleDeg)
-	if m == Absorptive {
-		g -= f.cfg.AbsorptionReturnLossDB
-	}
-	return g
 }
 
 // ReflectionAmplitude returns the total linear *voltage* reflection factor

@@ -103,12 +103,3 @@ func (d *EnvelopeDetector) DetectSeries(pWatts []float64, fs float64, ns *rfsim.
 	}
 	return out
 }
-
-// RiseTime returns the 10–90% rise time implied by the video bandwidth,
-// ≈ 0.35/BW. The symbol rate a detector can follow is roughly 1/rise time;
-// for the default model that is ≈ 2.9 ns, comfortably inside MilBack's
-// 36 Mbps (27.8 ns symbols).
-func (d *EnvelopeDetector) RiseTime() float64 {
-	d.validate()
-	return 0.35 / d.VideoBandwidthHz
-}

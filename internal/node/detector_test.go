@@ -127,20 +127,10 @@ func TestDetectSeriesNoise(t *testing.T) {
 	}
 }
 
-func TestRiseTimeSupports36Mbps(t *testing.T) {
-	d := DefaultDetector()
-	rise := d.RiseTime()
-	symbol := 1.0 / 36e6 // 36 Mbps OAQFM = 18 Msym/s x 2 bits... per-bit time
-	if rise > symbol/4 {
-		t.Errorf("rise time %g too slow for 36 Mbps (%g per bit)", rise, symbol)
-	}
-}
-
 func TestDetectorValidation(t *testing.T) {
 	bad := &EnvelopeDetector{}
 	for _, f := range []func(){
 		func() { bad.OutputVolts(1) },
-		func() { bad.RiseTime() },
 		func() { DefaultDetector().DetectSeries(nil, 0, nil) },
 	} {
 		func() {

@@ -105,19 +105,6 @@ func (n *Node) Distance() float64 { return n.Position.Distance(rfsim.Point{}) }
 // AzimuthRad returns the node's direction as seen from the AP.
 func (n *Node) AzimuthRad() float64 { return n.Position.AngleFrom(rfsim.Point{}) }
 
-// SetPort drives one port's switch and mirrors the state into the FSA model.
-func (n *Node) SetPort(p fsa.Port, m fsa.Mode) {
-	switch p {
-	case fsa.PortA:
-		n.SwitchA.Set(m)
-	case fsa.PortB:
-		n.SwitchB.Set(m)
-	default:
-		panic(fmt.Sprintf("node: invalid port %d", int(p)))
-	}
-	n.applySwitches()
-}
-
 // SetPorts drives both switches.
 func (n *Node) SetPorts(a, b fsa.Mode) {
 	n.SwitchA.Set(a)
@@ -211,22 +198,6 @@ func (n *Node) ReceiveSymbol(sym waveform.Symbol, tones waveform.TonePair,
 		vb = 0
 	}
 	return DownlinkReading{VoltsA: va, VoltsB: vb}
-}
-
-// DecodeSymbol thresholds a reading back into a symbol. thresholdV is the
-// decision level per port (typically half the expected on-level).
-func DecodeSymbol(r DownlinkReading, thresholdV float64, tones waveform.TonePair) waveform.Symbol {
-	if thresholdV <= 0 {
-		panic(fmt.Sprintf("node: non-positive decision threshold %g", thresholdV))
-	}
-	if tones.Degenerate() {
-		on := r.VoltsA > thresholdV || r.VoltsB > thresholdV
-		if on {
-			return waveform.Symbol11
-		}
-		return waveform.Symbol00
-	}
-	return waveform.SymbolFromTones(r.VoltsA > thresholdV, r.VoltsB > thresholdV)
 }
 
 // DownlinkSINR computes the signal-to-interference-plus-noise ratio (linear)

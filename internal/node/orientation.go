@@ -77,14 +77,6 @@ func (n *Node) EstimateOrientation(c waveform.Chirp, va, vb []float64) (Orientat
 	}, nil
 }
 
-// SenseOrientation runs the full node-side pipeline for one chirp:
-// sample both detectors, then estimate.
-func (n *Node) SenseOrientation(c waveform.Chirp, txPowerW, apGainDBi float64,
-	ns *rfsim.NoiseSource) (OrientationResult, error) {
-	va, vb := n.SampleField1Chirp(c, txPowerW, apGainDBi, ns)
-	return n.EstimateOrientation(c, va, vb)
-}
-
 // peakSeparation finds the up-sweep and down-sweep peaks of one detector
 // trace and returns their time separation. The triangular chirp guarantees
 // one peak in each half of the trace.
@@ -112,23 +104,6 @@ func (n *Node) peakSeparation(v []float64, fs float64, c waveform.Chirp) (float6
 		return 0, fmt.Errorf("implausible peak separation %g s", dt)
 	}
 	return dt, nil
-}
-
-// CountField1Peaks counts beam-crossing peaks over a whole Field-1 window
-// (one pair per triangular chirp), which is how the node distinguishes the
-// 3-chirp uplink announcement (6 peaks) from the 2-chirp downlink
-// announcement (4 peaks) of §7.
-func CountField1Peaks(v []float64, minSeparationSamples int) int {
-	if len(v) == 0 {
-		return 0
-	}
-	maxV := v[dsp.ArgMax(v)]
-	med := dsp.Median(v)
-	if maxV <= 2*med || maxV <= 0 {
-		return 0
-	}
-	thresh := med + (maxV-med)*0.4
-	return len(dsp.FindPeaks(v, thresh, minSeparationSamples))
 }
 
 // DetectDirection decodes the AP's Field-1 direction announcement from a
@@ -213,11 +188,4 @@ func (n *Node) Field1Trace(spec waveform.PacketSpec, txPowerW, apGainDBi float64
 		appendChirp()
 	}
 	return out
-}
-
-// OrientationOK reports whether an orientation estimate is within tol
-// degrees of the node's ground truth — a convenience for tests and
-// experiments.
-func (n *Node) OrientationOK(est OrientationResult, tol float64) bool {
-	return math.Abs(est.EstimateDeg-n.OrientationDeg) <= tol
 }

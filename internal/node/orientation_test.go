@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/rfsim"
 	"repro/internal/waveform"
 )
@@ -12,6 +13,21 @@ const (
 	testTxPowerW = 0.5 // 27 dBm (§8)
 	testAPGain   = 20.0
 )
+
+// senseOrientation runs the node-side pipeline for one chirp: sample both
+// detectors, then estimate.
+func senseOrientation(n *Node, c waveform.Chirp, ns *rfsim.NoiseSource) (OrientationResult, error) {
+	va, vb := n.SampleField1Chirp(c, testTxPowerW, testAPGain, ns)
+	return n.EstimateOrientation(c, va, vb)
+}
+
+// countField1Peaks counts beam-crossing peaks over a whole Field-1 window
+// (one pair per triangular chirp).
+func countField1Peaks(v []float64, minSeparationSamples int) int {
+	maxV := v[dsp.ArgMax(v)]
+	med := dsp.Median(v)
+	return len(dsp.FindPeaks(v, med+(maxV-med)*0.4, minSeparationSamples))
+}
 
 func TestSampleField1ChirpShape(t *testing.T) {
 	n := testNode(t, 2, 8)
@@ -44,7 +60,7 @@ func TestPeakSeparationDependsOnOrientation(t *testing.T) {
 	c := waveform.MilBackOrientationChirp()
 	sep := func(orient float64) float64 {
 		n := testNode(t, 2, orient)
-		res, err := n.SenseOrientation(c, testTxPowerW, testAPGain, nil)
+		res, err := senseOrientation(n, c, nil)
 		if err != nil {
 			t.Fatalf("orient %g: %v", orient, err)
 		}
@@ -61,7 +77,7 @@ func TestEstimateOrientationNoiseless(t *testing.T) {
 	c := waveform.MilBackOrientationChirp()
 	for _, orient := range []float64{-24, -15, -6, 0, 4, 12, 20, 24} {
 		n := testNode(t, 2, orient)
-		res, err := n.SenseOrientation(c, testTxPowerW, testAPGain, nil)
+		res, err := senseOrientation(n, c, nil)
 		if err != nil {
 			t.Fatalf("orient %g: %v", orient, err)
 		}
@@ -81,7 +97,7 @@ func TestEstimateOrientationWithNoiseMatchesPaper(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
 			n := testNode(t, 2, orient)
 			ns := rfsim.NewNoiseSource(int64(1000*orient) + int64(trial))
-			res, err := n.SenseOrientation(c, testTxPowerW, testAPGain, ns)
+			res, err := senseOrientation(n, c, ns)
 			if err != nil {
 				t.Fatalf("orient %g trial %d: %v", orient, trial, err)
 			}
@@ -123,16 +139,6 @@ func TestEstimateOrientationRejectsNoiseOnlyTrace(t *testing.T) {
 	}
 }
 
-func TestOrientationOK(t *testing.T) {
-	n := testNode(t, 2, 10)
-	if !n.OrientationOK(OrientationResult{EstimateDeg: 11.5}, 2) {
-		t.Error("estimate within tolerance reported as bad")
-	}
-	if n.OrientationOK(OrientationResult{EstimateDeg: 15}, 2) {
-		t.Error("estimate outside tolerance reported as ok")
-	}
-}
-
 func TestField1TraceAndDirectionDetection(t *testing.T) {
 	// Every orientation across the scan range must decode both directions,
 	// including the near-edge orientations where per-chirp peaks crowd the
@@ -164,9 +170,6 @@ func TestDetectDirectionErrors(t *testing.T) {
 	if _, err := DetectDirection(make([]float64, 50), 45); err == nil {
 		t.Error("trace shorter than 3 slots should fail")
 	}
-	if CountField1Peaks(nil, 4) != 0 {
-		t.Error("empty trace should count zero peaks")
-	}
 }
 
 func TestField1TraceUplinkHasSixPeaks(t *testing.T) {
@@ -174,13 +177,13 @@ func TestField1TraceUplinkHasSixPeaks(t *testing.T) {
 	n := testNode(t, 2, 8)
 	trace := n.Field1Trace(spec, testTxPowerW, testAPGain, nil)
 	chirpSamples := spec.OrientationChirp.SampleCount(n.Config().ADCSampleRateHz)
-	peaks := CountField1Peaks(trace, chirpSamples/8)
+	peaks := countField1Peaks(trace, chirpSamples/8)
 	if peaks != 6 {
 		t.Errorf("uplink Field 1 peaks = %d, want 6 (3 triangular chirps)", peaks)
 	}
 	spec = waveform.DefaultPacketSpec(waveform.Downlink, 10)
 	trace = n.Field1Trace(spec, testTxPowerW, testAPGain, nil)
-	peaks = CountField1Peaks(trace, chirpSamples/8)
+	peaks = countField1Peaks(trace, chirpSamples/8)
 	if peaks != 4 {
 		t.Errorf("downlink Field 1 peaks = %d, want 4 (2 chirps + gap)", peaks)
 	}

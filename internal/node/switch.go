@@ -8,16 +8,14 @@ import (
 
 // Switch models an ADRF5020-class SPDT RF switch: it connects an FSA port
 // either to the ground plane (reflective) or to the envelope detector
-// (absorptive), tracks how many transitions it has made (the dynamic part of
-// the node's power draw), and enforces its maximum toggle rate — the limit
-// behind MilBack's 160 Mbps uplink ceiling (§9.5: "This rate is limited by
+// (absorptive) and enforces its maximum toggle rate — the limit behind
+// MilBack's 160 Mbps uplink ceiling (§9.5: "This rate is limited by
 // switching speed of the node's switches").
 type Switch struct {
 	// MaxToggleRateHz is the fastest sustained switching rate.
 	MaxToggleRateHz float64
 
-	state       fsa.Mode
-	transitions uint64
+	state fsa.Mode
 }
 
 // DefaultSwitch returns an ADRF5020-class switch. 160 Mbps of OAQFM uplink
@@ -30,32 +28,12 @@ func DefaultSwitch() *Switch {
 // State returns the current switch position.
 func (s *Switch) State() fsa.Mode { return s.state }
 
-// Transitions returns the number of state changes so far.
-func (s *Switch) Transitions() uint64 { return s.transitions }
-
-// ResetTransitions zeroes the transition counter (e.g. at the start of an
-// energy-accounting window).
-func (s *Switch) ResetTransitions() { s.transitions = 0 }
-
-// Set moves the switch to the requested position, counting a transition only
-// on actual change.
+// Set moves the switch to the requested position.
 func (s *Switch) Set(m fsa.Mode) {
 	if m != fsa.Reflective && m != fsa.Absorptive {
 		panic(fmt.Sprintf("node: invalid switch target %d", int(m)))
 	}
-	if m != s.state {
-		s.state = m
-		s.transitions++
-	}
-}
-
-// Toggle flips the switch.
-func (s *Switch) Toggle() {
-	if s.state == fsa.Reflective {
-		s.Set(fsa.Absorptive)
-	} else {
-		s.Set(fsa.Reflective)
-	}
+	s.state = m
 }
 
 // CanSustainSymbolRate reports whether the switch can keep up with an OAQFM

@@ -21,17 +21,6 @@ type Antenna struct {
 	PointingRad float64
 }
 
-// NewHorn returns the 20 dBi horn used by MilBack's AP, pointed at the given
-// azimuth.
-func NewHorn(pointingRad float64) *Antenna {
-	return &Antenna{
-		BoresightGainDBi: 20,
-		BeamwidthDeg:     18,
-		SidelobeFloorDB:  -25,
-		PointingRad:      pointingRad,
-	}
-}
-
 // GainDBi returns the antenna gain toward the given world-frame azimuth.
 // The main lobe is Gaussian in dB: G(θ) = G0 − 12 (θ/BW)², floored at the
 // sidelobe level.
@@ -64,20 +53,9 @@ type RxArray struct {
 	Spacing float64
 }
 
-// NewHalfWaveArray returns a two-element array spaced λ/2 at frequency f,
-// the spacing that keeps AoA unambiguous over ±90°.
-func NewHalfWaveArray(f float64) *RxArray {
-	return &RxArray{Spacing: Wavelength(f) / 2}
-}
-
-// PhaseDelta returns the inter-element phase difference (radians) of a plane
-// wave arriving from azimuth theta at carrier frequency f.
-func (r *RxArray) PhaseDelta(thetaRad, f float64) float64 {
-	return 2 * math.Pi * r.Spacing * math.Sin(thetaRad) / Wavelength(f)
-}
-
-// AngleFromPhase inverts PhaseDelta: it returns the arrival azimuth (radians)
-// implied by a measured inter-element phase difference at frequency f.
+// AngleFromPhase inverts Δφ = 2π·d·sin(θ)/λ: it returns the arrival azimuth
+// (radians) implied by a measured inter-element phase difference at
+// frequency f.
 // Phases outside the unambiguous range are clamped to ±90°.
 func (r *RxArray) AngleFromPhase(deltaPhi, f float64) float64 {
 	s := deltaPhi * Wavelength(f) / (2 * math.Pi * r.Spacing)

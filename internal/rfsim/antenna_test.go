@@ -6,8 +6,13 @@ import (
 	"testing/quick"
 )
 
+// testHorn returns the AP's 20 dBi horn, pointed at the given azimuth.
+func testHorn(pointingRad float64) *Antenna {
+	return &Antenna{BoresightGainDBi: 20, BeamwidthDeg: 18, SidelobeFloorDB: -25, PointingRad: pointingRad}
+}
+
 func TestHornGainPattern(t *testing.T) {
-	h := NewHorn(0)
+	h := testHorn(0)
 	if g := h.GainDBi(0); math.Abs(g-20) > 1e-12 {
 		t.Errorf("boresight gain = %g, want 20", g)
 	}
@@ -32,7 +37,7 @@ func TestHornGainPattern(t *testing.T) {
 }
 
 func TestAntennaPointing(t *testing.T) {
-	h := NewHorn(0)
+	h := testHorn(0)
 	h.Point(DegToRad(30))
 	if g := h.GainDBi(DegToRad(30)); math.Abs(g-20) > 1e-12 {
 		t.Errorf("gain at new boresight = %g, want 20", g)
@@ -61,27 +66,27 @@ func TestAntennaValidation(t *testing.T) {
 
 func TestRxArrayPhaseAngleRoundTrip(t *testing.T) {
 	f := 28e9
-	arr := NewHalfWaveArray(f)
-	if math.Abs(arr.Spacing-Wavelength(f)/2) > 1e-15 {
-		t.Fatalf("spacing = %g, want λ/2", arr.Spacing)
+	arr := &RxArray{Spacing: Wavelength(f) / 2}
+	phaseDelta := func(theta float64) float64 {
+		return 2 * math.Pi * arr.Spacing * math.Sin(theta) / Wavelength(f)
 	}
 	for _, deg := range []float64{-60, -30, -5, 0, 5, 30, 60} {
 		theta := DegToRad(deg)
-		phi := arr.PhaseDelta(theta, f)
+		phi := phaseDelta(theta)
 		got := arr.AngleFromPhase(phi, f)
 		if math.Abs(got-theta) > 1e-9 {
 			t.Errorf("round trip at %g°: got %g°", deg, RadToDeg(got))
 		}
 	}
 	// λ/2 spacing keeps |Δφ| <= π over ±90°.
-	if phi := arr.PhaseDelta(DegToRad(90), f); math.Abs(phi)-math.Pi > 1e-9 {
+	if phi := phaseDelta(DegToRad(90)); math.Abs(phi)-math.Pi > 1e-9 {
 		t.Errorf("phase at 90° = %g, want <= π", phi)
 	}
 }
 
 func TestAngleFromPhaseClamps(t *testing.T) {
 	f := 28e9
-	arr := NewHalfWaveArray(f)
+	arr := &RxArray{Spacing: Wavelength(f) / 2}
 	if got := arr.AngleFromPhase(4, f); math.Abs(got-math.Pi/2) > 1e-9 {
 		t.Errorf("over-range phase should clamp to +90°, got %g", RadToDeg(got))
 	}

@@ -40,24 +40,6 @@ func Wavelength(f float64) float64 {
 	return SpeedOfLight / f
 }
 
-// FreeSpacePathLossDB returns the one-way Friis free-space path loss in dB
-// for distance d (m) at frequency f (Hz): 20 log10(4πd/λ).
-func FreeSpacePathLossDB(d, f float64) float64 {
-	if d <= 0 {
-		panic(fmt.Sprintf("rfsim: path loss of non-positive distance %g", d))
-	}
-	lambda := Wavelength(f)
-	return 20 * math.Log10(4*math.Pi*d/lambda)
-}
-
-// RoundTripPathLossDB returns the two-way path loss in dB of a backscatter
-// path of one-way distance d: the signal traverses the channel twice, which
-// is why MilBack's uplink SNR falls ~40 log10(d) while downlink falls
-// ~20 log10(d) (§9.5).
-func RoundTripPathLossDB(d, f float64) float64 {
-	return 2 * FreeSpacePathLossDB(d, f)
-}
-
 // PropagationDelay returns the one-way propagation delay (s) over d meters.
 func PropagationDelay(d float64) float64 { return d / SpeedOfLight }
 
@@ -91,11 +73,3 @@ func ThermalNoiseDBm(bw float64) float64 {
 
 // DBmToWatts converts dBm to watts.
 func DBmToWatts(dbm float64) float64 { return math.Pow(10, (dbm-30)/10) }
-
-// WattsToDBm converts watts to dBm. Non-positive power maps to -Inf.
-func WattsToDBm(w float64) float64 {
-	if w <= 0 {
-		return math.Inf(-1)
-	}
-	return 10*math.Log10(w) + 30
-}

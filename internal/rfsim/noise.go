@@ -24,19 +24,6 @@ func (n *NoiseSource) Gaussian(sigma float64) float64 {
 	return n.rng.NormFloat64() * sigma
 }
 
-// AddAWGN adds real Gaussian noise of the given average power (variance) to
-// x in place and returns x.
-func (n *NoiseSource) AddAWGN(x []float64, power float64) []float64 {
-	if power < 0 {
-		panic(fmt.Sprintf("rfsim: noise power must be non-negative, got %g", power))
-	}
-	sigma := math.Sqrt(power)
-	for i := range x {
-		x[i] += n.rng.NormFloat64() * sigma
-	}
-	return x
-}
-
 // AddComplexAWGN adds circularly-symmetric complex Gaussian noise with total
 // average power `power` (split evenly between I and Q) to x in place.
 func (n *NoiseSource) AddComplexAWGN(x []complex128, power float64) []complex128 {
@@ -48,23 +35,4 @@ func (n *NoiseSource) AddComplexAWGN(x []complex128, power float64) []complex128
 		x[i] += complex(n.rng.NormFloat64()*sigma, n.rng.NormFloat64()*sigma)
 	}
 	return x
-}
-
-// ComplexSample returns one circularly-symmetric complex Gaussian sample of
-// total average power `power`.
-func (n *NoiseSource) ComplexSample(power float64) complex128 {
-	sigma := math.Sqrt(power / 2)
-	return complex(n.rng.NormFloat64()*sigma, n.rng.NormFloat64()*sigma)
-}
-
-// Uniform returns a uniform sample in [0, 1).
-func (n *NoiseSource) Uniform() float64 { return n.rng.Float64() }
-
-// UniformPhase returns a uniform phase in [0, 2π).
-func (n *NoiseSource) UniformPhase() float64 { return n.rng.Float64() * 2 * math.Pi }
-
-// Fork derives an independent noise source from this one, for handing to a
-// sub-component while keeping the parent stream untouched by its draws.
-func (n *NoiseSource) Fork() *NoiseSource {
-	return NewNoiseSource(n.rng.Int63())
 }

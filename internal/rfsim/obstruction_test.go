@@ -82,11 +82,11 @@ func TestAddObstructionValidation(t *testing.T) {
 }
 
 func TestClutterPathsRespectObstructions(t *testing.T) {
-	tx, rx := NewHorn(0), NewHorn(0)
+	tx, rx := testHorn(0), testHorn(0)
 	scene := &Scene{Reflectors: []Reflector{{Name: "wall", Position: Point{X: 6}, RCS: 10}}}
-	clear := scene.ClutterPaths(tx, rx, 28e9)[0].Amplitude
+	clear := clutterPaths(scene, tx, rx, 28e9)[0].Amplitude
 	scene.AddObstruction(Obstruction{Name: "cabinet", A: Point{X: 3, Y: -1}, B: Point{X: 3, Y: 1}, LossDB: 20})
-	blocked := scene.ClutterPaths(tx, rx, 28e9)[0].Amplitude
+	blocked := clutterPaths(scene, tx, rx, 28e9)[0].Amplitude
 	// One-way 20 dB ⇒ round-trip amplitude factor 10^(−2) = 0.01.
 	if ratio := blocked / clear; math.Abs(ratio-0.01) > 1e-6 {
 		t.Errorf("blocked/clear amplitude = %g, want 0.01", ratio)

@@ -241,15 +241,9 @@ func radarAmplitude(gtDBi, grDBi, d, f, rcs float64) float64 {
 	return math.Sqrt(p)
 }
 
-// ClutterPaths returns the round-trip paths off every reflector in the scene
-// for an AP with the given transmit and receive horn antennas, evaluated at
-// carrier frequency f.
-func (s *Scene) ClutterPaths(tx, rx *Antenna, f float64) []Path {
-	paths, _ := s.ClutterPathsWithDeps(tx, rx, f)
-	return paths
-}
-
-// ClutterPathsWithDeps is ClutterPaths plus the derivation's obstruction
+// ClutterPathsWithDeps returns the round-trip paths off every reflector in
+// the scene for an AP with the given transmit and receive horn antennas,
+// evaluated at carrier frequency f, plus the derivation's obstruction
 // footprint: the deduplicated names of every obstruction crossing some
 // AP→reflector ray. Incremental caches key eviction on this set — an
 // obstruction outside it (and still outside it after moving) cannot change

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -197,6 +198,71 @@ func TestServerErrorMapping(t *testing.T) {
 	if code, _ := postJSON(t, node+"/localize", nil, nil); code != 422 {
 		t.Errorf("blocked localize: want 422")
 	}
+}
+
+// TestServerRejectsTrailingData: a request body must hold exactly one JSON
+// value. Anything after it other than whitespace is a 400, and the
+// request has no effect.
+func TestServerRejectsTrailingData(t *testing.T) {
+	cluster := newTestCluster(t)
+	defer cluster.Close()
+	ts := httptest.NewServer(NewServer(cluster, nil))
+	defer ts.Close()
+
+	const body = `{"x":2,"y":0,"orientation_deg":0}`
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"one value", body, http.StatusOK},
+		{"trailing whitespace", body + " \n\t", http.StatusOK},
+		{"trailing garbage", body + " trailing garbage", http.StatusBadRequest},
+		{"second value", body + `{"x":3}`, http.StatusBadRequest},
+		{"trailing literal", body + " true", http.StatusBadRequest},
+	} {
+		var before NodesResponse
+		if code, msg := doJSON(t, http.MethodGet, ts.URL+"/v1/nodes", nil, &before); code != 200 {
+			t.Fatalf("list nodes: %d %s", code, msg)
+		}
+		resp, err := http.Post(ts.URL+"/v1/nodes", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		var after NodesResponse
+		if code, msg := doJSON(t, http.MethodGet, ts.URL+"/v1/nodes", nil, &after); code != 200 {
+			t.Fatalf("list nodes: %d %s", code, msg)
+		}
+		wantJoined := 0
+		if tc.want == http.StatusOK {
+			wantJoined = 1
+		}
+		if joined := len(after.Nodes) - len(before.Nodes); joined != wantJoined {
+			t.Errorf("%s: %d nodes joined, want %d", tc.name, joined, wantJoined)
+		}
+	}
+}
+
+// FuzzDecode asserts decode never panics and accepts only bodies that hold
+// exactly one JSON value.
+func FuzzDecode(f *testing.F) {
+	f.Add([]byte(`{"x":2,"y":0,"orientation_deg":0}`))
+	f.Add([]byte(`{"x":2} trailing garbage`))
+	f.Add([]byte(`{"x":2}{"x":3}`))
+	f.Add([]byte(`{"x":2} `))
+	f.Add([]byte(`{"z":1}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/nodes", bytes.NewReader(body))
+		var req JoinRequest
+		if decode(r, &req) == nil && !json.Valid(body) {
+			t.Fatalf("accepted body %q that is not exactly one JSON value", body)
+		}
+	})
 }
 
 // TestServerRejectsOversizeBody: a send body past maxBodyBytes is refused

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -177,20 +178,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// decode reads the request body into v, rejecting unknown fields; a body
-// over maxBodyBytes is a 413.
+// decode reads the request body into v, rejecting unknown fields and
+// anything but whitespace after the one JSON value; a body over
+// maxBodyBytes is a 413.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &apiError{status: http.StatusRequestEntityTooLarge,
-				err: fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)}
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return badRequest("decoding request body: %v", err)
+		if err == nil {
+			err = errors.New("data after the JSON value")
+		}
 	}
-	return nil
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &apiError{status: http.StatusRequestEntityTooLarge,
+			err: fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return badRequest("decoding request body: %v", err)
 }
 
 // nodeID extracts the {id} path segment.

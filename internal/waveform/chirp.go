@@ -100,41 +100,10 @@ func (c Chirp) FrequencyAt(t float64) float64 {
 	}
 }
 
-// TimeForFrequency returns the time(s) within the chirp at which the
-// instantaneous frequency equals f. A sawtooth crosses each frequency once;
-// a triangular chirp crosses twice (up sweep, then down sweep). Frequencies
-// outside the band return no crossings.
-func (c Chirp) TimeForFrequency(f float64) []float64 {
-	if f < c.FreqLow || f > c.FreqHigh {
-		return nil
-	}
-	switch c.Shape {
-	case Triangular:
-		up := (f - c.FreqLow) / c.Slope()
-		down := c.Duration/2 + (c.FreqHigh-f)/c.Slope()
-		return []float64{up, down}
-	default:
-		return []float64{(f - c.FreqLow) / c.Slope()}
-	}
-}
-
-// PeakSeparationForFrequency returns Δt, the time between the two instants a
-// triangular chirp passes through frequency f — the observable the node's
-// MCU measures in Fig 5. It panics for non-triangular chirps.
-func (c Chirp) PeakSeparationForFrequency(f float64) float64 {
-	if c.Shape != Triangular {
-		panic("waveform: PeakSeparationForFrequency requires a triangular chirp")
-	}
-	ts := c.TimeForFrequency(f)
-	if len(ts) != 2 {
-		panic(fmt.Sprintf("waveform: frequency %g outside chirp band", f))
-	}
-	return ts[1] - ts[0]
-}
-
-// FrequencyForPeakSeparation inverts PeakSeparationForFrequency:
-// given the measured Δt between the two power peaks it returns the frequency
-// at which the node's beam was aligned. It panics for non-triangular chirps.
+// FrequencyForPeakSeparation maps Δt, the time between the two instants a
+// triangular chirp passes through the node's beam-aligned frequency (the
+// observable the node's MCU measures in Fig 5), back to that frequency. It
+// panics for non-triangular chirps.
 //
 // Derivation: Δt = T/2 + (fLow + fHigh − 2f)/S  ⇒  f = (fLow + fHigh − S·(Δt − T/2)) / 2.
 func (c Chirp) FrequencyForPeakSeparation(dt float64) float64 {
@@ -167,11 +136,6 @@ func (c Chirp) BeatFrequency(tau float64) float64 { return c.Slope() * tau }
 
 // DelayForBeat inverts BeatFrequency.
 func (c Chirp) DelayForBeat(fBeat float64) float64 { return fBeat / c.Slope() }
-
-// RangeResolution returns the classic FMCW range resolution c/(2B).
-func (c Chirp) RangeResolution() float64 {
-	return 299792458.0 / (2 * c.Bandwidth())
-}
 
 // InstantaneousFrequencies samples FrequencyAt on a uniform grid of n points
 // across the chirp (t = i/fs).

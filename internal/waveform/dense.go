@@ -137,10 +137,3 @@ func (d DenseScheme) QuantizeLevel(relAmplitude float64) int {
 	}
 	return lv
 }
-
-// MinLevelSeparation returns the amplitude gap between adjacent levels
-// relative to full scale — the quantity that shrinks as the scheme gets
-// denser and drives its higher SINR requirement (1/(Levels−1)).
-func (d DenseScheme) MinLevelSeparation() float64 {
-	return 1 / float64(d.Levels-1)
-}

@@ -96,15 +96,6 @@ func TestDenseQuantizeLevel(t *testing.T) {
 	}
 }
 
-func TestDenseMinLevelSeparation(t *testing.T) {
-	if s := (DenseScheme{Levels: 2}).MinLevelSeparation(); s != 1 {
-		t.Errorf("binary separation = %g", s)
-	}
-	if s := (DenseScheme{Levels: 8}).MinLevelSeparation(); math.Abs(s-1.0/7) > 1e-12 {
-		t.Errorf("8-level separation = %g", s)
-	}
-}
-
 func TestGrayCodeProperties(t *testing.T) {
 	// Round trip.
 	for v := 0; v < 64; v++ {

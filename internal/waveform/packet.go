@@ -47,18 +47,6 @@ func Field1ChirpCount(d Direction) int {
 	return DownlinkField1Chirps
 }
 
-// DirectionFromField1 decodes the chirp count a node observed in Field 1.
-func DirectionFromField1(chirps int) (Direction, error) {
-	switch chirps {
-	case UplinkField1Chirps:
-		return Uplink, nil
-	case DownlinkField1Chirps:
-		return Downlink, nil
-	default:
-		return 0, fmt.Errorf("waveform: %d Field-1 chirps match no direction", chirps)
-	}
-}
-
 // PacketSpec describes one MilBack packet (Fig 8): a preamble whose Field 1
 // (triangular chirps) carries orientation sensing + direction signalling and
 // whose Field 2 (sawtooth chirps) carries localization, followed by an
@@ -145,10 +133,4 @@ func (p PacketSpec) PayloadDuration() float64 {
 // Duration returns the total packet airtime.
 func (p PacketSpec) Duration() float64 {
 	return p.Field1Duration() + p.Field2Duration() + p.PayloadDuration()
-}
-
-// PayloadBits returns how many bits the payload carries over the given tone
-// pair (2 bits/symbol normally, 1 in the zero-incidence OOK fallback).
-func (p PacketSpec) PayloadBits(tones TonePair) int {
-	return p.PayloadSymbols * tones.BitsPerSymbol()
 }

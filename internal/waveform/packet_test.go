@@ -12,24 +12,6 @@ func TestDirectionSignalling(t *testing.T) {
 	if Field1ChirpCount(Downlink) != 2 {
 		t.Error("downlink should signal with 2 chirps (§7)")
 	}
-	d, err := DirectionFromField1(3)
-	if err != nil || d != Uplink {
-		t.Errorf("3 chirps -> %v, %v", d, err)
-	}
-	d, err = DirectionFromField1(2)
-	if err != nil || d != Downlink {
-		t.Errorf("2 chirps -> %v, %v", d, err)
-	}
-	if _, err := DirectionFromField1(5); err == nil {
-		t.Error("5 chirps should not decode")
-	}
-	// Round trip for both directions.
-	for _, dir := range []Direction{Uplink, Downlink} {
-		got, err := DirectionFromField1(Field1ChirpCount(dir))
-		if err != nil || got != dir {
-			t.Errorf("direction round trip failed for %v", dir)
-		}
-	}
 	if Uplink.String() != "uplink" || Downlink.String() != "downlink" {
 		t.Error("direction names")
 	}
@@ -90,17 +72,5 @@ func TestPacketSpecValidation(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d: expected validation error", i)
 		}
-	}
-}
-
-func TestPayloadBits(t *testing.T) {
-	p := DefaultPacketSpec(Downlink, 100)
-	dual := TonePair{FA: 27.5e9, FB: 28.5e9}
-	ook := TonePair{FA: 28e9, FB: 28e9}
-	if n := p.PayloadBits(dual); n != 200 {
-		t.Errorf("dual-tone payload bits = %d, want 200", n)
-	}
-	if n := p.PayloadBits(ook); n != 100 {
-		t.Errorf("OOK payload bits = %d, want 100", n)
 	}
 }
