@@ -6,13 +6,14 @@
 # the determinism suite under -race on its own, enforces the capture-plane
 # allocation gate, diffs every example's stdout and the quick experiment
 # sweep against their goldens, reruns the paper's verdict table against
-# REPORT.md, and smoke-runs every benchmark once.
+# REPORT.md, fuzzes every Fuzz* target briefly, and smoke-runs every
+# benchmark once.
 
 GO ?= go
 
-.PHONY: verify lint vet fmt-check build test race determinism alloc-gate bench bench-baseline bench-compare docs-check api-check examples-check experiments-check report-check serve-smoke load-baseline
+.PHONY: verify lint vet fmt-check build test race determinism fuzz-smoke alloc-gate bench bench-baseline bench-compare docs-check api-check examples-check experiments-check report-check serve-smoke load-baseline
 
-verify: lint docs-check api-check examples-check experiments-check report-check build race determinism alloc-gate serve-smoke bench bench-compare
+verify: lint docs-check api-check examples-check experiments-check report-check build race determinism fuzz-smoke alloc-gate serve-smoke bench bench-compare
 
 # lint is the static gate: vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -43,6 +44,25 @@ race:
 determinism:
 	GOMAXPROCS=1 $(GO) test -run Determinis -race ./...
 	GOMAXPROCS=4 $(GO) test -run Determinis -race ./...
+
+# Fuzz smoke: `go test` alone replays only each target's seed corpus, so
+# every Fuzz* target also gets FUZZTIME of coverage-guided mutation. A
+# crasher lands in the package's testdata/fuzz/ and fails the run.
+FUZZTIME ?= 2s
+FUZZ_TARGETS = \
+	./internal/loadgen:FuzzParseMix \
+	./internal/proto:FuzzDecodeFrame \
+	./internal/proto:FuzzFECDecode \
+	./internal/proto:FuzzFrameRoundTrip \
+	./internal/serve:FuzzDecode \
+	./internal/dsp:FuzzPackedTransform
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$pkg $$name"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
 
 # Documentation gate: every exported identifier in the public facade, the
 # internal packages, and the command packages must carry godoc (commands

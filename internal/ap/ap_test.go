@@ -270,6 +270,17 @@ func TestEstimateOrientationProfileValidation(t *testing.T) {
 	if _, err := a.EstimateOrientationProfile(c, frames[:1], 100, 10); err == nil {
 		t.Error("single chirp should fail")
 	}
+	// The envelope is sized from the frames: a chirp argument whose sample
+	// count differs from theirs is a configuration error, whether it is
+	// shorter than the FFT (the 1125-sample orientation chirp) or longer.
+	long := c
+	long.Duration = 100e-6
+	for _, cc := range []waveform.Chirp{a.Config().OrientationChirp, long} {
+		if _, err := a.EstimateOrientationProfile(cc, frames, 100, 10); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%g µs chirp against %d-sample frames: err = %v, want ErrInvalidConfig",
+				cc.Duration*1e6, len(frames[0].Rx[0]), err)
+		}
+	}
 }
 
 func TestDetectTargetsMultiNode(t *testing.T) {

@@ -666,9 +666,16 @@ func (a *AP) EstimateOrientationProfile(c waveform.Chirp, frames []ChirpFrame,
 	if peakBin <= 0 || peakBin >= nfft/2 {
 		return OrientationProfile{}, fmt.Errorf("ap: peak bin %d outside (0, %d)", peakBin, nfft/2)
 	}
+	// The envelope has one sample per frame sample, so the frames, not the
+	// chirp argument, size it; a chirp of another length would map those
+	// samples onto the wrong frequencies.
 	fs := a.cfg.BeatSampleRateHz
-	nSamp := c.SampleCount(fs)
-	env := make([]float64, nSamp)
+	n0 := len(frames[0].Rx[0])
+	if ns := c.SampleCount(fs); ns != n0 {
+		return OrientationProfile{}, fmt.Errorf("ap: %w: chirp spans %d samples but the frames hold %d",
+			ErrInvalidConfig, ns, n0)
+	}
+	env := make([]float64, n0)
 	lo, hi := peakBin-maskBins, peakBin+maskBins
 	if lo < 1 {
 		lo = 1
@@ -686,7 +693,7 @@ func (a *AP) EstimateOrientationProfile(c waveform.Chirp, frames []ChirpFrame,
 	}
 	// The Hann analysis window tapers the ends of the chirp; undo it so the
 	// envelope reflects the FSA gain profile, avoiding the near-zero edges.
-	w := dsp.HannCached(nSamp)
+	w := dsp.HannCached(n0)
 	for i := range env {
 		if w[i] > 0.05 {
 			env[i] /= w[i]
@@ -695,7 +702,7 @@ func (a *AP) EstimateOrientationProfile(c waveform.Chirp, frames []ChirpFrame,
 		}
 	}
 	peak := dsp.MaxPeak(env)
-	freqs := c.InstantaneousFrequencies(fs, nSamp)
+	freqs := c.InstantaneousFrequencies(fs, n0)
 	// Interpolate the peak position onto the frequency axis.
 	pf := c.FrequencyAt(peak.Position / fs)
 	return OrientationProfile{FreqHz: freqs, Power: env, PeakFreqHz: pf}, nil

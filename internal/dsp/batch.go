@@ -20,7 +20,9 @@ import (
 // hands every caller the same plan per size.
 type BatchPlan struct {
 	p *FFTPlan
-	// scratch pools length-n staging buffers for AddBandEnvelope.
+	// scratch pools length-2n staging buffers: ForwardPacked stages each
+	// row's head in the front, AddBandEnvelope transforms into the front
+	// half from a head staged in the back half.
 	scratch sync.Pool
 }
 
@@ -37,7 +39,7 @@ func PlanBatch(n int) *BatchPlan {
 	}
 	bp := &BatchPlan{p: PlanFFT(n)}
 	bp.scratch.New = func() any {
-		buf := make([]complex128, n)
+		buf := make([]complex128, 2*n)
 		return &buf
 	}
 	actual, _ := batchCache.LoadOrStore(n, bp)
@@ -48,10 +50,11 @@ func PlanBatch(n int) *BatchPlan {
 // caller's guarantee that only each buffer's first `prefix` entries are
 // nonzero and that entries [prefix, NextPowerOfTwo(prefix)) are explicit
 // zeros; entries beyond NextPowerOfTwo(prefix) are ignored on input and
-// overwritten. The leading stages whose inputs are all zero collapse to a
-// broadcast (see FFTPlan.packedForward); results match a plain forward
-// transform of fully zero-padded buffers bitwise, up to the sign of exact
-// zeros. Each buffer must have the plan's length.
+// overwritten. Each buffer's head is staged through pooled scratch and the
+// transform starts at the first stage with nonzero odd inputs (see
+// FFTPlan.transformPacked); results match a plain forward transform of
+// fully zero-padded buffers bitwise, up to the sign of exact zeros. Each
+// buffer must have the plan's length.
 func (bp *BatchPlan) ForwardPacked(xs [][]complex128, prefix int) {
 	p := bp.p
 	if prefix < 1 || prefix > p.n {
@@ -62,9 +65,13 @@ func (bp *BatchPlan) ForwardPacked(xs [][]complex128, prefix int) {
 			panic(fmt.Sprintf("dsp: batch plan for length %d applied to length %d", p.n, len(x)))
 		}
 	}
+	bufPtr := bp.scratch.Get().(*[]complex128)
+	head := (*bufPtr)[:NextPowerOfTwo(prefix)]
 	for _, x := range xs {
-		p.packedForward(x, prefix, p.twFwd)
+		copy(head, x)
+		p.transformPacked(x, head, p.twFwd, p.n)
 	}
+	bp.scratch.Put(bufPtr)
 }
 
 // AddBandEnvelope accumulates into env the magnitude envelope of the
@@ -75,10 +82,10 @@ func (bp *BatchPlan) ForwardPacked(xs [][]complex128, prefix int) {
 // to baseband multiplies its time signal by the unit-modulus phasor
 // e^{2πi lo·t/n}, which the magnitude discards, so callers pass only the
 // band itself. Because the band occupies a short spectrum prefix, the
-// inverse transform runs packed (leading stages collapse to a broadcast) and
-// the 1/n normalization folds into the magnitude accumulation — only the
-// first len(env) bins ever get normalized. len(env) and len(band) must not
-// exceed the plan size.
+// inverse transform runs packed, its last pass computes only the first
+// len(env) samples when len(env) <= n/4, and the 1/n normalization folds
+// into the magnitude accumulation. len(env) and len(band) must not exceed
+// the plan size.
 func (bp *BatchPlan) AddBandEnvelope(env []float64, band []complex128) {
 	p := bp.p
 	n := p.n
@@ -89,14 +96,10 @@ func (bp *BatchPlan) AddBandEnvelope(env []float64, band []complex128) {
 		panic(fmt.Sprintf("dsp: AddBandEnvelope envelope of %d samples against plan size %d", len(env), n))
 	}
 	bufPtr := bp.scratch.Get().(*[]complex128)
-	buf := *bufPtr
-	copy(buf, band)
-	// packedForward only reads zeros up to the next power of two past the
-	// band; everything beyond is overwritten by the broadcast.
-	for i, stop := len(band), NextPowerOfTwo(len(band)); i < stop; i++ {
-		buf[i] = 0
-	}
-	p.packedForward(buf, len(band), p.twInv)
+	buf := (*bufPtr)[:n]
+	head := (*bufPtr)[n : n+NextPowerOfTwo(len(band))]
+	clear(head[copy(head, band):])
+	p.transformPacked(buf, head, p.twInv, len(env))
 	inv := 1 / float64(n)
 	for t := range env {
 		re, im := real(buf[t]), imag(buf[t])

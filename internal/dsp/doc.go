@@ -10,8 +10,9 @@
 //
 // The package carries no paper-specific logic of its own — it is the math
 // under every pipeline: the range FFTs of §5.1 and the masked-IFFT beat
-// isolation of §5.2a both run through one radix-2 engine. FFT plans are
-// cached per size (PlanFFT, PlanBatch), which is what lets the capture plane
-// reuse twiddle factors across every chirp of a session; any size that is
-// not a power of two is rejected.
+// isolation of §5.2a both run through one fused radix-2² kernel, bitwise
+// identical to the plain radix-2 schedule. FFT plans are cached per size
+// (PlanFFT, PlanBatch), which is what lets the capture plane reuse twiddle
+// factors across every chirp of a session; any size that is not a power of
+// two is rejected.
 package dsp

@@ -90,13 +90,6 @@ func (p *FFTPlan) Transform(x []complex128, inverse bool) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dsp: plan for length %d applied to length %d", p.n, len(x)))
 	}
-	p.radix2(x, inverse)
-}
-
-// radix2 is the iterative in-place decimation-in-time FFT, with the
-// permutation and twiddles read from the plan's tables instead of being
-// recomputed per call.
-func (p *FFTPlan) radix2(x []complex128, inverse bool) {
 	n := len(x)
 	if n <= 1 {
 		return
@@ -105,7 +98,12 @@ func (p *FFTPlan) radix2(x []complex128, inverse bool) {
 	if inverse {
 		tw = p.twInv
 	}
-	p.radix2Stages(x, tw)
+	for i, j := range p.rev {
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	stagesFrom(x, 1, tw, n)
 	if inverse {
 		inv := complex(1/float64(n), 0)
 		for i := range x {
@@ -114,73 +112,132 @@ func (p *FFTPlan) radix2(x []complex128, inverse bool) {
 	}
 }
 
-// radix2Stages runs the bit-reversal permutation plus the full butterfly
-// schedule against the given twiddle table, without any normalization pass.
-// Splitting this out lets the packed transforms replace leading stages with
-// a broadcast.
-func (p *FFTPlan) radix2Stages(x []complex128, tw []complex128) {
-	for i, j := range p.rev {
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	p.radix2From(x, 1, tw)
-}
-
-// radix2From runs the butterfly stages for sizes 2·firstSize .. n, assuming
-// the permutation and all stages up to firstSize have already been applied
-// (firstSize 1 means "run everything"). firstSize must be a power of two
-// dividing n; the twiddle offset for the first executed stage of size S is
-// S-1, matching the stage-major table layout.
-func (p *FFTPlan) radix2From(x []complex128, firstSize int, tw []complex128) {
+// transformPacked writes into x the transform, against twiddle table tw, of
+// the head h zero-padded to len(x); len(h) must be a power of two no larger
+// than the plan size, and x's prior contents are ignored. Only x[:outLen]
+// is guaranteed on return: the last butterfly pass skips every output at or
+// beyond outLen when that saves work.
+//
+// After the bit-reversal permutation every head value would sit at the
+// start of a block of len(x)/len(h) outputs whose other entries are zero,
+// so the leading stages would only broadcast it across its block. Instead
+// the first stage whose odd inputs are nonzero reads its two head values
+// straight from their bit-reversed positions in h, which replaces the
+// permutation pass, the broadcast and that stage with one pass. The
+// remaining stages run through stagesFrom. Every butterfly that produces a
+// read output executes with the same operands, twiddle and operation order
+// as the plain radix-2 schedule, so the result is bitwise identical to
+// permuting, broadcasting and running the radix-2 stages.
+func (p *FFTPlan) transformPacked(x, h, tw []complex128, outLen int) {
 	n := len(x)
-	off := firstSize - 1
-	for size := firstSize << 1; size <= n; size <<= 1 {
-		half := size >> 1
-		for k := 0; k < half; k++ {
-			w := tw[off+k]
-			for start := k; start < n; start += size {
-				even := x[start]
-				odd := x[start+half] * w
-				x[start] = even + odd
-				x[start+half] = even - odd
-			}
+	if len(h) == 1 {
+		for i := range x {
+			x[i] = h[0]
 		}
-		off += half
-	}
-}
-
-// packedForward transforms x in place against the given twiddle table, given
-// the caller's guarantee that only the first `prefix` entries are nonzero and
-// that x[prefix:NextPowerOfTwo(prefix)] holds explicit zeros. Entries beyond
-// NextPowerOfTwo(prefix) are ignored on input and overwritten: after the
-// bit-reversal permutation every surviving input value sits at the head of a
-// block of n/NextPowerOfTwo(prefix) outputs, and the leading log2(block)
-// butterfly stages — whose odd inputs are all zero — collapse to broadcasting
-// each head across its block. The remaining stages run unchanged, so the
-// result matches the full transform bitwise (the skipped butterflies compute
-// even±0, identical to the head value except for the sign of exact zeros,
-// which no magnitude or difference can observe).
-func (p *FFTPlan) packedForward(x []complex128, prefix int, tw []complex128) {
-	n := len(x)
-	if prefix < 1 {
-		prefix = 1
-	}
-	block := n / NextPowerOfTwo(prefix)
-	if block <= 1 {
-		p.radix2Stages(x, tw)
 		return
 	}
-	for i, j := range p.rev {
-		if j > i {
-			x[i], x[j] = x[j], x[i]
+	block := n / len(h)
+	w := tw[block-1 : 2*block-1]
+	for g := 0; g < n; g += 2 * block {
+		ve := h[p.rev[g]]
+		vo := h[p.rev[g+block]]
+		lo := x[g : g+block]
+		hi := x[g+block : g+2*block][:len(lo)]
+		w := w[:len(lo)]
+		for k := range lo {
+			odd := vo * w[k]
+			lo[k] = ve + odd
+			hi[k] = ve - odd
 		}
 	}
-	for start := 0; start < n; start += block {
-		v := x[start]
-		for j := 1; j < block; j++ {
-			x[start+j] = v
+	stagesFrom(x, 2*block, tw, outLen)
+}
+
+// stagesFrom runs the decimation-in-time butterfly stages of half-sizes
+// s, 2s, ..., len(x)/2 in place, against the stage-major twiddle table tw
+// (the stage of half-size h reads tw[h-1 : 2h-1]), assuming the permutation
+// and every earlier stage have been applied. s must be a power of two no
+// larger than len(x); s == len(x) runs nothing.
+//
+// Stages run in radix-2² pairs, one memory pass per pair; an odd stage
+// count runs one plain radix-2 pass first. A fused pass computes exactly
+// the two radix-2 butterflies it replaces, in the same order and with the
+// same table twiddles, so it is bitwise identical to running them one
+// stage at a time. When the last pair is a single group (4s == len(x)) and
+// outLen <= s, only its first outLen outputs are computed.
+func stagesFrom(x []complex128, s int, tw []complex128, outLen int) {
+	n := len(x)
+	if bits.TrailingZeros(uint(n/s))%2 == 1 {
+		radix2Pass(x, s, tw)
+		s <<= 1
+	}
+	for ; s < n; s <<= 2 {
+		if 4*s == n && outLen <= s {
+			radix22Pruned(x, s, tw, outLen)
+			return
+		}
+		radix22Pass(x, s, tw)
+	}
+}
+
+// radix2Pass runs the single radix-2 stage of half-size s.
+func radix2Pass(x []complex128, s int, tw []complex128) {
+	w := tw[s-1 : 2*s-1]
+	for g := 0; g < len(x); g += 2 * s {
+		a := x[g : g+s]
+		b := x[g+s : g+2*s][:len(a)]
+		w := w[:len(a)]
+		for k := range a {
+			even := a[k]
+			odd := b[k] * w[k]
+			a[k] = even + odd
+			b[k] = even - odd
 		}
 	}
-	p.radix2From(x, block, tw)
+}
+
+// radix22Pass runs the stages of half-sizes s and 2s in one pass. Over each
+// quartet (a, b, c, d) = x[g+k], x[g+k+s], x[g+k+2s], x[g+k+3s] the first
+// stage butterflies (a, b) and (c, d) with tw[s-1+k]; the second butterflies
+// (a', c') with tw[2s-1+k] and (b', d') with tw[3s-1+k].
+func radix22Pass(x []complex128, s int, tw []complex128) {
+	w1 := tw[s-1 : 2*s-1]
+	w2 := tw[2*s-1 : 3*s-1]
+	w3 := tw[3*s-1 : 4*s-1]
+	for g := 0; g < len(x); g += 4 * s {
+		a := x[g : g+s]
+		b := x[g+s : g+2*s][:len(a)]
+		c := x[g+2*s : g+3*s][:len(a)]
+		d := x[g+3*s : g+4*s][:len(a)]
+		w1 := w1[:len(a)]
+		w2 := w2[:len(a)]
+		w3 := w3[:len(a)]
+		for k := range a {
+			ab := b[k] * w1[k]
+			a1, b1 := a[k]+ab, a[k]-ab
+			cd := d[k] * w1[k]
+			c1, d1 := c[k]+cd, c[k]-cd
+			ac := c1 * w2[k]
+			a[k], c[k] = a1+ac, a1-ac
+			bd := d1 * w3[k]
+			b[k], d[k] = b1+bd, b1-bd
+		}
+	}
+}
+
+// radix22Pruned is the last radix22Pass (4s == len(x)) pruned to its first
+// m <= s outputs: x[k] = (a+b·w1) + (c+d·w1)·w2 for k < m. The other three
+// quarters are left holding the previous stage's values.
+func radix22Pruned(x []complex128, s int, tw []complex128, m int) {
+	a := x[:m]
+	b := x[s : s+m][:len(a)]
+	c := x[2*s : 2*s+m][:len(a)]
+	d := x[3*s : 3*s+m][:len(a)]
+	w1 := tw[s-1 : s-1+m][:len(a)]
+	w2 := tw[2*s-1 : 2*s-1+m][:len(a)]
+	for k := range a {
+		a1 := a[k] + b[k]*w1[k]
+		c1 := c[k] + d[k]*w1[k]
+		a[k] = a1 + c1*w2[k]
+	}
 }
