@@ -46,22 +46,17 @@ determinism:
 	GOMAXPROCS=4 $(GO) test -run Determinis -race ./...
 
 # Fuzz smoke: `go test` alone replays only each target's seed corpus, so
-# every Fuzz* target also gets FUZZTIME of coverage-guided mutation. A
-# crasher lands in the package's testdata/fuzz/ and fails the run.
-FUZZTIME ?= 2s
-FUZZ_TARGETS = \
-	./internal/loadgen:FuzzParseMix \
-	./internal/proto:FuzzDecodeFrame \
-	./internal/proto:FuzzFECDecode \
-	./internal/proto:FuzzFrameRoundTrip \
-	./internal/serve:FuzzDecode \
-	./internal/dsp:FuzzPackedTransform
-
+# every Fuzz* target that `go test -list` finds also gets 2s of
+# coverage-guided mutation. A crasher lands in the package's testdata/fuzz/
+# and fails the run.
 fuzz-smoke:
-	@set -e; for t in $(FUZZ_TARGETS); do \
+	@set -e; targets=$$($(GO) test -list '^Fuzz' ./... | \
+		awk '/^Fuzz/ {n[++c] = $$1} /^ok/ {for (i = 1; i <= c; i++) print $$2 ":" n[i]; c = 0}'); \
+	test -n "$$targets"; \
+	for t in $$targets; do \
 		pkg=$${t%%:*}; name=$${t##*:}; \
 		echo "fuzz $$pkg $$name"; \
-		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 2s $$pkg; \
 	done
 
 # Documentation gate: every exported identifier in the public facade, the

@@ -69,7 +69,7 @@ func (bp *BatchPlan) ForwardPacked(xs [][]complex128, prefix int) {
 	head := (*bufPtr)[:NextPowerOfTwo(prefix)]
 	for _, x := range xs {
 		copy(head, x)
-		p.transformPacked(x, head, p.twFwd, p.n)
+		p.transformPacked(x, head, p.twFwd)
 	}
 	bp.scratch.Put(bufPtr)
 }
@@ -82,9 +82,8 @@ func (bp *BatchPlan) ForwardPacked(xs [][]complex128, prefix int) {
 // to baseband multiplies its time signal by the unit-modulus phasor
 // e^{2πi lo·t/n}, which the magnitude discards, so callers pass only the
 // band itself. Because the band occupies a short spectrum prefix, the
-// inverse transform runs packed, its last pass computes only the first
-// len(env) samples when len(env) <= n/4, and the 1/n normalization folds
-// into the magnitude accumulation. len(env) and len(band) must not exceed
+// inverse transform runs packed and the 1/n normalization folds into the
+// magnitude accumulation. len(env) and len(band) must not exceed
 // the plan size.
 func (bp *BatchPlan) AddBandEnvelope(env []float64, band []complex128) {
 	p := bp.p
@@ -99,7 +98,7 @@ func (bp *BatchPlan) AddBandEnvelope(env []float64, band []complex128) {
 	buf := (*bufPtr)[:n]
 	head := (*bufPtr)[n : n+NextPowerOfTwo(len(band))]
 	clear(head[copy(head, band):])
-	p.transformPacked(buf, head, p.twInv, len(env))
+	p.transformPacked(buf, head, p.twInv)
 	inv := 1 / float64(n)
 	for t := range env {
 		re, im := real(buf[t]), imag(buf[t])

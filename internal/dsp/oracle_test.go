@@ -85,11 +85,11 @@ func sameBits(a, b complex128) bool {
 
 // FuzzPackedTransform pins the fused kernel to the radix-2 oracle bit for
 // bit on every output a caller reads: the packed transform in either
-// direction with its first outLen outputs read, ForwardPacked's whole row,
-// AddBandEnvelope's envelope, and (for a full prefix) Transform. Inputs are
-// random over a power-of-two n <= 4096 and a prefix in [1, n] (a multiple
-// of n reads as n); the packed buffers carry garbage past
-// NextPowerOfTwo(prefix), which the contract says is ignored.
+// direction, ForwardPacked's row, AddBandEnvelope's envelope of outLen
+// samples, and (for a full prefix) Transform. Inputs are random over a
+// power-of-two n <= 4096 and a prefix in [1, n] (a multiple of n reads as
+// n); the packed buffers carry garbage past NextPowerOfTwo(prefix), which
+// the contract says is ignored.
 func FuzzPackedTransform(f *testing.F) {
 	for _, c := range []struct {
 		logN           uint8
@@ -134,11 +134,11 @@ func FuzzPackedTransform(f *testing.F) {
 		for i := range got {
 			got[i] = complex(math.NaN(), rng.NormFloat64())
 		}
-		p.transformPacked(got, append([]complex128(nil), x[:head]...), tw, outLen)
-		for i := 0; i < outLen; i++ {
+		p.transformPacked(got, append([]complex128(nil), x[:head]...), tw)
+		for i := range got {
 			if !sameBits(got[i], want[i]) {
-				t.Fatalf("n=%d prefix=%d inverse=%v outLen=%d: output %d = %v, oracle %v",
-					n, prefix, inverse, outLen, i, got[i], want[i])
+				t.Fatalf("n=%d prefix=%d inverse=%v: output %d = %v, oracle %v",
+					n, prefix, inverse, i, got[i], want[i])
 			}
 		}
 

@@ -103,7 +103,7 @@ func (p *FFTPlan) Transform(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	stagesFrom(x, 1, tw, n)
+	stagesFrom(x, 1, tw)
 	if inverse {
 		inv := complex(1/float64(n), 0)
 		for i := range x {
@@ -114,9 +114,7 @@ func (p *FFTPlan) Transform(x []complex128, inverse bool) {
 
 // transformPacked writes into x the transform, against twiddle table tw, of
 // the head h zero-padded to len(x); len(h) must be a power of two no larger
-// than the plan size, and x's prior contents are ignored. Only x[:outLen]
-// is guaranteed on return: the last butterfly pass skips every output at or
-// beyond outLen when that saves work.
+// than the plan size, and x's prior contents are ignored.
 //
 // After the bit-reversal permutation every head value would sit at the
 // start of a block of len(x)/len(h) outputs whose other entries are zero,
@@ -124,11 +122,11 @@ func (p *FFTPlan) Transform(x []complex128, inverse bool) {
 // the first stage whose odd inputs are nonzero reads its two head values
 // straight from their bit-reversed positions in h, which replaces the
 // permutation pass, the broadcast and that stage with one pass. The
-// remaining stages run through stagesFrom. Every butterfly that produces a
-// read output executes with the same operands, twiddle and operation order
-// as the plain radix-2 schedule, so the result is bitwise identical to
-// permuting, broadcasting and running the radix-2 stages.
-func (p *FFTPlan) transformPacked(x, h, tw []complex128, outLen int) {
+// remaining stages run through stagesFrom. Every butterfly executes with
+// the same operands, twiddle and operation order as the plain radix-2
+// schedule, so the result is bitwise identical to permuting, broadcasting
+// and running the radix-2 stages.
+func (p *FFTPlan) transformPacked(x, h, tw []complex128) {
 	n := len(x)
 	if len(h) == 1 {
 		for i := range x {
@@ -150,7 +148,7 @@ func (p *FFTPlan) transformPacked(x, h, tw []complex128, outLen int) {
 			hi[k] = ve - odd
 		}
 	}
-	stagesFrom(x, 2*block, tw, outLen)
+	stagesFrom(x, 2*block, tw)
 }
 
 // stagesFrom runs the decimation-in-time butterfly stages of half-sizes
@@ -163,19 +161,14 @@ func (p *FFTPlan) transformPacked(x, h, tw []complex128, outLen int) {
 // count runs one plain radix-2 pass first. A fused pass computes exactly
 // the two radix-2 butterflies it replaces, in the same order and with the
 // same table twiddles, so it is bitwise identical to running them one
-// stage at a time. When the last pair is a single group (4s == len(x)) and
-// outLen <= s, only its first outLen outputs are computed.
-func stagesFrom(x []complex128, s int, tw []complex128, outLen int) {
+// stage at a time.
+func stagesFrom(x []complex128, s int, tw []complex128) {
 	n := len(x)
 	if bits.TrailingZeros(uint(n/s))%2 == 1 {
 		radix2Pass(x, s, tw)
 		s <<= 1
 	}
 	for ; s < n; s <<= 2 {
-		if 4*s == n && outLen <= s {
-			radix22Pruned(x, s, tw, outLen)
-			return
-		}
 		radix22Pass(x, s, tw)
 	}
 }
@@ -222,22 +215,5 @@ func radix22Pass(x []complex128, s int, tw []complex128) {
 			bd := d1 * w3[k]
 			b[k], d[k] = b1+bd, b1-bd
 		}
-	}
-}
-
-// radix22Pruned is the last radix22Pass (4s == len(x)) pruned to its first
-// m <= s outputs: x[k] = (a+b·w1) + (c+d·w1)·w2 for k < m. The other three
-// quarters are left holding the previous stage's values.
-func radix22Pruned(x []complex128, s int, tw []complex128, m int) {
-	a := x[:m]
-	b := x[s : s+m][:len(a)]
-	c := x[2*s : 2*s+m][:len(a)]
-	d := x[3*s : 3*s+m][:len(a)]
-	w1 := tw[s-1 : s-1+m][:len(a)]
-	w2 := tw[2*s-1 : 2*s-1+m][:len(a)]
-	for k := range a {
-		a1 := a[k] + b[k]*w1[k]
-		c1 := c[k] + d[k]*w1[k]
-		a[k] = a1 + c1*w2[k]
 	}
 }
