@@ -103,7 +103,8 @@ report-check:
 # The pooled, clutter-cached steady-state localization must stay at or
 # below MAX_ALLOCS (default 30) allocs/op at -cpu 1, and its GOMAXPROCS=2
 # row (BenchmarkCaptureSteadyStateProcs2) at or below MAX_ALLOCS_PROCS2
-# (default 44), with instrumentation live.
+# (default 44), with instrumentation live; a 1,024-node discovery sweep
+# (BenchmarkDiscoveryScan/nodes=1024, -cpu 1) at or below a fixed 3600.
 alloc-gate:
 	./scripts/alloc_gate.sh
 

@@ -303,6 +303,7 @@ func BenchmarkDiscoveryScan(b *testing.B) {
 			}
 			scan := core.DefaultScanConfig()
 			var dets []core.NodeDetection
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error

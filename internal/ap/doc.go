@@ -27,7 +27,9 @@
 // by one complex multiply per sample, static clutter is rendered once per
 // capture into a shared template, and a BackscatterTarget that declares its
 // switch states (GainStates/GainStateOf — the FSA node's two toggled ports
-// in §5.1) has its gain curves memoized per state. Background subtraction
+// in §5.1) has its gain curves memoized per state; chirps whose pre-noise
+// frames are bit-identical (a static scene in the same switch state) are
+// rendered once and copied. Background subtraction
 // transforms the windowed consecutive-chirp differences through one batched
 // plan per capture (DESIGN.md §13, §17). The formulations these replaced —
 // per-sample-Sincos synthesis and window-every-chirp-then-difference

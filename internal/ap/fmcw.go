@@ -37,7 +37,9 @@ var ErrInvalidConfig = errors.New("invalid configuration")
 // SynthesizeChirpsMulti evaluates GainDBi concurrently across chirp indices,
 // and fills different targets' gain envelopes concurrently, so the function
 // must be safe for simultaneous calls — derive everything from
-// (chirpIdx, fHz) and read-only state, as fsa's with-modes queries do.
+// (chirpIdx, fHz) and read-only state, as fsa's with-modes queries do. It
+// must also be pure: synthesis may evaluate it more than once for the same
+// chirp, and expects the same value each time.
 type BackscatterTarget struct {
 	Pos     rfsim.Point
 	GainDBi func(chirpIdx int, fHz float64) float64
@@ -70,9 +72,12 @@ type BackscatterTarget struct {
 	// distinct switch states (the FSA node toggling its ports gives two),
 	// and chirps in the same state see the identical gain-vs-frequency
 	// curve. The fast synthesis kernels then evaluate the curve once per
-	// state instead of once per chirp (DESIGN.md §12). GainStateOf must be
-	// safe for concurrent calls and return values in [0, GainStates); a
-	// declared GainStates without GainStateOf is an invalid configuration.
+	// state instead of once per chirp (DESIGN.md §12), and render chirps
+	// that share every input once (§12.5). GainStateOf must be safe for
+	// concurrent calls, pure (synthesis calls it more than once per chirp:
+	// to validate, to group chirps and to render) and return values in
+	// [0, GainStates); a declared GainStates without GainStateOf is an
+	// invalid configuration.
 	// Leave GainStates zero for targets whose gain varies freely per chirp.
 	GainStates  int
 	GainStateOf func(chirpIdx int) int
@@ -119,7 +124,9 @@ type ModulatedPath struct {
 	// Amplitude returns the linear voltage gain of the path for chirp k
 	// (relative to the transmitted waveform, antenna gains included by the
 	// caller or folded in here). Like BackscatterTarget.GainDBi it is called
-	// concurrently across chirp indices and must be safe for that.
+	// concurrently across chirp indices and must be safe for that, and it
+	// must be pure: synthesis calls it more than once per chirp (to find
+	// chirps with identical frames, then to render them).
 	Amplitude func(chirpIdx int) float64
 }
 

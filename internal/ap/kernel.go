@@ -25,8 +25,11 @@ import (
 //     template and copied into each frame.
 //  3. Gain-envelope memoization: a target that declares its switch states
 //     (BackscatterTarget.GainStates) has its frequency-dependent gain curve
-//     evaluated once per distinct state into a pooled envelope, not once per
-//     chirp.
+//     evaluated once per distinct state, not once per chirp, into rows of one
+//     pooled arena shared by the capture's targets.
+//  4. Distinct chirps: chirps whose pre-noise frames are bit-identical (a
+//     static scene seen in the same switch states) are rendered once and
+//     copied (chirpClasses).
 
 // maxGainStates bounds the gain-envelope memo. The FSA node toggles between
 // two port states, so real targets need 2; 8 leaves room for multi-port
@@ -47,10 +50,11 @@ type targetState struct {
 
 	// Fast-kernel state, filled by synthesizeFast. env holds GainStates
 	// envelopes of nSamp samples each, stride-indexed (state s occupies
-	// env[s·nSamp : (s+1)·nSamp]); it is pooled and released before the
-	// synthesis returns. memo is false when the target declares no states
-	// (or more than maxGainStates), in which case the envelope is refilled
-	// per chirp into worker-local scratch.
+	// env[s·nSamp : (s+1)·nSamp]); it is the target's rows of the capture's
+	// pooled envelope arena, sliced with cap == len, and is released with
+	// the arena before the synthesis returns. memo is false when the target
+	// declares no states (or more than maxGainStates), in which case the
+	// envelope is refilled per chirp into worker-local scratch.
 	rot  complex128
 	env  []float64
 	memo bool
@@ -143,6 +147,61 @@ func fillGainMemo(ts *targetState, freq, table []float64, nChirps int) {
 	}
 }
 
+// chirpRange returns the target's Doppler-advanced distance at chirp k — the
+// one input of its per-chirp tone besides the switch state.
+func (a *AP) chirpRange(ts *targetState, k int) float64 {
+	return ts.d + ts.tgt.RadialVelocityMS*float64(k)*a.cfg.ChirpIntervalS
+}
+
+// chirpClasses appends to rep, for each chirp k of the burst, the first
+// chirp whose pre-noise frame is bit-identical to chirp k's (k itself when
+// no earlier chirp's is), and returns the extended slice and the number of
+// distinct frames. Two chirps share a frame when every input of the
+// per-chirp render is the same bit for bit: each target is memoized and sits
+// in the same switch state at the same Doppler-advanced distance, and each
+// extra path has the same amplitude. A target without memoized states may
+// vary its gain freely per chirp, so it makes every chirp distinct, and so
+// does a moving target. Each chirp is compared only against the
+// representatives before it, so a burst of n chirps with c distinct frames
+// makes at most n·c comparisons.
+func (a *AP) chirpClasses(rep []int, targets []targetState, extras []extraState, nChirps int) ([]int, int) {
+	distinct := 0
+	for k := 0; k < nChirps; k++ {
+		r := k
+		for j := 0; j < k; j++ {
+			if rep[j] == j && a.sameFrame(targets, extras, j, k) {
+				r = j
+				break
+			}
+		}
+		if r == k {
+			distinct++
+		}
+		rep = append(rep, r)
+	}
+	return rep, distinct
+}
+
+// sameFrame reports whether chirps j and k render bit-identical pre-noise
+// frames (see chirpClasses).
+func (a *AP) sameFrame(targets []targetState, extras []extraState, j, k int) bool {
+	for ti := range targets {
+		ts := &targets[ti]
+		if !ts.memo ||
+			math.Float64bits(a.chirpRange(ts, j)) != math.Float64bits(a.chirpRange(ts, k)) ||
+			ts.tgt.GainStateOf(j) != ts.tgt.GainStateOf(k) {
+			return false
+		}
+	}
+	for ei := range extras {
+		amp := extras[ei].path.Amplitude
+		if math.Float64bits(amp(j)) != math.Float64bits(amp(k)) {
+			return false
+		}
+	}
+	return true
+}
+
 // interAntennaRot returns the constant phase rotation between the two receive
 // antennas for a path arriving from aoaRad — the factor addBeatTone applies
 // per call, hoisted here to one complex constant per path.
@@ -200,8 +259,13 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 	}
 
 	// Hoist per-target fast state and check the gain-envelope memos out of
-	// the pool serially, so buffer recycling never depends on scheduling.
+	// the pool serially, so buffer recycling never depends on scheduling:
+	// one arena holds every memoizing target's rows, one pool checkout per
+	// capture however many targets it carries. Each target's rows are
+	// sliced with cap == len, so a fill that uses its rows as scratch
+	// cannot reach a neighbour's.
 	needScratch := false
+	arenaLen := 0
 	for ti := range st.targets {
 		ts := &st.targets[ti]
 		ts.rot = a.interAntennaRot(ts.az, st.lambda, st.psi)
@@ -211,7 +275,19 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 			continue
 		}
 		ts.memo = true
-		ts.env = a.getFloat64(nStates * st.nSamp)
+		arenaLen += nStates * st.nSamp
+	}
+	var arena []float64
+	if arenaLen > 0 {
+		arena = a.getFloat64(arenaLen)
+		off := 0
+		for ti := range st.targets {
+			if ts := &st.targets[ti]; ts.memo {
+				end := off + ts.tgt.GainStates*st.nSamp
+				ts.env = arena[off:end:end]
+				off = end
+			}
+		}
 	}
 	// The request's grid table: the target-independent part of every
 	// envelope, filled once per capture into pooled scratch before the
@@ -262,9 +338,26 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 	cEff, nSamp, fs, fc := st.cEff, st.nSamp, st.fs, st.fc
 	txAmp, radarLoss, jitter := st.txAmp, st.radar, st.jitter
 	extras, frames := st.extras, st.frames
+	// Render each distinct chirp once: rep[k] names the chirp whose frame
+	// chirp k copies. rep stays out of the closure (which escapes to the
+	// fan-out's job record), so a burst of up to len(repBuf) chirps keeps
+	// it on the stack. A copy chirp's frame is checked out here, before the
+	// fan-out, which then renders exactly the chirps whose frames are
+	// still unclaimed: the representatives.
+	var repBuf [16]int
+	rep := repBuf[:0]
+	if nChirps > len(repBuf) {
+		rep = make([]int, 0, nChirps)
+	}
+	rep, distinct := a.chirpClasses(rep, targets, extras, nChirps)
+	for k, r := range rep {
+		if r != k {
+			frames[k] = ChirpFrame{Rx: [2][]complex128{a.getComplex(nSamp), a.getComplex(nSamp)}}
+		}
+	}
 	workers := a.captureWorkers()
-	if workers > nChirps {
-		workers = nChirps
+	if workers > distinct {
+		workers = distinct
 	}
 	// Per-worker refill scratch, stride-indexed like the memo: worker w owns
 	// scratchBuf[w·nSamp : (w+1)·nSamp]. Safe to reuse across chirps because
@@ -275,6 +368,9 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 	}
 	busy := newBusyClock(o, workers)
 	got := a.fanOut(nChirps, workers, func(worker, k int) {
+		if frames[k].Rx[0] != nil {
+			return // a copy of an earlier chirp's frame, filled below
+		}
 		t0 := busy.start()
 		var frame ChirpFrame
 		for m := 0; m < 2; m++ {
@@ -289,7 +385,7 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 		}
 		for ti := range targets {
 			ts := &targets[ti]
-			dk := ts.d + ts.tgt.RadialVelocityMS*float64(k)*a.cfg.ChirpIntervalS
+			dk := a.chirpRange(ts, k)
 			if dk <= 0 {
 				continue
 			}
@@ -323,6 +419,13 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 	if scratchBuf != nil {
 		a.putFloat64(scratchBuf)
 	}
+	// Fill the copy chirps before any noise lands on their representatives.
+	for k, r := range rep {
+		if r != k {
+			copy(frames[k].Rx[0], frames[r].Rx[0])
+			copy(frames[k].Rx[1], frames[r].Rx[1])
+		}
+	}
 	if o != nil {
 		o.synthTargets.Observe(time.Since(targetsStart).Seconds())
 		o.tracer.Record(obs.SpanSynthTargets, targetsStart, int64(st.nChirps))
@@ -354,12 +457,7 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 		o.tracer.Record(obs.SpanSynthNoise, noiseStart, int64(st.nChirps))
 	}
 
-	for ti := range st.targets {
-		if ts := &st.targets[ti]; ts.env != nil {
-			a.putFloat64(ts.env)
-			ts.env = nil
-		}
-	}
+	a.putFloat64(arena)
 	a.putFloat64(freq)
 	a.putComplex(tmpl[0])
 	a.putComplex(tmpl[1])

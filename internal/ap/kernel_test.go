@@ -295,3 +295,155 @@ func TestGridTableSharedAcrossTargets(t *testing.T) {
 		t.Errorf("zero-width table: err = %v, want ErrInvalidConfig", err)
 	}
 }
+
+// sameFrames reports whether two frames are bitwise equal on both antennas.
+func sameFrames(x, y ChirpFrame) bool {
+	for m := 0; m < 2; m++ {
+		if len(x.Rx[m]) != len(y.Rx[m]) {
+			return false
+		}
+		for i := range x.Rx[m] {
+			if math.Float64bits(real(x.Rx[m][i])) != math.Float64bits(real(y.Rx[m][i])) ||
+				math.Float64bits(imag(x.Rx[m][i])) != math.Float64bits(imag(y.Rx[m][i])) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// matchOracle fails the test unless frames match the synthesizeRef oracle
+// for the same request within the 1e-9 relative drift bound.
+func matchOracle(t *testing.T, a *AP, frames []ChirpFrame, nChirps int, tgts []*BackscatterTarget, extra []ModulatedPath) {
+	t.Helper()
+	ref := synth(t)(a.synthesizeChirpsRef(a.Config().LocalizationChirp, nChirps, tgts, extra, nil))
+	maxErr, maxRef := maxAbsDiff(t, frames, ref)
+	if maxRef == 0 {
+		t.Fatal("reference frames are all zero")
+	}
+	if rel := maxErr / maxRef; rel > 1e-9 {
+		t.Fatalf("kernels vs oracle relative error %.3g, want <= 1e-9", rel)
+	}
+}
+
+// TestStaticChirpsShareFrames pins the distinct-chirp rule on the capture it
+// exists for: a static two-state target plus a mirror path whose amplitude
+// follows the same toggle. Chirps 0/2/4 and 1/3 see identical inputs, so
+// their pre-noise frames must be bitwise equal (rendered once, copied), the
+// two classes must differ, and the result must match the oracle.
+func TestStaticChirpsShareFrames(t *testing.T) {
+	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
+	c := a.Config().LocalizationChirp
+	tgts := []*BackscatterTarget{statefulTarget(rfsim.Point{X: 3, Y: 0.5}, 23)}
+	extra := []ModulatedPath{{
+		Pos:       rfsim.Point{X: 3.1, Y: 0.52},
+		Amplitude: func(k int) float64 { return 2e-7 * float64(1+k%2) },
+	}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		frames := synth(t)(a.SynthesizeChirpsMulti(c, 5, tgts, GridTable{}, extra, nil))
+		for _, pair := range [][2]int{{0, 2}, {0, 4}, {1, 3}} {
+			if !sameFrames(frames[pair[0]], frames[pair[1]]) {
+				t.Errorf("GOMAXPROCS=%d: chirps %d and %d share every input but their frames differ",
+					procs, pair[0], pair[1])
+			}
+		}
+		if sameFrames(frames[0], frames[1]) {
+			t.Errorf("GOMAXPROCS=%d: chirps 0 and 1 are in different switch states but rendered equal", procs)
+		}
+		matchOracle(t, a, frames, 5, tgts, extra)
+	}
+}
+
+// TestDistinctChirpsNotShared pins the other side of the rule: a moving
+// target, a target whose gain varies per chirp without declared states, and
+// an extra path whose amplitude changes every chirp each make every chirp
+// distinct, so no two frames may be equal, and each capture must still
+// match the oracle.
+func TestDistinctChirpsNotShared(t *testing.T) {
+	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
+	const nChirps = 5
+	mover := statefulTarget(rfsim.Point{X: 4, Y: -0.3}, 22)
+	mover.RadialVelocityMS = 6
+	// A state function without declared states does not make the target
+	// memoized: its gain may still vary per chirp, as this one's does.
+	free := &BackscatterTarget{
+		Pos:         rfsim.Point{X: 3.5, Y: 0.4},
+		GainDBi:     func(k int, f float64) float64 { return 15 + float64(k) },
+		GainStateOf: func(k int) int { return k & 1 },
+	}
+	ramp := []ModulatedPath{{
+		Pos:       rfsim.Point{X: 3.2, Y: 0.5},
+		Amplitude: func(k int) float64 { return 1e-7 * float64(1+k) },
+	}}
+	static := statefulTarget(rfsim.Point{X: 3, Y: 0.5}, 23)
+	for _, tc := range []struct {
+		name  string
+		tgts  []*BackscatterTarget
+		extra []ModulatedPath
+	}{
+		{"moving target", []*BackscatterTarget{static, mover}, nil},
+		{"undeclared states", []*BackscatterTarget{static, free}, nil},
+		{"per-chirp extra path", []*BackscatterTarget{static}, ramp},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frames := synth(t)(a.SynthesizeChirpsMulti(a.Config().LocalizationChirp, nChirps, tc.tgts, GridTable{}, tc.extra, nil))
+			for j := 0; j < nChirps; j++ {
+				for k := j + 1; k < nChirps; k++ {
+					if sameFrames(frames[j], frames[k]) {
+						t.Errorf("chirps %d and %d differ in their inputs but rendered equal", j, k)
+					}
+				}
+			}
+			matchOracle(t, a, frames, nChirps, tc.tgts, tc.extra)
+		})
+	}
+}
+
+// TestGainEnvelopeArenaIsolatesTargets pins the per-capture envelope arena:
+// memoizing targets share one pooled checkout, non-memoizing ones take none,
+// and each memoizing target's GainEnvs sees exactly its own rows
+// (cap == len), so a fill that scribbles over its whole slice before writing
+// its envelopes cannot corrupt a neighbour's. The capture must match the
+// oracle at any worker count.
+func TestGainEnvelopeArenaIsolatesTargets(t *testing.T) {
+	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
+	c := a.Config().LocalizationChirp
+	var badRows atomic.Int32
+	scribbler := func(pos rfsim.Point, gainDBi float64) *BackscatterTarget {
+		tgt := statefulTarget(pos, gainDBi)
+		tgt.GainEnvs = func(freq []float64, nStates int, env []float64) {
+			if len(env) != nStates*len(freq) || cap(env) != len(env) {
+				badRows.Add(1)
+			}
+			env = env[:cap(env)]
+			for i := range env {
+				env[i] = math.NaN()
+			}
+			for s := 0; s < nStates; s++ {
+				for i, f := range freq {
+					env[s*len(freq)+i] = math.Pow(10, tgt.GainDBi(s, f)/10)
+				}
+			}
+		}
+		return tgt
+	}
+	tgts := []*BackscatterTarget{
+		scribbler(rfsim.Point{X: 2.6, Y: 0.3}, 21),
+		pointTarget(rfsim.Point{X: 3.3, Y: -0.5}, 19),
+		statefulTarget(rfsim.Point{X: 4.2, Y: 0.8}, 24),
+		scribbler(rfsim.Point{X: 5.1, Y: -0.2}, 22),
+		pointTarget(rfsim.Point{X: 5.8, Y: 0.6}, 20),
+		scribbler(rfsim.Point{X: 6.4, Y: 0.1}, 23),
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		frames := synth(t)(a.SynthesizeChirpsMulti(c, 4, tgts, GridTable{}, nil, nil))
+		if n := badRows.Swap(0); n != 0 {
+			t.Fatalf("GOMAXPROCS=%d: %d fills saw rows other than their own", procs, n)
+		}
+		matchOracle(t, a, frames, 4, tgts, nil)
+	}
+}

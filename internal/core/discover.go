@@ -49,12 +49,27 @@ func DefaultScanConfig() ScanConfig {
 	}
 }
 
+// scanSlackDeg lets the last pointing land on StopDeg despite the rounding
+// of the accumulated steps.
+const scanSlackDeg = 1e-9
+
 func (c ScanConfig) validate() error {
+	for _, v := range [...]float64{c.StartDeg, c.StopDeg, c.StepDeg, c.MergeRangeM, c.MergeAngleDeg} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: scan config has a non-finite field: %+v", c)
+		}
+	}
 	if c.StopDeg <= c.StartDeg {
 		return fmt.Errorf("core: scan range [%g, %g] invalid", c.StartDeg, c.StopDeg)
 	}
 	if c.StepDeg <= 0 {
 		return fmt.Errorf("core: scan step must be positive, got %g", c.StepDeg)
+	}
+	// Every pointing must advance the sweep: a step below the float spacing
+	// at the sweep's widest end would leave the pointing stuck there.
+	widest := math.Max(math.Abs(c.StartDeg), math.Abs(c.StopDeg+scanSlackDeg))
+	if c.StepDeg < math.Nextafter(widest, math.Inf(1))-widest {
+		return fmt.Errorf("core: scan step %g cannot advance a sweep over [%g, %g]", c.StepDeg, c.StartDeg, c.StopDeg)
 	}
 	if c.MaxTargetsPerPointing < 1 {
 		return fmt.Errorf("core: max targets must be >= 1, got %d", c.MaxTargetsPerPointing)
@@ -93,7 +108,7 @@ func (s *System) Discover(ctx context.Context, cfg ScanConfig, seed int64) ([]No
 	}
 
 	var all []NodeDetection
-	for deg := cfg.StartDeg; deg <= cfg.StopDeg+1e-9; deg += cfg.StepDeg {
+	for deg := cfg.StartDeg; deg <= cfg.StopDeg+scanSlackDeg; deg += cfg.StepDeg {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: discovery cancelled: %w", err)
 		}

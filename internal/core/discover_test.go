@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ap"
 	"repro/internal/obs"
@@ -116,6 +117,42 @@ func TestScanConfigValidation(t *testing.T) {
 		if _, err := s.Discover(context.Background(), cfg, 1); err == nil {
 			t.Errorf("mutation %d: expected error", i)
 		}
+	}
+}
+
+// TestScanConfigRejectsNonFiniteAndStalledSweeps pins that a sweep which
+// could never finish, or would finish on NaN arithmetic, is rejected up
+// front: a non-finite bound spins until the context expires, a step too
+// small to change the pointing never advances, a NaN start or step ends
+// the sweep with no detections, and a NaN merge threshold merges nothing.
+func TestScanConfigRejectsNonFiniteAndStalledSweeps(t *testing.T) {
+	s := testSystem(t)
+	if _, err := s.AddNode(rfsim.Point{X: 3}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*ScanConfig)
+	}{
+		{"infinite stop", func(c *ScanConfig) { c.StopDeg = math.Inf(1) }},
+		{"step below float spacing", func(c *ScanConfig) { c.StepDeg = 1e-300 }},
+		{"NaN start", func(c *ScanConfig) { c.StartDeg = math.NaN() }},
+		{"NaN step", func(c *ScanConfig) { c.StepDeg = math.NaN() }},
+		{"NaN merge range", func(c *ScanConfig) { c.MergeRangeM = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultScanConfig()
+			tc.mut(&cfg)
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			defer cancel()
+			dets, err := s.Discover(ctx, cfg, 1)
+			if err == nil {
+				t.Fatalf("accepted, returned %d detections", len(dets))
+			}
+			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ap.ErrNoDetection) {
+				t.Fatalf("ran the sweep instead of rejecting the config: %v", err)
+			}
+		})
 	}
 }
 

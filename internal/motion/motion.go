@@ -54,8 +54,9 @@ type Path struct {
 }
 
 // NewPath validates the waypoints (at least one; strictly increasing,
-// finite times; finite coordinates) and builds a trajectory. A single
-// waypoint yields a static hold.
+// finite times; finite coordinates; an interpolation that cannot overflow,
+// see maxTerm) and builds a trajectory. A single waypoint yields a static
+// hold.
 func NewPath(wps []Waypoint, interp Interp) (*Path, error) {
 	if len(wps) == 0 {
 		return nil, fmt.Errorf("motion: a path needs at least one waypoint")
@@ -77,7 +78,56 @@ func NewPath(wps []Waypoint, interp Interp) (*Path, error) {
 		p.my = tangents(p.wps, func(w Waypoint) float64 { return w.Y })
 		p.mz = tangents(p.wps, func(w Waypoint) float64 { return w.Z })
 	}
+	if err := p.checkTerms(); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// maxTerm bounds every waypoint coordinate and every per-segment term the
+// interpolants combine: the segment's duration, its coordinate differences
+// and slopes, and (Cubic) its tangent terms h·m. PoseAt and VelocityAt sum
+// at most four such terms with basis weights of at most 1.5, so with each
+// term inside ±MaxFloat64/16 no sum can overflow between the knots.
+const maxTerm = math.MaxFloat64 / 16
+
+// checkTerms rejects a path whose interpolation could overflow to a
+// non-finite pose or velocity although every waypoint is finite.
+func (p *Path) checkTerms() error {
+	for i, w := range p.wps {
+		for _, v := range [...]float64{w.X, w.Y, w.Z, w.OrientationDeg} {
+			if !bounded(v) {
+				return fmt.Errorf("motion: waypoint %d coordinate %g is beyond ±%g", i, v, maxTerm)
+			}
+		}
+	}
+	for i := 0; i+1 < len(p.wps); i++ {
+		a, b := p.wps[i], p.wps[i+1]
+		h := b.T - a.T
+		if !bounded(h) {
+			return fmt.Errorf("motion: segment %d lasts %g s, beyond %g", i, h, maxTerm)
+		}
+		if !bounded(b.OrientationDeg - a.OrientationDeg) {
+			return fmt.Errorf("motion: segment %d turns by a non-finite or oversized angle", i)
+		}
+		for ax, c := range [...][2]float64{{a.X, b.X}, {a.Y, b.Y}, {a.Z, b.Z}} {
+			d := c[1] - c[0]
+			if !bounded(d) || !bounded(d/h) {
+				return fmt.Errorf("motion: segment %d axis %d moves %g in %g s: difference or slope beyond ±%g",
+					i, ax, d, h, maxTerm)
+			}
+		}
+		if p.interp != Cubic {
+			continue
+		}
+		for ax, m := range [...][]float64{p.mx, p.my, p.mz} {
+			if !bounded(m[i]) || !bounded(m[i+1]) || !bounded(h*m[i]) || !bounded(h*m[i+1]) {
+				return fmt.Errorf("motion: segment %d axis %d has tangents %g, %g over %g s: tangent term beyond ±%g",
+					i, ax, m[i], m[i+1], h, maxTerm)
+			}
+		}
+	}
+	return nil
 }
 
 // MustNewPath is NewPath for known-good waypoints.
@@ -256,3 +306,6 @@ func hermiteDeriv(p0, p1, m0, m1, h, s float64) float64 {
 
 // finite reports whether x is neither NaN nor infinite.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// bounded reports whether x is a number within ±maxTerm.
+func bounded(x float64) bool { return math.Abs(x) <= maxTerm }

@@ -1,6 +1,7 @@
 package motion
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -144,4 +145,88 @@ func TestPathValidationAndTranslate(t *testing.T) {
 			t.Fatalf("t=%g: translation changed velocity: %+v vs %+v", ts, va, vb)
 		}
 	}
+}
+
+// TestNewPathRejectsOverflowingInterpolation pins that finite waypoints are
+// not enough: a path whose segment difference or slope overflows would
+// evaluate to non-finite poses between its knots, so NewPath rejects it.
+func TestNewPathRejectsOverflowingInterpolation(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		wps    []Waypoint
+		interp Interp
+	}{
+		{"linear difference overflows", []Waypoint{{T: 0, X: -1.5e308}, {T: 1, X: 1.5e308}}, Linear},
+		{"cubic slope overflows", []Waypoint{{T: 0, X: 0}, {T: 1e-320, X: 1}, {T: 1, X: 2}}, Cubic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if p, err := NewPath(tc.wps, tc.interp); err == nil {
+				t.Fatalf("accepted; pose at the first midpoint is %+v", p.PoseAt(tc.wps[0].T+(tc.wps[1].T-tc.wps[0].T)/2))
+			}
+		})
+	}
+}
+
+// waypointBytes is the byte form FuzzNewPath decodes: five little-endian
+// float64s per waypoint (T, X, Y, Z, OrientationDeg).
+const waypointBytes = 5 * 8
+
+func encodeWaypoints(wps []Waypoint) []byte {
+	var b []byte
+	for _, w := range wps {
+		for _, v := range [...]float64{w.T, w.X, w.Y, w.Z, w.OrientationDeg} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
+}
+
+// FuzzNewPath checks NewPath's contract on arbitrary waypoints: it never
+// panics, and every path it accepts has a finite pose and velocity at each
+// knot, each segment midpoint, and before and after its ends.
+func FuzzNewPath(f *testing.F) {
+	walk := []Waypoint{
+		{T: 0, X: 1, Y: 0.5, Z: 1.2, OrientationDeg: 0},
+		{T: 2, X: 3, Y: 1.0, Z: 1.4, OrientationDeg: 20},
+		{T: 5, X: 4, Y: -1.0, Z: 1.1, OrientationDeg: -30},
+	}
+	f.Add(encodeWaypoints(walk), false)
+	f.Add(encodeWaypoints(walk), true)
+	f.Add(encodeWaypoints([]Waypoint{{T: 0, X: -1.5e308}, {T: 1, X: 1.5e308}}), false)
+	f.Add(encodeWaypoints([]Waypoint{{T: 0, X: 0}, {T: 1e-320, X: 1}, {T: 1, X: 2}}), true)
+	f.Fuzz(func(t *testing.T, data []byte, cubic bool) {
+		var wps []Waypoint
+		for len(data) >= waypointBytes && len(wps) < 8 {
+			var v [5]float64
+			for i := range v {
+				v[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			}
+			wps = append(wps, Waypoint{T: v[0], X: v[1], Y: v[2], Z: v[3], OrientationDeg: v[4]})
+			data = data[waypointBytes:]
+		}
+		interp := Linear
+		if cubic {
+			interp = Cubic
+		}
+		p, err := NewPath(wps, interp)
+		if err != nil {
+			return
+		}
+		times := []float64{p.Start() - 1, p.Duration() + 1}
+		for i, w := range wps {
+			times = append(times, w.T)
+			if i+1 < len(wps) {
+				times = append(times, w.T+(wps[i+1].T-w.T)/2)
+			}
+		}
+		for _, ts := range times {
+			pose, v := p.PoseAt(ts), p.VelocityAt(ts)
+			for _, x := range [...]float64{pose.X, pose.Y, pose.Z, pose.OrientationDeg, v.VX, v.VY, v.VZ} {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("accepted path %+v (interp %d) is non-finite at t=%g: pose %+v velocity %+v",
+						wps, interp, ts, pose, v)
+				}
+			}
+		}
+	})
 }

@@ -3,17 +3,22 @@
 # steady-state localization pipeline, with the obs instrumentation live on
 # that path, must stay at or below its allocs/op cap — so adding a counter
 # or histogram that allocates per observation, or a buffer that bypasses
-# the pool, fails the gate. Two rows are gated, each against its own cap:
+# the pool, fails the gate. Three rows are gated, each against its own cap:
 #
 #   - BenchmarkCaptureSteadyState at -cpu 1 (GOMAXPROCS=1, every fan-out
 #     serial): MAX_ALLOCS, default 30.
 #   - BenchmarkCaptureSteadyStateProcs2 (GOMAXPROCS pinned to 2, so the
 #     intra-capture fan-outs run concurrently and pay their per-call
 #     closures and job records): MAX_ALLOCS_PROCS2, default 44.
+#   - BenchmarkDiscoveryScan/nodes=1024 at -cpu 1: a fixed cap of 3600
+#     allocs per 1,024-node sweep. Most of them are the per-node target
+#     closures built once per sweep; a per-target pool checkout in the
+#     capture path (9 pointings x 1,024 targets) breaks it.
 #
-# Pinning the worker count makes both counts independent of the machine's
+# Pinning the worker count makes the counts independent of the machine's
 # core count. The default benchtime is long enough that one-time warm-up
-# allocations (helper goroutines, pool growth) amortize below one per op.
+# allocations (helper goroutines, pool growth) amortize below one per op;
+# the discovery row runs a fixed 5 sweeps of about 0.2 s each.
 # Run from the repository root:
 #
 #	./scripts/alloc_gate.sh [benchtime]
@@ -21,10 +26,13 @@ set -eu
 
 MAX_ALLOCS="${MAX_ALLOCS:-30}"
 MAX_ALLOCS_PROCS2="${MAX_ALLOCS_PROCS2:-44}"
+MAX_ALLOCS_DISCOVERY=3600
 
 BENCHTIME="${1:-200x}"
 
 out="$(go test -run '^$' -bench 'CaptureSteadyState(Procs2)?$' -cpu 1 -benchtime "$BENCHTIME" -benchmem .)"
+out="$out
+$(go test -run '^$' -bench 'DiscoveryScan/nodes=1024$' -cpu 1 -benchtime 5x -benchmem .)"
 echo "$out"
 
 echo "$out" | awk '
@@ -36,6 +44,7 @@ echo "$out" | awk '
 	}
 	$1 == "BenchmarkCaptureSteadyState" { serial = allocs() }
 	$1 == "BenchmarkCaptureSteadyStateProcs2" { procs2 = allocs() }
+	$1 == "BenchmarkDiscoveryScan/nodes=1024" { discovery = allocs() }
 	function check(name, got, cap) {
 		if (got == "") {
 			printf "alloc gate: missing %s output\n", name
@@ -52,6 +61,7 @@ echo "$out" | awk '
 		if (failed) exit 1
 		bad = check("BenchmarkCaptureSteadyState (-cpu 1)", serial, max)
 		bad += check("BenchmarkCaptureSteadyStateProcs2", procs2, max2)
+		bad += check("BenchmarkDiscoveryScan/nodes=1024 (-cpu 1)", discovery, maxd)
 		if (bad) exit 1
 		print "alloc gate OK"
-	}' max="$MAX_ALLOCS" max2="$MAX_ALLOCS_PROCS2"
+	}' max="$MAX_ALLOCS" max2="$MAX_ALLOCS_PROCS2" maxd="$MAX_ALLOCS_DISCOVERY"
