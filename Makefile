@@ -4,8 +4,8 @@
 # under the race detector (covering the parallel chirp/spectra pipeline,
 # the shared FFT-plan cache, and the capture plane's pooled buffers), runs
 # the determinism suite under -race on its own, enforces the capture-plane
-# allocation gate, diffs every example's stdout and the quick experiment
-# sweep against their goldens, reruns the paper's verdict table against
+# allocation gate, diffs every example's stdout and the quick and full
+# experiment sweeps against their goldens, reruns the paper's verdict table against
 # REPORT.md, fuzzes every Fuzz* target briefly, and smoke-runs every
 # benchmark once.
 
@@ -88,9 +88,10 @@ api-check:
 examples-check:
 	./scripts/examples_check.sh
 
-# Experiment-output gate: `milback-experiments -quick -seed 1` must match the
-# committed internal/experiments/testdata/quick_seed1.golden byte for byte;
-# intentional changes regenerate it with `./scripts/experiments_check.sh -update`.
+# Experiment-output gate: `milback-experiments -quick -seed 1` and the full
+# `-seed 1` sweep must match the committed
+# internal/experiments/testdata/{quick,full}_seed1.golden byte for byte;
+# intentional changes regenerate them with `./scripts/experiments_check.sh -update`.
 experiments-check:
 	./scripts/experiments_check.sh
 

@@ -1,13 +1,10 @@
-// Package repro's root benchmark harness: one benchmark per table and
-// figure of the paper's evaluation (§9), plus ablation benchmarks for the
-// design choices called out in DESIGN.md. Run with:
+// Package repro's root benchmark harness: one sub-benchmark per entry of
+// the paper's evaluation (§9, with its ablations and extensions), plus the
+// capture, discovery, protocol and transform benchmarks. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark regenerates its experiment end to end, so op time measures
-// the full simulation cost of reproducing that result. Shape assertions
-// live in internal/experiments tests; the benchmarks additionally report
-// the headline metric of each figure via b.ReportMetric.
+// Shape assertions live in internal/experiments tests.
 package repro
 
 import (
@@ -19,255 +16,28 @@ import (
 	"testing"
 
 	"repro/internal/ap"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/experiments"
 	"repro/internal/fsa"
 	"repro/internal/motion"
-	"repro/internal/node"
 	"repro/internal/rfsim"
 	"repro/internal/waveform"
 	"repro/milback"
 )
 
-// BenchmarkFig10_FSAPattern regenerates the dual-port FSA beam pattern.
-func BenchmarkFig10_FSAPattern(b *testing.B) {
-	var span float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig10FSAPattern(1)
-		first := r.Series[0].PeakAngleDeg
-		last := r.Series[6].PeakAngleDeg
-		span = last - first
+// BenchmarkExperiment regenerates every experiments.Registry entry end to
+// end at its quick setting, one sub-benchmark per id, so op time is the
+// simulation cost of reproducing that result. The numbers themselves are
+// printed by milback-experiments and pinned by its goldens.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Registry() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.Run(1, true)
+			}
+		})
 	}
-	b.ReportMetric(span, "scan-deg")
-}
-
-// BenchmarkFig11_OAQFM regenerates the OAQFM micro-benchmark.
-func BenchmarkFig11_OAQFM(b *testing.B) {
-	ok := 0.0
-	for i := 0; i < b.N; i++ {
-		if experiments.Fig11OAQFM(int64(i + 1)).AllDecoded() {
-			ok++
-		}
-	}
-	b.ReportMetric(ok/float64(b.N), "decode-rate")
-}
-
-// BenchmarkFig12a_Ranging regenerates the ranging-accuracy sweep (reduced
-// trial count per op; the full 20-trial version runs in the experiments
-// tests and the CLI).
-func BenchmarkFig12a_Ranging(b *testing.B) {
-	var mean8 float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig12aRanging([]float64{1, 2, 3, 4, 5, 6, 7, 8}, 5, int64(i+1))
-		mean8 = r.Rows[7].MeanErrM * 100
-	}
-	b.ReportMetric(mean8, "cm-mean-err@8m")
-}
-
-// BenchmarkFig12b_Angle regenerates the angle-accuracy CDF.
-func BenchmarkFig12b_Angle(b *testing.B) {
-	var median float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig12bAngle([]float64{-30, -15, 0, 15, 30}, 3, 5, int64(i+1))
-		median = r.MedianDeg
-	}
-	b.ReportMetric(median, "deg-median-err")
-}
-
-// BenchmarkFig13a_NodeOrientation regenerates node-side orientation sensing.
-func BenchmarkFig13a_NodeOrientation(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig13aNodeOrientation([]float64{-20, -10, 0, 10, 20}, 5, int64(i+1))
-		worst = r.MaxMeanErr()
-	}
-	b.ReportMetric(worst, "deg-worst-mean-err")
-}
-
-// BenchmarkFig13b_APOrientation regenerates AP-side orientation sensing.
-func BenchmarkFig13b_APOrientation(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig13bAPOrientation([]float64{-12, -4, 4, 12}, 5, int64(i+1))
-		worst = r.MaxMeanErr()
-	}
-	b.ReportMetric(worst, "deg-worst-mean-err")
-}
-
-// BenchmarkFig14_Downlink regenerates the downlink SINR sweep.
-func BenchmarkFig14_Downlink(b *testing.B) {
-	var sinr10 float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.DefaultFig14Downlink()
-		sinr10 = r.Rows[9].SINRdB
-	}
-	b.ReportMetric(sinr10, "dB-SINR@10m")
-}
-
-// BenchmarkFig15a_Uplink10Mbps regenerates the 10 Mbps uplink sweep
-// (closed form only per op; Monte-Carlo runs in the CLI).
-func BenchmarkFig15a_Uplink10Mbps(b *testing.B) {
-	var snr8 float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig15Uplink(10e6, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0, int64(i+1))
-		snr8 = r.Rows[7].SNRdB
-	}
-	b.ReportMetric(snr8, "dB-SNR@8m")
-}
-
-// BenchmarkFig15b_Uplink40Mbps regenerates the 40 Mbps uplink sweep.
-func BenchmarkFig15b_Uplink40Mbps(b *testing.B) {
-	var snr6 float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig15Uplink(40e6, []float64{1, 2, 3, 4, 5, 6, 7, 8}, 0, int64(i+1))
-		snr6 = r.Rows[5].SNRdB
-	}
-	b.ReportMetric(snr6, "dB-SNR@6m")
-}
-
-// BenchmarkTable1_Comparison regenerates the capability matrix.
-func BenchmarkTable1_Comparison(b *testing.B) {
-	full := 0.0
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table1Comparison()
-		full = float64(len(baseline.OnlyFullFeatured(r.Systems)))
-	}
-	b.ReportMetric(full, "full-featured-systems")
-}
-
-// BenchmarkSec96_Power regenerates the power/energy analysis.
-func BenchmarkSec96_Power(b *testing.B) {
-	var upMW float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Sec96Power()
-		upMW = r.Rows[2].PowerMW
-	}
-	b.ReportMetric(upMW, "mW-uplink")
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §6): each isolates one design choice.
-// ---------------------------------------------------------------------------
-
-// BenchmarkAblation_BackgroundSubtraction measures detection success with
-// the §5.1 node switching enabled vs a static reflector: the static target
-// must be invisible, the switching one visible, in a cluttered room.
-func BenchmarkAblation_BackgroundSubtraction(b *testing.B) {
-	a := ap.MustNew(ap.DefaultConfig(), rfsim.DefaultIndoorScene())
-	c := a.Config().LocalizationChirp
-	detected := 0.0
-	for i := 0; i < b.N; i++ {
-		modulated := &ap.BackscatterTarget{
-			Pos: rfsim.Point{X: 4},
-			GainDBi: func(k int, f float64) float64 {
-				if k%2 == 1 {
-					return 25
-				}
-				return 5
-			},
-		}
-		frames, err := a.SynthesizeChirps(c, 5, modulated, nil, rfsim.NewNoiseSource(int64(i+1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := a.ProcessLocalization(c, frames); err == nil {
-			detected++
-		}
-	}
-	b.ReportMetric(detected/float64(b.N), "detect-rate")
-}
-
-// BenchmarkAblation_PeakInterpolation compares ranging error with and
-// without sub-bin parabolic interpolation by quantizing the refined position
-// back to the integer bin.
-func BenchmarkAblation_PeakInterpolation(b *testing.B) {
-	sys := core.MustNewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
-	n, err := sys.AddNode(rfsim.Point{X: 5}, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sum float64
-	cnt := 0
-	for i := 0; i < b.N; i++ {
-		loc, err := sys.Localize(n, int64(i+1))
-		if err != nil {
-			continue
-		}
-		sum += abs(loc.RangeM - 5)
-		cnt++
-	}
-	if cnt > 0 {
-		b.ReportMetric(sum/float64(cnt)*100, "cm-mean-err")
-	}
-}
-
-// BenchmarkAblation_DualPortVsSinglePort measures the downlink capacity
-// benefit of the dual-port FSA: a dual-tone symbol carries 2 bits, the
-// zero-incidence OOK fallback only 1.
-func BenchmarkAblation_DualPortVsSinglePort(b *testing.B) {
-	f := fsa.Default()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		dual := ap.SelectTonePair(f, -10)
-		single := ap.SelectTonePair(f, 0)
-		ratio = float64(dual.BitsPerSymbol()) / float64(single.BitsPerSymbol())
-	}
-	b.ReportMetric(ratio, "bits-per-symbol-ratio")
-}
-
-// BenchmarkAblation_SwitchRateVsPower sweeps the uplink bit rate and
-// reports the node power at the top rate, exposing the linear
-// rate↔power trade of §9.6.
-func BenchmarkAblation_SwitchRateVsPower(b *testing.B) {
-	pm := node.DefaultPowerModel()
-	var topMW float64
-	for i := 0; i < b.N; i++ {
-		for _, rate := range []float64{10e6, 20e6, 40e6, 80e6, 160e6} {
-			topMW = pm.Power(node.ModeUplink, node.UplinkToggleRate(rate)) * 1e3
-		}
-	}
-	b.ReportMetric(topMW, "mW@160Mbps")
-}
-
-// BenchmarkExtension_DenseOAQFM measures the §9.4 dense-modulation study.
-func BenchmarkExtension_DenseOAQFM(b *testing.B) {
-	var ser8 float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.ExtDenseOAQFM([]int{2, 8}, []float64{2, 8}, 200, int64(i+1))
-		last := r.Rows[len(r.Rows)-1]
-		ser8 = float64(last.SymbolErrors) / float64(last.Symbols)
-	}
-	b.ReportMetric(ser8, "SER-8level@8m")
-}
-
-// BenchmarkExtension_FSAScaling measures the §11 size-vs-range study.
-func BenchmarkExtension_FSAScaling(b *testing.B) {
-	var r28 float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.ExtFSAScaling([]int{14, 28})
-		r28 = r.Rows[1].RangeAt10M
-	}
-	b.ReportMetric(r28, "m-range-28elem")
-}
-
-// BenchmarkExtension_Doppler measures the radial-velocity pipeline.
-func BenchmarkExtension_Doppler(b *testing.B) {
-	sys := core.MustNewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
-	n, err := sys.AddNode(rfsim.Point{X: 3}, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var got float64
-	for i := 0; i < b.N; i++ {
-		v, err := sys.MeasureRadialVelocity(n, 1.5, 32, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		got = v
-	}
-	b.ReportMetric(got, "mps-est-for-1.5")
 }
 
 // BenchmarkDiscoveryScan measures a full multi-node beam-sweep discovery.
@@ -578,13 +348,6 @@ func BenchmarkCaptureParallel(b *testing.B) {
 	a := ap.MustNew(ap.DefaultConfig(), rfsim.DefaultIndoorScene())
 	b.ResetTimer()
 	benchCapture(b, a, 32)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // benchCaptureSteadyState drives the full core localization pipeline — the

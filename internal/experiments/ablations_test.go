@@ -111,7 +111,7 @@ func TestAblationMirrorReflection(t *testing.T) {
 }
 
 func TestExtGoodput(t *testing.T) {
-	r := DefaultExtGoodput()
+	r := ExtGoodput([]int{8, 64, 256, 1024, 4096, 16384, 65535})
 	if len(r.Rows) != 14 { // 7 sizes x 2 directions
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

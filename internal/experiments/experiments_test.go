@@ -167,7 +167,7 @@ func TestFig13bAPOrientationMatchesPaper(t *testing.T) {
 }
 
 func TestFig14DownlinkMatchesPaper(t *testing.T) {
-	r := DefaultFig14Downlink()
+	r := Fig14Downlink([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	if len(r.Rows) != 12 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

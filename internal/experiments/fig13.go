@@ -91,11 +91,6 @@ func Fig13bAPOrientation(orientationsDeg []float64, trials int, seed int64) Fig1
 	return out
 }
 
-// DefaultFig13Orientations is the sweep used by both sub-figures.
-func DefaultFig13Orientations() []float64 {
-	return []float64{-24, -20, -16, -12, -8, -4, 0, 4, 8, 12, 16, 20, 24}
-}
-
 // Summary renders the orientation-error table.
 func (r Fig13Result) Summary() Table {
 	title := "Fig 13a — Orientation estimation at the node (2 m)"

@@ -56,11 +56,6 @@ func Fig14Downlink(distances []float64) Fig14Result {
 	return out
 }
 
-// DefaultFig14Downlink sweeps 1–12 m, the x-range of the paper's plot.
-func DefaultFig14Downlink() Fig14Result {
-	return Fig14Downlink([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-}
-
 // Summary renders the SINR/BER table.
 func (r Fig14Result) Summary() Table {
 	t := Table{

@@ -58,12 +58,6 @@ func ExtGoodput(payloadBytes []int) GoodputResult {
 	return out
 }
 
-// DefaultExtGoodput sweeps payload sizes from a sensor reading to a frame
-// of VR scene data.
-func DefaultExtGoodput() GoodputResult {
-	return ExtGoodput([]int{8, 64, 256, 1024, 4096, 16384, 65535})
-}
-
 // BreakEvenBytes returns the payload size at which goodput reaches half the
 // raw rate (payload time equals preamble time) for the given direction.
 func (r GoodputResult) BreakEvenBytes(dir waveform.Direction) int {
