@@ -6,14 +6,15 @@
 # the determinism suite under -race on its own, enforces the capture-plane
 # allocation gate, diffs every example's stdout and the quick and full
 # experiment sweeps against their goldens, reruns the paper's verdict table against
-# REPORT.md, fuzzes every Fuzz* target briefly, and smoke-runs every
-# benchmark once.
+# REPORT.md, fuzzes every Fuzz* target briefly, smoke-runs every benchmark
+# once, and times the working tree against HEAD and a pinned anchor commit
+# (bench-ab).
 
 GO ?= go
 
-.PHONY: verify lint vet fmt-check build test race determinism fuzz-smoke alloc-gate bench bench-baseline bench-compare docs-check api-check examples-check experiments-check report-check serve-smoke load-baseline
+.PHONY: verify lint vet fmt-check build test race determinism fuzz-smoke alloc-gate bench bench-ab docs-check api-check examples-check experiments-check report-check serve-smoke
 
-verify: lint docs-check api-check examples-check experiments-check report-check build race determinism fuzz-smoke alloc-gate serve-smoke bench bench-compare
+verify: lint docs-check api-check examples-check experiments-check report-check build race determinism fuzz-smoke alloc-gate serve-smoke bench bench-ab
 
 # lint is the static gate: vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -102,39 +103,30 @@ report-check:
 	./scripts/report_check.sh
 
 # The pooled, clutter-cached steady-state localization must stay at or
-# below MAX_ALLOCS (default 30) allocs/op at -cpu 1, and its GOMAXPROCS=2
-# row (BenchmarkCaptureSteadyStateProcs2) at or below MAX_ALLOCS_PROCS2
-# (default 44), with instrumentation live; a 1,024-node discovery sweep
-# (BenchmarkDiscoveryScan/nodes=1024, -cpu 1) at or below a fixed 3600.
+# below 30 allocs/op at -cpu 1, and its GOMAXPROCS=2 row
+# (BenchmarkCaptureSteadyStateProcs2) at or below 44, with instrumentation
+# live; a 1,024-node discovery sweep (BenchmarkDiscoveryScan/nodes=1024,
+# -cpu 1) at or below 3600. The caps are constants in the script.
 alloc-gate:
 	./scripts/alloc_gate.sh
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Regenerate the committed BENCH_seed.json baseline (longer benchtime).
-bench-baseline:
-	./scripts/bench_baseline.sh
-
-# Serving-layer smoke: start milback-serve, drive a short loadgen burst,
-# require zero errors, a clean SIGTERM drain (exit 0) and pidfile removal.
+# Serving-layer smoke: start milback-serve, drive a fixed 2 s, 10 ops/s
+# loadgen burst, require zero failed operations, a clean SIGTERM drain
+# (exit 0) and pidfile removal.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Regenerate the committed serving baseline (benchmarks + offered-load
-# sweep) — BENCH_pr9.json by default.
-load-baseline:
-	./scripts/load_baseline.sh
-
-# Perf gates: the committed PR 10 snapshot's steady-state capture ns/op must
-# not regress more than 10% against the PR 9 baseline; on >= 4-core machines
-# the GOMAXPROCS=4 pins (both the 32-chirp capture and the steady-state
-# localize pipeline) must show >= 2x speedup over their single-core rows,
-# keyed on each row's recorded gomaxprocs (the checks self-skip on narrower
-# machines, where the pinned workers just time-slice the same cores); the
-# moving-scene capture must stay within 1.5x of the static steady state
-# (incremental clutter invalidation); and the serving gates hold the "ref"
-# offered-load row to <= 1% errors (p95/goodput comparison self-skips while
-# the older snapshot carries no load rows).
-bench-compare:
-	./scripts/bench_compare.sh BENCH_pr9.json BENCH_pr10.json
+# Live perf gate: scripts/bench_ab.sh times the working tree against a
+# base commit on the steady-state capture, the 1,024-node discovery sweep,
+# the packed transform and the moving-scene capture (10 interleaved pairs
+# at -cpu 1 each). It fails on a row the change loses in >= 8 of 10 pairs
+# by more than the base IQR, or on a moving scene above 1.5x the static
+# steady state. The first run compares against HEAD (the uncommitted
+# change); the second against the pinned anchor 92e0956, so slow creep
+# across commits that each pass the first run still shows.
+bench-ab:
+	./scripts/bench_ab.sh
+	./scripts/bench_ab.sh 92e0956

@@ -1,6 +1,6 @@
 // Package repro's root benchmark harness: one sub-benchmark per entry of
 // the paper's evaluation (§9, with its ablations and extensions), plus the
-// capture, discovery, protocol and transform benchmarks. Run with:
+// capture, discovery and protocol benchmarks. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -10,14 +10,12 @@ package repro
 import (
 	"context"
 	"math"
-	"math/bits"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/ap"
 	"repro/internal/core"
-	"repro/internal/dsp"
 	"repro/internal/experiments"
 	"repro/internal/fsa"
 	"repro/internal/motion"
@@ -239,76 +237,6 @@ func BenchmarkUplinkChain(b *testing.B) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Plan-cached FFT vs the seed's per-call implementation, and serial vs
-// parallel capture. The seed algorithm is reproduced below verbatim as the
-// uncached baseline; BENCH_seed.json records the measured gap (see
-// scripts/bench_baseline.sh).
-// ---------------------------------------------------------------------------
-
-// seedRadix2FFT is the pre-plan per-call transform: it re-derives the
-// bit-reversal permutation and every stage's twiddle factors on each call.
-func seedRadix2FFT(x []complex128) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	shift := 64 - uint(bits.Len(uint(n-1)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := -2 * math.Pi / float64(size)
-		for k := 0; k < half; k++ {
-			s, c := math.Sincos(step * float64(k))
-			w := complex(c, s)
-			for start := k; start < n; start += size {
-				even := x[start]
-				odd := x[start+half] * w
-				x[start] = even + odd
-				x[start+half] = even - odd
-			}
-		}
-	}
-}
-
-func benchSignal(n int) []complex128 {
-	x := make([]complex128, n)
-	for i := range x {
-		s, c := math.Sincos(2 * math.Pi * 37 * float64(i) / float64(n))
-		x[i] = complex(c, s)
-	}
-	return x
-}
-
-// BenchmarkFFT2048PlanCached measures the plan-backed transform at the
-// pipeline's dominant size (cfg.FFTSize = 2048).
-func BenchmarkFFT2048PlanCached(b *testing.B) {
-	x := benchSignal(2048)
-	buf := make([]complex128, len(x))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		dsp.PlanFFT(len(buf)).Forward(buf)
-	}
-}
-
-// BenchmarkFFT2048Uncached measures the seed's per-call implementation at
-// the same size — the baseline the plan cache replaces.
-func BenchmarkFFT2048Uncached(b *testing.B) {
-	x := benchSignal(2048)
-	buf := make([]complex128, len(x))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		seedRadix2FFT(buf)
-	}
-}
-
 // benchCapture runs one synthesize+localize round, the §5.1 pipeline both
 // capture benchmarks share.
 func benchCapture(b *testing.B, a *ap.AP, nChirps int) {
@@ -371,29 +299,17 @@ func benchCaptureSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkCaptureSteadyState measures allocations per localization with
-// the capture plane's pooled buffers and clutter cache active — the
-// allocation gate (scripts/alloc_gate.sh) caps it at an absolute
-// allocs/op bound.
+// BenchmarkCaptureSteadyState measures one localization with the capture
+// plane's pooled buffers and clutter cache active. The allocation gate
+// (scripts/alloc_gate.sh) caps its allocs/op, and the A/B perf gate
+// (scripts/bench_ab.sh) times it against a base commit.
 func BenchmarkCaptureSteadyState(b *testing.B) {
 	benchCaptureSteadyState(b)
 }
 
-// BenchmarkCaptureParallel4 is BenchmarkCaptureParallel with GOMAXPROCS
-// pinned to 4, so the chirp fan-out exercises the concurrent path (and its
-// pool contention) even on single-core CI machines where GOMAXPROCS would
-// otherwise degenerate the ForEach to serial.
-func BenchmarkCaptureParallel4(b *testing.B) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	a := ap.MustNew(ap.DefaultConfig(), rfsim.DefaultIndoorScene())
-	b.ResetTimer()
-	benchCapture(b, a, 32)
-}
-
 // BenchmarkCaptureParallel2 is the 2-core point on the same curve: with
-// BenchmarkCaptureSerial and BenchmarkCaptureParallel4 it shows how the
-// intra-capture fan-out scales with worker count.
+// BenchmarkCaptureSerial it shows how the intra-capture fan-out scales with
+// worker count.
 func BenchmarkCaptureParallel2(b *testing.B) {
 	old := runtime.GOMAXPROCS(2)
 	defer runtime.GOMAXPROCS(old)
@@ -405,20 +321,11 @@ func BenchmarkCaptureParallel2(b *testing.B) {
 // BenchmarkCaptureSteadyStateProcs2 runs the full steady-state localization
 // pipeline with GOMAXPROCS pinned to 2 so the intra-capture worker pool
 // engages. On a 1-core machine the pin still forces the concurrent code
-// path, but the measured speedup only reflects real hardware parallelism —
-// scripts/bench_compare.sh keys its scaling gate on the recorded per-row
-// gomaxprocs AND the machine's core count.
+// path, but the measured speedup only reflects real hardware parallelism.
+// The allocation gate caps its allocs/op, which pay for the fan-outs'
+// per-call closures and job records.
 func BenchmarkCaptureSteadyStateProcs2(b *testing.B) {
 	old := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(old)
-	benchCaptureSteadyState(b)
-}
-
-// BenchmarkCaptureSteadyStateProcs4 is the 4-core point: the bench_compare
-// gate requires ≥2x over the single-core BenchmarkCaptureSteadyState when
-// the machine actually has ≥4 cores.
-func BenchmarkCaptureSteadyStateProcs4(b *testing.B) {
-	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	benchCaptureSteadyState(b)
 }
@@ -473,8 +380,8 @@ func benchWalkPath(b *testing.B) *motion.Path {
 // entry) and an unrelated obstruction churns every op. With per-dependency
 // clutter invalidation both dirt kinds are cheap — node dirt never touches
 // the clutter cache and the blocker's segment crosses no clutter path — so
-// the PR 8 gate in scripts/bench_compare.sh holds this within 2x of the
-// static steady state.
+// scripts/bench_ab.sh holds its median within 1.5x of the static steady
+// state's.
 func BenchmarkCaptureMovingScene(b *testing.B) {
 	sys := core.MustNewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
 	n, err := sys.AddNode(rfsim.Point{X: 4, Y: 0.5}, 5)

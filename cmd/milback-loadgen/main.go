@@ -2,7 +2,7 @@
 // mixed workload at a controlled offered load and reports goodput and tail
 // latency per load point.
 //
-//	milback-loadgen -target http://localhost:8080 -qps 10,25,50,100 -ref 50 \
+//	milback-loadgen -target http://localhost:8080 -qps 10,25,50,100 \
 //	    -duration 5s -mix localize=0.6,send=0.2,deliver=0.1,move=0.1 -nodes 8
 //
 // Flags:
@@ -19,9 +19,9 @@
 //	-rate         bit rate for send/deliver (bits/s)
 //	-seed         seed for the arrival schedule and workload picks
 //	-max-inflight open-loop concurrency cap
-//	-ref          the offered QPS marked "ref": true in JSON output
-//	-json         write machine-readable load rows to this file, merging
-//	              into an existing BENCH_*.json document if one is there
+//
+// Each load point prints one report line ending in its op and failed-op
+// counts ("(N ops, F failed, Ts)"), which scripts/serve_smoke.sh reads.
 //
 // Latency in open loop is measured from the intended (scheduled) arrival
 // time, so queueing under overload is charged to the server, not hidden by
@@ -52,8 +52,6 @@ func main() {
 	rate := flag.Float64("rate", 10e6, "bit rate for send/deliver (bits/s)")
 	seed := flag.Int64("seed", 1, "seed for the arrival schedule and workload picks")
 	maxInflight := flag.Int("max-inflight", 256, "open-loop concurrency cap")
-	ref := flag.Float64("ref", 0, "offered QPS marked as the reference row in JSON output")
-	jsonPath := flag.String("json", "", "write machine-readable load rows to this file (merges into an existing BENCH_*.json)")
 	flag.Parse()
 
 	mix, err := loadgen.ParseMix(*mixSpec)
@@ -77,35 +75,24 @@ func main() {
 		MaxInFlight: *maxInflight,
 	}
 
-	var results []loadgen.Result
 	if *workers > 0 {
 		res, err := runner.Closed(ctx, *workers, *duration)
 		if err != nil {
 			fatal(err)
 		}
-		results = append(results, res)
-	} else {
-		for _, tok := range strings.Split(*qpsList, ",") {
-			qps, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-			if err != nil || qps <= 0 {
-				fatal(fmt.Errorf("bad -qps entry %q", tok))
-			}
-			res, err := runner.Open(ctx, qps, *duration)
-			if err != nil {
-				fatal(err)
-			}
-			results = append(results, res)
-			report(res)
+		report(res)
+		return
+	}
+	for _, tok := range strings.Split(*qpsList, ",") {
+		qps, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+		if err != nil || qps <= 0 {
+			fatal(fmt.Errorf("bad -qps entry %q", tok))
 		}
-	}
-	if *workers > 0 {
-		report(results[0])
-	}
-	if *jsonPath != "" {
-		if err := writeRows(*jsonPath, results, *ref); err != nil {
+		res, err := runner.Open(ctx, qps, *duration)
+		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "milback-loadgen: wrote %d load row(s) to %s\n", len(results), *jsonPath)
+		report(res)
 	}
 }
 
@@ -114,10 +101,10 @@ func report(r loadgen.Result) {
 	if r.Mode == "closed" {
 		label = fmt.Sprintf("%d workers     ", r.Workers)
 	}
-	fmt.Printf("%s  goodput %7.1f/s  err %5.2f%%  p50 %8.3fms  p95 %8.3fms  p99 %8.3fms  (%d ops in %.1fs)\n",
+	fmt.Printf("%s  goodput %7.1f/s  err %5.2f%%  p50 %8.3fms  p95 %8.3fms  p99 %8.3fms  (%d ops, %d failed, %.1fs)\n",
 		label, r.GoodputQPS, 100*r.ErrorRate(),
 		ms(r.Latency.P50), ms(r.Latency.P95), ms(r.Latency.P99),
-		r.Ops, r.Elapsed.Seconds())
+		r.Ops, r.Errors, r.Elapsed.Seconds())
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

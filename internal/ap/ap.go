@@ -165,9 +165,11 @@ type apObs struct {
 	clutterEvict *obs.Counter
 	tracer       *obs.Tracer
 
-	// Sub-stage split of the synthesize stage (DESIGN.md §12.4): per-capture
-	// set-up (clutter template, frequency grid, gain-envelope memo fill),
-	// per-chirp target-tone generation, and the noise fold-in.
+	// Sub-stage split of the synthesize stage (DESIGN.md §12.4): the serial
+	// state build and AWGN draw, per-capture set-up (clutter template,
+	// frequency grid, gain-envelope memo fill), per-chirp target-tone
+	// generation, and the noise fold-in.
+	synthDraw    *obs.Histogram
 	synthClutter *obs.Histogram
 	synthTargets *obs.Histogram
 	synthNoise   *obs.Histogram
@@ -277,6 +279,7 @@ func (a *AP) SetObserver(reg *obs.Registry, tr *obs.Tracer) {
 		clutterInval: reg.Counter(obs.MetricClutterInvalidations),
 		clutterEvict: reg.Counter(obs.MetricClutterEvictions),
 		tracer:       tr,
+		synthDraw:    reg.Histogram(obs.MetricSynthDrawSeconds, obs.DurationBuckets()),
 		synthClutter: reg.Histogram(obs.MetricSynthClutterSeconds, obs.DurationBuckets()),
 		synthTargets: reg.Histogram(obs.MetricSynthTargetsSeconds, obs.DurationBuckets()),
 		synthNoise:   reg.Histogram(obs.MetricSynthNoiseSeconds, obs.DurationBuckets()),

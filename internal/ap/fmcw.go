@@ -163,8 +163,10 @@ func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*Backsc
 	if err := validateSynth(c, nChirps, tgts, table); err != nil {
 		return nil, err
 	}
-	if o := a.obs; o != nil {
-		start := time.Now()
+	o := a.obs
+	var start time.Time
+	if o != nil {
+		start = time.Now()
 		defer func() {
 			o.synthesize.Observe(time.Since(start).Seconds())
 			o.tracer.Record(obs.SpanSynthesize, start, int64(nChirps))
@@ -174,6 +176,10 @@ func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*Backsc
 	// pointer would escape into the fan-out closures, costing a heap
 	// allocation per capture.
 	st := a.newSynthState(c, nChirps, tgts, extra, ns)
+	if o != nil {
+		o.synthDraw.Observe(time.Since(start).Seconds())
+		o.tracer.Record(obs.SpanSynthDraw, start, int64(nChirps))
+	}
 	a.synthesizeFast(st, table)
 	return st.frames, nil
 }

@@ -221,7 +221,8 @@ func (a *AP) interAntennaRot(aoaRad, lambda, psi float64) complex128 {
 // set-up including the gain-envelope fill, target/extra tones, noise
 // fold-in), giving `milback-report -trace` a per-stage split of where
 // synthesis time goes. The serial state build and AWGN draw in
-// newSynthState precede phase 1 and are covered only by ap.synthesize.
+// newSynthState precede phase 1 and are timed by the caller as
+// ap.synthesize.draw.
 func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 	o := a.obs
 

@@ -93,7 +93,7 @@ func TestObservabilityRecords(t *testing.T) {
 	for _, name := range []string{
 		obs.MetricSynthesizeSeconds, obs.MetricFFTSeconds,
 		obs.MetricDetectSeconds, obs.MetricLeaseSeconds,
-		obs.MetricSynthClutterSeconds, obs.MetricSynthTargetsSeconds,
+		obs.MetricSynthDrawSeconds, obs.MetricSynthClutterSeconds, obs.MetricSynthTargetsSeconds,
 		obs.MetricSynthNoiseSeconds,
 	} {
 		if snap.Histograms[name].Count == 0 {
@@ -111,7 +111,7 @@ func TestObservabilityRecords(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		obs.SpanSynthesize, obs.SpanSynthClutter, obs.SpanSynthTargets,
+		obs.SpanSynthesize, obs.SpanSynthDraw, obs.SpanSynthClutter, obs.SpanSynthTargets,
 		obs.SpanSynthNoise, obs.SpanFFT, obs.SpanDetect, obs.SpanLease,
 	} {
 		if !names[want] {

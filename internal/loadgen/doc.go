@@ -30,5 +30,5 @@
 // testbed — a network service under concurrent load. Workload mixes
 // (localize/send/deliver/move fractions) express the §7/Fig 8 protocol
 // operations; offered-load sweeps produce the QPS-vs-tail-latency curves
-// gated by scripts/bench_compare.sh.
+// that cmd/milback-loadgen prints, one line per load point.
 package loadgen

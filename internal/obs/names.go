@@ -69,25 +69,26 @@ const (
 	MetricServeLatencySeconds = "serve.latency_seconds"
 	MetricServeInFlight       = "serve.in_flight"
 
-	// Sub-stage split of the synthesize stage, recorded by the synthesis
-	// kernels. Clutter times the per-capture set-up: the clutter template,
-	// the frequency grid and the FSA gain-envelope memo fill (fanned out
-	// across targets). Targets times the per-chirp tone generation, Noise the
-	// AWGN fold-in. The three cover only part of MetricSynthesizeSeconds:
-	// the serial state build and AWGN draw that precede them (newSynthState)
-	// are in the synthesize stage alone — in a traced localization about a
-	// third of it.
+	// Sub-stage split of the synthesize stage. Draw times the serial state
+	// build and AWGN draw (newSynthState) that precede the kernels. Clutter
+	// times the per-capture set-up: the clutter template, the frequency grid
+	// and the FSA gain-envelope memo fill (fanned out across targets).
+	// Targets times the per-chirp tone generation, Noise the AWGN fold-in.
+	// The four run back to back and cover MetricSynthesizeSeconds apart
+	// from the clock reads between them.
+	MetricSynthDrawSeconds    = "ap.synthesize.draw_seconds"
 	MetricSynthClutterSeconds = "ap.synthesize.clutter_seconds"
 	MetricSynthTargetsSeconds = "ap.synthesize.targets_seconds"
 	MetricSynthNoiseSeconds   = "ap.synthesize.noise_seconds"
 )
 
-// Canonical trace span names. The three ap.synthesize.* sub-spans nest
+// Canonical trace span names. The four ap.synthesize.* sub-spans nest
 // inside each ap.synthesize span, and ap.fft.batch nests inside each ap.fft
 // span (same capture, narrower windows), so `milback-report -trace`
 // attributes pipeline time to the stage that actually spent it.
 const (
 	SpanSynthesize   = "ap.synthesize"
+	SpanSynthDraw    = "ap.synthesize.draw"
 	SpanSynthClutter = "ap.synthesize.clutter"
 	SpanSynthTargets = "ap.synthesize.targets"
 	SpanSynthNoise   = "ap.synthesize.noise"

@@ -64,11 +64,12 @@ type Metrics struct {
 	FFT        Histogram
 	Detect     Histogram
 
-	// SynthClutter, SynthTargets and SynthNoise split the synthesize stage
-	// into its kernel phases — per-capture set-up (clutter template,
-	// frequency grid and gain-envelope fill), per-chirp target-tone
-	// generation and the noise fold-in. The noise draw before them is
-	// counted in Synthesize only.
+	// SynthDraw, SynthClutter, SynthTargets and SynthNoise split the
+	// synthesize stage into its phases — the serial state build and AWGN
+	// draw, per-capture set-up (clutter template, frequency grid and
+	// gain-envelope fill), per-chirp target-tone generation and the noise
+	// fold-in. Together they cover the whole stage.
+	SynthDraw    Histogram
 	SynthClutter Histogram
 	SynthTargets Histogram
 	SynthNoise   Histogram
@@ -119,6 +120,7 @@ func metricsFromSnapshot(snap obs.Snapshot) Metrics {
 		QueueWait:            histogramFromSnapshot(snap.Histograms[obs.MetricQueueWaitSeconds]),
 		JobDuration:          histogramFromSnapshot(snap.Histograms[obs.MetricJobDurationSeconds]),
 		Synthesize:           histogramFromSnapshot(snap.Histograms[obs.MetricSynthesizeSeconds]),
+		SynthDraw:            histogramFromSnapshot(snap.Histograms[obs.MetricSynthDrawSeconds]),
 		SynthClutter:         histogramFromSnapshot(snap.Histograms[obs.MetricSynthClutterSeconds]),
 		SynthTargets:         histogramFromSnapshot(snap.Histograms[obs.MetricSynthTargetsSeconds]),
 		SynthNoise:           histogramFromSnapshot(snap.Histograms[obs.MetricSynthNoiseSeconds]),

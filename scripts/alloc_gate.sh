@@ -6,31 +6,29 @@
 # the pool, fails the gate. Three rows are gated, each against its own cap:
 #
 #   - BenchmarkCaptureSteadyState at -cpu 1 (GOMAXPROCS=1, every fan-out
-#     serial): MAX_ALLOCS, default 30.
+#     serial): 30.
 #   - BenchmarkCaptureSteadyStateProcs2 (GOMAXPROCS pinned to 2, so the
 #     intra-capture fan-outs run concurrently and pay their per-call
-#     closures and job records): MAX_ALLOCS_PROCS2, default 44.
+#     closures and job records): 44.
 #   - BenchmarkDiscoveryScan/nodes=1024 at -cpu 1: a fixed cap of 3600
 #     allocs per 1,024-node sweep. Most of them are the per-node target
 #     closures built once per sweep; a per-target pool checkout in the
 #     capture path (9 pointings x 1,024 targets) breaks it.
 #
 # Pinning the worker count makes the counts independent of the machine's
-# core count. The default benchtime is long enough that one-time warm-up
-# allocations (helper goroutines, pool growth) amortize below one per op;
-# the discovery row runs a fixed 5 sweeps of about 0.2 s each.
+# core count. The 200 iterations of the capture rows are enough for one-time
+# warm-up allocations (helper goroutines, pool growth) to amortize below one
+# per op; the discovery row runs a fixed 5 sweeps of about 0.2 s each.
 # Run from the repository root:
 #
-#	./scripts/alloc_gate.sh [benchtime]
+#	./scripts/alloc_gate.sh
 set -eu
 
-MAX_ALLOCS="${MAX_ALLOCS:-30}"
-MAX_ALLOCS_PROCS2="${MAX_ALLOCS_PROCS2:-44}"
+MAX_ALLOCS=30
+MAX_ALLOCS_PROCS2=44
 MAX_ALLOCS_DISCOVERY=3600
 
-BENCHTIME="${1:-200x}"
-
-out="$(go test -run '^$' -bench 'CaptureSteadyState(Procs2)?$' -cpu 1 -benchtime "$BENCHTIME" -benchmem .)"
+out="$(go test -run '^$' -bench 'CaptureSteadyState(Procs2)?$' -cpu 1 -benchtime 200x -benchmem .)"
 out="$out
 $(go test -run '^$' -bench 'DiscoveryScan/nodes=1024$' -cpu 1 -benchtime 5x -benchmem .)"
 echo "$out"

@@ -4,17 +4,18 @@
 # ephemeral port, drives a short open-loop burst against it, and then
 # SIGTERMs it, requiring
 #
-#   - zero loadgen errors during the burst,
+#   - zero failed operations in the burst (the "0 failed" count on
+#     milback-loadgen's report line),
 #   - daemon exit status 0 (the drain completed in-flight grants), and
 #   - the pidfile removed on the way out.
 #
-# Knobs: SMOKE_QPS (default 10), SMOKE_SECS (default 2), SMOKE_NODES
-# (default 3). Artifacts land in a temp dir that is cleaned on exit.
+# The burst is 10 ops/s for 2 s against 3 nodes. Artifacts land in a temp
+# dir that is cleaned on exit.
 set -eu
 
-QPS="${SMOKE_QPS:-10}"
-SECS="${SMOKE_SECS:-2}"
-NODES="${SMOKE_NODES:-3}"
+QPS=10
+SECS=2
+NODES=3
 
 TMP="$(mktemp -d)"
 SERVE_PID=""
@@ -52,14 +53,14 @@ done
 echo "serve-smoke: daemon up on $ADDR (pid $SERVE_PID)"
 
 "$TMP/milback-loadgen" -target "http://$ADDR" -qps "$QPS" -duration "${SECS}s" \
-	-nodes "$NODES" -seed 7 -json "$TMP/load.json" | tee "$TMP/loadgen.out"
+	-nodes "$NODES" -seed 7 | tee "$TMP/loadgen.out"
 
-# Zero errors during the burst.
-if grep -q '"errors":0,' "$TMP/load.json"; then
-	echo "serve-smoke: zero errors"
+# Zero failed operations during the burst: one report line, with a non-zero
+# op count and "0 failed".
+if grep -q '([1-9][0-9]* ops, 0 failed,' "$TMP/loadgen.out"; then
+	echo "serve-smoke: zero failed operations"
 else
-	echo "serve-smoke: loadgen saw errors:" >&2
-	cat "$TMP/load.json" >&2
+	echo "serve-smoke: loadgen saw failures (or ran no ops)" >&2
 	exit 1
 fi
 
