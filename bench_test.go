@@ -286,7 +286,7 @@ func benchCaptureSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the pool and the clutter cache before measuring.
+	// Warm the buffer pool before measuring.
 	if _, err := sys.Localize(n, 1); err != nil {
 		b.Fatal(err)
 	}
@@ -300,7 +300,8 @@ func benchCaptureSteadyState(b *testing.B) {
 }
 
 // BenchmarkCaptureSteadyState measures one localization with the capture
-// plane's pooled buffers and clutter cache active. The allocation gate
+// plane's pooled buffers active; every capture derives its clutter paths
+// afresh. The allocation gate
 // (scripts/alloc_gate.sh) caps its allocs/op, and the A/B perf gate
 // (scripts/bench_ab.sh) times it against a base commit.
 func BenchmarkCaptureSteadyState(b *testing.B) {
@@ -376,23 +377,23 @@ func benchWalkPath(b *testing.B) *motion.Path {
 }
 
 // BenchmarkCaptureMovingScene is BenchmarkCaptureSteadyState on a dynamic
-// scene: the node is trajectory-bound (advanced every op, dirtying its scene
-// entry) and an unrelated obstruction churns every op. With per-dependency
-// clutter invalidation both dirt kinds are cheap — node dirt never touches
-// the clutter cache and the blocker's segment crosses no clutter path — so
-// scripts/bench_ab.sh holds its median within 1.5x of the static steady
-// state's.
+// scene: the node is trajectory-bound (advanced every op) and an unrelated
+// obstruction moves every op. Captures derive clutter per capture either
+// way, so the difference from the static steady state is the per-op cost
+// of motion itself — trajectory advance, pose sampling and the scene edit
+// — and scripts/bench_ab.sh holds its median within 1.5x of the static
+// steady state's.
 func BenchmarkCaptureMovingScene(b *testing.B) {
 	sys := core.MustNewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
 	n, err := sys.AddNode(rfsim.Point{X: 4, Y: 0.5}, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.SetTrajectoryAt(n, "bench-walker", benchWalkPath(b), 0); err != nil {
+	if err := sys.SetTrajectoryAt(n, benchWalkPath(b), 0); err != nil {
 		b.Fatal(err)
 	}
-	// A cart rolls behind the AP: it dirties the scene every op but its
-	// segment never crosses an AP->clutter path (clutter sits at x >= 3).
+	// A cart rolls behind the AP: it moves every op but its segment never
+	// crosses an AP->clutter path (clutter sits at x >= 3).
 	scene := sys.AP.Scene()
 	scene.AddObstruction(rfsim.Obstruction{
 		Name: "cart", A: rfsim.Point{X: -3, Y: -3}, B: rfsim.Point{X: -3, Y: -2}, LossDB: 30,
@@ -415,15 +416,14 @@ func BenchmarkCaptureMovingScene(b *testing.B) {
 }
 
 // BenchmarkTrajectoryAdvance isolates trajectory advancement itself — pose
-// sampling, mover bookkeeping, and the scene dirty record — without any
-// capture work.
+// sampling and mover bookkeeping — without any capture work.
 func BenchmarkTrajectoryAdvance(b *testing.B) {
 	sys := core.MustNewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
 	n, err := sys.AddNode(rfsim.Point{X: 4, Y: 0.5}, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.SetTrajectoryAt(n, "bench-walker", benchWalkPath(b), 0); err != nil {
+	if err := sys.SetTrajectoryAt(n, benchWalkPath(b), 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

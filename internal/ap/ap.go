@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -134,17 +133,9 @@ type AP struct {
 	// pool recycles frame and spectrum buffers (nil = allocate).
 	pool BufferPool
 
-	// Clutter-path cache: ClutterPathsWithDeps is pure in (scene contents,
-	// antenna pointing, carrier), so identical captures — the steady state
-	// of a node being polled — reuse the derived geometry instead of
-	// re-walking the scene. Entries are keyed on (pointing, carrier) and synced to the
-	// scene's dirty log (syncClutterLocked): a mutation evicts only entries
-	// whose paths it can actually change, and eviction at capacity is
-	// deterministic LRU by clutterTick, never map-iteration order.
-	clutterMu    sync.Mutex
-	clutterCache map[clutterKey]*clutterEntry
-	clutterGen   uint64
-	clutterTick  uint64
+	// clutter is the scratch clutterPaths derives every capture's clutter
+	// paths into.
+	clutter []rfsim.Path
 
 	// obs holds the AP's resolved stage instruments; nil (the default)
 	// means unobserved and the pipelines skip even the clock reads.
@@ -153,17 +144,13 @@ type AP struct {
 
 // apObs is the AP's per-stage instrumentation, resolved once by
 // SetObserver: wall-clock histograms for the three pipeline stages
-// (synthesis, windowed range FFTs, post-FFT detection), clutter-cache
-// effectiveness counters, and an optional tracer for per-stage spans.
+// (synthesis, windowed range FFTs, post-FFT detection) and an optional
+// tracer for per-stage spans.
 type apObs struct {
-	synthesize   *obs.Histogram
-	fft          *obs.Histogram
-	detect       *obs.Histogram
-	clutterHits  *obs.Counter
-	clutterMiss  *obs.Counter
-	clutterInval *obs.Counter
-	clutterEvict *obs.Counter
-	tracer       *obs.Tracer
+	synthesize *obs.Histogram
+	fft        *obs.Histogram
+	detect     *obs.Histogram
+	tracer     *obs.Tracer
 
 	// Sub-stage split of the synthesize stage (DESIGN.md §12.4): the serial
 	// state build and AWGN draw, per-capture set-up (clutter template,
@@ -183,29 +170,6 @@ type apObs struct {
 	captureWorkers *obs.Histogram
 }
 
-// clutterKey identifies one clutter derivation. Pointing matters because
-// horn gain toward each reflector depends on where the beam points; the
-// carrier matters because path amplitude is frequency-dependent. Scene
-// content changes are handled by the dirty-log sync, not the key.
-type clutterKey struct {
-	pointing float64
-	carrier  float64
-}
-
-// clutterEntry is one cached derivation: the paths, the obstruction names
-// whose segments crossed some AP→reflector ray at derive time (the entry's
-// staleness footprint), and the last-use tick for LRU eviction.
-type clutterEntry struct {
-	paths []rfsim.Path
-	deps  []string
-	tick  uint64
-}
-
-// clutterCacheCap bounds retained entries. A cell only revisits a handful
-// of pointings (one per node plus the discovery scan grid), so eviction is
-// rare; on overflow the least-recently-used entry is dropped.
-const clutterCacheCap = 64
-
 // New builds an AP operating in the given scene (nil means an empty,
 // clutter-free environment).
 func New(cfg Config, scene *rfsim.Scene) (*AP, error) {
@@ -216,11 +180,10 @@ func New(cfg Config, scene *rfsim.Scene) (*AP, error) {
 		scene = rfsim.EmptyScene()
 	}
 	a := &AP{
-		cfg:        cfg,
-		tx:         &rfsim.Antenna{BoresightGainDBi: cfg.TxGainDBi, BeamwidthDeg: 18, SidelobeFloorDB: -25},
-		array:      &rfsim.RxArray{Spacing: cfg.RxSpacingM},
-		scene:      scene,
-		clutterGen: scene.Generation(),
+		cfg:   cfg,
+		tx:    &rfsim.Antenna{BoresightGainDBi: cfg.TxGainDBi, BeamwidthDeg: 18, SidelobeFloorDB: -25},
+		array: &rfsim.RxArray{Spacing: cfg.RxSpacingM},
+		scene: scene,
 	}
 	for i := range a.rx {
 		a.rx[i] = &rfsim.Antenna{BoresightGainDBi: cfg.RxGainDBi, BeamwidthDeg: 18, SidelobeFloorDB: -25}
@@ -260,11 +223,11 @@ func (a *AP) Pointing() float64 { return a.tx.PointingRad }
 // pipelines draw frame and spectrum buffers from.
 func (a *AP) SetBufferPool(p BufferPool) { a.pool = p }
 
-// SetObserver wires the AP's per-stage timing histograms and clutter-cache
-// counters into reg, and (if tr is non-nil) records one span per pipeline
-// stage. A nil reg turns instrumentation off again. Recording is
-// allocation-free and touches no simulation state, so results are
-// bit-identical with or without an observer.
+// SetObserver wires the AP's per-stage timing histograms into reg, and
+// (if tr is non-nil) records one span per pipeline stage. A nil reg turns
+// instrumentation off again. Recording is allocation-free and touches no
+// simulation state, so results are bit-identical with or without an
+// observer.
 func (a *AP) SetObserver(reg *obs.Registry, tr *obs.Tracer) {
 	if reg == nil {
 		a.obs = nil
@@ -274,10 +237,6 @@ func (a *AP) SetObserver(reg *obs.Registry, tr *obs.Tracer) {
 		synthesize:   reg.Histogram(obs.MetricSynthesizeSeconds, obs.DurationBuckets()),
 		fft:          reg.Histogram(obs.MetricFFTSeconds, obs.DurationBuckets()),
 		detect:       reg.Histogram(obs.MetricDetectSeconds, obs.DurationBuckets()),
-		clutterHits:  reg.Counter(obs.MetricClutterHits),
-		clutterMiss:  reg.Counter(obs.MetricClutterMisses),
-		clutterInval: reg.Counter(obs.MetricClutterInvalidations),
-		clutterEvict: reg.Counter(obs.MetricClutterEvictions),
 		tracer:       tr,
 		synthDraw:    reg.Histogram(obs.MetricSynthDrawSeconds, obs.DurationBuckets()),
 		synthClutter: reg.Histogram(obs.MetricSynthClutterSeconds, obs.DurationBuckets()),
@@ -353,119 +312,16 @@ func (b *busyClock) recordBusy(tr *obs.Tracer, stage string, start time.Time, wo
 	})
 }
 
-// syncClutterLocked brings the cache up to the scene's current generation,
-// evicting incrementally from the dirty log. Three tiers, cheapest first:
-//
-//   - node-pose dirt: clutter geometry does not depend on node pose, so
-//     the entries survive untouched — a moving node costs nothing.
-//   - obstruction dirt: an entry is stale only if a dirty blocker crossed
-//     its rays at derive time (recorded in deps) or crosses them now. The
-//     AP→reflector rays are pointing-independent, so the "crosses now"
-//     test runs once per dirty name, not once per entry; a positive answer
-//     means every remaining entry is stale and the cache clears.
-//   - reflector dirt, an unreconstructible window (log overflow), or a
-//     blanket Invalidate: every entry carries one path per reflector, so
-//     the cache clears.
-//
-// Caller holds clutterMu.
-func (a *AP) syncClutterLocked() {
-	cur := a.scene.Generation()
-	if cur == a.clutterGen {
-		return
-	}
-	ds, ok := a.scene.DirtySince(a.clutterGen)
-	a.clutterGen = cur
-	if len(a.clutterCache) == 0 {
-		return
-	}
-	if !ok || len(ds.Reflectors) > 0 {
-		a.dropEntriesLocked(len(a.clutterCache))
-		return
-	}
-	for _, name := range ds.Obstructions {
-		if a.scene.ObstructionCrossesClutter(name) {
-			a.dropEntriesLocked(len(a.clutterCache))
-			return
-		}
-		for k, e := range a.clutterCache {
-			for _, dep := range e.deps {
-				if dep == name {
-					delete(a.clutterCache, k)
-					a.dropEntriesLocked(1)
-					break
-				}
-			}
-		}
-	}
-}
-
-// dropEntriesLocked folds n evicted entries into the cache counters; n
-// equal to the cache size means a full reset (the map is dropped). Caller
-// holds clutterMu.
-func (a *AP) dropEntriesLocked(n int) {
-	if n == len(a.clutterCache) {
-		a.clutterCache = nil
-	}
-	if o := a.obs; o != nil && n > 0 {
-		o.clutterInval.Inc()
-		o.clutterEvict.Add(uint64(n))
-	}
-}
-
-// evictLRULocked removes the least-recently-used entry — deterministic:
-// ticks are unique and monotonic, so the minimum is unambiguous regardless
-// of map iteration order. Caller holds clutterMu.
-func (a *AP) evictLRULocked() {
-	var victim clutterKey
-	best := uint64(math.MaxUint64)
-	for k, e := range a.clutterCache {
-		if e.tick < best {
-			best, victim = e.tick, k
-		}
-	}
-	delete(a.clutterCache, victim)
-	if o := a.obs; o != nil {
-		o.clutterEvict.Inc()
-	}
-}
-
-// clutterPaths returns the scene's clutter paths for the current pointing
-// at carrier fc, cached until a scene mutation touches them or LRU
-// pressure evicts them. The cached slice is shared and read-only
-// downstream (the synthesizer only reads Path fields).
+// clutterPaths derives the scene's clutter paths for the current pointing
+// at carrier fc into the AP's scratch slice and returns it, allocating
+// nothing once the slice has grown to the scene. The next capture
+// overwrites the slice. That is safe because captures on one AP run one at
+// a time — the rule Steer's shared horns already rely on — and a capture's
+// readers (the synthesizer, SynthesizeUplink's DC term) finish with it
+// within that capture.
 func (a *AP) clutterPaths(fc float64) []rfsim.Path {
-	key := clutterKey{pointing: a.tx.PointingRad, carrier: fc}
-	a.clutterMu.Lock()
-	a.syncClutterLocked()
-	if e, ok := a.clutterCache[key]; ok {
-		a.clutterTick++
-		e.tick = a.clutterTick
-		a.clutterMu.Unlock()
-		if o := a.obs; o != nil {
-			o.clutterHits.Inc()
-		}
-		return e.paths
-	}
-	a.clutterMu.Unlock()
-	if o := a.obs; o != nil {
-		o.clutterMiss.Inc()
-	}
-	paths, deps := a.scene.ClutterPathsWithDeps(a.tx, a.rx[0], fc)
-	a.clutterMu.Lock()
-	// The scheduler serializes mutation against captures, but re-sync anyway
-	// so a derivation raced by a mutation is never installed against a stale
-	// generation.
-	a.syncClutterLocked()
-	if len(a.clutterCache) >= clutterCacheCap {
-		a.evictLRULocked()
-	}
-	if a.clutterCache == nil {
-		a.clutterCache = make(map[clutterKey]*clutterEntry)
-	}
-	a.clutterTick++
-	a.clutterCache[key] = &clutterEntry{paths: paths, deps: deps, tick: a.clutterTick}
-	a.clutterMu.Unlock()
-	return paths
+	a.clutter = a.scene.AppendClutterPaths(a.clutter[:0], a.tx, a.rx[0], fc)
+	return a.clutter
 }
 
 // getComplex draws a zeroed buffer from the pool, or allocates one.

@@ -2,7 +2,9 @@ package ap
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rfsim"
@@ -187,6 +189,84 @@ func TestBackgroundSubtractionRemovesClutter(t *testing.T) {
 	if math.Abs(res.RangeM-4) > 0.2 {
 		t.Errorf("range = %g m, want 4 (node, not the 12 m wall or 3 m desk)", res.RangeM)
 	}
+}
+
+// clutterTracker drives one long-lived AP over scene and requires every
+// capture to match, bit for bit, a fresh AP built over a copy of the scene
+// as it then stands: the per-capture clutter scratch never serves an
+// earlier capture's geometry. Each step also states whether the capture
+// must differ from the previous one, or the comparison could not see stale
+// paths.
+func clutterTracker(t *testing.T, scene *rfsim.Scene) func(name string, pointing float64, mutate func(), wantChange bool) {
+	a := MustNew(DefaultConfig(), scene)
+	c := a.Config().LocalizationChirp
+	tgt := pointTarget(rfsim.Point{X: 4, Y: 0.5}, 25)
+	capture := func(ap *AP, pointing float64) []ChirpFrame {
+		ap.Steer(pointing)
+		return synth(t)(ap.SynthesizeChirps(c, 2, tgt, nil, rfsim.NewNoiseSource(5)))
+	}
+	same := func(x, y []ChirpFrame) bool {
+		return slices.EqualFunc(x, y, sameFrames)
+	}
+	var prev []ChirpFrame
+	return func(name string, pointing float64, mutate func(), wantChange bool) {
+		t.Helper()
+		mutate()
+		got := capture(a, pointing)
+		cp := &rfsim.Scene{Reflectors: slices.Clone(scene.Reflectors), Obstructions: slices.Clone(scene.Obstructions)}
+		if want := capture(MustNew(DefaultConfig(), cp), pointing); !same(got, want) {
+			t.Fatalf("%s: long-lived AP diverged from a fresh AP over the same scene", name)
+		}
+		if prev != nil && same(got, prev) == wantChange {
+			t.Fatalf("%s: capture changed = %v, want %v", name, !same(got, prev), wantChange)
+		}
+		prev = got
+	}
+}
+
+// TestClutterIncrementalInvalidation checks that each scene edit
+// invalidates the clutter paths of earlier captures, and only as far as
+// it should: steering and a blocker that crosses no AP→reflector ray leave
+// the paths for a pointing as they were, while a blocker on a ray, its
+// removal and a moved or added reflector change the next capture.
+func TestClutterIncrementalInvalidation(t *testing.T) {
+	scene := rfsim.DefaultIndoorScene()
+	step := clutterTracker(t, scene)
+	step("initial", 0, func() {}, true)
+	step("steer away", 0.3, func() {}, true)
+	step("steer back", 0, func() {}, true)
+	step("off-path blocker", 0, func() {
+		scene.AddObstruction(rfsim.Obstruction{Name: "far", A: rfsim.Point{X: -5, Y: -5}, B: rfsim.Point{X: -5, Y: -6}, LossDB: 30})
+	}, false)
+	step("blocker on the back-wall ray", 0, func() {
+		scene.AddObstruction(rfsim.Obstruction{Name: "cabinet", A: rfsim.Point{X: 6, Y: -0.3}, B: rfsim.Point{X: 6, Y: 0.3}, LossDB: 40})
+	}, true)
+	step("steer away over the blocker", 0.3, func() {}, true)
+	step("blocker removed", 0.3, func() { scene.RemoveObstruction("cabinet") }, true)
+	step("reflector moved", 0.3, func() { scene.MoveReflector("desk", rfsim.Point{X: 3.2, Y: -1.5}) }, true)
+	step("reflector added", 0.3, func() {
+		scene.AddReflector(rfsim.Reflector{Name: "cart", Position: rfsim.Point{X: 8, Y: -2}, RCS: 2})
+	}, true)
+}
+
+// TestClutterMoveObstruction checks a blocker walking behind the AP, off
+// every clutter ray, leaves the capture as it was, and one stepping onto a
+// ray changes it.
+func TestClutterMoveObstruction(t *testing.T) {
+	scene := rfsim.DefaultIndoorScene()
+	step := clutterTracker(t, scene)
+	step("blocker behind the AP", 0, func() {
+		scene.AddObstruction(rfsim.Obstruction{Name: "person", A: rfsim.Point{X: -3, Y: 1}, B: rfsim.Point{X: -3, Y: 2}, LossDB: 25})
+	}, true)
+	for i := 1; i < 4; i++ {
+		y := 1 + 0.1*float64(i)
+		step(fmt.Sprintf("walk step %d", i), 0, func() {
+			scene.MoveObstruction("person", rfsim.Point{X: -3, Y: y}, rfsim.Point{X: -3, Y: y + 1})
+		}, false)
+	}
+	step("onto the back-wall ray", 0, func() {
+		scene.MoveObstruction("person", rfsim.Point{X: 6, Y: -1}, rfsim.Point{X: 6, Y: 1})
+	}, true)
 }
 
 func TestProcessLocalizationFailsWithoutTarget(t *testing.T) {

@@ -39,7 +39,7 @@
 // When an obs registry is attached via SetObserver, the three pipeline
 // stages (synthesize, FFT, detect) record per-call timing histograms and
 // trace spans — fast synthesis further splits into clutter-template,
-// target-tone and noise sub-stages — and the clutter-geometry cache
-// counts hits, misses and invalidations; with no observer the pipelines
-// skip all clock reads.
+// target-tone and noise sub-stages; with no observer the pipelines skip
+// all clock reads. Clutter geometry is not cached: each capture derives
+// the scene's clutter paths afresh into one per-AP scratch slice.
 package ap

@@ -219,10 +219,8 @@ func TestJobLeaseStacksAndClosedLeasesDetach(t *testing.T) {
 	}
 }
 
-// TestPooledCaptureBitIdenticalToNoPool pins the pooled, clutter-cached
-// plane against the allocate-everything oracle: a bare ap.AP, which has no
-// buffer pool, with its clutter cache invalidated before every capture so
-// the scene geometry is re-derived cold each time.
+// TestPooledCaptureBitIdenticalToNoPool pins the pooled plane against the
+// allocate-everything oracle: a bare ap.AP, which has no buffer pool.
 func TestPooledCaptureBitIdenticalToNoPool(t *testing.T) {
 	pooled := newPlane(t)
 	plain := ap.MustNew(ap.DefaultConfig(), rfsim.DefaultIndoorScene())
@@ -236,7 +234,6 @@ func TestPooledCaptureBitIdenticalToNoPool(t *testing.T) {
 			}
 			req := locRequest(pooled, 4)
 			plain.Steer(0.1)
-			plain.Scene().Invalidate()
 			want, err := plain.SynthesizeChirpsMulti(req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, rfsim.NewNoiseSource(seed))
 			if err != nil {
 				t.Fatal(err)

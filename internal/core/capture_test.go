@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/node"
@@ -10,9 +11,8 @@ import (
 
 // newNodeSystem builds a default system over its own copy of the indoor
 // scene with one node at the shared test pose. A freshly built system has
-// an empty buffer pool and an empty clutter cache, so its first operation
-// allocates and derives everything: the cold-object oracle the warm system
-// must match bit for bit.
+// an empty buffer pool, so its first operation allocates everything: the
+// cold-object oracle the warm system must match bit for bit.
 func newNodeSystem(t *testing.T) (*System, *node.Node) {
 	t.Helper()
 	sys := MustNewSystem(DefaultConfig(), rfsim.DefaultIndoorScene())
@@ -23,70 +23,80 @@ func newNodeSystem(t *testing.T) (*System, *node.Node) {
 	return sys, n
 }
 
-// TestClutterCacheInvalidation interleaves scene mutations with captures:
-// after every mutation the cached system must match the uncached oracle — an
-// identical system whose cache is blanket-invalidated before every capture —
-// bit-for-bit, i.e. the generation bump actually invalidated the cache.
-func TestClutterCacheInvalidation(t *testing.T) {
-	fast, fn := newNodeSystem(t)
-	ref, rn := newNodeSystem(t)
-	both := func(mutate func(s *rfsim.Scene)) {
-		mutate(fast.AP.Scene())
-		mutate(ref.AP.Scene())
-	}
+// TestSceneMutationReachesNextCapture interleaves scene mutations with
+// captures: after every mutation the long-lived system must match, bit for
+// bit, the fresh-system oracle — a newly built system over a copy of the
+// scene as it then stands — so each edit reaches the very next capture.
+func TestSceneMutationReachesNextCapture(t *testing.T) {
+	sys, n := newNodeSystem(t)
+	scene := sys.AP.Scene()
 	localize := func(step string, seed int64) LocalizationOutcome {
 		t.Helper()
-		got, err := fast.Localize(fn, seed)
+		got, err := sys.Localize(n, seed)
 		if err != nil {
-			t.Fatalf("%s: cached localize: %v", step, err)
+			t.Fatalf("%s: long-lived localize: %v", step, err)
 		}
-		ref.AP.Scene().Invalidate()
+		ref := MustNewSystem(DefaultConfig(), &rfsim.Scene{
+			Reflectors:   slices.Clone(scene.Reflectors),
+			Obstructions: slices.Clone(scene.Obstructions),
+		})
+		rn, err := ref.AddNode(n.Position, n.OrientationDeg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := ref.Localize(rn, seed)
 		if err != nil {
-			t.Fatalf("%s: uncached localize: %v", step, err)
+			t.Fatalf("%s: fresh localize: %v", step, err)
 		}
 		if got != want {
-			t.Fatalf("%s: cached outcome diverged from uncached:\ncached   %+v\nuncached %+v", step, got, want)
+			t.Fatalf("%s: long-lived outcome diverged from a fresh system:\nlong-lived %+v\nfresh      %+v", step, got, want)
 		}
 		return got
 	}
 
-	base := localize("warm cache", 1)
+	base := localize("initial", 1)
 	// The blocker crosses the AP -> back-wall clutter path (Y=0 at X=6) but
 	// not the node's line of sight, so localization still succeeds while the
 	// clutter geometry — and therefore the capture — changes.
-	blocker := rfsim.Obstruction{Name: "cabinet", A: rfsim.Point{X: 6, Y: -0.3}, B: rfsim.Point{X: 6, Y: 0.3}, LossDB: 40}
-	both(func(s *rfsim.Scene) { s.AddObstruction(blocker) })
+	scene.AddObstruction(rfsim.Obstruction{Name: "cabinet", A: rfsim.Point{X: 6, Y: -0.3}, B: rfsim.Point{X: 6, Y: 0.3}, LossDB: 40})
 	blocked := localize("after AddObstruction", 1)
 	if blocked == base {
-		t.Fatal("obstruction did not change the outcome; the test cannot detect a stale cache")
+		t.Fatal("obstruction did not change the outcome; the test cannot detect stale clutter")
 	}
-	both(func(s *rfsim.Scene) {
-		if !s.RemoveObstruction("cabinet") {
-			t.Fatal("cabinet not found")
-		}
-	})
+	// Sliding the cabinet off every clutter ray restores the clear scene.
+	if !scene.MoveObstruction("cabinet", rfsim.Point{X: -6, Y: -0.3}, rfsim.Point{X: -6, Y: 0.3}) {
+		t.Fatal("cabinet not found")
+	}
+	if moved := localize("after MoveObstruction", 1); moved != base {
+		t.Fatalf("moving the blocker off every ray did not restore the outcome:\nbefore %+v\nafter  %+v", base, moved)
+	}
+	if !scene.RemoveObstruction("cabinet") {
+		t.Fatal("cabinet not found")
+	}
 	if restored := localize("after RemoveObstruction", 1); restored != base {
 		t.Fatalf("removing the blocker did not restore the original outcome:\nbefore %+v\nafter  %+v", base, restored)
 	}
-	both(func(s *rfsim.Scene) {
-		s.AddReflector(rfsim.Reflector{Name: "cart", Position: rfsim.Point{X: 8, Y: -2}, RCS: 2})
-	})
-	if withCart := localize("after AddReflector", 1); withCart == base {
+	scene.AddReflector(rfsim.Reflector{Name: "cart", Position: rfsim.Point{X: 8, Y: -2}, RCS: 2})
+	withCart := localize("after AddReflector", 1)
+	if withCart == base {
 		t.Fatal("new reflector did not change the outcome")
 	}
-	both(func(s *rfsim.Scene) {
-		if !s.RemoveReflector("cart") {
-			t.Fatal("cart not found")
-		}
-	})
+	if !scene.MoveReflector("cart", rfsim.Point{X: 9, Y: -1}) {
+		t.Fatal("cart not found")
+	}
+	if moved := localize("after MoveReflector", 1); moved == withCart {
+		t.Fatal("moving a reflector did not change the outcome")
+	}
+	if !scene.RemoveReflector("cart") {
+		t.Fatal("cart not found")
+	}
 	localize("after RemoveReflector", 1)
 }
 
 // TestCaptureDifferentialAcrossSeeds is the capture plane's end-to-end
 // differential gate: localization, radial velocity, and uplink BER through
-// one long-lived pooled + cached system must equal a freshly built system's
-// — nothing pooled, nothing cached — for several seeds, including repeated
+// one long-lived pooled system must equal a freshly built system's
+// — nothing pooled — for several seeds, including repeated
 // runs that actually recycle buffers.
 func TestCaptureDifferentialAcrossSeeds(t *testing.T) {
 	fast, fn := newNodeSystem(t)

@@ -88,8 +88,7 @@ func TestGainEnvsMatchScalarFSA(t *testing.T) {
 // discovery sweep over 18 nodes at varied ranges, azimuths and
 // orientations fans the per-target gain-envelope fill out across workers,
 // and must return exactly the detections of the serial (GOMAXPROCS=1) run.
-// Each run uses a freshly built system, so neither pool nor clutter-cache
-// state carries over.
+// Each run uses a freshly built system, so no pool state carries over.
 func TestDiscoverDeterministicAcrossProcs(t *testing.T) {
 	run := func(procs int) []NodeDetection {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -14,7 +14,6 @@ import (
 // so a node's pose sequence depends only on its own operation order — the
 // property the cluster's 3-seed determinism fingerprints pin.
 type mover struct {
-	label   string
 	path    *motion.Path
 	t       float64
 	pose    motion.Pose
@@ -35,11 +34,10 @@ func (m *mover) sample(n *node.Node) {
 
 // SetTrajectoryAt binds a trajectory to a registered node starting at
 // motion time t0 (seconds along the path), immediately sampling the pose.
-// A nil path unbinds. The label identifies the node in the scene's dirty
-// log (TouchNode) whenever motion actually changes the pose. Like every
-// scene mutation, callers must serialize this against captures — the
-// protocol layer schedules it on the node's airtime queue.
-func (s *System) SetTrajectoryAt(n *node.Node, label string, p *motion.Path, t0 float64) error {
+// A nil path unbinds. Like every scene mutation, callers must serialize
+// this against captures — the protocol layer schedules it on the node's
+// airtime queue.
+func (s *System) SetTrajectoryAt(n *node.Node, p *motion.Path, t0 float64) error {
 	if s.movers == nil {
 		s.movers = make(map[*node.Node]*mover)
 	}
@@ -50,10 +48,9 @@ func (s *System) SetTrajectoryAt(n *node.Node, label string, p *motion.Path, t0 
 	if t0 < 0 {
 		return fmt.Errorf("core: trajectory start time must be >= 0, got %g", t0)
 	}
-	m := &mover{label: label, path: p, t: t0}
+	m := &mover{path: p, t: t0}
 	m.sample(n)
 	s.movers[n] = m
-	s.AP.Scene().TouchNode(label)
 	return nil
 }
 
@@ -71,7 +68,6 @@ func (s *System) AdvanceTrajectory(n *node.Node, dt float64) (motion.Pose, error
 	}
 	m.t += dt
 	m.sample(n)
-	s.AP.Scene().TouchNode(m.label)
 	return m.pose, nil
 }
 

@@ -84,7 +84,7 @@ func TestObservabilityRecords(t *testing.T) {
 	snap := sys.Obs().Snapshot()
 	for _, name := range []string{
 		obs.MetricLeasesOpened, obs.MetricLeasesClosed, obs.MetricCapturesAcquired,
-		obs.MetricPoolHits, obs.MetricPoolPuts, obs.MetricClutterHits, obs.MetricClutterMisses,
+		obs.MetricPoolHits, obs.MetricPoolPuts,
 	} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %s = 0, want non-zero", name)

@@ -93,7 +93,7 @@ func ExtMobilityRMSE(speeds []float64, fixRateHz, routeS float64, trials int, se
 			if err != nil {
 				panic(err)
 			}
-			if err := sys.SetTrajectoryAt(n, "walker", path, path.Start()); err != nil {
+			if err := sys.SetTrajectoryAt(n, path, path.Start()); err != nil {
 				panic(err)
 			}
 			// The route reverses direction at its endpoints, so the white-

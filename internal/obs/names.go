@@ -28,13 +28,9 @@ const (
 	MetricCapturesAcquired = "capture.captures"
 
 	// AP pipeline stages (internal/ap).
-	MetricClutterHits          = "ap.clutter.hits"
-	MetricClutterMisses        = "ap.clutter.misses"
-	MetricClutterInvalidations = "ap.clutter.invalidations"
-	MetricClutterEvictions     = "ap.clutter.evictions"
-	MetricSynthesizeSeconds    = "ap.synthesize_seconds"
-	MetricFFTSeconds           = "ap.fft_seconds"
-	MetricDetectSeconds        = "ap.detect_seconds"
+	MetricSynthesizeSeconds = "ap.synthesize_seconds"
+	MetricFFTSeconds        = "ap.fft_seconds"
+	MetricDetectSeconds     = "ap.detect_seconds"
 
 	// Sub-stage of the fft stage, recorded by the batched transform layer:
 	// the batched subtract-transform pass that runs the whole chirp

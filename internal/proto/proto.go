@@ -391,20 +391,14 @@ func (n *Network) SenseOrientationContext(ctx context.Context, s *Session) (node
 }
 
 // MoveContext repositions the session's node through the airtime scheduler,
-// so a teleport never races a capture in flight. The move lands in the
-// scene's dirty log as node dirt (the clutter cache ignores it — node pose
-// does not change clutter geometry).
+// so a teleport never races a capture in flight.
 func (n *Network) MoveContext(ctx context.Context, s *Session, pos rfsim.Point, orientationDeg float64) error {
 	return n.engine().Run(ctx, s.id, func(context.Context) (JobReport, error) {
 		s.node.Position = pos
 		s.node.OrientationDeg = orientationDeg
-		n.sys.AP.Scene().TouchNode(s.nodeLabel())
 		return JobReport{}, nil
 	})
 }
-
-// nodeLabel is the session's identity in the scene dirty log.
-func (s *Session) nodeLabel() string { return fmt.Sprintf("session-%d", s.id) }
 
 // SetTrajectoryContext binds a trajectory to the session's node starting
 // at motion time t0 (a nil path unbinds), scheduled on the node's airtime
@@ -412,7 +406,7 @@ func (s *Session) nodeLabel() string { return fmt.Sprintf("session-%d", s.id) }
 // the trajectory immediately.
 func (n *Network) SetTrajectoryContext(ctx context.Context, s *Session, p *motion.Path, t0 float64) error {
 	return n.engine().Run(ctx, s.id, func(context.Context) (JobReport, error) {
-		return JobReport{}, n.sys.SetTrajectoryAt(s.node, s.nodeLabel(), p, t0)
+		return JobReport{}, n.sys.SetTrajectoryAt(s.node, p, t0)
 	})
 }
 

@@ -22,18 +22,16 @@ func (s *Scene) AddObstruction(o Obstruction) {
 		panic(fmt.Sprintf("rfsim: obstruction loss must be positive, got %g", o.LossDB))
 	}
 	s.Obstructions = append(s.Obstructions, o)
-	s.record(DirtyObstruction, o.Name)
 }
 
 // MoveObstruction repositions the first obstruction with the given name,
-// reporting whether one was found. Unlike a Remove/Add pair it logs a
-// single dirty record, so incremental caches evict only entries whose
-// paths the blocker's old or new segment actually crosses.
+// reporting whether one was found. Unlike a Remove/Add pair it keeps the
+// obstruction's place in the scene, so losses keep summing in the same
+// order.
 func (s *Scene) MoveObstruction(name string, a, b Point) bool {
 	for i, o := range s.Obstructions {
 		if o.Name == name {
 			s.Obstructions[i].A, s.Obstructions[i].B = a, b
-			s.record(DirtyObstruction, name)
 			return true
 		}
 	}
@@ -46,7 +44,6 @@ func (s *Scene) RemoveObstruction(name string) bool {
 	for i, o := range s.Obstructions {
 		if o.Name == name {
 			s.Obstructions = append(s.Obstructions[:i], s.Obstructions[i+1:]...)
-			s.record(DirtyObstruction, name)
 			return true
 		}
 	}

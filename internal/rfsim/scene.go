@@ -3,8 +3,6 @@ package rfsim
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 )
 
 // Reflector is a static clutter object in the environment — a wall, desk, or
@@ -20,153 +18,19 @@ type Reflector struct {
 }
 
 // Scene is the simulated indoor environment: a set of static reflectors
-// plus any blocking obstructions (see Obstruction).
-//
-// Mutate a live scene only through the Add/Remove/Move mutators (or call
-// Invalidate after touching the slices directly): each mutation bumps the
-// scene generation and appends to a bounded dirty log, which is how
-// downstream geometry caches (the AP's clutter-path cache) know which
-// entries are stale — see DirtySince.
+// plus any blocking obstructions (see Obstruction). Nothing is derived from
+// it ahead of time — each capture reads the slices as they stand — so a
+// live scene may be edited through the Add/Remove/Move mutators or
+// directly, as long as the edit is serialized against captures (the
+// airtime scheduler does that for the protocol layer).
 type Scene struct {
 	Reflectors   []Reflector
 	Obstructions []Obstruction
-
-	// gen counts mutations. Loaded atomically so cache reads on capture
-	// paths never need the mutator's lock; the airtime scheduler already
-	// serializes mutation against captures.
-	gen atomic.Uint64
-
-	// The dirty log records which object each recent generation bump
-	// touched, so caches can evict incrementally (DirtySince) instead of
-	// resetting on every mutation. Guarded by dirtyMu; the log is bounded,
-	// and logStart is the generation immediately before the oldest retained
-	// record (every mutation in (logStart, gen] is retained).
-	dirtyMu  sync.Mutex
-	dirtyLog []dirtyRecord
-	logStart uint64
 }
 
-// DirtyKind classifies which kind of scene object a mutation touched.
-type DirtyKind uint8
-
-// The dirty-record kinds: clutter reflectors, blocking obstructions, and
-// node poses (nodes are not scene members, but their motion shares the
-// generation counter so pose-dependent caches can observe it).
-const (
-	DirtyReflector DirtyKind = iota
-	DirtyObstruction
-	DirtyNode
-	// dirtyAll marks a blanket Invalidate: the mutation's footprint is
-	// unknown, so DirtySince windows containing one report !ok.
-	dirtyAll
-)
-
-// dirtyLogCap bounds the retained mutation history. A window reaching past
-// the horizon makes DirtySince report !ok and the caller falls back to a
-// full invalidation, so the cap trades memory for incremental precision.
-const dirtyLogCap = 256
-
-// dirtyRecord is one logged mutation: the generation it produced and the
-// object it touched.
-type dirtyRecord struct {
-	gen  uint64
-	kind DirtyKind
-	id   string
-}
-
-// DirtySet is the footprint of the mutations in a DirtySince window:
-// the names of touched reflectors and obstructions and the IDs of moved
-// nodes, each deduplicated but otherwise in mutation order.
-type DirtySet struct {
-	Reflectors   []string
-	Obstructions []string
-	Nodes        []string
-}
-
-// Empty reports whether the window contained no mutations.
-func (d DirtySet) Empty() bool {
-	return len(d.Reflectors) == 0 && len(d.Obstructions) == 0 && len(d.Nodes) == 0
-}
-
-// record logs a mutation under the next generation number and returns it.
-func (s *Scene) record(kind DirtyKind, id string) uint64 {
-	s.dirtyMu.Lock()
-	gen := s.gen.Add(1)
-	s.dirtyLog = append(s.dirtyLog, dirtyRecord{gen: gen, kind: kind, id: id})
-	if len(s.dirtyLog) > dirtyLogCap {
-		drop := len(s.dirtyLog) - dirtyLogCap
-		s.logStart = s.dirtyLog[drop-1].gen
-		s.dirtyLog = append(s.dirtyLog[:0], s.dirtyLog[drop:]...)
-	}
-	s.dirtyMu.Unlock()
-	return gen
-}
-
-// Generation returns the scene's mutation counter. Two calls returning the
-// same value bracket a window in which derived geometry (clutter paths) is
-// still valid.
-func (s *Scene) Generation() uint64 { return s.gen.Load() }
-
-// DirtySince returns the set of object IDs mutated in the window
-// (gen, Generation()]. The second result is false when the window cannot
-// be reconstructed — it predates the bounded dirty log, spans a blanket
-// Invalidate, or gen is from another scene — in which case the caller must
-// treat everything as dirty.
-func (s *Scene) DirtySince(gen uint64) (DirtySet, bool) {
-	var ds DirtySet
-	s.dirtyMu.Lock()
-	defer s.dirtyMu.Unlock()
-	cur := s.gen.Load()
-	if gen == cur {
-		return ds, true
-	}
-	if gen > cur || gen < s.logStart {
-		return ds, false
-	}
-	seen := make(map[string]struct{})
-	for _, r := range s.dirtyLog {
-		if r.gen <= gen {
-			continue
-		}
-		if r.kind == dirtyAll {
-			return DirtySet{}, false
-		}
-		key := string(rune('0'+r.kind)) + r.id
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		switch r.kind {
-		case DirtyReflector:
-			ds.Reflectors = append(ds.Reflectors, r.id)
-		case DirtyObstruction:
-			ds.Obstructions = append(ds.Obstructions, r.id)
-		case DirtyNode:
-			ds.Nodes = append(ds.Nodes, r.id)
-		}
-	}
-	return ds, true
-}
-
-// Invalidate bumps the scene generation without changing contents, forcing
-// downstream caches to re-derive geometry. Call it after mutating the
-// Reflectors or Obstructions slices directly. The mutation's footprint is
-// unknown, so DirtySince windows spanning it report !ok and incremental
-// caches fall back to a full reset.
-func (s *Scene) Invalidate() { s.record(dirtyAll, "") }
-
-// TouchNode records that the node with the given ID moved. Node poses are
-// not scene state, but sharing the generation counter lets pose-dependent
-// caches watch one clock; the AP's clutter cache ignores node entries
-// (clutter geometry does not depend on node pose), which is exactly the
-// incremental win — a moving node no longer resets derived clutter.
-func (s *Scene) TouchNode(id string) { s.record(DirtyNode, id) }
-
-// AddReflector appends a clutter reflector to the scene and invalidates
-// cached geometry.
+// AddReflector appends a clutter reflector to the scene.
 func (s *Scene) AddReflector(r Reflector) {
 	s.Reflectors = append(s.Reflectors, r)
-	s.record(DirtyReflector, r.Name)
 }
 
 // RemoveReflector deletes the first reflector with the given name,
@@ -175,7 +39,6 @@ func (s *Scene) RemoveReflector(name string) bool {
 	for i, r := range s.Reflectors {
 		if r.Name == name {
 			s.Reflectors = append(s.Reflectors[:i], s.Reflectors[i+1:]...)
-			s.record(DirtyReflector, name)
 			return true
 		}
 	}
@@ -183,14 +46,11 @@ func (s *Scene) RemoveReflector(name string) bool {
 }
 
 // MoveReflector repositions the first reflector with the given name,
-// reporting whether one was found. Reflector motion invalidates every
-// cached clutter entry (each entry carries one path per reflector), but
-// the dirty log still records the specific name for diagnostics.
+// reporting whether one was found.
 func (s *Scene) MoveReflector(name string, to Point) bool {
 	for i, r := range s.Reflectors {
 		if r.Name == name {
 			s.Reflectors[i].Position = to
-			s.record(DirtyReflector, name)
 			return true
 		}
 	}
@@ -241,72 +101,30 @@ func radarAmplitude(gtDBi, grDBi, d, f, rcs float64) float64 {
 	return math.Sqrt(p)
 }
 
-// ClutterPathsWithDeps returns the round-trip paths off every reflector in
-// the scene for an AP with the given transmit and receive horn antennas,
-// evaluated at carrier frequency f, plus the derivation's obstruction
-// footprint: the deduplicated names of every obstruction crossing some
-// AP→reflector ray. Incremental caches key eviction on this set — an
-// obstruction outside it (and still outside it after moving) cannot change
-// the derived paths.
-func (s *Scene) ClutterPathsWithDeps(tx, rx *Antenna, f float64) ([]Path, []string) {
+// AppendClutterPaths appends to dst the round-trip paths off every
+// reflector in the scene, in reflector order, for an AP at the origin with
+// the given transmit and receive horn antennas, evaluated at carrier
+// frequency f, and returns the extended slice. Passing a reused dst[:0]
+// makes the derivation allocation-free once dst has grown to the scene.
+func (s *Scene) AppendClutterPaths(dst []Path, tx, rx *Antenna, f float64) []Path {
 	origin := Point{}
-	paths := make([]Path, 0, len(s.Reflectors))
-	var deps []string
 	for _, r := range s.Reflectors {
 		d := r.Position.Distance(origin)
 		az := r.Position.AngleFrom(origin)
 		amp := radarAmplitude(tx.GainDBi(az), rx.GainDBi(az), d, f, r.RCS)
 		// Obstructions attenuate the clutter path twice (out and back):
 		// one-way loss L dB ⇒ round-trip amplitude factor 10^(−L/10).
-		loss := 0.0
-		for _, o := range s.Obstructions {
-			if segmentsIntersect(origin, r.Position, o.A, o.B) {
-				loss += o.LossDB
-				deps = appendUnique(deps, o.Name)
-			}
-		}
-		if loss > 0 {
+		if loss := s.ObstructionLossDB(origin, r.Position); loss > 0 {
 			amp *= math.Pow(10, -loss/10)
 		}
-		paths = append(paths, Path{
+		dst = append(dst, Path{
 			Name:      r.Name,
 			Delay:     2 * PropagationDelay(d),
 			Amplitude: amp,
 			AoARad:    az,
 		})
 	}
-	return paths, deps
-}
-
-// ObstructionCrossesClutter reports whether the named obstruction's current
-// segment intersects any AP→reflector ray. The rays depend only on
-// reflector positions — not antenna pointing — so one evaluation answers
-// the staleness question for every cached pointing at once. A name not in
-// the scene reports false.
-func (s *Scene) ObstructionCrossesClutter(name string) bool {
-	origin := Point{}
-	for _, o := range s.Obstructions {
-		if o.Name != name {
-			continue
-		}
-		for _, r := range s.Reflectors {
-			if segmentsIntersect(origin, r.Position, o.A, o.B) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// appendUnique appends s to list if not already present (lists here are a
-// handful of names, so linear scan beats a map allocation).
-func appendUnique(list []string, s string) []string {
-	for _, v := range list {
-		if v == s {
-			return list
-		}
-	}
-	return append(list, s)
+	return dst
 }
 
 // BackscatterAmplitude returns the linear voltage gain of the AP→node→AP

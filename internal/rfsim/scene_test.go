@@ -2,6 +2,7 @@ package rfsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -15,10 +16,113 @@ func TestDefaultIndoorScene(t *testing.T) {
 	}
 }
 
-// clutterPaths is the path half of ClutterPathsWithDeps.
+// clutterPaths derives the scene's clutter paths into a fresh slice.
 func clutterPaths(s *Scene, tx, rx *Antenna, f float64) []Path {
-	paths, _ := s.ClutterPathsWithDeps(tx, rx, f)
-	return paths
+	return s.AppendClutterPaths(nil, tx, rx, f)
+}
+
+// TestSceneGenerationBumpsOnEveryMutator checks that every mutator edits
+// the named object and yields a new generation of the scene: one whose
+// freshly derived clutter paths differ from the previous generation's, so
+// a capture after the edit sees it.
+func TestSceneGenerationBumpsOnEveryMutator(t *testing.T) {
+	s := DefaultIndoorScene()
+	tx, rx := testHorn(0), testHorn(0)
+	prev := clutterPaths(s, tx, rx, 28e9)
+	step := func(name string, mutate func() bool) {
+		t.Helper()
+		if !mutate() {
+			t.Fatalf("%s did not take effect", name)
+		}
+		got := clutterPaths(s, tx, rx, 28e9)
+		if slices.Equal(got, prev) {
+			t.Fatalf("%s left the derived clutter paths unchanged", name)
+		}
+		prev = got
+	}
+	nRefl := len(s.Reflectors)
+	step("AddReflector", func() bool {
+		s.AddReflector(Reflector{Name: "cart", Position: Point{X: 2, Y: 1}, RCS: 0.5})
+		return len(s.Reflectors) == nRefl+1 && s.Reflectors[nRefl].Name == "cart"
+	})
+	step("MoveReflector", func() bool {
+		return s.MoveReflector("cart", Point{X: 3, Y: 1}) && s.Reflectors[nRefl].Position == (Point{X: 3, Y: 1})
+	})
+	step("RemoveReflector", func() bool {
+		return s.RemoveReflector("cart") && len(s.Reflectors) == nRefl
+	})
+	// The body first stands on the AP→back-wall ray (y=0 at x=6), then
+	// steps off it.
+	step("AddObstruction", func() bool {
+		s.AddObstruction(Obstruction{Name: "body", A: Point{X: 6, Y: -0.3}, B: Point{X: 6, Y: 0.3}, LossDB: 30})
+		return len(s.Obstructions) == 1
+	})
+	step("MoveObstruction", func() bool {
+		return s.MoveObstruction("body", Point{X: -5, Y: -5}, Point{X: -5, Y: -6}) && s.Obstructions[0].A == (Point{X: -5, Y: -5})
+	})
+	// Back onto the ray, so that removing the body lifts its loss.
+	step("MoveObstruction back", func() bool {
+		return s.MoveObstruction("body", Point{X: 6, Y: -0.3}, Point{X: 6, Y: 0.3})
+	})
+	step("RemoveObstruction", func() bool {
+		return s.RemoveObstruction("body") && len(s.Obstructions) == 0
+	})
+}
+
+// TestSceneGenerationUnchangedOnMisses checks that a mutation naming an
+// unknown object reports false and leaves the scene, and so its derived
+// clutter paths, as they were.
+func TestSceneGenerationUnchangedOnMisses(t *testing.T) {
+	s := DefaultIndoorScene()
+	s.AddObstruction(Obstruction{Name: "cabinet", A: Point{X: 6, Y: -0.3}, B: Point{X: 6, Y: 0.3}, LossDB: 40})
+	before := clutterPaths(s, testHorn(0), testHorn(0), 28e9)
+	if s.RemoveReflector("no-such-reflector") || s.MoveReflector("no-such-reflector", Point{}) ||
+		s.RemoveObstruction("no-such-obstruction") || s.MoveObstruction("no-such-obstruction", Point{}, Point{}) {
+		t.Fatal("a mutator reported success for an unknown name")
+	}
+	if after := clutterPaths(s, testHorn(0), testHorn(0), 28e9); !slices.Equal(before, after) {
+		t.Fatalf("a missed mutation changed the clutter paths: %+v -> %+v", before, after)
+	}
+}
+
+// TestAppendClutterPaths checks the append-into-dst contract: the paths
+// land after dst's existing elements, a reused dst[:0] is refilled in place
+// without allocating, and only the path a blocker crosses is attenuated.
+func TestAppendClutterPaths(t *testing.T) {
+	s := DefaultIndoorScene()
+	tx, rx := testHorn(0), testHorn(0)
+	clear := clutterPaths(s, tx, rx, 28e9)
+
+	head := Path{Name: "head"}
+	got := s.AppendClutterPaths([]Path{head}, tx, rx, 28e9)
+	if len(got) != 1+len(clear) || got[0] != head {
+		t.Fatalf("append kept %d paths with head %+v", len(got), got[0])
+	}
+	for i := range clear {
+		if got[1+i] != clear[i] {
+			t.Fatalf("appended path %d = %+v, want %+v", i, got[1+i], clear[i])
+		}
+	}
+
+	dst := make([]Path, 0, len(s.Reflectors))
+	if allocs := testing.AllocsPerRun(10, func() { dst = s.AppendClutterPaths(dst[:0], tx, rx, 28e9) }); allocs != 0 {
+		t.Errorf("refilling a grown dst allocated %v times per run", allocs)
+	}
+
+	// A cabinet on the AP→back-wall ray (y=0 at x=6), and a blocker behind
+	// the AP that crosses no ray.
+	s.AddObstruction(Obstruction{Name: "cabinet", A: Point{X: 6, Y: -0.3}, B: Point{X: 6, Y: 0.3}, LossDB: 40})
+	s.AddObstruction(Obstruction{Name: "far", A: Point{X: -5, Y: -5}, B: Point{X: -5, Y: -6}, LossDB: 40})
+	blocked := clutterPaths(s, tx, rx, 28e9)
+	for i, p := range blocked {
+		want := clear[i].Amplitude
+		if p.Name == "back wall" {
+			want *= 1e-4 // one-way 40 dB ⇒ round-trip amplitude factor 10^(−4)
+		}
+		if math.Abs(p.Amplitude-want) > 1e-12*want {
+			t.Errorf("%s: amplitude %g, want %g", p.Name, p.Amplitude, want)
+		}
+	}
 }
 
 func TestClutterPaths(t *testing.T) {
@@ -161,5 +265,18 @@ func TestAddComplexAWGNStatistics(t *testing.T) {
 	}
 	if math.Abs(pi-pq) > 0.05 {
 		t.Errorf("I/Q power imbalance: %g vs %g", pi, pq)
+	}
+}
+
+// BenchmarkAppendClutterPaths times one capture's clutter derivation over
+// the §9 indoor scene into a reused slice, as the AP does per capture.
+func BenchmarkAppendClutterPaths(b *testing.B) {
+	s := DefaultIndoorScene()
+	tx, rx := testHorn(0.1), testHorn(0.1)
+	dst := s.AppendClutterPaths(nil, tx, rx, 28e9)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = s.AppendClutterPaths(dst[:0], tx, rx, 28e9)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -425,4 +426,151 @@ func TestDaemonSIGHUPRestartsDebug(t *testing.T) {
 	if err := <-runDone; err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+}
+
+// TestServerRejectsClockOverflow: an advance whose result would not be a
+// finite time is a 400 and leaves the clock where it was, so the clock
+// routes keep answering with a JSON body.
+func TestServerRejectsClockOverflow(t *testing.T) {
+	cluster := newTestCluster(t)
+	defer cluster.Close()
+	ts := httptest.NewServer(NewServer(cluster, nil))
+	defer ts.Close()
+
+	var first ClockResponse
+	if code, msg := postJSON(t, ts.URL+"/v1/clock/advance", AdvanceRequest{DT: 1.7e308}, &first); code != 200 {
+		t.Fatalf("first advance: %d %s", code, msg)
+	}
+	if code, _ := postJSON(t, ts.URL+"/v1/clock/advance", AdvanceRequest{DT: 1.7e308}, nil); code != http.StatusBadRequest {
+		t.Fatalf("overflowing advance: %d, want 400", code)
+	}
+	var now ClockResponse
+	if code, msg := doJSON(t, http.MethodGet, ts.URL+"/v1/clock", nil, &now); code != 200 {
+		t.Fatalf("clock after rejected advance: %d %s", code, msg)
+	}
+	if now.NowS != first.NowS {
+		t.Fatalf("rejected advance moved the clock: %g -> %g", first.NowS, now.NowS)
+	}
+}
+
+// TestServerNoRouteAnswersJSON: an unknown path and a known path with the
+// wrong method answer 404 and 405 with the JSON error shape, and the 405
+// names the allowed method.
+func TestServerNoRouteAnswersJSON(t *testing.T) {
+	cluster := newTestCluster(t)
+	defer cluster.Close()
+	ts := httptest.NewServer(NewServer(cluster, nil))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		method, path string
+		want         int
+		allow        string
+	}{
+		{http.MethodGet, "/nope", http.StatusNotFound, ""},
+		{http.MethodPost, "/v1/nodes/1/teleport", http.StatusNotFound, ""},
+		{http.MethodGet, "/v1/discover", http.StatusMethodNotAllowed, "POST"},
+		{http.MethodDelete, "/v1/clock", http.StatusMethodNotAllowed, "GET, HEAD"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		decErr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q, want application/json", tc.method, tc.path, ct)
+		}
+		if decErr != nil || e.Error == "" {
+			t.Errorf("%s %s: body is not a JSON error (%v, %+v)", tc.method, tc.path, decErr, e)
+		}
+		if got := resp.Header.Get("Allow"); got != tc.allow {
+			t.Errorf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.allow)
+		}
+	}
+}
+
+// documentedStatus is the status set docs/OPERATIONS.md promises the API
+// answers with.
+var documentedStatus = map[int]bool{
+	http.StatusOK:                    true,
+	http.StatusMovedPermanently:      true,
+	http.StatusBadRequest:            true,
+	http.StatusNotFound:              true,
+	http.StatusMethodNotAllowed:      true,
+	http.StatusRequestEntityTooLarge: true,
+	http.StatusUnprocessableEntity:   true,
+	http.StatusServiceUnavailable:    true,
+	http.StatusGatewayTimeout:        true,
+}
+
+// fuzzRoutes are the served route templates plus two the server does not
+// serve; {id} takes the fuzzed path segment.
+var fuzzRoutes = []string{
+	"/healthz",
+	"/v1/nodes",
+	"/v1/nodes/{id}/localize",
+	"/v1/nodes/{id}/send",
+	"/v1/nodes/{id}/deliver",
+	"/v1/nodes/{id}/move",
+	"/v1/nodes/{id}/trajectory",
+	"/v1/nodes/{id}/advance",
+	"/v1/discover",
+	"/v1/stats",
+	"/v1/metrics",
+	"/v1/clock",
+	"/v1/clock/advance",
+	"/nope",
+	"/v1/nodes/{id}/teleport",
+}
+
+var fuzzMethods = []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete, http.MethodPatch}
+
+// FuzzServe drives an in-process Server over a one-AP cluster with one
+// joined node (id 1) using a fuzzed method, route template, {id} segment
+// and body. Each request is sent twice, so a bug that needs state to build
+// up (a clock pushed past the float64 range) shows within one input. Every
+// response must carry a JSON body and a documented status.
+func FuzzServe(f *testing.F) {
+	f.Add(uint8(1), uint8(12), "", []byte(`{"dt":1.7e308}`)) // clock overflow
+	f.Add(uint8(0), uint8(13), "", []byte{})                 // unknown route
+	f.Add(uint8(0), uint8(8), "", []byte{})                  // wrong method
+	f.Add(uint8(1), uint8(2), "1", []byte{})
+	f.Add(uint8(1), uint8(3), "1", []byte(`{"data":"aGk=","bit_rate":10e6}`))
+	f.Add(uint8(1), uint8(5), "1", []byte(`{"x":3,"y":1,"orientation_deg":5}`))
+	f.Add(uint8(2), uint8(6), "1", []byte(`{"waypoints":[{"t":0,"x":2},{"t":1,"x":3}]}`))
+	f.Add(uint8(1), uint8(7), "1", []byte(`{"dt":0.5}`))
+	f.Add(uint8(1), uint8(2), "..", []byte{})
+	f.Add(uint8(1), uint8(1), "", []byte(`{"x":2} trailing`))
+	f.Fuzz(func(t *testing.T, method, route uint8, id string, body []byte) {
+		cluster, err := milback.NewCluster(milback.WithSeed(17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		if _, err := cluster.Join(context.Background(), 2, 0, -10); err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(cluster, nil)
+		m := fuzzMethods[int(method)%len(fuzzMethods)]
+		target := strings.ReplaceAll(fuzzRoutes[int(route)%len(fuzzRoutes)], "{id}", url.PathEscape(id))
+		for i := 0; i < 2; i++ {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(m, target, bytes.NewReader(body)))
+			if !documentedStatus[rec.Code] {
+				t.Fatalf("%s %s %q: undocumented status %d (%s)", m, target, body, rec.Code, rec.Body)
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" || !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("%s %s %q: status %d, Content-Type %q, body %q is not JSON", m, target, body, rec.Code, ct, rec.Body)
+			}
+		}
+	})
 }

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,6 +32,9 @@ type Server struct {
 	draining atomic.Bool
 	inflight sync.WaitGroup
 	active   atomic.Int64
+	// clockMu serializes explicit clock advances, so the overflow check in
+	// handleClockAdvance and the advance it guards act as one step.
+	clockMu sync.Mutex
 
 	requests *obs.Counter
 	errs     *obs.Counter
@@ -60,8 +65,41 @@ func NewServer(cluster *milback.Cluster, reg *obs.Registry) *Server {
 // mounting on a debug server.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. A response the mux writes itself —
+// 404 for an unknown path, 405 for a known path with the wrong method, 301
+// to the cleaned form of an unclean path — keeps its status and headers
+// (Allow, Location) but carries the API's JSON error body.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mux.ServeHTTP(&muxErrorWriter{ResponseWriter: w}, r)
+}
+
+// muxErrorWriter swaps the plain-text or HTML body of a response the mux
+// writes itself for {"error": <status text>}. Every API handler marks its
+// response application/json before writing the header, so those pass
+// through untouched.
+type muxErrorWriter struct {
+	http.ResponseWriter
+	replaced bool
+}
+
+// WriteHeader implements http.ResponseWriter.
+func (m *muxErrorWriter) WriteHeader(code int) {
+	if m.Header().Get("Content-Type") == "application/json" {
+		m.ResponseWriter.WriteHeader(code)
+		return
+	}
+	m.replaced = true
+	writeJSON(m.ResponseWriter, code, ErrorResponse{Error: strings.ToLower(http.StatusText(code))})
+}
+
+// Write implements http.ResponseWriter, dropping the mux's own body once
+// WriteHeader has replaced it.
+func (m *muxErrorWriter) Write(b []byte) (int, error) {
+	if m.replaced {
+		return len(b), nil
+	}
+	return m.ResponseWriter.Write(b)
+}
 
 // StartDrain flips the server into draining mode: subsequent API requests
 // are refused with 503 while /healthz keeps answering (with status
@@ -170,12 +208,18 @@ func (s *Server) api(h func(r *http.Request) (any, error)) http.Handler {
 	})
 }
 
+// writeJSON answers code with v as a JSON body. A v that JSON cannot carry
+// (a non-finite float) is a 500 with an error body, never a bare status
+// line: the value is encoded before the header goes out.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(ErrorResponse{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	// Encode failures at this point have nowhere to go: the status line is
-	// already on the wire.
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // decode reads the request body into v, rejecting unknown fields and
@@ -391,6 +435,11 @@ func (s *Server) handleClockAdvance(r *http.Request) (any, error) {
 	}
 	if req.DT < 0 {
 		return nil, badRequest("dt must be non-negative")
+	}
+	s.clockMu.Lock()
+	defer s.clockMu.Unlock()
+	if now := s.cluster.Now(); math.IsInf(now+req.DT, 0) {
+		return nil, badRequest("advancing the clock at %g s by %g s overflows", now, req.DT)
 	}
 	return ClockResponse{NowS: s.cluster.AdvanceTime(req.DT)}, nil
 }

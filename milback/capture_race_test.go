@@ -11,8 +11,8 @@ import (
 // TestSceneMutationDuringScheduledCaptures hammers the capture plane from
 // three directions at once — localization captures, node moves, and scene
 // edits (blockers in and out) — all through the public facade. Run under
-// -race this checks the clutter-cache generation handshake and the pooled
-// buffers against concurrent job submission; functionally it checks that a
+// -race this checks the per-capture clutter scratch, the scene edits and
+// the pooled buffers against concurrent job submission; functionally it checks that a
 // capture never observes a torn scene (every error is a documented one).
 func TestSceneMutationDuringScheduledCaptures(t *testing.T) {
 	ctx := context.Background()
@@ -54,9 +54,9 @@ func TestSceneMutationDuringScheduledCaptures(t *testing.T) {
 			}
 		}
 	}()
-	// Scene churn: blockers appear and disappear, bumping the scene
-	// generation and invalidating the clutter cache mid-run. The segment
-	// sits away from every node's line of sight so captures keep working.
+	// Scene churn: blockers appear and disappear mid-run, and the next
+	// capture's clutter derivation sees each edit. The segment sits away
+	// from every node's line of sight so captures keep working.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -139,8 +139,8 @@ func ExampleCluster_Discover() {
 }
 
 // ExampleCluster_Metrics reads the observability plane after some traffic:
-// deterministic activity counters from the scheduler, the capture-buffer
-// pool and the clutter cache. (The timing histograms are wall-clock and
+// deterministic activity counters from the scheduler and the
+// capture-buffer pool. (The timing histograms are wall-clock and
 // vary run to run, so only their observation counts are shown.)
 func ExampleCluster_Metrics() {
 	ctx := context.Background()
@@ -163,12 +163,10 @@ func ExampleCluster_Metrics() {
 	fmt.Printf("scheduled jobs: %d\n", m.QueueWait.Count)
 	fmt.Printf("leases: %d opened, %d leaked\n", m.LeasesOpened, m.LeasesReclaimed)
 	fmt.Printf("pool recycled a buffer: %v\n", m.PoolHits > 0)
-	fmt.Printf("clutter cache hit: %v\n", m.ClutterHits > 0)
 	fmt.Printf("synthesize stage timed: %v\n", m.Synthesize.Count > 0)
 	// Output:
 	// scheduled jobs: 2
 	// leases: 5 opened, 0 leaked
 	// pool recycled a buffer: true
-	// clutter cache hit: true
 	// synthesize stage timed: true
 }

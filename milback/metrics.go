@@ -48,8 +48,7 @@ func (h Histogram) Mean() float64 {
 // Metrics is a typed snapshot of one AP's observability plane: where
 // Stats answers "what did the network accomplish" (exchanges, bit errors,
 // airtime), Metrics answers "how is the machinery behaving" — scheduler
-// latencies, capture-buffer recycling, clutter-cache effectiveness and
-// per-stage pipeline timings. All durations are in seconds of wall-clock
+// latencies, capture-buffer recycling and per-stage pipeline timings. All durations are in seconds of wall-clock
 // host time (the simulation's own timebase appears only in Stats.AirtimeS).
 type Metrics struct {
 	// QueueWait distributes how long scheduled operations waited for the
@@ -101,12 +100,9 @@ type Metrics struct {
 	PoolPuts   uint64
 	PoolDrops  uint64
 
-	// ClutterHits/ClutterMisses split captures by whether the AP's cached
-	// clutter geometry was reusable; ClutterInvalidations counts cache
-	// resets forced by steering or scene changes.
-	ClutterHits          uint64
-	ClutterMisses        uint64
-	ClutterInvalidations uint64
+	// Deprecated: use Captures, which counts every clutter derivation.
+	// ClutterHits and ClutterMisses read zero: the AP keeps no clutter cache.
+	ClutterHits, ClutterMisses uint64
 }
 
 func histogramFromSnapshot(s obs.HistogramSnapshot) Histogram {
@@ -117,29 +113,26 @@ func histogramFromSnapshot(s obs.HistogramSnapshot) Histogram {
 // snapshot (see Cluster.Metrics).
 func metricsFromSnapshot(snap obs.Snapshot) Metrics {
 	return Metrics{
-		QueueWait:            histogramFromSnapshot(snap.Histograms[obs.MetricQueueWaitSeconds]),
-		JobDuration:          histogramFromSnapshot(snap.Histograms[obs.MetricJobDurationSeconds]),
-		Synthesize:           histogramFromSnapshot(snap.Histograms[obs.MetricSynthesizeSeconds]),
-		SynthDraw:            histogramFromSnapshot(snap.Histograms[obs.MetricSynthDrawSeconds]),
-		SynthClutter:         histogramFromSnapshot(snap.Histograms[obs.MetricSynthClutterSeconds]),
-		SynthTargets:         histogramFromSnapshot(snap.Histograms[obs.MetricSynthTargetsSeconds]),
-		SynthNoise:           histogramFromSnapshot(snap.Histograms[obs.MetricSynthNoiseSeconds]),
-		FFT:                  histogramFromSnapshot(snap.Histograms[obs.MetricFFTSeconds]),
-		FFTBatch:             histogramFromSnapshot(snap.Histograms[obs.MetricFFTBatchSeconds]),
-		CaptureWorkers:       histogramFromSnapshot(snap.Histograms[obs.MetricCaptureWorkers]),
-		Detect:               histogramFromSnapshot(snap.Histograms[obs.MetricDetectSeconds]),
-		LeaseTime:            histogramFromSnapshot(snap.Histograms[obs.MetricLeaseSeconds]),
-		LeasesOpened:         snap.Counters[obs.MetricLeasesOpened],
-		LeasesClosed:         snap.Counters[obs.MetricLeasesClosed],
-		LeasesReclaimed:      snap.Counters[obs.MetricLeasesReclaimed],
-		Captures:             snap.Counters[obs.MetricCapturesAcquired],
-		PoolHits:             snap.Counters[obs.MetricPoolHits],
-		PoolMisses:           snap.Counters[obs.MetricPoolMisses],
-		PoolPuts:             snap.Counters[obs.MetricPoolPuts],
-		PoolDrops:            snap.Counters[obs.MetricPoolDrops],
-		ClutterHits:          snap.Counters[obs.MetricClutterHits],
-		ClutterMisses:        snap.Counters[obs.MetricClutterMisses],
-		ClutterInvalidations: snap.Counters[obs.MetricClutterInvalidations],
+		QueueWait:       histogramFromSnapshot(snap.Histograms[obs.MetricQueueWaitSeconds]),
+		JobDuration:     histogramFromSnapshot(snap.Histograms[obs.MetricJobDurationSeconds]),
+		Synthesize:      histogramFromSnapshot(snap.Histograms[obs.MetricSynthesizeSeconds]),
+		SynthDraw:       histogramFromSnapshot(snap.Histograms[obs.MetricSynthDrawSeconds]),
+		SynthClutter:    histogramFromSnapshot(snap.Histograms[obs.MetricSynthClutterSeconds]),
+		SynthTargets:    histogramFromSnapshot(snap.Histograms[obs.MetricSynthTargetsSeconds]),
+		SynthNoise:      histogramFromSnapshot(snap.Histograms[obs.MetricSynthNoiseSeconds]),
+		FFT:             histogramFromSnapshot(snap.Histograms[obs.MetricFFTSeconds]),
+		FFTBatch:        histogramFromSnapshot(snap.Histograms[obs.MetricFFTBatchSeconds]),
+		CaptureWorkers:  histogramFromSnapshot(snap.Histograms[obs.MetricCaptureWorkers]),
+		Detect:          histogramFromSnapshot(snap.Histograms[obs.MetricDetectSeconds]),
+		LeaseTime:       histogramFromSnapshot(snap.Histograms[obs.MetricLeaseSeconds]),
+		LeasesOpened:    snap.Counters[obs.MetricLeasesOpened],
+		LeasesClosed:    snap.Counters[obs.MetricLeasesClosed],
+		LeasesReclaimed: snap.Counters[obs.MetricLeasesReclaimed],
+		Captures:        snap.Counters[obs.MetricCapturesAcquired],
+		PoolHits:        snap.Counters[obs.MetricPoolHits],
+		PoolMisses:      snap.Counters[obs.MetricPoolMisses],
+		PoolPuts:        snap.Counters[obs.MetricPoolPuts],
+		PoolDrops:       snap.Counters[obs.MetricPoolDrops],
 	}
 }
 

@@ -29,7 +29,7 @@ func quickstart(t *testing.T, opts ...Option) *Cluster {
 
 // TestMetricsAfterQuickstart is the acceptance check from the issue: after
 // the README quickstart sequence, the typed snapshot must report non-zero
-// queue-wait, pool and clutter activity.
+// queue-wait, pool, lease and stage activity.
 func TestMetricsAfterQuickstart(t *testing.T) {
 	m := quickstart(t).Metrics().PerAP[0].Metrics
 	if m.QueueWait.Count == 0 || m.JobDuration.Count == 0 {
@@ -37,9 +37,6 @@ func TestMetricsAfterQuickstart(t *testing.T) {
 	}
 	if m.PoolHits == 0 || m.PoolPuts == 0 {
 		t.Errorf("pool counters: hits=%d puts=%d, want non-zero", m.PoolHits, m.PoolPuts)
-	}
-	if m.ClutterHits == 0 || m.ClutterMisses == 0 {
-		t.Errorf("clutter counters: hits=%d misses=%d, want non-zero", m.ClutterHits, m.ClutterMisses)
 	}
 	if m.LeasesOpened == 0 || m.LeasesOpened != m.LeasesClosed {
 		t.Errorf("leases: opened=%d closed=%d, want equal and non-zero", m.LeasesOpened, m.LeasesClosed)

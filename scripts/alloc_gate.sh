@@ -1,9 +1,9 @@
 #!/bin/sh
-# Allocation gate for the capture plane: the pooled + clutter-cached
-# steady-state localization pipeline, with the obs instrumentation live on
-# that path, must stay at or below its allocs/op cap — so adding a counter
-# or histogram that allocates per observation, or a buffer that bypasses
-# the pool, fails the gate. Three rows are gated, each against its own cap:
+# Allocation gate for the capture plane: the pooled steady-state
+# localization pipeline, with the obs instrumentation live on that path,
+# must stay at or below its allocs/op cap — so adding a counter or
+# histogram that allocates per observation, or a buffer that bypasses the
+# pool, fails the gate. Three rows are gated, each against its own cap:
 #
 #   - BenchmarkCaptureSteadyState at -cpu 1 (GOMAXPROCS=1, every fan-out
 #     serial): 30.

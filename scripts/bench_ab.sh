@@ -15,8 +15,9 @@
 #   - the change is slower in at least 8 of the 10 pairs of a row AND its
 #     median exceeds the base median by more than the base IQR, or
 #   - the change's BenchmarkCaptureMovingScene median is more than 1.5x its
-#     own BenchmarkCaptureSteadyState median (per-dependency clutter
-#     invalidation must keep a moving scene near the static cost).
+#     own BenchmarkCaptureSteadyState median (the per-op cost of motion —
+#     trajectory advance, pose sampling and the scene edit — must stay small
+#     next to a capture).
 #
 # A row the base does not have is printed and not gated; a row missing from
 # the working tree fails.
