@@ -11,6 +11,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -44,10 +45,11 @@ func BenchmarkExperiment(b *testing.B) {
 // all 1024 targets: one shared FSA beam table per capture, one
 // gain-envelope fill per target (fanned out across capture workers — run
 // with -cpu 1,2) and the per-chirp tones. It reports nodes-found (merged
-// detections) and recall, the fraction of placed nodes with a detection
-// within the scan's merge thresholds. At fleet density one detection lies
-// within those thresholds of many nodes, so recall there bounds coverage
-// from above rather than counting resolved nodes.
+// detections), recall, the fraction of placed nodes with a detection
+// within the scan's merge thresholds, and recall-1to1, the fraction matched
+// when each detection may claim at most one node. At fleet density one
+// detection lies within those thresholds of many nodes, so recall there
+// bounds coverage from above; recall-1to1 counts resolved nodes.
 func BenchmarkDiscoveryScan(b *testing.B) {
 	small := [][3]float64{{2.5, -25, 5}, {4, 0, 5}, {6, 22, 5}}
 	fleet := make([][3]float64, 1024)
@@ -83,6 +85,7 @@ func BenchmarkDiscoveryScan(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(len(dets)), "nodes-found")
 			b.ReportMetric(discoveryRecall(tc.nodes, dets, scan), "recall")
+			b.ReportMetric(discoveryRecallOneToOne(tc.nodes, dets, scan), "recall-1to1")
 		})
 	}
 }
@@ -103,6 +106,78 @@ func discoveryRecall(nodes [][3]float64, dets []core.NodeDetection, scan core.Sc
 		}
 	}
 	return float64(found) / float64(len(nodes))
+}
+
+// discoveryRecallOneToOne is discoveryRecall with each detection matched to
+// at most one node: every (node, detection) pair inside the merge
+// thresholds is taken greedily, nearest first by planar distance (ties by
+// node, then detection index), skipping pairs whose node or detection is
+// already matched.
+func discoveryRecallOneToOne(nodes [][3]float64, dets []core.NodeDetection, scan core.ScanConfig) float64 {
+	type pair struct {
+		dist float64
+		n, d int
+	}
+	var pairs []pair
+	for i, p := range nodes {
+		az := rfsim.DegToRad(p[1])
+		np := rfsim.PolarPoint(p[0], az)
+		for j, d := range dets {
+			if math.Abs(d.RangeM-p[0]) < scan.MergeRangeM &&
+				math.Abs(rfsim.WrapAngle(d.AzimuthRad-az)) < rfsim.DegToRad(scan.MergeAngleDeg) {
+				pairs = append(pairs, pair{np.Distance(rfsim.PolarPoint(d.RangeM, d.AzimuthRad)), i, j})
+			}
+		}
+	}
+	sort.Slice(pairs, func(a, b int) bool {
+		pa, pb := pairs[a], pairs[b]
+		if pa.dist != pb.dist {
+			return pa.dist < pb.dist
+		}
+		if pa.n != pb.n {
+			return pa.n < pb.n
+		}
+		return pa.d < pb.d
+	})
+	nodeUsed := make([]bool, len(nodes))
+	detUsed := make([]bool, len(dets))
+	matched := 0
+	for _, pr := range pairs {
+		if !nodeUsed[pr.n] && !detUsed[pr.d] {
+			nodeUsed[pr.n], detUsed[pr.d] = true, true
+			matched++
+		}
+	}
+	return float64(matched) / float64(len(nodes))
+}
+
+// TestDiscoveryRecallOneToOne pins the matcher on a hand-built scene where
+// the covering recall over-counts: one detection sits between two nodes
+// 10 cm apart, and a second sits on a third node. The covering recall
+// credits all three nodes; the one-to-one match pairs the first detection
+// with the nearer of the two close nodes only.
+func TestDiscoveryRecallOneToOne(t *testing.T) {
+	scan := core.DefaultScanConfig()
+	nodes := [][3]float64{{3.0, 0, -10}, {3.1, 0, -10}, {5, 20, -10}, {2, -30, -10}}
+	dets := []core.NodeDetection{
+		{RangeM: 3.07, AzimuthRad: 0},
+		{RangeM: 5.01, AzimuthRad: rfsim.DegToRad(20.5)},
+	}
+	if got := discoveryRecall(nodes, dets, scan); got != 0.75 {
+		t.Errorf("covering recall = %g, want 0.75 (both close nodes credited)", got)
+	}
+	if got := discoveryRecallOneToOne(nodes, dets, scan); got != 0.5 {
+		t.Errorf("one-to-one recall = %g, want 0.5", got)
+	}
+	// Two detections on the close pair resolve both: the nearer pairing
+	// is taken first and the other detection claims the remaining node.
+	dets = append(dets, core.NodeDetection{RangeM: 3.04, AzimuthRad: 0})
+	if got := discoveryRecallOneToOne(nodes, dets, scan); got != 0.75 {
+		t.Errorf("one-to-one recall with the pair resolved = %g, want 0.75", got)
+	}
+	if got := discoveryRecallOneToOne(nodes, nil, scan); got != 0 {
+		t.Errorf("one-to-one recall with no detections = %g, want 0", got)
+	}
 }
 
 // BenchmarkReliableTransfer measures a CRC+ARQ transfer through the public

@@ -40,7 +40,11 @@ type Config struct {
 	BeatSampleRateHz float64
 	// NoiseFigureDB is the receiver noise figure.
 	NoiseFigureDB float64
-	// FFTSize is the zero-padded range-FFT length.
+	// FFTSize is the range-FFT length each chirp frame is zero-padded to.
+	// It sets the spectrum's bin spacing and nothing else: every width the
+	// detectors use is given in Hz and converted at this size. It must hold
+	// a whole frame; 512 is the smallest power of two that holds the
+	// 450-sample localization chirp.
 	FFTSize int
 	// ChirpIntervalS is the chirp repetition interval within a burst; it
 	// sets the Doppler sampling rate for radial-velocity estimation. The
@@ -78,7 +82,7 @@ func DefaultConfig() Config {
 		RxSpacingM:           rfsim.Wavelength(28e9) / 2,
 		BeatSampleRateHz:     25e6,
 		NoiseFigureDB:        6,
-		FFTSize:              2048,
+		FFTSize:              512,
 		ChirpIntervalS:       50e-6,
 		LocalizationChirp:    waveform.MilBackLocalizationChirp(),
 		OrientationChirp:     waveform.MilBackOrientationChirp(),

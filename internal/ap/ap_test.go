@@ -299,6 +299,9 @@ func TestStaticTargetInvisibleModulatedVisible(t *testing.T) {
 	}
 }
 
+// testMaskHz is the orientation mask half-width core configures by default.
+const testMaskHz = 488281.25
+
 func TestEstimateOrientationProfile(t *testing.T) {
 	// Target whose reflection gain peaks at a known chirp frequency: the
 	// profile's PeakFreqHz must recover it.
@@ -321,7 +324,7 @@ func TestEstimateOrientationProfile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("localization: %v", err)
 	}
-	prof, err := a.EstimateOrientationProfile(c, frames, int(math.Round(loc.PeakBin)), 40)
+	prof, err := a.EstimateOrientationProfile(c, frames, loc.PeakIndex(), testMaskHz)
 	if err != nil {
 		t.Fatalf("orientation profile: %v", err)
 	}
@@ -338,8 +341,10 @@ func TestEstimateOrientationProfileValidation(t *testing.T) {
 	c := a.Config().LocalizationChirp
 	tgt := pointTarget(rfsim.Point{X: 2}, 25)
 	frames := synth(t)(a.SynthesizeChirps(c, 5, tgt, nil, nil))
-	if _, err := a.EstimateOrientationProfile(c, frames, 100, 0); err == nil {
-		t.Error("maskBins=0 should fail")
+	for _, hz := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := a.EstimateOrientationProfile(c, frames, 100, hz); err == nil {
+			t.Errorf("mask half-width %g Hz should fail", hz)
+		}
 	}
 	if _, err := a.EstimateOrientationProfile(c, frames, 0, 10); err == nil {
 		t.Error("peakBin=0 should fail")

@@ -80,10 +80,10 @@ func runPipeline(t *testing.T, a *AP, frames []ChirpFrame) pipelineOutputs {
 	if out.loc, err = a.ProcessLocalization(c, frames); err != nil {
 		t.Fatalf("localize: %v", err)
 	}
-	if out.vel, err = a.EstimateRadialVelocity(c, frames, out.loc.PeakIndex()); err != nil {
+	if out.vel, err = a.EstimateRadialVelocity(c, frames, out.loc.PeakBin); err != nil {
 		t.Fatalf("velocity: %v", err)
 	}
-	if out.prof, err = a.EstimateOrientationProfile(c, frames, out.loc.PeakIndex(), 40); err != nil {
+	if out.prof, err = a.EstimateOrientationProfile(c, frames, out.loc.PeakIndex(), testMaskHz); err != nil {
 		t.Fatalf("orientation: %v", err)
 	}
 	if out.targets, err = a.DetectTargets(c, frames, 3); err != nil {

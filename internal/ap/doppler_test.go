@@ -24,7 +24,7 @@ func TestEstimateRadialVelocity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("v=%g: %v", vel, err)
 		}
-		got, err := a.EstimateRadialVelocity(c, frames, loc.PeakIndex())
+		got, err := a.EstimateRadialVelocity(c, frames, loc.PeakBin)
 		if err != nil {
 			t.Fatalf("v=%g: %v", vel, err)
 		}
@@ -49,7 +49,7 @@ func TestVelocityAliasingLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.EstimateRadialVelocity(c, frames, loc.PeakIndex())
+	got, err := a.EstimateRadialVelocity(c, frames, loc.PeakBin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +71,9 @@ func TestEstimateRadialVelocityValidation(t *testing.T) {
 	}
 	if _, err := a.EstimateRadialVelocity(c, frames, 1<<20); err == nil {
 		t.Error("huge bin should fail")
+	}
+	if _, err := a.EstimateRadialVelocity(c, frames, math.NaN()); err == nil {
+		t.Error("NaN bin should fail")
 	}
 	// Empty bin: no coherent signal.
 	empty := synth(t)(a.SynthesizeChirps(c, 8, nil, nil, nil))

@@ -344,7 +344,7 @@ func (ds *diffSet) binAt(k, m, bin int) complex128 {
 	if ds.mode[m] == diffSpec {
 		return ds.d[k][m][bin]
 	}
-	return dsp.EvalBin(ds.d[k][m], ds.nfft, bin)
+	return dsp.EvalBin(ds.d[k][m], ds.nfft, float64(bin))
 }
 
 // releaseDiffSet hands every materialized buffer of a diffSet back to the
@@ -499,6 +499,32 @@ func (a *AP) materializePair(diffs [][2][]complex128, frames []ChirpFrame, want 
 	return specs
 }
 
+// stageStart reads the clock for a stage timing, or returns the zero time
+// when observability is off, so an uninstrumented AP makes no clock reads.
+func (a *AP) stageStart() time.Time {
+	if a.obs == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// detectDone records one detect stage, everything a consumer does after its
+// spectra: the ap.detect histogram sample and span. Consumers defer it
+// right after subtractedDiffs, as defer a.detectDone(a.stageStart(), n).
+func (a *AP) detectDone(start time.Time, nFrames int) {
+	if o := a.obs; o != nil {
+		o.detect.Observe(time.Since(start).Seconds())
+		o.tracer.Record(obs.SpanDetect, start, int64(nFrames))
+	}
+}
+
+// binsFor converts a beat-frequency width in Hz to the nearest whole number
+// of range-FFT bins at the configured transform size, so every width the
+// detectors use means the same band at any Config.FFTSize.
+func (a *AP) binsFor(hz float64) int {
+	return int(math.Round(hz * float64(a.cfg.FFTSize) / a.cfg.BeatSampleRateHz))
+}
+
 // specHeaderPool recycles the slice-header lists the serial batched path
 // collects its spectra into (the buffers themselves live in the AP's complex
 // pool). Headers are nilled before Put so the list never retains capture
@@ -574,7 +600,7 @@ type LocalizationResult struct {
 }
 
 // PeakIndex returns the integer FFT bin of the node's reflection, the form
-// the masking and Doppler estimators consume.
+// the orientation mask consumes.
 func (r LocalizationResult) PeakIndex() int {
 	return int(math.Round(r.PeakBin))
 }
@@ -594,13 +620,7 @@ func (a *AP) ProcessLocalization(c waveform.Chirp, frames []ChirpFrame) (Localiz
 	defer a.releaseDiffSet(ds)
 	// The detect stage is everything after the spectra: peak search,
 	// interpolation, range/angle recovery.
-	if o := a.obs; o != nil {
-		start := time.Now()
-		defer func() {
-			o.detect.Observe(time.Since(start).Seconds())
-			o.tracer.Record(obs.SpanDetect, start, int64(len(frames)))
-		}()
-	}
+	defer a.detectDone(a.stageStart(), len(frames))
 	nfft := a.cfg.FFTSize
 	fs := a.cfg.BeatSampleRateHz
 	// Accumulate |D|² over subtraction pairs on antenna 0; positive beat
@@ -660,13 +680,14 @@ type OrientationProfile struct {
 }
 
 // EstimateOrientationProfile implements §5.2a: background-subtract, isolate
-// the node's beat bin (±maskBins), IFFT, and measure envelope vs time. The
-// caller maps PeakFreqHz to an angle through the FSA beam map of the port
-// that was toggling.
+// the node's beat component (the bins within ±maskHalfWidthHz of peakBin, at
+// least one on each side), IFFT, and measure envelope vs time. The caller
+// maps PeakFreqHz to an angle through the FSA beam map of the port that was
+// toggling.
 func (a *AP) EstimateOrientationProfile(c waveform.Chirp, frames []ChirpFrame,
-	peakBin int, maskBins int) (OrientationProfile, error) {
-	if maskBins < 1 {
-		return OrientationProfile{}, fmt.Errorf("ap: maskBins must be >= 1, got %d", maskBins)
+	peakBin int, maskHalfWidthHz float64) (OrientationProfile, error) {
+	if !(maskHalfWidthHz > 0) || math.IsInf(maskHalfWidthHz, 0) {
+		return OrientationProfile{}, fmt.Errorf("ap: mask half-width must be finite and > 0 Hz, got %g", maskHalfWidthHz)
 	}
 	// Orientation reads only antenna 0: ask for its spectra and skip
 	// antenna 1's transforms outright.
@@ -675,6 +696,7 @@ func (a *AP) EstimateOrientationProfile(c waveform.Chirp, frames []ChirpFrame,
 		return OrientationProfile{}, err
 	}
 	defer a.releaseDiffSet(ds)
+	defer a.detectDone(a.stageStart(), len(frames))
 	nfft := a.cfg.FFTSize
 	if peakBin <= 0 || peakBin >= nfft/2 {
 		return OrientationProfile{}, fmt.Errorf("ap: peak bin %d outside (0, %d)", peakBin, nfft/2)
@@ -689,6 +711,7 @@ func (a *AP) EstimateOrientationProfile(c waveform.Chirp, frames []ChirpFrame,
 			ErrInvalidConfig, ns, n0)
 	}
 	env := make([]float64, n0)
+	maskBins := max(a.binsFor(maskHalfWidthHz), 1)
 	lo, hi := peakBin-maskBins, peakBin+maskBins
 	if lo < 1 {
 		lo = 1
@@ -735,41 +758,69 @@ func RangeFromBeat(c waveform.Chirp, beatHz float64) float64 {
 // Doppler phase 2π·f0·2v·CRI/c per chirp. The estimate averages the
 // pairwise rotations coherently, so longer bursts refine it. Unambiguous
 // range: ±c/(4·f_eff·CRI) ≈ ±60 m/s with the default 50 µs interval.
-func (a *AP) EstimateRadialVelocity(c waveform.Chirp, frames []ChirpFrame, peakBin int) (float64, error) {
-	// Doppler reads one bin of antenna 0 per pair: the time-domain
-	// differences plus one on-demand bin evaluation each replace every FFT
-	// of the burst (a 32-chirp burst historically ran 62 transforms here).
+//
+// peakBin is the refined peak position (LocalizationResult.PeakBin), read
+// at its fractional value: the phase progression is taken at the node's
+// beat frequency itself rather than at the nearest bin, so the estimate
+// does not depend on how finely FFTSize samples the spectrum.
+//
+// It runs two passes over the time-domain differences:
+//   - The first reads every pair at peakBin. The beat tone of a moving node
+//     migrates by S·2v·CRI/c per chirp (S the chirp slope) and slips
+//     through the fixed read point, which adds the half-band with the
+//     opposite sign to each rotation (range-Doppler coupling under this
+//     receiver's FFT convention), so the first pass divides by the
+//     effective carrier f_eff = f0 − B/2.
+//   - The second moves each pair's read along the migration the first
+//     estimate implies. The read then follows the tone, only the
+//     start-phase term f0 is left, and the window's phase response no
+//     longer enters. Its rotation is unwrapped around the first estimate's,
+//     so the aliasing limit stays the first pass's.
+func (a *AP) EstimateRadialVelocity(c waveform.Chirp, frames []ChirpFrame, peakBin float64) (float64, error) {
+	// Doppler reads one point of antenna 0's spectrum per pair and pass:
+	// the time-domain differences plus on-demand evaluations replace every
+	// FFT of the burst (a 32-chirp burst historically ran 62 transforms
+	// here).
 	ds, err := a.subtractedDiffs(frames, [2]diffMode{diffTime, diffSkip})
 	if err != nil {
 		return 0, err
 	}
 	defer a.releaseDiffSet(ds)
+	defer a.detectDone(a.stageStart(), len(frames))
 	if len(ds.d) < 2 {
 		return 0, fmt.Errorf("ap: velocity needs >= 3 chirps, got %d", len(frames))
 	}
-	if peakBin <= 0 || peakBin >= a.cfg.FFTSize/2 {
-		return 0, fmt.Errorf("ap: peak bin %d outside (0, %d)", peakBin, a.cfg.FFTSize/2)
+	if !(peakBin > 0 && peakBin < float64(a.cfg.FFTSize/2)) {
+		return 0, fmt.Errorf("ap: peak bin %g outside (0, %d)", peakBin, a.cfg.FFTSize/2)
 	}
-	// Evaluate the peak bin once per pair, then form the pairwise rotations.
+	// Each pair's expected rotation is π − Δ with Δ = 2π·f_eff·2v·CRI/c.
+	perRad := rfsim.SpeedOfLight / (4 * math.Pi * a.cfg.ChirpIntervalS) // v = Δ·perRad/f_eff
+	z := ds.pairRotation(peakBin, 0)
+	if z == 0 {
+		return 0, fmt.Errorf("ap: no coherent Doppler signal at bin %g", peakBin)
+	}
+	v := rfsim.WrapAngle(math.Pi-cmplx.Phase(z)) * perRad / a.dopplerCarrier(c)
+	drift := c.Slope() * 2 * v * a.cfg.ChirpIntervalS / rfsim.SpeedOfLight *
+		float64(ds.nfft) / a.cfg.BeatSampleRateHz
+	pred := v * c.FreqLow / perRad
+	delta := pred + rfsim.WrapAngle(math.Pi-cmplx.Phase(ds.pairRotation(peakBin, drift))-pred)
+	return delta * perRad / c.FreqLow, nil
+}
+
+// pairRotation returns Σ_k D_{k+1}·conj(D_k) over antenna 0's consecutive
+// subtraction pairs, each D_k evaluated at bin + drift·(k − mid), where mid
+// is the middle pair: drift bins per pair of tone migration, centred on
+// bin.
+func (ds *diffSet) pairRotation(bin, drift float64) complex128 {
+	mid := float64(len(ds.d)-1) / 2
 	var z complex128
-	prev := ds.binAt(0, 0, peakBin)
-	for k := 0; k+1 < len(ds.d); k++ {
-		cur := ds.binAt(k+1, 0, peakBin)
+	prev := dsp.EvalBin(ds.d[0][0], ds.nfft, bin-drift*mid)
+	for k := 1; k < len(ds.d); k++ {
+		cur := dsp.EvalBin(ds.d[k][0], ds.nfft, bin+drift*(float64(k)-mid))
 		z += cur * cmplx.Conj(prev)
 		prev = cur
 	}
-	if z == 0 {
-		return 0, fmt.Errorf("ap: no coherent Doppler signal at bin %d", peakBin)
-	}
-	// Each pair's expected rotation is π − Δ with Δ = 2π·f_eff·2v·CRI/c.
-	// The effective Doppler carrier is f0 − B/2: the start-phase term
-	// references the sweep start f0, while the beat tone's per-chirp
-	// slippage through the analysis window contributes the half-band with
-	// the opposite sign (range-Doppler coupling under this receiver's FFT
-	// convention).
-	delta := rfsim.WrapAngle(math.Pi - cmplx.Phase(z))
-	v := delta * rfsim.SpeedOfLight / (4 * math.Pi * a.dopplerCarrier(c) * a.cfg.ChirpIntervalS)
-	return v, nil
+	return z
 }
 
 // dopplerCarrier returns the effective carrier of the per-chirp Doppler
@@ -783,6 +834,17 @@ func (a *AP) dopplerCarrier(c waveform.Chirp) float64 {
 func (a *AP) MaxUnambiguousVelocity(c waveform.Chirp) float64 {
 	return rfsim.SpeedOfLight / (4 * a.dopplerCarrier(c) * a.cfg.ChirpIntervalS)
 }
+
+// A node's beat component is spread over about ±0.49 MHz by its amplitude
+// modulation (the FSA gain sweeping across the chirp), so DetectTargets'
+// CFAR guard band must clear that spread, and two nodes need comparable
+// range separation to resolve (~0.7 m with the default profile). Its
+// training window reaches cfarTrainHz past the guard band on each side, and
+// detections closer than 1.5·targetSpreadHz merge into their strongest.
+const (
+	targetSpreadHz = 488281.25
+	cfarTrainHz    = 781250
+)
 
 // DetectTargets finds every modulated reflector in a capture using
 // cell-averaging CFAR over the background-subtracted profile — the
@@ -800,22 +862,16 @@ func (a *AP) DetectTargets(c waveform.Chirp, frames []ChirpFrame, maxTargets int
 		return nil, err
 	}
 	defer a.releaseDiffSet(ds)
+	defer a.detectDone(a.stageStart(), len(frames))
 	nfft := a.cfg.FFTSize
 	fs := a.cfg.BeatSampleRateHz
 	half := nfft / 2
 	profile := a.getFloat64(half)
 	defer a.putFloat64(profile)
 	a.accumulatePowerProfile(ds, profile)
-	// A node's beat component is spread over tens of bins by its amplitude
-	// modulation (the FSA gain sweeping across the chirp), so the CFAR
-	// guard band must clear that spread, and two nodes need comparable
-	// range separation to resolve (~0.7 m with the default profile).
-	spread := 40 * nfft / 2048
-	if spread < 8 {
-		spread = 8
-	}
-	cfar := dsp.CFAR{Guard: spread, Train: spread + 24, ThresholdFactor: 20}
-	peaks, err := cfar.Detect(profile, 3*spread/2)
+	spread := max(a.binsFor(targetSpreadHz), 1)
+	cfar := dsp.CFAR{Guard: spread, Train: max(a.binsFor(cfarTrainHz), 1), ThresholdFactor: 20}
+	peaks, err := cfar.Detect(profile, a.binsFor(1.5*targetSpreadHz))
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,9 @@ func NewClock() *Clock { return &Clock{} }
 func (c *Clock) Now() float64 { return math.Float64frombits(c.bits.Load()) }
 
 // Advance moves the clock forward by dt seconds and returns the new time.
-// It panics on a negative or non-finite dt: simulation time never rewinds.
+// It panics on a negative or non-finite dt, and on a dt whose sum with the
+// current time overflows to +Inf, leaving the clock unchanged: simulation
+// time never rewinds and stays finite.
 func (c *Clock) Advance(dt float64) float64 {
 	if dt < 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		panic(fmt.Sprintf("core: clock advance must be finite and >= 0, got %g", dt))
@@ -31,6 +33,9 @@ func (c *Clock) Advance(dt float64) float64 {
 	for {
 		old := c.bits.Load()
 		now := math.Float64frombits(old) + dt
+		if math.IsInf(now, 0) {
+			panic(fmt.Sprintf("core: clock advance by %g at %g s overflows", dt, math.Float64frombits(old)))
+		}
 		if c.bits.CompareAndSwap(old, math.Float64bits(now)) {
 			return now
 		}

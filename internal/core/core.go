@@ -18,9 +18,11 @@ type Config struct {
 	Node node.Config
 	// LocalizationChirps is the number of Field-2 chirps (paper: 5).
 	LocalizationChirps int
-	// OrientationMaskBins is the FFT mask half-width used when isolating the
-	// node's beat component for AP-side orientation sensing.
-	OrientationMaskBins int
+	// OrientationMaskHalfWidthHz is the beat-frequency half-width of the
+	// mask that isolates the node's beat component for AP-side orientation
+	// sensing. It is a width in Hz, so it keeps its meaning at any
+	// AP.FFTSize.
+	OrientationMaskHalfWidthHz float64
 	// MirrorReflection enables the FSA ground-plane specular artifact that
 	// degrades AP-side orientation around −6°…−2° (Fig 13b). See
 	// DESIGN.md §4.4.
@@ -55,17 +57,17 @@ type Config struct {
 // DefaultConfig returns the §8 prototype configuration.
 func DefaultConfig() Config {
 	return Config{
-		AP:                    ap.DefaultConfig(),
-		Node:                  node.DefaultConfig(),
-		LocalizationChirps:    5,
-		OrientationMaskBins:   40,
-		MirrorReflection:      true,
-		MirrorCenterDeg:       -4,
-		MirrorWidthDeg:        2,
-		MirrorGainDBi:         20,
-		MirrorModulationDepth: 0.35,
-		MirrorOffsetM:         0.12,
-		NodeClockSkewStd:      0.04,
+		AP:                         ap.DefaultConfig(),
+		Node:                       node.DefaultConfig(),
+		LocalizationChirps:         5,
+		OrientationMaskHalfWidthHz: 488281.25, // the node beat spread DetectTargets guards
+		MirrorReflection:           true,
+		MirrorCenterDeg:            -4,
+		MirrorWidthDeg:             2,
+		MirrorGainDBi:              20,
+		MirrorModulationDepth:      0.35,
+		MirrorOffsetM:              0.12,
+		NodeClockSkewStd:           0.04,
 	}
 }
 
@@ -98,8 +100,9 @@ func NewSystem(cfg Config, scene *rfsim.Scene) (*System, error) {
 		return nil, fmt.Errorf("core: need >= 2 localization chirps for background subtraction, got %d",
 			cfg.LocalizationChirps)
 	}
-	if cfg.OrientationMaskBins < 1 {
-		return nil, fmt.Errorf("core: orientation mask bins must be >= 1, got %d", cfg.OrientationMaskBins)
+	if !(cfg.OrientationMaskHalfWidthHz > 0) || math.IsInf(cfg.OrientationMaskHalfWidthHz, 0) {
+		return nil, fmt.Errorf("core: orientation mask half-width must be finite and > 0 Hz, got %g",
+			cfg.OrientationMaskHalfWidthHz)
 	}
 	if cfg.MirrorWidthDeg <= 0 {
 		return nil, fmt.Errorf("core: mirror width must be positive, got %g", cfg.MirrorWidthDeg)
@@ -369,7 +372,7 @@ func (s *System) Localize(n *node.Node, seed int64) (LocalizationOutcome, error)
 	if err != nil {
 		return LocalizationOutcome{}, fmt.Errorf("core: orientation: %w", err)
 	}
-	prof, err := s.AP.EstimateOrientationProfile(c, cap2.Frames, int(math.Round(loc.PeakBin)), s.cfg.OrientationMaskBins)
+	prof, err := s.AP.EstimateOrientationProfile(c, cap2.Frames, loc.PeakIndex(), s.cfg.OrientationMaskHalfWidthHz)
 	if err != nil {
 		return LocalizationOutcome{}, fmt.Errorf("core: orientation: %w", err)
 	}
@@ -415,7 +418,7 @@ func (s *System) MeasureRadialVelocity(n *node.Node, radialVelocityMS float64,
 	if err != nil {
 		return 0, fmt.Errorf("core: velocity localization: %w", err)
 	}
-	return s.AP.EstimateRadialVelocity(c, capt.Frames, loc.PeakIndex())
+	return s.AP.EstimateRadialVelocity(c, capt.Frames, loc.PeakBin)
 }
 
 // SenseOrientationAtNode runs the §5.2b node-side pipeline: the AP sends one

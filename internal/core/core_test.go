@@ -20,7 +20,9 @@ func testSystem(t *testing.T) *System {
 func TestNewSystemValidation(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.LocalizationChirps = 1 },
-		func(c *Config) { c.OrientationMaskBins = 0 },
+		func(c *Config) { c.OrientationMaskHalfWidthHz = 0 },
+		func(c *Config) { c.OrientationMaskHalfWidthHz = math.NaN() },
+		func(c *Config) { c.OrientationMaskHalfWidthHz = math.Inf(1) },
 		func(c *Config) { c.MirrorWidthDeg = 0 },
 		func(c *Config) { c.MirrorModulationDepth = 2 },
 		func(c *Config) { c.AP.TxPowerW = 0 },

@@ -174,3 +174,25 @@ func TestClockAdvances(t *testing.T) {
 	}()
 	shared.Advance(-1)
 }
+
+// TestClockAdvanceRejectsOverflow pins that an advance whose sum is not
+// finite panics and leaves the clock where it was, instead of carrying
+// every later Now() to +Inf.
+func TestClockAdvanceRejectsOverflow(t *testing.T) {
+	c := NewClock()
+	c.Advance(1.7e308)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an advance that overflows must panic")
+			}
+		}()
+		c.Advance(1.7e308)
+	}()
+	if now := c.Now(); now != 1.7e308 {
+		t.Fatalf("clock at %g after a rejected advance, want 1.7e308", now)
+	}
+	if now := c.Advance(1); math.IsInf(now, 0) {
+		t.Fatalf("clock at %g after a finite advance", now)
+	}
+}

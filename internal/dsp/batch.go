@@ -107,18 +107,21 @@ func (bp *BatchPlan) AddBandEnvelope(env []float64, band []complex128) {
 	bp.scratch.Put(bufPtr)
 }
 
-// EvalBin evaluates a single bin of the length-n forward DFT of x treated as
-// zero-padded to n: Σ_{i<len(x)} x[i]·e^{-2πi·bin·i/n}. It walks the bin's
-// phasor by recurrence, re-anchoring on an exact Sincos every
-// ToneAnchorBlock samples like the synthesis tone kernels, so the result
-// tracks the FFT's value to ~1e-14 relative error at pipeline sizes. Use it
-// when a caller needs a handful of spectrum bins of a short signal — one
-// bin costs O(len(x)) instead of an O(n·log n) transform.
-func EvalBin(x []complex128, n, bin int) complex128 {
+// EvalBin evaluates the length-n forward DFT of x treated as zero-padded to
+// n at a possibly fractional bin: Σ_{i<len(x)} x[i]·e^{-2πi·bin·i/n}. At an
+// integer bin that is the FFT's bin; at bin+1/m it is bin m·bin+1 of an
+// m-times longer zero-padded FFT, so a caller can read a refined peak
+// position without padding the transform. It walks the bin's phasor by
+// recurrence, re-anchoring on an exact Sincos every ToneAnchorBlock samples
+// like the synthesis tone kernels, so the result tracks the exact sum to
+// ~1e-14 relative error at pipeline sizes. Use it when a caller needs a
+// handful of spectrum bins of a short signal — one bin costs O(len(x))
+// instead of an O(n·log n) transform.
+func EvalBin(x []complex128, n int, bin float64) complex128 {
 	if n < 1 {
 		panic(fmt.Sprintf("dsp: EvalBin requires n >= 1, got %d", n))
 	}
-	step := -2 * math.Pi * float64(bin) / float64(n)
+	step := -2 * math.Pi * bin / float64(n)
 	ws, wc := math.Sincos(step)
 	w := complex(wc, ws)
 	var acc, z complex128

@@ -185,9 +185,53 @@ func TestEvalBinMatchesFFTBin(t *testing.T) {
 		copy(full, x)
 		PlanFFT(tc.n).Forward(full)
 		for _, bin := range []int{0, 1, tc.n / 3, tc.n - 1} {
-			got := EvalBin(x, tc.n, bin)
+			got := EvalBin(x, tc.n, float64(bin))
 			if e := cmplx.Abs(got - full[bin]); e > 1e-9*(1+cmplx.Abs(full[bin])) {
 				t.Errorf("n=%d sig=%d bin=%d: EvalBin %v vs FFT %v (err %.3g)", tc.n, tc.sig, bin, got, full[bin], e)
+			}
+		}
+	}
+}
+
+// evalBinInt is EvalBin as it stood when it took only integer bins: the
+// oracle that pins the fractional form bit-identical at integer bins.
+func evalBinInt(x []complex128, n, bin int) complex128 {
+	step := -2 * math.Pi * float64(bin) / float64(n)
+	ws, wc := math.Sincos(step)
+	w := complex(wc, ws)
+	var acc, z complex128
+	for i, v := range x {
+		if i%ToneAnchorBlock == 0 {
+			s, c := math.Sincos(step * float64(i))
+			z = complex(c, s)
+		}
+		acc += v * z
+		z *= w
+	}
+	return acc
+}
+
+// TestEvalBinFractional checks a fractional bin against the longer
+// zero-padded FFT that holds it as an integer bin (bin b+k/4 of n points is
+// bin 4b+k of 4n points), and an integer bin against the integer-only
+// form, bit for bit.
+func TestEvalBinFractional(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct{ n, sig int }{{512, 450}, {64, 63}, {256, 1}} {
+		x := randomComplex(rng, tc.sig)
+		full := make([]complex128, 4*tc.n)
+		copy(full, x)
+		PlanFFT(4 * tc.n).Forward(full)
+		for _, b4 := range []int{0, 1, 2, 3, 4*tc.n/3 + 1, 4*tc.n - 1} {
+			got := EvalBin(x, tc.n, float64(b4)/4)
+			if e := cmplx.Abs(got - full[b4]); e > 1e-9*(1+cmplx.Abs(full[b4])) {
+				t.Errorf("n=%d sig=%d bin=%g: EvalBin %v vs %d-point FFT %v (err %.3g)",
+					tc.n, tc.sig, float64(b4)/4, got, 4*tc.n, full[b4], e)
+			}
+		}
+		for _, bin := range []int{0, 1, tc.n / 3, tc.n - 1} {
+			if got, want := EvalBin(x, tc.n, float64(bin)), evalBinInt(x, tc.n, bin); got != want {
+				t.Errorf("n=%d bin=%d: EvalBin %v, integer form %v", tc.n, bin, got, want)
 			}
 		}
 	}

@@ -5,9 +5,12 @@ import (
 	"testing"
 )
 
-// BenchmarkForwardPacked times the localization range FFT's shape: one
-// capture pair's worth of rows (4), each a 450-sample windowed difference
-// packed into a 2048-point forward transform.
+// BenchmarkForwardPacked times the packed forward kernel at one fixed
+// shape: 4 rows, each a 450-sample windowed difference packed into a
+// 2048-point transform. The shape is pinned so that A/B runs against older
+// commits compare the kernel like for like; the production transform size
+// (ap.Config.FFTSize) is timed by the root package's steady-state capture
+// benchmarks.
 func BenchmarkForwardPacked(b *testing.B) {
 	const n, prefix, rows = 2048, 450, 4
 	rng := rand.New(rand.NewSource(1))
@@ -28,9 +31,12 @@ func BenchmarkForwardPacked(b *testing.B) {
 	}
 }
 
-// BenchmarkAddBandEnvelope times the orientation envelope's shape: an
-// 81-bin band around the node's beat bin inverse-transformed at 2048 points
-// into a 450-sample envelope.
+// BenchmarkAddBandEnvelope times the band-envelope kernel at one fixed
+// shape: an 81-bin band inverse-transformed at 2048 points into a
+// 450-sample envelope. Like BenchmarkForwardPacked it keeps this shape for
+// like-for-like A/B runs; the orientation capture's production shape
+// follows ap.Config.FFTSize and is timed end to end by the steady-state
+// capture benchmarks.
 func BenchmarkAddBandEnvelope(b *testing.B) {
 	const n, width, samples = 2048, 81, 450
 	band := randomComplex(rand.New(rand.NewSource(2)), width)

@@ -14,7 +14,7 @@ func gainAt(fir *FIR, f int) float64 {
 	for i, v := range fir.Taps {
 		taps[i] = complex(v, 0)
 	}
-	return cmplx.Abs(EvalBin(taps, 200, f/5))
+	return cmplx.Abs(EvalBin(taps, 200, float64(f/5)))
 }
 
 func TestLowPassFIRResponse(t *testing.T) {

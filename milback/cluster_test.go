@@ -153,8 +153,9 @@ func TestClusterDeterministic(t *testing.T) {
 // at seed 5: a default cluster's exchanges and fixes for a fixed operation
 // sequence must reproduce the recorded full-precision golden values bit for
 // bit. (The values were first recorded from the single-AP facade the
-// cluster replaced, and re-recorded when the FSA pattern kernel changed
-// rounding by ~1e-14 relative.)
+// cluster replaced, re-recorded when the FSA pattern kernel changed
+// rounding by ~1e-14 relative, and again when the range FFT dropped from
+// 2048 to 512 points.)
 func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 	ctx := context.Background()
 	places := []struct{ x, y, orient float64 }{
@@ -170,14 +171,14 @@ func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 		fix       Position
 	}{
 		{0, 28.175172194361025,
-			Position{RangeM: 2.3493207337690882, AzimuthDeg: -27.739485774746445, OrientationDeg: 9.873058388862532, X: 2.0793205059834596, Y: -1.0934962933243155},
-			Position{RangeM: 2.3840536319106675, AzimuthDeg: -31.014797980782234, OrientationDeg: 10.321258919007494, X: 2.043215619805781, Y: -1.2284061424496882}},
+			Position{RangeM: 2.349199074316497, AzimuthDeg: -27.722006174952156, OrientationDeg: 9.889455421328126, X: 2.0795463145367625, Y: -1.0928052966864932},
+			Position{RangeM: 2.381183651506543, AzimuthDeg: -31.005840523904375, OrientationDeg: 10.323585717177203, X: 2.0409477376419685, Y: -1.2266082970598906}},
 		{0, 25.10547677841282,
-			Position{RangeM: 2.9582961003258497, AzimuthDeg: 13.47543771642253, OrientationDeg: -3.6918476531738236, X: 2.8768539346653097, Y: 0.6893672865779571},
-			Position{RangeM: 2.9737531604536165, AzimuthDeg: 15.298640415529425, OrientationDeg: -3.817621481880799, X: 2.8683742909349332, Y: 0.7846252522136875}},
+			Position{RangeM: 2.950007250294259, AzimuthDeg: 13.475731910134073, OrientationDeg: -3.6903704205229246, X: 2.8687897476638318, Y: 0.6874504785710633},
+			Position{RangeM: 2.9730523711006693, AzimuthDeg: 15.290430124923818, OrientationDeg: -3.8107466928615565, X: 2.867810713172768, Y: 0.7840294093456012}},
 		{0, 20.89291770254433,
-			Position{RangeM: 3.5463324328827746, AzimuthDeg: 22.93792343028598, OrientationDeg: 4.166978807452086, X: 3.26591558305867, Y: 1.3821248600798726},
-			Position{RangeM: 3.5834629709913712, AzimuthDeg: 21.700321301516357, OrientationDeg: 4.276813330875623, X: 3.329504735034387, Y: 1.3249924844503462}},
+			Position{RangeM: 3.5473510127913674, AzimuthDeg: 22.946483333006377, OrientationDeg: 4.154467362617417, X: 3.2666470383308908, Y: 1.383009882436116},
+			Position{RangeM: 3.5843654625482015, AzimuthDeg: 21.632630022723134, OrientationDeg: 4.308912721222001, X: 3.33190673052235, Y: 1.3213906720604043}},
 	}
 
 	c, err := NewCluster(WithSeed(5))

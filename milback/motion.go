@@ -232,7 +232,9 @@ func (c *Cluster) MeasureVelocity(ctx context.Context, id NodeID, nChirps int) (
 // AdvanceTime moves the cluster's shared simulation clock forward dt
 // seconds and returns the new time. The clock also advances automatically
 // by every exchange's airtime; explicit advances model idle time between
-// operations. Panics on negative or non-finite dt.
+// operations. Panics on a negative or non-finite dt, and on a dt that would
+// carry the clock past the largest finite time; the clock is then left
+// unchanged.
 func (c *Cluster) AdvanceTime(dt float64) float64 {
 	return c.aps[0].sys.Clock().Advance(dt)
 }

@@ -176,6 +176,19 @@ func TestSimulationClock(t *testing.T) {
 	if got := c.Now(); got != base+0.25 {
 		t.Fatalf("clock at %g, want %g", got, base+0.25)
 	}
+	// An advance that would overflow panics and leaves the clock finite.
+	c.AdvanceTime(1.7e308)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AdvanceTime past the largest finite time must panic")
+			}
+		}()
+		c.AdvanceTime(1.7e308)
+	}()
+	if got := c.Now(); math.IsInf(got, 0) {
+		t.Fatalf("clock at %g after a rejected overflow", got)
+	}
 }
 
 // TestTrajectoryBoundaryHandoff pins the tentpole's cluster integration: a
