@@ -68,7 +68,7 @@ docs-check:
 	$(GO) run ./scripts/docscheck milback internal/obs internal/ap \
 		internal/capture internal/core internal/proto internal/dsp \
 		internal/fsa internal/motion internal/node internal/parallel \
-		internal/rfsim internal/ring internal/track internal/waveform \
+		internal/rfsim internal/track internal/waveform \
 		internal/ber internal/baseline internal/experiments \
 		internal/serve internal/loadgen \
 		cmd/milback-sim cmd/milback-report cmd/milback-serve cmd/milback-loadgen \

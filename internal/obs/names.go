@@ -48,12 +48,12 @@ const (
 	// accounting, registered in each AP's own registry. HandoffsIn counts
 	// nodes this AP received from a neighbour, HandoffsOut nodes it drained
 	// away, Rebalances the subset of inbound handoffs forced by an AP
-	// leaving the ring (RemoveAP) rather than by node movement, and
-	// RingNodes gauges how many nodes the ring currently homes at this AP.
+	// leaving the cluster (RemoveAP) rather than by node movement, and
+	// Nodes gauges how many nodes are currently homed at this AP.
 	MetricHandoffsIn  = "cluster.handoffs_in"
 	MetricHandoffsOut = "cluster.handoffs_out"
 	MetricRebalances  = "cluster.rebalances"
-	MetricRingNodes   = "cluster.ring_nodes"
+	MetricNodes       = "cluster.nodes"
 
 	// Serving layer (internal/serve): HTTP request accounting for
 	// milback-serve. Requests counts every served API request, Errors the

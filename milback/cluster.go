@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/rfsim"
-	"repro/internal/ring"
 	"repro/internal/waveform"
 )
 
@@ -22,27 +21,23 @@ import (
 type NodeID uint64
 
 // APPlacement positions one access point of a cluster in the shared
-// cluster frame (meters) and sets its ring weight — the share of the
-// coverage area the consistent-hash ring assigns to it (weight 2 owns about
-// twice the cells of weight 1; values below 1 are treated as 1).
+// cluster frame (meters).
 type APPlacement struct {
 	// X, Y is the AP's position in the cluster frame. Every AP faces +x,
 	// like the default AP at the origin.
 	X, Y float64
-	// Weight is the AP's relative ring share (0 means 1).
-	Weight int
 }
 
 // WithAPs deploys n access points in the default layout: AP i at
-// (0, i·12 m), weight 1 — adjacent cells side by side along the y axis.
-// Mutually exclusive with WithAPLayout.
+// (0, i·12 m), side by side along the y axis. Mutually exclusive with
+// WithAPLayout.
 func WithAPs(n int) Option {
 	return func(o *options) { o.aps = n }
 }
 
-// WithAPLayout places the cluster's access points explicitly; the ring index
-// of each AP is its position in the argument list. Overrides WithAPs (it is
-// an error to set both to conflicting counts).
+// WithAPLayout places the cluster's access points explicitly; the layout
+// index of each AP is its position in the argument list. Overrides WithAPs
+// (it is an error to set both to conflicting counts).
 func WithAPLayout(aps ...APPlacement) Option {
 	return func(o *options) { o.layout = append([]APPlacement(nil), aps...) }
 }
@@ -63,13 +58,6 @@ func WithInterferenceRadius(m float64) Option {
 // defaultAPSpacingM is the WithAPs layout pitch: past the paper's ~10 m
 // evaluation range, so default cells abut without overlapping coverage.
 const defaultAPSpacingM = 12.0
-
-// shardCellM is the ring's spatial quantum: node positions are quantized to
-// 1 m grid cells and each cell is owned by one AP. Coarse enough that a
-// stationary node never flaps between APs from estimation noise (the ring
-// hashes the true position, not the estimate), fine enough that ownership
-// tracks room-scale movement.
-const shardCellM = 1.0
 
 // defaultInterferenceRadius computes the distance at which one AP's
 // transmit leakage, received through a neighbour's mainbeam, drops 6 dB
@@ -100,12 +88,14 @@ type apCell struct {
 	handoffsIn  *obs.Counter
 	handoffsOut *obs.Counter
 	rebalances  *obs.Counter
-	ringNodes   *obs.Gauge
+	nodes       *obs.Gauge
 
-	// removed is set (under Cluster.mu) once RemoveAP has drained the cell
-	// and closed its scheduler. The aps slice itself is immutable after
+	// leaving is set (under Cluster.mu) when RemoveAP starts draining the
+	// cell: from then on no node is homed here, though nodes not yet
+	// drained are still served. removed is set once the drain has finished
+	// and the scheduler is closed. The aps slice itself is immutable after
 	// construction, so ops may index it without the cluster lock.
-	removed bool
+	leaving, removed bool
 }
 
 // local translates a cluster-frame point into the cell's AP-local frame
@@ -135,32 +125,29 @@ type clusterNode struct {
 }
 
 // Cluster is a multi-AP MilBack deployment: N access points share one
-// scene, one seed root and one node namespace. A consistent-hash ring over
-// 1 m grid cells assigns every position to a serving AP; joining a node
-// homes it at the owner of its cell, and moving it across a cell-ownership
-// boundary triggers a handoff — the old AP drains the node's queue at a
-// grant boundary, the new AP re-admits it under a fresh seed generation and
-// re-discovers it with a localization fix. Co-channel APs within the
-// interference radius never transmit simultaneously: their airtime grants
-// serialize through a cluster-wide admission check.
+// scene, one seed root and one node namespace. A node is homed at the live
+// AP nearest its true position (a tie goes to the lower layout index), and
+// moving it nearer another AP triggers a handoff — the old AP drains the
+// node's queue at a grant boundary, the new AP re-admits it under a fresh
+// seed generation and re-discovers it with a localization fix. Co-channel
+// APs within the interference radius never transmit simultaneously: their
+// airtime grants serialize through a cluster-wide admission check.
 //
 // Determinism: each AP derives its seed root from the cluster seed and its
-// ring index, and each node's session stream derives from (AP seed, NodeID,
-// handoff generation) — never from scheduling order. The same cluster seed
-// and the same operation sequence therefore produce bit-identical results
-// regardless of goroutine interleaving.
+// layout index, and each node's session stream derives from (AP seed,
+// NodeID, handoff generation) — never from scheduling order. The same
+// cluster seed and the same operation sequence therefore produce
+// bit-identical results regardless of goroutine interleaving.
 //
 // All methods are safe for concurrent use.
 type Cluster struct {
 	seed   int64
-	cellM  float64
 	radius float64
 	aps    []*apCell
 	adm    *admission
 	debug  *obs.DebugServer
 
 	mu     sync.Mutex
-	ring   *ring.Ring
 	nodes  map[NodeID]*clusterNode
 	order  []NodeID
 	nextID NodeID
@@ -190,7 +177,7 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 			return nil, fmt.Errorf("%w: WithAPs(%d)", ErrInvalidConfig, o.aps)
 		}
 		for i := 0; i < n; i++ {
-			layout = append(layout, APPlacement{Y: float64(i) * defaultAPSpacingM, Weight: 1})
+			layout = append(layout, APPlacement{Y: float64(i) * defaultAPSpacingM})
 		}
 	} else if o.aps != 0 && o.aps != len(layout) {
 		return nil, fmt.Errorf("%w: WithAPs(%d) conflicts with a %d-AP layout",
@@ -214,13 +201,8 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 
 	c := &Cluster{
 		seed:   o.seed,
-		cellM:  shardCellM,
 		radius: radius,
-		ring:   ring.New(0),
 		nodes:  make(map[NodeID]*clusterNode),
-	}
-	for i, pl := range layout {
-		c.ring.SetMember(i, pl.Weight)
 	}
 	c.adm = newAdmission(layout, radius)
 	for i, pl := range layout {
@@ -239,7 +221,7 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		cell.handoffsIn = reg.Counter(obs.MetricHandoffsIn)
 		cell.handoffsOut = reg.Counter(obs.MetricHandoffsOut)
 		cell.rebalances = reg.Counter(obs.MetricRebalances)
-		cell.ringNodes = reg.Gauge(obs.MetricRingNodes)
+		cell.nodes = reg.Gauge(obs.MetricNodes)
 		c.aps = append(c.aps, cell)
 	}
 	// One timeline per deployment: every cell's airtime folds into AP 0's
@@ -329,13 +311,19 @@ func (c *Cluster) DebugAddr() string {
 	return c.debug.Addr()
 }
 
-// APCount returns the number of APs still in the ring.
+// APCount returns the number of APs that new and moving nodes can be
+// homed at: every AP that RemoveAP has not started to drain.
 func (c *Cluster) APCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.homingCountLocked()
+}
+
+// homingCountLocked counts the APs not leaving; callers hold c.mu.
+func (c *Cluster) homingCountLocked() int {
 	n := 0
 	for _, cell := range c.aps {
-		if !cell.removed {
+		if !cell.leaving {
 			n++
 		}
 	}
@@ -346,13 +334,21 @@ func (c *Cluster) APCount() int {
 // effect (see WithInterferenceRadius).
 func (c *Cluster) InterferenceRadiusM() float64 { return c.radius }
 
-// ownerLocked maps a cluster-frame position to its serving AP via the
-// consistent-hash ring; callers hold c.mu.
+// ownerLocked maps a cluster-frame position to its serving AP: the AP
+// nearest (x, y) among those not leaving, a tie going to the lower layout
+// index. RemoveAP never lets the last AP leave, so there is always one,
+// and the first one stands even when every squared distance overflows to
+// +Inf (a finite coordinate past about 1e154). Callers hold c.mu.
 func (c *Cluster) ownerLocked(x, y float64) int {
-	owner, ok := c.ring.Owner(ring.CellKey(x, y, c.cellM))
-	if !ok {
-		// Unreachable: RemoveAP refuses to drop the last member.
-		panic("milback: cluster ring has no members")
+	owner, best := -1, math.Inf(1)
+	for _, cell := range c.aps {
+		if cell.leaving {
+			continue
+		}
+		dx, dy := x-cell.place.X, y-cell.place.Y
+		if d := dx*dx + dy*dy; owner < 0 || d < best {
+			owner, best = cell.index, d
+		}
 	}
 	return owner
 }
@@ -372,7 +368,7 @@ func (c *Cluster) lockNode(id NodeID) (*clusterNode, error) {
 
 // Join adds a node at cluster-frame position (x, y) with the given
 // orientation (degrees, 0 = FSA boresight facing +x like its AP) and homes
-// it at the AP that owns its grid cell. It returns ErrInvalidCoordinate for
+// it at the nearest live AP. It returns ErrInvalidCoordinate for
 // non-finite arguments and ErrClosed after Close.
 func (c *Cluster) Join(ctx context.Context, x, y, orientationDeg float64) (NodeID, error) {
 	if !finite(x, y, orientationDeg) {
@@ -413,7 +409,7 @@ func (c *Cluster) Join(ctx context.Context, x, y, orientationDeg float64) (NodeI
 		return 0, fmt.Errorf("milback: %w", err)
 	}
 	cn.sess = sess
-	cell.ringNodes.Add(1)
+	cell.nodes.Add(1)
 	return cn.id, nil
 }
 
@@ -517,9 +513,9 @@ func (c *Cluster) exchange(ctx context.Context, id NodeID, dir waveform.Directio
 }
 
 // Move repositions the node (teleport; the next packet re-localizes it).
-// If the new position's grid cell is owned by a different AP, the move is a
-// roaming handoff: the old AP drains the node's queue at a grant boundary
-// and detaches it, the new AP admits it under the next seed generation, and
+// If the new position is nearer a different AP, the move is a roaming
+// handoff: the old AP drains the node's queue at a grant boundary and
+// detaches it, the new AP admits it under the next seed generation, and
 // a localization fix re-discovers it there (a node invisible to its new AP
 // still completes the handoff). Cancellation before the drain completes
 // leaves the node untouched at its old AP. It returns ErrUnknownNode,
@@ -579,9 +575,9 @@ func (c *Cluster) handoffLocked(ctx context.Context, cn *clusterNode, target int
 	cn.ap = target
 	cn.x, cn.y, cn.orientDeg = x, y, orientationDeg
 	oldCell.handoffsOut.Inc()
-	oldCell.ringNodes.Add(-1)
+	oldCell.nodes.Add(-1)
 	newCell.handoffsIn.Inc()
-	newCell.ringNodes.Add(1)
+	newCell.nodes.Add(1)
 	if rebalance {
 		newCell.rebalances.Inc()
 	}
@@ -595,30 +591,25 @@ func (c *Cluster) handoffLocked(ctx context.Context, cn *clusterNode, target int
 	return nil
 }
 
-// RemoveAP drains AP apIndex out of the cluster: the ring drops the member
-// (only cells it owned change hands), every node it serves is handed off to
-// that cell's new owner (counted as a rebalance at the receiving AP), and
-// the AP's scheduler shuts down. Removing the last AP or an already-removed
-// index returns ErrInvalidConfig. Nodes that cannot be drained (ctx
-// cancelled) abort the removal with the ring already updated — re-invoke to
-// finish draining.
+// RemoveAP drains AP apIndex out of the cluster: the AP stops taking nodes,
+// every node it serves is handed off to the nearest remaining AP (counted as
+// a rebalance at the receiving AP), and the AP's scheduler shuts down. No
+// other node changes AP: its nearest AP is still there. Removing the last AP
+// or an already-removed index returns ErrInvalidConfig. Nodes that cannot
+// be drained (ctx cancelled) abort the removal with the AP already out of
+// homing and out of APCount — re-invoke to finish draining.
 func (c *Cluster) RemoveAP(ctx context.Context, apIndex int) error {
 	c.mu.Lock()
 	if apIndex < 0 || apIndex >= len(c.aps) || c.aps[apIndex].removed {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: no live AP %d", ErrInvalidConfig, apIndex)
 	}
-	live := 0
-	for _, cell := range c.aps {
-		if !cell.removed {
-			live++
-		}
-	}
-	if live <= 1 {
+	// A re-invocation finishes a drain that already passed this check.
+	if !c.aps[apIndex].leaving && c.homingCountLocked() <= 1 {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: cannot remove the last AP", ErrInvalidConfig)
 	}
-	c.ring.Remove(apIndex)
+	c.aps[apIndex].leaving = true
 	victims := make([]*clusterNode, 0, len(c.order))
 	for _, id := range c.order {
 		victims = append(victims, c.nodes[id])
@@ -649,14 +640,14 @@ func (c *Cluster) RemoveAP(ctx context.Context, apIndex int) error {
 
 // ClusterDetection is one node found by a cluster-wide discovery sweep.
 type ClusterDetection struct {
-	// AP is the ring index of the AP that made the detection. RangeM and
+	// AP is the layout index of the AP that made the detection. RangeM and
 	// AzimuthDeg inside Detection are relative to that AP; X, Y are in the
 	// cluster frame.
 	AP int
 	Detection
 }
 
-// Discover sweeps every live AP's beam in ring order and returns all
+// Discover sweeps every live AP's beam in layout order and returns all
 // detections with positions in the cluster frame. A node in two APs'
 // coverage can appear twice (once per AP — that is what the interference
 // radius is about). It returns ErrNoDetection when no AP saw anything.
@@ -740,7 +731,7 @@ func (c *Cluster) RemoveBlocker(ctx context.Context, name string) (bool, error) 
 	return existed, nil
 }
 
-// eachLiveCell runs fn over the live APs in ring order, stopping at the
+// eachLiveCell runs fn over the live APs in layout order, stopping at the
 // first error (wrapped for the facade).
 func (c *Cluster) eachLiveCell(fn func(*apCell) error) error {
 	for _, cell := range c.aps {

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/ring"
 )
 
 // fourCorners is a compact 4-AP layout: one AP at each corner of a 4 m
@@ -17,19 +16,36 @@ import (
 // to its two side neighbours (diagonals, at 5.66 m, stay independent).
 func fourCorners() []APPlacement {
 	return []APPlacement{
-		{X: 0, Y: 0, Weight: 1},
-		{X: 4, Y: 0, Weight: 1},
-		{X: 0, Y: 4, Weight: 1},
-		{X: 4, Y: 4, Weight: 1},
+		{X: 0, Y: 0},
+		{X: 4, Y: 0},
+		{X: 0, Y: 4},
+		{X: 4, Y: 4},
 	}
 }
 
-// clusterOwnerOf asks the cluster's own ring who serves a position
-// (single-threaded test access).
-func clusterOwnerOf(c *Cluster, x, y float64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ownerLocked(x, y)
+// layoutOf returns the cluster's AP placements in layout order.
+func layoutOf(c *Cluster) []APPlacement {
+	layout := make([]APPlacement, len(c.aps))
+	for i, cell := range c.aps {
+		layout[i] = cell.place
+	}
+	return layout
+}
+
+// nearestAP is the homing rule written out apart from the cluster's own:
+// the index of the AP in layout nearest (x, y) by Euclidean distance,
+// skipping the indices in gone, a tie going to the lower index.
+func nearestAP(layout []APPlacement, x, y float64, gone ...int) int {
+	best, bestD := -1, math.Inf(1)
+	for i, pl := range layout {
+		if slices.Contains(gone, i) {
+			continue
+		}
+		if d := math.Hypot(x-pl.X, y-pl.Y); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
 }
 
 // recordExchange folds an exchange (or its error) into a fingerprint; every
@@ -52,8 +68,8 @@ func recordPosition(sb *strings.Builder, pos Position, err error) {
 }
 
 // clusterDeterministicRun drives a 4-AP cluster through a fixed operation
-// sequence — concurrent per-node goroutines, roaming moves that cross ring
-// boundaries — and fingerprints every result.
+// sequence — concurrent per-node goroutines, roaming moves that cross from
+// one AP's area into another's — and fingerprints every result.
 func clusterDeterministicRun(t *testing.T, seed int64) string {
 	t.Helper()
 	ctx := context.Background()
@@ -92,9 +108,8 @@ func clusterDeterministicRun(t *testing.T, seed int64) string {
 			pos, err := c.Localize(ctx, id)
 			recordPosition(&sb, pos, err)
 
-			// Roam: cross at least one 1 m cell boundary (ownership is
-			// hashed per cell, so this usually — deterministically per
-			// seed — changes the serving AP).
+			// Roam 1.3 m along x and 0.8 m along y: nodes 0 and 1 come
+			// nearer another AP and hand off, node 2 stays nearest AP 3.
 			if err := c.Move(ctx, id, p.x+1.3, p.y+0.8, p.orient); err != nil {
 				fmt.Fprintf(&sb, "move-err=%v;", err)
 			}
@@ -125,7 +140,7 @@ func clusterDeterministicRun(t *testing.T, seed int64) string {
 	}
 	fmt.Fprintf(&sb, "handoffs=%d rebalances=%d", met.Handoffs, met.Rebalances)
 	for _, apm := range met.PerAP {
-		fmt.Fprintf(&sb, " ap%d=%d/%d/%d", apm.AP, apm.HandoffsIn, apm.HandoffsOut, apm.RingNodes)
+		fmt.Fprintf(&sb, " ap%d=%d/%d/%d", apm.AP, apm.HandoffsIn, apm.HandoffsOut, apm.Nodes)
 	}
 	return sb.String()
 }
@@ -213,64 +228,77 @@ func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 	}
 }
 
-// TestClusterPartitionBoundaryNode pins the floor quantization contract at
-// the cluster level: a node exactly on a 1 m cell boundary belongs to the
-// cell on the boundary's positive side, and moves within one cell never
-// hand off.
+// TestClusterPartitionBoundaryNode pins the tie rule on the boundary
+// between two APs' areas: a node equidistant from both is homed at the
+// lower layout index, and moves that keep the same AP nearest (or tied)
+// never hand off, while a step past the boundary does.
 func TestClusterPartitionBoundaryNode(t *testing.T) {
 	ctx := context.Background()
-	c, err := NewCluster(WithAPs(2), WithInterferenceRadius(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	for _, tc := range []struct {
+		name   string
+		layout []APPlacement
+	}{
+		{"lower-index-below", []APPlacement{{}, {Y: 12}}},
+		{"lower-index-above", []APPlacement{{Y: 12}, {}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(WithAPLayout(tc.layout...), WithInterferenceRadius(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	// Exactly on the x=2, y=1 corner: the owner must be the cell [2,3)×[1,2).
-	id, err := c.Join(ctx, 2.0, 1.0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner, err := c.OwnerAP(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := clusterOwnerOf(c, 2.5, 1.5); owner != want {
-		t.Fatalf("boundary node owned by AP %d, want the positive-side cell's owner %d", owner, want)
-	}
-	c.mu.Lock()
-	if got, _ := c.ring.Owner(ring.CellKey(2.0, 1.0, shardCellM)); got != owner {
-		c.mu.Unlock()
-		t.Fatalf("cluster owner %d disagrees with ring owner %d", owner, got)
-	}
-	c.mu.Unlock()
-
-	// Moves inside the same cell must never hand off, wherever in the cell
-	// they land.
-	for _, p := range []struct{ x, y float64 }{{2.0, 1.9}, {2.99, 1.0}, {2.5, 1.5}} {
-		if err := c.Move(ctx, id, p.x, p.y, 0); err != nil {
-			t.Fatalf("move to (%g,%g): %v", p.x, p.y, err)
-		}
-		if now, _ := c.OwnerAP(id); now != owner {
-			t.Fatalf("intra-cell move to (%g,%g) handed off: AP %d -> %d", p.x, p.y, owner, now)
-		}
-	}
-	if met := c.Metrics(); met.Handoffs != 0 {
-		t.Fatalf("intra-cell moves produced %d handoffs, want 0", met.Handoffs)
+			// y = 6 is the perpendicular bisector of the two APs.
+			id, err := c.Join(ctx, 2, 6, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if owner, _ := c.OwnerAP(id); owner != 0 {
+				t.Fatalf("equidistant node homed at AP %d, want the lower index 0", owner)
+			}
+			// AP 0's side of the bisector, and the bisector itself.
+			var stay []struct{ x, y float64 }
+			if tc.layout[0].Y == 0 {
+				stay = []struct{ x, y float64 }{{3, 5.9}, {2.5, 1}, {8, 6}, {0.5, -3}}
+			} else {
+				stay = []struct{ x, y float64 }{{3, 6.1}, {2.5, 11}, {8, 6}, {0.5, 15}}
+			}
+			for _, p := range stay {
+				if err := c.Move(ctx, id, p.x, p.y, 0); err != nil {
+					t.Fatalf("move to (%g,%g): %v", p.x, p.y, err)
+				}
+				if now, _ := c.OwnerAP(id); now != 0 {
+					t.Fatalf("move to (%g,%g), still nearest AP 0, handed off to AP %d", p.x, p.y, now)
+				}
+			}
+			if met := c.Metrics(); met.Handoffs != 0 {
+				t.Fatalf("moves nearest the same AP produced %d handoffs, want 0", met.Handoffs)
+			}
+			// One centimetre past the bisector, AP 1 is nearest.
+			past := 6 + 0.01*(tc.layout[1].Y-tc.layout[0].Y)/12
+			if err := c.Move(ctx, id, 2, past, 0); err != nil {
+				t.Fatal(err)
+			}
+			if now, _ := c.OwnerAP(id); now != 1 {
+				t.Fatalf("move past the bisector to y=%g left the node at AP %d, want 1", past, now)
+			}
+		})
 	}
 }
 
-// findRoam returns a target position whose ring owner differs from the
-// start's (probing cells deterministically).
-func findRoam(t *testing.T, c *Cluster, x, y float64) (float64, float64) {
+// findRoam returns the first point 1, 2, … m along +x from (x, y) whose
+// nearest AP differs from the start's, and that AP's index.
+func findRoam(t *testing.T, c *Cluster, x, y float64) (float64, float64, int) {
 	t.Helper()
-	from := clusterOwnerOf(c, x, y)
+	layout := layoutOf(c)
+	from := nearestAP(layout, x, y)
 	for dx := 1.0; dx < 32; dx++ {
-		if clusterOwnerOf(c, x+dx, y) != from {
-			return x + dx, y
+		if to := nearestAP(layout, x+dx, y); to != from {
+			return x + dx, y, to
 		}
 	}
-	t.Fatal("no owner change within 32 cells — ring distribution broken")
-	return 0, 0
+	t.Fatalf("no point within 32 m along +x of (%g, %g) is nearer another AP than %d", x, y, from)
+	return 0, 0, 0
 }
 
 // TestClusterHandoffDrainsInFlightGrant pins the drain contract: a handoff
@@ -289,8 +317,7 @@ func TestClusterHandoffDrainsInFlightGrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, ty := findRoam(t, c, 1.4, 0.6)
-	wantAP := clusterOwnerOf(c, tx, ty)
+	tx, ty, wantAP := findRoam(t, c, 1.4, 0.6)
 
 	payload := make([]byte, 4096)
 	for i := range payload {
@@ -338,10 +365,10 @@ func TestClusterHandoffDrainsInFlightGrant(t *testing.T) {
 	}
 }
 
-// TestClusterRebalanceAfterRemoveAP pins ring-removal semantics: only the
-// removed AP's nodes re-home (counted as rebalances at their new APs),
-// every other node keeps its owner, and the drained AP rejects further
-// removal.
+// TestClusterRebalanceAfterRemoveAP pins removal semantics: only the
+// removed AP's nodes re-home (counted as rebalances at their new APs), each
+// at its nearest surviving AP, every other node keeps its owner, and the
+// drained AP rejects further removal.
 func TestClusterRebalanceAfterRemoveAP(t *testing.T) {
 	ctx := context.Background()
 	c, err := NewCluster(WithAPLayout(fourCorners()...), WithInterferenceRadius(0))
@@ -373,7 +400,7 @@ func TestClusterRebalanceAfterRemoveAP(t *testing.T) {
 		}
 	}
 	if victim < 0 {
-		t.Fatal("all nodes landed on AP 0 — ring distribution broken")
+		t.Fatal("all nodes are nearest AP 0, so no removal re-homes any")
 	}
 	victims := 0
 	for _, ap := range before {
@@ -397,14 +424,14 @@ func TestClusterRebalanceAfterRemoveAP(t *testing.T) {
 			t.Fatalf("node %d still homed at removed AP %d", id, victim)
 		}
 		if before[id] != victim && ap != before[id] {
-			t.Fatalf("node %d moved %d -> %d though its AP stayed in the ring", id, before[id], ap)
+			t.Fatalf("node %d moved %d -> %d though its AP stayed in the cluster", id, before[id], ap)
 		}
 		x, y, _, err := c.TruePosition(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := clusterOwnerOf(c, x, y); ap != want {
-			t.Fatalf("node %d at AP %d, ring owner is %d", id, ap, want)
+		if want := nearestAP(fourCorners(), x, y, victim); ap != want {
+			t.Fatalf("node %d at (%g, %g) homed at AP %d, nearest surviving AP is %d", id, x, y, ap, want)
 		}
 	}
 	met := c.Metrics()
@@ -443,6 +470,208 @@ func TestClusterRemoveLastAPRejected(t *testing.T) {
 	}
 	if err := c.RemoveAP(ctx, 0); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("removing the last AP = %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestClusterRemoveAPAfterCancelledDrain pins the half-drained state: a
+// removal whose drain is cancelled has already taken the AP out of homing
+// and out of APCount, so the last other AP cannot be removed after it, a
+// new node homes elsewhere, the undrained node is still served, and
+// re-invoking the removal finishes the drain.
+func TestClusterRemoveAPAfterCancelledDrain(t *testing.T) {
+	ctx := context.Background()
+	c, err := NewCluster(WithAPLayout(APPlacement{}, APPlacement{X: 4}), WithInterferenceRadius(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	near0, err := c.Join(ctx, 1.4, 0.6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	near1, err := c.Join(ctx, 3.0, 0.6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := c.RemoveAP(cancelled, 0); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("RemoveAP(cancelled, 0) = %v, want ErrCancelled", err)
+	}
+	if got := c.APCount(); got != 1 {
+		t.Fatalf("APCount = %d with AP 0 half-drained, want 1", got)
+	}
+	if err := c.RemoveAP(ctx, 1); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("RemoveAP(1) while AP 0 drains = %v, want ErrInvalidConfig", err)
+	}
+	late, err := c.Join(ctx, 1.0, 0.2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ap, _ := c.OwnerAP(late); ap != 1 {
+		t.Fatalf("node joined beside the leaving AP 0 homed at AP %d, want 1", ap)
+	}
+	if ap, _ := c.OwnerAP(near0); ap != 0 {
+		t.Fatalf("undrained node at AP %d, want 0 until the drain finishes", ap)
+	}
+	if _, err := c.Localize(ctx, near0); err != nil && !errors.Is(err, ErrNoDetection) {
+		t.Fatalf("undrained node no longer served: %v", err)
+	}
+
+	if err := c.RemoveAP(ctx, 0); err != nil {
+		t.Fatalf("re-invoked RemoveAP(0): %v", err)
+	}
+	for _, id := range []NodeID{near0, near1, late} {
+		if ap, _ := c.OwnerAP(id); ap != 1 {
+			t.Fatalf("node %d at AP %d after the drain, want 1", id, ap)
+		}
+	}
+	if met := c.Metrics(); !met.PerAP[0].Removed || met.Rebalances != 1 {
+		t.Fatalf("after the drain: AP 0 removed %v, rebalances %d; want true, 1",
+			met.PerAP[0].Removed, met.Rebalances)
+	}
+	if err := c.RemoveAP(ctx, 0); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("third RemoveAP(0) = %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestClusterConcurrentRemoveAPKeepsOne races the removal of both APs of
+// a 2-AP cluster: exactly one removal wins, and the cluster keeps an AP
+// that serves every node.
+func TestClusterConcurrentRemoveAPKeepsOne(t *testing.T) {
+	ctx := context.Background()
+	c, err := NewCluster(WithAPLayout(APPlacement{}, APPlacement{X: 4}), WithInterferenceRadius(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ids := make([]NodeID, 2)
+	for i, x := range []float64{1.4, 3.0} {
+		if ids[i], err = c.Join(ctx, x, 0.6, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = c.RemoveAP(ctx, i)
+		}(i)
+	}
+	wg.Wait()
+	kept := -1
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrInvalidConfig) && kept < 0:
+			kept = i
+		default:
+			t.Fatalf("RemoveAP results %v: want one nil and one ErrInvalidConfig", errs)
+		}
+	}
+	if kept < 0 {
+		t.Fatalf("both removals succeeded: %v", errs)
+	}
+	if got := c.APCount(); got != 1 {
+		t.Fatalf("APCount = %d, want 1", got)
+	}
+	for _, id := range ids {
+		if ap, _ := c.OwnerAP(id); ap != kept {
+			t.Fatalf("node %d at AP %d, want the kept AP %d", id, ap, kept)
+		}
+	}
+}
+
+// TestClusterHomesNearestAP pins the homing rule across the default
+// 3-AP layout and what it buys: over a 1 m grid spanning all three APs'
+// areas, every node is served by its nearest AP, and nearly every one of
+// them gets a fix within 1 m of its true position.
+func TestClusterHomesNearestAP(t *testing.T) {
+	ctx := context.Background()
+	c, err := NewCluster(WithAPs(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	layout := layoutOf(c)
+
+	var fixErrs []float64 // one per node; a missed fix counts as +Inf
+	for x := 1.5; x <= 8.5; x++ {
+		for y := -4.5; y <= 28.5; y++ {
+			id, err := c.Join(ctx, x, y, -10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ap, _ := c.OwnerAP(id); ap != nearestAP(layout, x, y) {
+				t.Fatalf("node at (%g, %g) homed at AP %d, nearest is AP %d", x, y, ap, nearestAP(layout, x, y))
+			}
+			pos, err := c.Localize(ctx, id)
+			switch {
+			case errors.Is(err, ErrNoDetection):
+				fixErrs = append(fixErrs, math.Inf(1))
+			case err != nil:
+				t.Fatalf("localize (%g, %g): %v", x, y, err)
+			default:
+				fixErrs = append(fixErrs, math.Hypot(pos.X-x, pos.Y-y))
+			}
+		}
+	}
+	if len(fixErrs) != 272 {
+		t.Fatalf("grid holds %d nodes, want 272", len(fixErrs))
+	}
+	slices.Sort(fixErrs)
+	within, _ := slices.BinarySearch(fixErrs, math.Nextafter(1, 2))
+	median := (fixErrs[135] + fixErrs[136]) / 2
+	t.Logf("fixes within 1 m: %d of 272; median error %.3f m, p90 %.3f m", within, median, fixErrs[244])
+	if within < 270 {
+		t.Errorf("%d of 272 fixes within 1 m, want at least 270", within)
+	}
+	if median > 0.2 {
+		t.Errorf("median fix error %.3f m, want at most 0.2 m", median)
+	}
+}
+
+// TestClusterHomesFarNode covers finite coordinates so large that every
+// squared AP distance overflows to +Inf: Join, Move and SetTrajectory must
+// still home the node at a live AP (the lowest index, as for any tie)
+// rather than at none.
+func TestClusterHomesFarNode(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("aps=%d", n), func(t *testing.T) {
+			c, err := NewCluster(WithAPs(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			owner := func(id NodeID, where string) {
+				t.Helper()
+				if ap, err := c.OwnerAP(id); err != nil || ap != 0 {
+					t.Fatalf("%s: OwnerAP = %d, %v; want AP 0", where, ap, err)
+				}
+			}
+			id, err := c.Join(ctx, 1e200, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner(id, "join at (1e200, 0)")
+			if err := c.Move(ctx, id, 0, -1e200, 0); err != nil {
+				t.Fatal(err)
+			}
+			owner(id, "move to (0, -1e200)")
+			if err := c.Move(ctx, id, 2, 0.5, 0); err != nil {
+				t.Fatal(err)
+			}
+			owner(id, "move back to (2, 0.5)")
+			tr := Trajectory{Waypoints: []Waypoint{{T: 0, X: -1e200, Y: 1e200}, {T: 1, X: 2, Y: 0.5}}}
+			if err := c.SetTrajectory(ctx, id, tr); err != nil {
+				t.Fatal(err)
+			}
+			owner(id, "trajectory start at (-1e200, 1e200)")
+		})
 	}
 }
 

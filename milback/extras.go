@@ -151,7 +151,7 @@ func (c *Cluster) fec(ctx context.Context, id NodeID, dir waveform.Direction, da
 // CellStats summarizes one SDM superframe over the whole cluster.
 type CellStats struct {
 	// PerNodeDeliveredBits lists error-free payload bits per node: each
-	// live AP's nodes in join order, APs in ring order.
+	// live AP's nodes in join order, APs in layout order.
 	PerNodeDeliveredBits []int
 	// AggregateThroughputBps is total delivered bits over total airtime.
 	AggregateThroughputBps float64
@@ -161,7 +161,7 @@ type CellStats struct {
 	TotalAirtimeS float64
 }
 
-// RunUplinkSuperframe has every live AP, in ring order, serve each node it
+// RunUplinkSuperframe has every live AP, in layout order, serve each node it
 // homes `rounds` times round-robin, each slot carrying payloadBytes uplink
 // at bitRate, and returns the cluster's throughput and fairness — the §7
 // SDM claim quantified. APs without nodes are skipped; a cluster without

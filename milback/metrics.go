@@ -140,21 +140,21 @@ func metricsFromSnapshot(snap obs.Snapshot) Metrics {
 // AP's machinery view (Metrics) plus the cluster's roaming accounting for
 // it.
 type APMetrics struct {
-	// AP is the ring index; Placement its position and ring weight.
+	// AP is the layout index; Placement its position.
 	AP        int
 	Placement APPlacement
-	// Removed reports an AP drained out of the ring by RemoveAP; its
+	// Removed reports an AP drained out of the cluster by RemoveAP; its
 	// counters stop moving but its history remains.
 	Removed bool
 
 	// HandoffsIn counts nodes this AP received from a neighbour and
 	// HandoffsOut nodes it drained away; Rebalances is the subset of
-	// HandoffsIn forced by an AP leaving the ring rather than by node
-	// movement. RingNodes is the number of nodes currently homed here.
+	// HandoffsIn forced by an AP leaving the cluster rather than by node
+	// movement. Nodes is the number of nodes currently homed here.
 	HandoffsIn  uint64
 	HandoffsOut uint64
 	Rebalances  uint64
-	RingNodes   int64
+	Nodes       int64
 
 	// Metrics is the AP's own scheduler/capture/pipeline instrumentation.
 	Metrics Metrics
@@ -162,7 +162,7 @@ type APMetrics struct {
 
 // ClusterMetrics aggregates the per-AP observability registries.
 type ClusterMetrics struct {
-	// PerAP holds one entry per AP in ring order, removed APs included.
+	// PerAP holds one entry per AP in layout order, removed APs included.
 	PerAP []APMetrics
 	// Handoffs is the cluster-wide number of completed handoffs (each
 	// counted once, at the receiving AP) and Rebalances the subset forced
@@ -191,7 +191,7 @@ func (c *Cluster) Metrics() ClusterMetrics {
 			HandoffsIn:  snap.Counters[obs.MetricHandoffsIn],
 			HandoffsOut: snap.Counters[obs.MetricHandoffsOut],
 			Rebalances:  snap.Counters[obs.MetricRebalances],
-			RingNodes:   snap.Gauges[obs.MetricRingNodes],
+			Nodes:       snap.Gauges[obs.MetricNodes],
 			Metrics:     metricsFromSnapshot(snap),
 		}
 		out.PerAP = append(out.PerAP, m)
@@ -202,7 +202,7 @@ func (c *Cluster) Metrics() ClusterMetrics {
 }
 
 // WriteTrace writes every AP's retained pipeline-stage spans to w as JSON
-// Lines, AP by AP in ring order (removed APs included) and oldest first
+// Lines, AP by AP in layout order (removed APs included) and oldest first
 // within an AP: one object per line with name, start_ns, dur_ns and a
 // stage-specific arg (chirp count for synthesis, capture count for leases,
 // queue key for jobs). Each AP's tracer is a bounded ring — only its most

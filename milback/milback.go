@@ -11,10 +11,10 @@
 //
 // With no layout options NewCluster builds the paper's single-AP testbed.
 // WithAPs and WithAPLayout scale the same protocol past it (the §9.5
-// network-scale discussion): one engine per access point, nodes sharded
-// across them by a consistent-hash ring keyed on 1 m grid cells, roaming
-// nodes handed off at grant boundaries, and co-channel APs inside the
-// link-budget interference radius serialized.
+// network-scale discussion): one engine per access point, each node homed
+// at the live AP nearest it, roaming nodes handed off at grant
+// boundaries, and co-channel APs inside the link-budget interference
+// radius serialized.
 //
 // Quick start:
 //

@@ -90,7 +90,7 @@ type Pose struct {
 
 // SetTrajectory binds a trajectory to the node. The node teleports to the
 // trajectory's starting pose immediately (triggering a handoff if that
-// pose lies in another AP's cell) and its true pose then follows the
+// pose is nearer another AP) and its true pose then follows the
 // trajectory as AdvanceTrajectory moves it along the timeline; every
 // capture between advances sees the frozen pose and the matching analytic
 // radial velocity, so synthesized Doppler is consistent with the motion.
@@ -153,9 +153,9 @@ func (c *Cluster) clearTrajectoryLocked(ctx context.Context, cn *clusterNode) er
 // AdvanceTrajectory moves the node dt seconds (≥ 0) along its bound
 // trajectory and returns the new cluster-frame pose. The advance is
 // scheduled on the node's airtime queue, so it never races a capture; if
-// the new pose's grid cell is owned by a different AP the advance is a
-// roaming handoff (exactly like Move across a cell boundary) and the
-// trajectory is rebound at the new serving AP at the same motion time.
+// the new pose is nearer a different AP the advance is a roaming handoff
+// (exactly like a Move there) and the trajectory is rebound at the new
+// serving AP at the same motion time.
 // It can return ErrUnknownNode, ErrNoTrajectory, ErrCancelled and
 // ErrClosed.
 func (c *Cluster) AdvanceTrajectory(ctx context.Context, id NodeID, dt float64) (Pose, error) {
@@ -181,10 +181,9 @@ func (c *Cluster) AdvanceTrajectory(ctx context.Context, id NodeID, dt float64) 
 			return Pose{}, fmt.Errorf("milback: %w", err)
 		}
 	} else {
-		// The trajectory crossed a ring cell boundary: hand the node off to
-		// the owner of its new cell, then rebind the remaining trajectory
-		// there — same path, same motion time, translated into the new AP's
-		// frame.
+		// The trajectory came nearer another AP: hand the node off to it,
+		// then rebind the remaining trajectory there — same path, same
+		// motion time, translated into the new AP's frame.
 		if err := c.handoffLocked(ctx, cn, target, pose.X, pose.Y, pose.OrientationDeg, false); err != nil {
 			return Pose{}, err
 		}

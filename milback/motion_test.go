@@ -192,9 +192,9 @@ func TestSimulationClock(t *testing.T) {
 }
 
 // TestTrajectoryBoundaryHandoff pins the tentpole's cluster integration: a
-// trajectory that crosses a ring cell boundary hands the node off to the
-// new cell's owner automatically, rebinds the trajectory at the new AP at
-// the same motion time, and keeps the node operational there.
+// trajectory that comes nearer another AP hands the node off to that AP
+// automatically, rebinds the trajectory at the new AP at the same motion
+// time, and keeps the node operational there.
 func TestTrajectoryBoundaryHandoff(t *testing.T) {
 	ctx := context.Background()
 	c, err := NewCluster(WithAPLayout(APPlacement{}, APPlacement{X: 4}), WithInterferenceRadius(0))
@@ -212,8 +212,7 @@ func TestTrajectoryBoundaryHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, ty := findRoam(t, c, x0, y0)
-	wantAP := clusterOwnerOf(c, tx, ty)
+	tx, ty, wantAP := findRoam(t, c, x0, y0)
 
 	// Walk from the join position to the roam target over 2 s.
 	tr := Trajectory{Waypoints: []Waypoint{
@@ -349,7 +348,7 @@ func clusterTrajectoryChurnRun(t *testing.T, seed int64) string {
 	}
 	fmt.Fprintf(&sb, "handoffs=%d", met.Handoffs)
 	for _, apm := range met.PerAP {
-		fmt.Fprintf(&sb, " ap%d=%d/%d/%d", apm.AP, apm.HandoffsIn, apm.HandoffsOut, apm.RingNodes)
+		fmt.Fprintf(&sb, " ap%d=%d/%d/%d", apm.AP, apm.HandoffsIn, apm.HandoffsOut, apm.Nodes)
 	}
 	return sb.String()
 }
