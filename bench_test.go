@@ -483,7 +483,7 @@ func BenchmarkCaptureMovingScene(b *testing.B) {
 			b.Fatal(err)
 		}
 		y := -3 + 0.1*float64(i%10)
-		scene.MoveObstruction("cart", rfsim.Point{X: -3, Y: y}, rfsim.Point{X: -3, Y: y + 1})
+		scene.Obstructions[0].A, scene.Obstructions[0].B = rfsim.Point{X: -3, Y: y}, rfsim.Point{X: -3, Y: y + 1}
 		if _, err := sys.Localize(n, int64(i+1)); err != nil {
 			b.Fatal(err)
 		}

@@ -243,9 +243,9 @@ func TestClutterIncrementalInvalidation(t *testing.T) {
 	}, true)
 	step("steer away over the blocker", 0.3, func() {}, true)
 	step("blocker removed", 0.3, func() { scene.RemoveObstruction("cabinet") }, true)
-	step("reflector moved", 0.3, func() { scene.MoveReflector("desk", rfsim.Point{X: 3.2, Y: -1.5}) }, true)
+	step("reflector moved", 0.3, func() { scene.Reflectors[2].Position = rfsim.Point{X: 3.2, Y: -1.5} }, true) // the desk
 	step("reflector added", 0.3, func() {
-		scene.AddReflector(rfsim.Reflector{Name: "cart", Position: rfsim.Point{X: 8, Y: -2}, RCS: 2})
+		scene.Reflectors = append(scene.Reflectors, rfsim.Reflector{Name: "cart", Position: rfsim.Point{X: 8, Y: -2}, RCS: 2})
 	}, true)
 }
 
@@ -258,14 +258,15 @@ func TestClutterMoveObstruction(t *testing.T) {
 	step("blocker behind the AP", 0, func() {
 		scene.AddObstruction(rfsim.Obstruction{Name: "person", A: rfsim.Point{X: -3, Y: 1}, B: rfsim.Point{X: -3, Y: 2}, LossDB: 25})
 	}, true)
+	person := func() *rfsim.Obstruction { return &scene.Obstructions[0] }
 	for i := 1; i < 4; i++ {
 		y := 1 + 0.1*float64(i)
 		step(fmt.Sprintf("walk step %d", i), 0, func() {
-			scene.MoveObstruction("person", rfsim.Point{X: -3, Y: y}, rfsim.Point{X: -3, Y: y + 1})
+			person().A, person().B = rfsim.Point{X: -3, Y: y}, rfsim.Point{X: -3, Y: y + 1}
 		}, false)
 	}
 	step("onto the back-wall ray", 0, func() {
-		scene.MoveObstruction("person", rfsim.Point{X: 6, Y: -1}, rfsim.Point{X: 6, Y: 1})
+		person().A, person().B = rfsim.Point{X: 6, Y: -1}, rfsim.Point{X: 6, Y: 1}
 	}, true)
 }
 

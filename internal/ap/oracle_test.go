@@ -142,7 +142,7 @@ func (a *AP) subtractedSpectra(frames []ChirpFrame) ([][2][]complex128, error) {
 // on the frame length: share the process-wide cached window (read-only)
 // instead of recomputing it 2·len(frames) times per capture.
 func (a *AP) refSpectra(frames []ChirpFrame, uniform bool, n0, nfft int) [][2][]complex128 {
-	plan := dsp.PlanFFT(nfft)
+	plan := dsp.PlanBatch(nfft)
 	var shared []float64
 	if uniform {
 		shared = dsp.HannCached(n0)
@@ -159,7 +159,7 @@ func (a *AP) refSpectra(frames []ChirpFrame, uniform bool, n0, nfft int) [][2][]
 			for i := range x {
 				buf[i] = x[i] * complex(w[i], 0)
 			}
-			plan.Forward(buf)
+			plan.ForwardPacked([][]complex128{buf}, len(x))
 			spectra[k][m] = buf
 		}
 	})

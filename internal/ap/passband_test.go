@@ -2,6 +2,7 @@ package ap
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"repro/internal/dsp"
@@ -44,7 +45,7 @@ func TestDechirpModelMatchesPassbandSimulation(t *testing.T) {
 		// Low-pass away the sum-frequency products (2–4 MHz); keep the beat
 		// (slope·τ = 3–27.5 kHz).
 		lpf := dsp.LowPassFIR(301, 200e3, fsPass)
-		beat := lpf.FilterCompensated(mixed)
+		beat := filterCompensated(lpf, mixed)
 
 		// Measure the dominant beat frequency over a clean interior window.
 		lo, hi := n/4, 3*n/4
@@ -54,8 +55,11 @@ func TestDechirpModelMatchesPassbandSimulation(t *testing.T) {
 		for i, v := range win {
 			buf[i] = complex(v*w[i], 0)
 		}
-		dsp.PlanFFT(len(buf)).Forward(buf)
-		mags := dsp.Magnitudes(buf[:len(buf)/2])
+		dsp.PlanBatch(len(buf)).ForwardPacked([][]complex128{buf}, len(win))
+		mags := make([]float64, len(buf)/2)
+		for i := range mags {
+			mags[i] = cmplx.Abs(buf[i])
+		}
 		peak := dsp.MaxPeak(mags[1:]) // skip DC
 		measured := (peak.Position + 1) * fsPass / float64(len(buf))
 
@@ -111,11 +115,26 @@ func TestPassbandAmplitudeConsistency(t *testing.T) {
 		mixed[i] = math.Cos(c.Phase(ts)) * math.Cos(c.Phase(ts-tau))
 	}
 	lpf := dsp.LowPassFIR(301, 200e3, fsPass)
-	beat := lpf.FilterCompensated(mixed)
-	rms := dsp.RMS(beat[n/4 : 3*n/4])
+	beat := filterCompensated(lpf, mixed)
+	win := beat[n/4 : 3*n/4]
+	var power float64
+	for _, v := range win {
+		power += v * v
+	}
+	rms := math.Sqrt(power / float64(len(win)))
 	// A 0.5-amplitude sinusoid has RMS 0.3536.
 	if math.Abs(rms-0.3536) > 0.01 {
 		t.Errorf("beat RMS = %.4f, want 0.354 (half-amplitude product term)", rms)
 	}
 	_ = rfsim.SpeedOfLight
+}
+
+// filterCompensated filters x and shifts the output left by the filter's
+// group delay, so filtered features line up with the input timeline; the
+// tail is zero-padded.
+func filterCompensated(f *dsp.FIR, x []float64) []float64 {
+	y := f.Filter(x)
+	out := make([]float64, len(x))
+	copy(out, y[min((len(f.Taps)-1)/2, len(y)):])
+	return out
 }

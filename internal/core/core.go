@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/ap"
 	"repro/internal/capture"
@@ -75,10 +77,14 @@ func DefaultConfig() Config {
 type System struct {
 	AP      *ap.AP
 	cfg     Config
-	nodes   []*node.Node
 	capture *capture.Plane
 	reg     *obs.Registry
 	tracer  *obs.Tracer
+
+	// nodesMu guards nodes: AddNode runs on the caller's goroutine, while
+	// RemoveNode and discovery sweeps run as airtime-scheduler jobs.
+	nodesMu sync.Mutex
+	nodes   []*node.Node
 
 	// clock is the deployment's simulation time; movers binds nodes to
 	// trajectories (see motion.go). Both are mutated only on the airtime
@@ -167,19 +173,28 @@ func (s *System) AddNode(pos rfsim.Point, orientationDeg float64) (*node.Node, e
 	if err != nil {
 		return nil, err
 	}
+	s.nodesMu.Lock()
 	s.nodes = append(s.nodes, n)
+	s.nodesMu.Unlock()
 	return n, nil
 }
 
-// Nodes returns the registered nodes.
-func (s *System) Nodes() []*node.Node { return s.nodes }
+// Nodes returns a snapshot of the registered nodes.
+func (s *System) Nodes() []*node.Node {
+	s.nodesMu.Lock()
+	defer s.nodesMu.Unlock()
+	return slices.Clone(s.nodes)
+}
 
 // RemoveNode unregisters a node (pointer identity), reporting whether it
 // was present. The node object stays valid — captures already holding it
 // finish normally — but it no longer appears in Nodes or discovery sweeps.
-// Callers must serialize RemoveNode against captures the same way AddNode
-// is serialized (the cluster schedules it on the airtime queue).
+// AddNode and RemoveNode may run concurrently with each other and with a
+// sweep, but RemoveNode also unbinds the node's trajectory, so callers
+// serialize it against captures (the cluster runs it as an airtime job).
 func (s *System) RemoveNode(n *node.Node) bool {
+	s.nodesMu.Lock()
+	defer s.nodesMu.Unlock()
 	for i, have := range s.nodes {
 		if have == n {
 			s.nodes = append(s.nodes[:i], s.nodes[i+1:]...)

@@ -102,10 +102,12 @@ func (s *System) Discover(ctx context.Context, cfg ScanConfig, seed int64) ([]No
 	lease := s.capture.Acquire(rfsim.DegToRad(cfg.StartDeg), seed)
 	defer lease.Close()
 
+	s.nodesMu.Lock()
 	targets := make([]*ap.BackscatterTarget, 0, len(s.nodes))
 	for _, n := range s.nodes {
 		targets = append(targets, localizationTarget(n))
 	}
+	s.nodesMu.Unlock()
 
 	var all []NodeDetection
 	for deg := cfg.StartDeg; deg <= cfg.StopDeg+scanSlackDeg; deg += cfg.StepDeg {

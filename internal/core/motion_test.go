@@ -117,7 +117,7 @@ func TestMovingSceneIncrementalInvalidationBitIdentical(t *testing.T) {
 			// The person drifts across the room, sometimes crossing the
 			// AP→back-wall ray (y spans negative to positive around x=6).
 			y := 2 - 0.5*float64(step)
-			scene.MoveObstruction("person", rfsim.Point{X: 6, Y: y}, rfsim.Point{X: 6, Y: y + 1})
+			scene.Obstructions[0].A, scene.Obstructions[0].B = rfsim.Point{X: 6, Y: y}, rfsim.Point{X: 6, Y: y + 1}
 			if _, err := sys.AdvanceTrajectory(n, 0.4); err != nil {
 				t.Fatal(err)
 			}

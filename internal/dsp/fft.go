@@ -3,7 +3,6 @@ package dsp
 import (
 	"fmt"
 	"math/bits"
-	"math/cmplx"
 )
 
 // IsPowerOfTwo reports whether n is a positive power of two.
@@ -25,13 +24,4 @@ func NextPowerOfTwo(n int) int {
 		panic(fmt.Sprintf("dsp: NextPowerOfTwo overflow for %d", n))
 	}
 	return p
-}
-
-// Magnitudes returns |X[k]| for every bin.
-func Magnitudes(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
 }

@@ -68,8 +68,8 @@ func normalizeDC(taps []float64) {
 }
 
 // Filter convolves x with the filter taps and returns a same-length output
-// (the leading transient is kept; callers needing group-delay compensation
-// can use FilterCompensated). Edges are zero-padded.
+// (the leading transient is kept, so the output lags the input by the
+// (len(Taps)−1)/2-sample group delay). Edges are zero-padded.
 func (f *FIR) Filter(x []float64) []float64 {
 	n := len(x)
 	out := make([]float64, n)
@@ -85,16 +85,5 @@ func (f *FIR) Filter(x []float64) []float64 {
 		}
 		out[i] = acc
 	}
-	return out
-}
-
-// FilterCompensated filters x and shifts the output left by the group delay
-// so filtered features line up with the input timeline. The tail is
-// zero-padded.
-func (f *FIR) FilterCompensated(x []float64) []float64 {
-	y := f.Filter(x)
-	d := (len(f.Taps) - 1) / 2
-	out := make([]float64, len(x))
-	copy(out, y[min(d, len(y)):])
 	return out
 }

@@ -1,7 +1,5 @@
 package dsp
 
-import "sort"
-
 // Peak describes a local maximum found in a sampled sequence.
 type Peak struct {
 	// Index is the integer sample index of the maximum.
@@ -80,37 +78,6 @@ func refinePeak(x []float64, i int) Peak {
 	p.Position = float64(i) + delta
 	p.Value = b - 0.25*(a-c)*delta
 	return p
-}
-
-// FindPeaks returns all local maxima of x whose value exceeds threshold,
-// separated by at least minDistance samples. Peaks are returned sorted by
-// descending value. When two candidate peaks are closer than minDistance the
-// larger one wins.
-func FindPeaks(x []float64, threshold float64, minDistance int) []Peak {
-	if minDistance < 1 {
-		minDistance = 1
-	}
-	var cands []Peak
-	for i := 1; i < len(x)-1; i++ {
-		if x[i] >= threshold && x[i] >= x[i-1] && x[i] > x[i+1] {
-			cands = append(cands, refinePeak(x, i))
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].Value > cands[b].Value })
-	var out []Peak
-	for _, c := range cands {
-		ok := true
-		for _, o := range out {
-			if abs(c.Index-o.Index) < minDistance {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 func abs(x int) int {

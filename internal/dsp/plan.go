@@ -80,38 +80,6 @@ func twiddleTable(n int, sign float64) []complex128 {
 	return tw
 }
 
-// Forward transforms x in place using the engineering-standard sign
-// convention X[k] = Σ x[n]·exp(-2πikn/N). len(x) must equal the plan size.
-func (p *FFTPlan) Forward(x []complex128) { p.Transform(x, false) }
-
-// Transform runs the plan in the requested direction; the inverse includes
-// the 1/N normalization.
-func (p *FFTPlan) Transform(x []complex128, inverse bool) {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("dsp: plan for length %d applied to length %d", p.n, len(x)))
-	}
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	tw := p.twFwd
-	if inverse {
-		tw = p.twInv
-	}
-	for i, j := range p.rev {
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	stagesFrom(x, 1, tw)
-	if inverse {
-		inv := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= inv
-		}
-	}
-}
-
 // transformPacked writes into x the transform, against twiddle table tw, of
 // the head h zero-padded to len(x); len(h) must be a power of two no larger
 // than the plan size, and x's prior contents are ignored.

@@ -33,18 +33,6 @@ func Variance(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// RMS returns the root-mean-square of x.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of x using linear
 // interpolation between closest ranks. It panics on an empty slice or an
 // out-of-range p. The input is not modified.

@@ -2,6 +2,8 @@ package node
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dsp"
@@ -22,11 +24,30 @@ func senseOrientation(n *Node, c waveform.Chirp, ns *rfsim.NoiseSource) (Orienta
 }
 
 // countField1Peaks counts beam-crossing peaks over a whole Field-1 window
-// (one pair per triangular chirp).
+// (one pair per triangular chirp): local maxima above 40 % of the way from
+// the median to the maximum, strongest first, each at least
+// minSeparationSamples from every stronger one.
 func countField1Peaks(v []float64, minSeparationSamples int) int {
 	maxV := v[dsp.ArgMax(v)]
 	med := dsp.Median(v)
-	return len(dsp.FindPeaks(v, med+(maxV-med)*0.4, minSeparationSamples))
+	threshold := med + (maxV-med)*0.4
+	var cands []int
+	for i := 1; i < len(v)-1; i++ {
+		if v[i] >= threshold && v[i] >= v[i-1] && v[i] > v[i+1] {
+			cands = append(cands, i)
+		}
+	}
+	sort.Slice(cands, func(a, b int) bool { return v[cands[a]] > v[cands[b]] })
+	var kept []int
+	for _, c := range cands {
+		near := slices.ContainsFunc(kept, func(k int) bool {
+			return c-k < minSeparationSamples && k-c < minSeparationSamples
+		})
+		if !near {
+			kept = append(kept, c)
+		}
+	}
+	return len(kept)
 }
 
 func TestSampleField1ChirpShape(t *testing.T) {

@@ -1,85 +1,43 @@
 package proto
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/ber"
 )
 
-// StandardUplinkRates are the rate ladder a MilBack deployment can pick
-// from, bounded by the paper's 160 Mbps switch limit (§9.5).
-var StandardUplinkRates = []float64{160e6, 80e6, 40e6, 20e6, 10e6, 5e6}
+// uplinkRates is the rate ladder the uplink rate choice picks from, fastest
+// first, bounded by the paper's 160 Mbps switch limit (§9.5).
+var uplinkRates = [...]float64{160e6, 80e6, 40e6, 20e6, 10e6, 5e6}
 
-// RateController selects the fastest sustainable uplink rate for a link.
-// Noise power grows linearly with bandwidth (∝ rate), so the SNR at rate r
-// is SNR(r₀) − 10·log10(r/r₀); the controller picks the highest rate whose
-// predicted BER stays at or below TargetBER.
-type RateController struct {
-	// Rates is the ladder, fastest first.
-	Rates []float64
-	// TargetBER is the acceptable bit error rate.
-	TargetBER float64
-	// ProcessingGainDB feeds the BER model (ber.DefaultProcessingGainDB).
-	ProcessingGainDB float64
-}
+const (
+	// targetBER is the bit error rate the chosen uplink rate must sustain.
+	targetBER = 1e-6
+	// adaptRefRate is the rate at which AdaptUplink evaluates the link
+	// budget.
+	adaptRefRate = 10e6
+)
 
-// DefaultRateController targets BER 1e-6 on the standard ladder.
-func DefaultRateController() RateController {
-	return RateController{
-		Rates:            StandardUplinkRates,
-		TargetBER:        1e-6,
-		ProcessingGainDB: ber.DefaultProcessingGainDB,
-	}
-}
-
-func (rc RateController) validate() error {
-	if len(rc.Rates) == 0 {
-		return fmt.Errorf("proto: rate controller has no rates")
-	}
-	for i, r := range rc.Rates {
-		if r <= 0 {
-			return fmt.Errorf("proto: rate %d is non-positive (%g)", i, r)
-		}
-		if i > 0 && r >= rc.Rates[i-1] {
-			return fmt.Errorf("proto: rates must be strictly decreasing, got %g after %g", r, rc.Rates[i-1])
+// pickRate returns the fastest ladder rate whose predicted BER meets
+// targetBER, given the SNR (dB) at adaptRefRate. Noise power grows linearly
+// with bandwidth (∝ rate), so the SNR at rate r is
+// SNR(r₀) − 10·log10(r/r₀). If even the slowest rate misses the target, it
+// returns the slowest rate and false.
+func pickRate(snrAtRefDB float64) (float64, bool) {
+	needSNR := ber.SNRdBForBER(targetBER, ber.DefaultProcessingGainDB)
+	for _, r := range uplinkRates {
+		if snrAtRefDB-10*math.Log10(r/adaptRefRate) >= needSNR {
+			return r, true
 		}
 	}
-	if rc.TargetBER <= 0 || rc.TargetBER >= 0.5 {
-		return fmt.Errorf("proto: target BER %g outside (0, 0.5)", rc.TargetBER)
-	}
-	return nil
-}
-
-// Pick returns the fastest rate whose predicted BER meets the target, given
-// the measured SNR (dB) at the reference rate refRate. If even the slowest
-// rate misses the target, it returns the slowest rate and false.
-func (rc RateController) Pick(snrAtRefDB, refRate float64) (float64, bool, error) {
-	if err := rc.validate(); err != nil {
-		return 0, false, err
-	}
-	if refRate <= 0 {
-		return 0, false, fmt.Errorf("proto: reference rate must be positive, got %g", refRate)
-	}
-	needSNR := ber.SNRdBForBER(rc.TargetBER, rc.ProcessingGainDB)
-	for _, r := range rc.Rates {
-		snrAtR := snrAtRefDB - 10*math.Log10(r/refRate)
-		if snrAtR >= needSNR {
-			return r, true, nil
-		}
-	}
-	return rc.Rates[len(rc.Rates)-1], false, nil
+	return uplinkRates[len(uplinkRates)-1], false
 }
 
 // AdaptUplink measures the session's current uplink SNR (via the link
-// budget at the node's last known orientation and range) and returns the
-// chosen rate. The bool reports whether the target BER is achievable at
-// all.
-func (s *Session) AdaptUplink(rc RateController) (float64, bool, error) {
-	if err := rc.validate(); err != nil {
-		return 0, false, err
-	}
-	const refRate = 10e6
-	budget := s.sys.AP.UplinkBudget(s.node.FSA, s.node.Distance(), s.node.OrientationDeg, refRate)
-	return rc.Pick(budget.SNRdB(), refRate)
+// budget at the node's true orientation and range) and returns the fastest
+// ladder rate that sustains BER ≤ 1e-6. The bool reports whether the target
+// is achievable at all.
+func (s *Session) AdaptUplink() (float64, bool) {
+	budget := s.sys.AP.UplinkBudget(s.node.FSA, s.node.Distance(), s.node.OrientationDeg, adaptRefRate)
+	return pickRate(budget.SNRdB())
 }

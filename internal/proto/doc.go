@@ -11,19 +11,20 @@
 // Multiple nodes are served by spatial-division multiplexing: the AP steers
 // its beams at one node per packet and schedules packets round-robin
 // ("MilBack can potentially support multiple nodes by using spatial
-// division multiplexing", §7). The Network type makes that scheduling
-// concurrent: an airtime-scheduler goroutine (Engine) owns the simulated
-// channel, sessions submit jobs from any goroutine, and each session draws
-// its noise from its own deterministic SeedStream — so results are
-// bit-identical regardless of how caller goroutines interleave.
+// division multiplexing", §7). Two types carry that: a Session is one
+// node's protocol state at one AP, and an Engine is the AP's airtime
+// scheduler, a goroutine that owns the simulated channel and runs one job
+// at a time in per-node round-robin order. Each session draws its noise
+// from its own deterministic SeedStream, so results are bit-identical
+// regardless of how caller goroutines interleave.
 //
-// Concurrency contract: the *Context methods on Network are safe for
-// concurrent use. Direct Session method calls (RunPacketContext,
-// SendReliableContext, …) execute on the caller's goroutine without
-// scheduling and are only safe when nothing else touches the Network
-// concurrently.
+// Concurrency contract: Engine methods are safe for concurrent use.
+// Session methods (RunPacketContext, SendReliableContext, Localize, …)
+// execute on the caller's goroutine without scheduling; the caller runs
+// each one as an Engine job (the milback cluster does), or owns the whole
+// system on one goroutine (as the experiments and tests do).
 //
-// The engine records its accounting on the system's obs registry
+// The engine records its accounting on the registry it is given
 // (queue-wait and job-duration histograms, per-outcome job counters, one
 // trace span per executed job); Stats remains the stable snapshot facade
 // over those instruments.

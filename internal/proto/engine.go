@@ -35,9 +35,11 @@ var (
 	ErrClosed = errors.New("scheduler closed")
 )
 
-// networkJobKey is the queue key for network-scope jobs (discovery sweeps,
-// scene mutations) that are not tied to one session.
-const networkJobKey = 0
+// queueDepth is the submission channel buffer: it lets a burst of callers
+// hand their jobs over without waiting for the scheduler goroutine, which
+// absorbs every waiting submission before each grant. Submissions beyond
+// it block until the scheduler drains.
+const queueDepth = 64
 
 // EngineConfig parameterizes the scheduler.
 type EngineConfig struct {
@@ -50,12 +52,9 @@ type EngineConfig struct {
 	// the started job finishes. Zero disables the scheduler-level timeout;
 	// callers can always impose their own via context deadlines.
 	JobTimeout time.Duration
-	// QueueDepth is the submission channel buffer (default 64). Submissions
-	// beyond it block until the scheduler drains.
-	QueueDepth int
 	// OnGrant, if set, is invoked on the scheduler goroutine immediately
 	// before a job executes; the release func it returns runs right after.
-	// The network wires it to the capture plane's job lease so capture
+	// The cluster wires it to the capture plane's job lease so capture
 	// buffers a job leaks are reclaimed at the grant boundary.
 	OnGrant func() (release func())
 	// Admit, if set, is consulted on the scheduler goroutine before each
@@ -69,7 +68,7 @@ type EngineConfig struct {
 	// unconditionally (the single-AP configuration).
 	Admit func() (release func())
 	// OnAirtime, if set, receives each successful job's simulated AirtimeS
-	// on the scheduler goroutine after the job completes. The network wires
+	// on the scheduler goroutine after the job completes. The cluster wires
 	// it to the deployment's simulation clock, so spending channel time is
 	// what moves simulated time forward.
 	OnAirtime func(seconds float64)
@@ -191,15 +190,12 @@ type Engine struct {
 // NewEngine starts a scheduler goroutine and returns its handle. Close it
 // when done to release the goroutine.
 func NewEngine(cfg EngineConfig) *Engine {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
 	e := &Engine{
 		cfg:     cfg,
-		submit:  make(chan *job, cfg.QueueDepth),
+		submit:  make(chan *job, queueDepth),
 		quit:    make(chan struct{}),
 		stopped: make(chan struct{}),
 		obs:     resolveEngineObs(cfg.Obs),
@@ -242,8 +238,9 @@ func (e *Engine) Stats() Stats {
 // Run always waits for it to finish and returns its result, even if ctx
 // expires meanwhile: execution is never preempted and abandoning it would
 // race fn's writes against the caller's reads. key groups jobs into
-// per-node FIFO queues for the round-robin grant; use a session's id, or
-// networkJobKey for network-scope work.
+// per-node FIFO queues for the round-robin grant: one key per node, and a
+// key of its own for work not tied to one node (discovery sweeps, scene
+// edits).
 func (e *Engine) Run(ctx context.Context, key int, fn func(ctx context.Context) (JobReport, error)) error {
 	if ctx == nil {
 		ctx = context.Background()

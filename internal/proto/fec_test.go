@@ -175,8 +175,8 @@ func TestFECValidation(t *testing.T) {
 }
 
 func TestSendFECEndToEnd(t *testing.T) {
-	net := testNetwork(t)
-	s, err := net.Join(rfsim.PolarPoint(2.5, rfsim.DegToRad(5)), -10)
+	sys := testSystem(t)
+	s, err := join(sys, rfsim.PolarPoint(2.5, rfsim.DegToRad(5)), -10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +207,8 @@ func TestFECExtendsUsableRange(t *testing.T) {
 	// success counts over several seeds. At 7.5 m / 40 Mbps FEC succeeds on
 	// most trials and uncoded on almost none, so the margin is several
 	// successes wide rather than one.
-	net := testNetwork(t)
-	s, err := net.Join(rfsim.PolarPoint(7.5, 0), -10)
+	sys := testSystem(t)
+	s, err := join(sys, rfsim.PolarPoint(7.5, 0), -10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,31 +3,41 @@ package proto
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rfsim"
 	"repro/internal/waveform"
 )
 
-func testNetwork(t *testing.T) *Network {
+// testSystem builds a default single-AP system in the indoor scene.
+func testSystem(t *testing.T) *core.System {
 	t.Helper()
 	sys, err := core.NewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewNetwork(sys, NetworkOptions{BaseSeed: 1})
+	return sys
+}
+
+// join adds a node to sys and opens its session on the stream a base-seed-1
+// AP gives its k-th node (k = the join order, from 1).
+func join(sys *core.System, pos rfsim.Point, orientationDeg float64) (*Session, error) {
+	k := len(sys.Nodes()) + 1
+	n, err := sys.AddNode(pos, orientationDeg)
+	if err != nil {
+		return nil, err
+	}
+	return NewSession(sys, n, DeriveSessionSeed(1, k))
 }
 
 func TestSessionValidation(t *testing.T) {
 	if _, err := NewSession(nil, nil, 1); err == nil {
 		t.Fatal("nil args should fail")
 	}
-	net := testNetwork(t)
-	s, err := net.Join(rfsim.Point{X: 2}, 5)
+	sys := testSystem(t)
+	s, err := join(sys, rfsim.Point{X: 2}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +53,8 @@ func TestSessionValidation(t *testing.T) {
 }
 
 func TestDownlinkPacketEndToEnd(t *testing.T) {
-	net := testNetwork(t)
-	s, err := net.Join(rfsim.PolarPoint(3, rfsim.DegToRad(6)), -12)
+	sys := testSystem(t)
+	s, err := join(sys, rfsim.PolarPoint(3, rfsim.DegToRad(6)), -12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +91,8 @@ func TestDownlinkPacketEndToEnd(t *testing.T) {
 }
 
 func TestUplinkPacketEndToEnd(t *testing.T) {
-	net := testNetwork(t)
-	s, err := net.Join(rfsim.PolarPoint(2.5, rfsim.DegToRad(-10)), 8)
+	sys := testSystem(t)
+	s, err := join(sys, rfsim.PolarPoint(2.5, rfsim.DegToRad(-10)), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +113,8 @@ func TestUplinkCostsMoreEnergyPerSecondThanDownlink(t *testing.T) {
 	// §9.6: uplink runs the switches at symbol rate (32 mW) vs downlink's
 	// 18 mW. With equal payload sizes and rates, the uplink packet must
 	// consume more node energy.
-	net := testNetwork(t)
-	s, err := net.Join(rfsim.Point{X: 2}, -10)
+	sys := testSystem(t)
+	s, err := join(sys, rfsim.Point{X: 2}, -10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +133,8 @@ func TestUplinkCostsMoreEnergyPerSecondThanDownlink(t *testing.T) {
 }
 
 func TestAirtimeAccounting(t *testing.T) {
-	net := testNetwork(t)
-	s, err := net.Join(rfsim.Point{X: 2}, -10)
+	sys := testSystem(t)
+	s, err := join(sys, rfsim.Point{X: 2}, -10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +153,14 @@ func TestAirtimeAccounting(t *testing.T) {
 	}
 }
 
-// TestPollAllServesEveryNode polls the cell: one scheduled exchange per
-// session in join order, each of which must reach its own node.
+// TestPollAllServesEveryNode polls the cell: one exchange per session in
+// join order, each run as an engine job on the session's own queue, and
+// each must reach its own node.
 func TestPollAllServesEveryNode(t *testing.T) {
-	net := testNetwork(t)
+	sys := testSystem(t)
+	eng := NewEngine(EngineConfig{Obs: sys.Obs()})
+	defer eng.Close()
+	var sessions []*Session
 	for _, p := range []struct {
 		pos    rfsim.Point
 		orient float64
@@ -154,69 +168,33 @@ func TestPollAllServesEveryNode(t *testing.T) {
 		{rfsim.PolarPoint(2, rfsim.DegToRad(-12)), 8},
 		{rfsim.PolarPoint(3.5, rfsim.DegToRad(14)), -15},
 	} {
-		if _, err := net.Join(p.pos, p.orient); err != nil {
+		s, err := join(sys, p.pos, p.orient)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sessions = append(sessions, s)
 	}
 	payload := []byte("poll")
-	var outs []PacketOutcome
-	for i, s := range net.Sessions() {
-		o, err := net.ExchangeContext(context.Background(), s, waveform.Uplink, payload, 10e6)
+	for i, s := range sessions {
+		var o PacketOutcome
+		err := eng.Run(context.Background(), i+1, func(ctx context.Context) (JobReport, error) {
+			var err error
+			o, err = s.RunPacketContext(ctx, waveform.Uplink, payload, 10e6)
+			return JobReport{Exchange: true, BitsSent: o.BitsSent, AirtimeS: o.AirtimeS}, err
+		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		outs = append(outs, o)
-	}
-	if len(outs) != 2 {
-		t.Fatalf("outcomes = %d", len(outs))
-	}
-	for i, o := range outs {
 		if !bytes.Equal(o.Payload, payload) {
 			t.Errorf("node %d payload corrupted", i)
 		}
 		// Each node's localization should reflect ITS position.
-		wantRange := net.Sessions()[i].Node().Distance()
+		wantRange := s.Node().Distance()
 		if math.Abs(o.Localization.RangeM-wantRange) > 0.3 {
 			t.Errorf("node %d range = %.3f, want %.3f", i, o.Localization.RangeM, wantRange)
 		}
 	}
-	if net.System() == nil {
-		t.Error("System accessor broken")
-	}
-}
-
-// TestDiscoverContextHonoursJobContext pins that a discovery job sweeps
-// under the job's effective context: a client that goes away after the
-// sweep is granted airtime (cancelled here from the admission hook, which
-// runs between the scheduler's own check and the job) stops the sweep
-// before its first pointing, with ErrCancelled wrapping context.Canceled
-// and no capture lease left open.
-func TestDiscoverContextHonoursJobContext(t *testing.T) {
-	sys, err := core.NewSystem(core.DefaultConfig(), rfsim.DefaultIndoorScene())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	net := NewNetwork(sys, NetworkOptions{BaseSeed: 1, Admit: func() func() {
-		cancel()
-		return func() {}
-	}})
-	defer net.Close()
-	for _, az := range []float64{-20, 0, 20} {
-		if _, err := net.Join(rfsim.PolarPoint(3, rfsim.DegToRad(az)), 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err = net.DiscoverContext(ctx, core.DefaultScanConfig())
-	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want ErrCancelled wrapping context.Canceled", err)
-	}
-	snap := sys.Obs().Snapshot()
-	if got := snap.Counters[obs.MetricCapturesAcquired]; got != 0 {
-		t.Errorf("cancelled sweep still captured %d pointings", got)
-	}
-	if opened, closed := snap.Counters[obs.MetricLeasesOpened], snap.Counters[obs.MetricLeasesClosed]; opened != closed {
-		t.Errorf("%d leases opened but %d closed", opened, closed)
+	if st := eng.Stats(); st.Exchanges != 2 || st.BitsSent != 2*8*uint64(len(payload)) {
+		t.Errorf("engine stats %+v, want 2 exchanges of %d bits", st, 8*len(payload))
 	}
 }

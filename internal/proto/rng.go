@@ -6,7 +6,7 @@ package proto
 // and the facade used to mint those seeds from one shared counter — which
 // made results depend on the global order of API calls and made concurrent
 // callers race. A SeedStream instead derives each operation's seed from
-// (network base seed, stream id, operation counter) through SplitMix64, so
+// (base seed, stream id, operation counter) through SplitMix64, so
 // a session's k-th operation sees the same noise no matter what any other
 // session is doing. Streams with different ids are statistically
 // independent; the same (base, id, k) triple always yields the same seed.
@@ -46,15 +46,12 @@ func (s *SeedStream) Next() int64 {
 	return int64(splitmix64(s.state+s.ctr*splitmix64Gamma) >> 1)
 }
 
-// Drawn reports how many seeds the stream has produced (diagnostic).
-func (s *SeedStream) Drawn() uint64 { return s.ctr }
-
-// DeriveSessionSeed mixes a network base seed with a per-node stream id into
+// DeriveSessionSeed mixes a base seed with a per-node stream id into
 // the root seed of that node's session stream. Distinct ids land in
 // unrelated SplitMix64 states, so joining or operating one node never
 // perturbs another node's noise.
-func DeriveSessionSeed(networkSeed int64, streamID int) int64 {
-	h := splitmix64(uint64(networkSeed))
+func DeriveSessionSeed(baseSeed int64, streamID int) int64 {
+	h := splitmix64(uint64(baseSeed))
 	h = splitmix64(h ^ splitmix64(uint64(int64(streamID))))
 	return int64(h >> 1)
 }

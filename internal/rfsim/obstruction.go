@@ -24,20 +24,6 @@ func (s *Scene) AddObstruction(o Obstruction) {
 	s.Obstructions = append(s.Obstructions, o)
 }
 
-// MoveObstruction repositions the first obstruction with the given name,
-// reporting whether one was found. Unlike a Remove/Add pair it keeps the
-// obstruction's place in the scene, so losses keep summing in the same
-// order.
-func (s *Scene) MoveObstruction(name string, a, b Point) bool {
-	for i, o := range s.Obstructions {
-		if o.Name == name {
-			s.Obstructions[i].A, s.Obstructions[i].B = a, b
-			return true
-		}
-	}
-	return false
-}
-
 // RemoveObstruction deletes the first obstruction with the given name,
 // reporting whether one was found.
 func (s *Scene) RemoveObstruction(name string) bool {

@@ -20,41 +20,12 @@ type Reflector struct {
 // Scene is the simulated indoor environment: a set of static reflectors
 // plus any blocking obstructions (see Obstruction). Nothing is derived from
 // it ahead of time — each capture reads the slices as they stand — so a
-// live scene may be edited through the Add/Remove/Move mutators or
-// directly, as long as the edit is serialized against captures (the
-// airtime scheduler does that for the protocol layer).
+// live scene may be edited through AddObstruction/RemoveObstruction or by
+// editing the slices directly, as long as the edit is serialized against
+// captures (the airtime scheduler does that for the protocol layer).
 type Scene struct {
 	Reflectors   []Reflector
 	Obstructions []Obstruction
-}
-
-// AddReflector appends a clutter reflector to the scene.
-func (s *Scene) AddReflector(r Reflector) {
-	s.Reflectors = append(s.Reflectors, r)
-}
-
-// RemoveReflector deletes the first reflector with the given name,
-// reporting whether one was found.
-func (s *Scene) RemoveReflector(name string) bool {
-	for i, r := range s.Reflectors {
-		if r.Name == name {
-			s.Reflectors = append(s.Reflectors[:i], s.Reflectors[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// MoveReflector repositions the first reflector with the given name,
-// reporting whether one was found.
-func (s *Scene) MoveReflector(name string, to Point) bool {
-	for i, r := range s.Reflectors {
-		if r.Name == name {
-			s.Reflectors[i].Position = to
-			return true
-		}
-	}
-	return false
 }
 
 // DefaultIndoorScene reproduces the evaluation environment of §9: "an indoor

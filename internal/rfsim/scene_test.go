@@ -21,8 +21,9 @@ func clutterPaths(s *Scene, tx, rx *Antenna, f float64) []Path {
 	return s.AppendClutterPaths(nil, tx, rx, f)
 }
 
-// TestSceneGenerationBumpsOnEveryMutator checks that every mutator edits
-// the named object and yields a new generation of the scene: one whose
+// TestSceneGenerationBumpsOnEveryMutator checks that every kind of scene
+// edit — the obstruction mutators and direct edits of the reflector and
+// obstruction slices — yields a new generation of the scene: one whose
 // freshly derived clutter paths differ from the previous generation's, so
 // a capture after the edit sees it.
 func TestSceneGenerationBumpsOnEveryMutator(t *testing.T) {
@@ -41,15 +42,17 @@ func TestSceneGenerationBumpsOnEveryMutator(t *testing.T) {
 		prev = got
 	}
 	nRefl := len(s.Reflectors)
-	step("AddReflector", func() bool {
-		s.AddReflector(Reflector{Name: "cart", Position: Point{X: 2, Y: 1}, RCS: 0.5})
-		return len(s.Reflectors) == nRefl+1 && s.Reflectors[nRefl].Name == "cart"
+	step("add reflector", func() bool {
+		s.Reflectors = append(s.Reflectors, Reflector{Name: "cart", Position: Point{X: 2, Y: 1}, RCS: 0.5})
+		return true
 	})
-	step("MoveReflector", func() bool {
-		return s.MoveReflector("cart", Point{X: 3, Y: 1}) && s.Reflectors[nRefl].Position == (Point{X: 3, Y: 1})
+	step("move reflector", func() bool {
+		s.Reflectors[nRefl].Position = Point{X: 3, Y: 1}
+		return true
 	})
-	step("RemoveReflector", func() bool {
-		return s.RemoveReflector("cart") && len(s.Reflectors) == nRefl
+	step("remove reflector", func() bool {
+		s.Reflectors = s.Reflectors[:nRefl]
+		return true
 	})
 	// The body first stands on the AP→back-wall ray (y=0 at x=6), then
 	// steps off it.
@@ -57,28 +60,29 @@ func TestSceneGenerationBumpsOnEveryMutator(t *testing.T) {
 		s.AddObstruction(Obstruction{Name: "body", A: Point{X: 6, Y: -0.3}, B: Point{X: 6, Y: 0.3}, LossDB: 30})
 		return len(s.Obstructions) == 1
 	})
-	step("MoveObstruction", func() bool {
-		return s.MoveObstruction("body", Point{X: -5, Y: -5}, Point{X: -5, Y: -6}) && s.Obstructions[0].A == (Point{X: -5, Y: -5})
+	step("move obstruction", func() bool {
+		s.Obstructions[0].A, s.Obstructions[0].B = Point{X: -5, Y: -5}, Point{X: -5, Y: -6}
+		return true
 	})
 	// Back onto the ray, so that removing the body lifts its loss.
-	step("MoveObstruction back", func() bool {
-		return s.MoveObstruction("body", Point{X: 6, Y: -0.3}, Point{X: 6, Y: 0.3})
+	step("move obstruction back", func() bool {
+		s.Obstructions[0].A, s.Obstructions[0].B = Point{X: 6, Y: -0.3}, Point{X: 6, Y: 0.3}
+		return true
 	})
 	step("RemoveObstruction", func() bool {
 		return s.RemoveObstruction("body") && len(s.Obstructions) == 0
 	})
 }
 
-// TestSceneGenerationUnchangedOnMisses checks that a mutation naming an
-// unknown object reports false and leaves the scene, and so its derived
-// clutter paths, as they were.
+// TestSceneGenerationUnchangedOnMisses checks that a removal naming an
+// unknown obstruction reports false and leaves the scene, and so its
+// derived clutter paths, as they were.
 func TestSceneGenerationUnchangedOnMisses(t *testing.T) {
 	s := DefaultIndoorScene()
 	s.AddObstruction(Obstruction{Name: "cabinet", A: Point{X: 6, Y: -0.3}, B: Point{X: 6, Y: 0.3}, LossDB: 40})
 	before := clutterPaths(s, testHorn(0), testHorn(0), 28e9)
-	if s.RemoveReflector("no-such-reflector") || s.MoveReflector("no-such-reflector", Point{}) ||
-		s.RemoveObstruction("no-such-obstruction") || s.MoveObstruction("no-such-obstruction", Point{}, Point{}) {
-		t.Fatal("a mutator reported success for an unknown name")
+	if s.RemoveObstruction("no-such-obstruction") {
+		t.Fatal("RemoveObstruction reported success for an unknown name")
 	}
 	if after := clutterPaths(s, testHorn(0), testHorn(0), 28e9); !slices.Equal(before, after) {
 		t.Fatalf("a missed mutation changed the clutter paths: %+v -> %+v", before, after)

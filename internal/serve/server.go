@@ -106,9 +106,6 @@ func (m *muxErrorWriter) Write(b []byte) (int, error) {
 // "draining") so load balancers observe the exit. Idempotent.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // InFlight returns the number of API requests currently executing.
 func (s *Server) InFlight() int { return int(s.active.Load()) }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/motion"
@@ -77,13 +78,16 @@ func defaultInterferenceRadius(cfg core.Config) float64 {
 }
 
 // apCell is one AP's full vertical slice: its own system (scene, capture
-// plane, kernels, obs registry) and scheduler, plus the cluster's per-AP
-// roaming instruments.
+// plane, kernels, obs registry) and airtime scheduler, plus the cluster's
+// per-AP roaming instruments.
 type apCell struct {
 	index int
 	place APPlacement
 	sys   *core.System
-	net   *proto.Network
+	eng   *proto.Engine
+	// discovery is the cell's sweep seed stream. It is drawn only inside
+	// sweep jobs, on the engine's scheduler goroutine, so it needs no lock.
+	discovery proto.SeedStream
 
 	handoffsIn  *obs.Counter
 	handoffsOut *obs.Counter
@@ -97,6 +101,11 @@ type apCell struct {
 	// construction, so ops may index it without the cluster lock.
 	leaving, removed bool
 }
+
+// cellJobKey is the engine queue key of work not tied to one node
+// (discovery sweeps, scene edits); a node's jobs queue under its NodeID,
+// and NodeIDs start at 1.
+const cellJobKey = 0
 
 // local translates a cluster-frame point into the cell's AP-local frame
 // (the AP sits at the origin of its own system).
@@ -208,34 +217,26 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	for i, pl := range layout {
 		sys, err := core.NewSystem(o.cfg, sceneForAP(o.scene, pl, i))
 		if err != nil {
+			c.Close()
 			return nil, fmt.Errorf("%w: AP %d: %w", ErrInvalidConfig, i, err)
 		}
-		cell := &apCell{index: i, place: pl, sys: sys}
-		netOpts := proto.NetworkOptions{BaseSeed: c.apSeed(i), JobTimeout: o.jobTimeout}
-		if c.adm != nil {
-			ap := i
-			netOpts.Admit = func() (release func()) { return c.adm.admit(ap) }
+		if i > 0 {
+			// One timeline per deployment: every cell's airtime folds into
+			// AP 0's clock, so a node's simulation time survives handoffs
+			// unchanged.
+			sys.SetClock(c.aps[0].sys.Clock())
 		}
-		cell.net = proto.NewNetwork(sys, netOpts)
-		reg := sys.Obs()
-		cell.handoffsIn = reg.Counter(obs.MetricHandoffsIn)
-		cell.handoffsOut = reg.Counter(obs.MetricHandoffsOut)
-		cell.rebalances = reg.Counter(obs.MetricRebalances)
-		cell.nodes = reg.Gauge(obs.MetricNodes)
-		c.aps = append(c.aps, cell)
-	}
-	// One timeline per deployment: every cell's airtime folds into AP 0's
-	// clock, so a node's simulation time survives handoffs unchanged.
-	for _, cell := range c.aps[1:] {
-		cell.sys.SetClock(c.aps[0].sys.Clock())
+		c.aps = append(c.aps, c.newCell(i, pl, sys, o.jobTimeout))
 	}
 	if o.debugAddr != "" {
 		reg := c.aps[0].sys.Obs()
 		if reg == nil {
+			c.Close()
 			return nil, fmt.Errorf("%w: debug server requires observability (DisableObservability is set)", ErrInvalidConfig)
 		}
 		debug, err := obs.StartDebugServer(o.debugAddr, reg)
 		if err != nil {
+			c.Close()
 			return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 		}
 		c.debug = debug
@@ -243,10 +244,44 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
-// apSeed derives AP i's network seed root. AP 0 keeps the cluster seed
-// itself — a 1-AP cluster therefore draws exactly the streams of a bare
-// proto.Network with the same seed — and the others split off dedicated
-// streams at negative indices, which real session ids (positive) never
+// newCell builds AP i's cell around its system and starts its airtime
+// scheduler. Each grant first freezes every trajectory-bound node's pose
+// (idempotent between advances) and brackets the job with a capture-plane
+// job lease, so capture buffers a job leaks are reclaimed when its grant
+// ends; each job's airtime advances the shared clock, and with co-channel
+// neighbours every grant passes the cluster admission check.
+func (c *Cluster) newCell(i int, pl APPlacement, sys *core.System, jobTimeout time.Duration) *apCell {
+	cfg := proto.EngineConfig{
+		JobTimeout: jobTimeout,
+		Obs:        sys.Obs(),
+		Tracer:     sys.Tracer(),
+		OnGrant: func() func() {
+			sys.SyncMotion()
+			return sys.Capture().BeginJob().End
+		},
+		OnAirtime: func(seconds float64) { sys.Clock().Advance(seconds) },
+	}
+	if c.adm != nil {
+		cfg.Admit = func() (release func()) { return c.adm.admit(i) }
+	}
+	reg := sys.Obs()
+	return &apCell{
+		index:       i,
+		place:       pl,
+		sys:         sys,
+		eng:         proto.NewEngine(cfg),
+		discovery:   proto.NewSeedStream(proto.DeriveSessionSeed(c.apSeed(i), cellJobKey)),
+		handoffsIn:  reg.Counter(obs.MetricHandoffsIn),
+		handoffsOut: reg.Counter(obs.MetricHandoffsOut),
+		rebalances:  reg.Counter(obs.MetricRebalances),
+		nodes:       reg.Gauge(obs.MetricNodes),
+	}
+}
+
+// apSeed derives AP i's seed root. AP 0 keeps the cluster seed itself, so
+// a 1-AP cluster draws exactly the streams the single-AP testbed drew at
+// the same seed, and the others split off dedicated streams at negative
+// indices, which NodeIDs (positive) and the discovery stream (0) never
 // collide with.
 func (c *Cluster) apSeed(i int) int64 {
 	if i == 0 {
@@ -256,9 +291,10 @@ func (c *Cluster) apSeed(i int) int64 {
 }
 
 // sessionSeed roots a node's per-session stream at a given AP and handoff
-// generation. Generation 0 matches proto.Network.Join's derivation exactly;
-// each handoff re-derives, so a node's post-handoff noise depends only on
-// where it landed and how many times it moved homes — not on when.
+// generation. Generation 0 is DeriveSessionSeed(apSeed, NodeID), the
+// join-order derivation of the single-AP testbed; each handoff re-derives,
+// so a node's post-handoff noise depends only on where it landed and how
+// many times it moved homes — not on when.
 func sessionSeed(apSeed int64, id NodeID, gen int) int64 {
 	s := proto.DeriveSessionSeed(apSeed, int(id))
 	if gen > 0 {
@@ -300,7 +336,7 @@ func sceneForAP(s *rfsim.Scene, pl APPlacement, index int) *rfsim.Scene {
 // call. Idempotent.
 func (c *Cluster) Close() {
 	for _, cell := range c.aps {
-		cell.net.Close()
+		cell.eng.Close()
 	}
 	_ = c.debug.Close()
 }
@@ -395,7 +431,7 @@ func (c *Cluster) Join(ctx context.Context, x, y, orientationDeg float64) (NodeI
 	c.mu.Unlock()
 
 	cell := c.aps[cn.ap]
-	sess, err := cell.net.JoinSeeded(cell.local(x, y), orientationDeg, int(cn.id), sessionSeed(c.apSeed(cn.ap), cn.id, 0))
+	sess, err := cell.join(x, y, orientationDeg, sessionSeed(c.apSeed(cn.ap), cn.id, 0))
 	if err != nil {
 		c.mu.Lock()
 		delete(c.nodes, cn.id)
@@ -411,6 +447,27 @@ func (c *Cluster) Join(ctx context.Context, x, y, orientationDeg float64) (NodeI
 	cn.sess = sess
 	cell.nodes.Add(1)
 	return cn.id, nil
+}
+
+// join adds a node at cluster-frame (x, y) to the cell's system and opens
+// its session with the given seed-stream root.
+func (c *apCell) join(x, y, orientationDeg float64, seed int64) (*proto.Session, error) {
+	nd, err := c.sys.AddNode(c.local(x, y), orientationDeg)
+	if err != nil {
+		return nil, err
+	}
+	return proto.NewSession(c.sys, nd, seed)
+}
+
+// snapshot returns the live nodes in join (NodeID) order.
+func (c *Cluster) snapshot() []*clusterNode {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	nodes := make([]*clusterNode, len(c.order))
+	for i, id := range c.order {
+		nodes[i] = c.nodes[id]
+	}
+	return nodes
 }
 
 // Nodes returns the live node handles in join order.
@@ -462,11 +519,23 @@ func (c *Cluster) Localize(ctx context.Context, id NodeID) (Position, error) {
 	}
 	defer cn.mu.Unlock()
 	cell := c.aps[cn.ap]
-	out, err := cell.net.LocalizeContext(ctx, cn.sess)
+	out, err := cell.localize(ctx, cn)
 	if err != nil {
 		return Position{}, fmt.Errorf("milback: %w", err)
 	}
 	return cell.position(out), nil
+}
+
+// localize runs one §5 localization fix of cn as a job on the node's queue
+// at this AP.
+func (c *apCell) localize(ctx context.Context, cn *clusterNode) (core.LocalizationOutcome, error) {
+	var out core.LocalizationOutcome
+	err := c.eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
+		var err error
+		out, err = cn.sess.Localize()
+		return proto.JobReport{Localization: true}, err
+	})
+	return out, err
 }
 
 // Orientation runs the node-side §5.2b estimation through the node's
@@ -477,11 +546,16 @@ func (c *Cluster) Orientation(ctx context.Context, id NodeID) (float64, error) {
 		return 0, err
 	}
 	defer cn.mu.Unlock()
-	res, err := c.aps[cn.ap].net.SenseOrientationContext(ctx, cn.sess)
+	var deg float64
+	err = c.aps[cn.ap].eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
+		res, err := cn.sess.SenseOrientation()
+		deg = res.EstimateDeg
+		return proto.JobReport{Localization: true}, err
+	})
 	if err != nil {
 		return 0, fmt.Errorf("milback: %w", err)
 	}
-	return res.EstimateDeg, nil
+	return deg, nil
 }
 
 // Send transmits data from the node to its serving AP (uplink backscatter)
@@ -505,7 +579,17 @@ func (c *Cluster) exchange(ctx context.Context, id NodeID, dir waveform.Directio
 	}
 	defer cn.mu.Unlock()
 	cell := c.aps[cn.ap]
-	out, err := cell.net.ExchangeContext(ctx, cn.sess, dir, data, bitRate)
+	var out proto.PacketOutcome
+	err = cell.eng.Run(ctx, int(cn.id), func(jctx context.Context) (proto.JobReport, error) {
+		var err error
+		out, err = cn.sess.RunPacketContext(jctx, dir, data, bitRate)
+		return proto.JobReport{
+			Exchange:  true,
+			BitErrors: out.BitErrors,
+			BitsSent:  out.BitsSent,
+			AirtimeS:  out.AirtimeS,
+		}, err
+	})
 	if err != nil {
 		return Exchange{}, fmt.Errorf("milback: %w", err)
 	}
@@ -538,7 +622,13 @@ func (c *Cluster) Move(ctx context.Context, id NodeID, x, y, orientationDeg floa
 	target := c.ownerLocked(x, y)
 	c.mu.Unlock()
 	if target == cn.ap {
-		if err := c.aps[cn.ap].net.MoveContext(ctx, cn.sess, c.aps[cn.ap].local(x, y), orientationDeg); err != nil {
+		cell := c.aps[cn.ap]
+		err := cell.eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
+			nd := cn.sess.Node()
+			nd.Position, nd.OrientationDeg = cell.local(x, y), orientationDeg
+			return proto.JobReport{}, nil
+		})
+		if err != nil {
 			return fmt.Errorf("milback: %w", err)
 		}
 		cn.x, cn.y, cn.orientDeg = x, y, orientationDeg
@@ -556,8 +646,8 @@ func (c *Cluster) handoffLocked(ctx context.Context, cn *clusterNode, target int
 	// AP, so an in-flight grant for this node completes first and the
 	// OnGrant job lease reclaims any capture buffers at that boundary. A
 	// lease is never torn mid-capture.
-	err := oldCell.net.RunSessionJobContext(ctx, cn.sess, func(context.Context) (proto.JobReport, error) {
-		oldCell.net.Detach(cn.sess)
+	err := oldCell.eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
+		oldCell.sys.RemoveNode(cn.sess.Node())
 		return proto.JobReport{}, nil
 	})
 	if err != nil && !errors.Is(err, ErrClosed) {
@@ -565,8 +655,7 @@ func (c *Cluster) handoffLocked(ctx context.Context, cn *clusterNode, target int
 		return fmt.Errorf("milback: handoff drain: %w", err)
 	}
 	gen := cn.gen + 1
-	sess, err := newCell.net.JoinSeeded(newCell.local(x, y), orientationDeg, int(cn.id),
-		sessionSeed(c.apSeed(target), cn.id, gen))
+	sess, err := newCell.join(x, y, orientationDeg, sessionSeed(c.apSeed(target), cn.id, gen))
 	if err != nil {
 		return fmt.Errorf("milback: handoff join: %w", err)
 	}
@@ -585,7 +674,7 @@ func (c *Cluster) handoffLocked(ctx context.Context, cn *clusterNode, target int
 	// serving AP (and advances the new session's seed stream by exactly one
 	// operation, keeping the handoff sequence deterministic). A node the
 	// new AP cannot see yet is still handed off — the fix is best-effort.
-	if _, err := newCell.net.LocalizeContext(ctx, sess); err != nil && !errors.Is(err, ErrNoDetection) {
+	if _, err := newCell.localize(ctx, cn); err != nil && !errors.Is(err, ErrNoDetection) {
 		return fmt.Errorf("milback: handoff re-discover: %w", err)
 	}
 	return nil
@@ -610,13 +699,9 @@ func (c *Cluster) RemoveAP(ctx context.Context, apIndex int) error {
 		return fmt.Errorf("%w: cannot remove the last AP", ErrInvalidConfig)
 	}
 	c.aps[apIndex].leaving = true
-	victims := make([]*clusterNode, 0, len(c.order))
-	for _, id := range c.order {
-		victims = append(victims, c.nodes[id])
-	}
 	c.mu.Unlock()
 
-	for _, cn := range victims {
+	for _, cn := range c.snapshot() {
 		cn.mu.Lock()
 		if cn.ap == apIndex {
 			c.mu.Lock()
@@ -631,7 +716,7 @@ func (c *Cluster) RemoveAP(ctx context.Context, apIndex int) error {
 	}
 
 	cell := c.aps[apIndex]
-	cell.net.Close()
+	cell.eng.Close()
 	c.mu.Lock()
 	cell.removed = true
 	c.mu.Unlock()
@@ -660,7 +745,15 @@ func (c *Cluster) Discover(ctx context.Context) ([]ClusterDetection, error) {
 		if removed {
 			continue
 		}
-		dets, err := cell.net.DiscoverContext(ctx, core.DefaultScanConfig())
+		var dets []core.NodeDetection
+		err := cell.eng.Run(ctx, cellJobKey, func(jctx context.Context) (proto.JobReport, error) {
+			var err error
+			dets, err = cell.sys.Discover(jctx, core.DefaultScanConfig(), cell.discovery.Next())
+			if cerr := jctx.Err(); cerr != nil && errors.Is(err, cerr) {
+				err = fmt.Errorf("%w: %w", ErrCancelled, err)
+			}
+			return proto.JobReport{Localization: true}, err
+		})
 		if err != nil {
 			if errors.Is(err, ErrNoDetection) {
 				continue
@@ -700,7 +793,7 @@ func (c *Cluster) AddBlocker(ctx context.Context, name string, x1, y1, x2, y2, l
 		return fmt.Errorf("%w: blocker (%g, %g)-(%g, %g)", ErrInvalidCoordinate, x1, y1, x2, y2)
 	}
 	return c.eachLiveCell(func(cell *apCell) error {
-		return cell.net.RunNetworkJobContext(ctx, func(context.Context) (proto.JobReport, error) {
+		return cell.eng.Run(ctx, cellJobKey, func(context.Context) (proto.JobReport, error) {
 			cell.sys.AP.Scene().AddObstruction(rfsim.Obstruction{
 				Name:   name,
 				A:      cell.local(x1, y1),
@@ -718,7 +811,7 @@ func (c *Cluster) AddBlocker(ctx context.Context, name string, x1, y1, x2, y2, l
 func (c *Cluster) RemoveBlocker(ctx context.Context, name string) (bool, error) {
 	existed := false
 	err := c.eachLiveCell(func(cell *apCell) error {
-		return cell.net.RunNetworkJobContext(ctx, func(context.Context) (proto.JobReport, error) {
+		return cell.eng.Run(ctx, cellJobKey, func(context.Context) (proto.JobReport, error) {
 			if cell.sys.AP.Scene().RemoveObstruction(name) {
 				existed = true
 			}
@@ -753,7 +846,7 @@ func (c *Cluster) eachLiveCell(fn func(*apCell) error) error {
 func (c *Cluster) Stats() Stats {
 	var total Stats
 	for _, cell := range c.aps {
-		s := cell.net.Stats()
+		s := cell.eng.Stats()
 		total.Exchanges += s.Exchanges
 		total.Localizations += s.Localizations
 		total.BitErrors += s.BitErrors

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -226,6 +227,130 @@ func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 			t.Errorf("node %d: cluster fix diverged from the single-AP golden: %+v vs %+v", i, pos, w.fix)
 		}
 	}
+
+	// The second input set covers every other operation a cell runs on its
+	// engine, on a 1-AP and a 3-AP cluster at seed 13. Its values were
+	// recorded before the cells drove their engines directly.
+	single := opsGolden{
+		Discover: []ClusterDetection{
+			{AP: 0, Detection: Detection{RangeM: 4.650725998113634, AzimuthDeg: -22.020704002839533, X: 4.311448229389619, Y: -1.7437506917054328, SNRdB: 33.931828897070545}},
+			{AP: 0, Detection: Detection{RangeM: 2.3191669258788914, AzimuthDeg: -21.967239580072626, X: 2.1507905240529994, Y: -0.8675455905797522, SNRdB: 48.42560970490514}},
+			{AP: 0, Detection: Detection{RangeM: 6.946039443770053, AzimuthDeg: -3.278551947476719, X: 6.9346708272050375, Y: -0.39724611102034024, SNRdB: 29.635160399064738}},
+			{AP: 0, Detection: Detection{RangeM: 3.2083572168236505, AzimuthDeg: 17.657051912510447, X: 3.0572086605262556, Y: 0.97315529939864, SNRdB: 41.949507978060836}},
+		},
+		OrientationDeg:   6.248983250835989,
+		VelocityMS:       -0.0007044417794410039,
+		Rate:             20e6,
+		RateOK:           true,
+		FECData:          "forward-error-corrected",
+		FECCorrections:   7,
+		ReliableAttempts: 2,
+		Superframe: CellStats{
+			PerNodeDeliveredBits:   []int{384, 384, 384, 287},
+			AggregateThroughputBps: 736588.8615888617,
+			Fairness:               0.9865518345380638,
+			TotalAirtimeS:          0.0019535999999999998,
+		},
+	}
+	if got := singleAPOps(t); !reflect.DeepEqual(got, single) {
+		t.Errorf("1-AP operations diverged from the golden:\n got %+v\nwant %+v", got, single)
+	}
+	multi := opsGolden{
+		Discover: []ClusterDetection{
+			{AP: 0, Detection: Detection{RangeM: 2.4866802138744215, AzimuthDeg: 7.033676486465346, X: 2.4679663279152595, Y: 0.30450072307140597, SNRdB: 46.59607660549894}},
+			{AP: 1, Detection: Detection{RangeM: 2.938303661297965, AzimuthDeg: 9.214663992400267, X: 2.9003857738828023, Y: 12.470521804654453, SNRdB: 44.99205591072463}},
+			{AP: 2, Detection: Detection{RangeM: 3.5329433716272063, AzimuthDeg: 11.031881363496325, X: 3.4676576119621916, Y: 24.676047005263158, SNRdB: 41.1025214270071}},
+		},
+		Superframe: CellStats{
+			PerNodeDeliveredBits:   []int{256, 256, 0, 256},
+			AggregateThroughputBps: 409207.16112531966,
+			Fairness:               0.75,
+			TotalAirtimeS:          0.0018768,
+		},
+	}
+	if got := multiAPOps(t); !reflect.DeepEqual(got, multi) {
+		t.Errorf("3-AP operations diverged from the golden:\n got %+v\nwant %+v", got, multi)
+	}
+}
+
+// opsGolden is what the second input set of
+// TestClusterSingleAPMatchesNetworkDeterministic observes.
+type opsGolden struct {
+	Discover         []ClusterDetection
+	OrientationDeg   float64
+	VelocityMS       float64
+	Rate             float64
+	RateOK           bool
+	FECData          string
+	FECCorrections   int
+	ReliableAttempts int
+	Superframe       CellStats
+}
+
+// singleAPOps runs one of each engine-scheduled operation on a 1-AP
+// cluster: a sweep, a node-side orientation, a Doppler burst, a rate
+// probe, an FEC packet, an ARQ transfer to a far node (7 m, which needs a
+// retry) and a superframe.
+func singleAPOps(t *testing.T) opsGolden {
+	t.Helper()
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(13))
+	a := mustJoin(t, c, 2.2, -0.8, 6)
+	b := mustJoin(t, c, 3.1, 0.9, -9)
+	d := mustJoin(t, c, 4.4, -1.6, 12)
+	e := mustJoin(t, c, 7, -0.5, 6)
+	var g opsGolden
+	var err error
+	if g.Discover, err = c.Discover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if g.OrientationDeg, err = c.Orientation(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	if g.VelocityMS, err = c.MeasureVelocity(ctx, b, 32); err != nil {
+		t.Fatal(err)
+	}
+	if g.Rate, g.RateOK, err = c.BestUplinkRate(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	data, corrections, err := c.SendFEC(ctx, e, []byte("forward-error-corrected"), 80e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.FECData, g.FECCorrections = string(data), corrections
+	rel, err := c.DeliverReliable(ctx, e, []byte("stop-and-wait"), Rate36Mbps, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.ReliableAttempts = rel.Attempts
+	if g.Superframe, err = c.RunUplinkSuperframe(ctx, 24, 2, Rate10Mbps); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// multiAPOps sweeps and runs a superframe on the default 3-AP layout, with
+// NodeIDs interleaved across APs and the fourth node (at AP 1) behind a
+// 40 dB pillar, so its slots fail and cost only preamble airtime.
+func multiAPOps(t *testing.T) opsGolden {
+	t.Helper()
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(13), WithAPs(3))
+	for _, p := range [][3]float64{{3, 12.4, -5}, {2.5, 0.3, 7}, {3.5, 24.6, 3}, {4, 11.2, 10}} {
+		mustJoin(t, c, p[0], p[1], p[2])
+	}
+	if err := c.AddBlocker(ctx, "pillar", 1, 11.6, 1, 12, 40); err != nil {
+		t.Fatal(err)
+	}
+	var g opsGolden
+	var err error
+	if g.Discover, err = c.Discover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if g.Superframe, err = c.RunUplinkSuperframe(ctx, 16, 2, Rate10Mbps); err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestClusterPartitionBoundaryNode pins the tie rule on the boundary

@@ -186,3 +186,27 @@ func TestConcurrentMixedOperations(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestClusterJoinDuringDiscover joins nodes while sweeps run at the same
+// AP: a join adds to the AP's node list on the caller's goroutine while a
+// sweep reads that list on the scheduler goroutine, and the race detector
+// must see no unsynchronized access.
+func TestClusterJoinDuringDiscover(t *testing.T) {
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(7))
+	mustJoin(t, c, 2, 0, 0)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3; i++ {
+			if _, err := c.Discover(ctx); err != nil {
+				t.Errorf("sweep %d: %v", i, err)
+			}
+		}
+	}()
+	for _, p := range concurrencyPlacements {
+		mustJoin(t, c, p.x, p.y, p.orient)
+	}
+	wg.Wait()
+}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -15,6 +17,33 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(WithSystemConfig(core.Config{})); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("zero config: err = %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestNewClusterFailureStopsEngines pins that a NewCluster failing after
+// its cells (and their airtime schedulers) exist closes them again: a
+// debug server that cannot start must not leak engine goroutines.
+func TestNewClusterFailureStopsEngines(t *testing.T) {
+	noObs := core.DefaultConfig()
+	noObs.DisableObservability = true
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if _, err := NewCluster(WithAPs(3), WithDebugServer("no-port")); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("unbindable debug address: err = %v, want ErrInvalidConfig", err)
+		}
+		if _, err := NewCluster(WithAPs(3), WithSystemConfig(noObs), WithDebugServer(":0")); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("debug server without observability: err = %v, want ErrInvalidConfig", err)
+		}
+	}
+	// A closed engine's goroutine has signalled its exit but may still be
+	// unwinding; give it a moment before counting.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines before 20 failed NewCluster calls, %d after", before, after)
 	}
 }
 

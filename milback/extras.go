@@ -52,7 +52,7 @@ func (c *Cluster) reliable(ctx context.Context, id NodeID, dir waveform.Directio
 	}
 	defer cn.mu.Unlock()
 	var res proto.ReliableResult
-	err = c.aps[cn.ap].net.RunSessionJobContext(ctx, cn.sess, func(ctx context.Context) (proto.JobReport, error) {
+	err = c.aps[cn.ap].eng.Run(ctx, int(cn.id), func(ctx context.Context) (proto.JobReport, error) {
 		var err error
 		res, err = cn.sess.SendReliableContext(ctx, dir, data, bitRate, maxAttempts)
 		if err != nil {
@@ -90,10 +90,9 @@ func (c *Cluster) BestUplinkRate(ctx context.Context, id NodeID) (float64, bool,
 		rate float64
 		ok   bool
 	)
-	err = c.aps[cn.ap].net.RunSessionJobContext(ctx, cn.sess, func(context.Context) (proto.JobReport, error) {
-		var err error
-		rate, ok, err = cn.sess.AdaptUplink(proto.DefaultRateController())
-		return proto.JobReport{}, err
+	err = c.aps[cn.ap].eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
+		rate, ok = cn.sess.AdaptUplink()
+		return proto.JobReport{}, nil
 	})
 	if err != nil {
 		return 0, false, fmt.Errorf("milback: %w", err)
@@ -125,7 +124,7 @@ func (c *Cluster) fec(ctx context.Context, id NodeID, dir waveform.Direction, da
 		got         []byte
 		corrections int
 	)
-	err = c.aps[cn.ap].net.RunSessionJobContext(ctx, cn.sess, func(ctx context.Context) (proto.JobReport, error) {
+	err = c.aps[cn.ap].eng.Run(ctx, int(cn.id), func(ctx context.Context) (proto.JobReport, error) {
 		var err error
 		got, corrections, err = cn.sess.SendFECContext(ctx, dir, data, bitRate, 8)
 		if err != nil {
@@ -164,31 +163,63 @@ type CellStats struct {
 // RunUplinkSuperframe has every live AP, in layout order, serve each node it
 // homes `rounds` times round-robin, each slot carrying payloadBytes uplink
 // at bitRate, and returns the cluster's throughput and fairness — the §7
-// SDM claim quantified. APs without nodes are skipped; a cluster without
+// SDM claim quantified. A failed slot (blocked node, dead link) delivers
+// nothing but still costs the packet preamble's airtime; one broken node
+// must not stall the cell. APs without nodes are skipped; a cluster without
 // nodes is an error. Cancellation between slots abandons the remaining
 // schedule and returns ErrCancelled.
 func (c *Cluster) RunUplinkSuperframe(ctx context.Context, payloadBytes, rounds int, bitRate float64) (CellStats, error) {
+	if payloadBytes < 1 || rounds < 1 {
+		return CellStats{}, fmt.Errorf("milback: invalid superframe args bytes=%d rounds=%d", payloadBytes, rounds)
+	}
+	if bitRate <= 0 {
+		return CellStats{}, fmt.Errorf("milback: rate must be positive, got %g", bitRate)
+	}
+	payload := make([]byte, payloadBytes)
+	for i := range payload {
+		payload[i] = byte(i * 37)
+	}
+	spec := waveform.DefaultPacketSpec(waveform.Uplink, 0)
+	preambleS := spec.Field1Duration() + spec.Field2Duration()
+
+	// Group the nodes by serving AP, in layout order and NodeID order within
+	// an AP; a removed AP has no nodes left, so it serves no slots.
+	homed := make([][]NodeID, len(c.aps))
+	for _, cn := range c.snapshot() {
+		cn.mu.Lock()
+		homed[cn.ap] = append(homed[cn.ap], cn.id)
+		cn.mu.Unlock()
+	}
 	var (
 		out       CellStats
 		totalBits float64
 	)
-	err := c.eachLiveCell(func(cell *apCell) error {
-		if len(cell.net.Sessions()) == 0 {
-			return nil
+	for _, ids := range homed {
+		bits := make([]int, len(ids))
+		airtime := make([]float64, len(ids))
+		for r := 0; r < rounds; r++ {
+			for i, id := range ids {
+				ex, err := c.exchange(ctx, id, waveform.Uplink, payload, bitRate)
+				if err != nil {
+					if errors.Is(err, ErrCancelled) || errors.Is(err, ErrClosed) {
+						return CellStats{}, err
+					}
+					airtime[i] += preambleS
+					continue
+				}
+				airtime[i] += ex.AirtimeS
+				bits[i] += ex.BitsSent - ex.BitErrors
+			}
 		}
-		res, err := cell.net.RunSuperframeContext(ctx, waveform.Uplink, payloadBytes, rounds, bitRate)
-		if err != nil {
-			return err
+		// Airtime sums per node, then per AP, then over the cluster: the
+		// order of these float sums is part of the recorded golden values.
+		var cellAirtime float64
+		for i, b := range bits {
+			cellAirtime += airtime[i]
+			totalBits += float64(b)
 		}
-		out.TotalAirtimeS += res.TotalAirtimeS
-		for _, st := range res.PerNode {
-			out.PerNodeDeliveredBits = append(out.PerNodeDeliveredBits, st.DeliveredBits)
-			totalBits += float64(st.DeliveredBits)
-		}
-		return nil
-	})
-	if err != nil {
-		return CellStats{}, err
+		out.TotalAirtimeS += cellAirtime
+		out.PerNodeDeliveredBits = append(out.PerNodeDeliveredBits, bits...)
 	}
 	if len(out.PerNodeDeliveredBits) == 0 {
 		return CellStats{}, errors.New("milback: superframe over an empty cluster")

@@ -48,8 +48,9 @@ func (h Histogram) Mean() float64 {
 // Metrics is a typed snapshot of one AP's observability plane: where
 // Stats answers "what did the network accomplish" (exchanges, bit errors,
 // airtime), Metrics answers "how is the machinery behaving" — scheduler
-// latencies, capture-buffer recycling and per-stage pipeline timings. All durations are in seconds of wall-clock
-// host time (the simulation's own timebase appears only in Stats.AirtimeS).
+// latencies, capture-buffer recycling and per-stage pipeline timings. All
+// durations are in seconds of wall-clock host time (the simulation's own
+// timebase appears only in Stats.AirtimeS).
 type Metrics struct {
 	// QueueWait distributes how long scheduled operations waited for the
 	// beam; JobDuration how long they held it.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/motion"
+	"repro/internal/proto"
 )
 
 // Interpolation selects how a Trajectory moves between waypoints.
@@ -116,9 +117,7 @@ func (c *Cluster) SetTrajectory(ctx context.Context, id NodeID, tr Trajectory) e
 			return err
 		}
 	}
-	cell := c.aps[cn.ap]
-	local := p.Translated(-cell.place.X, -cell.place.Y)
-	if err := cell.net.SetTrajectoryContext(ctx, cn.sess, local, start); err != nil {
+	if err := c.bindTrajectory(ctx, cn, p, start); err != nil {
 		return fmt.Errorf("milback: %w", err)
 	}
 	cn.path, cn.motionT = p, start
@@ -143,11 +142,25 @@ func (c *Cluster) clearTrajectoryLocked(ctx context.Context, cn *clusterNode) er
 	if cn.path == nil {
 		return nil
 	}
-	if err := c.aps[cn.ap].net.SetTrajectoryContext(ctx, cn.sess, nil, 0); err != nil {
+	if err := c.bindTrajectory(ctx, cn, nil, 0); err != nil {
 		return fmt.Errorf("milback: %w", err)
 	}
 	cn.path, cn.motionT = nil, 0
 	return nil
+}
+
+// bindTrajectory binds the cluster-frame path p to cn's node at its serving
+// AP from motion time t0 (a nil p unbinds), as a job on the node's queue so
+// the binding never races a capture. The node's pose snaps to the path
+// immediately. Callers hold cn.mu.
+func (c *Cluster) bindTrajectory(ctx context.Context, cn *clusterNode, p *motion.Path, t0 float64) error {
+	cell := c.aps[cn.ap]
+	if p != nil {
+		p = p.Translated(-cell.place.X, -cell.place.Y)
+	}
+	return cell.eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
+		return proto.JobReport{}, cell.sys.SetTrajectoryAt(cn.sess.Node(), p, t0)
+	})
 }
 
 // AdvanceTrajectory moves the node dt seconds (≥ 0) along its bound
@@ -177,7 +190,15 @@ func (c *Cluster) AdvanceTrajectory(ctx context.Context, id NodeID, dt float64) 
 	target := c.ownerLocked(pose.X, pose.Y)
 	c.mu.Unlock()
 	if target == cn.ap {
-		if _, err := c.aps[cn.ap].net.AdvanceTrajectoryContext(ctx, cn.sess, dt); err != nil {
+		// Motion time belongs to the node: it advances only through this
+		// job, never by sampling a shared clock, so a node's pose sequence
+		// depends only on its own operation order.
+		cell := c.aps[cn.ap]
+		err := cell.eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
+			_, err := cell.sys.AdvanceTrajectory(cn.sess.Node(), dt)
+			return proto.JobReport{}, err
+		})
+		if err != nil {
 			return Pose{}, fmt.Errorf("milback: %w", err)
 		}
 	} else {
@@ -187,9 +208,7 @@ func (c *Cluster) AdvanceTrajectory(ctx context.Context, id NodeID, dt float64) 
 		if err := c.handoffLocked(ctx, cn, target, pose.X, pose.Y, pose.OrientationDeg, false); err != nil {
 			return Pose{}, err
 		}
-		cell := c.aps[cn.ap]
-		local := cn.path.Translated(-cell.place.X, -cell.place.Y)
-		if err := cell.net.SetTrajectoryContext(ctx, cn.sess, local, newT); err != nil {
+		if err := c.bindTrajectory(ctx, cn, cn.path, newT); err != nil {
 			return Pose{}, fmt.Errorf("milback: handoff rebind: %w", err)
 		}
 	}
@@ -221,7 +240,12 @@ func (c *Cluster) MeasureVelocity(ctx context.Context, id NodeID, nChirps int) (
 		return 0, err
 	}
 	defer cn.mu.Unlock()
-	v, err := c.aps[cn.ap].net.MeasureVelocityContext(ctx, cn.sess, nChirps)
+	var v float64
+	err = c.aps[cn.ap].eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
+		var err error
+		v, err = cn.sess.MeasureVelocity(nChirps)
+		return proto.JobReport{Localization: true}, err
+	})
 	if err != nil {
 		return 0, fmt.Errorf("milback: %w", err)
 	}
