@@ -105,7 +105,7 @@ report-check:
 # The pooled steady-state localization must stay at or below 30 allocs/op
 # at -cpu 1, and its GOMAXPROCS=2 row (BenchmarkCaptureSteadyStateProcs2)
 # at or below 44, with instrumentation live; a 1,024-node discovery sweep (BenchmarkDiscoveryScan/nodes=1024,
-# -cpu 1) at or below 3600. The caps are constants in the script.
+# -cpu 1) at or below 1400. The caps are constants in the script.
 alloc-gate:
 	./scripts/alloc_gate.sh
 

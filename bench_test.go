@@ -271,19 +271,11 @@ func BenchmarkNetworkThroughput(b *testing.B) {
 func BenchmarkFMCWChirpProcessing(b *testing.B) {
 	a := ap.MustNew(ap.DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
-	tgt := &ap.BackscatterTarget{
-		Pos: rfsim.Point{X: 3},
-		GainDBi: func(k int, f float64) float64 {
-			if k%2 == 1 {
-				return 25
-			}
-			return 5
-		},
-	}
+	tgt := ap.ConstantGainTarget(rfsim.Point{X: 3}, 5, 25)
 	ns := rfsim.NewNoiseSource(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frames, err := a.SynthesizeChirps(c, 5, tgt, nil, ns)
+		frames, err := a.SynthesizeChirps(c, 5, []*ap.BackscatterTarget{tgt}, ap.GridTable{}, nil, ns)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,17 +308,9 @@ func BenchmarkUplinkChain(b *testing.B) {
 // capture benchmarks share.
 func benchCapture(b *testing.B, a *ap.AP, nChirps int) {
 	c := a.Config().LocalizationChirp
-	tgt := &ap.BackscatterTarget{
-		Pos: rfsim.Point{X: 3},
-		GainDBi: func(k int, f float64) float64 {
-			if k%2 == 1 {
-				return 25
-			}
-			return 5
-		},
-	}
+	tgt := ap.ConstantGainTarget(rfsim.Point{X: 3}, 5, 25)
 	for i := 0; i < b.N; i++ {
-		frames, err := a.SynthesizeChirps(c, nChirps, tgt, nil, rfsim.NewNoiseSource(int64(i+1)))
+		frames, err := a.SynthesizeChirps(c, nChirps, []*ap.BackscatterTarget{tgt}, ap.GridTable{}, nil, rfsim.NewNoiseSource(int64(i+1)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -406,30 +390,19 @@ func BenchmarkCaptureSteadyStateProcs2(b *testing.B) {
 	benchCaptureSteadyState(b)
 }
 
-// BenchmarkSynthesizeChirpsMulti measures chirp-frame synthesis alone — no
+// BenchmarkSynthesizeChirps measures chirp-frame synthesis alone — no
 // FFTs, no detection — over a 64-chirp burst against a cluttered scene, the
-// workload the synthesis kernels target. The target declares its two
-// switch states so the gain-envelope memo engages, matching how core builds
-// its targets.
-func BenchmarkSynthesizeChirpsMulti(b *testing.B) {
+// workload the synthesis kernels target, with a two-state toggling target
+// as core builds them.
+func BenchmarkSynthesizeChirps(b *testing.B) {
 	a := ap.MustNew(ap.DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
-	tgts := []*ap.BackscatterTarget{{
-		Pos: rfsim.Point{X: 3},
-		GainDBi: func(k int, f float64) float64 {
-			if k%2 == 1 {
-				return 25
-			}
-			return 5
-		},
-		GainStates:  2,
-		GainStateOf: func(k int) int { return k & 1 },
-	}}
+	tgts := []*ap.BackscatterTarget{ap.ConstantGainTarget(rfsim.Point{X: 3}, 5, 25)}
 	ns := rfsim.NewNoiseSource(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.SynthesizeChirpsMulti(c, 64, tgts, ap.GridTable{}, nil, ns); err != nil {
+		if _, err := a.SynthesizeChirps(c, 64, tgts, ap.GridTable{}, nil, ns); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -158,7 +158,7 @@ type apObs struct {
 
 	// Sub-stage split of the synthesize stage (DESIGN.md §12.4): the serial
 	// state build and AWGN draw, per-capture set-up (clutter template,
-	// frequency grid, gain-envelope memo fill), per-chirp target-tone
+	// frequency grid, gain-envelope fill), per-chirp target-tone
 	// generation, and the noise fold-in.
 	synthDraw    *obs.Histogram
 	synthClutter *obs.Histogram

@@ -61,15 +61,7 @@ func TestSteer(t *testing.T) {
 // equivalent gain on odd chirps and absorbs (gain−20 dB) on even chirps,
 // i.e. the §5.1 node switching pattern.
 func pointTarget(pos rfsim.Point, gainDBi float64) *BackscatterTarget {
-	return &BackscatterTarget{
-		Pos: pos,
-		GainDBi: func(k int, fHz float64) float64 {
-			if k%2 == 1 {
-				return gainDBi
-			}
-			return gainDBi - 20
-		},
-	}
+	return ConstantGainTarget(pos, gainDBi-20, gainDBi)
 }
 
 // synth returns an unwrapper for SynthesizeChirps* results at call sites
@@ -89,7 +81,7 @@ func TestSynthesizeChirpsBasics(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
 	tgt := pointTarget(rfsim.Point{X: 3}, 25)
-	frames := synth(t)(a.SynthesizeChirps(c, 5, tgt, nil, rfsim.NewNoiseSource(1)))
+	frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(1)))
 	if len(frames) != 5 {
 		t.Fatalf("frames = %d", len(frames))
 	}
@@ -117,9 +109,11 @@ func TestSynthesizeChirpsBasics(t *testing.T) {
 func TestSynthesizeChirpsValidation(t *testing.T) {
 	a := MustNew(DefaultConfig(), nil)
 	for i, f := range []func() ([]ChirpFrame, error){
-		func() ([]ChirpFrame, error) { return a.SynthesizeChirps(waveform.Chirp{}, 5, nil, nil, nil) },
 		func() ([]ChirpFrame, error) {
-			return a.SynthesizeChirps(a.Config().LocalizationChirp, 0, nil, nil, nil)
+			return a.SynthesizeChirps(waveform.Chirp{}, 5, nil, GridTable{}, nil, nil)
+		},
+		func() ([]ChirpFrame, error) {
+			return a.SynthesizeChirps(a.Config().LocalizationChirp, 0, nil, GridTable{}, nil, nil)
 		},
 	} {
 		frames, err := f()
@@ -141,7 +135,7 @@ func TestProcessLocalizationRecoversRange(t *testing.T) {
 	c := a.Config().LocalizationChirp
 	for _, d := range []float64{1, 2.5, 5, 8} {
 		tgt := pointTarget(rfsim.Point{X: d}, 25)
-		frames := synth(t)(a.SynthesizeChirps(c, 5, tgt, nil, rfsim.NewNoiseSource(int64(d*100))))
+		frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(int64(d*100))))
 		res, err := a.ProcessLocalization(c, frames)
 		if err != nil {
 			t.Fatalf("d=%g: %v", d, err)
@@ -160,7 +154,7 @@ func TestProcessLocalizationRecoversAngle(t *testing.T) {
 		pos := rfsim.PolarPoint(3, rfsim.DegToRad(deg))
 		a.Steer(rfsim.DegToRad(deg)) // AP tracks the node's direction
 		tgt := pointTarget(pos, 25)
-		frames := synth(t)(a.SynthesizeChirps(c, 5, tgt, nil, rfsim.NewNoiseSource(int64(deg)+500)))
+		frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(int64(deg)+500)))
 		res, err := a.ProcessLocalization(c, frames)
 		if err != nil {
 			t.Fatalf("deg=%g: %v", deg, err)
@@ -181,7 +175,7 @@ func TestBackgroundSubtractionRemovesClutter(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
 	tgt := pointTarget(rfsim.Point{X: 4}, 12) // modest node gain
-	frames := synth(t)(a.SynthesizeChirps(c, 5, tgt, nil, rfsim.NewNoiseSource(7)))
+	frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(7)))
 	res, err := a.ProcessLocalization(c, frames)
 	if err != nil {
 		t.Fatalf("%v", err)
@@ -203,7 +197,7 @@ func clutterTracker(t *testing.T, scene *rfsim.Scene) func(name string, pointing
 	tgt := pointTarget(rfsim.Point{X: 4, Y: 0.5}, 25)
 	capture := func(ap *AP, pointing float64) []ChirpFrame {
 		ap.Steer(pointing)
-		return synth(t)(ap.SynthesizeChirps(c, 2, tgt, nil, rfsim.NewNoiseSource(5)))
+		return synth(t)(ap.SynthesizeChirps(c, 2, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(5)))
 	}
 	same := func(x, y []ChirpFrame) bool {
 		return slices.EqualFunc(x, y, sameFrames)
@@ -275,7 +269,7 @@ func TestProcessLocalizationFailsWithoutTarget(t *testing.T) {
 	// hallucinate a range.
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
-	frames := synth(t)(a.SynthesizeChirps(c, 5, nil, nil, rfsim.NewNoiseSource(9)))
+	frames := synth(t)(a.SynthesizeChirps(c, 5, nil, GridTable{}, nil, rfsim.NewNoiseSource(9)))
 	if _, err := a.ProcessLocalization(c, frames); err == nil {
 		t.Fatal("expected failure with no modulated target")
 	}
@@ -290,11 +284,8 @@ func TestStaticTargetInvisibleModulatedVisible(t *testing.T) {
 	// like clutter — switching is what makes the node detectable (§5.1).
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
-	static := &BackscatterTarget{
-		Pos:     rfsim.Point{X: 4},
-		GainDBi: func(int, float64) float64 { return 25 },
-	}
-	frames := synth(t)(a.SynthesizeChirps(c, 5, static, nil, rfsim.NewNoiseSource(11)))
+	static := ConstantGainTarget(rfsim.Point{X: 4}, 25)
+	frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{static}, GridTable{}, nil, rfsim.NewNoiseSource(11)))
 	if _, err := a.ProcessLocalization(c, frames); err == nil {
 		t.Fatal("static target should not be detected")
 	}
@@ -309,18 +300,15 @@ func TestEstimateOrientationProfile(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
 	peakF := 28.7e9
-	tgt := &BackscatterTarget{
-		Pos: rfsim.Point{X: 2},
-		GainDBi: func(k int, fHz float64) float64 {
-			shape := -40 * math.Pow((fHz-peakF)/0.5e9, 2) // ~0.5 GHz wide lobe
-			base := 25 + shape
-			if k%2 == 1 {
-				return base
-			}
-			return base - 20
-		},
-	}
-	frames := synth(t)(a.SynthesizeChirps(c, 5, tgt, nil, rfsim.NewNoiseSource(13)))
+	tgt := funcTarget(rfsim.Point{X: 2}, func(s int, fHz float64) float64 {
+		shape := -40 * math.Pow((fHz-peakF)/0.5e9, 2) // ~0.5 GHz wide lobe
+		base := 25 + shape
+		if s == 1 {
+			return base
+		}
+		return base - 20
+	})
+	frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(13)))
 	loc, err := a.ProcessLocalization(c, frames)
 	if err != nil {
 		t.Fatalf("localization: %v", err)
@@ -341,7 +329,7 @@ func TestEstimateOrientationProfileValidation(t *testing.T) {
 	a := MustNew(DefaultConfig(), nil)
 	c := a.Config().LocalizationChirp
 	tgt := pointTarget(rfsim.Point{X: 2}, 25)
-	frames := synth(t)(a.SynthesizeChirps(c, 5, tgt, nil, nil))
+	frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, nil))
 	for _, hz := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if _, err := a.EstimateOrientationProfile(c, frames, 100, hz); err == nil {
 			t.Errorf("mask half-width %g Hz should fail", hz)
@@ -377,7 +365,7 @@ func TestDetectTargetsMultiNode(t *testing.T) {
 		pointTarget(rfsim.Point{X: 5}, 25),
 		pointTarget(rfsim.Point{X: 8}, 25),
 	}
-	frames := synth(t)(a.SynthesizeChirpsMulti(c, 5, tgts, GridTable{}, nil, rfsim.NewNoiseSource(41)))
+	frames := synth(t)(a.SynthesizeChirps(c, 5, tgts, GridTable{}, nil, rfsim.NewNoiseSource(41)))
 	dets, err := a.DetectTargets(c, frames, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +389,7 @@ func TestDetectTargetsMultiNode(t *testing.T) {
 func TestDetectTargetsValidation(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
-	frames := synth(t)(a.SynthesizeChirps(c, 5, nil, nil, rfsim.NewNoiseSource(43)))
+	frames := synth(t)(a.SynthesizeChirps(c, 5, nil, GridTable{}, nil, rfsim.NewNoiseSource(43)))
 	if _, err := a.DetectTargets(c, frames, 0); err == nil {
 		t.Error("maxTargets 0 should fail")
 	}
@@ -422,7 +410,7 @@ func TestDetectTargetsCapsAtMax(t *testing.T) {
 		pointTarget(rfsim.Point{X: 5}, 25),
 		pointTarget(rfsim.Point{X: 8}, 25),
 	}
-	frames := synth(t)(a.SynthesizeChirpsMulti(c, 5, tgts, GridTable{}, nil, rfsim.NewNoiseSource(47)))
+	frames := synth(t)(a.SynthesizeChirps(c, 5, tgts, GridTable{}, nil, rfsim.NewNoiseSource(47)))
 	dets, err := a.DetectTargets(c, frames, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@
 //
 // # Paper map
 //
-//   - §5.1 ranging and AoA — SynthesizeChirpsMulti, ProcessLocalization
+//   - §5.1 ranging and AoA — SynthesizeChirps, ProcessLocalization
 //     (background subtraction across toggled chirps, two-antenna phase
 //     comparison).
 //   - §5.2a AP-side orientation — EstimateOrientationProfile (reflected
@@ -25,11 +25,11 @@
 // Each capture stage has one production path. Chirp synthesis runs on
 // phasor-recurrence kernels (kernel.go, DESIGN.md §12): beat tones advance
 // by one complex multiply per sample, static clutter is rendered once per
-// capture into a shared template, and a BackscatterTarget that declares its
-// switch states (GainStates/GainStateOf — the FSA node's two toggled ports
-// in §5.1) has its gain curves memoized per state; chirps whose pre-noise
-// frames are bit-identical (a static scene in the same switch state) are
-// rendered once and copied. Background subtraction
+// capture into a shared template, and every BackscatterTarget has its gain
+// curves filled once per switch state (GainStates/GainStateOf — the FSA
+// node's two toggled ports in §5.1) through its one GainEnvelopes fill;
+// chirps whose pre-noise frames are bit-identical (a static scene in the
+// same switch state) are rendered once and copied. Background subtraction
 // transforms the windowed consecutive-chirp differences through one batched
 // plan per capture (DESIGN.md §13, §17). The formulations these replaced —
 // per-sample-Sincos synthesis and window-every-chirp-then-difference

@@ -19,7 +19,7 @@ func TestEstimateRadialVelocity(t *testing.T) {
 	c := a.Config().LocalizationChirp
 	for _, vel := range []float64{-5, -1.2, 0, 0.5, 3, 20} {
 		tgt := movingTarget(3, vel)
-		frames := synth(t)(a.SynthesizeChirps(c, 32, tgt, nil, rfsim.NewNoiseSource(int64(vel*10)+900)))
+		frames := synth(t)(a.SynthesizeChirps(c, 32, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(int64(vel*10)+900)))
 		loc, err := a.ProcessLocalization(c, frames)
 		if err != nil {
 			t.Fatalf("v=%g: %v", vel, err)
@@ -44,7 +44,7 @@ func TestVelocityAliasingLimit(t *testing.T) {
 	}
 	// A velocity just past the limit aliases (estimate far from truth).
 	tgt := movingTarget(3, vmax*1.5)
-	frames := synth(t)(a.SynthesizeChirps(c, 32, tgt, nil, rfsim.NewNoiseSource(901)))
+	frames := synth(t)(a.SynthesizeChirps(c, 32, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(901)))
 	loc, err := a.ProcessLocalization(c, frames)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestEstimateRadialVelocityValidation(t *testing.T) {
 	a := MustNew(DefaultConfig(), nil)
 	c := a.Config().LocalizationChirp
 	tgt := movingTarget(3, 1)
-	frames := synth(t)(a.SynthesizeChirps(c, 32, tgt, nil, nil))
+	frames := synth(t)(a.SynthesizeChirps(c, 32, []*BackscatterTarget{tgt}, GridTable{}, nil, nil))
 	if _, err := a.EstimateRadialVelocity(c, frames[:2], 100); err == nil {
 		t.Error("2 chirps should fail")
 	}
@@ -76,7 +76,7 @@ func TestEstimateRadialVelocityValidation(t *testing.T) {
 		t.Error("NaN bin should fail")
 	}
 	// Empty bin: no coherent signal.
-	empty := synth(t)(a.SynthesizeChirps(c, 8, nil, nil, nil))
+	empty := synth(t)(a.SynthesizeChirps(c, 8, nil, GridTable{}, nil, nil))
 	if _, err := a.EstimateRadialVelocity(c, empty, 100); err == nil {
 		t.Error("empty capture should fail")
 	}

@@ -20,7 +20,7 @@ func TestSubtractedDiffsRejectsMixedLengths(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
 	tgt := pointTarget(rfsim.Point{X: 3}, 25)
-	frames := synth(t)(a.SynthesizeChirps(c, 4, tgt, nil, rfsim.NewNoiseSource(7)))
+	frames := synth(t)(a.SynthesizeChirps(c, 4, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(7)))
 	// Truncate one frame: lengths now differ across the capture.
 	n := len(frames[0].Rx[0])
 	frames[2].Rx[0] = frames[2].Rx[0][:n-5]
@@ -55,7 +55,7 @@ func TestFastFFTDifferentialPerSample(t *testing.T) {
 	modes := [][2]diffMode{{diffSpec, diffTime}, {diffTime, diffSkip}}
 	for seed := int64(1); seed <= 3; seed++ {
 		tgt := pointTarget(rfsim.Point{X: 3, Y: 0.5}, 25)
-		frames := synth(t)(a.SynthesizeChirps(c, 8, tgt, nil, rfsim.NewNoiseSource(seed)))
+		frames := synth(t)(a.SynthesizeChirps(c, 8, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
 		n0 := len(frames[0].Rx[0])
 		w := dsp.HannCached(n0)
 		ref := a.refSpectra(frames, true, n0, nfft)
@@ -135,7 +135,7 @@ func TestFastFFTLocalizationAgreement(t *testing.T) {
 	arr := rfsim.RxArray{Spacing: a.Config().RxSpacingM}
 	for seed := int64(1); seed <= 3; seed++ {
 		tgt := pointTarget(rfsim.Point{X: 3, Y: 0.5}, 25)
-		frames := synth(t)(a.SynthesizeChirps(c, 8, tgt, nil, rfsim.NewNoiseSource(seed)))
+		frames := synth(t)(a.SynthesizeChirps(c, 8, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
 		got, err := a.ProcessLocalization(c, frames)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

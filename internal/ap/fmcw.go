@@ -30,57 +30,30 @@ var ErrInvalidConfig = errors.New("invalid configuration")
 
 // BackscatterTarget describes the node as the FMCW processor sees it: a
 // point reflector at a position whose effective reflection gain depends on
-// the chirp index (switch state) and the instantaneous chirp frequency
-// (FSA beam sweep). GainDBi returns the equivalent node gain consumed by
-// rfsim.BackscatterAmplitude; return -Inf for "no reflection".
+// the chirp's switch state (§5.1: the node toggles its ports between
+// chirps) and the instantaneous chirp frequency (FSA beam sweep).
 //
-// SynthesizeChirpsMulti evaluates GainDBi concurrently across chirp indices,
-// and fills different targets' gain envelopes concurrently, so the function
-// must be safe for simultaneous calls — derive everything from
-// (chirpIdx, fHz) and read-only state, as fsa's with-modes queries do. It
-// must also be pure: synthesis may evaluate it more than once for the same
-// chirp, and expects the same value each time.
+// Every field is required but RadialVelocityMS. Synthesis renders each
+// state's gain envelope once per capture (DESIGN.md §12) and calls
+// GainStateOf and Gain from any goroutine, so both must be safe for
+// concurrent use and pure: synthesis calls GainStateOf more than once per
+// chirp (to validate, to group chirps and to render).
 type BackscatterTarget struct {
-	Pos     rfsim.Point
-	GainDBi func(chirpIdx int, fHz float64) float64
-	// GainEnvs, when non-nil on a target that declares GainStates, bulk-fills
-	// the linear gain envelopes of every switch state over a frequency grid:
-	// env[s·n : (s+1)·n] receives 10^(GainDBi/10) of state s at each of the
-	// n = len(freq) grid points, for all nStates states (including states no
-	// chirp of the burst uses). One call per capture replaces one GainDBi
-	// evaluation per (state, sample), letting sources share work across
-	// states — the FSA's per-port array factors are mode-independent, so its
-	// two toggle states cost one port sweep each instead of two. The whole
-	// env arena may be used as scratch. Must describe the same target as
-	// GainDBi (the reference oracle always uses GainDBi; the differential pins
-	// hold the two within 1e-9 relative). Same concurrency contract as
-	// GainDBi.
-	GainEnvs func(freq []float64, nStates int, env []float64)
-	// TableEnvs, when non-nil, is the same bulk fill fed from the capture
-	// request's GridTable instead of the raw frequency grid: a request that
-	// carries a table has it filled once per capture, and every target with
-	// a TableEnvs reads it in place of GainEnvs. Same output and concurrency
-	// contract as GainEnvs; a request without a table uses GainEnvs.
-	TableEnvs TableEnvelopes
+	Pos rfsim.Point
 	// RadialVelocityMS is the target's range rate in m/s (positive =
 	// receding). Across a chirp burst it advances the round-trip delay by
 	// 2·v·k·CRI/c per chirp, whose carrier-phase progression is the Doppler
 	// observable EstimateRadialVelocity reads.
 	RadialVelocityMS float64
-	// GainStates, when positive, declares that GainDBi depends on the chirp
-	// index only through GainStateOf(chirpIdx): there are GainStates
-	// distinct switch states (the FSA node toggling its ports gives two),
-	// and chirps in the same state see the identical gain-vs-frequency
-	// curve. The fast synthesis kernels then evaluate the curve once per
-	// state instead of once per chirp (DESIGN.md §12), and render chirps
-	// that share every input once (§12.5). GainStateOf must be safe for
-	// concurrent calls, pure (synthesis calls it more than once per chirp:
-	// to validate, to group chirps and to render) and return values in
-	// [0, GainStates); a declared GainStates without GainStateOf is an
-	// invalid configuration.
-	// Leave GainStates zero for targets whose gain varies freely per chirp.
-	GainStates  int
+	// GainStates is the number of distinct switch states (the FSA node
+	// toggling its ports gives two), at least 1. Chirps in the same state
+	// see the identical gain-vs-frequency curve.
+	GainStates int
+	// GainStateOf maps a chirp index to its switch state in
+	// [0, GainStates).
 	GainStateOf func(chirpIdx int) int
+	// Gain fills the state envelopes once per capture.
+	Gain GainEnvelopes
 }
 
 // GridTable is a request-wide precompute over a capture's frequency grid:
@@ -88,11 +61,11 @@ type BackscatterTarget struct {
 // frequency, not on the target. A capture whose request carries one (Fill
 // non-nil) fills it once, in pooled scratch, before the per-target envelope
 // fills fan out, and hands the same read-only table to every target's
-// TableEnvs. The frequency grid differs per capture (each draws its own
+// Gain. The frequency grid differs per capture (each draws its own
 // sweep-slope error), so the table never outlives the capture. The AP does
 // not interpret the table; its layout is a contract between the GridTable
-// and the targets' TableEnvs, which the caller builds together. The zero
-// value carries no table.
+// and the targets' Gain, which the caller builds together. The zero value
+// carries no table.
 //
 // It is a struct of a function rather than an interface so that a request
 // passing through the capture plane leaks nothing to the heap: an interface
@@ -106,14 +79,52 @@ type GridTable struct {
 	Fill func(freq, dst []float64)
 }
 
-// TableEnvelopes is a target's bulk gain-envelope fill from the capture's
-// GridTable (see BackscatterTarget.TableEnvs). FillEnvs receives the filled
-// table — Width values per sample of an n-sample grid — and fills
-// env[s·n : (s+1)·n] with state s's linear envelope, exactly as GainEnvs
-// would over the same grid. It must not write to the table, which every
-// target of the capture shares.
-type TableEnvelopes interface {
-	FillEnvs(table []float64, nStates int, env []float64)
+// GainEnvelopes is a target's gain-envelope fill. FillEnvs receives the
+// capture's frequency grid (the instantaneous chirp frequency at each of
+// its n samples) and the request's filled GridTable (Width values per
+// sample; nil when the request carries none), and fills
+// env[s·n : (s+1)·n] with state s's linear gain — the factor 10^(g/10) of
+// the equivalent node gain g dBi that rfsim.BackscatterAmplitude takes,
+// 0 for no reflection — for every s < nStates, including states no chirp
+// of the burst uses. env is exactly the target's rows (cap == len) and may
+// be used as scratch; the table is shared by every target of the capture
+// and must not be written.
+type GainEnvelopes interface {
+	FillEnvs(freq, table []float64, nStates int, env []float64)
+}
+
+// constantGains is a frequency-flat GainEnvelopes: state s reflects with
+// the equivalent node gain constantGains[s] dBi at every frequency.
+type constantGains []float64
+
+// FillEnvs implements GainEnvelopes: each state's row holds its constant
+// linear gain.
+func (g constantGains) FillEnvs(freq, _ []float64, nStates int, env []float64) {
+	n := len(freq)
+	for s := 0; s < nStates; s++ {
+		// math.Pow(10, -Inf) = 0: a "no reflection" state drops out.
+		v := math.Pow(10, g[s]/10)
+		row := env[s*n : (s+1)*n]
+		for i := range row {
+			row[i] = v
+		}
+	}
+}
+
+// ConstantGainTarget returns a frequency-flat target at pos that cycles
+// through one switch state per gain: chirp k sits in state
+// k mod len(gainsDBi), which reflects with the equivalent node gain
+// gainsDBi[state] dBi (−Inf for no reflection). ConstantGainTarget(pos,
+// 5, 25) toggles like a §5.1 node; ConstantGainTarget(pos, 25) is a static
+// reflector that background subtraction removes.
+func ConstantGainTarget(pos rfsim.Point, gainsDBi ...float64) *BackscatterTarget {
+	n := len(gainsDBi)
+	return &BackscatterTarget{
+		Pos:         pos,
+		GainStates:  n,
+		GainStateOf: func(k int) int { return k % n },
+		Gain:        constantGains(gainsDBi),
+	}
 }
 
 // ModulatedPath injects an extra, possibly chirp-varying path — used to
@@ -123,9 +134,9 @@ type ModulatedPath struct {
 	Pos rfsim.Point
 	// Amplitude returns the linear voltage gain of the path for chirp k
 	// (relative to the transmitted waveform, antenna gains included by the
-	// caller or folded in here). Like BackscatterTarget.GainDBi it is called
-	// concurrently across chirp indices and must be safe for that, and it
-	// must be pure: synthesis calls it more than once per chirp (to find
+	// caller or folded in here). Like BackscatterTarget.GainStateOf it is
+	// called concurrently across chirp indices and must be safe for that,
+	// and it must be pure: synthesis calls it more than once per chirp (to find
 	// chirps with identical frames, then to render them).
 	Amplitude func(chirpIdx int) float64
 }
@@ -137,28 +148,18 @@ type ChirpFrame struct {
 }
 
 // SynthesizeChirps produces nChirps dechirped frames for the configured
-// scene plus the given target and extra paths. Each propagation path with
-// round-trip delay τ appears as the beat tone A·exp(j(2π·S·τ·t − 2π·f0·τ)),
-// with the inter-antenna phase offset of its arrival angle. This is the
-// standard dechirp-domain FMCW model (DESIGN.md §4.3).
-// An invalid chirp or chirp count returns an error wrapping
+// scene plus any number of simultaneous backscatter targets (several nodes
+// respond in the same discovery epoch) and extra paths. Each propagation
+// path with round-trip delay τ appears as the beat tone
+// A·exp(j(2π·S·τ·t − 2π·f0·τ)), with the inter-antenna phase offset of its
+// arrival angle. This is the standard dechirp-domain FMCW model
+// (DESIGN.md §4.3). table is the request's shared GridTable (the zero
+// value for none), handed to every target's Gain.
+// An invalid chirp, chirp count, table or target returns an error wrapping
 // ErrInvalidConfig. When a buffer pool is installed (SetBufferPool) the
 // frame buffers are pooled: the caller owns them until it hands them back
 // (the capture plane's Capture.Release does this).
-func (a *AP) SynthesizeChirps(c waveform.Chirp, nChirps int, tgt *BackscatterTarget,
-	extra []ModulatedPath, ns *rfsim.NoiseSource) ([]ChirpFrame, error) {
-	var tgts []*BackscatterTarget
-	if tgt != nil {
-		tgts = []*BackscatterTarget{tgt}
-	}
-	return a.SynthesizeChirpsMulti(c, nChirps, tgts, GridTable{}, extra, ns)
-}
-
-// SynthesizeChirpsMulti is SynthesizeChirps for any number of simultaneous
-// backscatter targets — the capture model when several nodes respond in the
-// same discovery epoch. table is the request's shared GridTable (the zero
-// value for none), read by every target that has a TableEnvs.
-func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
+func (a *AP) SynthesizeChirps(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
 	table GridTable, extra []ModulatedPath, ns *rfsim.NoiseSource) ([]ChirpFrame, error) {
 	if err := validateSynth(c, nChirps, tgts, table); err != nil {
 		return nil, err
@@ -186,8 +187,8 @@ func (a *AP) SynthesizeChirpsMulti(c waveform.Chirp, nChirps int, tgts []*Backsc
 
 // validateSynth rejects a capture request the hardware could not run: an
 // invalid chirp, a non-positive chirp count, a grid table without a
-// positive width, or a target whose declared switch states are
-// inconsistent.
+// positive width, or a target without switch states, a state function or
+// a gain fill, or whose state function leaves [0, GainStates).
 func validateSynth(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget, table GridTable) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("ap: %w: %v", ErrInvalidConfig, err)
@@ -198,18 +199,23 @@ func validateSynth(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget, tab
 	if table.Fill != nil && table.Width < 1 {
 		return fmt.Errorf("ap: %w: grid table width must be >= 1, got %d", ErrInvalidConfig, table.Width)
 	}
-	for _, tgt := range tgts {
-		if tgt == nil || tgt.GainStates <= 0 {
+	for i, tgt := range tgts {
+		if tgt == nil {
 			continue
 		}
-		if tgt.GainStateOf == nil {
-			return fmt.Errorf("ap: %w: target declares %d gain states but no GainStateOf",
-				ErrInvalidConfig, tgt.GainStates)
+		switch {
+		case tgt.GainStates < 1:
+			return fmt.Errorf("ap: %w: target %d declares %d gain states, need >= 1",
+				ErrInvalidConfig, i, tgt.GainStates)
+		case tgt.GainStateOf == nil:
+			return fmt.Errorf("ap: %w: target %d has no GainStateOf", ErrInvalidConfig, i)
+		case tgt.Gain == nil:
+			return fmt.Errorf("ap: %w: target %d has no Gain", ErrInvalidConfig, i)
 		}
 		for k := 0; k < nChirps; k++ {
 			if s := tgt.GainStateOf(k); s < 0 || s >= tgt.GainStates {
-				return fmt.Errorf("ap: %w: GainStateOf(%d) = %d outside [0, %d)",
-					ErrInvalidConfig, k, s, tgt.GainStates)
+				return fmt.Errorf("ap: %w: target %d: GainStateOf(%d) = %d outside [0, %d)",
+					ErrInvalidConfig, i, k, s, tgt.GainStates)
 			}
 		}
 	}

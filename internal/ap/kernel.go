@@ -10,7 +10,7 @@ import (
 	"repro/internal/waveform"
 )
 
-// This file is the synthesis kernel path (DESIGN.md §12). SynthesizeChirpsMulti
+// This file is the synthesis kernel path (DESIGN.md §12). SynthesizeChirps
 // builds a synthState (newSynthState) — everything the kernels need,
 // including the exact RNG draw order — and renders it here. The
 // per-sample-Sincos reference it replaced, synthesizeRef, survives as a test
@@ -23,25 +23,18 @@ import (
 //  2. Clutter templates: the static clutter tones are identical across all
 //     nChirps frames, so they are synthesized once into a pooled two-antenna
 //     template and copied into each frame.
-//  3. Gain-envelope memoization: a target that declares its switch states
-//     (BackscatterTarget.GainStates) has its frequency-dependent gain curve
-//     evaluated once per distinct state, not once per chirp, into rows of one
-//     pooled arena shared by the capture's targets.
+//  3. Per-state gain envelopes: every target's frequency-dependent gain
+//     curve is filled once per switch state (BackscatterTarget.GainStates),
+//     not once per chirp, into rows of one pooled arena shared by the
+//     capture's targets.
 //  4. Distinct chirps: chirps whose pre-noise frames are bit-identical (a
 //     static scene seen in the same switch states) are rendered once and
 //     copied (chirpClasses).
 
-// maxGainStates bounds the gain-envelope memo. The FSA node toggles between
-// two port states, so real targets need 2; 8 leaves room for multi-port
-// experiments while keeping the per-target done-flags on the stack. A target
-// declaring more states than this still synthesizes correctly — it just
-// re-evaluates its gain curve per chirp.
-const maxGainStates = 8
-
 // targetState is one backscatter target with everything that does not depend
 // on the chirp index hoisted out of the per-chirp loop: geometry, obstruction
 // loss, horn gains toward the target, and (kernel path only) the inter-antenna
-// rotation and memoized gain envelopes.
+// rotation and per-state gain envelopes.
 type targetState struct {
 	tgt      *BackscatterTarget
 	d, az    float64
@@ -52,12 +45,9 @@ type targetState struct {
 	// envelopes of nSamp samples each, stride-indexed (state s occupies
 	// env[s·nSamp : (s+1)·nSamp]); it is the target's rows of the capture's
 	// pooled envelope arena, sliced with cap == len, and is released with
-	// the arena before the synthesis returns. memo is false when the target
-	// declares no states (or more than maxGainStates), in which case the
-	// envelope is refilled per chirp into worker-local scratch.
-	rot  complex128
-	env  []float64
-	memo bool
+	// the arena before the synthesis returns.
+	rot complex128
+	env []float64
 }
 
 // extraState is one injected path with its chirp-invariant parts hoisted:
@@ -99,52 +89,11 @@ type synthState struct {
 	frames  []ChirpFrame
 }
 
-// fillGainEnv evaluates a target's linear gain envelope for chirp k over the
-// shared frequency grid through the scalar GainDBi seam — the fallback for
-// targets without a bulk GainEnvs fill.
-func fillGainEnv(dst []float64, tgt *BackscatterTarget, k int, freq []float64) {
-	for i, f := range freq {
-		// math.Pow(10, -Inf) = 0: a "no reflection" gain drops the
-		// sample exactly as the reference oracle's IsInf guard does.
-		dst[i] = math.Pow(10, tgt.GainDBi(k, f)/10)
-	}
-}
-
-// fillGainMemo fills a memoizing target's pooled envelope rows over the
-// shared frequency grid: one bulk TableEnvs call when the capture filled a
-// grid table and the target reads it, else one bulk GainEnvs call when the
-// target has one, else one fillGainEnv per distinct state. The
-// representative chirp for a state is the first chirp that uses it —
-// GainStates' contract is that GainDBi depends on the chirp index only
-// through the state, so any representative gives the same curve. It writes
-// only ts.env, so targets may be filled concurrently.
-func fillGainMemo(ts *targetState, freq, table []float64, nChirps int) {
-	if !ts.memo {
-		return
-	}
-	nStates, nSamp := ts.tgt.GainStates, len(freq)
-	if table != nil && ts.tgt.TableEnvs != nil {
-		ts.tgt.TableEnvs.FillEnvs(table, nStates, ts.env)
-		return
-	}
-	if ts.tgt.GainEnvs != nil {
-		// Bulk fill: every state in one call, sharing the mode-independent
-		// work across states (it may fill states the burst never uses; that
-		// costs a scalar combine, not an array-factor sweep).
-		ts.tgt.GainEnvs(freq, nStates, ts.env)
-		return
-	}
-	var done [maxGainStates]bool
-	filled := 0
-	for k := 0; k < nChirps && filled < nStates; k++ {
-		s := ts.tgt.GainStateOf(k)
-		if done[s] {
-			continue
-		}
-		done[s] = true
-		filled++
-		fillGainEnv(ts.env[s*nSamp:(s+1)*nSamp], ts.tgt, k, freq)
-	}
+// fillEnvelopes fills a target's envelope rows, every state in one call on
+// the shared frequency grid and the capture's grid table (nil for none). It
+// writes only ts.env, so targets may be filled concurrently.
+func fillEnvelopes(ts *targetState, freq, table []float64) {
+	ts.tgt.Gain.FillEnvs(freq, table, ts.tgt.GainStates, ts.env)
 }
 
 // chirpRange returns the target's Doppler-advanced distance at chirp k — the
@@ -157,13 +106,11 @@ func (a *AP) chirpRange(ts *targetState, k int) float64 {
 // chirp whose pre-noise frame is bit-identical to chirp k's (k itself when
 // no earlier chirp's is), and returns the extended slice and the number of
 // distinct frames. Two chirps share a frame when every input of the
-// per-chirp render is the same bit for bit: each target is memoized and sits
-// in the same switch state at the same Doppler-advanced distance, and each
-// extra path has the same amplitude. A target without memoized states may
-// vary its gain freely per chirp, so it makes every chirp distinct, and so
-// does a moving target. Each chirp is compared only against the
-// representatives before it, so a burst of n chirps with c distinct frames
-// makes at most n·c comparisons.
+// per-chirp render is the same bit for bit: each target sits in the same
+// switch state at the same Doppler-advanced distance, and each extra path
+// has the same amplitude. A moving target makes every chirp distinct. Each
+// chirp is compared only against the representatives before it, so a burst
+// of n chirps with c distinct frames makes at most n·c comparisons.
 func (a *AP) chirpClasses(rep []int, targets []targetState, extras []extraState, nChirps int) ([]int, int) {
 	distinct := 0
 	for k := 0; k < nChirps; k++ {
@@ -187,8 +134,7 @@ func (a *AP) chirpClasses(rep []int, targets []targetState, extras []extraState,
 func (a *AP) sameFrame(targets []targetState, extras []extraState, j, k int) bool {
 	for ti := range targets {
 		ts := &targets[ti]
-		if !ts.memo ||
-			math.Float64bits(a.chirpRange(ts, j)) != math.Float64bits(a.chirpRange(ts, k)) ||
+		if math.Float64bits(a.chirpRange(ts, j)) != math.Float64bits(a.chirpRange(ts, k)) ||
 			ts.tgt.GainStateOf(j) != ts.tgt.GainStateOf(k) {
 			return false
 		}
@@ -227,7 +173,7 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 	o := a.obs
 
 	// Phase 1 (ap.synthesize.clutter): per-capture set-up — the clutter
-	// template, the frequency grid, and the gain-envelope memos, whose fill
+	// template, the frequency grid, and the gain envelopes, whose fill
 	// fans out across targets. The static clutter tones are the same in
 	// every frame, so render them once into a pooled two-antenna template
 	// and memcpy below. Built from a zeroed buffer in path order — the same
@@ -252,42 +198,33 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 	}
 
 	// Shared frequency grid: the instantaneous chirp frequency at each
-	// sample, read-only across workers. Both the memo fill and the per-chirp
-	// envelope fills consume it.
+	// sample, read-only across workers; the envelope fills consume it.
 	freq := a.getFloat64(st.nSamp)
 	for i := range freq {
 		freq[i] = st.cEff.FrequencyAt(float64(i) / st.fs)
 	}
 
-	// Hoist per-target fast state and check the gain-envelope memos out of
-	// the pool serially, so buffer recycling never depends on scheduling:
-	// one arena holds every memoizing target's rows, one pool checkout per
-	// capture however many targets it carries. Each target's rows are
-	// sliced with cap == len, so a fill that uses its rows as scratch
-	// cannot reach a neighbour's.
-	needScratch := false
+	// Hoist per-target fast state and check the gain envelopes out of the
+	// pool serially, so buffer recycling never depends on scheduling: one
+	// arena holds every target's rows, one pool checkout per capture however
+	// many targets it carries. Each target's rows are sliced with
+	// cap == len, so a fill that uses its rows as scratch cannot reach a
+	// neighbour's.
 	arenaLen := 0
 	for ti := range st.targets {
 		ts := &st.targets[ti]
 		ts.rot = a.interAntennaRot(ts.az, st.lambda, st.psi)
-		nStates := ts.tgt.GainStates
-		if nStates < 1 || nStates > maxGainStates {
-			needScratch = true
-			continue
-		}
-		ts.memo = true
-		arenaLen += nStates * st.nSamp
+		arenaLen += ts.tgt.GainStates * st.nSamp
 	}
 	var arena []float64
 	if arenaLen > 0 {
 		arena = a.getFloat64(arenaLen)
 		off := 0
 		for ti := range st.targets {
-			if ts := &st.targets[ti]; ts.memo {
-				end := off + ts.tgt.GainStates*st.nSamp
-				ts.env = arena[off:end:end]
-				off = end
-			}
+			ts := &st.targets[ti]
+			end := off + ts.tgt.GainStates*st.nSamp
+			ts.env = arena[off:end:end]
+			off = end
 		}
 	}
 	// The request's grid table: the target-independent part of every
@@ -298,18 +235,19 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 		table = a.getFloat64(gridTable.Width * st.nSamp)
 		gridTable.Fill(freq, table)
 	}
-	// Fill the memos, one fan-out item per target. Each item writes only its
-	// own env rows, so the result is bit-identical at any worker count
-	// (DESIGN.md §17.2). A single-target capture — every localization,
-	// exchange and Doppler burst — fills inline and builds no closure.
+	// Fill the envelopes, one fan-out item per target. Each item writes
+	// only its own env rows, so the result is bit-identical at any worker
+	// count (DESIGN.md §17.2). A single-target capture — every
+	// localization, exchange and Doppler burst — fills inline and builds no
+	// closure.
 	targets, nChirps := st.targets, st.nChirps
 	if len(targets) <= 1 {
 		for ti := range targets {
-			fillGainMemo(&targets[ti], freq, table, nChirps)
+			fillEnvelopes(&targets[ti], freq, table)
 		}
 	} else {
 		a.fanOut(len(targets), a.captureWorkers(), func(_, ti int) {
-			fillGainMemo(&targets[ti], freq, table, nChirps)
+			fillEnvelopes(&targets[ti], freq, table)
 		})
 	}
 	if table != nil {
@@ -360,15 +298,8 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 	if workers > distinct {
 		workers = distinct
 	}
-	// Per-worker refill scratch, stride-indexed like the memo: worker w owns
-	// scratchBuf[w·nSamp : (w+1)·nSamp]. Safe to reuse across chirps because
-	// every fill overwrites the whole envelope.
-	var scratchBuf []float64
-	if needScratch {
-		scratchBuf = a.getFloat64(workers * nSamp)
-	}
 	busy := newBusyClock(o, workers)
-	got := a.fanOut(nChirps, workers, func(worker, k int) {
+	got := a.fanOut(nChirps, workers, func(_, k int) {
 		if frames[k].Rx[0] != nil {
 			return // a copy of an earlier chirp's frame, filled below
 		}
@@ -380,10 +311,6 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 				copy(frame.Rx[m], tmpl[m])
 			}
 		}
-		var scratch []float64
-		if scratchBuf != nil {
-			scratch = scratchBuf[worker*nSamp : (worker+1)*nSamp]
-		}
 		for ti := range targets {
 			ts := &targets[ti]
 			dk := a.chirpRange(ts, k)
@@ -391,13 +318,8 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 				continue
 			}
 			tau := 2*rfsim.PropagationDelay(dk) + jitter
-			env := scratch
-			if ts.memo {
-				s := ts.tgt.GainStateOf(k)
-				env = ts.env[s*nSamp : (s+1)*nSamp]
-			} else {
-				fillGainEnv(env, ts.tgt, k, freq)
-			}
+			s := ts.tgt.GainStateOf(k)
+			env := ts.env[s*nSamp : (s+1)*nSamp]
 			// The path loss follows the Doppler-advanced distance dk, not
 			// the initial d: a long burst against a fast target must not
 			// overstate (or understate) late-chirp SNR. The gain-dependent
@@ -417,9 +339,6 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 		frames[k] = frame
 		busy.stop(t0)
 	})
-	if scratchBuf != nil {
-		a.putFloat64(scratchBuf)
-	}
 	// Fill the copy chirps before any noise lands on their representatives.
 	for k, r := range rep {
 		if r != k {

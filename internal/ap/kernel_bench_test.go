@@ -12,7 +12,7 @@ import (
 // localization-length frame (450 samples at 25 MHz) across the three forms
 // the synthesizer uses: the reference per-sample-Sincos kernel with a
 // constant amplitude, the same kernel with a per-sample amplitude callback
-// (the un-memoized target cost, dominated by FrequencyAt + Pow), and the
+// (the oracle's per-sample target cost, dominated by FrequencyAt + Pow), and the
 // phasor-recurrence kernels that replace them.
 
 func benchToneSetup(b *testing.B) (a *AP, frame *ChirpFrame, tau, lambda float64) {
@@ -68,7 +68,7 @@ func BenchmarkAddTonePairPhasor(b *testing.B) {
 }
 
 // BenchmarkAddToneEnvPairPhasor is the recurrence kernel with a
-// precomputed gain envelope — the fast path's memoized-target cost.
+// precomputed gain envelope — the fast path's per-target cost.
 func BenchmarkAddToneEnvPairPhasor(b *testing.B) {
 	a, frame, tau, lambda := benchToneSetup(b)
 	c := a.Config().LocalizationChirp

@@ -13,15 +13,6 @@ import (
 	"repro/internal/rfsim"
 )
 
-// statefulTarget is pointTarget with the switch states declared, so the
-// kernels memoize its two gain curves.
-func statefulTarget(pos rfsim.Point, gainDBi float64) *BackscatterTarget {
-	tgt := pointTarget(pos, gainDBi)
-	tgt.GainStates = 2
-	tgt.GainStateOf = func(k int) int { return k & 1 }
-	return tgt
-}
-
 // maxAbsDiff returns the largest per-sample magnitude difference between two
 // frame sets and the largest magnitude in the reference set, for relative
 // error bounds.
@@ -51,22 +42,21 @@ func maxAbsDiff(t *testing.T, got, want []ChirpFrame) (maxErr, maxRef float64) {
 // TestFastSynthMatchesReference is the kernel differential gate: the
 // synthesis kernels must match the per-sample-Sincos synthesizeRef oracle
 // within the 1e-9 relative drift bound of DESIGN.md §12, on a capture that
-// exercises every kernel — clutter templates, a memoized switching target,
-// an undeclared (per-chirp envelope) target with Doppler motion, and an
-// injected modulated path — with the noise stream drawn identically on both
-// sides.
+// exercises every kernel — clutter templates, a static switching target, a
+// switching target with Doppler motion, and an injected modulated path —
+// with the noise stream drawn identically on both sides.
 func TestFastSynthMatchesReference(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
 	mover := pointTarget(rfsim.Point{X: 5, Y: -0.4}, 19)
 	mover.RadialVelocityMS = 8
-	tgts := []*BackscatterTarget{statefulTarget(rfsim.Point{X: 3, Y: 0.5}, 23), mover}
+	tgts := []*BackscatterTarget{pointTarget(rfsim.Point{X: 3, Y: 0.5}, 23), mover}
 	extra := []ModulatedPath{{
 		Pos:       rfsim.Point{X: 3.4, Y: 0.6},
 		Amplitude: func(k int) float64 { return 2e-7 * float64(1+k%3) },
 	}}
 	for seed := int64(1); seed <= 3; seed++ {
-		ff := synth(t)(a.SynthesizeChirpsMulti(c, 16, tgts, GridTable{}, extra, rfsim.NewNoiseSource(seed)))
+		ff := synth(t)(a.SynthesizeChirps(c, 16, tgts, GridTable{}, extra, rfsim.NewNoiseSource(seed)))
 		rf := synth(t)(a.synthesizeChirpsRef(c, 16, tgts, extra, rfsim.NewNoiseSource(seed)))
 		maxErr, maxRef := maxAbsDiff(t, ff, rf)
 		if maxRef == 0 {
@@ -89,10 +79,10 @@ func TestOracleSynthPipelineAgreement(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
 	for seed := int64(1); seed <= 3; seed++ {
-		tgt := statefulTarget(rfsim.Point{X: 3, Y: 0.5}, 25)
+		tgt := pointTarget(rfsim.Point{X: 3, Y: 0.5}, 25)
 		tgt.RadialVelocityMS = 0.8
 		tgts := []*BackscatterTarget{tgt}
-		prod := synth(t)(a.SynthesizeChirpsMulti(c, 16, tgts, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+		prod := synth(t)(a.SynthesizeChirps(c, 16, tgts, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
 		ref := synth(t)(a.synthesizeChirpsRef(c, 16, tgts, nil, rfsim.NewNoiseSource(seed)))
 		comparePipelines(t, fmt.Sprintf("seed %d kernels vs oracle", seed),
 			runPipeline(t, a, prod), runPipeline(t, a, ref), 1e-6, 1e-9)
@@ -109,7 +99,7 @@ func TestClutterTemplateMatchesUnsharedTones(t *testing.T) {
 	const nChirps = 6
 	// No noise source: the imperfection draws are zero and the frames are
 	// pure clutter, so the template is the only thing under test.
-	frames := synth(t)(a.SynthesizeChirpsMulti(c, nChirps, nil, GridTable{}, nil, nil))
+	frames := synth(t)(a.SynthesizeChirps(c, nChirps, nil, GridTable{}, nil, nil))
 
 	fs := a.Config().BeatSampleRateHz
 	nSamp := c.SampleCount(fs)
@@ -136,64 +126,87 @@ func TestClutterTemplateMatchesUnsharedTones(t *testing.T) {
 	}
 }
 
-// TestGainEnvelopeMemoBitIdentical checks that declaring switch states is a
-// pure optimization: the same gain function synthesized with and without
-// GainStates must produce bit-identical frames, because the memoized rows
-// hold exactly the values the per-chirp fill would compute.
+// TestGainStateValidation pins the target contract errors: no switch
+// states, a missing state function, a missing gain fill, and a state
+// function that steps outside [0, GainStates) each fail up front with
+// ErrInvalidConfig, even behind a valid target.
+func TestGainStateValidation(t *testing.T) {
+	a := MustNew(DefaultConfig(), nil)
+	c := a.Config().LocalizationChirp
+	for _, tc := range []struct {
+		name   string
+		mutate func(*BackscatterTarget)
+	}{
+		{"zero GainStates", func(tgt *BackscatterTarget) { tgt.GainStates = 0 }},
+		{"negative GainStates", func(tgt *BackscatterTarget) { tgt.GainStates = -1 }},
+		{"nil GainStateOf", func(tgt *BackscatterTarget) { tgt.GainStateOf = nil }},
+		{"nil Gain", func(tgt *BackscatterTarget) { tgt.Gain = nil }},
+		// Exceeds the two states from chirp 2 on.
+		{"out-of-range GainStateOf", func(tgt *BackscatterTarget) { tgt.GainStateOf = func(k int) int { return k } }},
+		{"negative GainStateOf", func(tgt *BackscatterTarget) { tgt.GainStateOf = func(k int) int { return -k } }},
+	} {
+		tgt := pointTarget(rfsim.Point{X: 3}, 20)
+		tc.mutate(tgt)
+		tgts := []*BackscatterTarget{pointTarget(rfsim.Point{X: 4}, 20), tgt}
+		if _, err := a.SynthesizeChirps(c, 4, tgts, GridTable{}, nil, nil); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: err = %v, want ErrInvalidConfig", tc.name, err)
+		}
+	}
+}
+
+// TestGainEnvelopeMemoBitIdentical checks that sharing switch states is a
+// pure optimization: a frequency-dependent gain whose chirps share two
+// parity states renders frames bit-identical to the same gain declared with
+// one state per chirp, because each shared row holds exactly the values the
+// chirp's own row would.
 func TestGainEnvelopeMemoBitIdentical(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
-	memo := statefulTarget(rfsim.Point{X: 4, Y: 0.2}, 22)
-	plain := pointTarget(rfsim.Point{X: 4, Y: 0.2}, 22)
+	const nChirps = 8
+	pos := rfsim.Point{X: 4, Y: 0.2}
+	g := func(s int, f float64) float64 { return 2 + 20*float64(s) + 3*(f-26.5e9)/3e9 }
+	shared := funcTarget(pos, g)
+	perChirp := &BackscatterTarget{
+		Pos:         pos,
+		GainStates:  nChirps,
+		GainStateOf: func(k int) int { return k },
+		Gain:        gainFunc(func(s int, f float64) float64 { return g(s&1, f) }),
+	}
 	for seed := int64(1); seed <= 2; seed++ {
-		fm := synth(t)(a.SynthesizeChirps(c, 8, memo, nil, rfsim.NewNoiseSource(seed)))
-		fp := synth(t)(a.SynthesizeChirps(c, 8, plain, nil, rfsim.NewNoiseSource(seed)))
+		fs := synth(t)(a.SynthesizeChirps(c, nChirps, []*BackscatterTarget{shared}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+		fp := synth(t)(a.SynthesizeChirps(c, nChirps, []*BackscatterTarget{perChirp}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
 		for k := range fp {
-			for m := 0; m < 2; m++ {
-				for i := range fp[k].Rx[m] {
-					if fm[k].Rx[m][i] != fp[k].Rx[m][i] {
-						t.Fatalf("seed %d chirp %d rx %d sample %d: memoized %v != per-chirp %v",
-							seed, k, m, i, fm[k].Rx[m][i], fp[k].Rx[m][i])
-					}
-				}
+			if !sameFrames(fs[k], fp[k]) {
+				t.Fatalf("seed %d chirp %d: shared-state rendering diverged from one state per chirp", seed, k)
 			}
 		}
 	}
 }
 
-// TestGainStateValidation pins the GainStates contract errors: a declared
-// state count without a state function, and a state function that steps
-// outside [0, GainStates), both fail up front with ErrInvalidConfig.
-func TestGainStateValidation(t *testing.T) {
-	a := MustNew(DefaultConfig(), nil)
-	c := a.Config().LocalizationChirp
-	missing := pointTarget(rfsim.Point{X: 3}, 20)
-	missing.GainStates = 2
-	if _, err := a.SynthesizeChirps(c, 4, missing, nil, nil); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("GainStates without GainStateOf: err = %v, want ErrInvalidConfig", err)
-	}
-	oob := statefulTarget(rfsim.Point{X: 3}, 20)
-	oob.GainStateOf = func(k int) int { return k } // exceeds 2 states from chirp 2 on
-	if _, err := a.SynthesizeChirps(c, 4, oob, nil, nil); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("out-of-range GainStateOf: err = %v, want ErrInvalidConfig", err)
-	}
-}
-
-// TestManyGainStatesFallsBack checks a target declaring more states than the
-// memo bound still synthesizes, via the per-chirp envelope path, and matches
-// the memoized rendering of an equivalent target bit for bit.
+// TestManyGainStatesFallsBack checks that the state count is free: a
+// target cycling through 12 states (more than any real node declares)
+// takes the same per-state fill as every other target, and since its
+// gains repeat the §5.1 toggle it renders frames bit-identical to its
+// two-state parity twin.
 func TestManyGainStatesFallsBack(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
-	wide := pointTarget(rfsim.Point{X: 3.5, Y: -0.3}, 21)
-	wide.GainStates = maxGainStates + 4 // parity gain, but over-declared states
-	wide.GainStateOf = func(k int) int { return k % (maxGainStates + 4) }
-	narrow := statefulTarget(rfsim.Point{X: 3.5, Y: -0.3}, 21)
-	fw := synth(t)(a.SynthesizeChirps(c, 6, wide, nil, rfsim.NewNoiseSource(9)))
-	fn := synth(t)(a.SynthesizeChirps(c, 6, narrow, nil, rfsim.NewNoiseSource(9)))
-	maxErr, maxRef := maxAbsDiff(t, fw, fn)
-	if maxErr != 0 {
-		t.Fatalf("over-declared states diverged from memoized rendering: max err %.3g (ref %.3g)", maxErr, maxRef)
+	pos := rfsim.Point{X: 3.5, Y: -0.3}
+	var gains []float64
+	for s := 0; s < 12; s++ {
+		gains = append(gains, 1+20*float64(s%2))
+	}
+	wide := ConstantGainTarget(pos, gains...)
+	twin := pointTarget(pos, 21)
+	for seed := int64(1); seed <= 2; seed++ {
+		// 16 chirps wrap the 12-state cycle.
+		fw := synth(t)(a.SynthesizeChirps(c, 16, []*BackscatterTarget{wide}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+		fn := synth(t)(a.SynthesizeChirps(c, 16, []*BackscatterTarget{twin}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+		for k := range fn {
+			if !sameFrames(fw[k], fn[k]) {
+				t.Fatalf("seed %d chirp %d: 12-state target diverged from its parity twin", seed, k)
+			}
+		}
 	}
 }
 
@@ -205,48 +218,50 @@ func slopeTable(freq, dst []float64) {
 	}
 }
 
-// tableTarget is a two-state target whose bulk fills scale the shared
-// slope by a per-state gain, through either seam.
+// tableTarget is a two-state target whose fill scales the slope by a
+// per-state gain, reading the capture's table when the request carries one
+// and building its own otherwise.
 type tableTarget struct {
 	BackscatterTarget
 	lin [2]float64
-	// gainEnvCalls counts fills that bypassed the table.
-	gainEnvCalls atomic.Int32
+	// noTable counts fills that were handed no table.
+	noTable atomic.Int32
 }
 
-func (t *tableTarget) FillEnvs(table []float64, nStates int, env []float64) {
-	n := len(table)
+func (t *tableTarget) FillEnvs(freq, table []float64, nStates int, env []float64) {
+	if table == nil {
+		t.noTable.Add(1)
+		table = make([]float64, len(freq))
+		slopeTable(freq, table)
+	}
+	n := len(freq)
 	for s := 0; s < nStates; s++ {
-		for i, v := range table {
+		for i, v := range table[:n] {
 			env[s*n+i] = v * t.lin[s]
 		}
 	}
+}
+
+func (t *tableTarget) gainDBi(s int, f float64) float64 {
+	return 10 * math.Log10((1+(f-26.5e9)/3e9)*t.lin[s])
 }
 
 func newTableTarget(pos rfsim.Point, gainDBi float64) *tableTarget {
 	t := &tableTarget{lin: [2]float64{math.Pow(10, (gainDBi-20)/10), math.Pow(10, gainDBi/10)}}
 	t.Pos = pos
 	t.GainStates = 2
-	t.GainStateOf = func(k int) int { return k & 1 }
-	t.GainDBi = func(k int, f float64) float64 {
-		return 10 * math.Log10((1+(f-26.5e9)/3e9)*t.lin[k&1])
-	}
-	t.GainEnvs = func(freq []float64, nStates int, env []float64) {
-		t.gainEnvCalls.Add(1)
-		own := make([]float64, len(freq))
-		slopeTable(freq, own)
-		t.FillEnvs(own, nStates, env)
-	}
-	t.TableEnvs = t
+	t.GainStateOf = parity
+	t.Gain = t
 	return t
 }
 
 // TestGridTableSharedAcrossTargets pins the request-wide table seam: a
 // multi-target capture fills its GridTable exactly once, whether the
-// per-target fills run serially or fanned out, hands it to every target's
-// TableEnvs, and renders frames bit-identical to the same targets filling
-// through GainEnvs with no table. A table whose width is not positive is
-// an invalid configuration.
+// per-target fills run serially or fanned out, and hands it to every
+// target's fill; a request without a table hands each fill a nil table,
+// and the two render bit-identical frames when the targets build the same
+// table themselves. A table whose width is not positive is an invalid
+// configuration.
 func TestGridTableSharedAcrossTargets(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
@@ -264,9 +279,9 @@ func TestGridTableSharedAcrossTargets(t *testing.T) {
 	for _, v := range views {
 		tgts = append(tgts, &v.BackscatterTarget)
 	}
-	gainEnvCalls := func() (n int32) {
+	noTable := func() (n int32) {
 		for _, v := range views {
-			n += v.gainEnvCalls.Swap(0)
+			n += v.noTable.Swap(0)
 		}
 		return n
 	}
@@ -274,24 +289,25 @@ func TestGridTableSharedAcrossTargets(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		fills.Store(0)
-		withTable := synth(t)(a.SynthesizeChirpsMulti(c, 6, tgts, table, nil, rfsim.NewNoiseSource(5)))
+		withTable := synth(t)(a.SynthesizeChirps(c, 6, tgts, table, nil, rfsim.NewNoiseSource(5)))
 		if got := fills.Load(); got != 1 {
 			t.Errorf("GOMAXPROCS=%d: table filled %d times per capture, want 1", procs, got)
 		}
-		if got := gainEnvCalls(); got != 0 {
-			t.Errorf("GOMAXPROCS=%d: %d targets bypassed the table", procs, got)
+		if got := noTable(); got != 0 {
+			t.Errorf("GOMAXPROCS=%d: %d fills got no table from a request that carries one", procs, got)
 		}
-		plain := synth(t)(a.SynthesizeChirpsMulti(c, 6, tgts, GridTable{}, nil, rfsim.NewNoiseSource(5)))
-		if got := gainEnvCalls(); got != int32(len(tgts)) {
-			t.Errorf("GOMAXPROCS=%d: %d GainEnvs fills without a table, want %d", procs, got, len(tgts))
+		plain := synth(t)(a.SynthesizeChirps(c, 6, tgts, GridTable{}, nil, rfsim.NewNoiseSource(5)))
+		if got := noTable(); got != int32(len(tgts)) {
+			t.Errorf("GOMAXPROCS=%d: %d fills got a nil table without one in the request, want %d",
+				procs, got, len(tgts))
 		}
 		if maxErr, maxRef := maxAbsDiff(t, withTable, plain); maxErr != 0 {
-			t.Fatalf("GOMAXPROCS=%d: table-fed capture diverged from GainEnvs: max err %.3g (ref %.3g)",
+			t.Fatalf("GOMAXPROCS=%d: table-fed capture diverged from the self-built table: max err %.3g (ref %.3g)",
 				procs, maxErr, maxRef)
 		}
 	}
 	bad := GridTable{Width: 0, Fill: slopeTable}
-	if _, err := a.SynthesizeChirpsMulti(c, 4, tgts, bad, nil, nil); !errors.Is(err, ErrInvalidConfig) {
+	if _, err := a.SynthesizeChirps(c, 4, tgts, bad, nil, nil); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("zero-width table: err = %v, want ErrInvalidConfig", err)
 	}
 }
@@ -334,7 +350,7 @@ func matchOracle(t *testing.T, a *AP, frames []ChirpFrame, nChirps int, tgts []*
 func TestStaticChirpsShareFrames(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
-	tgts := []*BackscatterTarget{statefulTarget(rfsim.Point{X: 3, Y: 0.5}, 23)}
+	tgts := []*BackscatterTarget{pointTarget(rfsim.Point{X: 3, Y: 0.5}, 23)}
 	extra := []ModulatedPath{{
 		Pos:       rfsim.Point{X: 3.1, Y: 0.52},
 		Amplitude: func(k int) float64 { return 2e-7 * float64(1+k%2) },
@@ -342,7 +358,7 @@ func TestStaticChirpsShareFrames(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		frames := synth(t)(a.SynthesizeChirpsMulti(c, 5, tgts, GridTable{}, extra, nil))
+		frames := synth(t)(a.SynthesizeChirps(c, 5, tgts, GridTable{}, extra, nil))
 		for _, pair := range [][2]int{{0, 2}, {0, 4}, {1, 3}} {
 			if !sameFrames(frames[pair[0]], frames[pair[1]]) {
 				t.Errorf("GOMAXPROCS=%d: chirps %d and %d share every input but their frames differ",
@@ -357,38 +373,33 @@ func TestStaticChirpsShareFrames(t *testing.T) {
 }
 
 // TestDistinctChirpsNotShared pins the other side of the rule: a moving
-// target, a target whose gain varies per chirp without declared states, and
-// an extra path whose amplitude changes every chirp each make every chirp
+// target, a target with one switch state (and gain) per chirp, and an extra
+// path whose amplitude changes every chirp each make every chirp
 // distinct, so no two frames may be equal, and each capture must still
 // match the oracle.
 func TestDistinctChirpsNotShared(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	const nChirps = 5
-	mover := statefulTarget(rfsim.Point{X: 4, Y: -0.3}, 22)
+	mover := pointTarget(rfsim.Point{X: 4, Y: -0.3}, 22)
 	mover.RadialVelocityMS = 6
-	// A state function without declared states does not make the target
-	// memoized: its gain may still vary per chirp, as this one's does.
-	free := &BackscatterTarget{
-		Pos:         rfsim.Point{X: 3.5, Y: 0.4},
-		GainDBi:     func(k int, f float64) float64 { return 15 + float64(k) },
-		GainStateOf: func(k int) int { return k & 1 },
-	}
+	// Chirp k in state k: the gain varies freely per chirp.
+	free := ConstantGainTarget(rfsim.Point{X: 3.5, Y: 0.4}, 15, 16, 17, 18, 19)
 	ramp := []ModulatedPath{{
 		Pos:       rfsim.Point{X: 3.2, Y: 0.5},
 		Amplitude: func(k int) float64 { return 1e-7 * float64(1+k) },
 	}}
-	static := statefulTarget(rfsim.Point{X: 3, Y: 0.5}, 23)
+	static := pointTarget(rfsim.Point{X: 3, Y: 0.5}, 23)
 	for _, tc := range []struct {
 		name  string
 		tgts  []*BackscatterTarget
 		extra []ModulatedPath
 	}{
 		{"moving target", []*BackscatterTarget{static, mover}, nil},
-		{"undeclared states", []*BackscatterTarget{static, free}, nil},
+		{"state per chirp", []*BackscatterTarget{static, free}, nil},
 		{"per-chirp extra path", []*BackscatterTarget{static}, ramp},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			frames := synth(t)(a.SynthesizeChirpsMulti(a.Config().LocalizationChirp, nChirps, tc.tgts, GridTable{}, tc.extra, nil))
+			frames := synth(t)(a.SynthesizeChirps(a.Config().LocalizationChirp, nChirps, tc.tgts, GridTable{}, tc.extra, nil))
 			for j := 0; j < nChirps; j++ {
 				for k := j + 1; k < nChirps; k++ {
 					if sameFrames(frames[j], frames[k]) {
@@ -401,38 +412,43 @@ func TestDistinctChirpsNotShared(t *testing.T) {
 	}
 }
 
+// scribbleGain is a constant gain whose fill first overwrites every
+// element its rows can reach with NaN, and counts fills handed anything but
+// exactly their own rows.
+type scribbleGain struct {
+	constantGains
+	badRows *atomic.Int32
+}
+
+func (g scribbleGain) FillEnvs(freq, table []float64, nStates int, env []float64) {
+	if len(env) != nStates*len(freq) || cap(env) != len(env) {
+		g.badRows.Add(1)
+	}
+	env = env[:cap(env)]
+	for i := range env {
+		env[i] = math.NaN()
+	}
+	g.constantGains.FillEnvs(freq, table, nStates, env)
+}
+
 // TestGainEnvelopeArenaIsolatesTargets pins the per-capture envelope arena:
-// memoizing targets share one pooled checkout, non-memoizing ones take none,
-// and each memoizing target's GainEnvs sees exactly its own rows
-// (cap == len), so a fill that scribbles over its whole slice before writing
-// its envelopes cannot corrupt a neighbour's. The capture must match the
-// oracle at any worker count.
+// every target's rows come from one pooled checkout, and each target's fill
+// sees exactly its own rows (cap == len), so a fill that scribbles over its
+// whole slice before writing its envelopes cannot corrupt a neighbour's.
+// The capture must match the oracle at any worker count.
 func TestGainEnvelopeArenaIsolatesTargets(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
 	var badRows atomic.Int32
 	scribbler := func(pos rfsim.Point, gainDBi float64) *BackscatterTarget {
-		tgt := statefulTarget(pos, gainDBi)
-		tgt.GainEnvs = func(freq []float64, nStates int, env []float64) {
-			if len(env) != nStates*len(freq) || cap(env) != len(env) {
-				badRows.Add(1)
-			}
-			env = env[:cap(env)]
-			for i := range env {
-				env[i] = math.NaN()
-			}
-			for s := 0; s < nStates; s++ {
-				for i, f := range freq {
-					env[s*len(freq)+i] = math.Pow(10, tgt.GainDBi(s, f)/10)
-				}
-			}
-		}
+		tgt := pointTarget(pos, gainDBi)
+		tgt.Gain = scribbleGain{tgt.Gain.(constantGains), &badRows}
 		return tgt
 	}
 	tgts := []*BackscatterTarget{
 		scribbler(rfsim.Point{X: 2.6, Y: 0.3}, 21),
 		pointTarget(rfsim.Point{X: 3.3, Y: -0.5}, 19),
-		statefulTarget(rfsim.Point{X: 4.2, Y: 0.8}, 24),
+		ConstantGainTarget(rfsim.Point{X: 4.2, Y: 0.8}, 4, 24, 14),
 		scribbler(rfsim.Point{X: 5.1, Y: -0.2}, 22),
 		pointTarget(rfsim.Point{X: 5.8, Y: 0.6}, 20),
 		scribbler(rfsim.Point{X: 6.4, Y: 0.1}, 23),
@@ -440,7 +456,7 @@ func TestGainEnvelopeArenaIsolatesTargets(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		frames := synth(t)(a.SynthesizeChirpsMulti(c, 4, tgts, GridTable{}, nil, nil))
+		frames := synth(t)(a.SynthesizeChirps(c, 4, tgts, GridTable{}, nil, nil))
 		if n := badRows.Swap(0); n != 0 {
 			t.Fatalf("GOMAXPROCS=%d: %d fills saw rows other than their own", procs, n)
 		}

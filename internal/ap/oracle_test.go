@@ -1,6 +1,7 @@
 package ap
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/dsp"
@@ -17,7 +18,7 @@ import (
 // render identical RNG draws — and the differential tests compare the
 // production kernels against these at fixed seeds and tolerances.
 
-// synthesizeChirpsRef is SynthesizeChirpsMulti rendered by the reference
+// synthesizeChirpsRef is SynthesizeChirps rendered by the reference
 // synthesis oracle.
 func (a *AP) synthesizeChirpsRef(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
 	extra []ModulatedPath, ns *rfsim.NoiseSource) ([]ChirpFrame, error) {
@@ -58,9 +59,10 @@ func (a *AP) synthesizeRef(st synthState) {
 				continue
 			}
 			tau := 2*rfsim.PropagationDelay(dk) + jitter
-			gainAt := ts.tgt.GainDBi
+			gainAt := refGainDBi(ts.tgt)
+			state := ts.tgt.GainStateOf(k)
 			ampAt := func(t float64) float64 {
-				g := gainAt(k, cEff.FrequencyAt(t))
+				g := gainAt(state, cEff.FrequencyAt(t))
 				if math.IsInf(g, -1) {
 					return 0
 				}
@@ -91,6 +93,51 @@ func (a *AP) synthesizeRef(st synthState) {
 		}
 		frames[k] = frame
 	})
+}
+
+// scalarGain is the per-sample dB form of a target's gain, the reference
+// the oracle reads in place of the production envelope fill: state s's
+// equivalent node gain at fHz, −Inf for no reflection. Every Gain a test
+// hands the oracle implements it.
+type scalarGain interface {
+	gainDBi(state int, fHz float64) float64
+}
+
+func (g constantGains) gainDBi(s int, _ float64) float64 { return g[s] }
+
+// refGainDBi returns a target's scalar gain; it panics on a Gain with no
+// scalar form, which the oracle cannot render.
+func refGainDBi(tgt *BackscatterTarget) func(state int, fHz float64) float64 {
+	sg, ok := tgt.Gain.(scalarGain)
+	if !ok {
+		panic(fmt.Sprintf("ap: oracle: target gain %T has no scalar form", tgt.Gain))
+	}
+	return sg.gainDBi
+}
+
+// gainFunc is a test gain given in its scalar dB form. Its envelope fill is
+// 10^(g/10) per state and sample, the per-sample form the kernels once
+// evaluated for every chirp.
+type gainFunc func(state int, fHz float64) float64
+
+func (g gainFunc) FillEnvs(freq, _ []float64, nStates int, env []float64) {
+	n := len(freq)
+	for s := 0; s < nStates; s++ {
+		for i, f := range freq {
+			// math.Pow(10, -Inf) = 0, as the oracle's IsInf guard.
+			env[s*n+i] = math.Pow(10, g(s, f)/10)
+		}
+	}
+}
+
+func (g gainFunc) gainDBi(s int, fHz float64) float64 { return g(s, fHz) }
+
+// parity is the §5.1 toggle: even chirps in state 0, odd chirps in state 1.
+func parity(k int) int { return k & 1 }
+
+// funcTarget is a two-state toggling target at pos whose gain is g.
+func funcTarget(pos rfsim.Point, g gainFunc) *BackscatterTarget {
+	return &BackscatterTarget{Pos: pos, GainStates: 2, GainStateOf: parity, Gain: g}
 }
 
 // addBeatTone adds one path's beat contribution to both antennas. If ampAt

@@ -11,27 +11,21 @@ import (
 
 // captureBoth runs the same synthesis once with the parallel fan-out forced
 // serial (GOMAXPROCS=1) and once with all cores, using identically-seeded
-// noise sources. Three of the targets declare gain states — one with a bulk
-// GainEnvs fill, two through the per-state GainDBi fallback — so the
-// per-target envelope fan-out runs as well as the per-chirp one; the moving
-// target declares none and takes the per-chirp refill path.
+// noise sources. Four targets — one with a frequency-dependent gain, one
+// moving — make the per-target envelope fan-out run as well as the
+// per-chirp one.
 func captureBoth(t *testing.T, a *AP, nChirps int, seed int64) (serial, par []ChirpFrame) {
 	t.Helper()
 	c := a.Config().LocalizationChirp
 	mk := func() []ChirpFrame {
-		bulk := statefulTarget(rfsim.Point{X: 2.4, Y: 0.6}, 20)
-		bulk.GainEnvs = func(freq []float64, nStates int, env []float64) {
-			for s := 0; s < nStates; s++ {
-				for i, f := range freq {
-					env[s*len(freq)+i] = math.Pow(10, bulk.GainDBi(s, f)/10)
-				}
-			}
-		}
+		sloped := funcTarget(rfsim.Point{X: 2.4, Y: 0.6}, func(s int, f float64) float64 {
+			return 20 - 20*float64(1-s) + (f-26.5e9)/1e9
+		})
 		tgts := []*BackscatterTarget{
 			movingTarget(3, 12),
-			statefulTarget(rfsim.Point{X: 5.5, Y: 1}, 22),
-			bulk,
-			statefulTarget(rfsim.Point{X: 4.2, Y: -0.8}, 18),
+			pointTarget(rfsim.Point{X: 5.5, Y: 1}, 22),
+			sloped,
+			pointTarget(rfsim.Point{X: 4.2, Y: -0.8}, 18),
 		}
 		mirror := []ModulatedPath{{
 			Pos: rfsim.Point{X: 3.2},
@@ -42,7 +36,7 @@ func captureBoth(t *testing.T, a *AP, nChirps int, seed int64) (serial, par []Ch
 				return 1e-7
 			},
 		}}
-		return synth(t)(a.SynthesizeChirpsMulti(c, nChirps, tgts, GridTable{}, mirror, rfsim.NewNoiseSource(seed)))
+		return synth(t)(a.SynthesizeChirps(c, nChirps, tgts, GridTable{}, mirror, rfsim.NewNoiseSource(seed)))
 	}
 	old := runtime.GOMAXPROCS(1)
 	serial = mk()
@@ -133,12 +127,9 @@ func TestDopplerAmplitudeFollowsAdvancedRange(t *testing.T) {
 	c := a.Config().LocalizationChirp
 	const d0, vel = 3.0, 50.0
 	nChirps := 64
-	tgt := &BackscatterTarget{
-		Pos:              rfsim.Point{X: d0},
-		GainDBi:          func(k int, f float64) float64 { return 25 },
-		RadialVelocityMS: vel,
-	}
-	frames := synth(t)(a.SynthesizeChirps(c, nChirps, tgt, nil, nil))
+	tgt := ConstantGainTarget(rfsim.Point{X: d0}, 25)
+	tgt.RadialVelocityMS = vel
+	frames := synth(t)(a.SynthesizeChirps(c, nChirps, []*BackscatterTarget{tgt}, GridTable{}, nil, nil))
 	rms := func(x []complex128) float64 {
 		var p float64
 		for _, v := range x {

@@ -77,9 +77,11 @@ func NewPlane(a *ap.AP, opts ...Option) *Plane {
 func (p *Plane) AP() *ap.AP { return p.ap }
 
 // Request describes one FMCW chirp-burst capture: which chirp to sweep,
-// how many times, which modulated targets respond, the grid table their
-// envelope fills share (nil for none; see ap.GridTable), and any extra
-// injected paths (the FSA ground-plane mirror image). Steering and noise
+// how many times, which modulated targets respond (each with its switch
+// states and one gain-envelope fill; see ap.BackscatterTarget), the grid
+// table the AP fills once and hands to every target's fill (the zero value
+// for none, which hands each fill a nil table; see ap.GridTable), and any
+// extra injected paths (the FSA ground-plane mirror image). Steering and noise
 // come from the Lease, so a multi-phase operation (ranging then
 // orientation) reuses both without re-deriving them.
 type Request struct {
@@ -159,7 +161,7 @@ func (l *Lease) Steer(azimuthRad float64) { l.plane.ap.Steer(azimuthRad) }
 // lease's noise stream, in the same order the historical per-pipeline code
 // did. Invalid requests return an error wrapping ap.ErrInvalidConfig.
 func (l *Lease) Chirps(req Request) (*Capture, error) {
-	frames, err := l.plane.ap.SynthesizeChirpsMulti(req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, l.Noise)
+	frames, err := l.plane.ap.SynthesizeChirps(req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, l.Noise)
 	if err != nil {
 		return nil, err
 	}

@@ -19,15 +19,7 @@ func locRequest(p *Plane, nChirps int) Request {
 	return Request{
 		Chirp:   p.AP().Config().LocalizationChirp,
 		NChirps: nChirps,
-		Targets: []*ap.BackscatterTarget{{
-			Pos: rfsim.Point{X: 3},
-			GainDBi: func(k int, f float64) float64 {
-				if k%2 == 1 {
-					return 25
-				}
-				return 5
-			},
-		}},
+		Targets: []*ap.BackscatterTarget{ap.ConstantGainTarget(rfsim.Point{X: 3}, 5, 25)},
 	}
 }
 
@@ -234,7 +226,7 @@ func TestPooledCaptureBitIdenticalToNoPool(t *testing.T) {
 			}
 			req := locRequest(pooled, 4)
 			plain.Steer(0.1)
-			want, err := plain.SynthesizeChirpsMulti(req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, rfsim.NewNoiseSource(seed))
+			want, err := plain.SynthesizeChirps(req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, rfsim.NewNoiseSource(seed))
 			if err != nil {
 				t.Fatal(err)
 			}

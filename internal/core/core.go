@@ -95,8 +95,7 @@ type System struct {
 	// beams is the grid table every capture request carries: the fsa beam
 	// table, which depends only on the FSA's band and scan range, so one
 	// fill per capture serves every node (all are built from
-	// cfg.Node.FSA). It is the zero GridTable when that config is invalid,
-	// in which case no node can join anyway.
+	// cfg.Node.FSA). Every node target's gain fill reads it.
 	beams ap.GridTable
 }
 
@@ -119,14 +118,16 @@ func NewSystem(cfg Config, scene *rfsim.Scene) (*System, error) {
 	if cfg.NodeClockSkewStd < 0 || cfg.NodeClockSkewStd > 0.2 {
 		return nil, fmt.Errorf("core: node clock skew std %g outside [0, 0.2]", cfg.NodeClockSkewStd)
 	}
+	f, err := fsa.New(cfg.Node.FSA)
+	if err != nil {
+		return nil, fmt.Errorf("core: node FSA: %w", err)
+	}
 	a, err := ap.New(cfg.AP, scene)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{AP: a, cfg: cfg, clock: NewClock()}
-	if f, err := fsa.New(cfg.Node.FSA); err == nil {
-		s.beams = ap.GridTable{Width: fsa.BeamTableWidth, Fill: f.BeamTable}
-	}
+	s := &System{AP: a, cfg: cfg, clock: NewClock(),
+		beams: ap.GridTable{Width: fsa.BeamTableWidth, Fill: f.BeamTable}}
 	var opts []capture.Option
 	if !cfg.DisableObservability {
 		s.reg = obs.NewRegistry()
@@ -220,54 +221,36 @@ func orientationTarget(n *node.Node) *ap.BackscatterTarget {
 // nodeTarget is a node as one capture's target under a toggle-parity
 // switching pattern: state 0 (even chirps) holds both ports absorptive,
 // state 1 (odd chirps) makes port B reflective and — unless holdA — port A
-// too. Every gain query goes through the FSA's pure with-modes forms, so
-// SynthesizeChirpsMulti may call them from any goroutine without racing on
-// the node's actual switch state.
+// too. Its gain fill goes through the FSA's pure bulk forms, so
+// SynthesizeChirps may call it from any goroutine without racing on the
+// node's actual switch state.
 type nodeTarget struct {
 	ap.BackscatterTarget
 	n     *node.Node
 	holdA bool
 }
 
-// newNodeTarget builds the target view of n. The bulk fills are
-// bit-identical to ReflectionAmplitudeWithModes per sample; GainDBi is its
-// dB form, which the reference oracle reads.
+// newNodeTarget builds the target view of n: one allocation, since the
+// state function captures nothing and the Gain interface holds the target
+// itself.
 func newNodeTarget(n *node.Node, holdA bool) *ap.BackscatterTarget {
 	t := &nodeTarget{n: n, holdA: holdA}
 	t.Pos = n.Position
-	t.GainDBi = func(k int, fHz float64) float64 {
-		modeA, modeB := fsa.Absorptive, fsa.Absorptive
-		if k%2 == 1 {
-			modeB = fsa.Reflective
-			if !holdA {
-				modeA = fsa.Reflective
-			}
-		}
-		return 20 * math.Log10(n.FSA.ReflectionAmplitudeWithModes(modeA, modeB, fHz, n.OrientationDeg)) / 2
-	}
-	// Without a capture-wide table, build the node's own beam table in the
-	// two state rows and fill from it in place (ReflectionEnvelopes allows
-	// the aliasing).
-	t.GainEnvs = func(freq []float64, nStates int, env []float64) {
-		table := env[:fsa.BeamTableWidth*len(freq)]
-		n.FSA.BeamTable(freq, table)
-		t.FillEnvs(table, nStates, env)
-	}
-	// The interface holds the pointer itself, so wiring it allocates
-	// nothing per target.
-	t.TableEnvs = t
-	// The gain depends on k only through the toggle parity, so the fast
-	// synthesis kernels memoize the two gain curves (DESIGN.md §12).
+	// The gain depends on k only through the toggle parity, so the
+	// synthesis kernels fill the two gain curves once each (DESIGN.md §12).
 	t.GainStates = 2
 	t.GainStateOf = func(k int) int { return k & 1 }
+	t.Gain = t
 	return &t.BackscatterTarget
 }
 
-// FillEnvs implements ap.TableEnvelopes over an fsa.BeamTable: the two
-// ports' mode-independent envelopes, combined per state with the
-// absorptive scalar exactly as ReflectionAmplitudeWithModes combines them.
-func (t *nodeTarget) FillEnvs(table []float64, nStates int, env []float64) {
-	ns := len(table) / fsa.BeamTableWidth
+// FillEnvs implements ap.GainEnvelopes over the capture's fsa.BeamTable
+// (the System's beams, which every core capture carries): the two ports'
+// mode-independent envelopes, combined per state with the absorptive
+// scalar exactly as ReflectionAmplitudeWithModes combines them, so each
+// sample is bit-identical to it.
+func (t *nodeTarget) FillEnvs(freq, table []float64, _ int, env []float64) {
+	ns := len(freq)
 	pa, pb := env[:ns], env[ns:2*ns]
 	t.n.FSA.ReflectionEnvelopes(table, t.n.OrientationDeg, pa, pb)
 	abs := t.n.FSA.AbsorptiveFactor()

@@ -26,6 +26,9 @@ func TestNewSystemValidation(t *testing.T) {
 		func(c *Config) { c.MirrorWidthDeg = 0 },
 		func(c *Config) { c.MirrorModulationDepth = 2 },
 		func(c *Config) { c.AP.TxPowerW = 0 },
+		// Every capture carries the FSA beam table, so a node FSA the
+		// table cannot be built for fails here, not at the first join.
+		func(c *Config) { c.Node.FSA.Elements = 0 },
 	}
 	for i, mut := range mutations {
 		cfg := DefaultConfig()

@@ -12,10 +12,17 @@ import (
 	"repro/internal/rfsim"
 )
 
-// TestGainEnvsMatchScalarFSA pins the bulk gain-envelope fills of
-// localizationTarget and orientationTarget — fsa.ReflectionEnvelopes
+// nodeGainDBi is the dB form of a node's gain with its ports in the given
+// modes: the equivalent node gain rfsim.BackscatterAmplitude takes, per
+// sample, through the scalar fsa.ReflectionAmplitudeWithModes.
+func nodeGainDBi(n *node.Node, modeA, modeB fsa.Mode, fHz float64) float64 {
+	return 20 * math.Log10(n.FSA.ReflectionAmplitudeWithModes(modeA, modeB, fHz, n.OrientationDeg)) / 2
+}
+
+// TestGainEnvsMatchScalarFSA pins the gain fill of localizationTarget and
+// orientationTarget — fsa.ReflectionEnvelopes over a filled fsa.BeamTable,
 // combined per state with AbsorptiveFactor — bit for bit against the scalar
-// fsa.ReflectionAmplitudeWithModes they replace, for every state and grid
+// fsa.ReflectionAmplitudeWithModes it replaces, for every state and grid
 // sample. Orientations cover the broadside beam, the default facing, and a
 // far off-beam pose where the array factor clamps to the backlobe floor;
 // grid lengths cover the real localization chirp and one sample shorter,
@@ -54,10 +61,12 @@ func TestGainEnvsMatchScalarFSA(t *testing.T) {
 			if orient == 75 && clamped == 0 {
 				t.Fatalf("orient %g°: no sample reaches the backlobe floor; pick a pose further off-beam", orient)
 			}
+			table := make([]float64, fsa.BeamTableWidth*nSamp)
+			n.FSA.BeamTable(freq, table)
 			for _, v := range views {
 				tgt := v.build(n)
 				env := make([]float64, tgt.GainStates*nSamp)
-				tgt.GainEnvs(freq, tgt.GainStates, env)
+				tgt.Gain.FillEnvs(freq, table, tgt.GainStates, env)
 				for s := 0; s < tgt.GainStates; s++ {
 					if got := tgt.GainStateOf(s); got != s {
 						t.Fatalf("%s: GainStateOf(%d) = %d", v.name, s, got)
@@ -70,11 +79,11 @@ func TestGainEnvsMatchScalarFSA(t *testing.T) {
 							t.Fatalf("%s orient %g° n=%d state %d sample %d: bulk %v != scalar %v",
 								v.name, orient, nSamp, s, i, got, want)
 						}
-						// The envelope describes the same target as the
-						// scalar GainDBi seam the reference oracle reads.
-						viaDB := math.Pow(10, tgt.GainDBi(s, f)/10)
+						// The envelope is the linear form of the node's
+						// equivalent gain in dB.
+						viaDB := math.Pow(10, nodeGainDBi(n, mA, mB, f)/10)
 						if math.Abs(viaDB-got) > 1e-12*got {
-							t.Fatalf("%s orient %g° n=%d state %d sample %d: GainDBi gives %v, envelope %v",
+							t.Fatalf("%s orient %g° n=%d state %d sample %d: dB form gives %v, envelope %v",
 								v.name, orient, nSamp, s, i, viaDB, got)
 						}
 					}

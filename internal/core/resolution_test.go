@@ -31,7 +31,7 @@ func TestFFTSizeSetsResolutionOnly(t *testing.T) {
 	c := ref.cfg.AP.LocalizationChirp
 	frames := func(nChirps int, seed int64, tgts ...*ap.BackscatterTarget) []ap.ChirpFrame {
 		t.Helper()
-		f, err := ref.AP.SynthesizeChirpsMulti(c, nChirps, tgts, ref.beams, nil, rfsim.NewNoiseSource(seed))
+		f, err := ref.AP.SynthesizeChirps(c, nChirps, tgts, ref.beams, nil, rfsim.NewNoiseSource(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

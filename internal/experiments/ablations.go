@@ -34,27 +34,16 @@ func AblationBackgroundSubtraction(trials int, seed int64) AblationSubtractionRe
 	c := a.Config().LocalizationChirp
 	res := AblationSubtractionResult{Trials: trials}
 	for i := 0; i < trials; i++ {
-		mod := &ap.BackscatterTarget{
-			Pos: rfsim.Point{X: 4},
-			GainDBi: func(k int, f float64) float64 {
-				if k%2 == 1 {
-					return 25
-				}
-				return 5
-			},
-		}
-		frames, err := a.SynthesizeChirps(c, 5, mod, nil, rfsim.NewNoiseSource(seed+int64(i)))
+		mod := ap.ConstantGainTarget(rfsim.Point{X: 4}, 5, 25)
+		frames, err := a.SynthesizeChirps(c, 5, []*ap.BackscatterTarget{mod}, ap.GridTable{}, nil, rfsim.NewNoiseSource(seed+int64(i)))
 		if err != nil {
 			panic(err)
 		}
 		if _, err := a.ProcessLocalization(c, frames); err == nil {
 			res.ModulatedDetections++
 		}
-		static := &ap.BackscatterTarget{
-			Pos:     rfsim.Point{X: 4},
-			GainDBi: func(int, float64) float64 { return 25 },
-		}
-		frames, err = a.SynthesizeChirps(c, 5, static, nil, rfsim.NewNoiseSource(seed+int64(i)))
+		static := ap.ConstantGainTarget(rfsim.Point{X: 4}, 25)
+		frames, err = a.SynthesizeChirps(c, 5, []*ap.BackscatterTarget{static}, ap.GridTable{}, nil, rfsim.NewNoiseSource(seed+int64(i)))
 		if err != nil {
 			panic(err)
 		}

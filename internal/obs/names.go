@@ -68,7 +68,7 @@ const (
 	// Sub-stage split of the synthesize stage. Draw times the serial state
 	// build and AWGN draw (newSynthState) that precede the kernels. Clutter
 	// times the per-capture set-up: the clutter template, the frequency grid
-	// and the FSA gain-envelope memo fill (fanned out across targets).
+	// and the FSA gain-envelope fill (fanned out across targets).
 	// Targets times the per-chirp tone generation, Noise the AWGN fold-in.
 	// The four run back to back and cover MetricSynthesizeSeconds apart
 	// from the clock reads between them.

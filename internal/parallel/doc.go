@@ -6,7 +6,7 @@
 // from the index i alone (its own simulator state, its own seeds, its own
 // output slot), so results are bit-identical to a serial run regardless of
 // goroutine scheduling. Random draws shared across indices must be performed
-// serially *before* fanning out — see ap.SynthesizeChirpsMulti, which draws
+// serially *before* fanning out — see ap.SynthesizeChirps, which draws
 // every chirp's noise up front in chirp order so the RNG stream matches the
 // historical serial implementation exactly.
 //

@@ -18,6 +18,15 @@ func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewCluster(WithSystemConfig(core.Config{})); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("zero config: err = %v, want ErrInvalidConfig", err)
 	}
+	// A node FSA config the beam table cannot be built for fails up front,
+	// rather than leaving every later Join to fail.
+	noFSA := core.DefaultConfig()
+	noFSA.Node.FSA.Elements = 0
+	for _, aps := range []int{1, 3} {
+		if _, err := NewCluster(WithAPs(aps), WithSystemConfig(noFSA)); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("%d APs, zero FSA elements: err = %v, want ErrInvalidConfig", aps, err)
+		}
+	}
 }
 
 // TestNewClusterFailureStopsEngines pins that a NewCluster failing after
