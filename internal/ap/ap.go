@@ -157,9 +157,9 @@ type apObs struct {
 	tracer     *obs.Tracer
 
 	// Sub-stage split of the synthesize stage (DESIGN.md §12.4): the serial
-	// state build and AWGN draw, per-capture set-up (clutter template,
-	// frequency grid, gain-envelope fill), per-chirp target-tone
-	// generation, and the noise fold-in.
+	// state build (imperfection draws and noise key), per-capture set-up
+	// (clutter template, frequency grid, gain-envelope fill), per-chirp
+	// target-tone generation, and the keyed AWGN draw.
 	synthDraw    *obs.Histogram
 	synthClutter *obs.Histogram
 	synthTargets *obs.Histogram

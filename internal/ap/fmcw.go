@@ -222,10 +222,10 @@ func validateSynth(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget, tab
 	return nil
 }
 
-// newSynthState draws the capture's hardware imperfections and AWGN from ns
-// and hoists every chirp-invariant input of a validated request. It is the
-// one place the capture's RNG stream is consumed, so the synthesis kernels
-// and the per-sample-Sincos test oracle render identical draws.
+// newSynthState draws the capture's hardware imperfections and noise key
+// from ns and hoists every chirp-invariant input of a validated request. It
+// is the one place the capture consumes ns, so the synthesis kernels and the
+// per-sample-Sincos test oracle render identical draws.
 func (a *AP) newSynthState(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
 	extra []ModulatedPath, ns *rfsim.NoiseSource) synthState {
 	fs := a.cfg.BeatSampleRateHz
@@ -235,18 +235,21 @@ func (a *AP) newSynthState(c waveform.Chirp, nChirps int, tgts []*BackscatterTar
 	// Per-capture hardware imperfections (see Config): sweep-slope error,
 	// trigger jitter, and receive-chain phase mismatch. The processor always
 	// assumes the nominal chirp, so these flow into the estimates exactly as
-	// they do on the bench.
+	// they do on the bench. Then one key for the capture's AWGN: chirp k's
+	// antenna m draws from the keyed stream (key, 2k+m) when it is rendered,
+	// so no noise is drawn here and no stream depends on the schedule.
 	var eta, jitter, psi float64
+	var noise keyedNoise
 	if ns != nil {
 		eta = ns.Gaussian(a.cfg.SweepNonlinearityStd)
 		jitter = ns.Gaussian(a.cfg.SyncJitterStd)
 		psi = ns.Gaussian(a.cfg.RxPhaseMismatchStd)
+		noise = keyedNoise{on: true, key: ns.Uint64(), power: a.noisePowerW(fs)}
 	}
 	cEff := c
 	cEff.FreqHigh = c.FreqLow + (c.FreqHigh-c.FreqLow)*(1+eta)
 
 	clutter := a.clutterPaths(fc)
-	noisePower := a.noisePowerW(fs)
 
 	// Per-target constants, hoisted out of the chirp loop: geometry and the
 	// obstruction loss do not depend on the chirp index.
@@ -273,21 +276,6 @@ func (a *AP) newSynthState(c waveform.Chirp, nChirps int, tgts []*BackscatterTar
 			path: ep,
 			az:   ep.Pos.AngleFrom(rfsim.Point{}),
 			tau:  2*rfsim.PropagationDelay(ep.Pos.Distance(rfsim.Point{})) + jitter,
-		}
-	}
-
-	// Noise is drawn serially up front, one buffer per chirp in chirp order,
-	// so the RNG consumes exactly the stream the historical serial loop did —
-	// the parallel fan-out then stays bit-identical to a serial run.
-	var noise [][2][]complex128
-	if ns != nil {
-		noise = make([][2][]complex128, nChirps)
-		for k := range noise {
-			for m := 0; m < 2; m++ {
-				buf := a.getComplex(nSamp)
-				ns.AddComplexAWGN(buf, noisePower)
-				noise[k][m] = buf
-			}
 		}
 	}
 

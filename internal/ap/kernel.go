@@ -12,9 +12,10 @@ import (
 
 // This file is the synthesis kernel path (DESIGN.md §12). SynthesizeChirps
 // builds a synthState (newSynthState) — everything the kernels need,
-// including the exact RNG draw order — and renders it here. The
-// per-sample-Sincos reference it replaced, synthesizeRef, survives as a test
-// oracle consuming the same synthState. Three rewrites carry the speedup:
+// including the capture's imperfection draws and noise key — and renders it
+// here. The per-sample-Sincos reference it replaced, synthesizeRef, survives
+// as a test oracle consuming the same synthState. Five rewrites carry the
+// speedup:
 //
 //  1. Phasor recurrence: every beat tone advances by one complex multiply per
 //     sample (dsp.AddTonePair / AddToneEnvPair), re-anchored with an exact
@@ -30,6 +31,9 @@ import (
 //  4. Distinct chirps: chirps whose pre-noise frames are bit-identical (a
 //     static scene seen in the same switch states) are rendered once and
 //     copied (chirpClasses).
+//  5. Keyed noise: each chirp and antenna draws its AWGN in place from its
+//     own small keyed stream, inside a fan-out over chirps, so no noise is
+//     pre-drawn into buffers and the draw runs in parallel (keyedNoise).
 
 // targetState is one backscatter target with everything that does not depend
 // on the chirp index hoisted out of the per-chirp loop: geometry, obstruction
@@ -65,11 +69,32 @@ type extraState struct {
 	step float64
 }
 
+// keyedNoise is one capture's AWGN: chirp k's antenna m receives the
+// keyed stream rfsim.KeyedNoiseSource(key, 2k+m) at the given power. The
+// zero value adds no noise.
+type keyedNoise struct {
+	on    bool
+	key   uint64
+	power float64
+}
+
+// add adds chirp k's AWGN to its frame in place. Each (k, m) stream is
+// independent of every other and of the order frames are rendered in, so
+// the fan-out may call it for any chirps concurrently.
+func (n keyedNoise) add(frame ChirpFrame, k int) {
+	if !n.on {
+		return
+	}
+	for m := 0; m < 2; m++ {
+		ns := rfsim.KeyedNoiseSource(n.key, 2*k+m)
+		ns.AddComplexAWGN(frame.Rx[m], n.power)
+	}
+}
+
 // synthState carries one capture's synthesis inputs, shared by the kernels
 // and the reference test oracle: the effective (slope-perturbed) chirp, the
 // per-capture imperfection draws, hoisted target and extra-path state, and
-// the pre-drawn noise buffers (chirp-ordered, so the RNG stream is identical
-// however the fan-out schedules).
+// the key of the capture's noise streams, which the renderer draws in place.
 type synthState struct {
 	cEff    waveform.Chirp
 	nChirps int
@@ -85,7 +110,7 @@ type synthState struct {
 	clutter []rfsim.Path
 	targets []targetState
 	extras  []extraState
-	noise   [][2][]complex128
+	noise   keyedNoise
 	frames  []ChirpFrame
 }
 
@@ -164,11 +189,11 @@ func (a *AP) interAntennaRot(aoaRad, lambda, psi float64) complex128 {
 // the amplitude factorization, both far inside 1e-9 relative.
 //
 // The three phases are timed separately when the AP is observed (per-capture
-// set-up including the gain-envelope fill, target/extra tones, noise
-// fold-in), giving `milback-report -trace` a per-stage split of where
-// synthesis time goes. The serial state build and AWGN draw in
-// newSynthState precede phase 1 and are timed by the caller as
-// ap.synthesize.draw.
+// set-up including the gain-envelope fill, target/extra tones, the keyed
+// AWGN draw), giving `milback-report -trace` a per-stage split of where
+// synthesis time goes. The serial state build in newSynthState (the
+// imperfection draws and the noise key) precedes phase 1 and is timed by
+// the caller as ap.synthesize.draw.
 func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 	o := a.obs
 
@@ -352,25 +377,18 @@ func (a *AP) synthesizeFast(st synthState, gridTable GridTable) {
 		busy.recordBusy(o.tracer, obs.SpanSynthTargets, targetsStart, got)
 	}
 
-	// Phase 3 (serial): fold the pre-drawn noise into each frame and recycle
-	// the buffers. Last in the per-sample accumulation order, as in the
-	// reference oracle.
+	// Phase 3 (parallel): add each chirp's keyed AWGN in place, last in the
+	// per-sample accumulation order as in the reference oracle, and after
+	// the copy chirps are filled, so a copy gets its own noise. The streams
+	// are keyed by (chirp, antenna), not by the worker that draws them.
 	var noiseStart time.Time
 	if o != nil {
 		noiseStart = time.Now()
 	}
-	if st.noise != nil {
-		for k := range st.frames {
-			for m := 0; m < 2; m++ {
-				nb := st.noise[k][m]
-				dst := st.frames[k].Rx[m]
-				for i := range dst {
-					dst[i] += nb[i]
-				}
-				st.noise[k][m] = nil
-				a.putComplex(nb)
-			}
-		}
+	if noise := st.noise; noise.on {
+		a.fanOut(nChirps, a.captureWorkers(), func(_, k int) {
+			noise.add(frames[k], k)
+		})
 	}
 	if o != nil {
 		o.synthNoise.Observe(time.Since(noiseStart).Seconds())

@@ -15,8 +15,9 @@ import (
 // (synthesizeRef, addBeatTone) and the window-every-chirp-then-difference
 // background subtraction (refSpectra). The synthesis oracle consumes the
 // same synthState as synthesizeFast — newSynthState is shared, so both
-// render identical RNG draws — and the differential tests compare the
-// production kernels against these at fixed seeds and tolerances.
+// render identical imperfection draws and keyed noise streams — and the
+// differential tests compare the production kernels against these at fixed
+// seeds and tolerances.
 
 // synthesizeChirpsRef is SynthesizeChirps rendered by the reference
 // synthesis oracle.
@@ -78,19 +79,7 @@ func (a *AP) synthesizeRef(st synthState) {
 		for _, es := range extras {
 			a.addBeatTone(&frame, cEff, es.tau, es.path.Amplitude(k)*txAmp*radarLoss, es.az, lambda, psi, nil)
 		}
-		if noise != nil {
-			for m := 0; m < 2; m++ {
-				nb := noise[k][m]
-				for i := range frame.Rx[m] {
-					frame.Rx[m][i] += nb[i]
-				}
-				// The chirp's noise buffer is folded in; recycle it. Each k
-				// is owned by exactly one worker and the pool is locked, so
-				// this is safe inside the fan-out.
-				noise[k][m] = nil
-				a.putComplex(nb)
-			}
-		}
+		noise.add(frame, k)
 		frames[k] = frame
 	})
 }

@@ -3,6 +3,7 @@ package ap
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,6 +65,39 @@ func TestParallelSynthesisBitIdenticalToSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKeyedNoiseDeterminism pins the keyed noise streams: each chirp and
+// antenna draws from the stream keyed by its own index, so a capture
+// renders bit-identical frames whether the draws run serially or spread
+// over four workers — at 5 chirps (the localization burst, which keeps
+// its chirp classes on the stack) and at 32 (past that buffer). Copy
+// chirps, whose pre-noise frames equal their representative's, still get
+// noise of their own.
+func TestKeyedNoiseDeterminism(t *testing.T) {
+	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
+	for _, nChirps := range []int{5, 32} {
+		serial, par := captureBoth(t, a, nChirps, 31)
+		if !slices.EqualFunc(serial, par, sameFrames) {
+			t.Errorf("%d chirps: frames differ between GOMAXPROCS 1 and 4", nChirps)
+		}
+	}
+
+	c := a.Config().LocalizationChirp
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var byProcs [][]ChirpFrame
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		static := []*BackscatterTarget{pointTarget(rfsim.Point{X: 3, Y: 0.4}, 20)}
+		byProcs = append(byProcs, synth(t)(a.SynthesizeChirps(c, 5, static, GridTable{}, nil, rfsim.NewNoiseSource(31))))
+	}
+	if !slices.EqualFunc(byProcs[0], byProcs[1], sameFrames) {
+		t.Error("static capture: frames differ between GOMAXPROCS 1 and 4")
+	}
+	f := byProcs[0]
+	if slices.Equal(f[0].Rx[0], f[2].Rx[0]) || slices.Equal(f[1].Rx[1], f[3].Rx[1]) {
+		t.Error("a copy chirp carries its representative's noise")
 	}
 }
 

@@ -122,10 +122,12 @@ func (c *Capture) Release() {
 // a lease belongs to the one operation that acquired it.
 type Lease struct {
 	plane *Plane
-	// Noise is the operation's deterministic noise source. All of the
-	// operation's random draws — capture imperfections, AWGN, node clock
-	// skew — come from this stream in a fixed order, which is what makes
-	// results bit-identical for a fixed seed.
+	// Noise is the operation's deterministic noise source. Every random
+	// draw of the operation comes from it or from a stream keyed off it:
+	// each capture's imperfections and noise key, the uplink AWGN and the
+	// node-side draws are taken from it in a fixed order, and each chirp's
+	// AWGN comes from the keyed stream (noise key, chirp, antenna). That
+	// makes results bit-identical for a fixed seed at any GOMAXPROCS.
 	Noise *rfsim.NoiseSource
 
 	job      *JobLease
@@ -157,9 +159,10 @@ func (p *Plane) Acquire(steerRad float64, seed int64) *Lease {
 func (l *Lease) Steer(azimuthRad float64) { l.plane.ap.Steer(azimuthRad) }
 
 // Chirps synthesizes one chirp-burst capture into pooled frame buffers.
-// The capture draws this burst's hardware imperfections and AWGN from the
-// lease's noise stream, in the same order the historical per-pipeline code
-// did. Invalid requests return an error wrapping ap.ErrInvalidConfig.
+// The capture draws this burst's hardware imperfections and one noise key
+// from the lease's noise stream; each chirp and antenna then adds its AWGN
+// in place from its own stream keyed by (noise key, chirp, antenna).
+// Invalid requests return an error wrapping ap.ErrInvalidConfig.
 func (l *Lease) Chirps(req Request) (*Capture, error) {
 	frames, err := l.plane.ap.SynthesizeChirps(req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, l.Noise)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/ap"
+	"repro/internal/capture"
 	"repro/internal/node"
 	"repro/internal/rfsim"
 )
@@ -23,14 +25,49 @@ func newNodeSystem(t *testing.T) (*System, *node.Node) {
 	return sys, n
 }
 
+// localizationFrames renders the localization capture Localize draws first
+// at this seed and returns a copy of its frames.
+func localizationFrames(t *testing.T, sys *System, n *node.Node, seed int64) []ap.ChirpFrame {
+	t.Helper()
+	lease := sys.capture.Acquire(n.AzimuthRad(), seed)
+	defer lease.Close()
+	c, err := lease.Chirps(capture.Request{
+		Chirp:   sys.cfg.AP.LocalizationChirp,
+		NChirps: sys.cfg.LocalizationChirps,
+		Targets: []*ap.BackscatterTarget{localizationTarget(n)},
+		Table:   sys.beams,
+		Extra:   sys.mirrorPaths(n),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]ap.ChirpFrame, len(c.Frames))
+	for k, f := range c.Frames {
+		out[k].Rx = [2][]complex128{slices.Clone(f.Rx[0]), slices.Clone(f.Rx[1])}
+	}
+	return out
+}
+
+// sameFrames reports whether two captures are bit-identical.
+func sameFrames(a, b []ap.ChirpFrame) bool {
+	return slices.EqualFunc(a, b, func(x, y ap.ChirpFrame) bool {
+		return slices.Equal(x.Rx[0], y.Rx[0]) && slices.Equal(x.Rx[1], y.Rx[1])
+	})
+}
+
 // TestSceneMutationReachesNextCapture interleaves scene mutations with
 // captures: after every mutation the long-lived system must match, bit for
 // bit, the fresh-system oracle — a newly built system over a copy of the
 // scene as it then stands — so each edit reaches the very next capture.
+// Whether an edit changed the scene the AP sees is read off the capture's
+// frames at one fixed seed, not off the final fix: the noise realization is
+// then the same on both sides, so any clutter change shows in the samples
+// however little it moves the estimate.
 func TestSceneMutationReachesNextCapture(t *testing.T) {
 	sys, n := newNodeSystem(t)
 	scene := sys.AP.Scene()
-	localize := func(step string, seed int64) LocalizationOutcome {
+	const seed = 1
+	render := func(step string) []ap.ChirpFrame {
 		t.Helper()
 		got, err := sys.Localize(n, seed)
 		if err != nil {
@@ -51,41 +88,46 @@ func TestSceneMutationReachesNextCapture(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s: long-lived outcome diverged from a fresh system:\nlong-lived %+v\nfresh      %+v", step, got, want)
 		}
-		return got
+		frames := localizationFrames(t, sys, n, seed)
+		if !sameFrames(frames, localizationFrames(t, ref, rn, seed)) {
+			t.Fatalf("%s: long-lived capture diverged from a fresh system's", step)
+		}
+		return frames
 	}
 
-	base := localize("initial", 1)
+	base := render("initial")
 	// The blocker crosses the AP -> back-wall clutter path (Y=0 at X=6) but
 	// not the node's line of sight, so localization still succeeds while the
 	// clutter geometry — and therefore the capture — changes.
 	scene.AddObstruction(rfsim.Obstruction{Name: "cabinet", A: rfsim.Point{X: 6, Y: -0.3}, B: rfsim.Point{X: 6, Y: 0.3}, LossDB: 40})
-	blocked := localize("after AddObstruction", 1)
-	if blocked == base {
-		t.Fatal("obstruction did not change the outcome; the test cannot detect stale clutter")
+	if sameFrames(render("after AddObstruction"), base) {
+		t.Fatal("obstruction did not change the capture; the test cannot detect stale clutter")
 	}
 	// Sliding the cabinet off every clutter ray restores the clear scene.
 	scene.Obstructions[0].A, scene.Obstructions[0].B = rfsim.Point{X: -6, Y: -0.3}, rfsim.Point{X: -6, Y: 0.3}
-	if moved := localize("after moving the obstruction", 1); moved != base {
-		t.Fatalf("moving the blocker off every ray did not restore the outcome:\nbefore %+v\nafter  %+v", base, moved)
+	if !sameFrames(render("after moving the obstruction"), base) {
+		t.Fatal("moving the blocker off every ray did not restore the capture")
 	}
 	if !scene.RemoveObstruction("cabinet") {
 		t.Fatal("cabinet not found")
 	}
-	if restored := localize("after RemoveObstruction", 1); restored != base {
-		t.Fatalf("removing the blocker did not restore the original outcome:\nbefore %+v\nafter  %+v", base, restored)
+	if !sameFrames(render("after RemoveObstruction"), base) {
+		t.Fatal("removing the blocker did not restore the original capture")
 	}
 	nRefl := len(scene.Reflectors)
 	scene.Reflectors = append(scene.Reflectors, rfsim.Reflector{Name: "cart", Position: rfsim.Point{X: 8, Y: -2}, RCS: 2})
-	withCart := localize("after adding a reflector", 1)
-	if withCart == base {
-		t.Fatal("new reflector did not change the outcome")
+	withCart := render("after adding a reflector")
+	if sameFrames(withCart, base) {
+		t.Fatal("new reflector did not change the capture")
 	}
 	scene.Reflectors[nRefl].Position = rfsim.Point{X: 9, Y: -1}
-	if moved := localize("after moving the reflector", 1); moved == withCart {
-		t.Fatal("moving a reflector did not change the outcome")
+	if sameFrames(render("after moving the reflector"), withCart) {
+		t.Fatal("moving a reflector did not change the capture")
 	}
 	scene.Reflectors = scene.Reflectors[:nRefl]
-	localize("after removing the reflector", 1)
+	if !sameFrames(render("after removing the reflector"), base) {
+		t.Fatal("removing the reflector did not restore the original capture")
+	}
 }
 
 // TestCaptureDifferentialAcrossSeeds is the capture plane's end-to-end

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fsa"
+	"repro/internal/rfsim"
 )
 
 func TestFig10FSAPattern(t *testing.T) {
@@ -140,6 +141,39 @@ func TestFig13aNodeOrientationMatchesPaper(t *testing.T) {
 	}
 	if !strings.Contains(r.Summary().String(), "node") {
 		t.Error("summary malformed")
+	}
+}
+
+// A trial whose estimator fails is counted, kept out of the mean and
+// printed; it does not crash the sweep. At 24° the node-side estimator
+// finds no plausible peak separation on trial seed 100, so a 5-trial sweep
+// from seed 98 meets it at its third trial.
+func TestFig13aCountsFailedTrial(t *testing.T) {
+	sys := defaultSystem()
+	n, err := sys.AddNode(rfsim.Point{X: 2}, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.SenseOrientationAtNode(n, 100); err == nil {
+		t.Fatal("trial seed 100 at 24° no longer fails; pick a failing trial for this test")
+	}
+	r := Fig13aNodeOrientation([]float64{24}, 5, 98)
+	row := r.Rows[0]
+	if row.Failed != 1 || r.Failed() != 1 || row.Trials != 5 {
+		t.Fatalf("row = %+v, want 1 failed trial of 5", row)
+	}
+	if math.IsNaN(row.MeanErrDeg) || row.MeanErrDeg > 3 {
+		t.Errorf("mean over the 4 good trials = %.2f°, want a finite value < 3°", row.MeanErrDeg)
+	}
+	sum := r.Summary()
+	if got := sum.Columns[len(sum.Columns)-1]; got != "failed" {
+		t.Fatalf("last column = %q, want failed", got)
+	}
+	if got := sum.Rows[0][len(sum.Rows[0])-1]; got != "1" {
+		t.Errorf("failed column reads %q, want 1", got)
+	}
+	if got := failedNote(r.Failed()); got != ", failed trials: 1" {
+		t.Errorf("claim detail suffix = %q", got)
 	}
 }
 

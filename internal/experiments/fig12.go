@@ -12,9 +12,13 @@ import (
 // Fig12aRow is one distance point of the ranging-accuracy experiment.
 type Fig12aRow struct {
 	DistanceM float64
-	MeanErrM  float64
-	P90ErrM   float64
-	Trials    int
+	// MeanErrM and P90ErrM summarize the trials that produced a fix; they
+	// are NaN when none did.
+	MeanErrM float64
+	P90ErrM  float64
+	Trials   int
+	// Failed counts the trials whose localization returned an error.
+	Failed int
 }
 
 // Fig12aResult is the ranging accuracy vs distance experiment (§9.2).
@@ -24,7 +28,8 @@ type Fig12aResult struct {
 
 // Fig12aRanging reproduces Fig 12a: the node is placed at each distance and
 // localized `trials` times (paper: 20); mean and 90th-percentile ranging
-// errors are reported. The node orientation is fixed slightly off-normal so
+// errors are reported over the trials that produced a fix, and the rest are
+// counted as failed. The node orientation is fixed slightly off-normal so
 // the reflection is strong but not degenerate.
 func Fig12aRanging(distances []float64, trials int, seed int64) Fig12aResult {
 	if trials < 1 {
@@ -40,29 +45,39 @@ func Fig12aRanging(distances []float64, trials int, seed int64) Fig12aResult {
 		if err != nil {
 			panic(err)
 		}
+		row := Fig12aRow{DistanceM: d, Trials: trials, MeanErrM: math.NaN(), P90ErrM: math.NaN()}
 		var errs []float64
 		for tr := 0; tr < trials; tr++ {
 			loc, err := sys.Localize(n, seed+int64(di*1000+tr))
 			if err != nil {
-				panic(fmt.Sprintf("experiments: ranging d=%g trial %d: %v", d, tr, err))
+				row.Failed++
+				continue
 			}
 			errs = append(errs, math.Abs(loc.RangeM-d))
 		}
-		out.Rows[di] = Fig12aRow{
-			DistanceM: d,
-			MeanErrM:  dsp.Mean(errs),
-			P90ErrM:   dsp.Percentile(errs, 90),
-			Trials:    trials,
+		if len(errs) > 0 {
+			row.MeanErrM = dsp.Mean(errs)
+			row.P90ErrM = dsp.Percentile(errs, 90)
 		}
+		out.Rows[di] = row
 	})
 	return out
+}
+
+// Failed returns the number of failed trials over every distance.
+func (r Fig12aResult) Failed() int {
+	n := 0
+	for _, row := range r.Rows {
+		n += row.Failed
+	}
+	return n
 }
 
 // Summary renders the per-distance error table.
 func (r Fig12aResult) Summary() Table {
 	t := Table{
 		Title:   "Fig 12a — Ranging accuracy",
-		Columns: []string{"distance (m)", "mean err (cm)", "90th pct err (cm)", "trials"},
+		Columns: []string{"distance (m)", "mean err (cm)", "90th pct err (cm)", "trials", "failed"},
 		Notes: []string{
 			"paper: mean error < 5 cm at 5 m and < 12 cm at 8 m; error grows with distance",
 		},
@@ -70,7 +85,7 @@ func (r Fig12aResult) Summary() Table {
 	for _, row := range r.Rows {
 		t.Rows = append(t.Rows, []string{
 			f1(row.DistanceM), f2(row.MeanErrM * 100), f2(row.P90ErrM * 100),
-			fmt.Sprintf("%d", row.Trials),
+			fmt.Sprintf("%d", row.Trials), fmt.Sprintf("%d", row.Failed),
 		})
 	}
 	return t

@@ -12,9 +12,14 @@ import (
 // Fig13Row is one orientation point of an orientation-sensing experiment.
 type Fig13Row struct {
 	OrientationDeg float64
-	MeanErrDeg     float64
-	VarErrDeg      float64
-	Trials         int
+	// MeanErrDeg and VarErrDeg summarize the trials that produced an
+	// estimate; MeanErrDeg is NaN when none did.
+	MeanErrDeg float64
+	VarErrDeg  float64
+	Trials     int
+	// Failed counts the trials whose estimator returned an error (node side
+	// only; an AP-side failure still panics).
+	Failed int
 }
 
 // Fig13Result is an orientation-accuracy sweep (node-side 13a or AP-side
@@ -26,7 +31,8 @@ type Fig13Result struct {
 
 // Fig13aNodeOrientation reproduces Fig 13a: the node at 2 m estimates its
 // own orientation from the triangular chirps' peak separation, `trials`
-// times per orientation (paper: 25).
+// times per orientation (paper: 25). A trial whose estimator returns an
+// error is counted as failed and kept out of the mean.
 func Fig13aNodeOrientation(orientationsDeg []float64, trials int, seed int64) Fig13Result {
 	if trials < 1 {
 		panic(fmt.Sprintf("experiments: trials must be >= 1, got %d", trials))
@@ -39,20 +45,21 @@ func Fig13aNodeOrientation(orientationsDeg []float64, trials int, seed int64) Fi
 		if err != nil {
 			panic(err)
 		}
+		row := Fig13Row{OrientationDeg: orient, Trials: trials, MeanErrDeg: math.NaN()}
 		var errs []float64
 		for tr := 0; tr < trials; tr++ {
 			res, err := sys.SenseOrientationAtNode(n, seed+int64(oi*1000+tr))
 			if err != nil {
-				panic(fmt.Sprintf("experiments: node orientation %g trial %d: %v", orient, tr, err))
+				row.Failed++
+				continue
 			}
 			errs = append(errs, math.Abs(res.EstimateDeg-orient))
 		}
-		out.Rows[oi] = Fig13Row{
-			OrientationDeg: orient,
-			MeanErrDeg:     dsp.Mean(errs),
-			VarErrDeg:      dsp.Variance(errs),
-			Trials:         trials,
+		if len(errs) > 0 {
+			row.MeanErrDeg = dsp.Mean(errs)
+			row.VarErrDeg = dsp.Variance(errs)
 		}
+		out.Rows[oi] = row
 	})
 	return out
 }
@@ -103,19 +110,29 @@ func (r Fig13Result) Summary() Table {
 	}
 	t := Table{
 		Title:   title,
-		Columns: []string{"orientation (deg)", "mean err (deg)", "std (deg)", "trials"},
+		Columns: []string{"orientation (deg)", "mean err (deg)", "std (deg)", "trials", "failed"},
 		Notes:   notes,
 	}
 	for _, row := range r.Rows {
 		t.Rows = append(t.Rows, []string{
 			f1(row.OrientationDeg), f2(row.MeanErrDeg), f2(math.Sqrt(row.VarErrDeg)),
-			fmt.Sprintf("%d", row.Trials),
+			fmt.Sprintf("%d", row.Trials), fmt.Sprintf("%d", row.Failed),
 		})
 	}
 	return t
 }
 
-// MaxMeanErr returns the worst per-orientation mean error.
+// Failed returns the number of failed trials over every orientation.
+func (r Fig13Result) Failed() int {
+	n := 0
+	for _, row := range r.Rows {
+		n += row.Failed
+	}
+	return n
+}
+
+// MaxMeanErr returns the worst per-orientation mean error, ignoring
+// orientations where every trial failed.
 func (r Fig13Result) MaxMeanErr() float64 {
 	m := 0.0
 	for _, row := range r.Rows {

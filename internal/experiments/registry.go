@@ -32,6 +32,15 @@ func reduced(quick bool, full, fast int) int {
 	return full
 }
 
+// failedNote is a claim detail's suffix naming its failed trials, empty
+// when none failed.
+func failedNote(n int) string {
+	if n == 0 {
+		return ""
+	}
+	return fmt.Sprintf(", failed trials: %d", n)
+}
+
 // Registry lists every experiment with its settings, in the order
 // milback-experiments runs them; the entries with a Claim, in this order,
 // are the rows of milback-report's verdict table.
@@ -77,7 +86,8 @@ func Registry() []Experiment {
 					// too noisy to judge a centimeter-level claim.
 					r := Fig12aRanging([]float64{5, 8}, 20, seed)
 					e5, e8 := r.Rows[0].MeanErrM*100, r.Rows[1].MeanErrM*100
-					return e5 < 6 && e8 < 12, fmt.Sprintf("%.1f cm @5 m, %.1f cm @8 m", e5, e8)
+					return e5 < 6 && e8 < 12 && r.Failed() == 0,
+						fmt.Sprintf("%.1f cm @5 m, %.1f cm @8 m", e5, e8) + failedNote(r.Failed())
 				}}},
 		{ID: "fig12b", Desc: "angle accuracy CDF",
 			Run: func(seed int64, quick bool) Table {
@@ -93,8 +103,9 @@ func Registry() []Experiment {
 			Run: func(seed int64, quick bool) Table { return fig13a(seed, quick).Summary() },
 			Claim: &Claim{ID: "fig13a-node-orientation", Statement: "node-side orientation mean error always < 3°",
 				Check: func(seed int64, quick bool) (bool, string) {
-					w := fig13a(seed, quick).MaxMeanErr()
-					return w < 3, fmt.Sprintf("worst mean %.2f°", w)
+					r := fig13a(seed, quick)
+					w := r.MaxMeanErr()
+					return w < 3 && r.Failed() == 0, fmt.Sprintf("worst mean %.2f°", w) + failedNote(r.Failed())
 				}}},
 		{ID: "fig13b", Desc: "orientation sensing at the AP",
 			Run: func(seed int64, quick bool) Table { return fig13b(seed, quick).Summary() },
@@ -185,7 +196,13 @@ func Registry() []Experiment {
 			}},
 		{ID: "ext-mobility", Desc: "extension: localization RMSE vs trajectory speed (0.5-10 m/s)",
 			Run: func(seed int64, quick bool) Table {
-				return ExtMobilityRMSE([]float64{0.5, 1, 2, 4, 7, 10}, 20, 3, reduced(quick, 10, 3), seed).Summary()
+				// Quick runs one trial over half the route: 180 fixes in place
+				// of 3,600, the sweep's largest share otherwise.
+				routeS := 3.0
+				if quick {
+					routeS = 1.5
+				}
+				return ExtMobilityRMSE([]float64{0.5, 1, 2, 4, 7, 10}, 20, routeS, reduced(quick, 10, 1), seed).Summary()
 			}},
 		{ID: "ext-fading", Desc: "extension: Rician fading outage on the uplink",
 			Run: func(seed int64, quick bool) Table {

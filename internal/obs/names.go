@@ -66,10 +66,11 @@ const (
 	MetricServeInFlight       = "serve.in_flight"
 
 	// Sub-stage split of the synthesize stage. Draw times the serial state
-	// build and AWGN draw (newSynthState) that precede the kernels. Clutter
-	// times the per-capture set-up: the clutter template, the frequency grid
-	// and the FSA gain-envelope fill (fanned out across targets).
-	// Targets times the per-chirp tone generation, Noise the AWGN fold-in.
+	// build (newSynthState: the imperfection draws and the noise key) that
+	// precedes the kernels. Clutter times the per-capture set-up: the
+	// clutter template, the frequency grid and the FSA gain-envelope fill
+	// (fanned out across targets). Targets times the per-chirp tone
+	// generation, Noise the keyed AWGN draw (fanned out across chirps).
 	// The four run back to back and cover MetricSynthesizeSeconds apart
 	// from the clock reads between them.
 	MetricSynthDrawSeconds    = "ap.synthesize.draw_seconds"

@@ -11,19 +11,13 @@ package proto
 // session is doing. Streams with different ids are statistically
 // independent; the same (base, id, k) triple always yields the same seed.
 
-// splitmix64Gamma is Weyl-sequence increment of SplitMix64 (the fractional
-// part of the golden ratio in 64-bit fixed point).
-const splitmix64Gamma = 0x9E3779B97F4A7C15
+import "repro/internal/rfsim"
 
-// splitmix64 advances x by the SplitMix64 gamma and applies the finalizer
-// (Steele, Lea & Flood, "Fast splittable pseudorandom number generators").
-func splitmix64(x uint64) uint64 {
-	x += splitmix64Gamma
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
+// splitmix64Gamma and splitmix64 are rfsim's SplitMix64, the one copy the
+// noise streams seed from too.
+const splitmix64Gamma = rfsim.SplitMix64Gamma
+
+func splitmix64(x uint64) uint64 { return rfsim.SplitMix64(x) }
 
 // SeedStream is a deterministic, splittable stream of operation seeds. The
 // zero value is usable but corresponds to base state 0; construct streams

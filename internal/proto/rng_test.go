@@ -13,6 +13,23 @@ func TestSplitmix64Reference(t *testing.T) {
 	}
 }
 
+// The seeds every session and operation draws are pinned bit for bit:
+// moving the mixer must not move a single seed.
+func TestSeedStreamPinned(t *testing.T) {
+	if got := DeriveSessionSeed(1, 1); got != 8147104208329303767 {
+		t.Errorf("DeriveSessionSeed(1, 1) = %d, want 8147104208329303767", got)
+	}
+	if got := DeriveSessionSeed(-5, 3); got != 5828229321792201168 {
+		t.Errorf("DeriveSessionSeed(-5, 3) = %d, want 5828229321792201168", got)
+	}
+	s := NewSeedStream(DeriveSessionSeed(7, 2))
+	for i, want := range []int64{2756759555671984696, 1666493990332326350, 5025949919628723145} {
+		if got := s.Next(); got != want {
+			t.Errorf("draw %d = %d, want %d", i, got, want)
+		}
+	}
+}
+
 func TestSeedStreamDeterministic(t *testing.T) {
 	a := NewSeedStream(42)
 	b := NewSeedStream(42)

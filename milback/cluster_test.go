@@ -170,8 +170,8 @@ func TestClusterDeterministic(t *testing.T) {
 // sequence must reproduce the recorded full-precision golden values bit for
 // bit. (The values were first recorded from the single-AP facade the
 // cluster replaced, re-recorded when the FSA pattern kernel changed
-// rounding by ~1e-14 relative, and again when the range FFT dropped from
-// 2048 to 512 points.)
+// rounding by ~1e-14 relative, when the range FFT dropped from 2048 to 512
+// points, and when the AWGN moved to keyed xoshiro256++ streams.)
 func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 	ctx := context.Background()
 	places := []struct{ x, y, orient float64 }{
@@ -187,14 +187,14 @@ func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 		fix       Position
 	}{
 		{0, 28.175172194361025,
-			Position{RangeM: 2.349199074316497, AzimuthDeg: -27.722006174952156, OrientationDeg: 9.889455421328126, X: 2.0795463145367625, Y: -1.0928052966864932},
-			Position{RangeM: 2.381183651506543, AzimuthDeg: -31.005840523904375, OrientationDeg: 10.323585717177203, X: 2.0409477376419685, Y: -1.2266082970598906}},
+			Position{RangeM: 2.3171284868627855, AzimuthDeg: -32.249338035932674, OrientationDeg: 10.100132234399261, X: 1.95967431297748, Y: -1.2364307549099802},
+			Position{RangeM: 2.3306440846747867, AzimuthDeg: -33.32921705434604, OrientationDeg: 10.038825129485552, X: 1.9473167300148388, Y: -1.2805699521829685}},
 		{0, 25.10547677841282,
-			Position{RangeM: 2.950007250294259, AzimuthDeg: 13.475731910134073, OrientationDeg: -3.6903704205229246, X: 2.8687897476638318, Y: 0.6874504785710633},
-			Position{RangeM: 2.9730523711006693, AzimuthDeg: 15.290430124923818, OrientationDeg: -3.8107466928615565, X: 2.867810713172768, Y: 0.7840294093456012}},
+			Position{RangeM: 2.8828713825329504, AzimuthDeg: 13.095194710064478, OrientationDeg: -4.033405367790223, X: 2.807902233456125, Y: 0.6531710768087856},
+			Position{RangeM: 2.943087351285857, AzimuthDeg: 12.17384217243236, OrientationDeg: -3.3167278820859494, X: 2.8769039995948082, Y: 0.620633977811556}},
 		{0, 20.89291770254433,
-			Position{RangeM: 3.5473510127913674, AzimuthDeg: 22.946483333006377, OrientationDeg: 4.154467362617417, X: 3.2666470383308908, Y: 1.383009882436116},
-			Position{RangeM: 3.5843654625482015, AzimuthDeg: 21.632630022723134, OrientationDeg: 4.308912721222001, X: 3.33190673052235, Y: 1.3213906720604043}},
+			Position{RangeM: 3.5454131120894754, AzimuthDeg: 22.180052779904095, OrientationDeg: 3.746461953356551, X: 3.2830598877221218, Y: 1.3384587812129238},
+			Position{RangeM: 3.666195718193317, AzimuthDeg: 20.852057556916904, OrientationDeg: 3.7809381550733185, X: 3.4260696104229456, Y: 1.3050050071303856}},
 	}
 
 	c, err := NewCluster(WithSeed(5))
@@ -233,22 +233,22 @@ func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 	// recorded before the cells drove their engines directly.
 	single := opsGolden{
 		Discover: []ClusterDetection{
-			{AP: 0, Detection: Detection{RangeM: 4.650725998113634, AzimuthDeg: -22.020704002839533, X: 4.311448229389619, Y: -1.7437506917054328, SNRdB: 33.931828897070545}},
-			{AP: 0, Detection: Detection{RangeM: 2.3191669258788914, AzimuthDeg: -21.967239580072626, X: 2.1507905240529994, Y: -0.8675455905797522, SNRdB: 48.42560970490514}},
-			{AP: 0, Detection: Detection{RangeM: 6.946039443770053, AzimuthDeg: -3.278551947476719, X: 6.9346708272050375, Y: -0.39724611102034024, SNRdB: 29.635160399064738}},
-			{AP: 0, Detection: Detection{RangeM: 3.2083572168236505, AzimuthDeg: 17.657051912510447, X: 3.0572086605262556, Y: 0.97315529939864, SNRdB: 41.949507978060836}},
+			{AP: 0, Detection: Detection{RangeM: 4.681493547860047, AzimuthDeg: -20.072431026560196, X: 4.397137297871351, Y: -1.6067250612111206, SNRdB: 33.52088197882732}},
+			{AP: 0, Detection: Detection{RangeM: 2.3361922870506553, AzimuthDeg: -19.88386041468962, X: 2.1969177795568626, Y: -0.7945732640492735, SNRdB: 48.6193339412086}},
+			{AP: 0, Detection: Detection{RangeM: 7.070249030388613, AzimuthDeg: -0.15099254883504898, X: 7.070224479329516, Y: -0.01863232676810352, SNRdB: 30.223403441496256}},
+			{AP: 0, Detection: Detection{RangeM: 3.2222352542798958, AzimuthDeg: 18.482704742193015, X: 3.0560304050221387, Y: 1.021507805895014, SNRdB: 41.79623062622891}},
 		},
-		OrientationDeg:   6.248983250835989,
-		VelocityMS:       -0.0007044417794410039,
+		OrientationDeg:   5.926045777720452,
+		VelocityMS:       -0.0028553304745744467,
 		Rate:             20e6,
 		RateOK:           true,
-		FECData:          "forward-error-corrected",
-		FECCorrections:   7,
-		ReliableAttempts: 2,
+		FECCorrections:   12,
+		FECErr:           "milback: proto: residual errors after FEC: proto: CRC mismatch (got 6ce6, want 356b)",
+		ReliableAttempts: 1,
 		Superframe: CellStats{
-			PerNodeDeliveredBits:   []int{384, 384, 384, 287},
-			AggregateThroughputBps: 736588.8615888617,
-			Fairness:               0.9865518345380638,
+			PerNodeDeliveredBits:   []int{384, 384, 384, 384},
+			AggregateThroughputBps: 786240.7862407863,
+			Fairness:               1,
 			TotalAirtimeS:          0.0019535999999999998,
 		},
 	}
@@ -257,9 +257,9 @@ func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 	}
 	multi := opsGolden{
 		Discover: []ClusterDetection{
-			{AP: 0, Detection: Detection{RangeM: 2.4866802138744215, AzimuthDeg: 7.033676486465346, X: 2.4679663279152595, Y: 0.30450072307140597, SNRdB: 46.59607660549894}},
-			{AP: 1, Detection: Detection{RangeM: 2.938303661297965, AzimuthDeg: 9.214663992400267, X: 2.9003857738828023, Y: 12.470521804654453, SNRdB: 44.99205591072463}},
-			{AP: 2, Detection: Detection{RangeM: 3.5329433716272063, AzimuthDeg: 11.031881363496325, X: 3.4676576119621916, Y: 24.676047005263158, SNRdB: 41.1025214270071}},
+			{AP: 0, Detection: Detection{RangeM: 2.502823817363805, AzimuthDeg: 8.03128029385582, X: 2.478275972275448, Y: 0.3496788040555373, SNRdB: 47.50433436336456}},
+			{AP: 1, Detection: Detection{RangeM: 2.9522241904846753, AzimuthDeg: 7.98987419559154, X: 2.9235659144735053, Y: 12.410353523941968, SNRdB: 44.42424601177752}},
+			{AP: 2, Detection: Detection{RangeM: 3.5909508939927863, AzimuthDeg: 8.609428863768008, X: 3.550487195397698, Y: 24.53755836742123, SNRdB: 40.971041810047055}},
 		},
 		Superframe: CellStats{
 			PerNodeDeliveredBits:   []int{256, 256, 0, 256},
@@ -283,14 +283,15 @@ type opsGolden struct {
 	RateOK           bool
 	FECData          string
 	FECCorrections   int
+	FECErr           string
 	ReliableAttempts int
 	Superframe       CellStats
 }
 
 // singleAPOps runs one of each engine-scheduled operation on a 1-AP
 // cluster: a sweep, a node-side orientation, a Doppler burst, a rate
-// probe, an FEC packet, an ARQ transfer to a far node (7 m, which needs a
-// retry) and a superframe.
+// probe, an FEC packet and an ARQ transfer to a far node (7 m), and a
+// superframe.
 func singleAPOps(t *testing.T) opsGolden {
 	t.Helper()
 	ctx := context.Background()
@@ -313,9 +314,11 @@ func singleAPOps(t *testing.T) opsGolden {
 	if g.Rate, g.RateOK, err = c.BestUplinkRate(ctx, d); err != nil {
 		t.Fatal(err)
 	}
+	// At 80 Mbps and 7 m the FEC packet fails at about 58 % of seeds, so
+	// the golden pins its outcome, failure included.
 	data, corrections, err := c.SendFEC(ctx, e, []byte("forward-error-corrected"), 80e6)
 	if err != nil {
-		t.Fatal(err)
+		g.FECErr = err.Error()
 	}
 	g.FECData, g.FECCorrections = string(data), corrections
 	rel, err := c.DeliverReliable(ctx, e, []byte("stop-and-wait"), Rate36Mbps, 4)

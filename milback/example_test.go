@@ -105,8 +105,8 @@ func ExampleCluster_Localize() {
 	fmt.Printf("range: %.2f m\n", pos.RangeM)
 	fmt.Printf("orientation: %.1f°\n", pos.OrientationDeg)
 	// Output:
-	// range: 3.07 m
-	// orientation: -9.9°
+	// range: 2.97 m
+	// orientation: -10.4°
 }
 
 // ExampleCluster_Discover bootstraps a cell: the AP sweeps its beam and
@@ -134,8 +134,8 @@ func ExampleCluster_Discover() {
 	}
 	// Output:
 	// found 2 nodes
-	//   ~5.1 m at -15°
-	//   ~3.0 m at +9°
+	//   ~5.1 m at -10°
+	//   ~3.0 m at +8°
 }
 
 // ExampleCluster_Metrics reads the observability plane after some traffic:
