@@ -7,14 +7,15 @@
 # allocation gate, diffs every example's stdout and the quick and full
 # experiment sweeps against their goldens, reruns the paper's verdict table against
 # REPORT.md, fuzzes every Fuzz* target briefly, smoke-runs every benchmark
-# once, and times the working tree against HEAD and a pinned anchor commit
+# once, vets and smoke-tests the served benchmark module (bench-check), and
+# times the working tree against HEAD and a pinned anchor commit
 # (bench-ab).
 
 GO ?= go
 
-.PHONY: verify lint vet fmt-check build test race determinism fuzz-smoke alloc-gate bench bench-ab docs-check api-check examples-check experiments-check report-check serve-smoke
+.PHONY: verify lint vet fmt-check build test race determinism fuzz-smoke alloc-gate bench bench-check bench-ab docs-check api-check examples-check experiments-check report-check serve-smoke
 
-verify: lint docs-check api-check examples-check experiments-check report-check build race determinism fuzz-smoke alloc-gate serve-smoke bench bench-ab
+verify: lint docs-check api-check examples-check experiments-check report-check build race determinism fuzz-smoke alloc-gate serve-smoke bench bench-check bench-ab
 
 # lint is the static gate: vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -117,6 +118,14 @@ bench:
 # (exit 0) and pidfile removal.
 serve-smoke:
 	./scripts/serve_smoke.sh
+
+# Served-benchmark gate: benchmark/ is a nested module that ./... never
+# reaches, so vet it and run its TestSmoke (every workload for 2 s,
+# untraced and traced, failing on any failed operation); a facade change
+# that breaks the benchmark fails here.
+bench-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Live perf gate: scripts/bench_ab.sh times the working tree against a
 # base commit on the steady-state capture, the 1,024-node discovery sweep,

@@ -180,8 +180,8 @@ func TestDiscoveryRecallOneToOne(t *testing.T) {
 	}
 }
 
-// BenchmarkReliableTransfer measures a CRC+ARQ transfer through the public
-// API.
+// BenchmarkReliableTransfer measures a CRC+ARQ transfer (Send with
+// WithARQ) through the public API.
 func BenchmarkReliableTransfer(b *testing.B) {
 	ctx := context.Background()
 	c, err := milback.NewCluster(milback.WithSeed(2))
@@ -196,7 +196,7 @@ func BenchmarkReliableTransfer(b *testing.B) {
 	payload := []byte("reliable benchmark payload")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.SendReliable(ctx, n, payload, milback.Rate10Mbps, 3); err != nil {
+		if _, err := c.Send(ctx, n, payload, milback.Rate10Mbps, milback.WithARQ(3)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,7 +56,7 @@ func main() {
 			log.Fatal(err)
 		}
 		report := []byte(fmt.Sprintf("room-%d occupancy=%d", i, (i*3)%5))
-		res, err := c.SendReliable(ctx, n, report, rate, 3)
+		res, err := c.Send(ctx, n, report, rate, milback.WithARQ(3))
 		if err != nil {
 			log.Fatalf("node %d: %v", i, err)
 		}
@@ -69,13 +69,13 @@ func main() {
 	if err := c.AddBlocker(ctx, "visitor", 2.5, -1.2, 2.5, -0.3, 30); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := c.SendReliable(ctx, nodes[2], []byte("ping"), milback.Rate10Mbps, 2); err != nil {
+	if _, err := c.Send(ctx, nodes[2], []byte("ping"), milback.Rate10Mbps, milback.WithARQ(2)); err != nil {
 		fmt.Println("node 2 unreachable while blocked:", err)
 	} else {
 		fmt.Println("node 2 survived the blocker (unexpected at 30 dB)")
 	}
 	// Other bearings unaffected.
-	if _, err := c.SendReliable(ctx, nodes[0], []byte("ping"), milback.Rate10Mbps, 2); err != nil {
+	if _, err := c.Send(ctx, nodes[0], []byte("ping"), milback.Rate10Mbps, milback.WithARQ(2)); err != nil {
 		log.Fatalf("node 0 should be unaffected: %v", err)
 	}
 	fmt.Println("node 0 unaffected by the blocker")
@@ -83,7 +83,7 @@ func main() {
 	if _, err := c.RemoveBlocker(ctx, "visitor"); err != nil {
 		log.Fatal(err)
 	}
-	res, err := c.SendReliable(ctx, nodes[2], []byte("ping"), milback.Rate10Mbps, 2)
+	res, err := c.Send(ctx, nodes[2], []byte("ping"), milback.Rate10Mbps, milback.WithARQ(2))
 	if err != nil {
 		log.Fatalf("node 2 should recover: %v", err)
 	}

@@ -19,10 +19,10 @@
 // regardless of how caller goroutines interleave.
 //
 // Concurrency contract: Engine methods are safe for concurrent use.
-// Session methods (RunPacketContext, SendReliableContext, Localize, …)
-// execute on the caller's goroutine without scheduling; the caller runs
-// each one as an Engine job (the milback cluster does), or owns the whole
-// system on one goroutine (as the experiments and tests do).
+// Session methods (Transfer, Localize, …) execute on the caller's
+// goroutine without scheduling; the caller runs each one as an Engine job
+// (the milback cluster does), or owns the whole system on one goroutine
+// (as the experiments and tests do).
 //
 // The engine records its accounting on the registry it is given
 // (queue-wait and job-duration histograms, per-outcome job counters, one

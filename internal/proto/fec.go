@@ -1,11 +1,6 @@
 package proto
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/waveform"
-)
+import "fmt"
 
 // Hamming(7,4) forward error correction: each 4-bit nibble becomes a 7-bit
 // codeword that corrects any single bit error. Combined with a block
@@ -138,54 +133,4 @@ func deinterleave(bits []bool, depth int) []bool {
 		}
 	}
 	return append(out, bits[cols*depth:]...)
-}
-
-// SendFECContext transfers data in one packet with Hamming(7,4) +
-// interleaving instead of ARQ: no retransmissions, but isolated channel bit
-// errors are corrected. Returns the decoded payload and the number of
-// corrected bits. A residual error after correction is reported through the
-// frame CRC. The underlying packet's channel accounting (wire bits,
-// pre-correction bit errors, airtime) is available in Session.LastOutcome
-// afterwards. ctx is checked between the packet phases (see
-// RunPacketContext).
-func (s *Session) SendFECContext(ctx context.Context, dir waveform.Direction, data []byte, rate float64, depth int) ([]byte, int, error) {
-	if len(data) == 0 {
-		return nil, 0, fmt.Errorf("proto: empty payload")
-	}
-	frame := Frame{Seq: s.nextFrameSeq(), Flags: FlagFinal, Payload: data}
-	wire, err := frame.Encode()
-	if err != nil {
-		return nil, 0, err
-	}
-	bits := waveform.BytesToBits(wire)
-	coded, err := FECEncode(bits, depth)
-	if err != nil {
-		return nil, 0, err
-	}
-	codedLen := len(coded)
-	// Pad the coded stream to whole bytes for the packet payload.
-	padded := append([]bool(nil), coded...)
-	for len(padded)%8 != 0 {
-		padded = append(padded, false)
-	}
-	out, err := s.RunPacketContext(ctx, dir, waveform.BitsToBytes(padded), rate)
-	if err != nil {
-		return nil, 0, err
-	}
-	rxBits := waveform.BytesToBits(out.Payload)
-	if len(rxBits) < codedLen {
-		return nil, 0, fmt.Errorf("proto: FEC payload truncated (%d of %d coded bits)", len(rxBits), codedLen)
-	}
-	decoded, corrections, err := FECDecode(rxBits[:codedLen], depth, len(bits))
-	if err != nil {
-		return nil, corrections, err
-	}
-	got, err := DecodeFrame(waveform.BitsToBytes(decoded))
-	if err != nil {
-		return nil, corrections, fmt.Errorf("proto: residual errors after FEC: %w", err)
-	}
-	if got.Seq != frame.Seq {
-		return nil, corrections, fmt.Errorf("proto: sequence mismatch after FEC")
-	}
-	return got.Payload, corrections, nil
 }

@@ -181,22 +181,27 @@ func TestSendFECEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("forward error corrected payload")
-	got, corrections, err := s.SendFECContext(context.Background(), waveform.Uplink, data, 10e6, 8)
+	fec := Coding{FEC: true}
+	res, err := s.Transfer(context.Background(), waveform.Uplink, data, 10e6, fec)
 	if err != nil {
-		t.Fatalf("SendFEC: %v", err)
+		t.Fatalf("FEC transfer: %v", err)
 	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("payload = %q", got)
+	if !bytes.Equal(res.Payload, data) {
+		t.Fatalf("payload = %q", res.Payload)
 	}
-	if corrections != 0 {
-		t.Errorf("clean 2.5 m link reported %d corrections", corrections)
+	if res.Corrections != 0 || res.Attempts != 1 {
+		t.Errorf("clean 2.5 m link reported %d corrections in %d attempts", res.Corrections, res.Attempts)
+	}
+	// The wire carries the Hamming(7,4)-coded frame, padded to whole bytes.
+	if want := (7*2*(len(data)+frameOverhead) + 7) / 8 * 8; res.BitsSent != want {
+		t.Errorf("bits sent = %d, want the %d-bit coded frame", res.BitsSent, want)
 	}
 	// Downlink too.
-	got, _, err = s.SendFECContext(context.Background(), waveform.Downlink, data, 36e6, 8)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("downlink FEC: %v, %q", err, got)
+	res, err = s.Transfer(context.Background(), waveform.Downlink, data, 36e6, fec)
+	if err != nil || !bytes.Equal(res.Payload, data) {
+		t.Fatalf("downlink FEC: %v, %q", err, res.Payload)
 	}
-	if _, _, err := s.SendFECContext(context.Background(), waveform.Uplink, nil, 10e6, 8); err == nil {
+	if _, err := s.Transfer(context.Background(), waveform.Uplink, nil, 10e6, fec); err == nil {
 		t.Error("empty payload should fail")
 	}
 }
@@ -216,10 +221,10 @@ func TestFECExtendsUsableRange(t *testing.T) {
 	uncodedOK, fecOK := 0, 0
 	const trials = 16
 	for i := 0; i < trials; i++ {
-		if r, err := s.SendReliableContext(context.Background(), waveform.Uplink, data, 40e6, 1); err == nil && bytes.Equal(r.Data, data) {
+		if r, err := s.Transfer(context.Background(), waveform.Uplink, data, 40e6, Coding{MaxAttempts: 1}); err == nil && bytes.Equal(r.Payload, data) {
 			uncodedOK++
 		}
-		if got, _, err := s.SendFECContext(context.Background(), waveform.Uplink, data, 40e6, 8); err == nil && bytes.Equal(got, data) {
+		if r, err := s.Transfer(context.Background(), waveform.Uplink, data, 40e6, Coding{FEC: true}); err == nil && bytes.Equal(r.Payload, data) {
 			fecOK++
 		}
 	}

@@ -1,12 +1,8 @@
 package proto
 
 import (
-	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-
-	"repro/internal/waveform"
 )
 
 // Frame is the link-layer unit MilBack payloads travel in when integrity
@@ -85,69 +81,8 @@ func DecodeFrame(data []byte) (Frame, error) {
 	}, nil
 }
 
-// ReliableResult reports a checked, possibly-retransmitted transfer.
-type ReliableResult struct {
-	// Data is the delivered payload (CRC-verified).
-	Data []byte
-	// Attempts counts packet transmissions including the successful one.
-	Attempts int
-	// TotalAirtimeS and NodeEnergyJ sum over all attempts.
-	TotalAirtimeS float64
-	NodeEnergyJ   float64
-	// BitsSent and BitErrors total the wire-level payload bits (the encoded
-	// frame, not just the caller's data) over all attempts.
-	BitsSent  int
-	BitErrors int
-}
-
 // maxSeq wraps the 8-bit sequence space.
 const maxSeq = 256
-
-// SendReliableContext transfers data with CRC framing and stop-and-wait ARQ
-// over the given direction's packet primitive: each attempt runs one full
-// protocol packet; a CRC failure (or direction mis-detection) triggers a
-// retransmission, up to maxAttempts. ctx is checked between attempts and
-// between packet phases: a dead context abandons the transfer with
-// ErrCancelled wrapping the context error.
-func (s *Session) SendReliableContext(ctx context.Context, dir waveform.Direction, data []byte, rate float64, maxAttempts int) (ReliableResult, error) {
-	if maxAttempts < 1 {
-		return ReliableResult{}, fmt.Errorf("proto: maxAttempts must be >= 1, got %d", maxAttempts)
-	}
-	frame := Frame{Seq: s.nextFrameSeq(), Flags: FlagFinal, Payload: data}
-	wire, err := frame.Encode()
-	if err != nil {
-		return ReliableResult{}, err
-	}
-	var res ReliableResult
-	var lastErr error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		res.Attempts = attempt
-		out, err := s.RunPacketContext(ctx, dir, wire, rate)
-		if errors.Is(err, ErrCancelled) {
-			return res, err
-		}
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		res.TotalAirtimeS += out.AirtimeS
-		res.NodeEnergyJ += out.NodeEnergyJ
-		res.BitsSent += out.BitsSent
-		res.BitErrors += out.BitErrors
-		got, err := DecodeFrame(out.Payload)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if got.Seq != frame.Seq {
-			lastErr = fmt.Errorf("proto: sequence mismatch (got %d, want %d)", got.Seq, frame.Seq)
-			continue
-		}
-		res.Data = got.Payload
-		return res, nil
-	}
-	return res, fmt.Errorf("proto: transfer failed after %d attempts: %w", maxAttempts, lastErr)
-}
 
 // nextFrameSeq increments the session's frame sequence number.
 func (s *Session) nextFrameSeq() uint8 {

@@ -73,23 +73,28 @@ func TestSendReliableSucceedsOnGoodLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("reliable uplink payload")
-	res, err := s.SendReliableContext(context.Background(), waveform.Uplink, data, 10e6, 3)
+	arq := Coding{MaxAttempts: 3}
+	res, err := s.Transfer(context.Background(), waveform.Uplink, data, 10e6, arq)
 	if err != nil {
-		t.Fatalf("SendReliable: %v", err)
+		t.Fatalf("ARQ transfer: %v", err)
 	}
-	if !bytes.Equal(res.Data, data) {
-		t.Errorf("data = %q", res.Data)
+	if !bytes.Equal(res.Payload, data) {
+		t.Errorf("data = %q", res.Payload)
 	}
 	if res.Attempts != 1 {
 		t.Errorf("attempts = %d, want 1 on a strong link", res.Attempts)
 	}
-	if res.TotalAirtimeS <= 0 || res.NodeEnergyJ <= 0 {
+	if res.AirtimeS <= 0 || res.NodeEnergyJ <= 0 {
 		t.Error("accounting missing")
 	}
+	// The wire carries the frame: header and CRC around the data.
+	if want := 8 * (len(data) + frameOverhead); res.BitsSent != want {
+		t.Errorf("bits sent = %d, want the %d-bit frame", res.BitsSent, want)
+	}
 	// Downlink direction too.
-	res, err = s.SendReliableContext(context.Background(), waveform.Downlink, data, 36e6, 3)
-	if err != nil || !bytes.Equal(res.Data, data) {
-		t.Fatalf("reliable downlink: %v, %q", err, res.Data)
+	res, err = s.Transfer(context.Background(), waveform.Downlink, data, 36e6, arq)
+	if err != nil || !bytes.Equal(res.Payload, data) {
+		t.Fatalf("reliable downlink: %v, %q", err, res.Payload)
 	}
 }
 
@@ -107,10 +112,10 @@ func TestSendReliableRetriesOnWeakLink(t *testing.T) {
 	data := bytes.Repeat([]byte{0xA7}, 40)
 	sawRetry := false
 	for trial := 0; trial < 6; trial++ {
-		res, err := s.SendReliableContext(context.Background(), waveform.Uplink, data, 40e6, 3)
+		res, err := s.Transfer(context.Background(), waveform.Uplink, data, 40e6, Coding{MaxAttempts: 3})
 		if err == nil {
-			if !bytes.Equal(res.Data, data) {
-				t.Fatalf("corrupted payload delivered as success: %x", res.Data)
+			if !bytes.Equal(res.Payload, data) {
+				t.Fatalf("corrupted payload delivered as success: %x", res.Payload)
 			}
 			if res.Attempts > 1 {
 				sawRetry = true
@@ -132,12 +137,27 @@ func TestSendReliableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SendReliableContext(context.Background(), waveform.Uplink, []byte{1}, 10e6, 0); err == nil {
-		t.Error("zero attempts should fail")
+	// Rejected transfers draw no frame sequence number and no seed.
+	seq, rng := s.frameSeq, s.rng
+	arq := Coding{MaxAttempts: 3}
+	if _, err := s.Transfer(context.Background(), waveform.Uplink, nil, 10e6, arq); err == nil {
+		t.Error("empty payload should fail")
+	}
+	if _, err := s.Transfer(context.Background(), waveform.Uplink, []byte{1}, 0, arq); err == nil {
+		t.Error("zero rate should fail")
+	}
+	if s.frameSeq != seq || s.rng != rng {
+		t.Error("a rejected transfer advanced the session")
 	}
 	big := make([]byte, MaxFramePayload+1)
 	if _, err := (Frame{Payload: big}).Encode(); err == nil {
 		t.Error("oversized frame should fail")
+	}
+	if _, err := s.Transfer(context.Background(), waveform.Uplink, big, 10e6, arq); err == nil {
+		t.Error("oversized framed payload should fail")
+	}
+	if s.rng != rng {
+		t.Error("an oversized frame drew a packet seed")
 	}
 }
 
@@ -197,7 +217,7 @@ func TestAdaptUplinkEndToEnd(t *testing.T) {
 		t.Error("near link should meet the BER target")
 	}
 	// The adapted rate actually works: run a reliable transfer at it.
-	res, err := near.SendReliableContext(context.Background(), waveform.Uplink, []byte("adapted"), rNear, 2)
+	res, err := near.Transfer(context.Background(), waveform.Uplink, []byte("adapted"), rNear, Coding{MaxAttempts: 2})
 	if err != nil {
 		t.Fatalf("transfer at adapted rate %g: %v", rNear, err)
 	}

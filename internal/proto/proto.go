@@ -2,6 +2,7 @@ package proto
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -46,12 +47,10 @@ func (p PacketOutcome) BER() float64 {
 // against every other capture on the system, typically by running each one
 // as an Engine job.
 type Session struct {
-	sys  *core.System
-	node *node.Node
-	// LastOutcome caches the most recent packet outcome (tracking state).
-	LastOutcome *PacketOutcome
-	rng         SeedStream
-	frameSeq    int
+	sys      *core.System
+	node     *node.Node
+	rng      SeedStream
+	frameSeq int
 }
 
 // NewSession binds a node to the system's AP with the given stream seed.
@@ -73,7 +72,141 @@ func (s *Session) nextSeed() int64 {
 // localizationSwitchRate is the node's Field-2 toggle rate (§5.1: 10 kHz).
 const localizationSwitchRate = 10e3
 
-// RunPacketContext executes one complete packet on the caller's goroutine.
+// Coding selects how a transfer protects its payload. The zero Coding
+// sends the payload raw in one packet. Any other value CRC-frames it
+// (Frame) and runs up to max(1, MaxAttempts) packets, stop-and-wait: a
+// packet that fails or whose frame fails its CRC is retransmitted. FEC
+// Hamming(7,4)-codes the frame with a depth-8 interleaver (fecDepth) before
+// each packet, so isolated channel bit errors are corrected without a
+// retransmission.
+type Coding struct {
+	FEC         bool
+	MaxAttempts int
+}
+
+// fecDepth is the interleaver depth of an FEC-coded transfer.
+const fecDepth = 8
+
+// TransferOutcome reports one transfer. The embedded PacketOutcome holds
+// the last completed packet's Direction, NodeOrientation, Localization and
+// LinkQualityDB; its Payload is the delivered data (the verified frame
+// payload when framed); BitErrors, BitsSent, AirtimeS and NodeEnergyJ sum
+// over the completed packets, counting the wire bits (frame and FEC code
+// included) and the bit errors before any correction.
+type TransferOutcome struct {
+	PacketOutcome
+	// Attempts counts packets that ran to an outcome, the delivering one
+	// included; a packet abandoned on cancellation does not count.
+	Attempts int
+	// Corrections sums the bits FEC corrected over all attempts.
+	Corrections int
+}
+
+// Transfer moves data in direction dir at rate bits/s under the given
+// coding (see Coding), on the caller's goroutine. ctx is checked between
+// packet phases (Field 1, Field 2, payload): a dead context abandons the
+// transfer with ErrCancelled wrapping the context error, and the outcome
+// still reports the attempts that completed. A transfer of one attempt
+// returns that packet's error; one of several wraps the last attempt's
+// error with the attempt count.
+func (s *Session) Transfer(ctx context.Context, dir waveform.Direction, data []byte, rate float64, c Coding) (TransferOutcome, error) {
+	if len(data) == 0 {
+		return TransferOutcome{}, fmt.Errorf("proto: empty payload")
+	}
+	if !(rate > 0) {
+		return TransferOutcome{}, fmt.Errorf("proto: rate must be positive, got %g", rate)
+	}
+	framed := c != Coding{}
+	attempts := max(1, c.MaxAttempts)
+	payload := data
+	var (
+		seq                uint8
+		wireBits, codedLen int
+	)
+	if framed {
+		seq = s.nextFrameSeq()
+		wire, err := Frame{Seq: seq, Flags: FlagFinal, Payload: data}.Encode()
+		if err != nil {
+			return TransferOutcome{}, err
+		}
+		payload = wire
+		if c.FEC {
+			bits := waveform.BytesToBits(wire)
+			coded, err := FECEncode(bits, fecDepth)
+			if err != nil {
+				return TransferOutcome{}, err
+			}
+			wireBits, codedLen = len(bits), len(coded)
+			// Pad the coded stream to whole bytes for the packet payload.
+			for len(coded)%8 != 0 {
+				coded = append(coded, false)
+			}
+			payload = waveform.BitsToBytes(coded)
+		}
+	}
+	var (
+		res     TransferOutcome
+		lastErr error
+	)
+	for res.Attempts < attempts {
+		out, err := s.runPacket(ctx, dir, payload, rate)
+		if errors.Is(err, ErrCancelled) {
+			return res, err
+		}
+		res.Attempts++
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		res.Direction = out.Direction
+		res.NodeOrientation = out.NodeOrientation
+		res.Localization = out.Localization
+		res.LinkQualityDB = out.LinkQualityDB
+		res.AirtimeS += out.AirtimeS
+		res.NodeEnergyJ += out.NodeEnergyJ
+		res.BitsSent += out.BitsSent
+		res.BitErrors += out.BitErrors
+		if !framed {
+			res.Payload = out.Payload
+			return res, nil
+		}
+		rx := out.Payload
+		if c.FEC {
+			rxBits := waveform.BytesToBits(rx)
+			if len(rxBits) < codedLen {
+				lastErr = fmt.Errorf("proto: FEC payload truncated (%d of %d coded bits)", len(rxBits), codedLen)
+				continue
+			}
+			decoded, corrections, err := FECDecode(rxBits[:codedLen], fecDepth, wireBits)
+			res.Corrections += corrections
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			rx = waveform.BitsToBytes(decoded)
+		}
+		got, err := DecodeFrame(rx)
+		if err != nil {
+			if c.FEC {
+				err = fmt.Errorf("proto: residual errors after FEC: %w", err)
+			}
+			lastErr = err
+			continue
+		}
+		if got.Seq != seq {
+			lastErr = fmt.Errorf("proto: sequence mismatch (got %d, want %d)", got.Seq, seq)
+			continue
+		}
+		res.Payload = got.Payload
+		return res, nil
+	}
+	if attempts == 1 {
+		return res, lastErr
+	}
+	return res, fmt.Errorf("proto: transfer failed after %d attempts: %w", attempts, lastErr)
+}
+
+// runPacket executes one complete packet on the caller's goroutine.
 // For downlink, payload is what the AP sends and the outcome's Payload is
 // what the node decoded; for uplink, payload is the node's data and the
 // outcome's Payload is what the AP decoded. rate is the payload data rate
@@ -81,13 +214,7 @@ const localizationSwitchRate = 10e3
 // payload): a cancellation mid-packet abandons the remainder and returns
 // ErrCancelled wrapping the context error; the session's seed stream still
 // advances past the abandoned phases' draws only up to the point reached.
-func (s *Session) RunPacketContext(ctx context.Context, dir waveform.Direction, payload []byte, rate float64) (PacketOutcome, error) {
-	if len(payload) == 0 {
-		return PacketOutcome{}, fmt.Errorf("proto: empty payload")
-	}
-	if rate <= 0 {
-		return PacketOutcome{}, fmt.Errorf("proto: rate must be positive, got %g", rate)
-	}
+func (s *Session) runPacket(ctx context.Context, dir waveform.Direction, payload []byte, rate float64) (PacketOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return PacketOutcome{}, fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
@@ -172,7 +299,6 @@ func (s *Session) RunPacketContext(ctx context.Context, dir waveform.Direction, 
 		energy += pm.Power(node.ModeDownlink, 0) * payloadS
 	}
 	out.NodeEnergyJ = energy
-	s.LastOutcome = &out
 	return out, nil
 }
 

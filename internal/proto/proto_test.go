@@ -41,13 +41,16 @@ func TestSessionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunPacketContext(context.Background(), waveform.Downlink, nil, 36e6); err == nil {
+	ctx := context.Background()
+	if _, err := s.Transfer(ctx, waveform.Downlink, nil, 36e6, Coding{}); err == nil {
 		t.Error("empty payload should fail")
 	}
-	if _, err := s.RunPacketContext(context.Background(), waveform.Downlink, []byte{1}, 0); err == nil {
-		t.Error("zero rate should fail")
+	for _, rate := range []float64{0, -5, math.NaN()} {
+		if _, err := s.Transfer(ctx, waveform.Downlink, []byte{1}, rate, Coding{}); err == nil {
+			t.Errorf("rate %g should fail", rate)
+		}
 	}
-	if _, err := s.RunPacketContext(context.Background(), waveform.Direction(9), []byte{1}, 36e6); err == nil {
+	if _, err := s.Transfer(ctx, waveform.Direction(9), []byte{1}, 36e6, Coding{}); err == nil {
 		t.Error("bad direction should fail")
 	}
 }
@@ -59,7 +62,7 @@ func TestDownlinkPacketEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("protocol downlink payload")
-	out, err := s.RunPacketContext(context.Background(), waveform.Downlink, payload, 36e6)
+	out, err := s.runPacket(context.Background(), waveform.Downlink, payload, 36e6)
 	if err != nil {
 		t.Fatalf("RunPacket: %v", err)
 	}
@@ -82,9 +85,6 @@ func TestDownlinkPacketEndToEnd(t *testing.T) {
 	if out.AirtimeS <= 0 || out.NodeEnergyJ <= 0 {
 		t.Errorf("accounting: airtime %g, energy %g", out.AirtimeS, out.NodeEnergyJ)
 	}
-	if s.LastOutcome == nil {
-		t.Error("LastOutcome not cached")
-	}
 	if out.BER() != 0 {
 		t.Errorf("BER = %g", out.BER())
 	}
@@ -97,7 +97,7 @@ func TestUplinkPacketEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("sensor reading: 21.5C")
-	out, err := s.RunPacketContext(context.Background(), waveform.Uplink, payload, 10e6)
+	out, err := s.runPacket(context.Background(), waveform.Uplink, payload, 10e6)
 	if err != nil {
 		t.Fatalf("RunPacket: %v", err)
 	}
@@ -119,11 +119,11 @@ func TestUplinkCostsMoreEnergyPerSecondThanDownlink(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0x5A}, 64)
-	up, err := s.RunPacketContext(context.Background(), waveform.Uplink, payload, 36e6)
+	up, err := s.runPacket(context.Background(), waveform.Uplink, payload, 36e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	down, err := s.RunPacketContext(context.Background(), waveform.Downlink, payload, 36e6)
+	down, err := s.runPacket(context.Background(), waveform.Downlink, payload, 36e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestAirtimeAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte{0xFF}
-	out, err := s.RunPacketContext(context.Background(), waveform.Uplink, payload, 10e6)
+	out, err := s.runPacket(context.Background(), waveform.Uplink, payload, 10e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPollAllServesEveryNode(t *testing.T) {
 		var o PacketOutcome
 		err := eng.Run(context.Background(), i+1, func(ctx context.Context) (JobReport, error) {
 			var err error
-			o, err = s.RunPacketContext(ctx, waveform.Uplink, payload, 10e6)
+			o, err = s.runPacket(ctx, waveform.Uplink, payload, 10e6)
 			return JobReport{Exchange: true, BitsSent: o.BitsSent, AirtimeS: o.AirtimeS}, err
 		})
 		if err != nil {

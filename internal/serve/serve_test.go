@@ -188,6 +188,22 @@ func TestServerErrorMapping(t *testing.T) {
 	if code, _ := postJSON(t, node+"/send", ExchangeRequest{BitRate: 10e6}, nil); code != 400 {
 		t.Errorf("empty payload: want 400")
 	}
+	// A bit rate that is missing, zero or negative → 400, and no job runs.
+	before := cluster.Stats()
+	for _, op := range []string{"/send", "/deliver"} {
+		for _, body := range []any{
+			map[string]any{"data": []byte("x")},
+			ExchangeRequest{Data: []byte("x"), BitRate: 0},
+			ExchangeRequest{Data: []byte("x"), BitRate: -5},
+		} {
+			if code, msg := postJSON(t, node+op, body, nil); code != 400 {
+				t.Errorf("%s %+v: %d (%s), want 400", op, body, code, msg)
+			}
+		}
+	}
+	if after := cluster.Stats(); after != before {
+		t.Errorf("rejected bit rates ran jobs: stats %+v, was %+v", after, before)
+	}
 	// Advance without a trajectory → 400.
 	if code, _ := postJSON(t, node+"/advance", AdvanceRequest{DT: 1}, nil); code != 400 {
 		t.Errorf("no trajectory: want 400")
@@ -545,6 +561,9 @@ func FuzzServe(f *testing.F) {
 	f.Add(uint8(0), uint8(8), "", []byte{})                  // wrong method
 	f.Add(uint8(1), uint8(2), "1", []byte{})
 	f.Add(uint8(1), uint8(3), "1", []byte(`{"data":"aGk=","bit_rate":10e6}`))
+	f.Add(uint8(1), uint8(3), "1", []byte(`{"data":"aGk="}`))              // no bit rate
+	f.Add(uint8(1), uint8(4), "1", []byte(`{"data":"aGk=","bit_rate":0}`)) // zero bit rate
+	f.Add(uint8(1), uint8(3), "1", []byte(`{"data":"aGk=","bit_rate":-5}`))
 	f.Add(uint8(1), uint8(5), "1", []byte(`{"x":3,"y":1,"orientation_deg":5}`))
 	f.Add(uint8(2), uint8(6), "1", []byte(`{"waypoints":[{"t":0,"x":2},{"t":1,"x":3}]}`))
 	f.Add(uint8(1), uint8(7), "1", []byte(`{"dt":0.5}`))

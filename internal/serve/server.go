@@ -305,7 +305,7 @@ func (s *Server) handleDeliver(r *http.Request) (any, error) {
 	return s.handleExchange(r, s.cluster.Deliver)
 }
 
-func (s *Server) handleExchange(r *http.Request, op func(ctx context.Context, id milback.NodeID, data []byte, bitRate float64) (milback.Exchange, error)) (any, error) {
+func (s *Server) handleExchange(r *http.Request, op func(ctx context.Context, id milback.NodeID, data []byte, bitRate float64, opts ...milback.ExchangeOption) (milback.Exchange, error)) (any, error) {
 	id, err := nodeID(r)
 	if err != nil {
 		return nil, err

@@ -559,30 +559,42 @@ func (c *Cluster) Orientation(ctx context.Context, id NodeID) (float64, error) {
 }
 
 // Send transmits data from the node to its serving AP (uplink backscatter)
-// as one full protocol packet at the given bit rate. The Exchange's
-// Position is in the cluster frame. It can return ErrUnknownNode,
-// ErrNoDetection, ErrOutOfBand, ErrCancelled and ErrClosed.
-func (c *Cluster) Send(ctx context.Context, id NodeID, data []byte, bitRate float64) (Exchange, error) {
-	return c.exchange(ctx, id, waveform.Uplink, data, bitRate)
+// at the given bit rate: one full protocol packet, or with WithARQ up to
+// that many CRC-checked packets, FEC-coded with WithFEC. The whole
+// transfer, retransmissions included, occupies one scheduler slot at the
+// node's serving AP. The Exchange's Position is in the cluster frame; on
+// failure it still reports Attempts and Corrections. It can return
+// ErrInvalidConfig (a bit rate that is not finite and positive, or
+// WithARQ below one attempt), ErrUnknownNode, ErrNoDetection,
+// ErrOutOfBand, ErrCancelled and ErrClosed.
+func (c *Cluster) Send(ctx context.Context, id NodeID, data []byte, bitRate float64, opts ...ExchangeOption) (Exchange, error) {
+	return c.exchange(ctx, id, waveform.Uplink, data, bitRate, opts...)
 }
 
 // Deliver transmits data from the node's serving AP to the node (downlink)
-// as one full protocol packet at the given bit rate.
-func (c *Cluster) Deliver(ctx context.Context, id NodeID, data []byte, bitRate float64) (Exchange, error) {
-	return c.exchange(ctx, id, waveform.Downlink, data, bitRate)
+// with the same options, scheduling and errors as Send.
+func (c *Cluster) Deliver(ctx context.Context, id NodeID, data []byte, bitRate float64, opts ...ExchangeOption) (Exchange, error) {
+	return c.exchange(ctx, id, waveform.Downlink, data, bitRate, opts...)
 }
 
-func (c *Cluster) exchange(ctx context.Context, id NodeID, dir waveform.Direction, data []byte, bitRate float64) (Exchange, error) {
+func (c *Cluster) exchange(ctx context.Context, id NodeID, dir waveform.Direction, data []byte, bitRate float64, opts ...ExchangeOption) (Exchange, error) {
+	if err := checkRate(bitRate); err != nil {
+		return Exchange{}, err
+	}
+	coding, err := exchangeCoding(opts)
+	if err != nil {
+		return Exchange{}, err
+	}
 	cn, err := c.lockNode(id)
 	if err != nil {
 		return Exchange{}, err
 	}
 	defer cn.mu.Unlock()
 	cell := c.aps[cn.ap]
-	var out proto.PacketOutcome
+	var out proto.TransferOutcome
 	err = cell.eng.Run(ctx, int(cn.id), func(jctx context.Context) (proto.JobReport, error) {
 		var err error
-		out, err = cn.sess.RunPacketContext(jctx, dir, data, bitRate)
+		out, err = cn.sess.Transfer(jctx, dir, data, bitRate, coding)
 		return proto.JobReport{
 			Exchange:  true,
 			BitErrors: out.BitErrors,
@@ -591,7 +603,7 @@ func (c *Cluster) exchange(ctx context.Context, id NodeID, dir waveform.Directio
 		}, err
 	})
 	if err != nil {
-		return Exchange{}, fmt.Errorf("milback: %w", err)
+		return Exchange{Attempts: out.Attempts, Corrections: out.Corrections}, fmt.Errorf("milback: %w", err)
 	}
 	return cell.exchange(out), nil
 }

@@ -251,6 +251,9 @@ func TestClusterSingleAPMatchesNetworkDeterministic(t *testing.T) {
 			Fairness:               1,
 			TotalAirtimeS:          0.0019535999999999998,
 		},
+		RetryAttempts:    4,
+		RetryCorrections: 43,
+		RetryErr:         "milback: proto: transfer failed after 4 attempts: proto: residual errors after FEC: proto: CRC mismatch (got 47f6, want ce5f)",
 	}
 	if got := singleAPOps(t); !reflect.DeepEqual(got, single) {
 		t.Errorf("1-AP operations diverged from the golden:\n got %+v\nwant %+v", got, single)
@@ -286,12 +289,15 @@ type opsGolden struct {
 	FECErr           string
 	ReliableAttempts int
 	Superframe       CellStats
+	RetryAttempts    int
+	RetryCorrections int
+	RetryErr         string
 }
 
 // singleAPOps runs one of each engine-scheduled operation on a 1-AP
 // cluster: a sweep, a node-side orientation, a Doppler burst, a rate
-// probe, an FEC packet and an ARQ transfer to a far node (7 m), and a
-// superframe.
+// probe, an FEC packet and an ARQ transfer to a far node (7 m), a
+// superframe, and an FEC-coded ARQ transfer to the far node that retries.
 func singleAPOps(t *testing.T) opsGolden {
 	t.Helper()
 	ctx := context.Background()
@@ -316,12 +322,12 @@ func singleAPOps(t *testing.T) opsGolden {
 	}
 	// At 80 Mbps and 7 m the FEC packet fails at about 58 % of seeds, so
 	// the golden pins its outcome, failure included.
-	data, corrections, err := c.SendFEC(ctx, e, []byte("forward-error-corrected"), 80e6)
+	fec, err := c.Send(ctx, e, []byte("forward-error-corrected"), 80e6, WithFEC())
 	if err != nil {
 		g.FECErr = err.Error()
 	}
-	g.FECData, g.FECCorrections = string(data), corrections
-	rel, err := c.DeliverReliable(ctx, e, []byte("stop-and-wait"), Rate36Mbps, 4)
+	g.FECData, g.FECCorrections = string(fec.Data), fec.Corrections
+	rel, err := c.Deliver(ctx, e, []byte("stop-and-wait"), Rate36Mbps, WithARQ(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +335,15 @@ func singleAPOps(t *testing.T) opsGolden {
 	if g.Superframe, err = c.RunUplinkSuperframe(ctx, 24, 2, Rate10Mbps); err != nil {
 		t.Fatal(err)
 	}
+	// At 100 Mbps the first FEC-coded attempt fails at 75 % of seeds
+	// (226 of seeds 1–300, same operation sequence) and 71 % deliver within
+	// four attempts, so the golden pins a retry and the corrections summed
+	// over attempts, failure included.
+	retry, err := c.Send(ctx, e, []byte("retransmitted"), 100e6, WithFEC(), WithARQ(4))
+	if err != nil {
+		g.RetryErr = err.Error()
+	}
+	g.RetryAttempts, g.RetryCorrections = retry.Attempts, retry.Corrections
 	return g
 }
 

@@ -124,9 +124,10 @@ func TestStatsMatchPerExchangeSums(t *testing.T) {
 	var wantErrors, wantBits uint64
 	var wantAirtime float64
 	count := 0
-	for round := 0; round < 2; round++ {
+	// Coded transfers count their wire bits, in the Exchange as in Stats.
+	for _, opts := range [][]ExchangeOption{nil, nil, {WithARQ(2)}, {WithFEC()}, {WithFEC(), WithARQ(2)}} {
 		for i, n := range nodes {
-			ex, err := c.Send(context.Background(), n, payloadFor(i), Rate10Mbps)
+			ex, err := c.Send(context.Background(), n, payloadFor(i), Rate10Mbps, opts...)
 			if err != nil {
 				t.Fatalf("send: %v", err)
 			}

@@ -16,9 +16,10 @@ import (
 // the message while the sentinel stays matchable.
 var (
 	// ErrInvalidConfig reports a rejected configuration: a nil scene or a
-	// core.Config the system cannot operate with at construction, and —
-	// re-exported from the capture layer — an invalid chirp program or
-	// chirp count reaching a capture at runtime.
+	// core.Config the system cannot operate with at construction, a bit
+	// rate that is not finite and positive or WithARQ below one attempt
+	// passed to an exchange, and — re-exported from the capture layer — an
+	// invalid chirp program or chirp count reaching a capture at runtime.
 	ErrInvalidConfig error = ap.ErrInvalidConfig
 
 	// ErrInvalidCoordinate reports NaN or ±Inf coordinates or orientations

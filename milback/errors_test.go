@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,6 +114,100 @@ func TestErrCancelledSurfaces(t *testing.T) {
 	_, err := c.Send(ctx, n, []byte("x"), Rate10Mbps)
 	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled send: err = %v, want ErrCancelled wrapping context.Canceled", err)
+	}
+}
+
+// pollCtx reports no error to its first live Err calls and
+// context.Canceled from then on. Its Done channel never closes, so the
+// cancellation shows only where a job polls Err between packet phases, at
+// a point fixed by the call count rather than by timing.
+type pollCtx struct {
+	context.Context
+	live  int64
+	calls atomic.Int64
+}
+
+func (p *pollCtx) Err() error {
+	if p.calls.Add(1) > p.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestExchangeCancelledMidGrant cancels an ARQ transfer on the air, between
+// its first and second attempt: the call returns ErrCancelled with the one
+// completed attempt, the scheduler counts the job once, and the node is
+// served again afterwards.
+func TestExchangeCancelledMidGrant(t *testing.T) {
+	ctx := context.Background()
+	// A blocker on the node's bearing fails every attempt.
+	blocked := func() (*Cluster, NodeID) {
+		c := newTestCluster(t, WithSeed(7))
+		n := mustJoin(t, c, 2, 0, -10)
+		if err := c.AddBlocker(ctx, "wall", 1, -0.3, 1, 0.3, 40); err != nil {
+			t.Fatal(err)
+		}
+		return c, n
+	}
+	// Count the Err polls of a one-attempt transfer on a twin cluster. The
+	// twin draws the same noise, so the poll after that many is the second
+	// attempt's first check.
+	twin, tn := blocked()
+	count := &pollCtx{Context: ctx, live: math.MaxInt64}
+	if ex, err := twin.Send(count, tn, []byte("x"), Rate10Mbps, WithARQ(1)); err == nil || ex.Attempts != 1 {
+		t.Fatalf("blocked one-attempt transfer: %+v, %v; want one failed attempt", ex, err)
+	}
+
+	c, n := blocked()
+	before := c.Stats()
+	ex, err := c.Send(&pollCtx{Context: ctx, live: count.calls.Load()}, n, []byte("x"), Rate10Mbps, WithARQ(3))
+	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCancelled wrapping context.Canceled", err)
+	}
+	if ex.Attempts != 1 {
+		t.Errorf("cancelled transfer reports %d attempts, want 1", ex.Attempts)
+	}
+	after := c.Stats()
+	jobs := func(s Stats) uint64 { return s.Completed + s.Failed + s.Cancelled }
+	if got := jobs(after) - jobs(before); got != 1 || after.Exchanges != before.Exchanges {
+		t.Errorf("stats %+v after %+v: %d jobs counted, want 1 and no exchange", after, before, got)
+	}
+	if _, err := c.RemoveBlocker(ctx, "wall"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Send(ctx, n, []byte("x"), Rate10Mbps); err != nil {
+		t.Fatalf("send after the cancelled transfer: %v", err)
+	}
+}
+
+// TestExchangeValidation pins that a bit rate that is not finite and
+// positive, and WithARQ below one attempt, fail with ErrInvalidConfig
+// before any job is queued.
+func TestExchangeValidation(t *testing.T) {
+	ctx := context.Background()
+	c := newTestCluster(t)
+	n := mustJoin(t, c, 2, 0, -10)
+	for _, rate := range []float64{0, -5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := c.Send(ctx, n, []byte("x"), rate); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("Send at %g bit/s: err = %v, want ErrInvalidConfig", rate, err)
+		}
+		if _, err := c.Deliver(ctx, n, []byte("x"), rate, WithFEC()); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("Deliver at %g bit/s: err = %v, want ErrInvalidConfig", rate, err)
+		}
+		if _, err := c.RunUplinkSuperframe(ctx, 16, 1, rate); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("superframe at %g bit/s: err = %v, want ErrInvalidConfig", rate, err)
+		}
+	}
+	for _, attempts := range []int{0, -1} {
+		if _, err := c.Send(ctx, n, []byte("x"), Rate10Mbps, WithARQ(attempts)); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("WithARQ(%d): err = %v, want ErrInvalidConfig", attempts, err)
+		}
+		if _, err := c.Deliver(ctx, n, []byte("x"), Rate36Mbps, WithFEC(), WithARQ(attempts)); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("WithFEC, WithARQ(%d): err = %v, want ErrInvalidConfig", attempts, err)
+		}
+	}
+	if st := c.Stats(); st.Completed+st.Failed+st.Cancelled != 0 {
+		t.Errorf("rejected exchanges still ran %d jobs", st.Completed+st.Failed+st.Cancelled)
 	}
 }
 

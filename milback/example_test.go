@@ -63,8 +63,9 @@ func ExampleCluster_Power() {
 	// uplink energy: 0.8 nJ/bit
 }
 
-// ExampleCluster_SendReliable shows CRC-checked, retransmitted transfers.
-func ExampleCluster_SendReliable() {
+// ExampleCluster_Send_arq shows a CRC-checked transfer that retransmits a
+// corrupted packet, up to three packets in all.
+func ExampleCluster_Send_arq() {
 	ctx := context.Background()
 	c, err := milback.NewCluster(milback.WithSeed(3))
 	if err != nil {
@@ -75,7 +76,7 @@ func ExampleCluster_SendReliable() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := c.SendReliable(ctx, node, []byte("occupancy=3"), milback.Rate10Mbps, 3)
+	res, err := c.Send(ctx, node, []byte("occupancy=3"), milback.Rate10Mbps, milback.WithARQ(3))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,64 +18,6 @@ type Detection struct {
 	SNRdB float64
 }
 
-// ReliableExchange reports a CRC-checked, retransmitted transfer.
-type ReliableExchange struct {
-	// Data is the verified payload.
-	Data []byte
-	// Attempts counts transmissions including the successful one.
-	Attempts int
-	// AirtimeS and NodeEnergyJ sum over all attempts.
-	AirtimeS    float64
-	NodeEnergyJ float64
-}
-
-// SendReliable transfers data node→AP with CRC-16 framing and
-// stop-and-wait ARQ: corrupted packets are detected and retransmitted up to
-// maxAttempts. The whole transaction (retransmissions included) occupies
-// one scheduler slot at the node's serving AP; cancellation between
-// attempts abandons the transfer with ErrCancelled. It can also return
-// ErrUnknownNode, ErrNoDetection, ErrOutOfBand and ErrClosed.
-func (c *Cluster) SendReliable(ctx context.Context, id NodeID, data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
-	return c.reliable(ctx, id, waveform.Uplink, data, bitRate, maxAttempts)
-}
-
-// DeliverReliable transfers data AP→node with the same integrity
-// machinery as SendReliable.
-func (c *Cluster) DeliverReliable(ctx context.Context, id NodeID, data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
-	return c.reliable(ctx, id, waveform.Downlink, data, bitRate, maxAttempts)
-}
-
-func (c *Cluster) reliable(ctx context.Context, id NodeID, dir waveform.Direction, data []byte, bitRate float64, maxAttempts int) (ReliableExchange, error) {
-	cn, err := c.lockNode(id)
-	if err != nil {
-		return ReliableExchange{}, err
-	}
-	defer cn.mu.Unlock()
-	var res proto.ReliableResult
-	err = c.aps[cn.ap].eng.Run(ctx, int(cn.id), func(ctx context.Context) (proto.JobReport, error) {
-		var err error
-		res, err = cn.sess.SendReliableContext(ctx, dir, data, bitRate, maxAttempts)
-		if err != nil {
-			return proto.JobReport{}, err
-		}
-		return proto.JobReport{
-			Exchange:  true,
-			BitsSent:  res.BitsSent,
-			BitErrors: res.BitErrors,
-			AirtimeS:  res.TotalAirtimeS,
-		}, nil
-	})
-	if err != nil {
-		return ReliableExchange{Attempts: res.Attempts}, fmt.Errorf("milback: %w", err)
-	}
-	return ReliableExchange{
-		Data:        res.Data,
-		Attempts:    res.Attempts,
-		AirtimeS:    res.TotalAirtimeS,
-		NodeEnergyJ: res.NodeEnergyJ,
-	}, nil
-}
-
 // BestUplinkRate measures the node's current link budget at its serving AP
 // and returns the fastest standard rate (5–160 Mbps ladder) that sustains
 // BER ≤ 1e-6. The bool reports whether even the slowest rate meets the
@@ -98,53 +40,6 @@ func (c *Cluster) BestUplinkRate(ctx context.Context, id NodeID) (float64, bool,
 		return 0, false, fmt.Errorf("milback: %w", err)
 	}
 	return rate, ok, nil
-}
-
-// SendFEC transfers data node→AP in a single packet protected by
-// Hamming(7,4) forward error correction with depth-8 interleaving: isolated
-// channel bit errors are corrected without the airtime cost of a
-// retransmission. Returns the verified payload and the number of corrected
-// bits; residual errors surface as an error (the frame CRC catches them).
-func (c *Cluster) SendFEC(ctx context.Context, id NodeID, data []byte, bitRate float64) ([]byte, int, error) {
-	return c.fec(ctx, id, waveform.Uplink, data, bitRate)
-}
-
-// DeliverFEC is SendFEC for the AP→node direction.
-func (c *Cluster) DeliverFEC(ctx context.Context, id NodeID, data []byte, bitRate float64) ([]byte, int, error) {
-	return c.fec(ctx, id, waveform.Downlink, data, bitRate)
-}
-
-func (c *Cluster) fec(ctx context.Context, id NodeID, dir waveform.Direction, data []byte, bitRate float64) ([]byte, int, error) {
-	cn, err := c.lockNode(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer cn.mu.Unlock()
-	var (
-		got         []byte
-		corrections int
-	)
-	err = c.aps[cn.ap].eng.Run(ctx, int(cn.id), func(ctx context.Context) (proto.JobReport, error) {
-		var err error
-		got, corrections, err = cn.sess.SendFECContext(ctx, dir, data, bitRate, 8)
-		if err != nil {
-			return proto.JobReport{}, err
-		}
-		// The FEC transfer is one packet; its channel accounting (wire
-		// bits, pre-correction errors, airtime) is in the session's cached
-		// outcome, which the scheduler slot serializes access to.
-		last := cn.sess.LastOutcome
-		return proto.JobReport{
-			Exchange:  true,
-			BitsSent:  last.BitsSent,
-			BitErrors: last.BitErrors,
-			AirtimeS:  last.AirtimeS,
-		}, nil
-	})
-	if err != nil {
-		return nil, corrections, fmt.Errorf("milback: %w", err)
-	}
-	return got, corrections, nil
 }
 
 // CellStats summarizes one SDM superframe over the whole cluster.
@@ -172,8 +67,8 @@ func (c *Cluster) RunUplinkSuperframe(ctx context.Context, payloadBytes, rounds 
 	if payloadBytes < 1 || rounds < 1 {
 		return CellStats{}, fmt.Errorf("milback: invalid superframe args bytes=%d rounds=%d", payloadBytes, rounds)
 	}
-	if bitRate <= 0 {
-		return CellStats{}, fmt.Errorf("milback: rate must be positive, got %g", bitRate)
+	if err := checkRate(bitRate); err != nil {
+		return CellStats{}, err
 	}
 	payload := make([]byte, payloadBytes)
 	for i := range payload {

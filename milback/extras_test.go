@@ -77,16 +77,16 @@ func TestReliableAPI(t *testing.T) {
 	c := newTestCluster(t, WithSeed(35))
 	n := mustJoin(t, c, 2.5, 0.3, -10)
 	data := []byte("checked payload")
-	up, err := c.SendReliable(ctx, n, data, Rate10Mbps, 3)
+	up, err := c.Send(ctx, n, data, Rate10Mbps, WithARQ(3))
 	if err != nil {
-		t.Fatalf("SendReliable: %v", err)
+		t.Fatalf("Send with ARQ: %v", err)
 	}
 	if !bytes.Equal(up.Data, data) || up.Attempts != 1 {
 		t.Errorf("up = %+v", up)
 	}
-	down, err := c.DeliverReliable(ctx, n, data, Rate36Mbps, 3)
+	down, err := c.Deliver(ctx, n, data, Rate36Mbps, WithARQ(3))
 	if err != nil {
-		t.Fatalf("DeliverReliable: %v", err)
+		t.Fatalf("Deliver with ARQ: %v", err)
 	}
 	if !bytes.Equal(down.Data, data) {
 		t.Errorf("down data = %q", down.Data)
@@ -134,16 +134,16 @@ func TestFECAPI(t *testing.T) {
 	c := newTestCluster(t, WithSeed(51))
 	n := mustJoin(t, c, 2.5, 0, -10)
 	data := []byte("fec protected")
-	got, corr, err := c.SendFEC(ctx, n, data, Rate10Mbps)
+	up, err := c.Send(ctx, n, data, Rate10Mbps, WithFEC())
 	if err != nil {
-		t.Fatalf("SendFEC: %v", err)
+		t.Fatalf("Send with FEC: %v", err)
 	}
-	if !bytes.Equal(got, data) || corr != 0 {
-		t.Errorf("got %q, %d corrections", got, corr)
+	if !bytes.Equal(up.Data, data) || up.Corrections != 0 || up.Attempts != 1 {
+		t.Errorf("up = %+v", up)
 	}
-	got, _, err = c.DeliverFEC(ctx, n, data, Rate36Mbps)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("DeliverFEC: %v %q", err, got)
+	down, err := c.Deliver(ctx, n, data, Rate36Mbps, WithFEC())
+	if err != nil || !bytes.Equal(down.Data, data) {
+		t.Fatalf("Deliver with FEC: %v %q", err, down.Data)
 	}
 }
 
@@ -345,7 +345,7 @@ func TestBestUplinkRateAPI(t *testing.T) {
 		t.Errorf("near rate %g should exceed far rate %g", rNear, rFar)
 	}
 	// The adapted rate carries real traffic.
-	if _, err := c.SendReliable(ctx, near, []byte("fast"), rNear, 2); err != nil {
+	if _, err := c.Send(ctx, near, []byte("fast"), rNear, WithARQ(2)); err != nil {
 		t.Fatalf("transfer at adapted rate: %v", err)
 	}
 }

@@ -43,6 +43,7 @@
 package milback
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -112,21 +113,19 @@ func WithJobTimeout(d time.Duration) Option {
 }
 
 // Stats is a snapshot of cluster-wide counters maintained by the airtime
-// schedulers. For plain Send/Deliver calls the totals match the
-// per-exchange sums of the individual results; reliable and FEC transfers
-// contribute their wire-level accounting (the framed payload over every
-// attempt, with bit errors counted before any correction).
+// schedulers. Its exchange totals match the sums over the successful
+// Send/Deliver results.
 type Stats struct {
 	// Exchanges counts completed payload transfers (Send/Deliver; a
-	// reliable or FEC transfer counts once regardless of retransmissions).
+	// transfer counts once regardless of retransmissions).
 	Exchanges uint64
 	// Localizations counts completed standalone fixes (Localize, Discover
 	// and Orientation calls; exchanges embed their own fix and are not
 	// double-counted here).
 	Localizations uint64
 	// BitErrors and BitsSent accumulate what crossed the channel across all
-	// exchanges: raw payload bits for Send/Deliver, framed wire bits summed
-	// over attempts (errors pre-correction) for reliable/FEC transfers.
+	// exchanges: wire bits summed over attempts, errors counted before any
+	// FEC correction (see Exchange).
 	BitErrors uint64
 	BitsSent  uint64
 	// AirtimeS is the total simulated air occupancy in seconds.
@@ -160,12 +159,16 @@ func positionFromOutcome(out core.LocalizationOutcome) Position {
 	}
 }
 
-// Exchange is the outcome of a payload transfer.
+// Exchange is the outcome of a payload transfer. SNRdB, Position and
+// NodeOrientationDeg come from the delivering packet; the counts and the
+// accounting sum over every attempt.
 type Exchange struct {
 	// Data is the payload as received (at the AP for Send, at the node for
-	// Deliver).
+	// Deliver); with WithARQ or WithFEC, the CRC-verified payload.
 	Data []byte
-	// BitErrors and BitsSent measure link quality.
+	// BitErrors and BitsSent measure link quality: the payload bits on the
+	// wire (the frame and FEC code included) and their errors before any
+	// correction.
 	BitErrors, BitsSent int
 	// SNRdB (uplink) or SINRdB (downlink) of the link.
 	SNRdB float64
@@ -173,9 +176,14 @@ type Exchange struct {
 	Position Position
 	// NodeOrientationDeg is the node-side orientation estimate from Field 1.
 	NodeOrientationDeg float64
-	// AirtimeS and NodeEnergyJ account for the packet.
+	// AirtimeS and NodeEnergyJ account for the packets.
 	AirtimeS    float64
 	NodeEnergyJ float64
+	// Attempts counts the packets that ran to an outcome, the delivering
+	// one included (1 without WithARQ).
+	Attempts int
+	// Corrections counts the bits WithFEC corrected.
+	Corrections int
 }
 
 // BER returns the measured payload bit error rate.
@@ -186,9 +194,60 @@ func (e Exchange) BER() float64 {
 	return float64(e.BitErrors) / float64(e.BitsSent)
 }
 
-// exchange maps a protocol packet outcome at this AP into the facade's
-// Exchange, with the Position in the cluster frame.
-func (c *apCell) exchange(out proto.PacketOutcome) Exchange {
+// ExchangeOption configures one Send or Deliver.
+type ExchangeOption func(*exchangeOptions)
+
+type exchangeOptions struct {
+	coding proto.Coding
+	err    error
+}
+
+// WithFEC protects the payload with Hamming(7,4) forward error correction
+// and a depth-8 interleaver inside a CRC-checked frame (the Fig 15 range
+// extension): isolated channel bit errors are corrected without the
+// airtime of a retransmission, and residual errors fail the CRC.
+func WithFEC() ExchangeOption {
+	return func(o *exchangeOptions) { o.coding.FEC = true }
+}
+
+// WithARQ frames the payload with a CRC-16 and retransmits a corrupted or
+// failed packet, stop-and-wait, up to maxAttempts packets in all. A
+// maxAttempts below 1 fails the call with ErrInvalidConfig.
+func WithARQ(maxAttempts int) ExchangeOption {
+	return func(o *exchangeOptions) {
+		if maxAttempts < 1 {
+			o.err = fmt.Errorf("%w: ARQ needs at least 1 attempt, got %d", ErrInvalidConfig, maxAttempts)
+		}
+		o.coding.MaxAttempts = maxAttempts
+	}
+}
+
+// exchangeCoding folds the options into a transfer's coding. A call
+// without options returns before the options struct exists, so a raw
+// exchange does not move it to the heap.
+func exchangeCoding(opts []ExchangeOption) (proto.Coding, error) {
+	if len(opts) == 0 {
+		return proto.Coding{}, nil
+	}
+	var o exchangeOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o.coding, o.err
+}
+
+// checkRate rejects a bit rate that is not finite and positive before it
+// reaches an engine job.
+func checkRate(bitRate float64) error {
+	if !(bitRate > 0) || math.IsInf(bitRate, 1) {
+		return fmt.Errorf("%w: bit rate must be finite and positive, got %g", ErrInvalidConfig, bitRate)
+	}
+	return nil
+}
+
+// exchange maps a transfer outcome at this AP into the facade's Exchange,
+// with the Position in the cluster frame.
+func (c *apCell) exchange(out proto.TransferOutcome) Exchange {
 	return Exchange{
 		Data:               out.Payload,
 		BitErrors:          out.BitErrors,
@@ -198,5 +257,7 @@ func (c *apCell) exchange(out proto.PacketOutcome) Exchange {
 		NodeOrientationDeg: out.NodeOrientation.EstimateDeg,
 		AirtimeS:           out.AirtimeS,
 		NodeEnergyJ:        out.NodeEnergyJ,
+		Attempts:           out.Attempts,
+		Corrections:        out.Corrections,
 	}
 }
