@@ -224,6 +224,30 @@ func BenchmarkEndToEnd_ProtocolPacket(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterLocalize times one localization fix through the public
+// API on a 1-AP cluster with one node: the grant path (node lock, airtime
+// slot, job lease, accounting) plus one capture, so scripts/bench_ab.sh
+// catches a grant path that grows next to the capture it brackets.
+func BenchmarkClusterLocalize(b *testing.B) {
+	ctx := context.Background()
+	c, err := milback.NewCluster(milback.WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	n, err := c.Join(ctx, 3, 0.5, -10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Localize(ctx, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNetworkThroughput measures the concurrent session engine: K
 // goroutines on distinct nodes push uplink packets through the AP airtime
 // scheduler. Per-op time is one full round of K packets; the reported

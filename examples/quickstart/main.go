@@ -13,7 +13,7 @@ import (
 
 func main() {
 	// A cluster with no layout options is one access point in a cluttered
-	// indoor room. Close releases its airtime-scheduler goroutine.
+	// indoor room. Close shuts its airtime scheduler; later calls fail.
 	c, err := milback.NewCluster(milback.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)

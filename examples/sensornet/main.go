@@ -5,7 +5,7 @@
 //
 // Eight battery-free sensors are scattered around a room; one goroutine per
 // sensor pushes its reading uplink concurrently, and the AP's airtime
-// scheduler grants the beam round-robin — each packet localizes its node
+// scheduler grants the beam in arrival order — each packet localizes its node
 // during the preamble (no extra airtime — integrated sensing and
 // communication). The demo also shows the energy book-keeping (each poll
 // costs the node a few microjoules) and the network-wide counters from

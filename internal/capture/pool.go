@@ -101,67 +101,38 @@ func (p *Pool) Observe(reg *obs.Registry) {
 
 // GetComplex returns a zeroed []complex128 of length n, recycled when a
 // buffer of that exact class is available in any shard.
-func (p *Pool) GetComplex(n int) []complex128 {
-	if p == nil || n == 0 {
-		return make([]complex128, n)
-	}
-	start := p.getCur.Add(1)
-	for i := uint32(0); i < poolShards; i++ {
-		s := &p.shards[(start+i)%poolShards]
-		s.mu.Lock()
-		free := s.classes[n]
-		if len(free) > 0 {
-			buf := free[len(free)-1]
-			free[len(free)-1] = nil
-			s.classes[n] = free[:len(free)-1]
-			s.mu.Unlock()
-			p.hits.Inc()
-			clear(buf)
-			return buf
-		}
-		s.mu.Unlock()
-	}
-	p.misses.Inc()
-	return make([]complex128, n)
-}
+func (p *Pool) GetComplex(n int) []complex128 { return get(p, n, complexClasses) }
 
 // PutComplex returns a buffer to its size class. The caller must not touch
 // the slice afterwards — it may be handed to the next capture at any time.
-func (p *Pool) PutComplex(buf []complex128) {
-	if p == nil || cap(buf) == 0 {
-		return
-	}
-	buf = buf[:cap(buf)]
-	start := p.putCur.Add(1)
-	for i := uint32(0); i < poolShards; i++ {
-		s := &p.shards[(start+i)%poolShards]
-		s.mu.Lock()
-		if free := s.classes[len(buf)]; len(free) < shardClassCap {
-			s.classes[len(buf)] = append(free, buf)
-			s.mu.Unlock()
-			p.puts.Inc()
-			return
-		}
-		s.mu.Unlock()
-	}
-	p.drops.Inc()
-}
+func (p *Pool) PutComplex(buf []complex128) { put(p, buf, complexClasses) }
 
 // GetFloat64 returns a zeroed []float64 of length n, recycled when a buffer
 // of that exact class is available in any shard.
-func (p *Pool) GetFloat64(n int) []float64 {
+func (p *Pool) GetFloat64(n int) []float64 { return get(p, n, realClasses) }
+
+// PutFloat64 returns a real-valued buffer to its size class, under the same
+// ownership contract as PutComplex.
+func (p *Pool) PutFloat64(buf []float64) { put(p, buf, realClasses) }
+
+func complexClasses(s *poolShard) map[int][][]complex128 { return s.classes }
+func realClasses(s *poolShard) map[int][][]float64       { return s.classesF }
+
+// get pops a buffer of class n from the first shard that has one, scanning
+// from the Get cursor; classes picks the element type's free lists.
+func get[T complex128 | float64](p *Pool, n int, classes func(*poolShard) map[int][][]T) []T {
 	if p == nil || n == 0 {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	start := p.getCur.Add(1)
 	for i := uint32(0); i < poolShards; i++ {
 		s := &p.shards[(start+i)%poolShards]
 		s.mu.Lock()
-		free := s.classesF[n]
-		if len(free) > 0 {
+		m := classes(s)
+		if free := m[n]; len(free) > 0 {
 			buf := free[len(free)-1]
 			free[len(free)-1] = nil
-			s.classesF[n] = free[:len(free)-1]
+			m[n] = free[:len(free)-1]
 			s.mu.Unlock()
 			p.hits.Inc()
 			clear(buf)
@@ -170,12 +141,13 @@ func (p *Pool) GetFloat64(n int) []float64 {
 		s.mu.Unlock()
 	}
 	p.misses.Inc()
-	return make([]float64, n)
+	return make([]T, n)
 }
 
-// PutFloat64 returns a real-valued buffer to its size class, under the same
-// ownership contract as PutComplex.
-func (p *Pool) PutFloat64(buf []float64) {
+// put files buf under its full-capacity class in the first shard with
+// room, scanning from the Put cursor, and drops it when every shard's
+// class is at its cap.
+func put[T complex128 | float64](p *Pool, buf []T, classes func(*poolShard) map[int][][]T) {
 	if p == nil || cap(buf) == 0 {
 		return
 	}
@@ -184,8 +156,9 @@ func (p *Pool) PutFloat64(buf []float64) {
 	for i := uint32(0); i < poolShards; i++ {
 		s := &p.shards[(start+i)%poolShards]
 		s.mu.Lock()
-		if free := s.classesF[len(buf)]; len(free) < shardClassCap {
-			s.classesF[len(buf)] = append(free, buf)
+		m := classes(s)
+		if free := m[len(buf)]; len(free) < shardClassCap {
+			m[len(buf)] = append(free, buf)
 			s.mu.Unlock()
 			p.puts.Inc()
 			return

@@ -10,8 +10,8 @@ import (
 // when simulated airtime is spent (the scheduler folds each job's AirtimeS
 // into it) or when the facade advances it explicitly — wall-clock never
 // leaks in, so a run is reproducible regardless of host speed. Reads and
-// advances are atomic: every AP of a cluster shares one clock, and their
-// scheduler goroutines advance it concurrently.
+// advances are atomic: every AP of a cluster shares one clock, and jobs on
+// different APs advance it concurrently from their callers' goroutines.
 type Clock struct {
 	bits atomic.Uint64
 }

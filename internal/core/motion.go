@@ -10,7 +10,7 @@ import (
 
 // mover binds a node to a trajectory. Its motion time t is the node's own
 // clock along the path: it advances only through AdvanceTrajectory calls
-// scheduled on the node's airtime queue, never by sampling a shared clock,
+// run as the node's airtime jobs, never by sampling a shared clock,
 // so a node's pose sequence depends only on its own operation order — the
 // property the cluster's 3-seed determinism fingerprints pin.
 type mover struct {
@@ -22,9 +22,9 @@ type mover struct {
 
 // sample freezes the trajectory's pose at the mover's current motion time
 // into the node — position, orientation, and the analytic planar radial
-// velocity the synthesizer will feed the Doppler model. Between advances
-// the sample is idempotent, which is what makes re-sampling at every
-// airtime grant (pose-at-grant semantics) deterministic.
+// velocity the synthesizer will feed the Doppler model. Binding and every
+// advance sample once, and the pose then holds until the next advance
+// (pose-at-advance semantics).
 func (m *mover) sample(n *node.Node) {
 	m.pose = m.path.PoseAt(m.t)
 	m.radialV = motion.RadialVelocity(m.pose, m.path.VelocityAt(m.t))
@@ -35,8 +35,8 @@ func (m *mover) sample(n *node.Node) {
 // SetTrajectoryAt binds a trajectory to a registered node starting at
 // motion time t0 (seconds along the path), immediately sampling the pose.
 // A nil path unbinds. Like every scene mutation, callers must serialize
-// this against captures — the protocol layer schedules it on the node's
-// airtime queue.
+// this against captures — the cluster runs it as one of the node's airtime
+// jobs.
 func (s *System) SetTrajectoryAt(n *node.Node, p *motion.Path, t0 float64) error {
 	if s.movers == nil {
 		s.movers = make(map[*node.Node]*mover)
@@ -89,17 +89,6 @@ func (s *System) RadialVelocityOf(n *node.Node) float64 {
 		return m.radialV
 	}
 	return 0
-}
-
-// SyncMotion re-samples every bound node's pose from its trajectory. The
-// scheduler calls it as each airtime grant begins; motion time only moves
-// through AdvanceTrajectory, so the re-sample is idempotent and exists to
-// guarantee the grant sees trajectory state, not whatever a caller poked
-// into the node between jobs.
-func (s *System) SyncMotion() {
-	for n, m := range s.movers {
-		m.sample(n)
-	}
 }
 
 // MeasureTrajectoryVelocity is MeasureRadialVelocity with the ground-truth

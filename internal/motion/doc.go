@@ -13,7 +13,7 @@
 //     velocity. The synthesizer needs the true range rate to model it;
 //     VelocityAt/RadialVelocity supply the analytic derivative of the
 //     trajectory, which the differential gates pin the synthesized Doppler
-//     against (internal/core's pose-at-grant sampling).
+//     against (internal/core's pose-at-advance sampling).
 //   - The 3-D constant-velocity tracker (internal/track) consumes the same
 //     trajectories as evaluation ground truth for RMSE-vs-speed curves.
 //

@@ -9,12 +9,13 @@
 //	Payload — OAQFM uplink or downlink on the orientation-derived tones.
 //
 // Multiple nodes are served by spatial-division multiplexing: the AP steers
-// its beams at one node per packet and schedules packets round-robin
+// its beams at one node per packet and serves one packet at a time
 // ("MilBack can potentially support multiple nodes by using spatial
 // division multiplexing", §7). Two types carry that: a Session is one
 // node's protocol state at one AP, and an Engine is the AP's airtime
-// scheduler, a goroutine that owns the simulated channel and runs one job
-// at a time in per-node round-robin order. Each session draws its noise
+// scheduler, a one-slot semaphore over the simulated channel. A job runs on
+// its caller's goroutine while it holds the slot, and callers waiting for
+// the slot are granted it in arrival order. Each session draws its noise
 // from its own deterministic SeedStream, so results are bit-identical
 // regardless of how caller goroutines interleave.
 //

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -16,12 +15,14 @@ import (
 // A MilBack AP serves one beam at a time: spatial-division multiplexing
 // means every packet, localization capture, or discovery sweep occupies the
 // simulated channel exclusively (§7). The Engine models that constraint as
-// a single scheduler goroutine that owns the channel. Callers from any
-// goroutine submit jobs; the scheduler queues them per node, grants slots
-// in per-node round-robin order (fair FIFO: a node draining a large backlog
-// cannot starve its neighbours), and executes one job at a time. Callers
-// block on their own job's completion, so any number of goroutines can run
-// their exchanges concurrently while the channel itself stays serialized.
+// a one-slot channel semaphore. A caller takes the slot, runs its job on
+// its own goroutine, and gives the slot back, so any number of goroutines
+// can run their exchanges concurrently while the channel itself stays
+// serialized. Callers blocked on the slot are granted it in arrival order:
+// the Go runtime hands a freed buffered-channel slot to the longest-blocked
+// sender. Fairness between nodes follows from that FIFO grant, because the
+// cluster holds a node's lock across its whole operation, so no node ever
+// has more than one job waiting.
 
 // Typed scheduler errors. The milback facade re-exports these so callers
 // can errors.Is against the public API.
@@ -35,16 +36,10 @@ var (
 	ErrClosed = errors.New("scheduler closed")
 )
 
-// queueDepth is the submission channel buffer: it lets a burst of callers
-// hand their jobs over without waiting for the scheduler goroutine, which
-// absorbs every waiting submission before each grant. Submissions beyond
-// it block until the scheduler drains.
-const queueDepth = 64
-
 // EngineConfig parameterizes the scheduler.
 type EngineConfig struct {
-	// JobTimeout bounds each job's time in the scheduler: a job still queued
-	// at the deadline fails with ErrCancelled, and a job already executing
+	// JobTimeout bounds each job's time in the scheduler: a job still
+	// waiting for the slot at the deadline fails with ErrCancelled, and a job already executing
 	// sees the deadline on the context passed to it, so multi-phase jobs
 	// (packets) abandon remaining phases between captures. A phase already
 	// on the air is never preempted — the simulated channel cannot abort
@@ -52,23 +47,25 @@ type EngineConfig struct {
 	// the started job finishes. Zero disables the scheduler-level timeout;
 	// callers can always impose their own via context deadlines.
 	JobTimeout time.Duration
-	// OnGrant, if set, is invoked on the scheduler goroutine immediately
-	// before a job executes; the release func it returns runs right after.
+	// OnGrant, if set, is invoked on the caller's goroutine, holding the
+	// slot, immediately before a job executes; the release func it returns
+	// runs right after, also when the job panics.
 	// The cluster wires it to the capture plane's job lease so capture
 	// buffers a job leaks are reclaimed at the grant boundary.
 	OnGrant func() (release func())
-	// Admit, if set, is consulted on the scheduler goroutine before each
-	// job executes and may block until the wider deployment allows this
-	// scheduler onto the air; the release func it returns runs after the
-	// job (and after OnGrant's release). A multi-AP cluster wires it to a
+	// Admit, if set, is consulted holding the slot before each job executes
+	// and may block until the wider deployment allows this scheduler onto
+	// the air; the release func it returns runs after the job (and after
+	// OnGrant's release), also when the job panics. A multi-AP cluster wires it to a
 	// cluster-level admission check so co-channel APs within interference
 	// range never grant spatially incompatible captures concurrently.
-	// Blocking in Admit delays grants but never reorders a queue and never
-	// touches a seed stream, so results stay deterministic. Nil admits
+	// Blocking in Admit delays grants but never reorders the waiting callers
+	// and never touches a seed stream, so results stay deterministic. Nil admits
 	// unconditionally (the single-AP configuration).
 	Admit func() (release func())
 	// OnAirtime, if set, receives each successful job's simulated AirtimeS
-	// on the scheduler goroutine after the job completes. The cluster wires
+	// on the caller's goroutine after the job completes, still holding the
+	// slot. The cluster wires
 	// it to the deployment's simulation clock, so spending channel time is
 	// what moves simulated time forward.
 	OnAirtime func(seconds float64)
@@ -79,7 +76,7 @@ type EngineConfig struct {
 	// and pipeline metrics.
 	Obs *obs.Registry
 	// Tracer, if non-nil, receives one obs.SpanJob span per executed job
-	// (Arg = the job's queue key).
+	// (Arg = the job's key).
 	Tracer *obs.Tracer
 }
 
@@ -127,20 +124,6 @@ type JobReport struct {
 	AirtimeS  float64
 }
 
-type job struct {
-	key      int
-	ctx      context.Context
-	enqueued time.Time
-	run      func(ctx context.Context) (JobReport, error)
-	done     chan error
-	// claimed arbitrates ownership between the scheduler (about to execute)
-	// and the caller (abandoning on cancellation). Whoever wins the CAS
-	// decides the job's fate: a scheduler win commits the job to execution
-	// and the caller must wait on done; a caller win means the job never
-	// runs and the scheduler drops it when dequeued.
-	claimed atomic.Bool
-}
-
 // engineObs is the scheduler's accounting, resolved once from the obs
 // registry at construction so the grant path works on plain instrument
 // pointers (atomic, allocation-free).
@@ -179,36 +162,37 @@ func resolveEngineObs(reg *obs.Registry) engineObs {
 // Engine is the AP airtime scheduler. Create it with NewEngine; all methods
 // are safe for concurrent use.
 type Engine struct {
-	cfg     EngineConfig
-	submit  chan *job
+	cfg EngineConfig
+	// slot holds a token while a job is on the air; Close takes it for good.
+	slot    chan struct{}
 	quit    chan struct{}
-	stopped chan struct{}
 	closing sync.Once
 	obs     engineObs
 }
 
-// NewEngine starts a scheduler goroutine and returns its handle. Close it
-// when done to release the goroutine.
+// NewEngine returns a scheduler with its channel free. It starts no
+// goroutine; Close it to fail later jobs with ErrClosed.
 func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
-	e := &Engine{
-		cfg:     cfg,
-		submit:  make(chan *job, queueDepth),
-		quit:    make(chan struct{}),
-		stopped: make(chan struct{}),
-		obs:     resolveEngineObs(cfg.Obs),
+	return &Engine{
+		cfg:  cfg,
+		slot: make(chan struct{}, 1),
+		quit: make(chan struct{}),
+		obs:  resolveEngineObs(cfg.Obs),
 	}
-	go e.loop()
-	return e
 }
 
-// Close shuts the scheduler down. Queued jobs fail with ErrClosed; the
-// running job (if any) completes first. Close is idempotent.
+// Close shuts the scheduler down: the running job (if any) completes
+// first, callers waiting for the slot and all later calls fail with
+// ErrClosed. Close returns once the running job has finished, and is
+// idempotent.
 func (e *Engine) Close() {
-	e.closing.Do(func() { close(e.quit) })
-	<-e.stopped
+	e.closing.Do(func() {
+		close(e.quit)
+		e.slot <- struct{}{} // never given back
+	})
 }
 
 // Stats returns a snapshot of the scheduler's accounting, assembled from
@@ -228,19 +212,17 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Run submits fn as a job on the given queue key and blocks until the
-// scheduler has executed it (returning fn's error), the context is
-// cancelled while the job is still queued (ErrCancelled wrapping the
-// context error), or the scheduler is closed before the job runs
-// (ErrClosed). fn receives the job's effective context — the caller's ctx
-// wrapped with JobTimeout if one is configured — so multi-phase jobs can
-// observe the deadline between phases. Once the scheduler has started fn,
-// Run always waits for it to finish and returns its result, even if ctx
-// expires meanwhile: execution is never preempted and abandoning it would
-// race fn's writes against the caller's reads. key groups jobs into
-// per-node FIFO queues for the round-robin grant: one key per node, and a
-// key of its own for work not tied to one node (discovery sweeps, scene
-// edits).
+// Run waits for the channel, executes fn on the caller's goroutine and
+// returns fn's error. It returns ErrCancelled wrapping the context error
+// when ctx ends before the job is granted the channel, and ErrClosed when
+// the scheduler is closed before the job runs. fn receives the job's
+// effective context — the caller's ctx wrapped with JobTimeout if one is
+// configured — so multi-phase jobs can observe the deadline between
+// phases. Once fn has started, Run returns its result even if ctx expires
+// meanwhile: execution is never preempted. If fn panics, the slot, the
+// admission and the OnGrant release are all given back before the panic
+// propagates. key names the job's node in the trace span: the NodeID, or
+// 0 for work not tied to one node (discovery sweeps, scene edits).
 func (e *Engine) Run(ctx context.Context, key int, fn func(ctx context.Context) (JobReport, error)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -250,167 +232,61 @@ func (e *Engine) Run(ctx context.Context, key int, fn func(ctx context.Context) 
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.JobTimeout)
 		defer cancel()
 	}
-	j := &job{
-		key:      key,
-		ctx:      ctx,
-		enqueued: time.Now(),
-		run:      fn,
-		done:     make(chan error, 1),
-	}
+	enqueued := time.Now()
 	select {
-	case e.submit <- j:
+	case e.slot <- struct{}{}:
 	case <-e.quit:
 		return ErrClosed
 	case <-ctx.Done():
 		e.obs.cancelled.Inc()
 		return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
 	}
+	defer func() { <-e.slot }()
+	// The slot and quit (or ctx) can be ready together, and select picks
+	// among ready cases at random: re-check both holding the slot.
 	select {
-	case err := <-j.done:
-		return err
-	case <-ctx.Done():
-		if j.claimed.CompareAndSwap(false, true) {
-			// Claim won: the scheduler has not started the job and, seeing
-			// the claim, never will. Safe to walk away.
-			e.obs.cancelled.Inc()
-			return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
-		}
-		// The scheduler claimed the job first, so fn is executing (or its
-		// result is already in done). Wait for it: fn writes caller-captured
-		// state, and execution is deliberately not preempted.
-		return <-j.done
-	case <-e.stopped:
-		// done and stopped can both be ready; prefer the job's actual
-		// result so an executed job is never misreported as ErrClosed.
-		select {
-		case err := <-j.done:
-			return err
-		default:
-			return ErrClosed
-		}
+	case <-e.quit:
+		return ErrClosed
+	default:
 	}
-}
-
-// loop is the scheduler goroutine: it owns the simulated channel and all
-// queue state, so none of it needs locking.
-func (e *Engine) loop() {
-	defer close(e.stopped)
-	queues := make(map[int][]*job)
-	var ring []int // keys with pending jobs, in grant order
-	pending := 0
-	enqueue := func(j *job) {
-		if len(queues[j.key]) == 0 {
-			ring = append(ring, j.key)
-		}
-		queues[j.key] = append(queues[j.key], j)
-		pending++
-	}
-	failAll := func(err error) {
-		for _, q := range queues {
-			for _, j := range q {
-				j.done <- err
-			}
-		}
-		for {
-			select {
-			case j := <-e.submit:
-				j.done <- err
-			default:
-				return
-			}
-		}
-	}
-	for {
-		if pending == 0 {
-			select {
-			case j := <-e.submit:
-				enqueue(j)
-			case <-e.quit:
-				failAll(ErrClosed)
-				return
-			}
-			continue
-		}
-		// Absorb every submission already waiting, so late arrivals enter
-		// the round-robin before the next slot is granted.
-		for absorbed := false; !absorbed; {
-			select {
-			case j := <-e.submit:
-				enqueue(j)
-			default:
-				absorbed = true
-			}
-		}
-		// Grant the channel to the head of the next queue in the ring.
-		key := ring[0]
-		ring = ring[1:]
-		q := queues[key]
-		j := q[0]
-		if len(q) == 1 {
-			delete(queues, key)
-		} else {
-			queues[key] = q[1:]
-			ring = append(ring, key) // still pending: back of the ring
-		}
-		pending--
-		e.execute(j)
-		select {
-		case <-e.quit:
-			failAll(ErrClosed)
-			return
-		default:
-		}
-	}
-}
-
-// execute runs one granted job and folds its report into the registry
-// instruments.
-func (e *Engine) execute(j *job) {
-	if !j.claimed.CompareAndSwap(false, true) {
-		// The caller abandoned the job on cancellation (and counted it);
-		// drop it without executing.
-		return
-	}
-	if err := j.ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		e.obs.cancelled.Inc()
-		j.done <- fmt.Errorf("%w: %w", ErrCancelled, err)
-		return
+		return fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
-	var admitRelease func()
-	if e.cfg.Admit != nil {
-		admitRelease = e.cfg.Admit()
-	}
-	start := time.Now()
-	e.obs.queueWait.Observe(start.Sub(j.enqueued).Seconds())
-	var release func()
-	if e.cfg.OnGrant != nil {
-		release = e.cfg.OnGrant()
-	}
-	rep, err := j.run(j.ctx)
-	if release != nil {
-		release()
-	}
-	if admitRelease != nil {
-		admitRelease()
-	}
+	start, rep, err := e.onAir(ctx, enqueued, fn)
 	e.obs.jobDuration.Observe(time.Since(start).Seconds())
-	e.cfg.Tracer.Record(obs.SpanJob, start, int64(j.key))
+	e.cfg.Tracer.Record(obs.SpanJob, start, int64(key))
 	if err != nil {
 		e.obs.failed.Inc()
-	} else {
-		e.obs.completed.Inc()
-		if rep.Exchange {
-			e.obs.exchanges.Inc()
-		}
-		if rep.Localization {
-			e.obs.locs.Inc()
-		}
-		e.obs.bitErrors.Add(uint64(rep.BitErrors))
-		e.obs.bitsSent.Add(uint64(rep.BitsSent))
-		e.obs.airtime.Add(rep.AirtimeS)
-		if e.cfg.OnAirtime != nil && rep.AirtimeS > 0 {
-			e.cfg.OnAirtime(rep.AirtimeS)
-		}
+		return err
 	}
-	j.done <- err
+	e.obs.completed.Inc()
+	if rep.Exchange {
+		e.obs.exchanges.Inc()
+	}
+	if rep.Localization {
+		e.obs.locs.Inc()
+	}
+	e.obs.bitErrors.Add(uint64(rep.BitErrors))
+	e.obs.bitsSent.Add(uint64(rep.BitsSent))
+	e.obs.airtime.Add(rep.AirtimeS)
+	if e.cfg.OnAirtime != nil && rep.AirtimeS > 0 {
+		e.cfg.OnAirtime(rep.AirtimeS)
+	}
+	return nil
+}
+
+// onAir runs fn inside the admission and the OnGrant bracket and returns
+// once both are released, with the time the job went on the air.
+func (e *Engine) onAir(ctx context.Context, enqueued time.Time, fn func(ctx context.Context) (JobReport, error)) (start time.Time, rep JobReport, err error) {
+	if e.cfg.Admit != nil {
+		defer e.cfg.Admit()()
+	}
+	start = time.Now()
+	e.obs.queueWait.Observe(start.Sub(enqueued).Seconds())
+	if e.cfg.OnGrant != nil {
+		defer e.cfg.OnGrant()()
+	}
+	rep, err = fn(ctx)
+	return start, rep, err
 }

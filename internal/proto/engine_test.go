@@ -50,63 +50,6 @@ func TestEngineFailedJobCounted(t *testing.T) {
 	}
 }
 
-// Round-robin fairness: while node 1 floods the queue, a single job from
-// node 2 must be granted the second slot, not wait behind the backlog.
-func TestEngineRoundRobinFairness(t *testing.T) {
-	e := NewEngine(EngineConfig{})
-	defer e.Close()
-
-	gate := make(chan struct{})
-	var mu sync.Mutex
-	var order []int
-	record := func(key int) func(context.Context) (JobReport, error) {
-		return func(context.Context) (JobReport, error) {
-			mu.Lock()
-			order = append(order, key)
-			mu.Unlock()
-			return JobReport{}, nil
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// First job holds the channel until the rest of the backlog is queued.
-		_ = e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
-			<-gate
-			return JobReport{}, nil
-		})
-	}()
-	time.Sleep(20 * time.Millisecond) // let the blocker reach the scheduler
-
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = e.Run(context.Background(), 1, record(1))
-		}()
-	}
-	time.Sleep(20 * time.Millisecond) // node 1's backlog queued first
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = e.Run(context.Background(), 2, record(2))
-	}()
-	time.Sleep(20 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-
-	if len(order) != 5 {
-		t.Fatalf("executed %d jobs, want 5", len(order))
-	}
-	// The single node-2 job must not come last: round-robin interleaves it
-	// ahead of node 1's remaining backlog.
-	if order[len(order)-1] == 2 {
-		t.Fatalf("node 2 starved behind node 1's backlog: order %v", order)
-	}
-}
-
 func TestEngineCancelWhileQueued(t *testing.T) {
 	e := NewEngine(EngineConfig{})
 	defer e.Close()
@@ -146,12 +89,24 @@ func TestEngineCancelWhileQueued(t *testing.T) {
 	if st := e.Stats(); st.Cancelled == 0 {
 		t.Fatal("cancellation not counted")
 	}
+
+	// A context already dead when the slot is free: select may pick either
+	// ready case, and the job must still not run.
+	cancelled, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	for i := 0; i < 50; i++ {
+		if err := e.Run(cancelled, 3, func(context.Context) (JobReport, error) {
+			t.Error("job with a dead context must not execute")
+			return JobReport{}, nil
+		}); !errors.Is(err, ErrCancelled) {
+			t.Fatalf("err = %v, want ErrCancelled", err)
+		}
+	}
 }
 
 // A cancellation that lands while the job is already executing must not be
-// abandoned: the scheduler claimed the job first, so Run waits for the real
-// result instead of racing the job's writes (this test fails under -race if
-// Run returns early).
+// abandoned: Run returns the job's real result (this test fails under -race
+// if Run returns early).
 func TestEngineCancelDuringExecutionWaits(t *testing.T) {
 	e := NewEngine(EngineConfig{})
 	defer e.Close()
@@ -277,5 +232,115 @@ func TestEngineConcurrentSubmitters(t *testing.T) {
 	}
 	if st := e.Stats(); st.Exchanges != 80 {
 		t.Fatalf("exchanges = %d, want 80", st.Exchanges)
+	}
+}
+
+// Close while one job runs and another waits for the slot: the running
+// job's result is delivered, the waiter fails with ErrClosed without
+// running, and Close returns only once the running job has ended.
+func TestEngineCloseWhileRunning(t *testing.T) {
+	e := NewEngine(EngineConfig{})
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	result := 0
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
+			close(started)
+			<-gate
+			result = 42
+			return JobReport{}, nil
+		})
+	}()
+	<-started
+	waitErr := make(chan error, 1)
+	go func() {
+		waitErr <- e.Run(context.Background(), 2, func(context.Context) (JobReport, error) {
+			t.Error("waiting job must not run after Close")
+			return JobReport{}, nil
+		})
+	}()
+	time.Sleep(10 * time.Millisecond) // let the waiter block on the slot
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	if err := <-waitErr; !errors.Is(err, ErrClosed) {
+		t.Fatalf("waiter err = %v, want ErrClosed", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job was still running")
+	case <-time.After(10 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-runErr; err != nil || result != 42 {
+		t.Fatalf("running job = (%v, %d), want (nil, 42)", err, result)
+	}
+	<-closed
+	if err := e.Run(context.Background(), 3, func(context.Context) (JobReport, error) {
+		t.Error("job must not run after Close")
+		return JobReport{}, nil
+	}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("later err = %v, want ErrClosed", err)
+	}
+
+	// Close's window: quit is closed but Close has not yet taken the free
+	// slot, so a caller sees both ready and select may pick the slot. The
+	// caller must still fail with ErrClosed.
+	for i := 0; i < 50; i++ {
+		e := NewEngine(EngineConfig{})
+		close(e.quit)
+		if err := e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
+			t.Error("job ran with the scheduler closing")
+			return JobReport{}, nil
+		}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("err = %v, want ErrClosed", err)
+		}
+	}
+}
+
+// A job that panics, with the panic recovered by the caller (as net/http
+// does for a handler), must give back the slot, the admission and the
+// OnGrant bracket, so the next job still runs.
+func TestEngineJobPanicReleases(t *testing.T) {
+	var admits, admitReleases, grants, grantReleases int
+	e := NewEngine(EngineConfig{
+		JobTimeout: time.Second,
+		Admit: func() func() {
+			admits++
+			return func() { admitReleases++ }
+		},
+		OnGrant: func() func() {
+			grants++
+			return func() { grantReleases++ }
+		},
+	})
+	// The timeout and no deferred Close: with the slot leaked, the next Run
+	// fails instead of blocking, and Close would wait forever.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("panic did not propagate to the caller")
+			}
+		}()
+		_ = e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
+			panic("job fault")
+		})
+	}()
+	if admitReleases != 1 || grantReleases != 1 {
+		t.Fatalf("after the panic: admit released %d, grant released %d; want 1 and 1", admitReleases, grantReleases)
+	}
+	ran := false
+	if err := e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
+		ran = true
+		return JobReport{}, nil
+	}); err != nil || !ran {
+		t.Fatalf("next job = (%v, ran %v), want (nil, true): the slot was not given back", err, ran)
+	}
+	if admits != 2 || admitReleases != 2 || grants != 2 || grantReleases != 2 {
+		t.Fatalf("admit %d/%d, grant %d/%d; want every bracket opened and closed twice",
+			admits, admitReleases, grants, grantReleases)
 	}
 }

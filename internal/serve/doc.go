@@ -15,8 +15,8 @@
 //     debug endpoint, and the signal loop. SIGTERM/SIGINT triggers a
 //     graceful drain: stop accepting work, wait for in-flight operations
 //     to complete at their grant boundaries (http.Server.Shutdown waits on
-//     active handlers, and each handler blocks until the cluster scheduler
-//     finishes the job), then close the cluster and exit cleanly. SIGHUP
+//     active handlers, and each handler runs its cluster job to the end),
+//     then close the cluster and exit cleanly. SIGHUP
 //     restarts the debug server on its configured address — a clean
 //     restart of the observability plane without dropping a single
 //     session request.

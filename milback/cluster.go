@@ -86,7 +86,7 @@ type apCell struct {
 	sys   *core.System
 	eng   *proto.Engine
 	// discovery is the cell's sweep seed stream. It is drawn only inside
-	// sweep jobs, on the engine's scheduler goroutine, so it needs no lock.
+	// sweep jobs, which hold the engine's slot, so it needs no lock.
 	discovery proto.SeedStream
 
 	handoffsIn  *obs.Counter
@@ -102,9 +102,9 @@ type apCell struct {
 	leaving, removed bool
 }
 
-// cellJobKey is the engine queue key of work not tied to one node
-// (discovery sweeps, scene edits); a node's jobs queue under its NodeID,
-// and NodeIDs start at 1.
+// cellJobKey is the engine job key (the trace span's Arg) of work not tied
+// to one node (discovery sweeps, scene edits); a node's jobs run under its
+// NodeID, and NodeIDs start at 1.
 const cellJobKey = 0
 
 // local translates a cluster-frame point into the cell's AP-local frame
@@ -136,8 +136,8 @@ type clusterNode struct {
 // Cluster is a multi-AP MilBack deployment: N access points share one
 // scene, one seed root and one node namespace. A node is homed at the live
 // AP nearest its true position (a tie goes to the lower layout index), and
-// moving it nearer another AP triggers a handoff — the old AP drains the
-// node's queue at a grant boundary, the new AP re-admits it under a fresh
+// moving it nearer another AP triggers a handoff — the old AP detaches the
+// node at a grant boundary, the new AP re-admits it under a fresh
 // seed generation and re-discovers it with a localization fix. Co-channel
 // APs within the interference radius never transmit simultaneously: their
 // airtime grants serialize through a cluster-wide admission check.
@@ -244,22 +244,18 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
-// newCell builds AP i's cell around its system and starts its airtime
-// scheduler. Each grant first freezes every trajectory-bound node's pose
-// (idempotent between advances) and brackets the job with a capture-plane
-// job lease, so capture buffers a job leaks are reclaimed when its grant
-// ends; each job's airtime advances the shared clock, and with co-channel
-// neighbours every grant passes the cluster admission check.
+// newCell builds AP i's cell around its system and its airtime scheduler.
+// Each grant brackets the job with a capture-plane job lease, so capture
+// buffers a job leaks are reclaimed when its grant ends; each job's airtime
+// advances the shared clock, and with co-channel neighbours every grant
+// passes the cluster admission check.
 func (c *Cluster) newCell(i int, pl APPlacement, sys *core.System, jobTimeout time.Duration) *apCell {
 	cfg := proto.EngineConfig{
 		JobTimeout: jobTimeout,
 		Obs:        sys.Obs(),
 		Tracer:     sys.Tracer(),
-		OnGrant: func() func() {
-			sys.SyncMotion()
-			return sys.Capture().BeginJob().End
-		},
-		OnAirtime: func(seconds float64) { sys.Clock().Advance(seconds) },
+		OnGrant:    func() func() { return sys.Capture().BeginJob().End },
+		OnAirtime:  func(seconds float64) { sys.Clock().Advance(seconds) },
 	}
 	if c.adm != nil {
 		cfg.Admit = func() (release func()) { return c.adm.admit(i) }
@@ -332,8 +328,8 @@ func sceneForAP(s *rfsim.Scene, pl APPlacement, index int) *rfsim.Scene {
 }
 
 // Close shuts down every AP's airtime scheduler and the debug server.
-// Operations in flight or queued fail with ErrClosed, as does any later
-// call. Idempotent.
+// Operations on the air complete first; operations waiting for airtime
+// fail with ErrClosed, as does any later call. Idempotent.
 func (c *Cluster) Close() {
 	for _, cell := range c.aps {
 		cell.eng.Close()
@@ -526,8 +522,8 @@ func (c *Cluster) Localize(ctx context.Context, id NodeID) (Position, error) {
 	return cell.position(out), nil
 }
 
-// localize runs one §5 localization fix of cn as a job on the node's queue
-// at this AP.
+// localize runs one §5 localization fix of cn as a job on this AP's
+// engine.
 func (c *apCell) localize(ctx context.Context, cn *clusterNode) (core.LocalizationOutcome, error) {
 	var out core.LocalizationOutcome
 	err := c.eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
@@ -610,10 +606,10 @@ func (c *Cluster) exchange(ctx context.Context, id NodeID, dir waveform.Directio
 
 // Move repositions the node (teleport; the next packet re-localizes it).
 // If the new position is nearer a different AP, the move is a roaming
-// handoff: the old AP drains the node's queue at a grant boundary and
-// detaches it, the new AP admits it under the next seed generation, and
-// a localization fix re-discovers it there (a node invisible to its new AP
-// still completes the handoff). Cancellation before the drain completes
+// handoff: the old AP detaches the node at a grant boundary, the new AP
+// admits it under the next seed generation, and a localization fix
+// re-discovers it there (a node invisible to its new AP still completes the
+// handoff). Cancellation before the drain completes
 // leaves the node untouched at its old AP. It returns ErrUnknownNode,
 // ErrInvalidCoordinate, ErrCancelled and ErrClosed.
 func (c *Cluster) Move(ctx context.Context, id NodeID, x, y, orientationDeg float64) error {
@@ -626,7 +622,7 @@ func (c *Cluster) Move(ctx context.Context, id NodeID, x, y, orientationDeg floa
 	}
 	defer cn.mu.Unlock()
 	// A teleport overrides motion: unbind any trajectory first, or the next
-	// grant's pose sync would snap the node right back onto it.
+	// advance would snap the node right back onto it.
 	if err := c.clearTrajectoryLocked(ctx, cn); err != nil {
 		return err
 	}
@@ -654,10 +650,10 @@ func (c *Cluster) Move(ctx context.Context, id NodeID, x, y, orientationDeg floa
 // RemoveAP rather than node movement.
 func (c *Cluster) handoffLocked(ctx context.Context, cn *clusterNode, target int, x, y, orientationDeg float64, rebalance bool) error {
 	oldCell, newCell := c.aps[cn.ap], c.aps[target]
-	// Drain: the detach runs as a job on the node's own queue at the old
-	// AP, so an in-flight grant for this node completes first and the
-	// OnGrant job lease reclaims any capture buffers at that boundary. A
-	// lease is never torn mid-capture.
+	// Drain: the detach runs as a job on the old AP's engine, so an
+	// in-flight grant completes first and the OnGrant job lease reclaims
+	// any capture buffers at that boundary. A lease is never torn
+	// mid-capture.
 	err := oldCell.eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
 		oldCell.sys.RemoveNode(cn.sess.Node())
 		return proto.JobReport{}, nil
@@ -794,7 +790,7 @@ func (c *Cluster) Discover(ctx context.Context) ([]ClusterDetection, error) {
 // AddBlocker inserts a blocking segment (a person, a cabinet; cluster-frame
 // coordinates) into every live AP's scene; lossDB is the one-way
 // penetration loss (human torso ≈ 30 dB at 28 GHz). The edit
-// is scheduled on each AP's airtime queue so it cannot race an exchange in
+// runs as a job on each AP's engine so it cannot race an exchange in
 // flight. On error (cancellation mid-rollout) APs already past their edit
 // keep it — re-invoke or RemoveBlocker to converge.
 func (c *Cluster) AddBlocker(ctx context.Context, name string, x1, y1, x2, y2, lossDB float64) error {

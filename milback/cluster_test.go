@@ -10,6 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/proto"
 )
 
 // fourCorners is a compact 4-AP layout: one AP at each corner of a 4 m
@@ -506,6 +509,46 @@ func TestClusterHandoffDrainsInFlightGrant(t *testing.T) {
 	if _, err := c.Send(ctx, id, []byte("post-handoff"), Rate10Mbps); err != nil && !errors.Is(err, ErrNoDetection) {
 		t.Fatalf("post-handoff send: %v", err)
 	}
+}
+
+// TestClusterJobPanicReclaimsLease pins the panic path of a grant: a job
+// that panics with a capture lease open, its panic recovered by the caller
+// (as net/http recovers a handler's), still ends its job lease, which
+// reclaims the open capture lease, and gives the AP back, so the node's
+// next operation runs.
+func TestClusterJobPanicReclaimsLease(t *testing.T) {
+	ctx := context.Background()
+	// A job timeout and no deferred Close: with the slot leaked, the next
+	// operation fails instead of blocking, and Close would wait forever.
+	c, err := NewCluster(WithSeed(3), WithJobTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := mustJoin(t, c, 3, 0.5, -10)
+	cell := c.aps[0]
+	before := c.Metrics().PerAP[0].Metrics.LeasesReclaimed
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("panic did not reach the caller")
+			}
+		}()
+		_ = cell.eng.Run(ctx, int(id), func(context.Context) (proto.JobReport, error) {
+			cell.sys.Capture().Acquire(0, 1)
+			panic("job fault")
+		})
+	}()
+	if _, err := c.Localize(ctx, id); err != nil {
+		t.Fatalf("localize after the panic: %v", err)
+	}
+	m := c.Metrics().PerAP[0].Metrics
+	if m.LeasesOpened != m.LeasesClosed {
+		t.Errorf("leases opened %d, closed %d: the panicked job's lease leaked", m.LeasesOpened, m.LeasesClosed)
+	}
+	if got := m.LeasesReclaimed - before; got != 1 {
+		t.Errorf("leases reclaimed rose by %d, want 1", got)
+	}
+	c.Close()
 }
 
 // TestClusterRebalanceAfterRemoveAP pins removal semantics: only the

@@ -7,6 +7,10 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/proto"
 )
 
 // eight well-separated placements inside the paper's operating envelope.
@@ -210,4 +214,63 @@ func TestClusterJoinDuringDiscover(t *testing.T) {
 		mustJoin(t, c, p.x, p.y, p.orient)
 	}
 	wg.Wait()
+}
+
+// TestClusterGrantFairness pins fairness between nodes where the traffic
+// is: a node with a backlog of callers cannot starve a neighbour. With the
+// AP's first grant held, four Localize callers queue on node A and then one
+// on node B. A node's calls run one at a time under its lock, so only one
+// of A's callers waits for airtime when B arrives, and B's job must be the
+// second node job on the air. The order is read from the proto.job spans,
+// which are recorded in execution order, not from return order, which
+// races.
+func TestClusterGrantFairness(t *testing.T) {
+	ctx := context.Background()
+	c := newTestCluster(t, WithSeed(7))
+	a := mustJoin(t, c, 2.5, -0.6, -8)
+	b := mustJoin(t, c, 3.0, 0.5, 5)
+	cell := c.aps[0]
+
+	gate := make(chan struct{})
+	held := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_ = cell.eng.Run(ctx, cellJobKey, func(context.Context) (proto.JobReport, error) {
+			close(held)
+			<-gate
+			return proto.JobReport{}, nil
+		})
+	}()
+	<-held
+	localize := func(id NodeID) {
+		defer wg.Done()
+		if _, err := c.Localize(ctx, id); err != nil {
+			t.Errorf("localize %d: %v", id, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go localize(a)
+	}
+	time.Sleep(20 * time.Millisecond) // A's first caller waits for airtime
+	wg.Add(1)
+	go localize(b)
+	time.Sleep(20 * time.Millisecond) // and B's caller behind it
+	close(gate)
+	wg.Wait()
+
+	var order []int64
+	for _, s := range cell.sys.Tracer().Snapshot() {
+		if s.Name == obs.SpanJob && (s.Arg == int64(a) || s.Arg == int64(b)) {
+			order = append(order, s.Arg)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("traced %d node jobs, want 5: %v", len(order), order)
+	}
+	if order[1] != int64(b) {
+		t.Fatalf("node job order %v (A = %d, B = %d): B was not granted second", order, a, b)
+	}
 }

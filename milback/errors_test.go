@@ -31,8 +31,8 @@ func TestNewNetworkValidation(t *testing.T) {
 }
 
 // TestNewClusterFailureStopsEngines pins that a NewCluster failing after
-// its cells (and their airtime schedulers) exist closes them again: a
-// debug server that cannot start must not leak engine goroutines.
+// its cells exist closes their airtime schedulers again and leaks no
+// goroutine: a debug server that cannot start must leave nothing running.
 func TestNewClusterFailureStopsEngines(t *testing.T) {
 	noObs := core.DefaultConfig()
 	noObs.DisableObservability = true
@@ -45,8 +45,8 @@ func TestNewClusterFailureStopsEngines(t *testing.T) {
 			t.Fatalf("debug server without observability: err = %v, want ErrInvalidConfig", err)
 		}
 	}
-	// A closed engine's goroutine has signalled its exit but may still be
-	// unwinding; give it a moment before counting.
+	// A goroutine that has signalled its exit may still be unwinding; give
+	// it a moment before counting.
 	after := runtime.NumGoroutine()
 	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
 		time.Sleep(10 * time.Millisecond)

@@ -206,7 +206,7 @@ func (c *Cluster) Metrics() ClusterMetrics {
 // Lines, AP by AP in layout order (removed APs included) and oldest first
 // within an AP: one object per line with name, start_ns, dur_ns and a
 // stage-specific arg (chirp count for synthesis, capture count for leases,
-// queue key for jobs). Each AP's tracer is a bounded ring — only its most
+// NodeID for jobs, 0 for sweeps and scene edits). Each AP's tracer is a bounded ring — only its most
 // recent spans are retained (see cmd/milback-report -trace for a consumer).
 // With observability disabled the trace is empty.
 func (c *Cluster) WriteTrace(w io.Writer) error {

@@ -29,12 +29,14 @@
 // # Concurrency
 //
 // A Cluster is safe for concurrent use: each AP serves one node at a time
-// (spatial-division multiplexing — one beam), so an internal airtime
-// scheduler queues operations and grants the channel round-robin across
-// nodes. Any number of goroutines may drive distinct nodes; each call
-// blocks until its turn on the air completes. Every operation takes a ctx
-// and honors cancellation while it waits in the queue and between packet
-// phases; see ErrCancelled.
+// (spatial-division multiplexing — one beam), so each operation waits for
+// its AP's single airtime slot and runs on the calling goroutine once it
+// holds it. Waiting calls are granted the slot in arrival order, and a
+// node's calls run one at a time, so a node with a backlog cannot starve
+// its neighbours. Any number of goroutines may drive distinct nodes; each
+// call blocks until its turn on the air completes. Every operation takes a
+// ctx and honors cancellation while it waits for the slot and between
+// packet phases; see ErrCancelled.
 //
 // Everything is deterministic: each node draws noise seeds from its own
 // stream, derived from the cluster seed, its serving AP and its NodeID, so
@@ -102,9 +104,9 @@ func WithSystemConfig(cfg core.Config) Option {
 	return func(o *options) { o.cfg = cfg }
 }
 
-// WithJobTimeout bounds how long any single scheduled operation (queue wait
+// WithJobTimeout bounds how long any single scheduled operation (slot wait
 // plus airtime) may take before it fails with ErrCancelled wrapping
-// context.DeadlineExceeded. An operation still queued at the deadline fails
+// context.DeadlineExceeded. An operation still waiting at the deadline fails
 // immediately; one already on the air finishes its current packet phase
 // first (the channel is never preempted mid-capture) and abandons the
 // remaining phases. Zero (the default) means no limit.

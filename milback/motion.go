@@ -150,7 +150,7 @@ func (c *Cluster) clearTrajectoryLocked(ctx context.Context, cn *clusterNode) er
 }
 
 // bindTrajectory binds the cluster-frame path p to cn's node at its serving
-// AP from motion time t0 (a nil p unbinds), as a job on the node's queue so
+// AP from motion time t0 (a nil p unbinds), as a job on the AP's engine so
 // the binding never races a capture. The node's pose snaps to the path
 // immediately. Callers hold cn.mu.
 func (c *Cluster) bindTrajectory(ctx context.Context, cn *clusterNode, p *motion.Path, t0 float64) error {
@@ -165,7 +165,7 @@ func (c *Cluster) bindTrajectory(ctx context.Context, cn *clusterNode, p *motion
 
 // AdvanceTrajectory moves the node dt seconds (≥ 0) along its bound
 // trajectory and returns the new cluster-frame pose. The advance is
-// scheduled on the node's airtime queue, so it never races a capture; if
+// runs as a job on the serving AP's engine, so it never races a capture; if
 // the new pose is nearer a different AP the advance is a roaming handoff
 // (exactly like a Move there) and the trajectory is rebound at the new
 // serving AP at the same motion time.

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Live A/B perf gate: times the working tree against a base commit on four
+# Live A/B perf gate: times the working tree against a base commit on five
 # benchmark rows and fails on a regression that holds across repeated,
 # interleaved samples. Run from the repository root:
 #
@@ -32,7 +32,8 @@ MAX_MOVING_RATIO=1.5
 ROWS='BenchmarkCaptureSteadyState . 200x
 BenchmarkDiscoveryScan/nodes=1024 . 2x
 BenchmarkForwardPacked ./internal/dsp 1000x
-BenchmarkCaptureMovingScene . 200x'
+BenchmarkCaptureMovingScene . 200x
+BenchmarkClusterLocalize . 200x'
 
 base_id="$(git rev-parse --verify "$BASE^{commit}")"
 tree_id="$(git rev-parse HEAD)"
