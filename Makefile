@@ -7,15 +7,16 @@
 # allocation gate, diffs every example's stdout and the quick and full
 # experiment sweeps against their goldens, reruns the paper's verdict table against
 # REPORT.md, fuzzes every Fuzz* target briefly, smoke-runs every benchmark
-# once, vets and smoke-tests the served benchmark module (bench-check), and
-# times the working tree against HEAD and a pinned anchor commit
-# (bench-ab).
+# once, vets and smoke-tests the served benchmark module (bench-check),
+# checks that every committed mutant is caught by the test it names
+# (mutation-gate), and times the working tree against HEAD and a pinned
+# anchor commit (bench-ab).
 
 GO ?= go
 
-.PHONY: verify lint vet fmt-check build test race determinism fuzz-smoke alloc-gate bench bench-check bench-ab docs-check api-check examples-check experiments-check report-check serve-smoke
+.PHONY: verify lint vet fmt-check build test race determinism fuzz-smoke alloc-gate bench bench-check bench-ab docs-check api-check examples-check experiments-check report-check serve-smoke mutation-gate
 
-verify: lint docs-check api-check examples-check experiments-check report-check build race determinism fuzz-smoke alloc-gate serve-smoke bench bench-check bench-ab
+verify: lint docs-check api-check examples-check experiments-check report-check build race determinism fuzz-smoke alloc-gate serve-smoke bench bench-check mutation-gate bench-ab
 
 # lint is the static gate: vet plus a gofmt cleanliness check.
 lint: vet fmt-check
@@ -126,6 +127,13 @@ serve-smoke:
 bench-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# Mutation gate: scripts/mutation_gate.sh applies each scripts/mutants/*.patch
+# (one planted bug, naming its package, test pattern and go test flags) to a
+# temp copy of the working tree and fails when the named test still passes
+# or the patch no longer applies. About 35 s on 2 cores.
+mutation-gate:
+	./scripts/mutation_gate.sh
 
 # Live perf gate: scripts/bench_ab.sh times the working tree against a
 # base commit on the steady-state capture, the 1,024-node discovery sweep,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -126,20 +127,24 @@ func (c Config) Validate() error {
 	return c.OrientationChirp.Validate()
 }
 
-// AP is the MilBack access point.
+// AP is the MilBack access point. Its horns carry no pointing: every
+// capture, uplink and link budget takes the beam's azimuth as an argument,
+// so captures at different pointings may run on one AP concurrently.
 type AP struct {
-	cfg   Config
-	tx    *rfsim.Antenna
-	rx    [2]*rfsim.Antenna
-	array *rfsim.RxArray
-	scene *rfsim.Scene
+	cfg Config
+	// tx and rx are the horn templates at boresight 0; horns returns copies
+	// steered for one call.
+	tx, rx rfsim.Antenna
+	array  *rfsim.RxArray
+	scene  *rfsim.Scene
 
 	// pool recycles frame and spectrum buffers (nil = allocate).
 	pool BufferPool
 
-	// clutter is the scratch clutterPaths derives every capture's clutter
-	// paths into.
-	clutter []rfsim.Path
+	// clutterFree holds the scratch slices clutterPaths derives captures'
+	// clutter paths into, one per capture in flight; clutterMu guards it.
+	clutterMu   sync.Mutex
+	clutterFree [][]rfsim.Path
 
 	// obs holds the AP's resolved stage instruments; nil (the default)
 	// means unobserved and the pipelines skip even the clock reads.
@@ -183,16 +188,13 @@ func New(cfg Config, scene *rfsim.Scene) (*AP, error) {
 	if scene == nil {
 		scene = rfsim.EmptyScene()
 	}
-	a := &AP{
+	return &AP{
 		cfg:   cfg,
-		tx:    &rfsim.Antenna{BoresightGainDBi: cfg.TxGainDBi, BeamwidthDeg: 18, SidelobeFloorDB: -25},
+		tx:    rfsim.Antenna{BoresightGainDBi: cfg.TxGainDBi, BeamwidthDeg: 18, SidelobeFloorDB: -25},
+		rx:    rfsim.Antenna{BoresightGainDBi: cfg.RxGainDBi, BeamwidthDeg: 18, SidelobeFloorDB: -25},
 		array: &rfsim.RxArray{Spacing: cfg.RxSpacingM},
 		scene: scene,
-	}
-	for i := range a.rx {
-		a.rx[i] = &rfsim.Antenna{BoresightGainDBi: cfg.RxGainDBi, BeamwidthDeg: 18, SidelobeFloorDB: -25}
-	}
-	return a, nil
+	}, nil
 }
 
 // MustNew is New for known-good configs.
@@ -210,18 +212,23 @@ func (a *AP) Config() Config { return a.cfg }
 // Scene returns the environment the AP operates in.
 func (a *AP) Scene() *rfsim.Scene { return a.scene }
 
-// Steer points the transmit and receive horns toward azimuth (radians). The
-// paper steers mechanically; the protocol layer calls this when it scans for
-// or tracks a node.
-func (a *AP) Steer(azimuthRad float64) {
-	a.tx.Point(azimuthRad)
-	for _, r := range a.rx {
-		r.Point(azimuthRad)
-	}
+// horns returns the transmit horn and the receive horns' gain pattern,
+// both pointed at steerRad (radians). The paper steers mechanically; here
+// each call that radiates or receives points its own copies, so the
+// pointing belongs to the call, never to the AP.
+func (a *AP) horns(steerRad float64) (tx, rx rfsim.Antenna) {
+	tx, rx = a.tx, a.rx
+	tx.Point(steerRad)
+	rx.Point(steerRad)
+	return tx, rx
 }
 
-// Pointing returns the current boresight azimuth (radians).
-func (a *AP) Pointing() float64 { return a.tx.PointingRad }
+// hornGainsDBi returns the transmit and receive horn gains (dBi) toward
+// azimuth az with both horns pointed at steerRad (radians).
+func (a *AP) hornGainsDBi(steerRad, az float64) (tx, rx float64) {
+	t, r := a.horns(steerRad)
+	return t.GainDBi(az), r.GainDBi(az)
+}
 
 // SetBufferPool installs (or with nil removes) the buffer pool the capture
 // pipelines draw frame and spectrum buffers from.
@@ -316,16 +323,31 @@ func (b *busyClock) recordBusy(tr *obs.Tracer, stage string, start time.Time, wo
 	})
 }
 
-// clutterPaths derives the scene's clutter paths for the current pointing
-// at carrier fc into the AP's scratch slice and returns it, allocating
-// nothing once the slice has grown to the scene. The next capture
-// overwrites the slice. That is safe because captures on one AP run one at
-// a time — the rule Steer's shared horns already rely on — and a capture's
-// readers (the synthesizer, SynthesizeUplink's DC term) finish with it
-// within that capture.
-func (a *AP) clutterPaths(fc float64) []rfsim.Path {
-	a.clutter = a.scene.AppendClutterPaths(a.clutter[:0], a.tx, a.rx[0], fc)
-	return a.clutter
+// clutterPaths derives the scene's clutter paths for a beam pointed at
+// steerRad at carrier fc into a scratch slice of its own and returns it,
+// allocating nothing once the AP's free list holds a slice grown to the
+// scene. The caller hands the slice back with putClutter when its readers
+// (the synthesizer, SynthesizeUplink's DC term) are done with it. Each
+// capture in flight holds its own slice, so captures on one AP may run
+// concurrently.
+func (a *AP) clutterPaths(steerRad, fc float64) []rfsim.Path {
+	var dst []rfsim.Path
+	a.clutterMu.Lock()
+	if n := len(a.clutterFree); n > 0 {
+		dst = a.clutterFree[n-1]
+		a.clutterFree = a.clutterFree[:n-1]
+	}
+	a.clutterMu.Unlock()
+	tx, rx := a.horns(steerRad)
+	return a.scene.AppendClutterPaths(dst[:0], &tx, &rx, fc)
+}
+
+// putClutter returns a clutterPaths slice to the AP's free list; the caller
+// must not read it afterwards.
+func (a *AP) putClutter(paths []rfsim.Path) {
+	a.clutterMu.Lock()
+	a.clutterFree = append(a.clutterFree, paths)
+	a.clutterMu.Unlock()
 }
 
 // getComplex draws a zeroed buffer from the pool, or allocates one.

@@ -48,12 +48,33 @@ func TestNewDefaultsToEmptyScene(t *testing.T) {
 	}
 }
 
+// TestSteer pins that the pointing belongs to the call: a capture pointed
+// at a node receives its toggling reflection stronger than one pointed
+// away, and a capture at another pointing in between leaves the next
+// capture at the first pointing bit-identical.
 func TestSteer(t *testing.T) {
-	a := MustNew(DefaultConfig(), nil)
+	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
+	c := a.Config().LocalizationChirp
 	az := rfsim.DegToRad(15)
-	a.Steer(az)
-	if got := a.Pointing(); math.Abs(got-az) > 1e-12 {
-		t.Errorf("pointing = %g, want %g", got, az)
+	tgt := pointTarget(rfsim.PolarPoint(3, az), 25)
+	capture := func(steer float64) []ChirpFrame {
+		return synth(t)(a.SynthesizeChirps(steer, c, 2, []*BackscatterTarget{tgt}, GridTable{}, nil, nil))
+	}
+	// The chirp-to-chirp difference holds only the toggling target.
+	swing := func(f []ChirpFrame) float64 {
+		var e float64
+		for i, v := range f[1].Rx[0] {
+			d := v - f[0].Rx[0][i]
+			e += real(d)*real(d) + imag(d)*imag(d)
+		}
+		return e
+	}
+	on := capture(az)
+	if off := capture(-az); swing(on) <= 10*swing(off) {
+		t.Errorf("node swing pointed at it %g, pointed away %g: want the beam to favour it by > 10 dB", swing(on), swing(off))
+	}
+	if again := capture(az); !slices.EqualFunc(on, again, sameFrames) {
+		t.Error("a capture at another pointing changed the next capture at the first")
 	}
 }
 
@@ -81,7 +102,7 @@ func TestSynthesizeChirpsBasics(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
 	tgt := pointTarget(rfsim.Point{X: 3}, 25)
-	frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(1)))
+	frames := synth(t)(a.SynthesizeChirps(0, c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(1)))
 	if len(frames) != 5 {
 		t.Fatalf("frames = %d", len(frames))
 	}
@@ -110,10 +131,10 @@ func TestSynthesizeChirpsValidation(t *testing.T) {
 	a := MustNew(DefaultConfig(), nil)
 	for i, f := range []func() ([]ChirpFrame, error){
 		func() ([]ChirpFrame, error) {
-			return a.SynthesizeChirps(waveform.Chirp{}, 5, nil, GridTable{}, nil, nil)
+			return a.SynthesizeChirps(0, waveform.Chirp{}, 5, nil, GridTable{}, nil, nil)
 		},
 		func() ([]ChirpFrame, error) {
-			return a.SynthesizeChirps(a.Config().LocalizationChirp, 0, nil, GridTable{}, nil, nil)
+			return a.SynthesizeChirps(0, a.Config().LocalizationChirp, 0, nil, GridTable{}, nil, nil)
 		},
 	} {
 		frames, err := f()
@@ -135,7 +156,7 @@ func TestProcessLocalizationRecoversRange(t *testing.T) {
 	c := a.Config().LocalizationChirp
 	for _, d := range []float64{1, 2.5, 5, 8} {
 		tgt := pointTarget(rfsim.Point{X: d}, 25)
-		frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(int64(d*100))))
+		frames := synth(t)(a.SynthesizeChirps(0, c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(int64(d*100))))
 		res, err := a.ProcessLocalization(c, frames)
 		if err != nil {
 			t.Fatalf("d=%g: %v", d, err)
@@ -152,9 +173,9 @@ func TestProcessLocalizationRecoversAngle(t *testing.T) {
 	c := a.Config().LocalizationChirp
 	for _, deg := range []float64{-30, -10, 0, 12, 25} {
 		pos := rfsim.PolarPoint(3, rfsim.DegToRad(deg))
-		a.Steer(rfsim.DegToRad(deg)) // AP tracks the node's direction
 		tgt := pointTarget(pos, 25)
-		frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(int64(deg)+500)))
+		// The AP tracks the node's direction.
+		frames := synth(t)(a.SynthesizeChirps(rfsim.DegToRad(deg), c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(int64(deg)+500)))
 		res, err := a.ProcessLocalization(c, frames)
 		if err != nil {
 			t.Fatalf("deg=%g: %v", deg, err)
@@ -175,7 +196,7 @@ func TestBackgroundSubtractionRemovesClutter(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
 	tgt := pointTarget(rfsim.Point{X: 4}, 12) // modest node gain
-	frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(7)))
+	frames := synth(t)(a.SynthesizeChirps(0, c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(7)))
 	res, err := a.ProcessLocalization(c, frames)
 	if err != nil {
 		t.Fatalf("%v", err)
@@ -196,8 +217,7 @@ func clutterTracker(t *testing.T, scene *rfsim.Scene) func(name string, pointing
 	c := a.Config().LocalizationChirp
 	tgt := pointTarget(rfsim.Point{X: 4, Y: 0.5}, 25)
 	capture := func(ap *AP, pointing float64) []ChirpFrame {
-		ap.Steer(pointing)
-		return synth(t)(ap.SynthesizeChirps(c, 2, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(5)))
+		return synth(t)(ap.SynthesizeChirps(pointing, c, 2, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(5)))
 	}
 	same := func(x, y []ChirpFrame) bool {
 		return slices.EqualFunc(x, y, sameFrames)
@@ -269,7 +289,7 @@ func TestProcessLocalizationFailsWithoutTarget(t *testing.T) {
 	// hallucinate a range.
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
-	frames := synth(t)(a.SynthesizeChirps(c, 5, nil, GridTable{}, nil, rfsim.NewNoiseSource(9)))
+	frames := synth(t)(a.SynthesizeChirps(0, c, 5, nil, GridTable{}, nil, rfsim.NewNoiseSource(9)))
 	if _, err := a.ProcessLocalization(c, frames); err == nil {
 		t.Fatal("expected failure with no modulated target")
 	}
@@ -285,7 +305,7 @@ func TestStaticTargetInvisibleModulatedVisible(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
 	static := ConstantGainTarget(rfsim.Point{X: 4}, 25)
-	frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{static}, GridTable{}, nil, rfsim.NewNoiseSource(11)))
+	frames := synth(t)(a.SynthesizeChirps(0, c, 5, []*BackscatterTarget{static}, GridTable{}, nil, rfsim.NewNoiseSource(11)))
 	if _, err := a.ProcessLocalization(c, frames); err == nil {
 		t.Fatal("static target should not be detected")
 	}
@@ -308,7 +328,7 @@ func TestEstimateOrientationProfile(t *testing.T) {
 		}
 		return base - 20
 	})
-	frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(13)))
+	frames := synth(t)(a.SynthesizeChirps(0, c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(13)))
 	loc, err := a.ProcessLocalization(c, frames)
 	if err != nil {
 		t.Fatalf("localization: %v", err)
@@ -329,7 +349,7 @@ func TestEstimateOrientationProfileValidation(t *testing.T) {
 	a := MustNew(DefaultConfig(), nil)
 	c := a.Config().LocalizationChirp
 	tgt := pointTarget(rfsim.Point{X: 2}, 25)
-	frames := synth(t)(a.SynthesizeChirps(c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, nil))
+	frames := synth(t)(a.SynthesizeChirps(0, c, 5, []*BackscatterTarget{tgt}, GridTable{}, nil, nil))
 	for _, hz := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if _, err := a.EstimateOrientationProfile(c, frames, 100, hz); err == nil {
 			t.Errorf("mask half-width %g Hz should fail", hz)
@@ -365,7 +385,7 @@ func TestDetectTargetsMultiNode(t *testing.T) {
 		pointTarget(rfsim.Point{X: 5}, 25),
 		pointTarget(rfsim.Point{X: 8}, 25),
 	}
-	frames := synth(t)(a.SynthesizeChirps(c, 5, tgts, GridTable{}, nil, rfsim.NewNoiseSource(41)))
+	frames := synth(t)(a.SynthesizeChirps(0, c, 5, tgts, GridTable{}, nil, rfsim.NewNoiseSource(41)))
 	dets, err := a.DetectTargets(c, frames, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +409,7 @@ func TestDetectTargetsMultiNode(t *testing.T) {
 func TestDetectTargetsValidation(t *testing.T) {
 	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := a.Config().LocalizationChirp
-	frames := synth(t)(a.SynthesizeChirps(c, 5, nil, GridTable{}, nil, rfsim.NewNoiseSource(43)))
+	frames := synth(t)(a.SynthesizeChirps(0, c, 5, nil, GridTable{}, nil, rfsim.NewNoiseSource(43)))
 	if _, err := a.DetectTargets(c, frames, 0); err == nil {
 		t.Error("maxTargets 0 should fail")
 	}
@@ -410,7 +430,7 @@ func TestDetectTargetsCapsAtMax(t *testing.T) {
 		pointTarget(rfsim.Point{X: 5}, 25),
 		pointTarget(rfsim.Point{X: 8}, 25),
 	}
-	frames := synth(t)(a.SynthesizeChirps(c, 5, tgts, GridTable{}, nil, rfsim.NewNoiseSource(47)))
+	frames := synth(t)(a.SynthesizeChirps(0, c, 5, tgts, GridTable{}, nil, rfsim.NewNoiseSource(47)))
 	dets, err := a.DetectTargets(c, frames, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestBatchFFTDifferentialPerBin(t *testing.T) {
 	c := a.Config().LocalizationChirp
 	for seed := int64(1); seed <= 3; seed++ {
 		tgt := pointTarget(rfsim.Point{X: 3, Y: 0.5}, 25)
-		frames := synth(t)(a.SynthesizeChirps(c, 8, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+		frames := synth(t)(a.SynthesizeChirps(0, c, 8, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
 
 		batched, err := a.subtractedSpectra(frames)
 		if err != nil {
@@ -154,7 +154,7 @@ func TestIntraCaptureParallelDeterministic(t *testing.T) {
 			a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 			tgt := pointTarget(rfsim.Point{X: 3, Y: 0.5}, 25)
 			tgt.RadialVelocityMS = 0.8
-			frames := synth(t)(a.SynthesizeChirps(c, 16, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+			frames := synth(t)(a.SynthesizeChirps(0, c, 16, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
 			got[i] = runPipeline(t, a, frames)
 		}
 		// absTol 0, relTol 0: parallel must be bit-identical to serial.
@@ -180,7 +180,7 @@ func TestBatchFFTConcurrentSessions(t *testing.T) {
 		a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 		aps[s] = a
 		tgt := pointTarget(rfsim.Point{X: 2 + float64(s), Y: 0.5}, 25)
-		refs[s].frames = synth(t)(a.SynthesizeChirps(c, 8, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(int64(s+1))))
+		refs[s].frames = synth(t)(a.SynthesizeChirps(0, c, 8, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(int64(s+1))))
 		loc, err := a.ProcessLocalization(c, refs[s].frames)
 		if err != nil {
 			t.Fatalf("session %d baseline: %v", s, err)

@@ -51,18 +51,19 @@ type UplinkLink struct {
 func (u UplinkLink) SNRdB() float64 { return dsp.DB(u.SNRLinear) }
 
 // UplinkBudget computes the uplink link budget for a node with FSA nf at
-// distance d and orientation orientDeg, signalling at bitRate bits/s with
-// the tone pair chosen for its orientation. Per branch, the AP transmits
+// distance d along the beam pointed at steerRad (radians) and orientation
+// orientDeg, signalling at bitRate bits/s with the tone pair chosen for its
+// orientation. Per branch, the AP transmits
 // TxPowerW/2; the node toggles that tone's port between reflective and
 // absorptive, producing an amplitude swing of (a_on − a_off); the effective
 // antipodal signal amplitude is half the swing.
-func (a *AP) UplinkBudget(nf *fsa.FSA, d, orientDeg, bitRate float64) UplinkLink {
+func (a *AP) UplinkBudget(steerRad float64, nf *fsa.FSA, d, orientDeg, bitRate float64) UplinkLink {
 	if d <= 0 || bitRate <= 0 {
 		panic(fmt.Sprintf("ap: invalid uplink budget args d=%g rate=%g", d, bitRate))
 	}
 	tones := SelectTonePair(nf, orientDeg)
-	aOn, aOff := a.uplinkAmplitudes(nf, tones.FA, fsa.PortA, d, orientDeg)
-	blk := math.Pow(10, -a.nodeObstructionLossDB(d)/10)
+	aOn, aOff := a.uplinkAmplitudes(steerRad, nf, tones.FA, fsa.PortA, d, orientDeg)
+	blk := math.Pow(10, -a.nodeObstructionLossDB(steerRad, d)/10)
 	swing := (aOn - aOff) / 2 * blk
 	sig := swing * swing
 	// Per-branch bandwidth = symbol rate = bitRate / bits-per-symbol.
@@ -74,11 +75,11 @@ func (a *AP) UplinkBudget(nf *fsa.FSA, d, orientDeg, bitRate float64) UplinkLink
 // uplinkAmplitudes returns the received baseband amplitudes (√W) of one
 // tone's backscatter when the carrying port is reflective vs absorptive,
 // with the other port held absorptive (its leakage is part of both states
-// and cancels in the swing).
-func (a *AP) uplinkAmplitudes(nf *fsa.FSA, toneHz float64, port fsa.Port, d, orientDeg float64) (on, off float64) {
+// and cancels in the swing), through horns pointed at steerRad.
+func (a *AP) uplinkAmplitudes(steerRad float64, nf *fsa.FSA, toneHz float64, port fsa.Port, d, orientDeg float64) (on, off float64) {
 	// The AP steers at the node before communicating, so the antennas see
 	// the node at boresight.
-	az := a.tx.PointingRad
+	txG, rxG := a.hornGainsDBi(steerRad, steerRad)
 	txAmp := math.Sqrt(a.cfg.TxPowerW / 2)
 	loss := a.implementationLoss()
 	prevA, prevB := nf.ModeOf(fsa.PortA), nf.ModeOf(fsa.PortB)
@@ -92,11 +93,11 @@ func (a *AP) uplinkAmplitudes(nf *fsa.FSA, toneHz float64, port fsa.Port, d, ori
 
 	nf.SetMode(port, fsa.Reflective)
 	gOn := 20 * math.Log10(nf.ReflectionAmplitude(toneHz, orientDeg))
-	on = rfsim.BackscatterAmplitude(a.tx.GainDBi(az), a.rx[0].GainDBi(az), gOn/2, d, toneHz) * txAmp * loss
+	on = rfsim.BackscatterAmplitude(txG, rxG, gOn/2, d, toneHz) * txAmp * loss
 
 	nf.SetMode(port, fsa.Absorptive)
 	gOff := 20 * math.Log10(nf.ReflectionAmplitude(toneHz, orientDeg))
-	off = rfsim.BackscatterAmplitude(a.tx.GainDBi(az), a.rx[0].GainDBi(az), gOff/2, d, toneHz) * txAmp * loss
+	off = rfsim.BackscatterAmplitude(txG, rxG, gOff/2, d, toneHz) * txAmp * loss
 	return on, off
 }
 
@@ -112,8 +113,10 @@ type UplinkStream struct {
 // chain's front half: for each OAQFM symbol the node sets its port switches,
 // and each branch's mixer output carries a DC term (self-interference +
 // static clutter) plus the node's switched reflection at baseband, plus
-// receiver noise. fsPerSymbol sets the oversampling (samples per symbol).
-func (a *AP) SynthesizeUplink(nf *fsa.FSA, syms []waveform.Symbol, tones waveform.TonePair,
+// receiver noise, with the horns pointed at steerRad (radians) and the node
+// on that boresight at distance d. fsPerSymbol sets the oversampling
+// (samples per symbol).
+func (a *AP) SynthesizeUplink(steerRad float64, nf *fsa.FSA, syms []waveform.Symbol, tones waveform.TonePair,
 	d, orientDeg, symbolRate float64, fsPerSymbol int, ns *rfsim.NoiseSource) (branchA, branchB UplinkStream) {
 	if d <= 0 || symbolRate <= 0 || fsPerSymbol < 1 {
 		panic(fmt.Sprintf("ap: invalid uplink synth args d=%g rate=%g sps=%d", d, symbolRate, fsPerSymbol))
@@ -129,9 +132,11 @@ func (a *AP) SynthesizeUplink(nf *fsa.FSA, syms []waveform.Symbol, tones wavefor
 	selfAmp := math.Sqrt(a.cfg.TxPowerW/2) * math.Pow(10, -30.0/20) // −30 dB TX→RX coupling
 	clutterDC := 0.0
 	fc := (tones.FA + tones.FB) / 2
-	for _, p := range a.clutterPaths(fc) {
+	clutter := a.clutterPaths(steerRad, fc)
+	for _, p := range clutter {
 		clutterDC += p.Amplitude * math.Sqrt(a.cfg.TxPowerW/2)
 	}
+	a.putClutter(clutter)
 	dcA := complex(selfAmp+clutterDC, 0)
 	dcB := dcA
 
@@ -144,11 +149,11 @@ func (a *AP) SynthesizeUplink(nf *fsa.FSA, syms []waveform.Symbol, tones wavefor
 	defer nf.SetModes(prevA, prevB)
 	txAmp := math.Sqrt(a.cfg.TxPowerW / 2)
 	loss := a.implementationLoss()
-	boresight := a.tx.PointingRad
-	blk := math.Pow(10, -a.nodeObstructionLossDB(d)/10)
+	txG, rxG := a.hornGainsDBi(steerRad, steerRad)
+	blk := math.Pow(10, -a.nodeObstructionLossDB(steerRad, d)/10)
 	ampFor := func(tone float64) float64 {
 		g := 20 * math.Log10(nf.ReflectionAmplitude(tone, orientDeg))
-		return rfsim.BackscatterAmplitude(a.tx.GainDBi(boresight), a.rx[0].GainDBi(boresight), g/2, d, tone) *
+		return rfsim.BackscatterAmplitude(txG, rxG, g/2, d, tone) *
 			txAmp * loss * blk
 	}
 	for j, sym := range syms {
@@ -263,8 +268,8 @@ func demodBranch(s UplinkStream, pilot, total int) ([]bool, error) {
 }
 
 // nodeObstructionLossDB returns the one-way blocker loss toward a node
-// assumed at range d along the current boresight.
-func (a *AP) nodeObstructionLossDB(d float64) float64 {
-	pos := rfsim.PolarPoint(d, a.tx.PointingRad)
+// assumed at range d along the boresight steerRad.
+func (a *AP) nodeObstructionLossDB(steerRad, d float64) float64 {
+	pos := rfsim.PolarPoint(d, steerRad)
 	return a.scene.ObstructionLossDB(rfsim.Point{}, pos)
 }

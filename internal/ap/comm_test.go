@@ -3,6 +3,8 @@ package ap
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/fsa"
@@ -38,17 +40,17 @@ func TestUplinkBudgetShape(t *testing.T) {
 	a := MustNew(DefaultConfig(), nil)
 	f := fsa.Default()
 	// SNR falls with distance at the two-way (40 log d) slope.
-	s2 := a.UplinkBudget(f, 2, -10, 10e6)
-	s4 := a.UplinkBudget(f, 4, -10, 10e6)
-	s8 := a.UplinkBudget(f, 8, -10, 10e6)
+	s2 := a.UplinkBudget(0, f, 2, -10, 10e6)
+	s4 := a.UplinkBudget(0, f, 4, -10, 10e6)
+	s8 := a.UplinkBudget(0, f, 8, -10, 10e6)
 	drop24 := s2.SNRdB() - s4.SNRdB()
 	drop48 := s4.SNRdB() - s8.SNRdB()
 	if math.Abs(drop24-12.04) > 0.1 || math.Abs(drop48-12.04) > 0.1 {
 		t.Errorf("doubling distance dropped %g / %g dB, want ~12 (40 log d)", drop24, drop48)
 	}
 	// 4x the bit rate costs 6 dB (Fig 15a vs 15b).
-	s10 := a.UplinkBudget(f, 4, -10, 10e6)
-	s40 := a.UplinkBudget(f, 4, -10, 40e6)
+	s10 := a.UplinkBudget(0, f, 4, -10, 10e6)
+	s40 := a.UplinkBudget(0, f, 4, -10, 40e6)
 	if diff := s10.SNRdB() - s40.SNRdB(); math.Abs(diff-6.02) > 0.05 {
 		t.Errorf("rate 10→40 Mbps SNR delta = %g dB, want 6", diff)
 	}
@@ -65,7 +67,7 @@ func TestUplinkBudgetRestoresModes(t *testing.T) {
 	a := MustNew(DefaultConfig(), nil)
 	f := fsa.Default()
 	f.SetModes(fsa.Reflective, fsa.Absorptive)
-	a.UplinkBudget(f, 3, 5, 10e6)
+	a.UplinkBudget(0, f, 3, 5, 10e6)
 	if f.ModeOf(fsa.PortA) != fsa.Reflective || f.ModeOf(fsa.PortB) != fsa.Absorptive {
 		t.Fatal("UplinkBudget must restore FSA switch state")
 	}
@@ -75,8 +77,8 @@ func TestUplinkBudgetValidation(t *testing.T) {
 	a := MustNew(DefaultConfig(), nil)
 	f := fsa.Default()
 	for _, fn := range []func(){
-		func() { a.UplinkBudget(f, 0, 0, 10e6) },
-		func() { a.UplinkBudget(f, 2, 0, 0) },
+		func() { a.UplinkBudget(0, f, 0, 0, 10e6) },
+		func() { a.UplinkBudget(0, f, 2, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -111,7 +113,7 @@ func TestUplinkEndToEndNoiseless(t *testing.T) {
 		data[i] = waveform.Symbol(rng.Intn(4))
 	}
 	syms := append(PilotSymbols(pilot), data...)
-	ba, bb := a.SynthesizeUplink(f, syms, tones, 4, orient, 5e6, 8, nil)
+	ba, bb := a.SynthesizeUplink(0, f, syms, tones, 4, orient, 5e6, 8, nil)
 	got, err := a.DemodulateUplink(ba, bb, pilot, len(syms))
 	if err != nil {
 		t.Fatalf("demodulate: %v", err)
@@ -124,6 +126,46 @@ func TestUplinkEndToEndNoiseless(t *testing.T) {
 			t.Fatalf("symbol %d: got %v want %v (noiseless must be error-free)", i, got[i], data[i])
 		}
 	}
+}
+
+// TestUplinkPointingBelongsToCall pins that an uplink is received with the
+// pointing it is given while captures at another pointing run beside it,
+// as node jobs of one AP do: gains read from a pointing shared across calls
+// would receive one node's send through another node's beam. Run it under
+// -race: a shared pointing is a data race on every round, while a wrong
+// gain needs an unlucky interleaving to show.
+func TestUplinkPointingBelongsToCall(t *testing.T) {
+	a := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
+	f := fsa.Default()
+	orient := 5.0
+	tones := SelectTonePair(f, orient)
+	syms := append(PilotSymbols(8), waveform.Symbol(1), waveform.Symbol(2), waveform.Symbol(3))
+	az := rfsim.DegToRad(25)
+	uplink := func() []complex128 {
+		ba, _ := a.SynthesizeUplink(az, f, syms, tones, 3, orient, 5e6, 4, nil)
+		return ba.Samples
+	}
+	want := uplink()
+	chirp := a.Config().LocalizationChirp
+	tgt := pointTarget(rfsim.PolarPoint(3, -az), 25)
+	const rounds = 50
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := a.SynthesizeChirps(-az, chirp, 2, []*BackscatterTarget{tgt}, GridTable{}, nil, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		if got := uplink(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: uplink at 25° changed while captures pointed at -25°", i)
+		}
+	}
+	wg.Wait()
 }
 
 func TestUplinkEndToEndWithNoise(t *testing.T) {
@@ -139,7 +181,7 @@ func TestUplinkEndToEndWithNoise(t *testing.T) {
 		data[i] = waveform.Symbol(rng.Intn(4))
 	}
 	syms := append(PilotSymbols(pilot), data...)
-	ba, bb := a.SynthesizeUplink(f, syms, tones, 2, orient, 5e6, 8, rfsim.NewNoiseSource(23))
+	ba, bb := a.SynthesizeUplink(0, f, syms, tones, 2, orient, 5e6, 8, rfsim.NewNoiseSource(23))
 	got, err := a.DemodulateUplink(ba, bb, pilot, len(syms))
 	if err != nil {
 		t.Fatalf("demodulate: %v", err)
@@ -173,7 +215,7 @@ func TestUplinkDegradesWithDistance(t *testing.T) {
 	}
 	syms := append(PilotSymbols(pilot), data...)
 	countErrors := func(d float64) int {
-		ba, bb := a.SynthesizeUplink(f, syms, tones, d, orient, 5e6, 4, rfsim.NewNoiseSource(31))
+		ba, bb := a.SynthesizeUplink(0, f, syms, tones, d, orient, 5e6, 4, rfsim.NewNoiseSource(31))
 		got, err := a.DemodulateUplink(ba, bb, pilot, len(syms))
 		if err != nil {
 			t.Fatalf("d=%g: %v", d, err)
@@ -220,9 +262,9 @@ func TestSynthesizeUplinkValidation(t *testing.T) {
 	tones := SelectTonePair(f, 5)
 	syms := PilotSymbols(4)
 	for _, fn := range []func(){
-		func() { a.SynthesizeUplink(f, syms, tones, 0, 5, 5e6, 4, nil) },
-		func() { a.SynthesizeUplink(f, syms, tones, 2, 5, 0, 4, nil) },
-		func() { a.SynthesizeUplink(f, syms, tones, 2, 5, 5e6, 0, nil) },
+		func() { a.SynthesizeUplink(0, f, syms, tones, 0, 5, 5e6, 4, nil) },
+		func() { a.SynthesizeUplink(0, f, syms, tones, 2, 5, 0, 4, nil) },
+		func() { a.SynthesizeUplink(0, f, syms, tones, 2, 5, 5e6, 0, nil) },
 	} {
 		func() {
 			defer func() {

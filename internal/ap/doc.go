@@ -41,5 +41,11 @@
 // trace spans — fast synthesis further splits into clutter-template,
 // target-tone and noise sub-stages; with no observer the pipelines skip
 // all clock reads. Clutter geometry is not cached: each capture derives
-// the scene's clutter paths afresh into one per-AP scratch slice.
+// the scene's clutter paths afresh into a scratch slice of its own from a
+// per-AP free list.
+//
+// The AP holds no pointing: every routine that reads the horns
+// (SynthesizeChirps, SynthesizeUplink, UplinkBudget) takes the beam's
+// azimuth as an argument and points copies of the horn templates for that
+// call, so captures of different nodes may run on one AP concurrently.
 package ap

@@ -147,9 +147,10 @@ type ChirpFrame struct {
 	Rx [2][]complex128
 }
 
-// SynthesizeChirps produces nChirps dechirped frames for the configured
-// scene plus any number of simultaneous backscatter targets (several nodes
-// respond in the same discovery epoch) and extra paths. Each propagation
+// SynthesizeChirps produces nChirps dechirped frames, with the horns
+// pointed at steerRad (radians), for the configured scene plus any number
+// of simultaneous backscatter targets (several nodes respond in the same
+// discovery epoch) and extra paths. Each propagation
 // path with round-trip delay τ appears as the beat tone
 // A·exp(j(2π·S·τ·t − 2π·f0·τ)), with the inter-antenna phase offset of its
 // arrival angle. This is the standard dechirp-domain FMCW model
@@ -159,7 +160,7 @@ type ChirpFrame struct {
 // ErrInvalidConfig. When a buffer pool is installed (SetBufferPool) the
 // frame buffers are pooled: the caller owns them until it hands them back
 // (the capture plane's Capture.Release does this).
-func (a *AP) SynthesizeChirps(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
+func (a *AP) SynthesizeChirps(steerRad float64, c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
 	table GridTable, extra []ModulatedPath, ns *rfsim.NoiseSource) ([]ChirpFrame, error) {
 	if err := validateSynth(c, nChirps, tgts, table); err != nil {
 		return nil, err
@@ -176,12 +177,13 @@ func (a *AP) SynthesizeChirps(c waveform.Chirp, nChirps int, tgts []*Backscatter
 	// synthState travels by value: the kernels only read its fields, and a
 	// pointer would escape into the fan-out closures, costing a heap
 	// allocation per capture.
-	st := a.newSynthState(c, nChirps, tgts, extra, ns)
+	st := a.newSynthState(steerRad, c, nChirps, tgts, extra, ns)
 	if o != nil {
 		o.synthDraw.Observe(time.Since(start).Seconds())
 		o.tracer.Record(obs.SpanSynthDraw, start, int64(nChirps))
 	}
 	a.synthesizeFast(st, table)
+	a.putClutter(st.clutter)
 	return st.frames, nil
 }
 
@@ -223,10 +225,12 @@ func validateSynth(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget, tab
 }
 
 // newSynthState draws the capture's hardware imperfections and noise key
-// from ns and hoists every chirp-invariant input of a validated request. It
-// is the one place the capture consumes ns, so the synthesis kernels and the
-// per-sample-Sincos test oracle render identical draws.
-func (a *AP) newSynthState(c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
+// from ns and hoists every chirp-invariant input of a validated request,
+// with the horns pointed at steerRad. It is the one place the capture
+// consumes ns, so the synthesis kernels and the per-sample-Sincos test
+// oracle render identical draws. The state's clutter slice is the
+// capture's own; the caller hands it back with putClutter.
+func (a *AP) newSynthState(steerRad float64, c waveform.Chirp, nChirps int, tgts []*BackscatterTarget,
 	extra []ModulatedPath, ns *rfsim.NoiseSource) synthState {
 	fs := a.cfg.BeatSampleRateHz
 	nSamp := c.SampleCount(fs)
@@ -249,7 +253,8 @@ func (a *AP) newSynthState(c waveform.Chirp, nChirps int, tgts []*BackscatterTar
 	cEff := c
 	cEff.FreqHigh = c.FreqLow + (c.FreqHigh-c.FreqLow)*(1+eta)
 
-	clutter := a.clutterPaths(fc)
+	clutter := a.clutterPaths(steerRad, fc)
+	tx, rx := a.horns(steerRad)
 
 	// Per-target constants, hoisted out of the chirp loop: geometry and the
 	// obstruction loss do not depend on the chirp index.
@@ -266,8 +271,8 @@ func (a *AP) newSynthState(c waveform.Chirp, nChirps int, tgts []*BackscatterTar
 			// A blocker between AP and node attenuates the round trip:
 			// one-way loss L dB ⇒ amplitude factor 10^(−L/10).
 			blk: math.Pow(10, -a.scene.ObstructionLossDB(rfsim.Point{}, tgt.Pos)/10),
-			txG: a.tx.GainDBi(az),
-			rxG: a.rx[0].GainDBi(az),
+			txG: tx.GainDBi(az),
+			rxG: rx.GainDBi(az),
 		})
 	}
 	extras := make([]extraState, len(extra))

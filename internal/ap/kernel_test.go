@@ -56,7 +56,7 @@ func TestFastSynthMatchesReference(t *testing.T) {
 		Amplitude: func(k int) float64 { return 2e-7 * float64(1+k%3) },
 	}}
 	for seed := int64(1); seed <= 3; seed++ {
-		ff := synth(t)(a.SynthesizeChirps(c, 16, tgts, GridTable{}, extra, rfsim.NewNoiseSource(seed)))
+		ff := synth(t)(a.SynthesizeChirps(0, c, 16, tgts, GridTable{}, extra, rfsim.NewNoiseSource(seed)))
 		rf := synth(t)(a.synthesizeChirpsRef(c, 16, tgts, extra, rfsim.NewNoiseSource(seed)))
 		maxErr, maxRef := maxAbsDiff(t, ff, rf)
 		if maxRef == 0 {
@@ -82,7 +82,7 @@ func TestOracleSynthPipelineAgreement(t *testing.T) {
 		tgt := pointTarget(rfsim.Point{X: 3, Y: 0.5}, 25)
 		tgt.RadialVelocityMS = 0.8
 		tgts := []*BackscatterTarget{tgt}
-		prod := synth(t)(a.SynthesizeChirps(c, 16, tgts, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+		prod := synth(t)(a.SynthesizeChirps(0, c, 16, tgts, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
 		ref := synth(t)(a.synthesizeChirpsRef(c, 16, tgts, nil, rfsim.NewNoiseSource(seed)))
 		comparePipelines(t, fmt.Sprintf("seed %d kernels vs oracle", seed),
 			runPipeline(t, a, prod), runPipeline(t, a, ref), 1e-6, 1e-9)
@@ -99,7 +99,7 @@ func TestClutterTemplateMatchesUnsharedTones(t *testing.T) {
 	const nChirps = 6
 	// No noise source: the imperfection draws are zero and the frames are
 	// pure clutter, so the template is the only thing under test.
-	frames := synth(t)(a.SynthesizeChirps(c, nChirps, nil, GridTable{}, nil, nil))
+	frames := synth(t)(a.SynthesizeChirps(0, c, nChirps, nil, GridTable{}, nil, nil))
 
 	fs := a.Config().BeatSampleRateHz
 	nSamp := c.SampleCount(fs)
@@ -109,7 +109,7 @@ func TestClutterTemplateMatchesUnsharedTones(t *testing.T) {
 	loss := a.implementationLoss()
 	want0 := make([]complex128, nSamp)
 	want1 := make([]complex128, nSamp)
-	for _, p := range a.clutterPaths(fc) {
+	for _, p := range a.clutterPaths(0, fc) {
 		dsp.AddTonePair(want0, want1,
 			a.interAntennaRot(p.AoARad, lambda, 0),
 			p.Amplitude*txAmp*loss,
@@ -148,7 +148,7 @@ func TestGainStateValidation(t *testing.T) {
 		tgt := pointTarget(rfsim.Point{X: 3}, 20)
 		tc.mutate(tgt)
 		tgts := []*BackscatterTarget{pointTarget(rfsim.Point{X: 4}, 20), tgt}
-		if _, err := a.SynthesizeChirps(c, 4, tgts, GridTable{}, nil, nil); !errors.Is(err, ErrInvalidConfig) {
+		if _, err := a.SynthesizeChirps(0, c, 4, tgts, GridTable{}, nil, nil); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("%s: err = %v, want ErrInvalidConfig", tc.name, err)
 		}
 	}
@@ -173,8 +173,8 @@ func TestGainEnvelopeMemoBitIdentical(t *testing.T) {
 		Gain:        gainFunc(func(s int, f float64) float64 { return g(s&1, f) }),
 	}
 	for seed := int64(1); seed <= 2; seed++ {
-		fs := synth(t)(a.SynthesizeChirps(c, nChirps, []*BackscatterTarget{shared}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
-		fp := synth(t)(a.SynthesizeChirps(c, nChirps, []*BackscatterTarget{perChirp}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+		fs := synth(t)(a.SynthesizeChirps(0, c, nChirps, []*BackscatterTarget{shared}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+		fp := synth(t)(a.SynthesizeChirps(0, c, nChirps, []*BackscatterTarget{perChirp}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
 		for k := range fp {
 			if !sameFrames(fs[k], fp[k]) {
 				t.Fatalf("seed %d chirp %d: shared-state rendering diverged from one state per chirp", seed, k)
@@ -200,8 +200,8 @@ func TestManyGainStatesFallsBack(t *testing.T) {
 	twin := pointTarget(pos, 21)
 	for seed := int64(1); seed <= 2; seed++ {
 		// 16 chirps wrap the 12-state cycle.
-		fw := synth(t)(a.SynthesizeChirps(c, 16, []*BackscatterTarget{wide}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
-		fn := synth(t)(a.SynthesizeChirps(c, 16, []*BackscatterTarget{twin}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+		fw := synth(t)(a.SynthesizeChirps(0, c, 16, []*BackscatterTarget{wide}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
+		fn := synth(t)(a.SynthesizeChirps(0, c, 16, []*BackscatterTarget{twin}, GridTable{}, nil, rfsim.NewNoiseSource(seed)))
 		for k := range fn {
 			if !sameFrames(fw[k], fn[k]) {
 				t.Fatalf("seed %d chirp %d: 12-state target diverged from its parity twin", seed, k)
@@ -289,14 +289,14 @@ func TestGridTableSharedAcrossTargets(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		fills.Store(0)
-		withTable := synth(t)(a.SynthesizeChirps(c, 6, tgts, table, nil, rfsim.NewNoiseSource(5)))
+		withTable := synth(t)(a.SynthesizeChirps(0, c, 6, tgts, table, nil, rfsim.NewNoiseSource(5)))
 		if got := fills.Load(); got != 1 {
 			t.Errorf("GOMAXPROCS=%d: table filled %d times per capture, want 1", procs, got)
 		}
 		if got := noTable(); got != 0 {
 			t.Errorf("GOMAXPROCS=%d: %d fills got no table from a request that carries one", procs, got)
 		}
-		plain := synth(t)(a.SynthesizeChirps(c, 6, tgts, GridTable{}, nil, rfsim.NewNoiseSource(5)))
+		plain := synth(t)(a.SynthesizeChirps(0, c, 6, tgts, GridTable{}, nil, rfsim.NewNoiseSource(5)))
 		if got := noTable(); got != int32(len(tgts)) {
 			t.Errorf("GOMAXPROCS=%d: %d fills got a nil table without one in the request, want %d",
 				procs, got, len(tgts))
@@ -307,7 +307,7 @@ func TestGridTableSharedAcrossTargets(t *testing.T) {
 		}
 	}
 	bad := GridTable{Width: 0, Fill: slopeTable}
-	if _, err := a.SynthesizeChirps(c, 4, tgts, bad, nil, nil); !errors.Is(err, ErrInvalidConfig) {
+	if _, err := a.SynthesizeChirps(0, c, 4, tgts, bad, nil, nil); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("zero-width table: err = %v, want ErrInvalidConfig", err)
 	}
 }
@@ -358,7 +358,7 @@ func TestStaticChirpsShareFrames(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		frames := synth(t)(a.SynthesizeChirps(c, 5, tgts, GridTable{}, extra, nil))
+		frames := synth(t)(a.SynthesizeChirps(0, c, 5, tgts, GridTable{}, extra, nil))
 		for _, pair := range [][2]int{{0, 2}, {0, 4}, {1, 3}} {
 			if !sameFrames(frames[pair[0]], frames[pair[1]]) {
 				t.Errorf("GOMAXPROCS=%d: chirps %d and %d share every input but their frames differ",
@@ -399,7 +399,7 @@ func TestDistinctChirpsNotShared(t *testing.T) {
 		{"per-chirp extra path", []*BackscatterTarget{static}, ramp},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			frames := synth(t)(a.SynthesizeChirps(a.Config().LocalizationChirp, nChirps, tc.tgts, GridTable{}, tc.extra, nil))
+			frames := synth(t)(a.SynthesizeChirps(0, a.Config().LocalizationChirp, nChirps, tc.tgts, GridTable{}, tc.extra, nil))
 			for j := 0; j < nChirps; j++ {
 				for k := j + 1; k < nChirps; k++ {
 					if sameFrames(frames[j], frames[k]) {
@@ -456,7 +456,7 @@ func TestGainEnvelopeArenaIsolatesTargets(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		frames := synth(t)(a.SynthesizeChirps(c, 4, tgts, GridTable{}, nil, nil))
+		frames := synth(t)(a.SynthesizeChirps(0, c, 4, tgts, GridTable{}, nil, nil))
 		if n := badRows.Swap(0); n != 0 {
 			t.Fatalf("GOMAXPROCS=%d: %d fills saw rows other than their own", procs, n)
 		}

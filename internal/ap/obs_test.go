@@ -15,7 +15,7 @@ func TestSynthesisSubSpansNestInStage(t *testing.T) {
 	tr := obs.NewTracer(256)
 	a.SetObserver(obs.NewRegistry(), tr)
 	tgt := pointTarget(rfsim.Point{X: 3, Y: 0.4}, 20)
-	if _, err := a.SynthesizeChirps(a.Config().LocalizationChirp, 8, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(1)); err != nil {
+	if _, err := a.SynthesizeChirps(0, a.Config().LocalizationChirp, 8, []*BackscatterTarget{tgt}, GridTable{}, nil, rfsim.NewNoiseSource(1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -52,7 +52,7 @@ func TestSynthesisSubSpansNestInStage(t *testing.T) {
 func TestEveryConsumerTimesDetect(t *testing.T) {
 	plain := MustNew(DefaultConfig(), rfsim.DefaultIndoorScene())
 	c := plain.Config().LocalizationChirp
-	frames := synth(t)(plain.SynthesizeChirps(c, 8, []*BackscatterTarget{pointTarget(rfsim.Point{X: 3}, 25)}, GridTable{}, nil, rfsim.NewNoiseSource(5)))
+	frames := synth(t)(plain.SynthesizeChirps(0, c, 8, []*BackscatterTarget{pointTarget(rfsim.Point{X: 3}, 25)}, GridTable{}, nil, rfsim.NewNoiseSource(5)))
 	loc, err := plain.ProcessLocalization(c, frames)
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func (a *AP) synthesizeChirpsRef(c waveform.Chirp, nChirps int, tgts []*Backscat
 	if err := validateSynth(c, nChirps, tgts, GridTable{}); err != nil {
 		return nil, err
 	}
-	st := a.newSynthState(c, nChirps, tgts, extra, ns)
+	st := a.newSynthState(0, c, nChirps, tgts, extra, ns)
 	a.synthesizeRef(st)
 	return st.frames, nil
 }

@@ -37,7 +37,7 @@ func captureBoth(t *testing.T, a *AP, nChirps int, seed int64) (serial, par []Ch
 				return 1e-7
 			},
 		}}
-		return synth(t)(a.SynthesizeChirps(c, nChirps, tgts, GridTable{}, mirror, rfsim.NewNoiseSource(seed)))
+		return synth(t)(a.SynthesizeChirps(0, c, nChirps, tgts, GridTable{}, mirror, rfsim.NewNoiseSource(seed)))
 	}
 	old := runtime.GOMAXPROCS(1)
 	serial = mk()
@@ -90,7 +90,7 @@ func TestKeyedNoiseDeterminism(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		static := []*BackscatterTarget{pointTarget(rfsim.Point{X: 3, Y: 0.4}, 20)}
-		byProcs = append(byProcs, synth(t)(a.SynthesizeChirps(c, 5, static, GridTable{}, nil, rfsim.NewNoiseSource(31))))
+		byProcs = append(byProcs, synth(t)(a.SynthesizeChirps(0, c, 5, static, GridTable{}, nil, rfsim.NewNoiseSource(31))))
 	}
 	if !slices.EqualFunc(byProcs[0], byProcs[1], sameFrames) {
 		t.Error("static capture: frames differ between GOMAXPROCS 1 and 4")
@@ -163,7 +163,7 @@ func TestDopplerAmplitudeFollowsAdvancedRange(t *testing.T) {
 	nChirps := 64
 	tgt := ConstantGainTarget(rfsim.Point{X: d0}, 25)
 	tgt.RadialVelocityMS = vel
-	frames := synth(t)(a.SynthesizeChirps(c, nChirps, []*BackscatterTarget{tgt}, GridTable{}, nil, nil))
+	frames := synth(t)(a.SynthesizeChirps(0, c, nChirps, []*BackscatterTarget{tgt}, GridTable{}, nil, nil))
 	rms := func(x []complex128) float64 {
 		var p float64
 		for _, v := range x {

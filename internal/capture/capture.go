@@ -1,7 +1,6 @@
 package capture
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/ap"
@@ -24,8 +23,9 @@ func WithObserver(reg *obs.Registry, tr *obs.Tracer) Option {
 }
 
 // Plane is the shared capture pipeline of one AP. It is safe for
-// concurrent use in the sense the airtime scheduler guarantees — one
-// operation on the air at a time; individual Leases are not goroutine-safe.
+// concurrent use: each Lease carries its own pointing, noise stream and
+// captures, so operations on different nodes may run side by side.
+// Individual Leases are not goroutine-safe.
 type Plane struct {
 	ap   *ap.AP
 	pool *Pool
@@ -36,20 +36,16 @@ type Plane struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	obs    *planeObs
-
-	mu  sync.Mutex
-	job *JobLease
 }
 
 // planeObs holds the plane's resolved instruments: lease lifetimes (the
 // span from Acquire to Close, i.e. how long an operation holds capture
-// buffers), the open/close/reclaim lease counters, and a capture counter.
+// buffers), the open/close lease counters, and a capture counter.
 type planeObs struct {
-	leaseSeconds    *obs.Histogram
-	leasesOpened    *obs.Counter
-	leasesClosed    *obs.Counter
-	leasesReclaimed *obs.Counter
-	captures        *obs.Counter
+	leaseSeconds *obs.Histogram
+	leasesOpened *obs.Counter
+	leasesClosed *obs.Counter
+	captures     *obs.Counter
 }
 
 // NewPlane builds the capture plane for an AP, wiring the buffer pool into
@@ -61,11 +57,10 @@ func NewPlane(a *ap.AP, opts ...Option) *Plane {
 	}
 	if p.reg != nil {
 		p.obs = &planeObs{
-			leaseSeconds:    p.reg.Histogram(obs.MetricLeaseSeconds, obs.DurationBuckets()),
-			leasesOpened:    p.reg.Counter(obs.MetricLeasesOpened),
-			leasesClosed:    p.reg.Counter(obs.MetricLeasesClosed),
-			leasesReclaimed: p.reg.Counter(obs.MetricLeasesReclaimed),
-			captures:        p.reg.Counter(obs.MetricCapturesAcquired),
+			leaseSeconds: p.reg.Histogram(obs.MetricLeaseSeconds, obs.DurationBuckets()),
+			leasesOpened: p.reg.Counter(obs.MetricLeasesOpened),
+			leasesClosed: p.reg.Counter(obs.MetricLeasesClosed),
+			captures:     p.reg.Counter(obs.MetricCapturesAcquired),
 		}
 		p.pool.Observe(p.reg)
 	}
@@ -81,8 +76,8 @@ func (p *Plane) AP() *ap.AP { return p.ap }
 // states and one gain-envelope fill; see ap.BackscatterTarget), the grid
 // table the AP fills once and hands to every target's fill (the zero value
 // for none, which hands each fill a nil table; see ap.GridTable), and any
-// extra injected paths (the FSA ground-plane mirror image). Steering and noise
-// come from the Lease, so a multi-phase operation (ranging then
+// extra injected paths (the FSA ground-plane mirror image). Pointing and
+// noise come from the Lease, so a multi-phase operation (ranging then
 // orientation) reuses both without re-deriving them.
 type Request struct {
 	Chirp   waveform.Chirp
@@ -116,10 +111,11 @@ func (c *Capture) Release() {
 	}
 }
 
-// Lease is one operation's grant of the capture plane: the horns are
-// steered, the per-operation noise stream is seeded, and every chirp
-// capture drawn through it is tracked for release. Not goroutine-safe —
-// a lease belongs to the one operation that acquired it.
+// Lease is one operation's grant of the capture plane: the beam's pointing,
+// the per-operation noise stream, and every chirp capture drawn through it,
+// tracked for release. The pointing is the lease's own value, never the
+// AP's, so leases on one plane do not disturb each other. Not
+// goroutine-safe — a lease belongs to the one operation that acquired it.
 type Lease struct {
 	plane *Plane
 	// Noise is the operation's deterministic noise source. Every random
@@ -130,33 +126,32 @@ type Lease struct {
 	// makes results bit-identical for a fixed seed at any GOMAXPROCS.
 	Noise *rfsim.NoiseSource
 
-	job      *JobLease
+	steer    float64 // beam azimuth (radians) of this lease's captures
 	captures []*Capture
 	closed   bool
 	start    time.Time // lease-lifetime clock; zero when unobserved
 }
 
-// Acquire steers the AP at the given azimuth and opens a lease whose noise
-// stream is seeded with seed. Every core pipeline begins here.
+// Acquire opens a lease pointed at the given azimuth (radians) whose noise
+// stream is seeded with seed. Every core pipeline begins here. A lease its
+// operation never closes is garbage-collected with its buffers; the pool
+// only loses the chance to reuse them.
 func (p *Plane) Acquire(steerRad float64, seed int64) *Lease {
-	p.ap.Steer(steerRad)
-	l := &Lease{plane: p, Noise: rfsim.NewNoiseSource(seed)}
+	l := &Lease{plane: p, Noise: rfsim.NewNoiseSource(seed), steer: steerRad}
 	if o := p.obs; o != nil {
 		o.leasesOpened.Inc()
 		l.start = time.Now()
 	}
-	p.mu.Lock()
-	if p.job != nil {
-		l.job = p.job
-		p.job.open = append(p.job.open, l)
-	}
-	p.mu.Unlock()
 	return l
 }
 
-// Steer re-points the horns mid-operation (discovery sweeps step the beam
-// across the scan range under a single lease and noise stream).
-func (l *Lease) Steer(azimuthRad float64) { l.plane.ap.Steer(azimuthRad) }
+// Steer re-points this lease's beam mid-operation (discovery sweeps step the
+// beam across the scan range under a single lease and noise stream). Other
+// leases keep their own pointing.
+func (l *Lease) Steer(azimuthRad float64) { l.steer = azimuthRad }
+
+// Pointing returns the lease's beam azimuth (radians).
+func (l *Lease) Pointing() float64 { return l.steer }
 
 // Chirps synthesizes one chirp-burst capture into pooled frame buffers.
 // The capture draws this burst's hardware imperfections and one noise key
@@ -164,7 +159,7 @@ func (l *Lease) Steer(azimuthRad float64) { l.plane.ap.Steer(azimuthRad) }
 // in place from its own stream keyed by (noise key, chirp, antenna).
 // Invalid requests return an error wrapping ap.ErrInvalidConfig.
 func (l *Lease) Chirps(req Request) (*Capture, error) {
-	frames, err := l.plane.ap.SynthesizeChirps(req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, l.Noise)
+	frames, err := l.plane.ap.SynthesizeChirps(l.steer, req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, l.Noise)
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +171,7 @@ func (l *Lease) Chirps(req Request) (*Capture, error) {
 	return c, nil
 }
 
-// Close releases every capture the lease still holds and detaches it from
-// the enclosing job lease. Idempotent.
+// Close releases every capture the lease still holds. Idempotent.
 func (l *Lease) Close() {
 	if l == nil || l.closed {
 		return
@@ -192,68 +186,4 @@ func (l *Lease) Close() {
 		c.Release()
 	}
 	l.captures = nil
-	if l.job != nil {
-		l.plane.mu.Lock()
-		for i, o := range l.job.open {
-			if o == l {
-				l.job.open = append(l.job.open[:i], l.job.open[i+1:]...)
-				break
-			}
-		}
-		l.plane.mu.Unlock()
-	}
-}
-
-// JobLease ties capture-buffer lifetime to one airtime grant. The
-// scheduler engine opens one immediately before executing a job and ends
-// it right after: any Lease the job's pipelines opened and failed to close
-// (a panic recovered upstream, an early return without defer) is reclaimed
-// at the grant boundary, so leaked buffers cost at most one job, never the
-// process lifetime.
-type JobLease struct {
-	plane *Plane
-	prev  *JobLease
-	open  []*Lease
-	ended bool
-}
-
-// BeginJob opens a job lease and makes it the plane's active job. Nested
-// calls stack (the engine never nests, but direct System use in tests may).
-func (p *Plane) BeginJob() *JobLease {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	j := &JobLease{plane: p, prev: p.job}
-	p.job = j
-	return j
-}
-
-// End closes any leases still open under the job and restores the previous
-// active job. Idempotent.
-func (j *JobLease) End() {
-	if j == nil {
-		return
-	}
-	j.plane.mu.Lock()
-	if j.ended {
-		j.plane.mu.Unlock()
-		return
-	}
-	j.ended = true
-	open := j.open
-	j.open = nil
-	if j.plane.job == j {
-		j.plane.job = j.prev
-	}
-	j.plane.mu.Unlock()
-	for _, l := range open {
-		// Detach before Close so Close's unregister pass doesn't walk the
-		// cleared list. A lease still open at the grant boundary is a leak
-		// the job failed to clean up; count the reclaim (Close below also
-		// counts it as closed — reclaimed is the "of which leaked" subset).
-		if o := j.plane.obs; o != nil && !l.closed {
-			o.leasesReclaimed.Inc()
-		}
-		l.job = nil
-		l.Close()
-	}
 }

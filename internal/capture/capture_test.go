@@ -166,49 +166,57 @@ func TestChirpsInvalidRequestReturnsError(t *testing.T) {
 	}
 }
 
-func TestJobLeaseReclaimsLeakedLeases(t *testing.T) {
+// TestLeasesCaptureSideBySide pins that a lease's pointing, noise stream
+// and scratch are its own: leases at different pointings capturing on one
+// plane concurrently, one of them re-steered between captures, each get
+// the frames a bare AP renders at that lease's pointings and seed.
+func TestLeasesCaptureSideBySide(t *testing.T) {
 	p := newPlane(t)
-	job := p.BeginJob()
-	leaked := p.Acquire(0, 4)
-	capt, err := leaked.Chirps(locRequest(p, 2))
-	if err != nil {
-		t.Fatal(err)
+	plain := ap.MustNew(ap.DefaultConfig(), rfsim.DefaultIndoorScene())
+	pointings := [][]float64{{0.1, 0.1, 0.1}, {-0.4, -0.4, -0.4}, {0.3, -0.2, 0.5}, {0, 0.2, 0}}
+	var wg sync.WaitGroup
+	for g, steers := range pointings {
+		seed := int64(g + 7)
+		ref := rfsim.NewNoiseSource(seed)
+		want := make([][]ap.ChirpFrame, len(steers))
+		for k, steer := range steers {
+			req := locRequest(p, 4)
+			frames, err := plain.SynthesizeChirps(steer, req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k] = frames
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lease := p.Acquire(steers[0], seed)
+			defer lease.Close()
+			for k, steer := range steers {
+				lease.Steer(steer)
+				if lease.Pointing() != steer {
+					t.Errorf("lease %d: pointing %g after Steer(%g)", g, lease.Pointing(), steer)
+				}
+				capt, err := lease.Chirps(locRequest(p, 4))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for c := range capt.Frames {
+					for m := range capt.Frames[c].Rx {
+						for i, v := range capt.Frames[c].Rx[m] {
+							if v != want[k][c].Rx[m][i] {
+								t.Errorf("lease %d capture %d chirp %d rx %d sample %d: %v, want %v", g, k, c, m, i, v, want[k][c].Rx[m][i])
+								return
+							}
+						}
+					}
+				}
+				capt.Release()
+			}
+		}()
 	}
-	// The operation "forgets" to Close; the grant boundary reclaims it.
-	job.End()
-	if !leaked.closed {
-		t.Fatal("job end did not close the leaked lease")
-	}
-	if !capt.released {
-		t.Fatal("job end did not release the leaked capture")
-	}
-	if p.job != nil {
-		t.Fatal("ended job still active on the plane")
-	}
-	job.End() // idempotent
-}
-
-func TestJobLeaseStacksAndClosedLeasesDetach(t *testing.T) {
-	p := newPlane(t)
-	outer := p.BeginJob()
-	inner := p.BeginJob()
-	l1 := p.Acquire(0, 5) // registered under inner
-	l1.Close()            // explicit close detaches from the job list
-	if len(inner.open) != 0 {
-		t.Fatalf("closed lease still registered: %d open", len(inner.open))
-	}
-	l2 := p.Acquire(0, 6)
-	inner.End()
-	if !l2.closed {
-		t.Fatal("inner job end did not reclaim its lease")
-	}
-	if p.job != outer {
-		t.Fatal("inner End did not restore the outer job")
-	}
-	outer.End()
-	if p.job != nil {
-		t.Fatal("outer End left a job active")
-	}
+	wg.Wait()
 }
 
 // TestPooledCaptureBitIdenticalToNoPool pins the pooled plane against the
@@ -225,8 +233,7 @@ func TestPooledCaptureBitIdenticalToNoPool(t *testing.T) {
 				t.Fatal(err)
 			}
 			req := locRequest(pooled, 4)
-			plain.Steer(0.1)
-			want, err := plain.SynthesizeChirps(req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, rfsim.NewNoiseSource(seed))
+			want, err := plain.SynthesizeChirps(0.1, req.Chirp, req.NChirps, req.Targets, req.Table, req.Extra, rfsim.NewNoiseSource(seed))
 			if err != nil {
 				t.Fatal(err)
 			}

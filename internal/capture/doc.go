@@ -10,8 +10,11 @@
 //
 // # Lifecycle
 //
-// An operation opens a Lease with Plane.Acquire, which steers the AP and
-// seeds the operation's deterministic noise source. Chirp-burst captures
+// An operation opens a Lease with Plane.Acquire, which records the beam's
+// pointing on the lease and seeds the operation's deterministic noise
+// source. The pointing is the lease's own (Lease.Steer re-points only that
+// lease), and so are its noise stream and captures, so leases of
+// different nodes' operations capture on one plane side by side. Chirp-burst captures
 // come from Lease.Chirps; each returns a Capture whose frames live in
 // pooled buffers. Ownership rules:
 //
@@ -21,10 +24,9 @@
 //     empty-frame errors rather than silently reading recycled data).
 //   - Release is idempotent; Lease.Close releases every capture the lease
 //     still holds, so `defer lease.Close()` is sufficient cleanup even on
-//     error paths.
-//   - When the airtime scheduler runs the operation, the enclosing
-//     JobLease (opened by the engine's grant hook) closes any lease the
-//     job leaked, making buffer lifetime coincide with the airtime grant.
+//     error paths. A lease never closed (a recovered panic) is not
+//     reclaimed: the garbage collector takes its buffers, and the lease
+//     counters show it as opened but not closed.
 //
 // The pooled path is bit-identical to the allocate-per-capture path: pool
 // buffers are zeroed on Get and the synthesis math is unchanged. A bare
@@ -33,7 +35,7 @@
 //
 // # Observability
 //
-// With WithObserver the plane counts lease opens/closes/reclaims, records
+// With WithObserver the plane counts lease opens and closes, records
 // a lease-lifetime histogram and one trace span per closed lease, and the
 // pool counts buffer hits/misses/puts/drops. Instrumentation is
 // allocation-free and never touches the noise streams, so observed and

@@ -81,16 +81,17 @@ type System struct {
 	reg     *obs.Registry
 	tracer  *obs.Tracer
 
-	// nodesMu guards nodes: AddNode runs on the caller's goroutine, while
-	// RemoveNode and discovery sweeps run as airtime-scheduler jobs.
+	// nodesMu guards nodes and the movers map: AddNode runs on the
+	// caller's goroutine, while RemoveNode, trajectory binds and discovery
+	// sweeps run as airtime-scheduler jobs, and node jobs on one AP run
+	// side by side. A mover itself belongs to its node's jobs, which the
+	// caller serializes.
 	nodesMu sync.Mutex
 	nodes   []*node.Node
+	movers  map[*node.Node]*mover
 
-	// clock is the deployment's simulation time; movers binds nodes to
-	// trajectories (see motion.go). Both are mutated only on the airtime
-	// scheduler, like the nodes themselves.
-	clock  *Clock
-	movers map[*node.Node]*mover
+	// clock is the deployment's simulation time.
+	clock *Clock
 
 	// beams is the grid table every capture request carries: the fsa beam
 	// table, which depends only on the FSA's band and scan range, so one
@@ -153,8 +154,7 @@ func (s *System) Config() Config { return s.cfg }
 
 // Capture returns the system's capture plane — the single entry point every
 // over-the-air pipeline (localization, orientation, velocity, comm) flows
-// through. The scheduler engine brackets each airtime grant with its
-// BeginJob/End so leaked capture buffers are reclaimed per job.
+// through.
 func (s *System) Capture() *capture.Plane { return s.capture }
 
 // Obs returns the system's metric registry, or nil when observability is

@@ -114,7 +114,8 @@ func (s *System) Discover(ctx context.Context, cfg ScanConfig, seed int64) ([]No
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: discovery cancelled: %w", err)
 		}
-		lease.Steer(rfsim.DegToRad(deg))
+		steer := rfsim.DegToRad(deg)
+		lease.Steer(steer)
 		capt, err := lease.Chirps(capture.Request{Chirp: c, NChirps: s.cfg.LocalizationChirps, Targets: targets, Table: s.beams})
 		if err != nil {
 			return nil, fmt.Errorf("core: discovery capture: %w", err)
@@ -132,7 +133,7 @@ func (s *System) Discover(ctx context.Context, cfg ScanConfig, seed int64) ([]No
 				RangeM:      d.RangeM,
 				AzimuthRad:  d.AzimuthRad,
 				SNRdB:       d.PeakSNRdB,
-				PointingRad: s.AP.Pointing(),
+				PointingRad: steer,
 			})
 		}
 	}

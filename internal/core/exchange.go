@@ -167,7 +167,7 @@ func (s *System) Uplink(n *node.Node, orientationDeg float64, payload []byte,
 	bits := waveform.BytesToBits(payload)
 	dataSyms := tones.EncodeBits(bits)
 	syms := append(ap.PilotSymbols(uplinkPilot), dataSyms...)
-	ba, bb := s.AP.SynthesizeUplink(n.FSA, syms, tones, n.Distance(), n.OrientationDeg,
+	ba, bb := s.AP.SynthesizeUplink(lease.Pointing(), n.FSA, syms, tones, n.Distance(), n.OrientationDeg,
 		symbolRate, 8, ns)
 	got, err := s.AP.DemodulateUplink(ba, bb, uplinkPilot, len(syms))
 	if err != nil {
@@ -180,7 +180,7 @@ func (s *System) Uplink(n *node.Node, orientationDeg float64, payload []byte,
 			errs++
 		}
 	}
-	budget := s.AP.UplinkBudget(n.FSA, n.Distance(), n.OrientationDeg, bitRate)
+	budget := s.AP.UplinkBudget(lease.Pointing(), n.FSA, n.Distance(), n.OrientationDeg, bitRate)
 	return UplinkResult{
 		Tones:     tones,
 		Data:      waveform.BitsToBytes(gotBits),

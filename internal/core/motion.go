@@ -34,15 +34,14 @@ func (m *mover) sample(n *node.Node) {
 
 // SetTrajectoryAt binds a trajectory to a registered node starting at
 // motion time t0 (seconds along the path), immediately sampling the pose.
-// A nil path unbinds. Like every scene mutation, callers must serialize
-// this against captures — the cluster runs it as one of the node's airtime
-// jobs.
+// A nil path unbinds. Callers must serialize this against the node's own
+// captures — the cluster runs it as one of the node's airtime jobs. Binds
+// for different nodes may run concurrently.
 func (s *System) SetTrajectoryAt(n *node.Node, p *motion.Path, t0 float64) error {
-	if s.movers == nil {
-		s.movers = make(map[*node.Node]*mover)
-	}
 	if p == nil {
+		s.nodesMu.Lock()
 		delete(s.movers, n)
+		s.nodesMu.Unlock()
 		return nil
 	}
 	if t0 < 0 {
@@ -50,8 +49,20 @@ func (s *System) SetTrajectoryAt(n *node.Node, p *motion.Path, t0 float64) error
 	}
 	m := &mover{path: p, t: t0}
 	m.sample(n)
+	s.nodesMu.Lock()
+	if s.movers == nil {
+		s.movers = make(map[*node.Node]*mover)
+	}
 	s.movers[n] = m
+	s.nodesMu.Unlock()
 	return nil
+}
+
+// moverOf returns the node's trajectory binding, or nil.
+func (s *System) moverOf(n *node.Node) *mover {
+	s.nodesMu.Lock()
+	defer s.nodesMu.Unlock()
+	return s.movers[n]
 }
 
 // AdvanceTrajectory moves a bound node dt seconds along its trajectory and
@@ -59,7 +70,7 @@ func (s *System) SetTrajectoryAt(n *node.Node, p *motion.Path, t0 float64) error
 // granted in between all see this sample, and their synthesized Doppler
 // uses the matching analytic radial velocity.
 func (s *System) AdvanceTrajectory(n *node.Node, dt float64) (motion.Pose, error) {
-	m := s.movers[n]
+	m := s.moverOf(n)
 	if m == nil {
 		return motion.Pose{}, fmt.Errorf("core: node has no trajectory")
 	}
@@ -74,7 +85,7 @@ func (s *System) AdvanceTrajectory(n *node.Node, dt float64) (motion.Pose, error
 // TrajectoryPose returns the bound node's frozen pose sample and motion
 // time, or ok=false for nodes without a trajectory.
 func (s *System) TrajectoryPose(n *node.Node) (pose motion.Pose, t float64, ok bool) {
-	m := s.movers[n]
+	m := s.moverOf(n)
 	if m == nil {
 		return motion.Pose{}, 0, false
 	}
@@ -85,7 +96,7 @@ func (s *System) TrajectoryPose(n *node.Node) (pose motion.Pose, t float64, ok b
 // (m/s, positive receding) — zero for nodes without a trajectory, so the
 // static capture path is untouched.
 func (s *System) RadialVelocityOf(n *node.Node) float64 {
-	if m := s.movers[n]; m != nil {
+	if m := s.moverOf(n); m != nil {
 		return m.radialV
 	}
 	return 0

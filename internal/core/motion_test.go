@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/motion"
@@ -63,6 +64,51 @@ func TestPoseAtGrantRadialVelocityGate(t *testing.T) {
 			t.Fatalf("step %d (t=%.2f): sampled radial velocity %g vs analytic %g", step, mt, got, fd)
 		}
 	}
+}
+
+// TestTrajectoryTableConcurrentAccess pins that the trajectory table is
+// safe under the cluster's overlap: one node's trajectory is bound and
+// unbound while another node's captures look up its radial velocity, as
+// node jobs of one AP do side by side. Run it under -race: an unguarded
+// table is a data race on every iteration, and may also stop the process
+// with a concurrent map access.
+func TestTrajectoryTableConcurrentAccess(t *testing.T) {
+	sys := MustNewSystem(DefaultConfig(), rfsim.DefaultIndoorScene())
+	moving, err := sys.AddNode(rfsim.Point{X: 2.5, Y: 0.2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebound, err := sys.AddNode(rfsim.Point{X: 3, Y: -0.5}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := testPath(t)
+	if err := sys.SetTrajectoryAt(moving, path, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := sys.RadialVelocityOf(moving)
+	const rounds = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := sys.SetTrajectoryAt(rebound, path, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := sys.SetTrajectoryAt(rebound, nil, 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		if got := sys.RadialVelocityOf(moving); got != want {
+			t.Fatalf("round %d: radial velocity %g, want %g", i, got, want)
+		}
+	}
+	wg.Wait()
 }
 
 // TestMeasuredRadialVelocityTracksTrajectory runs the actual Doppler

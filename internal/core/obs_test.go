@@ -100,8 +100,8 @@ func TestObservabilityRecords(t *testing.T) {
 			t.Errorf("histogram %s empty, want observations", name)
 		}
 	}
-	if snap.Counters[obs.MetricLeasesReclaimed] != 0 {
-		t.Errorf("no lease was leaked, reclaimed = %d", snap.Counters[obs.MetricLeasesReclaimed])
+	if opened, closed := snap.Counters[obs.MetricLeasesOpened], snap.Counters[obs.MetricLeasesClosed]; opened != closed {
+		t.Errorf("every lease was closed, but %d opened and %d closed", opened, closed)
 	}
 	names := make(map[string]bool)
 	for _, s := range sys.Tracer().Snapshot() {

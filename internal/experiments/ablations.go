@@ -35,7 +35,7 @@ func AblationBackgroundSubtraction(trials int, seed int64) AblationSubtractionRe
 	res := AblationSubtractionResult{Trials: trials}
 	for i := 0; i < trials; i++ {
 		mod := ap.ConstantGainTarget(rfsim.Point{X: 4}, 5, 25)
-		frames, err := a.SynthesizeChirps(c, 5, []*ap.BackscatterTarget{mod}, ap.GridTable{}, nil, rfsim.NewNoiseSource(seed+int64(i)))
+		frames, err := a.SynthesizeChirps(0, c, 5, []*ap.BackscatterTarget{mod}, ap.GridTable{}, nil, rfsim.NewNoiseSource(seed+int64(i)))
 		if err != nil {
 			panic(err)
 		}
@@ -43,7 +43,7 @@ func AblationBackgroundSubtraction(trials int, seed int64) AblationSubtractionRe
 			res.ModulatedDetections++
 		}
 		static := ap.ConstantGainTarget(rfsim.Point{X: 4}, 25)
-		frames, err = a.SynthesizeChirps(c, 5, []*ap.BackscatterTarget{static}, ap.GridTable{}, nil, rfsim.NewNoiseSource(seed+int64(i)))
+		frames, err = a.SynthesizeChirps(0, c, 5, []*ap.BackscatterTarget{static}, ap.GridTable{}, nil, rfsim.NewNoiseSource(seed+int64(i)))
 		if err != nil {
 			panic(err)
 		}
@@ -303,7 +303,7 @@ func ExtFSAScaling(elementCounts []int) ExtScalingResult {
 		need := ber.SNRdBForBER(1e-6, ber.DefaultProcessingGainDB)
 		maxRange := 0.0
 		for d := 0.5; d <= 30; d += 0.25 {
-			if a.UplinkBudget(f, d, -10, 10e6).SNRdB() >= need {
+			if a.UplinkBudget(0, f, d, -10, 10e6).SNRdB() >= need {
 				maxRange = d
 			} else {
 				break

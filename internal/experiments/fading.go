@@ -44,7 +44,7 @@ func ExtFadingOutage(ks []float64, distances []float64, draws int, seed int64) E
 		fading := rfsim.Fading{KdB: k}
 		out.Margins[k] = fading.FadeMarginDB(0.01, 20000, rfsim.NewNoiseSource(seed+int64(ki)))
 		for di, d := range distances {
-			snr := a.UplinkBudget(f, d, -10, 10e6).SNRdB()
+			snr := a.UplinkBudget(0, f, d, -10, 10e6).SNRdB()
 			ns := rfsim.NewNoiseSource(seed + int64(ki*100+di))
 			out.Rows = append(out.Rows, ExtFadingRow{
 				KdB:       k,

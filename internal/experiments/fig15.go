@@ -46,7 +46,7 @@ func Fig15Uplink(bitRate float64, distances []float64, maxMCBits int, seed int64
 		if err != nil {
 			panic(err)
 		}
-		budget := sys.AP.UplinkBudget(n.FSA, d, orient, bitRate)
+		budget := sys.AP.UplinkBudget(n.AzimuthRad(), n.FSA, d, orient, bitRate)
 		snrDB := budget.SNRdB()
 		row := Fig15Row{
 			DistanceM:   d,

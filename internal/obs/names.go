@@ -24,7 +24,6 @@ const (
 	MetricLeaseSeconds     = "capture.lease_seconds"
 	MetricLeasesOpened     = "capture.leases_opened"
 	MetricLeasesClosed     = "capture.leases_closed"
-	MetricLeasesReclaimed  = "capture.leases_reclaimed"
 	MetricCapturesAcquired = "capture.captures"
 
 	// AP pipeline stages (internal/ap).

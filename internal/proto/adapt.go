@@ -34,10 +34,11 @@ func pickRate(snrAtRefDB float64) (float64, bool) {
 }
 
 // AdaptUplink measures the session's current uplink SNR (via the link
-// budget at the node's true orientation and range) and returns the fastest
+// budget at the node's true orientation and range, the beam pointed at the
+// node) and returns the fastest
 // ladder rate that sustains BER ≤ 1e-6. The bool reports whether the target
 // is achievable at all.
 func (s *Session) AdaptUplink() (float64, bool) {
-	budget := s.sys.AP.UplinkBudget(s.node.FSA, s.node.Distance(), s.node.OrientationDeg, adaptRefRate)
+	budget := s.sys.AP.UplinkBudget(s.node.AzimuthRad(), s.node.FSA, s.node.Distance(), s.node.OrientationDeg, adaptRefRate)
 	return pickRate(budget.SNRdB())
 }

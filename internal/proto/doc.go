@@ -13,11 +13,13 @@
 // ("MilBack can potentially support multiple nodes by using spatial
 // division multiplexing", §7). Two types carry that: a Session is one
 // node's protocol state at one AP, and an Engine is the AP's airtime
-// scheduler, a one-slot semaphore over the simulated channel. A job runs on
-// its caller's goroutine while it holds the slot, and callers waiting for
-// the slot are granted it in arrival order. Each session draws its noise
-// from its own deterministic SeedStream, so results are bit-identical
-// regardless of how caller goroutines interleave.
+// scheduler. Its one-slot semaphore grants jobs in arrival order; a node's
+// job then gives the slot back and runs on a read share of the AP, on its
+// caller's goroutine, side by side with other nodes' jobs, while a job not
+// tied to one node (a sweep, a scene edit) keeps the slot and runs alone.
+// Every job's airtime is charged to the one deployment clock. Each session
+// draws its noise from its own deterministic SeedStream, so results are
+// bit-identical regardless of how caller goroutines interleave.
 //
 // Concurrency contract: Engine methods are safe for concurrent use.
 // Session methods (Transfer, Localize, …) execute on the caller's

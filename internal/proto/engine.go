@@ -14,15 +14,20 @@ import (
 //
 // A MilBack AP serves one beam at a time: spatial-division multiplexing
 // means every packet, localization capture, or discovery sweep occupies the
-// simulated channel exclusively (§7). The Engine models that constraint as
-// a one-slot channel semaphore. A caller takes the slot, runs its job on
-// its own goroutine, and gives the slot back, so any number of goroutines
-// can run their exchanges concurrently while the channel itself stays
-// serialized. Callers blocked on the slot are granted it in arrival order:
-// the Go runtime hands a freed buffered-channel slot to the longest-blocked
-// sender. Fairness between nodes follows from that FIFO grant, because the
-// cluster holds a node's lock across its whole operation, so no node ever
-// has more than one job waiting.
+// simulated channel exclusively (§7). What the nodes of one AP share is
+// that airtime, not the AP's signal processing, so the Engine orders jobs
+// and lets node jobs compute side by side. Its one-slot channel semaphore
+// grants jobs in arrival order: the Go runtime hands a freed
+// buffered-channel slot to the longest-blocked sender. A node job holds the
+// slot only long enough to take a read share of the AP, then gives the
+// slot back and runs on the share, on its caller's goroutine. A job not
+// tied to one node (a sweep, a scene edit) keeps the slot and takes the AP
+// exclusively: it waits for the running node jobs, lets no new job start,
+// and runs alone. Fairness between nodes follows from the FIFO grant,
+// because the cluster holds a node's lock across its whole operation, so no
+// node ever has more than one job waiting or running. Results never depend
+// on the overlap: each node job draws only from its own node's seed
+// stream, and its airtime is charged to the one deployment clock at commit.
 
 // Typed scheduler errors. The milback facade re-exports these so callers
 // can errors.Is against the public API.
@@ -47,27 +52,11 @@ type EngineConfig struct {
 	// the started job finishes. Zero disables the scheduler-level timeout;
 	// callers can always impose their own via context deadlines.
 	JobTimeout time.Duration
-	// OnGrant, if set, is invoked on the caller's goroutine, holding the
-	// slot, immediately before a job executes; the release func it returns
-	// runs right after, also when the job panics.
-	// The cluster wires it to the capture plane's job lease so capture
-	// buffers a job leaks are reclaimed at the grant boundary.
-	OnGrant func() (release func())
-	// Admit, if set, is consulted holding the slot before each job executes
-	// and may block until the wider deployment allows this scheduler onto
-	// the air; the release func it returns runs after the job (and after
-	// OnGrant's release), also when the job panics. A multi-AP cluster wires it to a
-	// cluster-level admission check so co-channel APs within interference
-	// range never grant spatially incompatible captures concurrently.
-	// Blocking in Admit delays grants but never reorders the waiting callers
-	// and never touches a seed stream, so results stay deterministic. Nil admits
-	// unconditionally (the single-AP configuration).
-	Admit func() (release func())
 	// OnAirtime, if set, receives each successful job's simulated AirtimeS
-	// on the caller's goroutine after the job completes, still holding the
-	// slot. The cluster wires
+	// on the caller's goroutine after the job completes. The cluster wires
 	// it to the deployment's simulation clock, so spending channel time is
-	// what moves simulated time forward.
+	// what moves simulated time forward, and every job's airtime, on any
+	// AP, is charged to that one clock.
 	OnAirtime func(seconds float64)
 	// Obs is the registry the scheduler's accounting lives in (queue-wait
 	// and job-duration histograms, outcome counters, airtime totals). When
@@ -163,8 +152,12 @@ func resolveEngineObs(reg *obs.Registry) engineObs {
 // are safe for concurrent use.
 type Engine struct {
 	cfg EngineConfig
-	// slot holds a token while a job is on the air; Close takes it for good.
-	slot    chan struct{}
+	// slot orders grants: a node job holds its token until it has its read
+	// share of ap, a job of key 0 for its whole run. Close takes it for good.
+	slot chan struct{}
+	// ap is the AP itself: node jobs run on read shares, jobs of key 0 hold
+	// it exclusively.
+	ap      sync.RWMutex
 	quit    chan struct{}
 	closing sync.Once
 	obs     engineObs
@@ -184,14 +177,14 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 }
 
-// Close shuts the scheduler down: the running job (if any) completes
-// first, callers waiting for the slot and all later calls fail with
-// ErrClosed. Close returns once the running job has finished, and is
-// idempotent.
+// Close shuts the scheduler down: running jobs complete first, callers
+// waiting for the slot and all later calls fail with ErrClosed. Close
+// returns once every running job has finished, and is idempotent.
 func (e *Engine) Close() {
 	e.closing.Do(func() {
 		close(e.quit)
 		e.slot <- struct{}{} // never given back
+		e.ap.Lock()          // waits out the running node jobs; never released
 	})
 }
 
@@ -214,15 +207,17 @@ func (e *Engine) Stats() Stats {
 
 // Run waits for the channel, executes fn on the caller's goroutine and
 // returns fn's error. It returns ErrCancelled wrapping the context error
-// when ctx ends before the job is granted the channel, and ErrClosed when
-// the scheduler is closed before the job runs. fn receives the job's
-// effective context — the caller's ctx wrapped with JobTimeout if one is
-// configured — so multi-phase jobs can observe the deadline between
-// phases. Once fn has started, Run returns its result even if ctx expires
-// meanwhile: execution is never preempted. If fn panics, the slot, the
-// admission and the OnGrant release are all given back before the panic
-// propagates. key names the job's node in the trace span: the NodeID, or
-// 0 for work not tied to one node (discovery sweeps, scene edits).
+// when ctx ends before the job is granted the channel (a job of key 0: the
+// AP to itself), and ErrClosed when the scheduler is closed before the job
+// runs. fn receives the job's effective context — the caller's ctx wrapped
+// with JobTimeout if one is configured — so multi-phase jobs can observe
+// the deadline between phases. Once fn has started, Run returns its result even if ctx expires
+// meanwhile: execution is never preempted. key names the job's node in the
+// trace span: the NodeID, or 0 for work not tied to one node (discovery
+// sweeps, scene edits). Jobs with a nonzero key may run concurrently with
+// each other; a job of key 0 runs alone, after every job granted before it
+// and before every job that arrives after it. If fn panics, the slot and
+// the AP share are given back before the panic propagates.
 func (e *Engine) Run(ctx context.Context, key int, fn func(ctx context.Context) (JobReport, error)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -233,6 +228,23 @@ func (e *Engine) Run(ctx context.Context, key int, fn func(ctx context.Context) 
 		defer cancel()
 	}
 	enqueued := time.Now()
+	if err := e.grant(ctx, key); err != nil {
+		return err
+	}
+	defer e.release(key)
+	start := time.Now()
+	e.obs.queueWait.Observe(start.Sub(enqueued).Seconds())
+	rep, err := fn(ctx)
+	e.commit(key, start, rep, err)
+	return err
+}
+
+// grant waits for the slot and takes the job's share of the AP: a node job
+// takes a read share and gives the slot back, a job of key 0 keeps the slot
+// and waits for the running node jobs to take the AP whole. That wait is
+// not cancellable, but the job is refused after it if its context ended or
+// Close began meanwhile. release gives back what grant took.
+func (e *Engine) grant(ctx context.Context, key int) (err error) {
 	select {
 	case e.slot <- struct{}{}:
 	case <-e.quit:
@@ -241,7 +253,11 @@ func (e *Engine) Run(ctx context.Context, key int, fn func(ctx context.Context) 
 		e.obs.cancelled.Inc()
 		return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
 	}
-	defer func() { <-e.slot }()
+	defer func() {
+		if key != 0 || err != nil {
+			<-e.slot
+		}
+	}()
 	// The slot and quit (or ctx) can be ready together, and select picks
 	// among ready cases at random: re-check both holding the slot.
 	select {
@@ -253,12 +269,48 @@ func (e *Engine) Run(ctx context.Context, key int, fn func(ctx context.Context) 
 		e.obs.cancelled.Inc()
 		return fmt.Errorf("%w: %w", ErrCancelled, err)
 	}
-	start, rep, err := e.onAir(ctx, enqueued, fn)
+	if key != 0 {
+		// No job of key 0 holds or waits for the AP while this job holds
+		// the slot, so the read share is free.
+		e.ap.RLock()
+		return nil
+	}
+	e.ap.Lock()
+	// The wait for the running node jobs cannot watch ctx or quit, so a
+	// caller that gave up meanwhile, or a Close that began, is honoured
+	// here: the job is refused before it runs.
+	select {
+	case <-e.quit:
+		e.ap.Unlock()
+		return ErrClosed
+	default:
+	}
+	if err := ctx.Err(); err != nil {
+		e.ap.Unlock()
+		e.obs.cancelled.Inc()
+		return fmt.Errorf("%w: %w", ErrCancelled, err)
+	}
+	return nil
+}
+
+// release gives back what grant took.
+func (e *Engine) release(key int) {
+	if key != 0 {
+		e.ap.RUnlock()
+		return
+	}
+	e.ap.Unlock()
+	<-e.slot
+}
+
+// commit does an executed job's accounting, trace span and airtime charge.
+// Each step is safe to run concurrently with other jobs' commits.
+func (e *Engine) commit(key int, start time.Time, rep JobReport, err error) {
 	e.obs.jobDuration.Observe(time.Since(start).Seconds())
 	e.cfg.Tracer.Record(obs.SpanJob, start, int64(key))
 	if err != nil {
 		e.obs.failed.Inc()
-		return err
+		return
 	}
 	e.obs.completed.Inc()
 	if rep.Exchange {
@@ -273,20 +325,4 @@ func (e *Engine) Run(ctx context.Context, key int, fn func(ctx context.Context) 
 	if e.cfg.OnAirtime != nil && rep.AirtimeS > 0 {
 		e.cfg.OnAirtime(rep.AirtimeS)
 	}
-	return nil
-}
-
-// onAir runs fn inside the admission and the OnGrant bracket and returns
-// once both are released, with the time the job went on the air.
-func (e *Engine) onAir(ctx context.Context, enqueued time.Time, fn func(ctx context.Context) (JobReport, error)) (start time.Time, rep JobReport, err error) {
-	if e.cfg.Admit != nil {
-		defer e.cfg.Admit()()
-	}
-	start = time.Now()
-	e.obs.queueWait.Observe(start.Sub(enqueued).Seconds())
-	if e.cfg.OnGrant != nil {
-		defer e.cfg.OnGrant()()
-	}
-	rep, err = fn(ctx)
-	return start, rep, err
 }

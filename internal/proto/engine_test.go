@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -50,6 +51,9 @@ func TestEngineFailedJobCounted(t *testing.T) {
 	}
 }
 
+// TestEngineCancelWhileQueued pins that a job whose context ends while it
+// waits for the slot (held here by a job of key 0) fails with ErrCancelled
+// and never runs.
 func TestEngineCancelWhileQueued(t *testing.T) {
 	e := NewEngine(EngineConfig{})
 	defer e.Close()
@@ -60,7 +64,7 @@ func TestEngineCancelWhileQueued(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
+		_ = e.Run(context.Background(), 0, func(context.Context) (JobReport, error) {
 			close(started)
 			<-gate
 			return JobReport{}, nil
@@ -153,6 +157,8 @@ func TestEngineJobSeesEffectiveDeadline(t *testing.T) {
 	}
 }
 
+// TestEngineJobTimeout pins that JobTimeout ends the wait for the slot
+// (held here by a job of key 0) with ErrCancelled.
 func TestEngineJobTimeout(t *testing.T) {
 	e := NewEngine(EngineConfig{JobTimeout: 20 * time.Millisecond})
 	defer e.Close()
@@ -163,7 +169,7 @@ func TestEngineJobTimeout(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
+		_ = e.Run(context.Background(), 0, func(context.Context) (JobReport, error) {
 			close(started)
 			<-gate
 			return JobReport{}, nil
@@ -195,6 +201,9 @@ func TestEngineClose(t *testing.T) {
 	}
 }
 
+// TestEngineConcurrentSubmitters pins that jobs of key 0 (sweeps, scene
+// edits) run alone: many goroutines submitting them never see two on the
+// AP at once.
 func TestEngineConcurrentSubmitters(t *testing.T) {
 	e := NewEngine(EngineConfig{})
 	defer e.Close()
@@ -203,10 +212,10 @@ func TestEngineConcurrentSubmitters(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(key int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				err := e.Run(context.Background(), key, func(context.Context) (JobReport, error) {
+				err := e.Run(context.Background(), 0, func(context.Context) (JobReport, error) {
 					mu.Lock()
 					executing++
 					if executing > max {
@@ -220,24 +229,227 @@ func TestEngineConcurrentSubmitters(t *testing.T) {
 					return JobReport{Exchange: true}, nil
 				})
 				if err != nil {
-					t.Errorf("key %d: %v", key, err)
+					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
 			}
-		}(g + 1)
+		}()
 	}
 	wg.Wait()
 	if max != 1 {
-		t.Fatalf("observed %d jobs on the channel at once; SDM allows 1", max)
+		t.Fatalf("observed %d jobs of key 0 on the AP at once; they run alone", max)
 	}
 	if st := e.Stats(); st.Exchanges != 80 {
 		t.Fatalf("exchanges = %d, want 80", st.Exchanges)
 	}
 }
 
-// Close while one job runs and another waits for the slot: the running
-// job's result is delivered, the waiter fails with ErrClosed without
-// running, and Close returns only once the running job has ended.
+// gatedJob starts a job of the given key on e in its own goroutine and
+// returns once the job is inside fn; the job stays there until release is
+// closed, and its Run error arrives on done.
+func gatedJob(t *testing.T, e *Engine, key int, release <-chan struct{}) (done <-chan error) {
+	t.Helper()
+	started := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		errc <- e.Run(context.Background(), key, func(context.Context) (JobReport, error) {
+			close(started)
+			<-release
+			return JobReport{}, nil
+		})
+	}()
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("job of key %d never started", key)
+	}
+	return errc
+}
+
+// TestEngineNodeJobsOverlap pins that node jobs compute side by side: a
+// second node job starts while the first is still inside fn.
+func TestEngineNodeJobsOverlap(t *testing.T) {
+	e := NewEngine(EngineConfig{})
+	defer e.Close()
+	release := make(chan struct{})
+	first := gatedJob(t, e, 1, release)
+	second := gatedJob(t, e, 2, release) // fails the test unless it starts now
+	close(release)
+	for _, done := range []<-chan error{first, second} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEngineKeyZeroRunsAlone pins that a job of key 0 waits for the
+// running node jobs and that no job runs while it does.
+func TestEngineKeyZeroRunsAlone(t *testing.T) {
+	e := NewEngine(EngineConfig{})
+	defer e.Close()
+	var running atomic.Int32
+	node := func(context.Context) (JobReport, error) {
+		running.Add(1)
+		time.Sleep(time.Millisecond)
+		running.Add(-1)
+		return JobReport{}, nil
+	}
+	release := make(chan struct{})
+	held := gatedJob(t, e, 1, release)
+	running.Add(1) // the held job counts as running until it is released
+	sweepDone := make(chan error, 1)
+	go func() {
+		sweepDone <- e.Run(context.Background(), 0, func(context.Context) (JobReport, error) {
+			if n := running.Load(); n != 0 {
+				t.Errorf("job of key 0 started with %d node jobs running", n)
+			}
+			time.Sleep(5 * time.Millisecond)
+			if n := running.Load(); n != 0 {
+				t.Errorf("%d node jobs ran inside the job of key 0", n)
+			}
+			return JobReport{}, nil
+		})
+	}()
+	time.Sleep(10 * time.Millisecond) // the sweep waits for the held job
+	var wg sync.WaitGroup
+	for key := 2; key < 6; key++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := e.Run(context.Background(), key, node); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	time.Sleep(10 * time.Millisecond)
+	select {
+	case err := <-sweepDone:
+		t.Fatalf("job of key 0 finished (%v) while a node job was still running", err)
+	default:
+	}
+	running.Add(-1)
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sweepDone; err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+}
+
+// TestEngineKeyZeroRefusedAfterWait pins that a job of key 0 whose caller
+// gives up, or whose engine starts closing, while it waits for a running
+// node job never runs: it fails with ErrCancelled wrapping the context
+// error, or with ErrClosed, once the node job ends.
+func TestEngineKeyZeroRefusedAfterWait(t *testing.T) {
+	for _, closing := range []bool{false, true} {
+		e := NewEngine(EngineConfig{})
+		release := make(chan struct{})
+		held := gatedJob(t, e, 1, release)
+		ctx, cancel := context.WithCancel(context.Background())
+		swept := make(chan error, 1)
+		go func() {
+			swept <- e.Run(ctx, 0, func(context.Context) (JobReport, error) {
+				t.Error("job of key 0 ran after its wait was abandoned")
+				return JobReport{}, nil
+			})
+		}()
+		// Once the key-0 job holds the slot no node job is granted: probe
+		// with short deadlines until one times out waiting.
+		for {
+			pctx, pcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			err := e.Run(pctx, 2, func(context.Context) (JobReport, error) { return JobReport{}, nil })
+			pcancel()
+			if errors.Is(err, ErrCancelled) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("probe: %v", err)
+			}
+		}
+		closed := make(chan struct{})
+		if closing {
+			go func() { e.Close(); close(closed) }()
+			time.Sleep(10 * time.Millisecond) // Close has closed quit and waits for the slot
+		} else {
+			cancel()
+		}
+		close(release)
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
+		err := <-swept
+		switch {
+		case closing && !errors.Is(err, ErrClosed):
+			t.Fatalf("closing: err = %v, want ErrClosed", err)
+		case !closing && (!errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled)):
+			t.Fatalf("cancelled: err = %v, want ErrCancelled wrapping context.Canceled", err)
+		}
+		if closing {
+			<-closed
+		} else {
+			e.Close()
+		}
+		cancel()
+	}
+}
+
+// TestEngineNodeJobWaitsBehindKeyZero pins the grant order: a node job that
+// arrives after a job of key 0 is waiting runs after it, although the AP
+// is free for node jobs until the key-0 job takes it.
+func TestEngineNodeJobWaitsBehindKeyZero(t *testing.T) {
+	e := NewEngine(EngineConfig{})
+	defer e.Close()
+	var order []string
+	var mu sync.Mutex
+	note := func(s string) {
+		mu.Lock()
+		order = append(order, s)
+		mu.Unlock()
+	}
+	release := make(chan struct{})
+	held := gatedJob(t, e, 1, release)
+	done := make(chan error, 2)
+	go func() {
+		done <- e.Run(context.Background(), 0, func(context.Context) (JobReport, error) {
+			note("sweep")
+			return JobReport{}, nil
+		})
+	}()
+	time.Sleep(10 * time.Millisecond) // the sweep waits for the held job
+	go func() {
+		done <- e.Run(context.Background(), 2, func(context.Context) (JobReport, error) {
+			note("node")
+			return JobReport{}, nil
+		})
+	}()
+	time.Sleep(10 * time.Millisecond) // the node job waits behind the sweep
+	mu.Lock()
+	early := len(order)
+	mu.Unlock()
+	if early != 0 {
+		t.Fatalf("ran %v while the first node job held the AP", order)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "sweep" {
+		t.Fatalf("order %v, want the sweep before the later node job", order)
+	}
+}
+
+// Close while jobs run and another waits for the slot: the running jobs'
+// results are delivered, the waiter fails with ErrClosed without running,
+// and Close returns only once every running job has ended. A job of key 0
+// holds the slot in the first case; two node jobs run side by side in the
+// second.
 func TestEngineCloseWhileRunning(t *testing.T) {
 	e := NewEngine(EngineConfig{})
 	gate := make(chan struct{})
@@ -245,7 +457,7 @@ func TestEngineCloseWhileRunning(t *testing.T) {
 	result := 0
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
+		runErr <- e.Run(context.Background(), 0, func(context.Context) (JobReport, error) {
 			close(started)
 			<-gate
 			result = 42
@@ -286,61 +498,90 @@ func TestEngineCloseWhileRunning(t *testing.T) {
 		t.Fatalf("later err = %v, want ErrClosed", err)
 	}
 
+	// Two node jobs on the AP: Close waits for both.
+	e = NewEngine(EngineConfig{})
+	release := make(chan struct{})
+	first := gatedJob(t, e, 1, release)
+	second := gatedJob(t, e, 2, release)
+	closed = make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while node jobs were still running")
+	case <-time.After(10 * time.Millisecond):
+	}
+	close(release)
+	for _, done := range []<-chan error{first, second} {
+		if err := <-done; err != nil {
+			t.Fatalf("running node job: %v", err)
+		}
+	}
+	<-closed
+
 	// Close's window: quit is closed but Close has not yet taken the free
 	// slot, so a caller sees both ready and select may pick the slot. The
 	// caller must still fail with ErrClosed.
 	for i := 0; i < 50; i++ {
-		e := NewEngine(EngineConfig{})
-		close(e.quit)
-		if err := e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
-			t.Error("job ran with the scheduler closing")
-			return JobReport{}, nil
-		}); !errors.Is(err, ErrClosed) {
-			t.Fatalf("err = %v, want ErrClosed", err)
+		for _, key := range []int{0, 1} {
+			e := NewEngine(EngineConfig{})
+			close(e.quit)
+			if err := e.Run(context.Background(), key, func(context.Context) (JobReport, error) {
+				t.Error("job ran with the scheduler closing")
+				return JobReport{}, nil
+			}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("key %d: err = %v, want ErrClosed", key, err)
+			}
 		}
 	}
 }
 
 // A job that panics, with the panic recovered by the caller (as net/http
-// does for a handler), must give back the slot, the admission and the
-// OnGrant bracket, so the next job still runs.
+// does for a handler), must give back the slot and its share of the AP,
+// so later node jobs and jobs of key 0 still run. So must a job whose
+// commit panics (here from OnAirtime).
 func TestEngineJobPanicReleases(t *testing.T) {
-	var admits, admitReleases, grants, grantReleases int
 	e := NewEngine(EngineConfig{
 		JobTimeout: time.Second,
-		Admit: func() func() {
-			admits++
-			return func() { admitReleases++ }
-		},
-		OnGrant: func() func() {
-			grants++
-			return func() { grantReleases++ }
-		},
+		OnAirtime:  func(float64) { panic("clock fault") },
 	})
-	// The timeout and no deferred Close: with the slot leaked, the next Run
-	// fails instead of blocking, and Close would wait forever.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic did not propagate to the caller")
-			}
-		}()
-		_ = e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
+	// The timeout and no deferred Close: with the slot or the AP leaked,
+	// the next Run fails or the key-0 job blocks instead of the test
+	// passing, and Close would wait forever.
+	run := func(key int, fn func(context.Context) (JobReport, error)) (err error, panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		return e.Run(context.Background(), key, fn), false
+	}
+	for _, key := range []int{1, 0} {
+		if _, panicked := run(key, func(context.Context) (JobReport, error) {
 			panic("job fault")
-		})
-	}()
-	if admitReleases != 1 || grantReleases != 1 {
-		t.Fatalf("after the panic: admit released %d, grant released %d; want 1 and 1", admitReleases, grantReleases)
+		}); !panicked {
+			t.Errorf("key %d: panic did not propagate to the caller", key)
+		}
+		if _, panicked := run(key, func(context.Context) (JobReport, error) {
+			return JobReport{AirtimeS: 1}, nil
+		}); !panicked {
+			t.Errorf("key %d: commit panic did not propagate to the caller", key)
+		}
 	}
-	ran := false
-	if err := e.Run(context.Background(), 1, func(context.Context) (JobReport, error) {
-		ran = true
-		return JobReport{}, nil
-	}); err != nil || !ran {
-		t.Fatalf("next job = (%v, ran %v), want (nil, true): the slot was not given back", err, ran)
-	}
-	if admits != 2 || admitReleases != 2 || grants != 2 || grantReleases != 2 {
-		t.Fatalf("admit %d/%d, grant %d/%d; want every bracket opened and closed twice",
-			admits, admitReleases, grants, grantReleases)
+	for _, key := range []int{1, 0} {
+		ran := false
+		done := make(chan error, 1)
+		go func() {
+			done <- e.Run(context.Background(), key, func(context.Context) (JobReport, error) {
+				ran = true
+				return JobReport{}, nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil || !ran {
+				t.Fatalf("key %d after the panics = (%v, ran %v), want (nil, true)", key, err, ran)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("key %d after the panics never ran: the AP was not given back", key)
+		}
 	}
 }

@@ -43,15 +43,16 @@ func WithAPLayout(aps ...APPlacement) Option {
 	return func(o *options) { o.layout = append([]APPlacement(nil), aps...) }
 }
 
-// WithInterferenceRadius sets the co-channel coordination distance in
-// meters: two APs closer than this may not be on the air simultaneously
-// (their grants serialize through the cluster admission check). Zero means
-// the APs are isolated (never coordinate); negative is rejected. The
-// default derives from the rfsim link budget — the distance at which one
-// AP's mainbeam leakage falls below a neighbour's noise floor — which for
-// the paper's 27 dBm / 20 dBi horns is effectively "every room-scale
-// deployment coordinates". Pass an explicit radius to model sectorized or
-// shielded deployments.
+// WithInterferenceRadius sets the co-channel interference distance in
+// meters that InterferenceRadiusM reports; zero means isolated APs, and
+// negative is rejected. The default derives from the rfsim link budget:
+// the distance at which one AP's mainbeam leakage falls below a
+// neighbour's noise floor, which for the paper's 27 dBm / 20 dBi horns
+// covers every room-scale deployment. The radius is reported, not
+// enforced: it changes no result and no scheduling. Every AP's airtime is
+// charged to the one deployment clock, so co-channel APs never share
+// simulated airtime whatever their distance, and their jobs compute side
+// by side in wall time.
 func WithInterferenceRadius(m float64) Option {
 	return func(o *options) { o.interfRadius, o.interfRadiusSet = m, true }
 }
@@ -63,8 +64,6 @@ const defaultAPSpacingM = 12.0
 // defaultInterferenceRadius computes the distance at which one AP's
 // transmit leakage, received through a neighbour's mainbeam, drops 6 dB
 // below that receiver's thermal noise floor: Ptx·Gt·Gr·(λ/4πd)² = Pn/4.
-// Inside this radius concurrent grants would raise the victim AP's noise
-// floor, so the cluster serializes them.
 func defaultInterferenceRadius(cfg core.Config) float64 {
 	apCfg := cfg.AP
 	fc := (apCfg.LocalizationChirp.FreqLow + apCfg.LocalizationChirp.FreqHigh) / 2
@@ -86,7 +85,8 @@ type apCell struct {
 	sys   *core.System
 	eng   *proto.Engine
 	// discovery is the cell's sweep seed stream. It is drawn only inside
-	// sweep jobs, which hold the engine's slot, so it needs no lock.
+	// sweep jobs, which run alone on the engine (key 0), so it needs no
+	// lock.
 	discovery proto.SeedStream
 
 	handoffsIn  *obs.Counter
@@ -101,6 +101,10 @@ type apCell struct {
 	// construction, so ops may index it without the cluster lock.
 	leaving, removed bool
 }
+
+// newEngine builds each cell's airtime scheduler; tests wrap it to reach
+// the engines of a NewCluster that fails.
+var newEngine = proto.NewEngine
 
 // cellJobKey is the engine job key (the trace span's Arg) of work not tied
 // to one node (discovery sweeps, scene edits); a node's jobs run under its
@@ -138,9 +142,8 @@ type clusterNode struct {
 // AP nearest its true position (a tie goes to the lower layout index), and
 // moving it nearer another AP triggers a handoff — the old AP detaches the
 // node at a grant boundary, the new AP re-admits it under a fresh
-// seed generation and re-discovers it with a localization fix. Co-channel
-// APs within the interference radius never transmit simultaneously: their
-// airtime grants serialize through a cluster-wide admission check.
+// seed generation and re-discovers it with a localization fix. Every AP's
+// airtime is charged, one job after another, to one simulated clock.
 //
 // Determinism: each AP derives its seed root from the cluster seed and its
 // layout index, and each node's session stream derives from (AP seed,
@@ -153,7 +156,6 @@ type Cluster struct {
 	seed   int64
 	radius float64
 	aps    []*apCell
-	adm    *admission
 	debug  *obs.DebugServer
 
 	mu     sync.Mutex
@@ -213,7 +215,6 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 		radius: radius,
 		nodes:  make(map[NodeID]*clusterNode),
 	}
-	c.adm = newAdmission(layout, radius)
 	for i, pl := range layout {
 		sys, err := core.NewSystem(o.cfg, sceneForAP(o.scene, pl, i))
 		if err != nil {
@@ -245,27 +246,20 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 }
 
 // newCell builds AP i's cell around its system and its airtime scheduler.
-// Each grant brackets the job with a capture-plane job lease, so capture
-// buffers a job leaks are reclaimed when its grant ends; each job's airtime
-// advances the shared clock, and with co-channel neighbours every grant
-// passes the cluster admission check.
+// Each job's airtime advances the shared clock.
 func (c *Cluster) newCell(i int, pl APPlacement, sys *core.System, jobTimeout time.Duration) *apCell {
 	cfg := proto.EngineConfig{
 		JobTimeout: jobTimeout,
 		Obs:        sys.Obs(),
 		Tracer:     sys.Tracer(),
-		OnGrant:    func() func() { return sys.Capture().BeginJob().End },
 		OnAirtime:  func(seconds float64) { sys.Clock().Advance(seconds) },
-	}
-	if c.adm != nil {
-		cfg.Admit = func() (release func()) { return c.adm.admit(i) }
 	}
 	reg := sys.Obs()
 	return &apCell{
 		index:       i,
 		place:       pl,
 		sys:         sys,
-		eng:         proto.NewEngine(cfg),
+		eng:         newEngine(cfg),
 		discovery:   proto.NewSeedStream(proto.DeriveSessionSeed(c.apSeed(i), cellJobKey)),
 		handoffsIn:  reg.Counter(obs.MetricHandoffsIn),
 		handoffsOut: reg.Counter(obs.MetricHandoffsOut),
@@ -362,8 +356,9 @@ func (c *Cluster) homingCountLocked() int {
 	return n
 }
 
-// InterferenceRadiusM returns the co-channel coordination distance in
-// effect (see WithInterferenceRadius).
+// InterferenceRadiusM returns the co-channel interference distance set by
+// WithInterferenceRadius, or the link-budget default. It is reported, not
+// enforced (see WithInterferenceRadius).
 func (c *Cluster) InterferenceRadiusM() float64 { return c.radius }
 
 // ownerLocked maps a cluster-frame position to its serving AP: the AP
@@ -557,8 +552,8 @@ func (c *Cluster) Orientation(ctx context.Context, id NodeID) (float64, error) {
 // Send transmits data from the node to its serving AP (uplink backscatter)
 // at the given bit rate: one full protocol packet, or with WithARQ up to
 // that many CRC-checked packets, FEC-coded with WithFEC. The whole
-// transfer, retransmissions included, occupies one scheduler slot at the
-// node's serving AP. The Exchange's Position is in the cluster frame; on
+// transfer, retransmissions included, is one scheduler job at the node's
+// serving AP. The Exchange's Position is in the cluster frame; on
 // failure it still reports Attempts and Corrections. It can return
 // ErrInvalidConfig (a bit rate that is not finite and positive, or
 // WithARQ below one attempt), ErrUnknownNode, ErrNoDetection,
@@ -650,10 +645,9 @@ func (c *Cluster) Move(ctx context.Context, id NodeID, x, y, orientationDeg floa
 // RemoveAP rather than node movement.
 func (c *Cluster) handoffLocked(ctx context.Context, cn *clusterNode, target int, x, y, orientationDeg float64, rebalance bool) error {
 	oldCell, newCell := c.aps[cn.ap], c.aps[target]
-	// Drain: the detach runs as a job on the old AP's engine, so an
-	// in-flight grant completes first and the OnGrant job lease reclaims
-	// any capture buffers at that boundary. A lease is never torn
-	// mid-capture.
+	// Drain: the detach runs as one of the node's jobs on the old AP's
+	// engine, after the node's in-flight job (the node lock orders them),
+	// so a lease is never torn mid-capture.
 	err := oldCell.eng.Run(ctx, int(cn.id), func(context.Context) (proto.JobReport, error) {
 		oldCell.sys.RemoveNode(cn.sess.Node())
 		return proto.JobReport{}, nil
@@ -742,8 +736,7 @@ type ClusterDetection struct {
 
 // Discover sweeps every live AP's beam in layout order and returns all
 // detections with positions in the cluster frame. A node in two APs'
-// coverage can appear twice (once per AP — that is what the interference
-// radius is about). It returns ErrNoDetection when no AP saw anything.
+// coverage can appear twice (once per AP). It returns ErrNoDetection when no AP saw anything.
 func (c *Cluster) Discover(ctx context.Context) ([]ClusterDetection, error) {
 	var out []ClusterDetection
 	for _, cell := range c.aps {
@@ -865,73 +858,4 @@ func (c *Cluster) Stats() Stats {
 		total.Cancelled += s.Cancelled
 	}
 	return total
-}
-
-// admission is the cluster-wide co-channel coordinator: an AP whose
-// interference disc overlaps another's may not be on the air while that
-// other is. Engines call admit before every grant and hold the slot for
-// the grant's duration; conflicting admits park on the condition variable.
-// Admission affects only timing — seed streams never depend on it — so it
-// cannot perturb determinism, only serialize airtime.
-type admission struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	active   []int // per-AP count of grants on the air (0 or 1 per engine)
-	conflict [][]bool
-}
-
-// newAdmission builds the coordinator from pairwise AP distances; it
-// returns nil when no pair conflicts (admission checks would be pure
-// overhead).
-func newAdmission(layout []APPlacement, radius float64) *admission {
-	n := len(layout)
-	if n < 2 {
-		return nil
-	}
-	conflict := make([][]bool, n)
-	for i := range conflict {
-		conflict[i] = make([]bool, n)
-	}
-	any := false
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx, dy := layout[i].X-layout[j].X, layout[i].Y-layout[j].Y
-			if math.Hypot(dx, dy) <= radius {
-				conflict[i][j], conflict[j][i] = true, true
-				any = true
-			}
-		}
-	}
-	if !any {
-		return nil
-	}
-	a := &admission{active: make([]int, n), conflict: conflict}
-	a.cond = sync.NewCond(&a.mu)
-	return a
-}
-
-// admit blocks until no conflicting AP is on the air, claims AP i's slot,
-// and returns the release that frees it.
-func (a *admission) admit(i int) (release func()) {
-	a.mu.Lock()
-	for a.blockedLocked(i) {
-		a.cond.Wait()
-	}
-	a.active[i]++
-	a.mu.Unlock()
-	return func() {
-		a.mu.Lock()
-		a.active[i]--
-		a.mu.Unlock()
-		a.cond.Broadcast()
-	}
-}
-
-func (a *admission) blockedLocked(i int) bool {
-	for j, n := range a.active {
-		if n > 0 && a.conflict[i][j] {
-			return true
-		}
-	}
-	return false
 }

@@ -2,9 +2,11 @@ package milback
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -220,10 +222,11 @@ func TestClusterJoinDuringDiscover(t *testing.T) {
 // is: a node with a backlog of callers cannot starve a neighbour. With the
 // AP's first grant held, four Localize callers queue on node A and then one
 // on node B. A node's calls run one at a time under its lock, so only one
-// of A's callers waits for airtime when B arrives, and B's job must be the
-// second node job on the air. The order is read from the proto.job spans,
-// which are recorded in execution order, not from return order, which
-// races.
+// of A's callers waits for airtime when B arrives, and B's job must start
+// second, before A's next job. The order is read from the proto.job
+// spans' start times: spans are recorded as jobs end, and node jobs run
+// side by side, so neither record order nor return order shows the grant
+// order.
 func TestClusterGrantFairness(t *testing.T) {
 	ctx := context.Background()
 	c := newTestCluster(t, WithSeed(7))
@@ -261,16 +264,21 @@ func TestClusterGrantFairness(t *testing.T) {
 	close(gate)
 	wg.Wait()
 
-	var order []int64
+	var jobs []obs.Span
 	for _, s := range cell.sys.Tracer().Snapshot() {
 		if s.Name == obs.SpanJob && (s.Arg == int64(a) || s.Arg == int64(b)) {
-			order = append(order, s.Arg)
+			jobs = append(jobs, s)
 		}
 	}
-	if len(order) != 5 {
-		t.Fatalf("traced %d node jobs, want 5: %v", len(order), order)
+	if len(jobs) != 5 {
+		t.Fatalf("traced %d node jobs, want 5: %v", len(jobs), jobs)
+	}
+	slices.SortStableFunc(jobs, func(x, y obs.Span) int { return cmp.Compare(x.StartNS, y.StartNS) })
+	order := make([]int64, len(jobs))
+	for i, s := range jobs {
+		order[i] = s.Arg
 	}
 	if order[1] != int64(b) {
-		t.Fatalf("node job order %v (A = %d, B = %d): B was not granted second", order, a, b)
+		t.Fatalf("node job start order %v (A = %d, B = %d): B did not start second", order, a, b)
 	}
 }

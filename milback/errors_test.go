@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/proto"
 )
 
 func TestNewNetworkValidation(t *testing.T) {
@@ -31,29 +30,40 @@ func TestNewNetworkValidation(t *testing.T) {
 }
 
 // TestNewClusterFailureStopsEngines pins that a NewCluster failing after
-// its cells exist closes their airtime schedulers again and leaks no
-// goroutine: a debug server that cannot start must leave nothing running.
+// its cells exist closes their airtime schedulers again: every engine it
+// built answers ErrClosed afterwards.
 func TestNewClusterFailureStopsEngines(t *testing.T) {
+	var engines []*proto.Engine
+	defer func(orig func(proto.EngineConfig) *proto.Engine) { newEngine = orig }(newEngine)
+	newEngine = func(cfg proto.EngineConfig) *proto.Engine {
+		e := proto.NewEngine(cfg)
+		engines = append(engines, e)
+		return e
+	}
 	noObs := core.DefaultConfig()
 	noObs.DisableObservability = true
-	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		if _, err := NewCluster(WithAPs(3), WithDebugServer("no-port")); !errors.Is(err, ErrInvalidConfig) {
-			t.Fatalf("unbindable debug address: err = %v, want ErrInvalidConfig", err)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"unbindable debug address", []Option{WithAPs(3), WithDebugServer("no-port")}},
+		{"debug server without observability", []Option{WithAPs(3), WithSystemConfig(noObs), WithDebugServer(":0")}},
+	} {
+		engines = nil
+		if _, err := NewCluster(tc.opts...); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("%s: err = %v, want ErrInvalidConfig", tc.name, err)
 		}
-		if _, err := NewCluster(WithAPs(3), WithSystemConfig(noObs), WithDebugServer(":0")); !errors.Is(err, ErrInvalidConfig) {
-			t.Fatalf("debug server without observability: err = %v, want ErrInvalidConfig", err)
+		if len(engines) != 3 {
+			t.Fatalf("%s: built %d engines, want 3", tc.name, len(engines))
 		}
-	}
-	// A goroutine that has signalled its exit may still be unwinding; give
-	// it a moment before counting.
-	after := runtime.NumGoroutine()
-	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-		after = runtime.NumGoroutine()
-	}
-	if after > before {
-		t.Errorf("%d goroutines before 20 failed NewCluster calls, %d after", before, after)
+		for i, e := range engines {
+			err := e.Run(context.Background(), 1, func(context.Context) (proto.JobReport, error) {
+				return proto.JobReport{}, nil
+			})
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("%s: engine %d answers %v, want ErrClosed", tc.name, i, err)
+			}
+		}
 	}
 }
 

@@ -162,7 +162,7 @@ func ExampleCluster_Metrics() {
 	}
 	m := c.Metrics().PerAP[0].Metrics
 	fmt.Printf("scheduled jobs: %d\n", m.QueueWait.Count)
-	fmt.Printf("leases: %d opened, %d leaked\n", m.LeasesOpened, m.LeasesReclaimed)
+	fmt.Printf("leases: %d opened, %d leaked\n", m.LeasesOpened, m.LeasesOpened-m.LeasesClosed)
 	fmt.Printf("pool recycled a buffer: %v\n", m.PoolHits > 0)
 	fmt.Printf("synthesize stage timed: %v\n", m.Synthesize.Count > 0)
 	// Output:

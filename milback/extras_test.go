@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -291,40 +292,65 @@ func TestSuperframeValidation(t *testing.T) {
 	}
 }
 
-// TestDiscoverContextHonoursJobContext pins that a discovery job sweeps
-// under the job's effective context: a client that goes away after the
-// sweep is granted airtime (cancelled here from the admission hook, which
-// runs between the scheduler's own check and the job) stops the sweep
-// before its first pointing, with ErrCancelled wrapping context.Canceled
-// and no capture lease left open.
+// TestDiscoverContextHonoursJobContext pins that a sweep honours its
+// caller's context to the last moment before it runs: a client that goes
+// away while the sweep waits for a running node job (the sweep already
+// holds the slot, so the scheduler's first checks have passed) gets
+// ErrCancelled wrapping context.Canceled, and the sweep never runs: it
+// captures no pointing and opens no capture lease.
 func TestDiscoverContextHonoursJobContext(t *testing.T) {
 	c := newTestCluster(t)
+	var ids []NodeID
 	for _, az := range []float64{-20, 0, 20} {
-		joinPolar(t, c, 3, az, 5)
+		ids = append(ids, joinPolar(t, c, 3, az, 5))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cell := c.aps[0]
-	cell.eng.Close()
-	sys := cell.sys
-	cell.eng = proto.NewEngine(proto.EngineConfig{
-		Obs: sys.Obs(),
-		Admit: func() func() {
-			cancel()
-			return func() {}
-		},
-		OnGrant: func() func() { return sys.Capture().BeginJob().End },
-	})
-	_, err := c.Discover(ctx)
-	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
+	started, release := make(chan struct{}), make(chan struct{})
+	held := make(chan error, 1)
+	go func() {
+		held <- cell.eng.Run(context.Background(), int(ids[0]), func(context.Context) (proto.JobReport, error) {
+			close(started)
+			<-release
+			return proto.JobReport{}, nil
+		})
+	}()
+	<-started
+	swept := make(chan error, 1)
+	go func() {
+		_, err := c.Discover(ctx)
+		swept <- err
+	}()
+	// Once the sweep holds the slot no node job is granted: probe with
+	// short deadlines until one times out waiting.
+	for {
+		pctx, pcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		err := cell.eng.Run(pctx, int(ids[1]), func(context.Context) (proto.JobReport, error) {
+			return proto.JobReport{}, nil
+		})
+		pcancel()
+		if errors.Is(err, ErrCancelled) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("probe: %v", err)
+		}
+	}
+	cancel()
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatalf("held node job: %v", err)
+	}
+	if err := <-swept; !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCancelled wrapping context.Canceled", err)
 	}
-	snap := sys.Obs().Snapshot()
+	snap := cell.sys.Obs().Snapshot()
 	if got := snap.Counters[obs.MetricCapturesAcquired]; got != 0 {
 		t.Errorf("cancelled sweep still captured %d pointings", got)
 	}
-	if opened, closed := snap.Counters[obs.MetricLeasesOpened], snap.Counters[obs.MetricLeasesClosed]; opened != closed {
-		t.Errorf("%d leases opened but %d closed", opened, closed)
+	if opened, closed := snap.Counters[obs.MetricLeasesOpened], snap.Counters[obs.MetricLeasesClosed]; opened != 0 || closed != 0 {
+		t.Errorf("%d leases opened and %d closed; want none: the cancelled sweep must not run", opened, closed)
 	}
 }
 

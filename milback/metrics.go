@@ -84,14 +84,13 @@ type Metrics struct {
 	CaptureWorkers Histogram
 
 	// LeaseTime distributes how long operations held capture buffers
-	// (Acquire to Close). LeasesReclaimed counts the subset of closed leases
-	// that were leaked by their operation and reclaimed at the airtime-grant
-	// boundary; Captures counts chirp-burst captures drawn.
-	LeaseTime       Histogram
-	LeasesOpened    uint64
-	LeasesClosed    uint64
-	LeasesReclaimed uint64
-	Captures        uint64
+	// (Acquire to Close). LeasesOpened minus LeasesClosed is the leases
+	// still open: operations in flight, or leaked ones; Captures counts
+	// chirp-burst captures drawn.
+	LeaseTime    Histogram
+	LeasesOpened uint64
+	LeasesClosed uint64
+	Captures     uint64
 
 	// PoolHits/PoolMisses split buffer requests by whether a recycled buffer
 	// was available; PoolPuts/PoolDrops split releases by whether the pool
@@ -114,26 +113,25 @@ func histogramFromSnapshot(s obs.HistogramSnapshot) Histogram {
 // snapshot (see Cluster.Metrics).
 func metricsFromSnapshot(snap obs.Snapshot) Metrics {
 	return Metrics{
-		QueueWait:       histogramFromSnapshot(snap.Histograms[obs.MetricQueueWaitSeconds]),
-		JobDuration:     histogramFromSnapshot(snap.Histograms[obs.MetricJobDurationSeconds]),
-		Synthesize:      histogramFromSnapshot(snap.Histograms[obs.MetricSynthesizeSeconds]),
-		SynthDraw:       histogramFromSnapshot(snap.Histograms[obs.MetricSynthDrawSeconds]),
-		SynthClutter:    histogramFromSnapshot(snap.Histograms[obs.MetricSynthClutterSeconds]),
-		SynthTargets:    histogramFromSnapshot(snap.Histograms[obs.MetricSynthTargetsSeconds]),
-		SynthNoise:      histogramFromSnapshot(snap.Histograms[obs.MetricSynthNoiseSeconds]),
-		FFT:             histogramFromSnapshot(snap.Histograms[obs.MetricFFTSeconds]),
-		FFTBatch:        histogramFromSnapshot(snap.Histograms[obs.MetricFFTBatchSeconds]),
-		CaptureWorkers:  histogramFromSnapshot(snap.Histograms[obs.MetricCaptureWorkers]),
-		Detect:          histogramFromSnapshot(snap.Histograms[obs.MetricDetectSeconds]),
-		LeaseTime:       histogramFromSnapshot(snap.Histograms[obs.MetricLeaseSeconds]),
-		LeasesOpened:    snap.Counters[obs.MetricLeasesOpened],
-		LeasesClosed:    snap.Counters[obs.MetricLeasesClosed],
-		LeasesReclaimed: snap.Counters[obs.MetricLeasesReclaimed],
-		Captures:        snap.Counters[obs.MetricCapturesAcquired],
-		PoolHits:        snap.Counters[obs.MetricPoolHits],
-		PoolMisses:      snap.Counters[obs.MetricPoolMisses],
-		PoolPuts:        snap.Counters[obs.MetricPoolPuts],
-		PoolDrops:       snap.Counters[obs.MetricPoolDrops],
+		QueueWait:      histogramFromSnapshot(snap.Histograms[obs.MetricQueueWaitSeconds]),
+		JobDuration:    histogramFromSnapshot(snap.Histograms[obs.MetricJobDurationSeconds]),
+		Synthesize:     histogramFromSnapshot(snap.Histograms[obs.MetricSynthesizeSeconds]),
+		SynthDraw:      histogramFromSnapshot(snap.Histograms[obs.MetricSynthDrawSeconds]),
+		SynthClutter:   histogramFromSnapshot(snap.Histograms[obs.MetricSynthClutterSeconds]),
+		SynthTargets:   histogramFromSnapshot(snap.Histograms[obs.MetricSynthTargetsSeconds]),
+		SynthNoise:     histogramFromSnapshot(snap.Histograms[obs.MetricSynthNoiseSeconds]),
+		FFT:            histogramFromSnapshot(snap.Histograms[obs.MetricFFTSeconds]),
+		FFTBatch:       histogramFromSnapshot(snap.Histograms[obs.MetricFFTBatchSeconds]),
+		CaptureWorkers: histogramFromSnapshot(snap.Histograms[obs.MetricCaptureWorkers]),
+		Detect:         histogramFromSnapshot(snap.Histograms[obs.MetricDetectSeconds]),
+		LeaseTime:      histogramFromSnapshot(snap.Histograms[obs.MetricLeaseSeconds]),
+		LeasesOpened:   snap.Counters[obs.MetricLeasesOpened],
+		LeasesClosed:   snap.Counters[obs.MetricLeasesClosed],
+		Captures:       snap.Counters[obs.MetricCapturesAcquired],
+		PoolHits:       snap.Counters[obs.MetricPoolHits],
+		PoolMisses:     snap.Counters[obs.MetricPoolMisses],
+		PoolPuts:       snap.Counters[obs.MetricPoolPuts],
+		PoolDrops:      snap.Counters[obs.MetricPoolDrops],
 	}
 }
 

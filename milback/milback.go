@@ -13,8 +13,7 @@
 // WithAPs and WithAPLayout scale the same protocol past it (the §9.5
 // network-scale discussion): one engine per access point, each node homed
 // at the live AP nearest it, roaming nodes handed off at grant
-// boundaries, and co-channel APs inside the link-budget interference
-// radius serialized.
+// boundaries, and every AP's airtime charged to one simulated clock.
 //
 // Quick start:
 //
@@ -30,13 +29,16 @@
 //
 // A Cluster is safe for concurrent use: each AP serves one node at a time
 // (spatial-division multiplexing — one beam), so each operation waits for
-// its AP's single airtime slot and runs on the calling goroutine once it
-// holds it. Waiting calls are granted the slot in arrival order, and a
-// node's calls run one at a time, so a node with a backlog cannot starve
-// its neighbours. Any number of goroutines may drive distinct nodes; each
-// call blocks until its turn on the air completes. Every operation takes a
-// ctx and honors cancellation while it waits for the slot and between
-// packet phases; see ErrCancelled.
+// its grant at its AP and runs on the calling goroutine once granted.
+// Waiting calls are granted in arrival order, and a node's calls run one at
+// a time, so a node with a backlog cannot starve its neighbours. Granted
+// operations of different nodes compute side by side, each with its own
+// beam pointing and noise stream, while discovery sweeps and blocker edits
+// run alone; every operation's airtime is charged to one simulated clock.
+// Any number of goroutines may drive distinct nodes; each call blocks until
+// its operation completes. Every operation takes a ctx and honors
+// cancellation while it waits for its grant and between packet phases; see
+// ErrCancelled.
 //
 // Everything is deterministic: each node draws noise seeds from its own
 // stream, derived from the cluster seed, its serving AP and its NodeID, so
@@ -104,8 +106,8 @@ func WithSystemConfig(cfg core.Config) Option {
 	return func(o *options) { o.cfg = cfg }
 }
 
-// WithJobTimeout bounds how long any single scheduled operation (slot wait
-// plus airtime) may take before it fails with ErrCancelled wrapping
+// WithJobTimeout bounds how long any single scheduled operation (grant
+// wait plus airtime) may take before it fails with ErrCancelled wrapping
 // context.DeadlineExceeded. An operation still waiting at the deadline fails
 // immediately; one already on the air finishes its current packet phase
 // first (the channel is never preempted mid-capture) and abandons the
